@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including a clean UNSAT), 1 I/O or parse failure,
 2 structural precondition failure (with a witness when available),
-3 solver cap exceeded, 4 invalid coloring in `verify`.
+3 solver cap exceeded, 4 invalid coloring in `verify`, 5 internal error
+in `color` (a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -21,11 +23,13 @@ from .errors import (
     ClawcolorError,
     DisconnectedError,
     InfeasibleSpecError,
+    InternalInvariantError,
     MalformedInputError,
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
     PartialColoringError,
+    VerificationFailedError,
 )
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .generators import (
@@ -46,6 +50,7 @@ EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_CAP = 3
 EXIT_INVALID_COLORING = 4
+EXIT_INTERNAL = 5
 
 
 def _read_text(path: str) -> str:
@@ -55,14 +60,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str, fmt: str) -> MultiGraph:
+def _load_graph(path: str, fmt: str, cubic: bool = False) -> MultiGraph:
     text = _read_text(path)
     if fmt == "auto":
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
     if fmt == "graph6":
         first = next((ln for ln in text.splitlines() if ln.strip()), "")
         return parse_graph6(first)
-    return parse_edgelist(text)
+    return parse_edgelist(text, cubic=cubic)
 
 
 def _parse_spec(text: str) -> SPackingSpec:
@@ -74,40 +79,38 @@ def _parse_spec(text: str) -> SPackingSpec:
 
 
 def _color_one(path: str, fmt: str) -> dict:
+    """Color and certify one input; every failure becomes an error report."""
     started = time.perf_counter()
     report: dict = {"input": path, "outcome": "error"}
-    try:
-        g = _load_graph(path, fmt)
-    except (OSError, MalformedInputError) as exc:
-        report["error"] = {"kind": "io", "message": str(exc)}
-        report["exit"] = EXIT_IO
+
+    def failed(kind: str, message: str, code: int) -> dict:
+        report["error"] = {"kind": kind, "message": message}
+        report["exit"] = code
         return report
-    report["n"] = g.n
+
     try:
+        g = _load_graph(path, fmt, cubic=True)
+        report["n"] = g.n
         coloring = color_claw_free_cubic(g)
+        violations = verify(g, SPEC_1122, coloring)
+        if violations:
+            # unreachable: the constructor verifies before returning
+            raise VerificationFailedError(violations)
+    except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
+        return failed("io", str(exc), EXIT_IO)
     except NotClawFreeError as exc:
-        report["error"] = {
-            "kind": "not-claw-free",
-            "message": str(exc),
-            "witness": list(exc.witness),
-        }
-        report["exit"] = EXIT_PRECONDITION
+        failed("not-claw-free", str(exc), EXIT_PRECONDITION)
+        report["error"]["witness"] = list(exc.witness)
         return report
     except (NotCubicError, DisconnectedError, NotSimpleError) as exc:
-        report["error"] = {"kind": "precondition", "message": str(exc)}
-        report["exit"] = EXIT_PRECONDITION
+        return failed("precondition", str(exc), EXIT_PRECONDITION)
+    except Exception as exc:  # a bug: report this input, keep the batch going
+        if isinstance(exc, ClawcolorError) and not isinstance(exc, InternalInvariantError):
+            return failed(type(exc).__name__, str(exc), EXIT_PRECONDITION)
+        failed("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+        report["error"]["traceback"] = traceback.format_exc()
         return report
-    except ClawcolorError as exc:
-        report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-        report["exit"] = EXIT_PRECONDITION
-        return report
-    violations = verify(g, SPEC_1122, coloring)
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
-    if violations:
-        # unreachable: the constructor verifies before returning
-        report["error"] = {"kind": "verification", "message": f"{len(violations)} violations"}
-        report["exit"] = EXIT_INVALID_COLORING
-        return report
     report["outcome"] = "colored"
     report["coloring"] = {str(v): coloring.label(v) for v in sorted(coloring.assignment)}
     report["verified"] = True

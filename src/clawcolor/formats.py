@@ -10,11 +10,23 @@ triangle of the adjacency matrix packed column by column in 6-bit groups.
 
 from __future__ import annotations
 
-from .errors import Graph6MultiedgeError, LoopEdgeError, MalformedInputError, VertexOutOfRangeError
+from .errors import (
+    Graph6MultiedgeError,
+    LoopEdgeError,
+    MalformedInputError,
+    NotCubicError,
+    VertexOutOfRangeError,
+)
 from .multigraph import MultiGraph
 
 
-def parse_edgelist(text: str) -> MultiGraph:
+def parse_edgelist(text: str, *, cubic: bool = False) -> MultiGraph:
+    """Decode edge-list text.
+
+    With cubic=True, an edge count other than 3n/2 raises NotCubicError
+    before the graph is built, so a huge vertex-count header cannot
+    allocate more than the text itself holds.
+    """
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -41,6 +53,10 @@ def parse_edgelist(text: str) -> MultiGraph:
         edges.append((u, v))
     if n is None:
         raise MalformedInputError("empty input")
+    if cubic and 2 * len(edges) != 3 * n:
+        raise NotCubicError(
+            f"edge list has {len(edges)} edges; a cubic graph on {n} vertices has 3n/2"
+        )
     try:
         return MultiGraph(n, edges)
     except (LoopEdgeError, VertexOutOfRangeError) as exc:

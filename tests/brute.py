@@ -121,15 +121,32 @@ def find_claw_brute(g: MultiGraph) -> tuple | None:
     return None
 
 
-def coloring_valid_brute(g: MultiGraph, radii: tuple[int, ...], assignment: dict) -> bool:
-    """Direct definition check with per-pair BFS."""
+def violations_brute(
+    g: MultiGraph, radii: tuple[int, ...], assignment: dict
+) -> list[tuple[int, str, tuple[int, int], int]]:
+    """Every (class_index, label, pair, distance) violation, from full BFS.
+
+    Labels follow SPackingSpec.labels(): 1a/1b/2a/2b for (1,1,2,2), c1, c2,
+    ... otherwise.  Pairs are ordered by u, then v.
+    """
+    if radii == (1, 1, 2, 2):
+        labels = ("1a", "1b", "2a", "2b")
+    else:
+        labels = tuple(f"c{i + 1}" for i in range(len(radii)))
     edges = g.edge_list()
+    out = []
     for u in range(g.n):
         du = bfs_distances(g.n, edges, u)
+        c = assignment[u]
         for v in range(u + 1, g.n):
-            if assignment[u] == assignment[v] and du[v] <= radii[assignment[u]]:
-                return False
-    return True
+            if assignment[v] == c and du[v] <= radii[c]:
+                out.append((c, labels[c], (u, v), int(du[v])))
+    return out
+
+
+def coloring_valid_brute(g: MultiGraph, radii: tuple[int, ...], assignment: dict) -> bool:
+    """Direct definition check with per-source BFS."""
+    return not violations_brute(g, radii, assignment)
 
 
 def ref_graph6_decode(s: str) -> tuple[int, set[tuple[int, int]]]:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from clawcolor import emit_edgelist, fixtures
+import clawcolor.cli
+from clawcolor import color_claw_free_cubic, emit_edgelist, fixtures
 from clawcolor.cli import main
+from clawcolor.errors import VerificationFailedError
+from clawcolor.oracle import Violation
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,87 @@ def test_color_multiple_files_with_jobs(fixture_files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("VERIFIED") == 2
+
+
+def json_reports(text):
+    """The concatenated JSON reports `color --json` prints, in order."""
+    decoder = json.JSONDecoder()
+    reports, at = [], 0
+    while text[at:].strip():
+        at += len(text[at:]) - len(text[at:].lstrip())
+        report, at = decoder.raw_decode(text, at)
+        reports.append(report)
+    return reports
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "crash, message",
+    [
+        (VerificationFailedError([Violation(2, "2a", (0, 3), 2)]), "VerificationFailedError: coloring verification failed"),
+        (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+    ],
+    ids=["invariant", "foreign"],
+)
+def test_color_bug_is_internal_exit5_and_batch_continues(
+    fixture_files, capsys, monkeypatch, jobs, crash, message
+):
+    def crash_on_prism(g):
+        if g.n == 6:
+            raise crash
+        return color_claw_free_cubic(g)
+
+    monkeypatch.setattr(clawcolor.cli, "color_claw_free_cubic", crash_on_prism)
+    paths = [fixture_files["k4"], fixture_files["prism"], fixture_files["bridged_star"]]
+    assert main(["color", "--json", "--jobs", jobs, *paths]) == 5
+    k4, prism, star = json_reports(capsys.readouterr().out)
+    assert k4["outcome"] == star["outcome"] == "colored"
+    assert k4["exit"] == star["exit"] == 0
+    assert prism["outcome"] == "error" and prism["exit"] == 5
+    assert prism["error"]["kind"] == "internal"
+    assert prism["error"]["message"].startswith(message)
+    assert "crash_on_prism" in prism["error"]["traceback"]
+
+
+def test_color_bug_text_mode_names_internal(fixture_files, capsys, monkeypatch):
+    def crash(g):
+        raise KeyError(7)
+
+    monkeypatch.setattr(clawcolor.cli, "color_claw_free_cubic", crash)
+    assert main(["color", fixture_files["k4"]]) == 5
+    assert "error (internal): KeyError: 7" in capsys.readouterr().err
+
+
+def test_color_rejects_huge_header_before_building(tmp_path, capsys):
+    p = tmp_path / "huge.el"
+    p.write_text("1000000000000\n")
+    assert main(["color", "--json", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["outcome"] == "error" and report["exit"] == 2
+    assert report["error"]["kind"] == "precondition"
+    assert "3n/2" in report["error"]["message"]
+    assert "n" not in report
+
+
+def test_color_rejects_edge_count_mismatch(tmp_path, capsys):
+    p = tmp_path / "k4_minus_edge.el"
+    p.write_text("4\n0 1\n0 2\n0 3\n1 2\n1 3\n")
+    assert main(["color", str(p)]) == 2
+    assert "error (precondition)" in capsys.readouterr().err
+
+
+def test_non_cubic_graphs_still_accepted_outside_color(tmp_path, capsys):
+    p = tmp_path / "path.el"
+    p.write_text("3\n0 1\n1 2\n")
+    assert main(["solve", str(p)]) == 0
+    assert capsys.readouterr().out.strip().endswith("SAT")
+    c = tmp_path / "path.col"
+    c.write_text("0 1a\n1 1b\n2 2a\n")
+    assert main(["verify", str(p), str(c)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    # decompose parses it and rejects it later, in structure recognition
+    assert main(["decompose", str(p)]) == 2
+    assert "3n/2" not in capsys.readouterr().err
 
 
 def test_solve_petersen_unsat(fixture_files, capsys):

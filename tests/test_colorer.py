@@ -6,14 +6,17 @@ from clawcolor import (
     C2A,
     C2B,
     SPEC_1122,
+    ExpansionSpec,
     MultiGraph,
     build_bridge_tree,
     color_claw_free_cubic,
     color_root_component,
+    expand_to_clawfree,
     extend_component,
     find_bridges,
     free_two_color,
     gen_bridged,
+    gen_cubic_multigraph,
     verify,
 )
 from clawcolor.errors import (
@@ -266,3 +269,15 @@ def test_exhaustive_small_orders():
             tested += 1
         counts[n] = tested
     assert counts == {4: 1, 6: 60, 8: 2520}
+
+
+def test_large_built_graph_colors_and_certifies():
+    """n = 36,864: far past what an all-pairs distance matrix could hold."""
+    rng = SplitMix64(0x4096)
+    h = gen_cubic_multigraph(4096, rng)
+    slots = h.slots()
+    lengths = [i % 3 for i in range(len(slots))]
+    rng.shuffle(lengths)
+    g = expand_to_clawfree(h, ExpansionSpec(dict(zip(slots, lengths))), rng)
+    assert g.n == 36864
+    assert_valid(g, color_claw_free_cubic(g))

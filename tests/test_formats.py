@@ -10,7 +10,7 @@ from clawcolor import (
     parse_graph6,
     parse_graph6_lines,
 )
-from clawcolor.errors import Graph6MultiedgeError, MalformedInputError
+from clawcolor.errors import Graph6MultiedgeError, MalformedInputError, NotCubicError
 
 from brute import ref_graph6_decode
 
@@ -19,6 +19,16 @@ def test_parse_k4_edgelist():
     text = "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
     g = parse_edgelist(text)
     assert g.n == 4 and g.size == 6 and g.is_simple()
+
+
+def test_cubic_edge_count_checked_before_building():
+    k4 = "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+    assert parse_edgelist(k4, cubic=True) == parse_edgelist(k4)
+    with pytest.raises(NotCubicError):
+        parse_edgelist("1000000000000\n", cubic=True)
+    with pytest.raises(NotCubicError):
+        parse_edgelist("3\n0 1\n1 2\n", cubic=True)
+    assert parse_edgelist("3\n0 1\n1 2\n").size == 2
 
 
 def test_multiplicity_via_repeats():

@@ -13,13 +13,18 @@ from clawcolor import (
     SPackingSpec,
     all_pairs_distances,
     color_claw_free_cubic,
+    expand_to_clawfree,
+    fixtures,
+    gen_cubic_multigraph,
+    gen_ring_of_diamonds,
+    random_expansion_spec,
     solve_spacking,
     subdivide,
     verify,
 )
 from clawcolor.errors import CapExceededError, PartialColoringError
 
-from brute import coloring_valid_brute, relabeled
+from brute import coloring_valid_brute, relabeled, violations_brute
 from clawcolor.rng import SplitMix64
 
 
@@ -44,6 +49,72 @@ def test_verify_reports_violation():
 def test_verify_requires_total():
     with pytest.raises(PartialColoringError):
         verify(k4(), SPEC_1122, PackingColoring(SPEC_1122, {0: 0}))
+
+
+@pytest.mark.parametrize(
+    "assignment, mismatch",
+    [
+        ({0: 0, 2: 1}, {1, 3}),
+        ({0: 0, 1: 1, 2: 2, 3: 3, 4: 0}, {4}),
+        ({-1: 0, 0: 0, 1: 1, 2: 2, 3: 3}, {-1}),
+    ],
+    ids=["missing", "extra", "negative"],
+)
+def test_verify_domain_mismatch(assignment, mismatch):
+    with pytest.raises(PartialColoringError) as exc:
+        verify(k4(), SPEC_1122, PackingColoring(SPEC_1122, assignment))
+    assert exc.value.missing == mismatch
+
+
+def _differential_graphs() -> list[tuple[str, MultiGraph]]:
+    """Fixtures, built graphs, rings and a subdivision: varied radii reach."""
+    out = list(fixtures().items())
+    rng = SplitMix64(0xD1FF)
+    for i in range(12):
+        h = gen_cubic_multigraph(2 * (1 + i % 6), rng)
+        out.append((f"built{i}", expand_to_clawfree(h, random_expansion_spec(h, rng), rng)))
+    out.extend((f"ring{k}", gen_ring_of_diamonds(k)) for k in (2, 3, 5))
+    out.append(("subdivided_petersen", subdivide(fixtures()["petersen"])))
+    return out
+
+
+DIFFERENTIAL_GRAPHS = _differential_graphs()
+
+
+def _violation_tuples(g, spec, assignment):
+    return [
+        (vio.class_index, vio.label, vio.pair, vio.distance)
+        for vio in verify(g, spec, PackingColoring(spec, assignment))
+    ]
+
+
+@pytest.mark.parametrize(
+    "radii", [(1, 1, 2, 2), (1, 2, 3), (2, 2, 3, 3), (1, 1, 1), (3, 4)]
+)
+def test_verify_matches_definition(radii):
+    """verify's violations equal the all-pairs definition, in order."""
+    spec = SPackingSpec(radii)
+    rng = SplitMix64(sum(radii) * 1009 + len(radii))
+    total = 0
+    for name, g in DIFFERENTIAL_GRAPHS:
+        for _ in range(5):
+            assignment = {v: rng.randrange(spec.r) for v in range(g.n)}
+            got = _violation_tuples(g, spec, assignment)
+            assert got == violations_brute(g, radii, assignment), name
+            total += len(got)
+    assert total > 0
+
+
+def test_verify_matches_definition_near_valid(base_corpus):
+    """Constructed colorings with one vertex moved: few, sparse violations."""
+    rng = SplitMix64(0x1122)
+    for name, g in base_corpus:
+        assignment = dict(color_claw_free_cubic(g).assignment)
+        assert violations_brute(g, SPEC_1122.radii, assignment) == []
+        v = rng.randrange(g.n)
+        assignment[v] = (assignment[v] + 1 + rng.randrange(3)) % 4
+        got = _violation_tuples(g, SPEC_1122, assignment)
+        assert got == violations_brute(g, SPEC_1122.radii, assignment), name
 
 
 def test_spec_validation():
