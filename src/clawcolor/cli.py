@@ -60,14 +60,26 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str, fmt: str, cubic: bool = False) -> MultiGraph:
+def _is_graph6(path: str, fmt: str) -> bool:
+    return fmt == "graph6" or (fmt == "auto" and path.endswith((".g6", ".graph6")))
+
+
+def _graph6_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, line) for each non-empty line: one graph each."""
+    return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _load_graph(path: str, fmt: str) -> MultiGraph:
+    """The one graph in a file; a graph6 file holding several is rejected."""
     text = _read_text(path)
-    if fmt == "auto":
-        fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
-    if fmt == "graph6":
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return parse_graph6(first)
-    return parse_edgelist(text, cubic=cubic)
+    if not _is_graph6(path, fmt):
+        return parse_edgelist(text)
+    lines = _graph6_lines(text)
+    if len(lines) > 1:
+        raise MalformedInputError(
+            f"{path} holds {len(lines)} graph6 graphs; this command takes one"
+        )
+    return parse_graph6(lines[0][1] if lines else "")
 
 
 def _parse_spec(text: str) -> SPackingSpec:
@@ -78,18 +90,31 @@ def _parse_spec(text: str) -> SPackingSpec:
         raise MalformedInputError(f"bad spec {text!r}: {exc}") from exc
 
 
-def _color_one(path: str, fmt: str) -> dict:
-    """Color and certify one input; every failure becomes an error report."""
-    started = time.perf_counter()
-    report: dict = {"input": path, "outcome": "error"}
+def _failed(report: dict, kind: str, message: str, code: int) -> dict:
+    report["error"] = {"kind": kind, "message": message}
+    report["exit"] = code
+    return report
 
-    def failed(kind: str, message: str, code: int) -> dict:
-        report["error"] = {"kind": kind, "message": message}
-        report["exit"] = code
-        return report
 
+def _color_file(path: str, fmt: str) -> list[dict]:
+    """One report per graph in the file: each non-empty graph6 line is one."""
+    if not _is_graph6(path, fmt):
+        return [_color_one(path, lambda: parse_edgelist(_read_text(path), cubic=True))]
     try:
-        g = _load_graph(path, fmt, cubic=True)
+        lines = _graph6_lines(_read_text(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        return [_failed({"input": path, "outcome": "error"}, "io", str(exc), EXIT_IO)]
+    if not lines:
+        return [_color_one(path, lambda: parse_graph6(""))]
+    return [_color_one(f"{path}:{i}", lambda ln=ln: parse_graph6(ln)) for i, ln in lines]
+
+
+def _color_one(label: str, parse) -> dict:
+    """Parse, color and certify one graph; every failure becomes an error report."""
+    started = time.perf_counter()
+    report: dict = {"input": label, "outcome": "error"}
+    try:
+        g = parse()
         report["n"] = g.n
         coloring = color_claw_free_cubic(g)
         violations = verify(g, SPEC_1122, coloring)
@@ -97,17 +122,17 @@ def _color_one(path: str, fmt: str) -> dict:
             # unreachable: the constructor verifies before returning
             raise VerificationFailedError(violations)
     except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
-        return failed("io", str(exc), EXIT_IO)
+        return _failed(report, "io", str(exc), EXIT_IO)
     except NotClawFreeError as exc:
-        failed("not-claw-free", str(exc), EXIT_PRECONDITION)
+        _failed(report, "not-claw-free", str(exc), EXIT_PRECONDITION)
         report["error"]["witness"] = list(exc.witness)
         return report
     except (NotCubicError, DisconnectedError, NotSimpleError) as exc:
-        return failed("precondition", str(exc), EXIT_PRECONDITION)
+        return _failed(report, "precondition", str(exc), EXIT_PRECONDITION)
     except Exception as exc:  # a bug: report this input, keep the batch going
         if isinstance(exc, ClawcolorError) and not isinstance(exc, InternalInvariantError):
-            return failed(type(exc).__name__, str(exc), EXIT_PRECONDITION)
-        failed("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+            return _failed(report, type(exc).__name__, str(exc), EXIT_PRECONDITION)
+        _failed(report, "internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
         report["error"]["traceback"] = traceback.format_exc()
         return report
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
@@ -122,9 +147,10 @@ def cmd_color(args) -> int:
     paths = args.paths
     if args.jobs > 1 and len(paths) > 1 and "-" not in paths:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_color_one, paths, [args.format] * len(paths)))
+            batches = list(pool.map(_color_file, paths, [args.format] * len(paths)))
     else:
-        reports = [_color_one(p, args.format) for p in paths]
+        batches = [_color_file(p, args.format) for p in paths]
+    reports = [report for batch in batches for report in batch]
     worst = EXIT_OK
     for report in reports:
         if args.json:

@@ -21,8 +21,6 @@ transposing whole color classes of the child's coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import (
     canonical_color_with_edge,
     color_ring_of_diamonds,
@@ -44,6 +42,7 @@ from .multigraph import MultiGraph, is_connected, is_cubic
 from .oracle import verify
 from .recognition import (
     ComponentKind,
+    _classify_component,
     build_bridge_tree,
     find_bridges,
     find_claw,
@@ -51,29 +50,6 @@ from .recognition import (
     is_k4,
 )
 from .structure import Variant, oum_decompose
-
-
-@dataclass(frozen=True)
-class TildeConstruction:
-    """How a component was completed to a cubic graph, for diagnostics."""
-
-    parity: str  # "even" or "odd"
-    removed: tuple[int, ...]
-    added_edges: tuple[tuple[int, int], ...]
-    graph: MultiGraph
-    to_component: tuple[int, ...]  # tilde-local id -> component-local id
-
-
-def _component_kind(comp: MultiGraph) -> ComponentKind:
-    degs = sorted(comp.degrees())
-    if comp.n == 3 and degs == [2, 2, 2]:
-        return ComponentKind.TRIANGLE
-    if comp.n == 4 and degs == [2, 2, 3, 3]:
-        ints = [v for v in range(4) if comp.degree(v) == 3]
-        exts = [v for v in range(4) if comp.degree(v) == 2]
-        if comp.has_edge(*ints) and not comp.has_edge(*exts):
-            return ComponentKind.DIAMOND
-    return ComponentKind.TYPE_III
 
 
 def _attachments(comp: MultiGraph, x1: int) -> list[int]:
@@ -120,38 +96,22 @@ def _odd_gadget(comp: MultiGraph, x1: int) -> tuple[int, int, int, int]:
     return u, w, s, y
 
 
-def _even_tilde(comp: MultiGraph, xs: list[int]) -> TildeConstruction:
-    pairs = [(xs[i], xs[i + 1]) for i in range(0, len(xs), 2)]
-    return TildeConstruction(
-        parity="even",
-        removed=(),
-        added_edges=tuple(pairs),
-        graph=comp.with_edges(pairs),
-        to_component=tuple(range(comp.n)),
-    )
-
-
 def _odd_tilde(
     comp: MultiGraph, x1: int, u: int, w: int, s: int, y: int, xs: list[int]
-) -> TildeConstruction:
+) -> tuple[MultiGraph, list[int]]:
+    """The completed graph and its tilde-local -> component-local ids."""
     pairs = [(xs[i], xs[i + 1]) for i in range(1, len(xs), 2)]
     added = [(s, y)] + pairs
     keep = [v for v in range(comp.n) if v not in (x1, u, w)]
     sub, to_comp = comp.induced(keep)
     to_local = {gv: lv for lv, gv in enumerate(to_comp)}
     tilde = sub.with_edges([(to_local[a], to_local[b]) for a, b in added])
-    return TildeConstruction(
-        parity="odd",
-        removed=(x1, u, w),
-        added_edges=tuple(added),
-        graph=tilde,
-        to_component=tuple(to_comp),
-    )
+    return tilde, to_comp
 
 
 def _explicit_k4_completion(
     tilde: MultiGraph,
-    to_comp: tuple[int, ...],
+    to_comp: list[int],
     s: int,
     y: int,
     root_style: bool,
@@ -177,16 +137,15 @@ def _explicit_k4_completion(
 
 def _color_odd_component(
     comp: MultiGraph, xs: list[int], root_style: bool
-) -> tuple[dict[int, int], TildeConstruction, frozenset[int]]:
+) -> tuple[dict[int, int], frozenset[int]]:
     """Color a Type III component with an odd number of attachments.
 
-    Returns (component-local colors with xs[0] -> 2a, tilde construction,
-    component-local vertices on tilde diamonds).
+    Returns (component-local colors with xs[0] -> 2a, component-local
+    vertices on tilde diamonds).
     """
     x1 = xs[0]
     u, w, s, y = _odd_gadget(comp, x1)
-    tc = _odd_tilde(comp, x1, u, w, s, y, xs)
-    tilde, to_comp = tc.graph, tc.to_component
+    tilde, to_comp = _odd_tilde(comp, x1, u, w, s, y, xs)
     to_local = {gv: lv for lv, gv in enumerate(to_comp)}
     colors: dict[int, int] = {}
 
@@ -197,7 +156,7 @@ def _color_odd_component(
         else:
             colors[u], colors[w] = C1B, C1A
         colors[x1] = C2A
-        return colors, tc, frozenset()
+        return colors, frozenset()
 
     dec = oum_decompose(tilde)
     if dec.variant is Variant.K4:
@@ -223,15 +182,14 @@ def _color_odd_component(
     tilde_diamond_verts = frozenset(
         to_comp[v] for d in find_diamonds(tilde) for v in d.vertices
     )
-    return colors, tc, tilde_diamond_verts
+    return colors, tilde_diamond_verts
 
 
 def _color_even_component(
     comp: MultiGraph, xs: list[int]
-) -> tuple[dict[int, int], TildeConstruction, frozenset[int]]:
+) -> tuple[dict[int, int], frozenset[int]]:
     """Color a Type III component with an even number of attachments."""
-    tc = _even_tilde(comp, xs)
-    tilde = tc.graph
+    tilde = comp.with_edges([(xs[i], xs[i + 1]) for i in range(0, len(xs), 2)])
     dec = oum_decompose(tilde)
     if dec.variant is not Variant.BUILT:
         raise InternalInvariantError(
@@ -243,7 +201,12 @@ def _color_even_component(
     tilde_diamond_verts = frozenset(
         v for d in find_diamonds(tilde) for v in d.vertices
     )
-    return dict(sub_col.assignment), tc, tilde_diamond_verts
+    return dict(sub_col.assignment), tilde_diamond_verts
+
+
+def _kind(comp: MultiGraph) -> ComponentKind:
+    """The kind of a standalone component, classified as the bridge tree does."""
+    return _classify_component(comp, tuple(range(comp.n)))
 
 
 def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
@@ -251,36 +214,40 @@ def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
 
     The root is a Type III component with v as its only degree-2 vertex.
     """
-    coloring, _, _ = _root_coloring_with_info(comp, v)
+    coloring, _ = _root_coloring(comp, v, _kind(comp))
     return coloring
 
 
-def _root_coloring_with_info(comp: MultiGraph, v: int):
+def _root_coloring(
+    comp: MultiGraph, v: int, kind: ComponentKind
+) -> tuple[PackingColoring, frozenset[int]]:
+    """Root coloring and its component-local tilde-diamond vertices."""
     xs = _attachments(comp, v)
     if len(xs) != 1:
         raise PreconditionViolatedError(
             f"root component has {len(xs)} degree-2 vertices, expected exactly 1"
         )
-    if _component_kind(comp) is not ComponentKind.TYPE_III:
+    if kind is not ComponentKind.TYPE_III:
         raise PreconditionViolatedError("root component must be of Type III")
-    colors, tc, diamonds = _color_odd_component(comp, xs, root_style=True)
+    colors, diamonds = _color_odd_component(comp, xs, root_style=True)
     coloring = PackingColoring(SPEC_1122, colors)
     _verify_component(comp, coloring)
-    return coloring, tc, diamonds
+    return coloring, diamonds
 
 
 def extend_component(comp: MultiGraph, x1: int, forced: int) -> PackingColoring:
     """Color one non-root component so that x1 gets the forced 2-class."""
-    coloring, _, _ = _extension_with_info(comp, x1, forced)
+    coloring, _ = _extension(comp, x1, forced, _kind(comp))
     return coloring
 
 
-def _extension_with_info(comp: MultiGraph, x1: int, forced: int):
+def _extension(
+    comp: MultiGraph, x1: int, forced: int, kind: ComponentKind
+) -> tuple[PackingColoring, frozenset[int]]:
+    """Extension coloring and its component-local tilde-diamond vertices."""
     if forced not in (C2A, C2B):
         raise PreconditionViolatedError("forced color must be a radius-2 class")
     xs = _attachments(comp, x1)
-    kind = _component_kind(comp)
-    tc = None
     diamonds: frozenset[int] = frozenset()
     if kind is ComponentKind.TRIANGLE:
         others = [z for z in range(3) if z != x1]
@@ -298,15 +265,15 @@ def _extension_with_info(comp: MultiGraph, x1: int, forced: int):
     else:
         _check_independent(comp, xs)
         if len(xs) % 2 == 0:
-            colors, tc, diamonds = _color_even_component(comp, xs)
+            colors, diamonds = _color_even_component(comp, xs)
         else:
-            colors, tc, diamonds = _color_odd_component(comp, xs, root_style=False)
+            colors, diamonds = _color_odd_component(comp, xs, root_style=False)
         if colors[x1] != forced:
             swapped = {C2A: C2B, C2B: C2A}
             colors = {v: swapped.get(c, c) for v, c in colors.items()}
     coloring = PackingColoring(SPEC_1122, colors)
     _verify_component(comp, coloring)
-    return coloring, tc, diamonds
+    return coloring, diamonds
 
 
 def _verify_component(comp: MultiGraph, coloring: PackingColoring) -> None:
@@ -357,12 +324,11 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     tilde_diamonds: dict[int, frozenset[int]] = {}
 
     order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
-    for c in order:
-        sub, to_global = g.induced(bt.components[c])
+    for c, (sub, to_global) in zip(order, g.induced_parts(bt.comp_of, order)):
         to_local = {gv: lv for lv, gv in enumerate(to_global)}
         if c == bt.root:
-            local_col, _, dia = _root_coloring_with_info(
-                sub, to_local[bt.degree2[c][0]]
+            local_col, dia = _root_coloring(
+                sub, to_local[bt.degree2[c][0]], bt.kinds[c]
             )
         else:
             q = bt.up_neighbor[c]
@@ -376,8 +342,8 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
             forced = free_two_color(g, assignment, q)
-            local_col, _, dia = _extension_with_info(
-                sub, to_local[bt.up_vertex[c]], forced
+            local_col, dia = _extension(
+                sub, to_local[bt.up_vertex[c]], forced, bt.kinds[c]
             )
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):

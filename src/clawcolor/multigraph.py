@@ -8,7 +8,7 @@ immutable after construction; "mutating" helpers return new graphs.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import LoopEdgeError, VertexOutOfRangeError
 
@@ -125,6 +125,32 @@ class MultiGraph:
             if u in to_local and v in to_local:
                 edges.extend([(to_local[u], to_local[v])] * m)
         return MultiGraph(len(to_global), edges), to_global
+
+    def induced_parts(
+        self, part_of: Sequence[int], order: Iterable[int]
+    ) -> Iterator[tuple["MultiGraph", list[int]]]:
+        """Induced subgraphs on the classes of a vertex partition, in one pass.
+
+        part_of[v] is the class of vertex v; classes are 0..max(part_of).
+        For each class i in `order`, yields what `induced` returns for the
+        vertices of class i: local ids follow the ascending order of those
+        vertices.  One scan of the edges serves every class, so the cost is
+        O(n + m) in all, and each subgraph is built only when its turn comes.
+        """
+        if len(part_of) != self.n:
+            raise ValueError(f"partition covers {len(part_of)} vertices, graph has {self.n}")
+        to_global: list[list[int]] = [[] for _ in range(max(part_of, default=-1) + 1)]
+        local = [0] * self.n
+        for v, p in enumerate(part_of):
+            local[v] = len(to_global[p])
+            to_global[p].append(v)
+        edges: list[list[tuple[int, int]]] = [[] for _ in to_global]
+        for (u, v), m in self._mult.items():
+            p = part_of[u]
+            if p == part_of[v]:
+                edges[p].extend([(local[u], local[v])] * m)
+        for p in order:
+            yield MultiGraph(len(to_global[p]), edges[p]), to_global[p]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):

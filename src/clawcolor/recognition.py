@@ -251,7 +251,6 @@ def build_bridge_tree(g: MultiGraph) -> BridgeTree:
         tree_adj[cv].add(cu)
         bridge_between[(min(cu, cv), max(cu, cv))] = (u, v)
 
-    # root: smallest-index component whose eccentricity equals the diameter
     def tree_bfs(src: int) -> list[int]:
         dist = [-1] * ncomp
         dist[src] = 0
@@ -263,11 +262,18 @@ def build_bridge_tree(g: MultiGraph) -> BridgeTree:
                     queue.append(d)
         return dist
 
-    all_dists = [tree_bfs(c) for c in range(ncomp)]
-    diam = max(max(row) for row in all_dists)
-    root = min(c for c in range(ncomp) if max(all_dists[c]) == diam)
+    # root: smallest-index component whose eccentricity equals the diameter.
+    # A component farthest from any start is one end a of a diametral path,
+    # one farthest from a is the other end b, and in a tree every
+    # eccentricity is max(d(a, c), d(b, c)).
+    from_0 = tree_bfs(0)
+    from_a = tree_bfs(from_0.index(max(from_0)))
+    b = from_a.index(max(from_a))
+    from_b = tree_bfs(b)
+    diam = from_a[b]
+    root = next(c for c in range(ncomp) if max(from_a[c], from_b[c]) == diam)
 
-    depth = all_dists[root]
+    depth = tree_bfs(root)
     parent = [-1] * ncomp
     order = sorted(range(ncomp), key=lambda c: (depth[c], c))
     for c in order:

@@ -149,6 +149,40 @@ def coloring_valid_brute(g: MultiGraph, radii: tuple[int, ...], assignment: dict
     return not violations_brute(g, radii, assignment)
 
 
+def bridge_tree_root_brute(g: MultiGraph, bridges) -> dict[str, list[int]]:
+    """Rooting of the bridge tree by the all-pairs eccentricity rule.
+
+    Components of G minus `bridges` are numbered in order of their smallest
+    vertex.  The root is the smallest-numbered component whose eccentricity
+    in the bridge tree, from a BFS out of every component, equals the tree's
+    diameter.  Returns root, depth, parent, up_vertex and up_neighbor, the
+    last three indexed by component and -1 at the root.
+    """
+    cut = {frozenset(e) for e in bridges}
+    kept = [e for e in g.edge_list() if frozenset(e) not in cut]
+    comp = [-1] * g.n
+    k = 0
+    for s in range(g.n):
+        if comp[s] == -1:
+            for v, d in enumerate(bfs_distances(g.n, kept, s)):
+                if d != float("inf"):
+                    comp[v] = k
+            k += 1
+    tree = [(comp[u], comp[v]) for u, v in bridges]
+    dist = [bfs_distances(k, tree, c) for c in range(k)]
+    ecc = [max(row) for row in dist]
+    root = min(c for c in range(k) if ecc[c] == max(ecc))
+    depth = [int(d) for d in dist[root]]
+    parent, up_vertex, up_neighbor = [-1] * k, [-1] * k, [-1] * k
+    for u, v in bridges:
+        for x, y in ((u, v), (v, u)):
+            if depth[comp[x]] == depth[comp[y]] + 1:
+                parent[comp[x]] = comp[y]
+                up_vertex[comp[x]], up_neighbor[comp[x]] = x, y
+    return {"root": root, "depth": depth, "parent": parent,
+            "up_vertex": up_vertex, "up_neighbor": up_neighbor}
+
+
 def ref_graph6_decode(s: str) -> tuple[int, set[tuple[int, int]]]:
     """Reference graph6 decoder using direct bit indexing.
 

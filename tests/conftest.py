@@ -94,6 +94,56 @@ def _with_relabelings(
     return out
 
 
+def _tree_degrees(rng: SplitMix64, k: int) -> list[int]:
+    """A random degree sequence of a tree on k >= 2 nodes, degrees <= 4."""
+    degrees = [1] * k
+    for _ in range(k - 2):
+        low = [i for i, d in enumerate(degrees) if d < 4]
+        degrees[rng.choice(low)] += 1
+    return degrees
+
+
+def _build_bridged_trees() -> list[tuple[str, MultiGraph]]:
+    """Bridged assemblies with 1 to 60 components, half of them relabeled.
+
+    Families: paths of diamonds and two-attachment Type III components,
+    stars around a Type III or K3 centre, K3 trees with Type III leaves, and
+    mixed trees from random degree sequences.  The one-component cases are
+    bridgeless graphs.
+    """
+    fx = fixtures()
+    rng = SplitMix64(0xB7EE)
+    specs: list[tuple[str, list[tuple[str, int]]]] = []
+    for i in range(12):
+        mid = [rng.choice([("diamond", 2), ("type3", 2)]) for _ in range(5 * i)]
+        specs.append((f"path{len(mid) + 2}", [("type3", 1)] + mid + [("type3", 1)]))
+        r = 2 + i % 5
+        specs.append((f"star{r}", [("type3", r)] + [("type3", 1)] * r))
+        t = 1 + rng.randrange(29)
+        specs.append((f"k3tree{t}", [("k3", 3)] * t + [("type3", 1)] * (t + 2)))
+        k = 2 + rng.randrange(59)
+        kinds = {1: "type3", 2: "diamond", 3: "k3"}
+        specs.append((f"mixed{k}", [
+            (kinds[d] if d <= 3 and rng.randrange(2) else "type3", d)
+            for d in _tree_degrees(rng, k)
+        ]))
+    specs.append(("star3-k3", [("k3", 3)] + [("type3", 1)] * 3))
+    out = [("k4", fx["k4"]), ("prism", fx["prism"]), ("big_expansion", fx["big_expansion"])]
+    for name, spec in specs:
+        g = gen_bridged(spec, rng)
+        if rng.randrange(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g, name = relabeled(g, perm), f"{name}_relabel"
+        out.append((name, g))
+    return out
+
+
+@pytest.fixture(scope="session")
+def bridged_trees():
+    return _build_bridged_trees()
+
+
 @pytest.fixture(scope="session")
 def named_fixtures():
     return fixtures()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import clawcolor.cli
-from clawcolor import color_claw_free_cubic, emit_edgelist, fixtures
+from clawcolor import color_claw_free_cubic, emit_edgelist, emit_graph6, fixtures
 from clawcolor.cli import main
 from clawcolor.errors import VerificationFailedError
 from clawcolor.oracle import Violation
@@ -260,3 +260,46 @@ def test_graph6_input(tmp_path, capsys):
     p.write_text("C~\n")
     assert main(["color", str(p)]) == 0
     assert "VERIFIED" in capsys.readouterr().out
+
+
+@pytest.fixture
+def multi_g6(tmp_path):
+    """K4, a blank line, the prism, a bad line and Petersen, one per line."""
+    fx = fixtures()
+    p = tmp_path / "batch.g6"
+    p.write_text(f"C~\n\n{emit_graph6(fx['prism'])}\n!!\n{emit_graph6(fx['petersen'])}\n")
+    return str(p)
+
+
+def test_color_graph6_file_colors_every_line(multi_g6, capsys):
+    assert main(["color", "--json", multi_g6]) == 2
+    reports = json_reports(capsys.readouterr().out)
+    assert [r["input"] for r in reports] == [f"{multi_g6}:{i}" for i in (1, 3, 4, 5)]
+    k4, prism, bad, petersen = reports
+    assert k4["outcome"] == prism["outcome"] == "colored"
+    assert (k4["n"], prism["n"]) == (4, 6)
+    assert bad["exit"] == 1 and bad["error"]["kind"] == "io"
+    assert petersen["exit"] == 2 and petersen["error"]["kind"] == "not-claw-free"
+
+
+def test_color_graph6_lines_text_mode(multi_g6, capsys):
+    assert main(["color", multi_g6]) == 2
+    captured = capsys.readouterr()
+    assert f"# {multi_g6}:1" in captured.out and f"# {multi_g6}:3" in captured.out
+    assert captured.out.count("VERIFIED") == 2
+    assert f"{multi_g6}:4: error (io)" in captured.err
+    assert f"{multi_g6}:5: error (not-claw-free)" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
+def test_single_graph_commands_reject_multi_graph6(tmp_path, capsys, command):
+    p = tmp_path / "two.g6"
+    p.write_text("C~\nC~\n")
+    c = tmp_path / "k4.col"
+    c.write_text("0 1a\n1 1b\n2 2a\n3 2b\n")
+    argv = [command, str(p)] + ([str(c)] if command == "verify" else [])
+    assert main(argv) == 1
+    assert "holds 2 graph6 graphs" in capsys.readouterr().err
+    # one graph in the same format is still accepted
+    p.write_text("C~\n")
+    assert main(argv) == 0

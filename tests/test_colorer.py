@@ -281,3 +281,12 @@ def test_large_built_graph_colors_and_certifies():
     g = expand_to_clawfree(h, ExpansionSpec(dict(zip(slots, lengths))), rng)
     assert g.n == 36864
     assert_valid(g, color_claw_free_cubic(g))
+
+
+def test_long_diamond_chain_colors_and_certifies():
+    """4,000 components: the bridged path is linear in their number."""
+    g = gen_bridged(
+        [("type3", 1)] + [("diamond", 2)] * 4000 + [("type3", 1)], SplitMix64(5)
+    )
+    assert g.n == 16060
+    assert_valid(g, color_claw_free_cubic(g))

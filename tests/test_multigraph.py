@@ -3,7 +3,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from clawcolor import MultiGraph, all_pairs_distances, fixtures, is_connected, is_cubic
+from clawcolor import (
+    MultiGraph,
+    all_pairs_distances,
+    build_bridge_tree,
+    fixtures,
+    is_connected,
+    is_cubic,
+)
 from clawcolor.errors import LoopEdgeError, VertexOutOfRangeError
 
 from brute import bfs_distances
@@ -111,3 +118,31 @@ def test_distances_match_bfs_oracle(data):
         assert d[u][u] == 0
         for v in range(n):
             assert d[u][v] == d[v][u]
+
+
+@given(edge_lists, st.data())
+def test_induced_parts_match_induced(graph, data):
+    n, edges = graph
+    g = MultiGraph(n, edges)
+    part_of = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    classes = range(max(part_of, default=-1) + 1)
+    for p, part in zip(classes, g.induced_parts(part_of, classes), strict=True):
+        assert part == g.induced([v for v in range(n) if part_of[v] == p])
+
+
+def test_induced_parts_rejects_short_partition():
+    with pytest.raises(ValueError):
+        next(MultiGraph(3, [(0, 1)]).induced_parts([0, 0], [0]))
+
+
+def test_bridge_tree_components_in_one_pass(bridged_trees):
+    for name, g in bridged_trees:
+        bt = build_bridge_tree(g)
+        # reversed, to show the subgraphs do not depend on the order asked
+        order = range(len(bt.components) - 1, -1, -1)
+        parts = g.induced_parts(bt.comp_of, order)
+        for c, (sub, to_global) in zip(order, parts, strict=True):
+            comp = bt.components[c]
+            expected_sub, expected_to_global = g.induced(comp)
+            assert sub == expected_sub, name
+            assert to_global == expected_to_global, name

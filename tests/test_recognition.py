@@ -15,7 +15,7 @@ from clawcolor import (
 )
 from clawcolor.errors import DisconnectedError
 
-from brute import bridges_by_removal, find_claw_brute, relabeled
+from brute import bridge_tree_root_brute, bridges_by_removal, find_claw_brute, relabeled
 
 
 def k4():
@@ -134,6 +134,20 @@ def test_bridge_tree_component_count(base_corpus):
     for _, g in base_corpus:
         bt = build_bridge_tree(g)
         assert len(bt.components) == bt.b + 1
+
+
+def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees):
+    """Three BFS sweeps pick the root the eccentricity of every node picks."""
+    for name, g in bridged_trees:
+        bt = build_bridge_tree(g)
+        got = {
+            "root": bt.root,
+            "depth": list(bt.depth),
+            "parent": list(bt.parent),
+            "up_vertex": list(bt.up_vertex),
+            "up_neighbor": list(bt.up_neighbor),
+        }
+        assert got == bridge_tree_root_brute(g, bt.bridges), name
 
 
 def test_single_diamond():
