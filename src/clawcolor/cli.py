@@ -3,7 +3,7 @@
 Exit codes: 0 success (including a clean UNSAT), 1 I/O or parse failure,
 2 structural precondition failure (with a witness when available),
 3 solver cap exceeded, 4 invalid coloring in `verify`, 5 internal error
-in `color` (a bug, never a property of the input).
+in `color` or `solve` (a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .generators import (
     random_expansion_spec,
 )
 from .multigraph import MultiGraph
-from .oracle import solve_spacking, verify
+from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
 from .recognition import ComponentKind, build_bridge_tree, find_bridges
 from .rng import SplitMix64
 from .structure import Variant, oum_decompose
@@ -175,7 +175,7 @@ def cmd_solve(args) -> int:
     try:
         spec = _parse_spec(args.spec)
         g = _load_graph(args.path, args.format)
-    except (OSError, MalformedInputError) as exc:
+    except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -186,6 +186,11 @@ def cmd_solve(args) -> int:
     if coloring is None:
         print("UNSAT")
         return EXIT_OK
+    violations = verify(g, spec, coloring)
+    if violations:
+        exc = VerificationFailedError(violations)
+        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(coloring.as_lines())
     print("SAT")
     return EXIT_OK
@@ -276,7 +281,7 @@ def _tree_shape(adj: tuple[tuple[int, ...], ...]) -> str:
 def cmd_decompose(args) -> int:
     try:
         g = _load_graph(args.path, args.format)
-    except (OSError, MalformedInputError) as exc:
+    except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -336,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--format", choices=("auto", "edgelist", "graph6"), default="auto")
     p.add_argument("--spec", default="1,1,2,2", help="comma-separated radii")
-    p.add_argument("--cap", type=int, default=40, help="vertex-count cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_SOLVER_CAP, help="vertex-count cap")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")

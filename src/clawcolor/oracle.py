@@ -7,7 +7,10 @@ Delta and largest radius r this costs O(n * Delta^r) time and O(Delta^r)
 extra memory, so it scales to the sizes the constructor handles.  The solver
 decides S-packing colorability by complete backtracking with saturation
 ordering and symmetry breaking between equal-radius classes, and is the
-oracle the constructive algorithm is tested against.
+oracle the constructive algorithm is tested against.  Its ball table comes
+from the same bounded BFS, cut off at the largest radius, and it keeps
+saturation degrees incrementally, so a search node costs an O(n) pick and
+an O(|ball|) update.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from .coloring import PackingColoring, SPackingSpec
 from .errors import CapExceededError, PartialColoringError
-from .multigraph import MultiGraph, all_pairs_distances
+from .multigraph import MultiGraph
 
 DEFAULT_SOLVER_CAP = 40
 
@@ -51,21 +54,37 @@ def verify(
     out: list[Violation] = []
     for u in range(g.n):
         cu = assignment[u]
-        dist = {u: 0}
-        frontier = [u]
-        for d in range(1, spec.radii[cu] + 1):
-            reached = []
-            for x in frontier:
-                for w in g.neighbors(x):
-                    if w not in dist:
-                        dist[w] = d
-                        reached.append(w)
-            if not reached:
-                break
-            frontier = reached
-        for v in sorted(v for v in dist if v > u and assignment[v] == cu):
-            out.append(Violation(cu, labels[cu], (u, v), dist[v]))
+        near = [
+            (v, d)
+            for d, layer in enumerate(_bfs_layers(g, u, spec.radii[cu]), 1)
+            for v in layer
+            if v > u and assignment[v] == cu
+        ]
+        for v, d in sorted(near):
+            out.append(Violation(cu, labels[cu], (u, v), d))
     return out
+
+
+def _bfs_layers(g: MultiGraph, source: int, radius: int) -> list[list[int]]:
+    """Vertices at distance 1, 2, ..., radius from source, one list each.
+
+    The list stops early at the first empty layer.
+    """
+    seen = {source}
+    frontier = [source]
+    layers = []
+    for _ in range(radius):
+        reached = []
+        for x in frontier:
+            for w in g.neighbors(x):
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        if not reached:
+            break
+        layers.append(reached)
+        frontier = reached
+    return layers
 
 
 def solve_spacking(
@@ -77,6 +96,11 @@ def solve_spacking(
     (ties by id).  Within each group of equal-radius classes, an empty
     class may only be opened if its predecessor in the group is in use,
     which removes the permutation symmetry between equal classes.
+
+    The ball table comes from one BFS per vertex cut off at the largest
+    radius, as in `verify`.  Saturation degrees are kept incrementally:
+    a counter crossing 0 <-> 1 moves its vertex's saturation by one, so a
+    search node costs an O(n) pick plus an O(|ball|) update.
     """
     n = g.n
     if n > cap:
@@ -85,35 +109,29 @@ def solve_spacking(
         return PackingColoring(spec, {})
     radii = spec.radii
     r = spec.r
-    dist = all_pairs_distances(g)
     # ball[c][v]: vertices u != v with d(u, v) <= radii[c]
-    ball = [
-        [
-            [u for u in range(n) if u != v and dist[v][u] <= radii[c]]
-            for v in range(n)
-        ]
-        for c in range(r)
-    ]
+    ball: list[list[list[int]]] = [[] for _ in range(r)]
+    for v in range(n):
+        layers = _bfs_layers(g, v, radii[-1])
+        for c in range(r):
+            ball[c].append([u for layer in layers[: radii[c]] for u in layer])
     assign = [-1] * n
-    conflicts = [[0] * r for _ in range(n)]
+    # conflicts[c][u]: colored vertices of class c within radii[c] of u
+    conflicts = [[0] * n for _ in range(r)]
     class_sizes = [0] * r
-
-    def pick() -> int:
-        best, best_sat = -1, -1
-        for v in range(n):
-            if assign[v] != -1:
-                continue
-            sat = sum(1 for c in range(r) if conflicts[v][c] > 0)
-            if sat > best_sat:
-                best, best_sat = v, sat
-        return best
+    # sat[u]: classes c with conflicts[c][u] > 0, less r + 1 once u is
+    # colored, so the largest entry is always an uncolored vertex's
+    sat = [0] * n
+    parked = r + 1
 
     def backtrack(colored: int) -> bool:
         if colored == n:
             return True
-        v = pick()
+        v = sat.index(max(sat))
+        sat[v] -= parked
         for c in range(r):
-            if conflicts[v][c] > 0:
+            cc = conflicts[c]
+            if cc[v] > 0:
                 continue
             if (
                 class_sizes[c] == 0
@@ -125,13 +143,18 @@ def solve_spacking(
             assign[v] = c
             class_sizes[c] += 1
             for u in ball[c][v]:
-                conflicts[u][c] += 1
+                if not cc[u]:
+                    sat[u] += 1
+                cc[u] += 1
             if backtrack(colored + 1):
                 return True
             assign[v] = -1
             class_sizes[c] -= 1
             for u in ball[c][v]:
-                conflicts[u][c] -= 1
+                cc[u] -= 1
+                if not cc[u]:
+                    sat[u] -= 1
+        sat[v] += parked
         return False
 
     if backtrack(0):

@@ -3,7 +3,9 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's algorithms: BFS over raw edge lists, exhaustive
 matching and 2-factor enumeration over edge slots, quadratic bridge
-detection, and a direct graph6 bit-indexing decoder.
+detection, exhaustive S-packing search, and a direct graph6 bit-indexing
+decoder.  The one exception is `solve_spacking_rescan`, a plain rescanning
+copy of the solver that pins its search tree.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from clawcolor.multigraph import MultiGraph
+from clawcolor.coloring import PackingColoring, SPackingSpec
+from clawcolor.errors import CapExceededError
+from clawcolor.multigraph import MultiGraph, all_pairs_distances
+from clawcolor.oracle import DEFAULT_SOLVER_CAP
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -147,6 +152,107 @@ def violations_brute(
 def coloring_valid_brute(g: MultiGraph, radii: tuple[int, ...], assignment: dict) -> bool:
     """Direct definition check with per-source BFS."""
     return not violations_brute(g, radii, assignment)
+
+
+def spacking_colorable_brute(
+    n: int, edges: list[tuple[int, int]], radii: tuple[int, ...]
+) -> bool:
+    """Is there an S-packing coloring?  Plain exhaustive search.
+
+    Vertices are colored in id order, each class tried in turn, and a
+    class is refused only when an earlier vertex of that class lies within
+    its radius.  No saturation ordering, no symmetry breaking.
+    """
+    dist = [bfs_distances(n, edges, v) for v in range(n)]
+    assign: list[int] = []
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for c, radius in enumerate(radii):
+            if all(assign[u] != c or dist[v][u] > radius for u in range(v)):
+                assign.append(c)
+                if extend(v + 1):
+                    return True
+                assign.pop()
+        return False
+
+    return extend(0)
+
+
+# Reference for the search tree: pick() rescans every conflict counter at
+# each node and the ball table is cut from the all-pairs distance matrix.
+# solve_spacking must branch exactly as this does and so return the same
+# assignment.
+def solve_spacking_rescan(
+    g: MultiGraph, spec: SPackingSpec, cap: int = DEFAULT_SOLVER_CAP
+) -> PackingColoring | None:
+    """Complete backtracking search; a coloring, or None when none exists.
+
+    Branches on the uncolored vertex blocked by the most distinct classes
+    (ties by id).  Within each group of equal-radius classes, an empty
+    class may only be opened if its predecessor in the group is in use,
+    which removes the permutation symmetry between equal classes.
+    """
+    n = g.n
+    if n > cap:
+        raise CapExceededError(n, cap)
+    if n == 0:
+        return PackingColoring(spec, {})
+    radii = spec.radii
+    r = spec.r
+    dist = all_pairs_distances(g)
+    # ball[c][v]: vertices u != v with d(u, v) <= radii[c]
+    ball = [
+        [
+            [u for u in range(n) if u != v and dist[v][u] <= radii[c]]
+            for v in range(n)
+        ]
+        for c in range(r)
+    ]
+    assign = [-1] * n
+    conflicts = [[0] * r for _ in range(n)]
+    class_sizes = [0] * r
+
+    def pick() -> int:
+        best, best_sat = -1, -1
+        for v in range(n):
+            if assign[v] != -1:
+                continue
+            sat = sum(1 for c in range(r) if conflicts[v][c] > 0)
+            if sat > best_sat:
+                best, best_sat = v, sat
+        return best
+
+    def backtrack(colored: int) -> bool:
+        if colored == n:
+            return True
+        v = pick()
+        for c in range(r):
+            if conflicts[v][c] > 0:
+                continue
+            if (
+                class_sizes[c] == 0
+                and c > 0
+                and radii[c] == radii[c - 1]
+                and class_sizes[c - 1] == 0
+            ):
+                continue
+            assign[v] = c
+            class_sizes[c] += 1
+            for u in ball[c][v]:
+                conflicts[u][c] += 1
+            if backtrack(colored + 1):
+                return True
+            assign[v] = -1
+            class_sizes[c] -= 1
+            for u in ball[c][v]:
+                conflicts[u][c] -= 1
+        return False
+
+    if backtrack(0):
+        return PackingColoring(spec, {v: assign[v] for v in range(n)})
+    return None
 
 
 def bridge_tree_root_brute(g: MultiGraph, bridges) -> dict[str, list[int]]:

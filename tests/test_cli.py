@@ -3,10 +3,16 @@ import json
 import pytest
 
 import clawcolor.cli
-from clawcolor import color_claw_free_cubic, emit_edgelist, emit_graph6, fixtures
-from clawcolor.cli import main
+from clawcolor import (
+    PackingColoring,
+    color_claw_free_cubic,
+    emit_edgelist,
+    emit_graph6,
+    fixtures,
+)
+from clawcolor.cli import build_parser, main
 from clawcolor.errors import VerificationFailedError
-from clawcolor.oracle import Violation
+from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +168,34 @@ def test_solve_k4_single_class_unsat(fixture_files, capsys):
 
 def test_solve_cap_exit3(fixture_files, capsys):
     assert main(["solve", fixture_files["big_expansion"], "--cap", "10"]) == 3
+
+
+def test_solve_certifies_its_witness(fixture_files, capsys, monkeypatch):
+    def all_one_class(g, spec, cap):
+        return PackingColoring(spec, {v: 0 for v in range(g.n)})
+
+    monkeypatch.setattr(clawcolor.cli, "solve_spacking", all_one_class)
+    assert main(["solve", fixture_files["k4"]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error (internal): VerificationFailedError" in captured.err
+
+
+def test_solve_cap_default_is_the_solver_default():
+    assert build_parser().parse_args(["solve", "g.el"]).cap == DEFAULT_SOLVER_CAP
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
+def test_graph_file_not_utf8_is_io_error(tmp_path, capsys, command):
+    p = tmp_path / "bom.el"
+    p.write_bytes(b"\xff\xfe4\n0 1\n")
+    c = tmp_path / "k4.col"
+    c.write_text("0 1a\n1 1b\n2 2a\n3 2b\n")
+    argv = [command, str(p)] + ([str(c)] if command == "verify" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_round_trip(fixture_files, tmp_path, capsys):

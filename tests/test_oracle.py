@@ -24,7 +24,13 @@ from clawcolor import (
 )
 from clawcolor.errors import CapExceededError, PartialColoringError
 
-from brute import coloring_valid_brute, relabeled, violations_brute
+from brute import (
+    coloring_valid_brute,
+    relabeled,
+    solve_spacking_rescan,
+    spacking_colorable_brute,
+    violations_brute,
+)
 from clawcolor.rng import SplitMix64
 
 
@@ -237,3 +243,52 @@ def test_solver_round_trip_small_random(seed):
     col = solve_spacking(g, SPEC_1122)
     if col is not None:
         assert coloring_valid_brute(g, SPEC_1122.radii, col.assignment)
+
+
+BRUTE_SPECS = [(1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 2, 2), (2, 2, 2), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("radii", BRUTE_SPECS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solver_verdict_matches_exhaustive_search(radii, seed):
+    """SAT and UNSAT alike agree with a search that has no ordering tricks."""
+    rng = SplitMix64(seed)
+    n = 1 + rng.randrange(9)
+    density = 1 + rng.randrange(4)  # edge probability density/5
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.randrange(5) < density]
+    g = MultiGraph(n, edges)
+    col = solve_spacking(g, SPackingSpec(radii))
+    assert (col is not None) == spacking_colorable_brute(n, edges, radii)
+    if col is not None:
+        assert coloring_valid_brute(g, radii, col.assignment)
+
+
+def _same_tree_cases():
+    rng = SplitMix64(0x7EE5)
+    for radii in ((1, 2, 2, 2), (2, 2, 2, 2, 2)):
+        for n in range(12, 32, 2):
+            for k in range(2):
+                yield f"cubic{n}.{k}{radii}", gen_cubic_multigraph(n, rng), radii
+    for name, g in fixtures().items():
+        for radii in ((1, 2, 2), (1, 2, 3, 3)):
+            yield f"subdivided_{name}{radii}", subdivide(g), radii
+    petersen = fixtures()["petersen"]
+    for k in range(10):
+        perm = list(range(petersen.n))
+        rng.shuffle(perm)
+        yield f"petersen.{k}", relabeled(petersen, perm), (1, 1, 2, 2)
+
+
+def test_solver_walks_the_rescanning_search_tree():
+    """Incremental saturation and the bounded ball change no decision."""
+    verdicts = set()
+    for name, g, radii in _same_tree_cases():
+        spec = SPackingSpec(radii)
+        got = solve_spacking(g, spec, cap=g.n)
+        want = solve_spacking_rescan(g, spec, cap=g.n)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert got.assignment == want.assignment, name
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
