@@ -11,10 +11,15 @@ takes both radius-1 classes), and the canonical coloring driven by a
     and exit -> 1b, with Type 1 strings taking 1a/1b on their exteriors
     and 2a/2b inside.
 
-Every constructor verifies its output before returning it.
+The public constructors verify their output before returning it.  Their
+unchecked cores, which `color_claw_free_cubic` calls, return unverified
+colorings: the pipeline validates its input once at entry and certifies
+its output once at exit.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import (
@@ -26,19 +31,18 @@ from .errors import (
 )
 from .factorization import (
     TwoFactor,
+    _matching_through,
+    _two_factor,
+    _two_factor_through,
     factor_from_matching,
-    matching_through,
-    two_factor,
-    two_factor_through,
 )
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import find_diamonds, is_k4, is_ring_of_diamonds
+from .recognition import Diamond, find_diamonds, is_k4, is_ring_of_diamonds
 from .structure import Decomposition, Variant, oum_decompose
 
 
-def _verified(g: MultiGraph, assignment: dict[int, int]) -> PackingColoring:
-    coloring = PackingColoring(SPEC_1122, assignment)
+def _verified(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
     violations = verify(g, SPEC_1122, coloring)
     if violations:
         raise VerificationFailedError(violations)
@@ -49,16 +53,25 @@ def color_k4(g: MultiGraph) -> PackingColoring:
     """K4 takes one vertex in each class."""
     if not is_k4(g):
         raise NotK4Error("input is not K4")
-    return _verified(g, {v: c for v, c in zip(range(4), (C1A, C1B, C2A, C2B))})
+    return _verified(g, _k4())
+
+
+def _k4() -> PackingColoring:
+    return PackingColoring(SPEC_1122, dict(enumerate((C1A, C1B, C2A, C2B))))
 
 
 def color_ring_of_diamonds(g: MultiGraph) -> PackingColoring:
     """Diamond interiors get 2a/2b; each connecting edge gets 1a and 1b."""
     if not is_ring_of_diamonds(g):
         raise NotRingOfDiamondsError("input is not a ring of diamonds")
+    return _verified(g, _ring(g, find_diamonds(g)))
+
+
+def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
+    """`color_ring_of_diamonds`, unverified, given the ring's diamonds."""
     assignment: dict[int, int] = {}
     exterior = set()
-    for d in find_diamonds(g):
+    for d in diamonds:
         i1, i2 = d.interiors
         assignment[i1] = C2A
         assignment[i2] = C2B
@@ -67,13 +80,17 @@ def color_ring_of_diamonds(g: MultiGraph) -> PackingColoring:
         if u in exterior and v in exterior and u not in assignment and v not in assignment:
             assignment[u] = C1A
             assignment[v] = C1B
-    return _verified(g, assignment)
+    return PackingColoring(SPEC_1122, assignment)
 
 
 def canonical_color(
     g: MultiGraph, dec: Decomposition, factor: TwoFactor
 ) -> PackingColoring:
     """The canonical coloring of a built graph for a 2-factor of its H."""
+    return _verified(g, _canonical(g, dec, factor))
+
+
+def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingColoring:
     if dec.variant is not Variant.BUILT:
         raise InternalInvariantError(
             f"canonical coloring needs the built variant, got {dec.variant}"
@@ -114,7 +131,7 @@ def canonical_color(
         raise InternalInvariantError(
             f"canonical coloring covered {len(assignment)} of {g.n} vertices"
         )
-    return _verified(g, assignment)
+    return PackingColoring(SPEC_1122, assignment)
 
 
 def _lift_slot(dec: Decomposition, edge: tuple[int, int]):
@@ -134,8 +151,12 @@ def canonical_color_with_edge(
 
     The two endpoints of `edge` end up with distinct radius-1 colors.
     """
+    return _verified(g, _with_edge(g, dec, edge))
+
+
+def _with_edge(g: MultiGraph, dec: Decomposition, edge: tuple[int, int]) -> PackingColoring:
     slot = _lift_slot(dec, edge)
-    coloring = canonical_color(g, dec, two_factor_through(dec.h, slot))
+    coloring = _canonical(g, dec, _two_factor_through(dec.h, slot))
     cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
     if cols != {C1A, C1B}:
         raise InternalInvariantError(
@@ -151,9 +172,15 @@ def canonical_color_with_matched_edge(
 
     The two endpoints of `edge` end up with distinct radius-2 colors.
     """
+    return _verified(g, _with_matched_edge(g, dec, edge))
+
+
+def _with_matched_edge(
+    g: MultiGraph, dec: Decomposition, edge: tuple[int, int]
+) -> PackingColoring:
     slot = _lift_slot(dec, edge)
-    m = matching_through(dec.h, slot)
-    coloring = canonical_color(g, dec, factor_from_matching(dec.h, m))
+    m = _matching_through(dec.h, slot)
+    coloring = _canonical(g, dec, factor_from_matching(dec.h, m))
     cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
     if cols != {C2A, C2B}:
         raise InternalInvariantError(
@@ -164,12 +191,16 @@ def canonical_color_with_matched_edge(
 
 def color_two_edge_connected(g: MultiGraph) -> PackingColoring:
     """Dispatch on the structure variant; validates all preconditions."""
-    dec = oum_decompose(g)
+    return _verified(g, _two_edge_connected(g, oum_decompose(g)))
+
+
+def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:
+    """`color_two_edge_connected`, unverified, given g's decomposition."""
     if dec.variant is Variant.K4:
-        return color_k4(g)
+        return _k4()
     if dec.variant is Variant.RING:
-        return color_ring_of_diamonds(g)
-    return canonical_color(g, dec, two_factor(dec.h))
+        return _ring(g, dec.ring_diamonds)
+    return _canonical(g, dec, _two_factor(dec.h))
 
 
 def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:

@@ -13,10 +13,9 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .coloring import SPEC_1122, SPackingSpec, parse_coloring_lines
+from .coloring import SPackingSpec, parse_coloring_lines
 from .colorer import color_claw_free_cubic
 from .errors import (
     CapExceededError,
@@ -116,11 +115,7 @@ def _color_one(label: str, parse) -> dict:
     try:
         g = parse()
         report["n"] = g.n
-        coloring = color_claw_free_cubic(g)
-        violations = verify(g, SPEC_1122, coloring)
-        if violations:
-            # unreachable: the constructor verifies before returning
-            raise VerificationFailedError(violations)
+        coloring = color_claw_free_cubic(g)  # certified before it returns
     except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
         return _failed(report, "io", str(exc), EXIT_IO)
     except NotClawFreeError as exc:
@@ -146,6 +141,9 @@ def _color_one(label: str, parse) -> dict:
 def cmd_color(args) -> int:
     paths = args.paths
     if args.jobs > 1 and len(paths) > 1 and "-" not in paths:
+        # imported only here: loading it adds to every run's start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             batches = list(pool.map(_color_file, paths, [args.format] * len(paths)))
     else:

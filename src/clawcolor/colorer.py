@@ -17,39 +17,34 @@ vertices) is completed to a 2-edge-connected claw-free cubic graph:
 The color forced on each x1 comes from inspecting the closed neighborhood
 of its up-neighbor in the already-colored parent, and is realized by
 transposing whole color classes of the child's coloring.
+
+The public constructors verify what they return.  `color_claw_free_cubic`
+validates its input once at entry and certifies the glued coloring once at
+exit; in between it calls their unchecked cores.
 """
 
 from __future__ import annotations
 
 from .canonical import (
-    canonical_color_with_edge,
-    color_ring_of_diamonds,
-    color_two_edge_connected,
-    canonical_color_with_matched_edge,
+    _ring,
+    _two_edge_connected,
+    _verified,
+    _with_edge,
+    _with_matched_edge,
 )
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
-from .errors import (
-    ClaimViolatedError,
-    DisconnectedError,
-    InternalInvariantError,
-    NotClawFreeError,
-    NotCubicError,
-    NotSimpleError,
-    PreconditionViolatedError,
-    VerificationFailedError,
-)
-from .multigraph import MultiGraph, is_connected, is_cubic
-from .oracle import verify
+from .errors import ClaimViolatedError, InternalInvariantError, PreconditionViolatedError
+from .multigraph import MultiGraph
 from .recognition import (
+    BridgeTree,
     ComponentKind,
+    _bridge_tree,
     _classify_component,
-    build_bridge_tree,
+    _require_claw_free_cubic,
     find_bridges,
-    find_claw,
-    find_diamonds,
     is_k4,
 )
-from .structure import Variant, oum_decompose
+from .structure import Decomposition, Variant, _decompose
 
 
 def _attachments(comp: MultiGraph, x1: int) -> list[int]:
@@ -158,15 +153,13 @@ def _color_odd_component(
         colors[x1] = C2A
         return colors, frozenset()
 
-    dec = oum_decompose(tilde)
+    dec = _decompose(tilde)
     if dec.variant is Variant.K4:
         raise InternalInvariantError("K4 must be caught before decomposition")
     if dec.variant is Variant.RING:
-        sub_col = color_ring_of_diamonds(tilde)
+        sub_col = _ring(tilde, dec.ring_diamonds)
     else:
-        sub_col = canonical_color_with_edge(
-            tilde, dec, (to_local[s], to_local[y])
-        )
+        sub_col = _with_edge(tilde, dec, (to_local[s], to_local[y]))
     if {sub_col.assignment[to_local[s]], sub_col.assignment[to_local[y]]} != {C1A, C1B}:
         raise InternalInvariantError(
             "joined outer neighbors did not receive the two radius-1 colors"
@@ -178,11 +171,7 @@ def _color_odd_component(
     colors[u] = C1B
     colors[w] = C1A
     colors[x1] = C2A
-
-    tilde_diamond_verts = frozenset(
-        to_comp[v] for d in find_diamonds(tilde) for v in d.vertices
-    )
-    return colors, tilde_diamond_verts
+    return colors, frozenset(to_comp[v] for v in _diamond_vertices(dec))
 
 
 def _color_even_component(
@@ -190,18 +179,21 @@ def _color_even_component(
 ) -> tuple[dict[int, int], frozenset[int]]:
     """Color a Type III component with an even number of attachments."""
     tilde = comp.with_edges([(xs[i], xs[i + 1]) for i in range(0, len(xs), 2)])
-    dec = oum_decompose(tilde)
+    dec = _decompose(tilde)
     if dec.variant is not Variant.BUILT:
         raise InternalInvariantError(
             f"even completion produced variant {dec.variant}; expected built"
         )
-    sub_col = canonical_color_with_matched_edge(tilde, dec, (xs[0], xs[1]))
+    sub_col = _with_matched_edge(tilde, dec, (xs[0], xs[1]))
     if sub_col.assignment[xs[0]] != C2A:
         sub_col = sub_col.transposed(C2A, C2B)
-    tilde_diamond_verts = frozenset(
-        v for d in find_diamonds(tilde) for v in d.vertices
-    )
-    return dict(sub_col.assignment), tilde_diamond_verts
+    return dict(sub_col.assignment), _diamond_vertices(dec)
+
+
+def _diamond_vertices(dec: Decomposition) -> frozenset[int]:
+    """Vertices on the diamonds of a decomposed graph: its ring or its strings."""
+    diamonds = dec.ring_diamonds or [d for e in dec.h_edges for d in e.diamonds]
+    return frozenset(v for d in diamonds for v in d.vertices)
 
 
 def _kind(comp: MultiGraph) -> ComponentKind:
@@ -215,7 +207,7 @@ def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
     The root is a Type III component with v as its only degree-2 vertex.
     """
     coloring, _ = _root_coloring(comp, v, _kind(comp))
-    return coloring
+    return _verified(comp, coloring)
 
 
 def _root_coloring(
@@ -230,15 +222,13 @@ def _root_coloring(
     if kind is not ComponentKind.TYPE_III:
         raise PreconditionViolatedError("root component must be of Type III")
     colors, diamonds = _color_odd_component(comp, xs, root_style=True)
-    coloring = PackingColoring(SPEC_1122, colors)
-    _verify_component(comp, coloring)
-    return coloring, diamonds
+    return PackingColoring(SPEC_1122, colors), diamonds
 
 
 def extend_component(comp: MultiGraph, x1: int, forced: int) -> PackingColoring:
     """Color one non-root component so that x1 gets the forced 2-class."""
     coloring, _ = _extension(comp, x1, forced, _kind(comp))
-    return coloring
+    return _verified(comp, coloring)
 
 
 def _extension(
@@ -271,15 +261,7 @@ def _extension(
         if colors[x1] != forced:
             swapped = {C2A: C2B, C2B: C2A}
             colors = {v: swapped.get(c, c) for v, c in colors.items()}
-    coloring = PackingColoring(SPEC_1122, colors)
-    _verify_component(comp, coloring)
-    return coloring, diamonds
-
-
-def _verify_component(comp: MultiGraph, coloring: PackingColoring) -> None:
-    violations = verify(comp, SPEC_1122, coloring)
-    if violations:
-        raise VerificationFailedError(violations)
+    return PackingColoring(SPEC_1122, colors), diamonds
 
 
 def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
@@ -304,20 +286,21 @@ def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
-    if not g.is_simple():
-        raise NotSimpleError("input must be a simple graph")
-    if not is_connected(g):
-        raise DisconnectedError("input graph is disconnected")
-    if not is_cubic(g):
-        raise NotCubicError("input graph is not cubic")
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFreeError(claw)
+    _require_claw_free_cubic(g)
+    bridges = find_bridges(g)
+    if bridges:
+        bt = _bridge_tree(g, bridges)
+        # the tree keeps its own sorted copy; holding the set too while
+        # coloring raises peak memory
+        del bridges
+        coloring = _color_bridged(g, bt)
+    else:
+        coloring = _two_edge_connected(g, _decompose(g))
+    return _verified(g, coloring)
 
-    if not find_bridges(g):
-        return color_two_edge_connected(g)
 
-    bt = build_bridge_tree(g)
+def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
+    """Color each component of the bridge tree in BFS order, unverified."""
     assignment: dict[int, int] = {}
     # component-local diamond vertices of each completed component, in
     # global ids, for the no-diamond-at-up-neighbor invariant
@@ -348,9 +331,4 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):
             assignment[gv] = local_col.assignment[lv]
-
-    coloring = PackingColoring(SPEC_1122, assignment)
-    violations = verify(g, SPEC_1122, coloring)
-    if violations:
-        raise VerificationFailedError(violations)
-    return coloring
+    return PackingColoring(SPEC_1122, assignment)

@@ -222,6 +222,11 @@ def two_factor(g: MultiGraph) -> TwoFactor:
         raise NotCubicError("2-factor requires a cubic multigraph")
     if not is_connected(g) or find_bridges(g):
         raise NotBridgelessError("2-factor requires a bridgeless graph")
+    return _two_factor(g)
+
+
+def _two_factor(g: MultiGraph) -> TwoFactor:
+    """`two_factor` on a multigraph already known to be cubic and bridgeless."""
     m = perfect_matching(g)
     if m is None:
         raise NoPerfectMatchingError(
@@ -240,10 +245,13 @@ def two_factor_through(g: MultiGraph, e: Slot) -> TwoFactor:
     perfect matching of the remainder (guaranteed by Plesnik's theorem),
     and returns its complement, which contains both e and f.
     """
-    _require_two_edge_connected_cubic(g)
+    _require_slot(g, e)
+    return _two_factor_through(g, e)
+
+
+def _two_factor_through(g: MultiGraph, e: Slot) -> TwoFactor:
+    """`two_factor_through` on an already checked multigraph and slot."""
     all_slots = g.slots()
-    if e not in all_slots:
-        raise EdgeAbsentError(e[0], e[1])
     f = next(s for s in all_slots if s != e)
     reduced = g.without_slots([e, f])
     m = perfect_matching(reduced)
@@ -266,10 +274,13 @@ def matching_through(g: MultiGraph, e: Slot) -> Matching:
     Deletes the other two slots at e's first endpoint; any perfect matching
     of the remainder must cover that endpoint through e.
     """
-    _require_two_edge_connected_cubic(g)
+    _require_slot(g, e)
+    return _matching_through(g, e)
+
+
+def _matching_through(g: MultiGraph, e: Slot) -> Matching:
+    """`matching_through` on an already checked multigraph and slot."""
     all_slots = g.slots()
-    if e not in all_slots:
-        raise EdgeAbsentError(e[0], e[1])
     hu = e[0]
     others = [s for s in all_slots if s != e and hu in (s[0], s[1])]
     if len(others) != 2:
@@ -295,8 +306,11 @@ def factor_from_matching(g: MultiGraph, m: Matching) -> TwoFactor:
     return TwoFactor(cycles=cycles, matching=m)
 
 
-def _require_two_edge_connected_cubic(g: MultiGraph) -> None:
+def _require_slot(g: MultiGraph, e: Slot) -> None:
+    """g is cubic and 2-edge-connected, and e is one of its slots."""
     if not is_cubic(g):
         raise NotCubicError("operation requires a cubic multigraph")
     if not is_connected(g) or find_bridges(g):
         raise NotTwoEdgeConnectedError("operation requires a 2-edge-connected graph")
+    if e not in g.slots():
+        raise EdgeAbsentError(e[0], e[1])

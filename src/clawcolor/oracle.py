@@ -115,7 +115,6 @@ def solve_spacking(
         layers = _bfs_layers(g, v, radii[-1])
         for c in range(r):
             ball[c].append([u for layer in layers[: radii[c]] for u in layer])
-    assign = [-1] * n
     # conflicts[c][u]: colored vertices of class c within radii[c] of u
     conflicts = [[0] * n for _ in range(r)]
     class_sizes = [0] * r
@@ -124,42 +123,49 @@ def solve_spacking(
     sat = [0] * n
     parked = r + 1
 
-    def backtrack(colored: int) -> bool:
-        if colored == n:
-            return True
-        v = sat.index(max(sat))
-        sat[v] -= parked
-        for c in range(r):
-            cc = conflicts[c]
-            if cc[v] > 0:
-                continue
-            if (
+    # picked[i]: the i-th vertex branched on and the class it holds; an
+    # explicit stack, so the depth is not bounded by the interpreter's
+    picked: list[tuple[int, int]] = []
+    v = sat.index(max(sat))
+    sat[v] -= parked
+    c = 0
+    while True:
+        while c < r and (
+            conflicts[c][v] > 0
+            or (
                 class_sizes[c] == 0
                 and c > 0
                 and radii[c] == radii[c - 1]
                 and class_sizes[c - 1] == 0
-            ):
-                continue
-            assign[v] = c
+            )
+        ):
+            c += 1
+        if c < r:
             class_sizes[c] += 1
+            cc = conflicts[c]
             for u in ball[c][v]:
                 if not cc[u]:
                     sat[u] += 1
                 cc[u] += 1
-            if backtrack(colored + 1):
-                return True
-            assign[v] = -1
-            class_sizes[c] -= 1
-            for u in ball[c][v]:
-                cc[u] -= 1
-                if not cc[u]:
-                    sat[u] -= 1
+            picked.append((v, c))
+            if len(picked) == n:
+                return PackingColoring(spec, dict(sorted(picked)))
+            v = sat.index(max(sat))
+            sat[v] -= parked
+            c = 0
+            continue
+        # every class failed at v: unpark it and undo the previous choice
         sat[v] += parked
-        return False
-
-    if backtrack(0):
-        return PackingColoring(spec, {v: assign[v] for v in range(n)})
-    return None
+        if not picked:
+            return None
+        v, c = picked.pop()
+        class_sizes[c] -= 1
+        cc = conflicts[c]
+        for u in ball[c][v]:
+            cc[u] -= 1
+            if not cc[u]:
+                sat[u] -= 1
+        c += 1
 
 
 def subdivide(g: MultiGraph) -> MultiGraph:

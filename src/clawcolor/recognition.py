@@ -47,10 +47,9 @@ def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
     """Cut edges of a connected multigraph via one iterative low-link DFS.
 
     A pair with multiplicity >= 2 is never a bridge: the extra parallel
-    copy acts as a back edge.
+    copy acts as a back edge.  A DFS that discovers fewer than n vertices
+    means the graph is disconnected.
     """
-    if not is_connected(g):
-        raise DisconnectedError("bridge search requires a connected graph")
     n = g.n
     disc = [-1] * n
     low = [0] * n
@@ -84,6 +83,8 @@ def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
                 low[pv] = min(low[pv], low[v])
                 if low[v] > disc[pv] and g.multiplicity(pv, v) == 1:
                     bridges.add((min(pv, v), max(pv, v)))
+    if timer < n:
+        raise DisconnectedError("bridge search requires a connected graph")
     return bridges
 
 
@@ -199,10 +200,10 @@ def _classify_component(g: MultiGraph, verts: tuple[int, ...]) -> ComponentKind:
     return ComponentKind.TYPE_III
 
 
-def build_bridge_tree(g: MultiGraph) -> BridgeTree:
-    """Bridge-tree decomposition of a connected, claw-free, cubic graph."""
+def _require_claw_free_cubic(g: MultiGraph) -> None:
+    """Raise unless g is simple, connected, cubic and claw-free, checked in that order."""
     if not g.is_simple():
-        raise NotSimpleError("bridge tree is defined for simple claw-free cubic graphs")
+        raise NotSimpleError("input must be a simple graph")
     if not is_connected(g):
         raise DisconnectedError("input graph is disconnected")
     if not is_cubic(g):
@@ -211,9 +212,16 @@ def build_bridge_tree(g: MultiGraph) -> BridgeTree:
     if claw is not None:
         raise NotClawFreeError(claw)
 
-    bridges = tuple(sorted(find_bridges(g)))
-    bridge_set = set(bridges)
 
+def build_bridge_tree(g: MultiGraph) -> BridgeTree:
+    """Bridge-tree decomposition of a connected, claw-free, cubic graph."""
+    _require_claw_free_cubic(g)
+    return _bridge_tree(g, find_bridges(g))
+
+
+def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
+    """The bridge tree of a graph already validated, from its bridges."""
+    bridges = tuple(sorted(bridge_set))
     comp_of = [-1] * g.n
     components: list[tuple[int, ...]] = []
     for start in range(g.n):

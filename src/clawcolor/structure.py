@@ -123,6 +123,11 @@ def oum_decompose(g: MultiGraph) -> Decomposition:
     on a validated input indicates a bug.
     """
     _validate_two_edge_connected_cfc(g)
+    return _decompose(g)
+
+
+def _decompose(g: MultiGraph) -> Decomposition:
+    """`oum_decompose` on a graph already known to be valid input for it."""
     if is_k4(g):
         return Decomposition(variant=Variant.K4, g=g)
 

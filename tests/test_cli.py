@@ -4,11 +4,15 @@ import pytest
 
 import clawcolor.cli
 from clawcolor import (
+    MultiGraph,
     PackingColoring,
+    SPackingSpec,
     color_claw_free_cubic,
     emit_edgelist,
     emit_graph6,
     fixtures,
+    parse_coloring_lines,
+    verify,
 )
 from clawcolor.cli import build_parser, main
 from clawcolor.errors import VerificationFailedError
@@ -179,6 +183,18 @@ def test_solve_certifies_its_witness(fixture_files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error (internal): VerificationFailedError" in captured.err
+
+
+def test_solve_long_path_needs_no_deep_recursion(tmp_path, capsys):
+    """1,200 search levels: past the interpreter's default recursion limit."""
+    path = MultiGraph(1200, [(v, v + 1) for v in range(1199)])
+    p = tmp_path / "path.el"
+    p.write_text(emit_edgelist(path))
+    assert main(["solve", str(p), "--spec", "1,1", "--cap", "5000"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("SAT\n")
+    spec = SPackingSpec((1, 1))
+    assert verify(path, spec, parse_coloring_lines(out.removesuffix("SAT\n"), spec)) == []
 
 
 def test_solve_cap_default_is_the_solver_default():

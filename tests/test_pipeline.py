@@ -1,0 +1,312 @@
+"""Validate once, certify once: the pipeline's single entry check and exit certificate.
+
+`color_claw_free_cubic` checks its input at entry and runs `verify` once
+on the glued coloring at exit; in between it calls unchecked cores.  The
+public functions it is built from keep their own checks and certificates.
+"""
+
+import json
+import sys
+
+import pytest
+
+import clawcolor.canonical
+import clawcolor.colorer
+from clawcolor import (
+    C1A,
+    C1B,
+    C2A,
+    ExpansionSpec,
+    MultiGraph,
+    PackingColoring,
+    build_bridge_tree,
+    canonical_color,
+    canonical_color_with_edge,
+    canonical_color_with_matched_edge,
+    color_claw_free_cubic,
+    color_k4,
+    color_ring_of_diamonds,
+    color_root_component,
+    color_two_edge_connected,
+    emit_edgelist,
+    expand_to_clawfree,
+    extend_component,
+    find_bridges,
+    gen_bridged,
+    gen_cubic_multigraph,
+    gen_ring_of_diamonds,
+    matching_through,
+    oum_decompose,
+    two_factor,
+    two_factor_through,
+)
+from clawcolor import oracle, recognition
+from clawcolor.cli import main
+from clawcolor.errors import (
+    DisconnectedError,
+    NotBridgelessError,
+    NotClawFreeError,
+    NotCubicError,
+    NotRingOfDiamondsError,
+    NotTwoEdgeConnectedError,
+    VerificationFailedError,
+)
+from clawcolor.rng import SplitMix64
+
+from test_cli import json_reports
+from test_colorer import leaf_gadget
+
+K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+
+def _built():
+    rng = SplitMix64(0xB17)
+    h = gen_cubic_multigraph(16, rng)
+    slots = h.slots()
+    return expand_to_clawfree(
+        h, ExpansionSpec({s: i % 3 for i, s in enumerate(slots)}), rng
+    )
+
+
+def _inputs(named_fixtures):
+    return {
+        "bridged_star": named_fixtures["bridged_star"],
+        "chain50": gen_bridged(
+            [("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50)
+        ),
+        "built": _built(),
+        "ring": gen_ring_of_diamonds(7),
+        "k4": MultiGraph(4, K4_EDGES),
+    }
+
+
+def _count_calls(monkeypatch, fn) -> list[int]:
+    """Count calls to `fn` through every clawcolor namespace that binds it."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("clawcolor") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["bridged_star", "chain50", "built", "ring", "k4"])
+def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, capsys, name):
+    g = _inputs(named_fixtures)[name]
+    verifies = _count_calls(monkeypatch, oracle.verify)
+    claws = _count_calls(monkeypatch, recognition.find_claw)
+    color_claw_free_cubic(g)
+    assert (verifies[0], claws[0]) == (1, 1)
+
+    path = tmp_path / f"{name}.el"
+    path.write_text(emit_edgelist(g))
+    assert main(["color", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert (verifies[0], claws[0]) == (2, 2)
+
+
+def _broken(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
+    """The coloring with one vertex moved into a neighbor's radius-1 class."""
+    a = dict(coloring.assignment)
+    v, w = next((v, w) for v in range(g.n) for w in g.neighbors(v) if a[w] in (C1A, C1B))
+    a[v] = a[w]
+    return PackingColoring(coloring.spec, a)
+
+
+def _break_extension(monkeypatch):
+    real = clawcolor.colorer._extension
+
+    def extension(comp, *args):
+        coloring, diamonds = real(comp, *args)
+        return _broken(comp, coloring), diamonds
+
+    monkeypatch.setattr(clawcolor.colorer, "_extension", extension)
+
+
+def _break_two_edge_connected(monkeypatch):
+    real = clawcolor.colorer._two_edge_connected
+
+    def two_edge_connected(g, dec):
+        return _broken(g, real(g, dec))
+
+    monkeypatch.setattr(clawcolor.colorer, "_two_edge_connected", two_edge_connected)
+
+
+@pytest.mark.parametrize(
+    "break_layer, victim, healthy",
+    [
+        (_break_extension, "bridged_star", "prism"),
+        (_break_two_edge_connected, "prism", "bridged_star"),
+    ],
+    ids=["extension", "two_edge_connected"],
+)
+def test_a_bug_in_any_layer_is_still_caught(
+    named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy
+):
+    break_layer(monkeypatch)
+    with pytest.raises(VerificationFailedError):
+        color_claw_free_cubic(named_fixtures[victim])
+
+    paths = []
+    for i, name in enumerate((healthy, victim, healthy)):
+        path = tmp_path / f"{i}-{name}.el"
+        path.write_text(emit_edgelist(named_fixtures[name]))
+        paths.append(str(path))
+    assert main(["color", "--json", *paths]) == 5
+    first, bad, last = json_reports(capsys.readouterr().out)
+    assert first["exit"] == last["exit"] == 0
+    assert first["outcome"] == last["outcome"] == "colored"
+    assert bad["exit"] == 5 and bad["error"]["kind"] == "internal"
+    assert bad["error"]["message"].startswith("VerificationFailedError")
+
+
+def _two_k4s(fx):
+    return MultiGraph(8, K4_EDGES + [(u + 4, v + 4) for u, v in K4_EDGES])
+
+
+def _diamond(fx):
+    return MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+def _k4_and_isolated_vertex(fx):
+    """A DFS from 0 covers its own component but misses vertex 4."""
+    return MultiGraph(5, K4_EDGES)
+
+
+def _petersen(fx):
+    return fx["petersen"]
+
+
+def _bridged(fx):
+    return fx["bridged_star"]
+
+
+def _two_factor_through(g):
+    return two_factor_through(g, (0, 1, 0))
+
+
+def _matching_through(g):
+    return matching_through(g, (0, 1, 0))
+
+
+# (public function, input, error class): the cases no other test covers
+WRAPPER_CASES = [
+    (build_bridge_tree, _petersen, NotClawFreeError),
+    (build_bridge_tree, _diamond, NotCubicError),
+    (build_bridge_tree, _two_k4s, DisconnectedError),
+    (oum_decompose, _petersen, NotClawFreeError),
+    (oum_decompose, _diamond, NotCubicError),
+    (oum_decompose, _two_k4s, NotTwoEdgeConnectedError),
+    (color_two_edge_connected, _petersen, NotClawFreeError),
+    (color_two_edge_connected, _bridged, NotTwoEdgeConnectedError),
+    (color_two_edge_connected, _diamond, NotCubicError),
+    (color_two_edge_connected, _two_k4s, NotTwoEdgeConnectedError),
+    (color_ring_of_diamonds, _bridged, NotRingOfDiamondsError),
+    (color_ring_of_diamonds, _two_k4s, NotRingOfDiamondsError),
+    (two_factor, _diamond, NotCubicError),
+    (two_factor, _two_k4s, NotBridgelessError),
+    (_two_factor_through, _diamond, NotCubicError),
+    (_two_factor_through, _two_k4s, NotTwoEdgeConnectedError),
+    (_matching_through, _diamond, NotCubicError),
+    (_matching_through, _bridged, NotTwoEdgeConnectedError),
+    (_matching_through, _two_k4s, NotTwoEdgeConnectedError),
+    (find_bridges, _k4_and_isolated_vertex, DisconnectedError),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, make, error",
+    WRAPPER_CASES,
+    ids=[
+        f"{fn.__name__.strip('_')}-{make.__name__.strip('_')}"
+        for fn, make, _ in WRAPPER_CASES
+    ],
+)
+def test_public_wrappers_keep_their_guarantees(named_fixtures, fn, make, error):
+    with pytest.raises(error):
+        fn(make(named_fixtures))
+
+
+def _canonical_color(g):
+    dec = oum_decompose(g)
+    return canonical_color(g, dec, two_factor(dec.h))
+
+
+def _with_edge(g):
+    dec = oum_decompose(g)
+    return canonical_color_with_edge(g, dec, next(iter(dec.edge_slot)))
+
+
+def _with_matched_edge(g):
+    dec = oum_decompose(g)
+    return canonical_color_with_matched_edge(g, dec, next(iter(dec.edge_slot)))
+
+
+def _root(comp):
+    return color_root_component(comp, 0)
+
+
+def _extend(comp):
+    return extend_component(comp, 0, C2A)
+
+
+def _k4(fx):
+    return MultiGraph(4, K4_EDGES)
+
+
+def _ring(fx):
+    return gen_ring_of_diamonds(4)
+
+
+def _prism(fx):
+    return fx["prism"]
+
+
+def _big_expansion(fx):
+    return fx["big_expansion"]
+
+
+def _leaf(fx):
+    return MultiGraph(7, leaf_gadget())
+
+
+canonical, colorer = clawcolor.canonical, clawcolor.colorer
+
+# (public constructor, module and name of its unchecked core, input)
+CONSTRUCTOR_CASES = [
+    (color_k4, canonical, "_k4", _k4),
+    (color_ring_of_diamonds, canonical, "_ring", _ring),
+    (color_two_edge_connected, canonical, "_two_edge_connected", _prism),
+    (_canonical_color, canonical, "_canonical", _big_expansion),
+    (_with_edge, canonical, "_with_edge", _big_expansion),
+    (_with_matched_edge, canonical, "_with_matched_edge", _big_expansion),
+    (_root, colorer, "_root_coloring", _leaf),
+    (_extend, colorer, "_extension", _leaf),
+]
+
+
+@pytest.mark.parametrize(
+    "construct, module, core, make",
+    CONSTRUCTOR_CASES,
+    ids=[core for _, _, core, _ in CONSTRUCTOR_CASES],
+)
+def test_public_constructors_still_certify(
+    named_fixtures, monkeypatch, construct, module, core, make
+):
+    """A core that returns a wrong coloring is caught by its public wrapper."""
+    g = make(named_fixtures)
+    real = getattr(module, core)
+
+    def broken(*args):
+        out = real(*args)
+        if isinstance(out, tuple):
+            return (_broken(g, out[0]),) + out[1:]
+        return _broken(g, out)
+
+    monkeypatch.setattr(module, core, broken)
+    with pytest.raises(VerificationFailedError):
+        construct(g)
