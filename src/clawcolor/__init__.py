@@ -58,7 +58,7 @@ from .generators import (
     gen_ring_of_diamonds,
     random_expansion_spec,
 )
-from .multigraph import MultiGraph, all_pairs_distances, is_connected, is_cubic
+from .multigraph import MultiGraph, is_connected, is_cubic
 from .oracle import Violation, solve_spacking, subdivide, verify
 from .recognition import (
     BridgeTree,
@@ -67,12 +67,9 @@ from .recognition import (
     build_bridge_tree,
     find_bridges,
     find_claw,
-    find_diamonds,
     is_claw_free,
     is_k4,
     is_ring_of_diamonds,
-    is_two_edge_connected,
-    multigraph_isomorphic,
 )
 from .rng import SplitMix64
 from .structure import Decomposition, HEdge, StringDiamond, Variant, oum_decompose
@@ -100,7 +97,6 @@ __all__ = [
     "TwoFactor",
     "Variant",
     "Violation",
-    "all_pairs_distances",
     "build_bridge_tree",
     "canonical_color",
     "canonical_color_with_edge",
@@ -117,7 +113,6 @@ __all__ = [
     "extend_component",
     "find_bridges",
     "find_claw",
-    "find_diamonds",
     "fixtures",
     "free_two_color",
     "gen_bridged",
@@ -128,11 +123,9 @@ __all__ = [
     "is_cubic",
     "is_k4",
     "is_ring_of_diamonds",
-    "is_two_edge_connected",
     "light_support_property",
     "matching_through",
     "maximum_matching",
-    "multigraph_isomorphic",
     "oum_decompose",
     "parse_coloring_lines",
     "parse_edgelist",

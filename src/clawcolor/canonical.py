@@ -38,7 +38,7 @@ from .factorization import (
 )
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import Diamond, find_diamonds, is_k4, is_ring_of_diamonds
+from .recognition import Diamond, _local_scan, is_k4, is_ring_of_diamonds
 from .structure import Decomposition, Variant, oum_decompose
 
 
@@ -64,7 +64,7 @@ def color_ring_of_diamonds(g: MultiGraph) -> PackingColoring:
     """Diamond interiors get 2a/2b; each connecting edge gets 1a and 1b."""
     if not is_ring_of_diamonds(g):
         raise NotRingOfDiamondsError("input is not a ring of diamonds")
-    return _verified(g, _ring(g, find_diamonds(g)))
+    return _verified(g, _ring(g, _local_scan(g).diamonds))
 
 
 def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
@@ -206,18 +206,17 @@ def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:
 def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:
     """Check the canonical-coloring support property on a whole graph.
 
-    Every vertex in a radius-1 class must either have two neighbors in the
-    partner radius-1 class or lie on a diamond.
+    g must be simple, cubic and claw-free.  Every vertex in a radius-1
+    class must either have two neighbors in the partner radius-1 class or
+    lie on a diamond.
     """
-    on_diamond: set[int] = set()
-    for d in find_diamonds(g):
-        on_diamond |= d.vertices
+    diamond_of = _local_scan(g).diamond_of
     partner = {C1A: C1B, C1B: C1A}
     for v in range(g.n):
         c = coloring.assignment[v]
         if c not in partner:
             continue
-        if v in on_diamond:
+        if diamond_of[v] != -1:
             continue
         count = sum(
             1 for w in g.neighbors(v) if coloring.assignment[w] == partner[c]

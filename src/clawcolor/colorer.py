@@ -41,7 +41,6 @@ from .recognition import (
     _bridge_tree,
     _classify_component,
     _require_claw_free_cubic,
-    find_bridges,
     is_k4,
 )
 from .structure import Decomposition, Variant, _decompose
@@ -286,16 +285,16 @@ def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
-    _require_claw_free_cubic(g)
-    bridges = find_bridges(g)
+    bridges, local = _require_claw_free_cubic(g)
     if bridges:
+        # completions scan themselves, and the tree keeps its own sorted
+        # copy of the bridges; holding either while coloring raises peak memory
+        del local
         bt = _bridge_tree(g, bridges)
-        # the tree keeps its own sorted copy; holding the set too while
-        # coloring raises peak memory
         del bridges
         coloring = _color_bridged(g, bt)
     else:
-        coloring = _two_edge_connected(g, _decompose(g))
+        coloring = _two_edge_connected(g, _decompose(g, local))
     return _verified(g, coloring)
 
 

@@ -54,13 +54,6 @@ class TwoFactor:
     def slots(self) -> set[Slot]:
         return {slot for cycle in self.cycles for _, slot in cycle}
 
-    def contains_slot(self, slot: Slot) -> bool:
-        return slot in self.slots()
-
-    def contains_edge(self, u: int, v: int) -> bool:
-        key = (min(u, v), max(u, v))
-        return any((s[0], s[1]) == key for s in self.slots())
-
 
 def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
     """Maximum cardinality matching on a simple graph; returns mate array."""

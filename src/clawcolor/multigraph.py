@@ -7,7 +7,6 @@ immutable after construction; "mutating" helpers return new graphs.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import LoopEdgeError, VertexOutOfRangeError
@@ -164,29 +163,19 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.size})"
 
 
-def single_source_distances(g: MultiGraph, source: int) -> list[float]:
-    """BFS hop distances from source; math.inf for unreachable vertices."""
-    dist: list[float] = [math.inf] * g.n
-    dist[source] = 0
-    queue = [source]
-    for v in queue:
-        d = dist[v] + 1
-        for w in g.neighbors(v):
-            if dist[w] == math.inf:
-                dist[w] = d
-                queue.append(w)
-    return dist
-
-
-def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
-    """Hop distance matrix; multiplicities do not affect distances."""
-    return [single_source_distances(g, v) for v in range(g.n)]
-
-
 def is_connected(g: MultiGraph) -> bool:
+    """True iff a BFS from vertex 0 reaches every vertex."""
     if g.n <= 1:
         return True
-    return all(d < math.inf for d in single_source_distances(g, 0))
+    seen = [False] * g.n
+    seen[0] = True
+    queue = [0]
+    for v in queue:
+        for w in g.neighbors(v):
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return len(queue) == g.n
 
 
 def is_cubic(g: MultiGraph) -> bool:

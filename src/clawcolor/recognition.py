@@ -3,12 +3,20 @@
 Covers induced-claw detection, bridge finding (DFS low-link, multigraph
 aware), the bridge tree with component typing, induced diamonds, and
 ring-of-diamonds recognition.
+
+In a claw-free cubic graph every vertex lies on a triangle, so the claw
+check, the induced diamonds and the triangles off the diamonds can all be
+read from the closed neighborhoods.  `_local_scan` does that in one pass,
+and the pipeline's entry check `_require_claw_free_cubic` tests, in this
+order, that the input is simple, connected (from the DFS of the bridge
+search, whose bridges it keeps), cubic, and claw-free (from the scan, which
+it keeps for the decomposition).  `find_claw` stays for arbitrary graphs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -26,8 +34,8 @@ from .multigraph import MultiGraph, is_connected, is_cubic
 def find_claw(g: MultiGraph) -> tuple[int, int, int, int] | None:
     """Return (center, a, b, c) of an induced claw, or None if claw-free.
 
-    Parallel edges do not affect induced subgraphs, so only distinct
-    neighbors matter.
+    Works on any multigraph.  Parallel edges do not affect induced
+    subgraphs, so only distinct neighbors matter.
     """
     for v in range(g.n):
         nbrs = g.neighbors(v)
@@ -44,11 +52,18 @@ def is_claw_free(g: MultiGraph) -> bool:
 
 
 def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
-    """Cut edges of a connected multigraph via one iterative low-link DFS.
+    """Cut edges of a connected multigraph via one iterative low-link DFS."""
+    bridges = _bridges(g)
+    if bridges is None:
+        raise DisconnectedError("bridge search requires a connected graph")
+    return bridges
+
+
+def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
+    """`find_bridges`, or None when the DFS discovers fewer than n vertices.
 
     A pair with multiplicity >= 2 is never a bridge: the extra parallel
-    copy acts as a back edge.  A DFS that discovers fewer than n vertices
-    means the graph is disconnected.
+    copy acts as a back edge.
     """
     n = g.n
     disc = [-1] * n
@@ -83,13 +98,7 @@ def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
                 low[pv] = min(low[pv], low[v])
                 if low[v] > disc[pv] and g.multiplicity(pv, v) == 1:
                     bridges.add((min(pv, v), max(pv, v)))
-    if timer < n:
-        raise DisconnectedError("bridge search requires a connected graph")
-    return bridges
-
-
-def is_two_edge_connected(g: MultiGraph) -> bool:
-    return is_connected(g) and not find_bridges(g)
+    return bridges if timer == n else None
 
 
 def is_k4(g: MultiGraph) -> bool:
@@ -108,19 +117,72 @@ class Diamond:
         return frozenset(self.interiors + self.exteriors)
 
 
-def find_diamonds(g: MultiGraph) -> list[Diamond]:
-    """All induced diamonds, keyed by their interior edge.
+@dataclass(frozen=True)
+class LocalScan:
+    """What `_local_scan` reads from the closed neighborhoods of a graph.
 
-    K4 contains no induced diamond, so callers that treat K4 as a special
-    case must test for it separately (and first).  In a claw-free cubic
-    graph other than K4, the returned diamonds are vertex-disjoint.
+    Either `claw` is the first induced claw (center, a, b, c), and the rest
+    is empty, or `claw` is None and the graph is claw-free.  Then
+    `diamonds` lists the induced diamonds by their interior edge and
+    `triangles` the triangles on no diamond by their smallest corner;
+    `diamond_of[v]` and `triangle_of[v]` index those lists, -1 for none.
     """
-    out = []
-    for u, v, _ in g.edge_pairs():
-        common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
-        if len(common) == 2 and not g.has_edge(common[0], common[1]):
-            out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
-    return out
+
+    claw: tuple[int, int, int, int] | None = None
+    diamonds: list[Diamond] = field(default_factory=list)
+    diamond_of: list[int] = field(default_factory=list)
+    triangles: list[tuple[int, int, int]] = field(default_factory=list)
+    triangle_of: list[int] = field(default_factory=list)
+
+
+def _local_scan(g: MultiGraph) -> LocalScan:
+    """Claw check, diamonds and triangles in one pass over a simple cubic graph.
+
+    In a cubic graph, the three neighbors a < b < c of v span 0 to 3
+    edges.  None: v is the center of a claw, and the first such v is the
+    witness `find_claw` gives.  Three: v is on a K4, which in a connected
+    cubic graph is the whole graph; nothing is recorded.  Two: v is an
+    interior of a diamond, the other interior is the neighbor adjacent to
+    both others, and the remaining two are its exteriors.  One: v lies on
+    exactly one triangle, which belongs to a diamond exactly when its other
+    two corners share a second common neighbor.  Each diamond is recorded at
+    its smaller interior and each triangle at its smallest corner, so both
+    lists come out in vertex order.
+    """
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    diamonds: list[Diamond] = []
+    diamond_of = [-1] * n
+    triangles: list[tuple[int, int, int]] = []
+    triangle_of = [-1] * n
+    for v in range(n):
+        a, b, c = adj[v]
+        ab = b in adj[a]
+        ac = c in adj[a]
+        bc = c in adj[b]
+        edges = ab + ac + bc
+        if edges == 0:
+            return LocalScan(claw=(v, a, b, c))
+        if edges == 1:
+            x, y = (a, b) if ab else (a, c) if ac else (b, c)
+            if v > x:
+                continue
+            # the neighbor of x besides v and y; adjacent to y on a diamond
+            if sum(adj[x]) - v - y in adj[y]:
+                continue
+            triangle_of[v] = triangle_of[x] = triangle_of[y] = len(triangles)
+            triangles.append((v, x, y))
+        elif edges == 2:
+            p, e1, e2 = (a, b, c) if ab and ac else (b, a, c) if ab else (c, a, b)
+            if v > p:
+                continue
+            if diamond_of[e1] != -1 or diamond_of[e2] != -1:
+                raise StructureViolationError(
+                    f"a vertex of {(e1, e2)} lies on two diamonds; only K4 allows that"
+                )
+            diamond_of[v] = diamond_of[p] = diamond_of[e1] = diamond_of[e2] = len(diamonds)
+            diamonds.append(Diamond(interiors=(v, p), exteriors=(e1, e2)))
+    return LocalScan(None, diamonds, diamond_of, triangles, triangle_of)
 
 
 def is_ring_of_diamonds(g: MultiGraph) -> bool:
@@ -130,12 +192,8 @@ def is_ring_of_diamonds(g: MultiGraph) -> bool:
     """
     if g.n == 0 or not g.is_simple() or not is_cubic(g) or not is_connected(g):
         return False
-    if not is_claw_free(g):
-        return False
-    covered: set[int] = set()
-    for d in find_diamonds(g):
-        covered |= d.vertices
-    return len(covered) == g.n
+    local = _local_scan(g)
+    return local.claw is None and 4 * len(local.diamonds) == g.n
 
 
 class ComponentKind(enum.Enum):
@@ -200,23 +258,29 @@ def _classify_component(g: MultiGraph, verts: tuple[int, ...]) -> ComponentKind:
     return ComponentKind.TYPE_III
 
 
-def _require_claw_free_cubic(g: MultiGraph) -> None:
-    """Raise unless g is simple, connected, cubic and claw-free, checked in that order."""
+def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], LocalScan]:
+    """Raise unless g is simple, connected, cubic and claw-free, checked in that order.
+
+    Returns what the checks computed: the bridges, from the DFS that also
+    decides connectivity, and the local scan, which is the claw check.
+    """
     if not g.is_simple():
         raise NotSimpleError("input must be a simple graph")
-    if not is_connected(g):
+    bridges = _bridges(g)
+    if bridges is None:
         raise DisconnectedError("input graph is disconnected")
     if not is_cubic(g):
         raise NotCubicError("input graph is not cubic")
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFreeError(claw)
+    local = _local_scan(g)
+    if local.claw is not None:
+        raise NotClawFreeError(local.claw)
+    return bridges, local
 
 
 def build_bridge_tree(g: MultiGraph) -> BridgeTree:
     """Bridge-tree decomposition of a connected, claw-free, cubic graph."""
-    _require_claw_free_cubic(g)
-    return _bridge_tree(g, find_bridges(g))
+    bridges, _ = _require_claw_free_cubic(g)
+    return _bridge_tree(g, bridges)
 
 
 def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
@@ -331,64 +395,3 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         up_neighbor=tuple(up_neighbor),
         degree2=tuple(degree2),
     )
-
-
-def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
-    """Exact multigraph isomorphism by backtracking; meant for small graphs.
-
-    Vertices are pre-partitioned by (degree, sorted incident multiplicity
-    profile) and the search maps vertices in order, checking multiplicity
-    consistency against already-mapped neighbors.
-    """
-    if a.n != b.n or a.size != b.size:
-        return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-
-    def profile(g: MultiGraph, v: int) -> tuple:
-        mults = sorted(g.multiplicity(v, w) for w in g.neighbors(v))
-        return (g.degree(v), tuple(mults))
-
-    pa = [profile(a, v) for v in range(a.n)]
-    pb = [profile(b, v) for v in range(b.n)]
-    if sorted(pa) != sorted(pb):
-        return False
-
-    # order a's vertices to keep the partial mapping connected when possible
-    order: list[int] = []
-    seen = [False] * a.n
-    for start in range(a.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        for v in queue:
-            order.append(v)
-            for w in a.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-
-    mapping = [-1] * a.n
-    used = [False] * b.n
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        mapped = [x for x in order[:i]]
-        for w in range(b.n):
-            if used[w] or pb[w] != pa[v]:
-                continue
-            if all(
-                b.multiplicity(w, mapping[x]) == a.multiplicity(v, x) for x in mapped
-            ):
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)

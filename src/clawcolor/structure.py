@@ -5,6 +5,13 @@ Every such graph is K4, a ring of diamonds, or is built from a
 triangle and some H-edges with strings of diamonds.  `oum_decompose`
 recovers that structure: the triangles, the multigraph H, and for every
 H-edge its realization in G (a direct edge or an oriented diamond string).
+
+The triangles and diamonds come from `recognition._local_scan`, as lists
+indexed per vertex.  `color_claw_free_cubic` hands over the scan its entry
+check ran; a completed component of a bridged graph is scanned here.  The
+decomposition then walks from each triangle corner's outside neighbor
+through any diamond string to the next corner, and checks that the
+reconstructed H is cubic and bridgeless.
 """
 
 from __future__ import annotations
@@ -13,14 +20,20 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import (
-    NotClawFreeError,
-    NotCubicError,
+    DisconnectedError,
     NotSimpleError,
     NotTwoEdgeConnectedError,
     StructureViolationError,
 )
-from .multigraph import MultiGraph, Slot, is_connected, is_cubic
-from .recognition import Diamond, find_bridges, find_claw, find_diamonds, is_k4
+from .multigraph import MultiGraph, Slot, is_cubic
+from .recognition import (
+    Diamond,
+    LocalScan,
+    _local_scan,
+    _require_claw_free_cubic,
+    find_bridges,
+    is_k4,
+)
 
 
 class Variant(enum.Enum):
@@ -88,7 +101,6 @@ class Decomposition:
     triangles: tuple[tuple[int, int, int], ...] = ()
     h: MultiGraph | None = None
     h_edges: tuple[HEdge, ...] = ()
-    triangle_of: dict[int, int] = field(default_factory=dict)
     slot_edge: dict[Slot, HEdge] = field(default_factory=dict)
     edge_slot: dict[tuple[int, int], Slot] = field(default_factory=dict)
     attach: dict[tuple[int, Slot], int] = field(default_factory=dict)
@@ -100,20 +112,6 @@ class Decomposition:
         )
 
 
-def _validate_two_edge_connected_cfc(g: MultiGraph) -> None:
-    if not g.is_simple():
-        raise NotSimpleError("structure decomposition requires a simple graph")
-    if not is_connected(g):
-        raise NotTwoEdgeConnectedError("input graph is disconnected")
-    if not is_cubic(g):
-        raise NotCubicError("input graph is not cubic")
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFreeError(claw)
-    if find_bridges(g):
-        raise NotTwoEdgeConnectedError("input graph has bridges")
-
-
 def oum_decompose(g: MultiGraph) -> Decomposition:
     """Decompose a 2-edge-connected, claw-free, cubic graph.
 
@@ -122,104 +120,84 @@ def oum_decompose(g: MultiGraph) -> Decomposition:
     StructureViolationError if the triangle/string partition fails, which
     on a validated input indicates a bug.
     """
-    _validate_two_edge_connected_cfc(g)
-    return _decompose(g)
+    if not g.is_simple():
+        raise NotSimpleError("structure decomposition requires a simple graph")
+    try:
+        bridges, local = _require_claw_free_cubic(g)
+    except DisconnectedError:
+        raise NotTwoEdgeConnectedError("input graph is disconnected") from None
+    if bridges:
+        raise NotTwoEdgeConnectedError("input graph has bridges")
+    return _decompose(g, local)
 
 
-def _decompose(g: MultiGraph) -> Decomposition:
-    """`oum_decompose` on a graph already known to be valid input for it."""
+def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
+    """`oum_decompose` on a graph already known to be valid input for it.
+
+    `local` is g's `_local_scan`, when the caller has it; otherwise it is
+    run here.
+    """
     if is_k4(g):
         return Decomposition(variant=Variant.K4, g=g)
 
-    diamonds = find_diamonds(g)
-    diamond_of: dict[int, int] = {}
-    for i, d in enumerate(diamonds):
-        for v in d.vertices:
-            if v in diamond_of:
-                raise StructureViolationError(
-                    f"vertex {v} lies on two diamonds; only K4 allows that"
-                )
-            diamond_of[v] = i
+    if local is None:
+        local = _local_scan(g)
+        if local.claw is not None:
+            raise StructureViolationError(f"claw {local.claw} in a graph to decompose")
+    diamonds, diamond_of = local.diamonds, local.diamond_of
+    triangles, triangle_of = local.triangles, local.triangle_of
 
-    if len(diamond_of) == g.n:
+    if 4 * len(diamonds) == g.n:
         return Decomposition(
             variant=Variant.RING, g=g, ring_diamonds=tuple(diamonds)
         )
+    if 3 * len(triangles) + 4 * len(diamonds) != g.n:
+        v = next(v for v in range(g.n) if diamond_of[v] == triangle_of[v] == -1)
+        raise StructureViolationError(
+            f"vertex {v} is on no diamond and no triangle of free vertices"
+        )
 
-    # group the non-diamond vertices into their unique triangles
-    triangle_of: dict[int, int] = {}
-    triangles: list[tuple[int, int, int]] = []
-    for v in range(g.n):
-        if v in diamond_of or v in triangle_of:
-            continue
-        mates = [
-            w
-            for w in g.neighbors(v)
-            if w not in diamond_of and w not in triangle_of
-        ]
-        tri = None
-        for i in range(len(mates)):
-            for j in range(i + 1, len(mates)):
-                if g.has_edge(mates[i], mates[j]):
-                    tri = (v, mates[i], mates[j])
-                    break
-            if tri:
-                break
-        if tri is None:
-            raise StructureViolationError(
-                f"vertex {v} is on no diamond and no triangle of free vertices"
-            )
-        idx = len(triangles)
-        triangles.append(tuple(sorted(tri)))
-        for x in tri:
-            triangle_of[x] = idx
-
-    # third neighbor of each triangle corner (the one outside its triangle)
-    third: dict[int, int] = {}
-    for tri in triangles:
-        tset = set(tri)
+    # walk realizations from each triangle corner's outside neighbor:
+    # direct edges or diamond strings, corner to corner
+    nbrs = g.neighbors
+    consumed = bytearray(g.n)
+    walked = 0
+    raw: list[tuple[int, int, list[StringDiamond]]] = []
+    for t, tri in enumerate(triangles):
         for c in tri:
-            outs = [w for w in g.neighbors(c) if w not in tset]
+            outs = [w for w in nbrs(c) if triangle_of[w] != t]
             if len(outs) != 1:
                 raise StructureViolationError(
                     f"triangle corner {c} has {len(outs)} outside edges"
                 )
-            third[c] = outs[0]
-
-    # walk realizations: direct edges or diamond strings, corner to corner
-    consumed: set[int] = set()
-    used_diamonds: set[int] = set()
-    raw: list[tuple[int, int, list[StringDiamond]]] = []
-    for tri in triangles:
-        for c in tri:
-            if c in consumed:
+            if consumed[c]:
                 continue
-            cur = third[c]
+            cur = outs[0]
             seq: list[StringDiamond] = []
-            while cur in diamond_of:
-                d = diamonds[diamond_of[cur]]
-                if cur not in d.exteriors:
+            while (i := diamond_of[cur]) != -1:
+                d = diamonds[i]
+                e1, e2 = d.exteriors
+                if cur != e1 and cur != e2:
                     raise StructureViolationError(
                         f"string enters diamond at interior vertex {cur}"
                     )
-                exit_ = d.exteriors[0] if d.exteriors[1] == cur else d.exteriors[1]
+                exit_ = e1 if cur == e2 else e2
                 seq.append(StringDiamond(cur, d.interiors, exit_))
-                used_diamonds.add(diamond_of[cur])
-                outs = [w for w in g.neighbors(exit_) if w not in d.vertices]
+                outs = [w for w in nbrs(exit_) if diamond_of[w] != i]
                 if len(outs) != 1:
                     raise StructureViolationError(
                         f"diamond exterior {exit_} has {len(outs)} outside edges"
                     )
                 cur = outs[0]
-            if cur not in triangle_of:
+            if triangle_of[cur] == -1:
                 raise StructureViolationError(
                     f"realization starting at corner {c} ends at non-corner {cur}"
                 )
-            consumed.add(c)
-            consumed.add(cur)
+            consumed[c] = consumed[cur] = 1
+            walked += len(seq)
             raw.append((c, cur, seq))
 
-    if len(used_diamonds) != len(diamonds):
+    if walked != len(diamonds):
         raise StructureViolationError("some diamonds belong to no string")
 
     # orient realizations toward the lower triangle index and assign slots
@@ -265,7 +243,6 @@ def _decompose(g: MultiGraph) -> Decomposition:
         triangles=tuple(triangles),
         h=h,
         h_edges=tuple(h_edges),
-        triangle_of=triangle_of,
         slot_edge=slot_edge,
         edge_slot=edge_slot,
         attach=attach,

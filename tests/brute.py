@@ -4,19 +4,23 @@ Everything here is deliberately written from the definitions, without
 reusing the library's algorithms: BFS over raw edge lists, exhaustive
 matching and 2-factor enumeration over edge slots, quadratic bridge
 detection, exhaustive S-packing search, and a direct graph6 bit-indexing
-decoder.  The one exception is `solve_spacking_rescan`, a plain rescanning
-copy of the solver that pins its search tree.
+decoder.  The exceptions are `solve_spacking_rescan`, a plain rescanning
+copy of the solver that pins its search tree, and `decompose_by_grouping`,
+the decomposition as it was before the local scan, which pins `_decompose`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations
 
 from clawcolor.coloring import PackingColoring, SPackingSpec
-from clawcolor.errors import CapExceededError
-from clawcolor.multigraph import MultiGraph, all_pairs_distances
+from clawcolor.errors import CapExceededError, StructureViolationError
+from clawcolor.multigraph import MultiGraph, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP
+from clawcolor.recognition import Diamond, find_bridges, is_k4
+from clawcolor.structure import Decomposition, HEdge, StringDiamond, Variant
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -34,6 +38,25 @@ def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[flo
                 dist[w] = dist[v] + 1
                 dq.append(w)
     return dist
+
+
+def single_source_distances(g: MultiGraph, source: int) -> list[float]:
+    """BFS hop distances from source; math.inf for unreachable vertices."""
+    dist: list[float] = [math.inf] * g.n
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        d = dist[v] + 1
+        for w in g.neighbors(v):
+            if dist[w] == math.inf:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
+    """Hop distance matrix; multiplicities do not affect distances."""
+    return [single_source_distances(g, v) for v in range(g.n)]
 
 
 def connected_after_removal(g: MultiGraph, u: int, v: int) -> bool:
@@ -112,6 +135,20 @@ def all_two_factors(g: MultiGraph) -> list[frozenset[tuple[int, int, int]]]:
             deg[v] -= 1
 
     rec(0)
+    return out
+
+
+def find_diamonds(g: MultiGraph) -> list[Diamond]:
+    """All induced diamonds, keyed by their interior edge, in edge order.
+
+    The reference for `_local_scan`'s diamonds: for each edge, the common
+    neighbors of its ends, straight from the definition.
+    """
+    out = []
+    for u, v, _ in g.edge_pairs():
+        common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
+        if len(common) == 2 and not g.has_edge(common[0], common[1]):
+            out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
     return out
 
 
@@ -322,3 +359,214 @@ def ref_graph6_decode(s: str) -> tuple[int, set[tuple[int, int]]]:
 
 def relabeled(g: MultiGraph, perm: list[int]) -> MultiGraph:
     return MultiGraph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+
+
+def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
+    """Exact multigraph isomorphism by backtracking; meant for small graphs.
+
+    Vertices are pre-partitioned by (degree, sorted incident multiplicity
+    profile) and the search maps vertices in order, checking multiplicity
+    consistency against already-mapped neighbors.
+    """
+    if a.n != b.n or a.size != b.size:
+        return False
+    if sorted(a.degrees()) != sorted(b.degrees()):
+        return False
+
+    def profile(g: MultiGraph, v: int) -> tuple:
+        mults = sorted(g.multiplicity(v, w) for w in g.neighbors(v))
+        return (g.degree(v), tuple(mults))
+
+    pa = [profile(a, v) for v in range(a.n)]
+    pb = [profile(b, v) for v in range(b.n)]
+    if sorted(pa) != sorted(pb):
+        return False
+
+    # order a's vertices to keep the partial mapping connected when possible
+    order: list[int] = []
+    seen = [False] * a.n
+    for start in range(a.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for v in queue:
+            order.append(v)
+            for w in a.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+
+    mapping = [-1] * a.n
+    used = [False] * b.n
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        mapped = [x for x in order[:i]]
+        for w in range(b.n):
+            if used[w] or pb[w] != pa[v]:
+                continue
+            if all(
+                b.multiplicity(w, mapping[x]) == a.multiplicity(v, x) for x in mapped
+            ):
+                mapping[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                mapping[v] = -1
+                used[w] = False
+        return False
+
+    return extend(0)
+
+
+def decompose_by_grouping(g: MultiGraph) -> Decomposition:
+    """`_decompose` as it was before the local scan, as the reference for it.
+
+    Verbatim but for the dropped `triangle_of` field: `find_diamonds`, then
+    triangles grouped from the first uncovered vertex, then a walk over
+    `Diamond.vertices` sets.
+    """
+    if is_k4(g):
+        return Decomposition(variant=Variant.K4, g=g)
+
+    diamonds = find_diamonds(g)
+    diamond_of: dict[int, int] = {}
+    for i, d in enumerate(diamonds):
+        for v in d.vertices:
+            if v in diamond_of:
+                raise StructureViolationError(
+                    f"vertex {v} lies on two diamonds; only K4 allows that"
+                )
+            diamond_of[v] = i
+
+    if len(diamond_of) == g.n:
+        return Decomposition(
+            variant=Variant.RING, g=g, ring_diamonds=tuple(diamonds)
+        )
+
+    # group the non-diamond vertices into their unique triangles
+    triangle_of: dict[int, int] = {}
+    triangles: list[tuple[int, int, int]] = []
+    for v in range(g.n):
+        if v in diamond_of or v in triangle_of:
+            continue
+        mates = [
+            w
+            for w in g.neighbors(v)
+            if w not in diamond_of and w not in triangle_of
+        ]
+        tri = None
+        for i in range(len(mates)):
+            for j in range(i + 1, len(mates)):
+                if g.has_edge(mates[i], mates[j]):
+                    tri = (v, mates[i], mates[j])
+                    break
+            if tri:
+                break
+        if tri is None:
+            raise StructureViolationError(
+                f"vertex {v} is on no diamond and no triangle of free vertices"
+            )
+        idx = len(triangles)
+        triangles.append(tuple(sorted(tri)))
+        for x in tri:
+            triangle_of[x] = idx
+
+    # third neighbor of each triangle corner (the one outside its triangle)
+    third: dict[int, int] = {}
+    for tri in triangles:
+        tset = set(tri)
+        for c in tri:
+            outs = [w for w in g.neighbors(c) if w not in tset]
+            if len(outs) != 1:
+                raise StructureViolationError(
+                    f"triangle corner {c} has {len(outs)} outside edges"
+                )
+            third[c] = outs[0]
+
+    # walk realizations: direct edges or diamond strings, corner to corner
+    consumed: set[int] = set()
+    used_diamonds: set[int] = set()
+    raw: list[tuple[int, int, list[StringDiamond]]] = []
+    for tri in triangles:
+        for c in tri:
+            if c in consumed:
+                continue
+            cur = third[c]
+            seq: list[StringDiamond] = []
+            while cur in diamond_of:
+                d = diamonds[diamond_of[cur]]
+                if cur not in d.exteriors:
+                    raise StructureViolationError(
+                        f"string enters diamond at interior vertex {cur}"
+                    )
+                exit_ = d.exteriors[0] if d.exteriors[1] == cur else d.exteriors[1]
+                seq.append(StringDiamond(cur, d.interiors, exit_))
+                used_diamonds.add(diamond_of[cur])
+                outs = [w for w in g.neighbors(exit_) if w not in d.vertices]
+                if len(outs) != 1:
+                    raise StructureViolationError(
+                        f"diamond exterior {exit_} has {len(outs)} outside edges"
+                    )
+                cur = outs[0]
+            if cur not in triangle_of:
+                raise StructureViolationError(
+                    f"realization starting at corner {c} ends at non-corner {cur}"
+                )
+            consumed.add(c)
+            consumed.add(cur)
+            raw.append((c, cur, seq))
+
+    if len(used_diamonds) != len(diamonds):
+        raise StructureViolationError("some diamonds belong to no string")
+
+    # orient realizations toward the lower triangle index and assign slots
+    oriented: list[tuple[int, int, int, int, tuple[StringDiamond, ...]]] = []
+    for end_a, end_b, seq in raw:
+        ha, hb = triangle_of[end_a], triangle_of[end_b]
+        if ha == hb:
+            raise StructureViolationError(
+                f"H-edge loop at triangle {ha}; impossible in a bridgeless graph"
+            )
+        if ha > hb:
+            ha, hb = hb, ha
+            end_a, end_b = end_b, end_a
+            seq = [d.reversed() for d in reversed(seq)]
+        oriented.append((ha, hb, end_a, end_b, tuple(seq)))
+
+    oriented.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    h_edges: list[HEdge] = []
+    counts: dict[tuple[int, int], int] = {}
+    for ha, hb, end_a, end_b, seq in oriented:
+        k = counts.get((ha, hb), 0)
+        counts[(ha, hb)] = k + 1
+        h_edges.append(HEdge(slot=(ha, hb, k), end_u=end_a, end_v=end_b, diamonds=seq))
+
+    h = MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges])
+    if not is_cubic(h):
+        raise StructureViolationError("reconstructed multigraph H is not cubic")
+    if find_bridges(h):
+        raise StructureViolationError("reconstructed multigraph H has bridges")
+
+    slot_edge = {e.slot: e for e in h_edges}
+    attach: dict[tuple[int, Slot], int] = {}
+    edge_slot: dict[tuple[int, int], Slot] = {}
+    for e in h_edges:
+        attach[(e.slot[0], e.slot)] = e.end_u
+        attach[(e.slot[1], e.slot)] = e.end_v
+        for pair in e.connector_edges():
+            edge_slot[pair] = e.slot
+
+    return Decomposition(
+        variant=Variant.BUILT,
+        g=g,
+        triangles=tuple(triangles),
+        h=h,
+        h_edges=tuple(h_edges),
+        slot_edge=slot_edge,
+        edge_slot=edge_slot,
+        attach=attach,
+    )

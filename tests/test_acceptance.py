@@ -18,7 +18,6 @@ from clawcolor import (
     find_bridges,
     gen_cubic_multigraph,
     light_support_property,
-    multigraph_isomorphic,
     oum_decompose,
     expand_to_clawfree,
     random_expansion_spec,
@@ -31,7 +30,7 @@ from clawcolor import (
 from clawcolor.cli import main as cli_main
 from clawcolor.rng import SplitMix64
 
-from brute import all_two_factors, relabeled
+from brute import all_two_factors, multigraph_isomorphic, relabeled
 from test_canonical import LABEL_TO_IDX, REFERENCE_BIG_EXPANSION
 
 

@@ -61,7 +61,7 @@ def test_ring_coloring(k):
     col = color_ring_of_diamonds(g)
     assert_valid(g, col)
     # interiors carry the radius-2 classes, exteriors the radius-1 classes
-    from clawcolor import find_diamonds
+    from brute import find_diamonds
 
     for d in find_diamonds(g):
         assert {col.assignment[v] for v in d.interiors} == {C2A, C2B}

@@ -188,7 +188,7 @@ def test_deep_tree():
 
 def test_bridge_endpoint_classes_safe(base_corpus):
     # across every bridge, same radius-2 class never appears within distance 2
-    from clawcolor import all_pairs_distances
+    from brute import all_pairs_distances
 
     for name, g in base_corpus:
         if not find_bridges(g):

@@ -130,7 +130,7 @@ def test_fixture_catalog():
     assert len(find_bridges(fx["bridged_star"])) == 3
     assert not fx["h10"].is_simple()
     # petersen: triangle-free with girth 5
-    from clawcolor import all_pairs_distances
+    from brute import all_pairs_distances
 
     pet = fx["petersen"]
     assert not is_claw_free(pet)

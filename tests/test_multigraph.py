@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from clawcolor import (
     MultiGraph,
-    all_pairs_distances,
     build_bridge_tree,
     fixtures,
     is_connected,
@@ -13,7 +12,7 @@ from clawcolor import (
 )
 from clawcolor.errors import LoopEdgeError, VertexOutOfRangeError
 
-from brute import bfs_distances
+from brute import all_pairs_distances, bfs_distances
 
 
 def test_triple_edge_is_cubic():

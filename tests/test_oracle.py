@@ -11,7 +11,6 @@ from clawcolor import (
     MultiGraph,
     PackingColoring,
     SPackingSpec,
-    all_pairs_distances,
     color_claw_free_cubic,
     expand_to_clawfree,
     fixtures,
@@ -25,6 +24,7 @@ from clawcolor import (
 from clawcolor.errors import CapExceededError, PartialColoringError
 
 from brute import (
+    all_pairs_distances,
     coloring_valid_brute,
     relabeled,
     solve_spacking_rescan,

@@ -2,7 +2,9 @@
 
 `color_claw_free_cubic` checks its input at entry and runs `verify` once
 on the glued coloring at exit; in between it calls unchecked cores.  The
-public functions it is built from keep their own checks and certificates.
+entry's claw check is the local scan that `_decompose` builds on, and its
+connectivity check is the bridge search's DFS.  The public functions the
+pipeline is built from keep their own checks and certificates.
 """
 
 import json
@@ -40,7 +42,7 @@ from clawcolor import (
     two_factor,
     two_factor_through,
 )
-from clawcolor import oracle, recognition
+from clawcolor import multigraph, oracle, recognition, structure
 from clawcolor.cli import main
 from clawcolor.errors import (
     DisconnectedError,
@@ -48,6 +50,7 @@ from clawcolor.errors import (
     NotClawFreeError,
     NotCubicError,
     NotRingOfDiamondsError,
+    NotSimpleError,
     NotTwoEdgeConnectedError,
     VerificationFailedError,
 )
@@ -80,12 +83,13 @@ def _inputs(named_fixtures):
     }
 
 
-def _count_calls(monkeypatch, fn) -> list[int]:
-    """Count calls to `fn` through every clawcolor namespace that binds it."""
+def _count_calls(monkeypatch, fn, when=lambda *args: True) -> list[int]:
+    """Count calls to `fn`, those whose arguments pass `when`, through every
+    clawcolor namespace that binds it."""
     calls = [0]
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        calls[0] += when(*args, **kwargs)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -96,17 +100,34 @@ def _count_calls(monkeypatch, fn) -> list[int]:
 
 @pytest.mark.parametrize("name", ["bridged_star", "chain50", "built", "ring", "k4"])
 def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, capsys, name):
+    """One entry check, one local scan and one certificate per coloring.
+
+    The only other scans are the ones a completed component's `_decompose`
+    runs for itself; no BFS runs only to decide connectivity.
+    """
     g = _inputs(named_fixtures)[name]
     verifies = _count_calls(monkeypatch, oracle.verify)
+    entries = _count_calls(monkeypatch, recognition._require_claw_free_cubic)
+    scans = _count_calls(monkeypatch, recognition._local_scan)
+    own_scans = _count_calls(
+        monkeypatch, structure._decompose, lambda g, local=None: local is None
+    )
+    connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
+
+    def counts():
+        return verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0]
+
     color_claw_free_cubic(g)
-    assert (verifies[0], claws[0]) == (1, 1)
+    assert counts() == (1, 1, 1, 0, 0)
+    if not find_bridges(g):
+        assert own_scans[0] == 0
 
     path = tmp_path / f"{name}.el"
     path.write_text(emit_edgelist(g))
     assert main(["color", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
-    assert (verifies[0], claws[0]) == (2, 2)
+    assert counts() == (2, 2, 2, 0, 0)
 
 
 def _broken(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
@@ -310,3 +331,62 @@ def test_public_constructors_still_certify(
     monkeypatch.setattr(module, core, broken)
     with pytest.raises(VerificationFailedError):
         construct(g)
+
+
+def _h10(fx):
+    return fx["h10"]
+
+
+def _digon_and_k4(fx):
+    return MultiGraph(6, [(0, 1), (0, 1)] + [(u + 2, v + 2) for u, v in K4_EDGES])
+
+
+def _two_triangles(fx):
+    return MultiGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+def _k33(fx):
+    return MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def _k33_with_a_triangle(fx):
+    """K3,3 with one vertex replaced by the triangle 0, 1, 2: the first claw
+    center is 3, not 0."""
+    triangle = [(0, 1), (0, 2), (1, 2), (0, 5), (1, 6), (2, 7)]
+    return MultiGraph(8, triangle + [(u, v) for u in (3, 4) for v in (5, 6, 7)])
+
+
+# (entry, input, error class, message): every way the entry checks reject,
+# with the class and message they have always given
+ENTRY_REJECTIONS = [
+    (color_claw_free_cubic, _h10, NotSimpleError, "input must be a simple graph"),
+    (color_claw_free_cubic, _digon_and_k4, NotSimpleError, "input must be a simple graph"),
+    (color_claw_free_cubic, _two_k4s, DisconnectedError, "input graph is disconnected"),
+    (color_claw_free_cubic, _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
+    (color_claw_free_cubic, _two_triangles, DisconnectedError, "input graph is disconnected"),
+    (color_claw_free_cubic, _diamond, NotCubicError, "input graph is not cubic"),
+    (color_claw_free_cubic, _petersen, NotClawFreeError, "claw with center 0 and leaves 1, 4, 5"),
+    (color_claw_free_cubic, _k33, NotClawFreeError, "claw with center 0 and leaves 3, 4, 5"),
+    (color_claw_free_cubic, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
+    (build_bridge_tree, _h10, NotSimpleError, "input must be a simple graph"),
+    (build_bridge_tree, _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
+    (build_bridge_tree, _diamond, NotCubicError, "input graph is not cubic"),
+    (build_bridge_tree, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
+    (oum_decompose, _h10, NotSimpleError, "structure decomposition requires a simple graph"),
+    (oum_decompose, _two_triangles, NotTwoEdgeConnectedError, "input graph is disconnected"),
+    (oum_decompose, _diamond, NotCubicError, "input graph is not cubic"),
+    (oum_decompose, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
+    (oum_decompose, _bridged, NotTwoEdgeConnectedError, "input graph has bridges"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, make, error, message",
+    ENTRY_REJECTIONS,
+    ids=[f"{fn.__name__}-{make.__name__.strip('_')}" for fn, make, _, _ in ENTRY_REJECTIONS],
+)
+def test_entry_rejections_keep_class_and_message(named_fixtures, entry, make, error, message):
+    with pytest.raises(error) as caught:
+        entry(make(named_fixtures))
+    assert type(caught.value) is error
+    assert str(caught.value) == message

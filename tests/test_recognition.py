@@ -1,21 +1,33 @@
+from itertools import combinations
+
 import pytest
 
 from clawcolor import (
     ComponentKind,
     MultiGraph,
+    SplitMix64,
     build_bridge_tree,
+    expand_to_clawfree,
     find_bridges,
     find_claw,
-    find_diamonds,
+    gen_cubic_multigraph,
     gen_ring_of_diamonds,
     is_claw_free,
     is_k4,
     is_ring_of_diamonds,
-    multigraph_isomorphic,
+    random_expansion_spec,
 )
 from clawcolor.errors import DisconnectedError
+from clawcolor.recognition import _local_scan
 
-from brute import bridge_tree_root_brute, bridges_by_removal, find_claw_brute, relabeled
+from brute import (
+    bridge_tree_root_brute,
+    bridges_by_removal,
+    find_claw_brute,
+    find_diamonds,
+    multigraph_isomorphic,
+    relabeled,
+)
 
 
 def k4():
@@ -202,3 +214,72 @@ def test_isomorphism_distinguishes():
     a = k4()
     b = MultiGraph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
     assert not multigraph_isomorphic(a, b)
+
+
+def _random_simple_cubic(rng: SplitMix64, count: int) -> list[MultiGraph]:
+    """Seeded simple cubic graphs of order 4 to 40; most have claws."""
+    out = []
+    while len(out) < count:
+        g = gen_cubic_multigraph(2 * (2 + rng.randrange(19)), rng)
+        if g.is_simple():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(relabeled(g, perm))
+    return out
+
+
+def _claw_free_graphs(base_corpus, named_fixtures) -> list[MultiGraph]:
+    graphs = [g for _, g in base_corpus]
+    graphs += [named_fixtures[name] for name in ("k4", "prism", "big_expansion", "bridged_star")]
+    graphs += [gen_ring_of_diamonds(k) for k in (2, 3, 9)]
+    rng = SplitMix64(0xD1A)
+    for n_h in (2, 4, 8, 16, 32):
+        h = gen_cubic_multigraph(n_h, rng)
+        graphs.append(expand_to_clawfree(h, random_expansion_spec(h, rng, 3), rng))
+    return graphs
+
+
+def test_local_scan_claw_matches_find_claw(named_fixtures, base_corpus):
+    rng = SplitMix64(0xC1A)
+    petersen = named_fixtures["petersen"]
+    graphs = [petersen] + _random_simple_cubic(rng, 200)
+    for _ in range(30):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        graphs.append(relabeled(petersen, perm))
+    graphs += _claw_free_graphs(base_corpus, named_fixtures)
+    claws = 0
+    for g in graphs:
+        expected = find_claw(g)
+        assert _local_scan(g).claw == expected
+        claws += expected is not None
+    assert claws >= 200
+
+
+def _triangles_off_diamonds_brute(g: MultiGraph, diamonds) -> list[tuple[int, int, int]]:
+    on_diamond = {v for d in diamonds for v in d.vertices}
+    triangles = {
+        tuple(sorted((u, v, w)))
+        for u in range(g.n)
+        for v, w in combinations(g.neighbors(u), 2)
+        if g.has_edge(v, w)
+    }
+    return sorted(t for t in triangles if not on_diamond & set(t))
+
+
+def test_local_scan_matches_definitions(named_fixtures, base_corpus):
+    """Diamonds as `find_diamonds` lists them, and the triangles on no diamond
+    by smallest corner, with per-vertex indexes into both."""
+    for g in _claw_free_graphs(base_corpus, named_fixtures):
+        local = _local_scan(g)
+        assert local.claw is None
+        assert local.diamonds == find_diamonds(g)
+        if is_k4(g):
+            continue
+        assert local.triangles == _triangles_off_diamonds_brute(g, local.diamonds)
+        for i, d in enumerate(local.diamonds):
+            assert all(local.diamond_of[v] == i for v in d.vertices)
+        for i, t in enumerate(local.triangles):
+            assert all(local.triangle_of[v] == i for v in t)
+        covered = sum(x != -1 for x in local.diamond_of + local.triangle_of)
+        assert covered == g.n

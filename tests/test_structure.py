@@ -1,20 +1,25 @@
 import pytest
 
+import clawcolor.colorer as colorer
 from clawcolor import (
     ExpansionSpec,
     MultiGraph,
     Variant,
+    color_claw_free_cubic,
     expand_to_clawfree,
+    gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
     is_claw_free,
     is_cubic,
-    multigraph_isomorphic,
     oum_decompose,
     random_expansion_spec,
 )
 from clawcolor.errors import NotSimpleError, NotTwoEdgeConnectedError
 from clawcolor.rng import SplitMix64
+from clawcolor.structure import _decompose
+
+from brute import decompose_by_grouping, multigraph_isomorphic
 
 
 def k4():
@@ -104,3 +109,55 @@ def test_triangle_partition_covers_everything(named_fixtures):
         for d in e.diamonds:
             covered |= d.vertices
     assert covered == set(range(g.n))
+
+
+def _assert_same_decomposition(got, expected):
+    assert got == expected
+    for name in ("slot_edge", "edge_slot", "attach"):
+        assert list(getattr(got, name).items()) == list(getattr(expected, name).items())
+
+
+def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fixtures):
+    graphs = [named_fixtures[name] for name in ("k4", "prism", "big_expansion")]
+    graphs += [gen_ring_of_diamonds(k) for k in (2, 3, 5, 40)]
+    rng = SplitMix64(0xDEC)
+    for n_h in (2, 4, 6, 8, 16, 32, 64, 128):
+        for max_string in (0, 1, 3):
+            h = gen_cubic_multigraph(n_h, rng)
+            graphs.append(expand_to_clawfree(h, random_expansion_spec(h, rng, max_string), rng))
+    for g in graphs:
+        _assert_same_decomposition(_decompose(g), decompose_by_grouping(g))
+        _assert_same_decomposition(oum_decompose(g), decompose_by_grouping(g))
+
+
+def _random_tree_spec(rng: SplitMix64) -> list[tuple[str, int]]:
+    """Kinds and attachment counts of a random tree of 2 to 10 components."""
+    k = 2 + rng.randrange(9)
+    degrees = [1] * k
+    for _ in range(k - 2):
+        degrees[rng.choice([i for i, d in enumerate(degrees) if d < 4])] += 1
+    kinds = {2: "diamond", 3: "k3"}
+    return [(kinds[d] if d in kinds and rng.randrange(2) else "type3", d) for d in degrees]
+
+
+def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch):
+    """The completions of 200 bridged trees, each decomposed as the pipeline does."""
+    completions = []
+
+    def recording(g, local=None):
+        completions.append(g)
+        return real(g, local)
+
+    real = colorer._decompose
+    monkeypatch.setattr(colorer, "_decompose", recording)
+    rng = SplitMix64(0x7117DE)
+    for _ in range(200):
+        color_claw_free_cubic(gen_bridged(_random_tree_spec(rng), rng))
+    monkeypatch.undo()
+
+    variants = set()
+    for g in completions:
+        dec = _decompose(g)
+        _assert_same_decomposition(dec, decompose_by_grouping(g))
+        variants.add(dec.variant)
+    assert variants == {Variant.RING, Variant.BUILT}
