@@ -42,12 +42,9 @@ from .factorization import (
 )
 from .formats import (
     emit_edgelist,
-    emit_graph,
     emit_graph6,
     parse_edgelist,
-    parse_graph,
     parse_graph6,
-    parse_graph6_lines,
 )
 from .generators import (
     ExpansionSpec,
@@ -107,7 +104,6 @@ __all__ = [
     "color_root_component",
     "color_two_edge_connected",
     "emit_edgelist",
-    "emit_graph",
     "emit_graph6",
     "expand_to_clawfree",
     "extend_component",
@@ -129,9 +125,7 @@ __all__ = [
     "oum_decompose",
     "parse_coloring_lines",
     "parse_edgelist",
-    "parse_graph",
     "parse_graph6",
-    "parse_graph6_lines",
     "perfect_matching",
     "random_expansion_spec",
     "solve_spacking",

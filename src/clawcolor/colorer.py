@@ -25,6 +25,8 @@ exit; in between it calls their unchecked cores.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .canonical import (
     _ring,
     _two_edge_connected,
@@ -197,7 +199,8 @@ def _diamond_vertices(dec: Decomposition) -> frozenset[int]:
 
 def _kind(comp: MultiGraph) -> ComponentKind:
     """The kind of a standalone component, classified as the bridge tree does."""
-    return _classify_component(comp, tuple(range(comp.n)))
+    deg_in = [len(comp.neighbors(v)) for v in range(comp.n)]
+    return _classify_component(comp, tuple(range(comp.n)), deg_in)
 
 
 def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
@@ -205,15 +208,18 @@ def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
 
     The root is a Type III component with v as its only degree-2 vertex.
     """
-    coloring, _ = _root_coloring(comp, v, _kind(comp))
+    kind = _kind(comp)
+    coloring, _ = _root_coloring(comp, _attachments(comp, v), kind)
     return _verified(comp, coloring)
 
 
 def _root_coloring(
-    comp: MultiGraph, v: int, kind: ComponentKind
+    comp: MultiGraph, xs: list[int], kind: ComponentKind
 ) -> tuple[PackingColoring, frozenset[int]]:
-    """Root coloring and its component-local tilde-diamond vertices."""
-    xs = _attachments(comp, v)
+    """Root coloring and its component-local tilde-diamond vertices.
+
+    xs lists the component's degree-2 vertices, the designated one first.
+    """
     if len(xs) != 1:
         raise PreconditionViolatedError(
             f"root component has {len(xs)} degree-2 vertices, expected exactly 1"
@@ -226,29 +232,32 @@ def _root_coloring(
 
 def extend_component(comp: MultiGraph, x1: int, forced: int) -> PackingColoring:
     """Color one non-root component so that x1 gets the forced 2-class."""
-    coloring, _ = _extension(comp, x1, forced, _kind(comp))
+    kind = _kind(comp)
+    if forced not in (C2A, C2B):
+        raise PreconditionViolatedError("forced color must be a radius-2 class")
+    coloring, _ = _extension(comp, _attachments(comp, x1), forced, kind)
     return _verified(comp, coloring)
 
 
 def _extension(
-    comp: MultiGraph, x1: int, forced: int, kind: ComponentKind
+    comp: MultiGraph, xs: list[int], forced: int, kind: ComponentKind
 ) -> tuple[PackingColoring, frozenset[int]]:
-    """Extension coloring and its component-local tilde-diamond vertices."""
-    if forced not in (C2A, C2B):
-        raise PreconditionViolatedError("forced color must be a radius-2 class")
-    xs = _attachments(comp, x1)
+    """Extension coloring and its component-local tilde-diamond vertices.
+
+    xs lists the component's degree-2 vertices, the up vertex x1 first.
+    """
+    x1 = xs[0]
     diamonds: frozenset[int] = frozenset()
     if kind is ComponentKind.TRIANGLE:
         others = [z for z in range(3) if z != x1]
         colors = {x1: forced, others[0]: C1A, others[1]: C1B}
     elif kind is ComponentKind.DIAMOND:
         ints = [z for z in range(4) if comp.degree(z) == 3]
-        x2 = next(z for z in range(4) if comp.degree(z) == 2 and z != x1)
         colors = {
             ints[0]: C1A,
             ints[1]: C1B,
             x1: forced,
-            x2: C2B if forced == C2A else C2A,
+            xs[1]: C2B if forced == C2A else C2A,
         }
         diamonds = frozenset(range(4))
     else:
@@ -307,11 +316,10 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
 
     order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
     for c, (sub, to_global) in zip(order, g.induced_parts(bt.comp_of, order)):
-        to_local = {gv: lv for lv, gv in enumerate(to_global)}
+        # local ids follow sorted global ids, so the order of degree2 holds
+        xs = [bisect_left(to_global, x) for x in bt.degree2[c]]
         if c == bt.root:
-            local_col, dia = _root_coloring(
-                sub, to_local[bt.degree2[c][0]], bt.kinds[c]
-            )
+            local_col, dia = _root_coloring(sub, xs, bt.kinds[c])
         else:
             q = bt.up_neighbor[c]
             parent = bt.parent[c]
@@ -324,9 +332,7 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
             forced = free_two_color(g, assignment, q)
-            local_col, dia = _extension(
-                sub, to_local[bt.up_vertex[c]], forced, bt.kinds[c]
-            )
+            local_col, dia = _extension(sub, xs, forced, bt.kinds[c])
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):
             assignment[gv] = local_col.assignment[lv]

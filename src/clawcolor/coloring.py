@@ -45,12 +45,6 @@ class PackingColoring:
     def label(self, v: int) -> str:
         return self.spec.labels()[self.assignment[v]]
 
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.spec.r)]
-        for v in sorted(self.assignment):
-            out[self.assignment[v]].append(v)
-        return out
-
     def transposed(self, i: int, j: int) -> "PackingColoring":
         """Swap two color classes; valid for classes of equal radius."""
         if self.spec.radii[i] != self.spec.radii[j]:

@@ -24,8 +24,8 @@ from .errors import (
     NotCubicError,
     NotTwoEdgeConnectedError,
 )
-from .multigraph import MultiGraph, Slot, is_connected, is_cubic
-from .recognition import find_bridges
+from .multigraph import MultiGraph, Slot, is_cubic
+from .recognition import _connected_and_bridgeless
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def two_factor(g: MultiGraph) -> TwoFactor:
     """A 2-factor of a bridgeless cubic multigraph (Petersen's theorem)."""
     if not is_cubic(g):
         raise NotCubicError("2-factor requires a cubic multigraph")
-    if not is_connected(g) or find_bridges(g):
+    if not _connected_and_bridgeless(g):
         raise NotBridgelessError("2-factor requires a bridgeless graph")
     return _two_factor(g)
 
@@ -303,7 +303,7 @@ def _require_slot(g: MultiGraph, e: Slot) -> None:
     """g is cubic and 2-edge-connected, and e is one of its slots."""
     if not is_cubic(g):
         raise NotCubicError("operation requires a cubic multigraph")
-    if not is_connected(g) or find_bridges(g):
+    if not _connected_and_bridgeless(g):
         raise NotTwoEdgeConnectedError("operation requires a 2-edge-connected graph")
     if e not in g.slots():
         raise EdgeAbsentError(e[0], e[1])

@@ -147,29 +147,3 @@ def emit_graph6(g: MultiGraph) -> str:
             val = (val << 1) | b
         out.append(val + 63)
     return out.decode("ascii")
-
-
-def parse_graph6_lines(text: str) -> list[MultiGraph]:
-    """Decode a file of one graph6 string per line."""
-    graphs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line:
-            graphs.append(parse_graph6(line))
-    return graphs
-
-
-def parse_graph(text: str, fmt: str = "edgelist") -> MultiGraph:
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_graph(g: MultiGraph, fmt: str = "edgelist") -> str:
-    if fmt == "edgelist":
-        return emit_edgelist(g)
-    if fmt == "graph6":
-        return emit_graph6(g) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")

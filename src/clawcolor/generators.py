@@ -22,7 +22,7 @@ from .errors import (
 )
 from .formats import parse_edgelist
 from .multigraph import MultiGraph, Slot, is_connected, is_cubic
-from .recognition import find_bridges, is_claw_free
+from .recognition import _connected_and_bridgeless, is_claw_free
 from .rng import SplitMix64
 
 _RETRIES = 2000
@@ -49,7 +49,7 @@ def expand_to_clawfree(
     """
     if not is_cubic(h):
         raise NotCubicError("expansion requires a cubic multigraph")
-    if not is_connected(h) or find_bridges(h):
+    if not _connected_and_bridgeless(h):
         raise NotTwoEdgeConnectedError("expansion requires a 2-edge-connected multigraph")
     spec = spec or ExpansionSpec({})
 
@@ -131,7 +131,7 @@ def gen_cubic_multigraph(n: int, rng: SplitMix64) -> MultiGraph:
         rng.shuffle(pairing)
         edges += [(pairing[i], pairing[i + 1]) for i in range(0, n, 2)]
         g = MultiGraph(n, edges)
-        if is_cubic(g) and is_connected(g) and not find_bridges(g):
+        if is_cubic(g) and _connected_and_bridgeless(g):
             return g
     raise RetryLimitError("could not sample a 2-edge-connected cubic multigraph")
 
@@ -202,7 +202,7 @@ def _delete_edges(g: MultiGraph, count: int, rng: SplitMix64, banned: set[int]):
         u, v = candidates[rng.randrange(len(candidates))]
         cur = cur.without_slots([(u, v, 0)])
         freed += [u, v]
-    if not is_connected(cur) or find_bridges(cur):
+    if not _connected_and_bridgeless(cur):
         return None
     return cur, freed
 
@@ -255,7 +255,7 @@ def _gen_component(kind: str, attach: int, rng: SplitMix64):
             if res is None:
                 continue
             comp, freed = res
-        if v is not None and (not is_connected(comp) or find_bridges(comp)):
+        if v is not None and not _connected_and_bridgeless(comp):
             continue
         attachments = sorted(z for z in range(comp.n) if comp.degree(z) == 2)
         if len(attachments) != attach or comp.n < 5:

@@ -11,6 +11,13 @@ and the pipeline's entry check `_require_claw_free_cubic` tests, in this
 order, that the input is simple, connected (from the DFS of the bridge
 search, whose bridges it keeps), cubic, and claw-free (from the scan, which
 it keeps for the decomposition).  `find_claw` stays for arbitrary graphs.
+
+For the same reason at most one edge at each vertex is a bridge, so
+`_bridge_tree` keeps per vertex only the other end of its bridge and its
+degree inside its component.  The components, their kinds, their
+attachment vertices (inside degree 2) and the tree edges follow from those
+two arrays, and one BFS helper over the components runs the diameter
+sweeps that find the root and then roots the tree.
 """
 
 from __future__ import annotations
@@ -59,11 +66,17 @@ def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
     return bridges
 
 
+def _connected_and_bridgeless(g: MultiGraph) -> bool:
+    """True iff g is connected and has no bridge, from one DFS."""
+    return _bridges(g) == set()
+
+
 def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
     """`find_bridges`, or None when the DFS discovers fewer than n vertices.
 
-    A pair with multiplicity >= 2 is never a bridge: the extra parallel
-    copy acts as a back edge.
+    A pair with multiplicity >= 2 is never a bridge.  The DFS skips the
+    edge back to the parent, so a parallel copy does not lower low[v]; the
+    multiplicity is looked up only for a bridge candidate instead.
     """
     n = g.n
     disc = [-1] * n
@@ -81,8 +94,6 @@ def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
         advanced = False
         for w in it:
             if w == parent:
-                if g.multiplicity(v, w) >= 2:
-                    low[v] = min(low[v], disc[w])
                 continue
             if disc[w] == -1:
                 disc[w] = low[w] = timer
@@ -227,31 +238,28 @@ class BridgeTree:
     up_neighbor: tuple[int, ...]
     degree2: tuple[tuple[int, ...], ...]
 
-    @property
-    def b(self) -> int:
-        return len(self.bridges)
 
-
-def _classify_component(g: MultiGraph, verts: tuple[int, ...]) -> ComponentKind:
+def _classify_component(
+    g: MultiGraph, verts: tuple[int, ...], deg_in: list[int]
+) -> ComponentKind:
+    """The kind of the component on `verts`; deg_in[v] is v's degree inside it."""
     if len(verts) == 1:
         raise TypeIComponentError(
             f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
         )
-    vset = set(verts)
-    deg_in = {v: sum(1 for w in g.neighbors(v) if w in vset) for v in verts}
-    if any(d <= 1 for d in deg_in.values()):
+    if any(deg_in[v] <= 1 for v in verts):
         raise StructureViolationError(
             f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
         )
-    if all(d == 2 for d in deg_in.values()):
+    if all(deg_in[v] == 2 for v in verts):
         if len(verts) != 3:
             raise NonK3CycleError(
                 f"cycle component of size {len(verts)}; input is not claw-free cubic"
             )
         return ComponentKind.TRIANGLE
-    if len(verts) == 4 and any(d == 2 for d in deg_in.values()):
-        ints = sorted(v for v in verts if deg_in[v] == 3)
-        exts = sorted(v for v in verts if deg_in[v] == 2)
+    if len(verts) == 4 and any(deg_in[v] == 2 for v in verts):
+        ints = [v for v in verts if deg_in[v] == 3]
+        exts = [v for v in verts if deg_in[v] == 2]
         if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
             return ComponentKind.DIAMOND
         raise StructureViolationError("4-vertex component is not a diamond")
@@ -284,113 +292,93 @@ def build_bridge_tree(g: MultiGraph) -> BridgeTree:
 
 
 def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
-    """The bridge tree of a graph already validated, from its bridges."""
+    """The bridge tree of a graph already validated, from its bridges.
+
+    across[v] is the other end of v's one bridge (-1 for none), and
+    deg_in[v], 3 minus v's bridge count, is its degree inside its component.
+    """
+    n = g.n
     bridges = tuple(sorted(bridge_set))
-    comp_of = [-1] * g.n
+    across = [-1] * n
+    deg_in = [3] * n
+    for u, v in bridges:
+        across[u], across[v] = v, u
+        deg_in[u] -= 1
+        deg_in[v] -= 1
+
+    comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
-    for start in range(g.n):
+    for start in range(n):
         if comp_of[start] != -1:
             continue
         idx = len(components)
-        queue = [start]
         comp_of[start] = idx
-        members = [start]
+        queue = [start]
         for v in queue:
             for w in g.neighbors(v):
-                key = (min(v, w), max(v, w))
-                if key in bridge_set or comp_of[w] != -1:
-                    continue
-                comp_of[w] = idx
-                members.append(w)
-                queue.append(w)
-        components.append(tuple(sorted(members)))
+                if comp_of[w] == -1 and across[v] != w:
+                    comp_of[w] = idx
+                    queue.append(w)
+        components.append(tuple(sorted(queue)))
 
     ncomp = len(components)
     if ncomp != len(bridges) + 1:
         raise StructureViolationError(
             f"{ncomp} components for {len(bridges)} bridges; tree property violated"
         )
-
-    kinds = tuple(_classify_component(g, comp) for comp in components)
-
-    tree_adj: list[set[int]] = [set() for _ in range(ncomp)]
-    bridge_between: dict[tuple[int, int], tuple[int, int]] = {}
+    kinds = tuple(_classify_component(g, comp, deg_in) for comp in components)
     for u, v in bridges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu == cv:
+        if comp_of[u] == comp_of[v]:
             raise StructureViolationError(f"bridge {(u, v)} inside one component")
-        tree_adj[cu].add(cv)
-        tree_adj[cv].add(cu)
-        bridge_between[(min(cu, cv), max(cu, cv))] = (u, v)
+    attach = [[v for v in comp if deg_in[v] == 2] for comp in components]
 
-    def tree_bfs(src: int) -> list[int]:
-        dist = [-1] * ncomp
-        dist[src] = 0
+    def sweep(src: int) -> tuple[list[int], list[int]]:
+        """Depth of each component, and the vertex the BFS entered it at."""
+        depth = [-1] * ncomp
+        entry = [-1] * ncomp
+        depth[src] = 0
         queue = [src]
         for c in queue:
-            for d in tree_adj[c]:
-                if dist[d] == -1:
-                    dist[d] = dist[c] + 1
+            for v in attach[c]:
+                x = across[v]
+                d = comp_of[x]
+                if depth[d] == -1:
+                    depth[d] = depth[c] + 1
+                    entry[d] = x
                     queue.append(d)
-        return dist
+        return depth, entry
 
     # root: smallest-index component whose eccentricity equals the diameter.
     # A component farthest from any start is one end a of a diametral path,
     # one farthest from a is the other end b, and in a tree every
     # eccentricity is max(d(a, c), d(b, c)).
-    from_0 = tree_bfs(0)
-    from_a = tree_bfs(from_0.index(max(from_0)))
+    from_0, _ = sweep(0)
+    from_a, _ = sweep(from_0.index(max(from_0)))
     b = from_a.index(max(from_a))
-    from_b = tree_bfs(b)
+    from_b, _ = sweep(b)
     diam = from_a[b]
     root = next(c for c in range(ncomp) if max(from_a[c], from_b[c]) == diam)
 
-    depth = tree_bfs(root)
-    parent = [-1] * ncomp
-    order = sorted(range(ncomp), key=lambda c: (depth[c], c))
-    for c in order:
-        if c == root:
-            continue
-        ups = [d for d in tree_adj[c] if depth[d] == depth[c] - 1]
-        if len(ups) != 1:
-            raise StructureViolationError(f"component {c} has {len(ups)} parents")
-        parent[c] = ups[0]
-
-    up_vertex = [-1] * ncomp
-    up_neighbor = [-1] * ncomp
-    for c in range(ncomp):
-        if c == root:
-            continue
-        u, v = bridge_between[(min(c, parent[c]), max(c, parent[c]))]
-        if comp_of[u] == c:
-            up_vertex[c], up_neighbor[c] = u, v
-        else:
-            up_vertex[c], up_neighbor[c] = v, u
-
-    degree2: list[tuple[int, ...]] = []
-    for c, comp in enumerate(components):
-        vset = set(comp)
-        d2 = sorted(
-            v for v in comp if sum(1 for w in g.neighbors(v) if w in vset) == 2
-        )
-        if c != root:
-            x1 = up_vertex[c]
-            if x1 not in d2:
-                raise StructureViolationError(
-                    f"up vertex {x1} of component {c} does not have degree 2 inside it"
-                )
-            d2 = [x1] + [v for v in d2 if v != x1]
-        degree2.append(tuple(d2))
+    depth, up_vertex = sweep(root)
+    if -1 in depth:
+        raise StructureViolationError("the bridge tree does not reach every component")
+    up_neighbor = [-1 if x == -1 else across[x] for x in up_vertex]
+    degree2 = []
+    for c, xs in enumerate(attach):
+        x1 = up_vertex[c]
+        if x1 != -1:
+            xs = [x1] + [v for v in xs if v != x1]
+        degree2.append(tuple(xs))
 
     return BridgeTree(
         components=tuple(components),
         kinds=kinds,
         comp_of=tuple(comp_of),
         bridges=bridges,
-        tree_adj=tuple(tuple(sorted(s)) for s in tree_adj),
+        tree_adj=tuple(tuple(sorted(comp_of[across[v]] for v in xs)) for xs in attach),
         root=root,
         depth=tuple(depth),
-        parent=tuple(parent),
+        parent=tuple(-1 if q == -1 else comp_of[q] for q in up_neighbor),
         up_vertex=tuple(up_vertex),
         up_neighbor=tuple(up_neighbor),
         degree2=tuple(degree2),

@@ -96,7 +96,6 @@ class HEdge:
 @dataclass(frozen=True)
 class Decomposition:
     variant: Variant
-    g: MultiGraph
     ring_diamonds: tuple[Diamond, ...] = ()
     triangles: tuple[tuple[int, int, int], ...] = ()
     h: MultiGraph | None = None
@@ -138,7 +137,7 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     run here.
     """
     if is_k4(g):
-        return Decomposition(variant=Variant.K4, g=g)
+        return Decomposition(variant=Variant.K4)
 
     if local is None:
         local = _local_scan(g)
@@ -149,7 +148,7 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
 
     if 4 * len(diamonds) == g.n:
         return Decomposition(
-            variant=Variant.RING, g=g, ring_diamonds=tuple(diamonds)
+            variant=Variant.RING, ring_diamonds=tuple(diamonds)
         )
     if 3 * len(triangles) + 4 * len(diamonds) != g.n:
         v = next(v for v in range(g.n) if diamond_of[v] == triangle_of[v] == -1)
@@ -239,7 +238,6 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
 
     return Decomposition(
         variant=Variant.BUILT,
-        g=g,
         triangles=tuple(triangles),
         h=h,
         h_edges=tuple(h_edges),

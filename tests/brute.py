@@ -5,8 +5,10 @@ reusing the library's algorithms: BFS over raw edge lists, exhaustive
 matching and 2-factor enumeration over edge slots, quadratic bridge
 detection, exhaustive S-packing search, and a direct graph6 bit-indexing
 decoder.  The exceptions are `solve_spacking_rescan`, a plain rescanning
-copy of the solver that pins its search tree, and `decompose_by_grouping`,
-the decomposition as it was before the local scan, which pins `_decompose`.
+copy of the solver that pins its search tree, `decompose_by_grouping`,
+the decomposition as it was before the local scan, which pins `_decompose`,
+and `bridge_tree_by_sweeps`, the bridge tree as it was before it was built
+from each vertex's one bridge, which pins `_bridge_tree`.
 """
 
 from __future__ import annotations
@@ -16,10 +18,15 @@ from collections import deque
 from itertools import combinations
 
 from clawcolor.coloring import PackingColoring, SPackingSpec
-from clawcolor.errors import CapExceededError, StructureViolationError
+from clawcolor.errors import (
+    CapExceededError,
+    NonK3CycleError,
+    StructureViolationError,
+    TypeIComponentError,
+)
 from clawcolor.multigraph import MultiGraph, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP
-from clawcolor.recognition import Diamond, find_bridges, is_k4
+from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
 from clawcolor.structure import Decomposition, HEdge, StringDiamond, Variant
 
 
@@ -430,7 +437,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     `Diamond.vertices` sets.
     """
     if is_k4(g):
-        return Decomposition(variant=Variant.K4, g=g)
+        return Decomposition(variant=Variant.K4)
 
     diamonds = find_diamonds(g)
     diamond_of: dict[int, int] = {}
@@ -444,7 +451,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
 
     if len(diamond_of) == g.n:
         return Decomposition(
-            variant=Variant.RING, g=g, ring_diamonds=tuple(diamonds)
+            variant=Variant.RING, ring_diamonds=tuple(diamonds)
         )
 
     # group the non-diamond vertices into their unique triangles
@@ -562,11 +569,156 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
 
     return Decomposition(
         variant=Variant.BUILT,
-        g=g,
         triangles=tuple(triangles),
         h=h,
         h_edges=tuple(h_edges),
         slot_edge=slot_edge,
         edge_slot=edge_slot,
         attach=attach,
+    )
+
+
+def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> ComponentKind:
+    """`_classify_component` as it was, with a vertex set and a degree dict per component."""
+    if len(verts) == 1:
+        raise TypeIComponentError(
+            f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
+        )
+    vset = set(verts)
+    deg_in = {v: sum(1 for w in g.neighbors(v) if w in vset) for v in verts}
+    if any(d <= 1 for d in deg_in.values()):
+        raise StructureViolationError(
+            f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
+        )
+    if all(d == 2 for d in deg_in.values()):
+        if len(verts) != 3:
+            raise NonK3CycleError(
+                f"cycle component of size {len(verts)}; input is not claw-free cubic"
+            )
+        return ComponentKind.TRIANGLE
+    if len(verts) == 4 and any(d == 2 for d in deg_in.values()):
+        ints = sorted(v for v in verts if deg_in[v] == 3)
+        exts = sorted(v for v in verts if deg_in[v] == 2)
+        if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
+            return ComponentKind.DIAMOND
+        raise StructureViolationError("4-vertex component is not a diamond")
+    return ComponentKind.TYPE_III
+
+
+def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
+    """`_bridge_tree` as it was, as the reference for it.
+
+    Verbatim: a tree BFS for each diameter sweep and for the depths, a
+    parent pass sorted by depth, a dict of the bridge between two
+    components, and a vertex set per component for its degree-2 vertices.
+    """
+    bridges = tuple(sorted(bridge_set))
+    comp_of = [-1] * g.n
+    components: list[tuple[int, ...]] = []
+    for start in range(g.n):
+        if comp_of[start] != -1:
+            continue
+        idx = len(components)
+        queue = [start]
+        comp_of[start] = idx
+        members = [start]
+        for v in queue:
+            for w in g.neighbors(v):
+                key = (min(v, w), max(v, w))
+                if key in bridge_set or comp_of[w] != -1:
+                    continue
+                comp_of[w] = idx
+                members.append(w)
+                queue.append(w)
+        components.append(tuple(sorted(members)))
+
+    ncomp = len(components)
+    if ncomp != len(bridges) + 1:
+        raise StructureViolationError(
+            f"{ncomp} components for {len(bridges)} bridges; tree property violated"
+        )
+
+    kinds = tuple(classify_component_by_sets(g, comp) for comp in components)
+
+    tree_adj: list[set[int]] = [set() for _ in range(ncomp)]
+    bridge_between: dict[tuple[int, int], tuple[int, int]] = {}
+    for u, v in bridges:
+        cu, cv = comp_of[u], comp_of[v]
+        if cu == cv:
+            raise StructureViolationError(f"bridge {(u, v)} inside one component")
+        tree_adj[cu].add(cv)
+        tree_adj[cv].add(cu)
+        bridge_between[(min(cu, cv), max(cu, cv))] = (u, v)
+
+    def tree_bfs(src: int) -> list[int]:
+        dist = [-1] * ncomp
+        dist[src] = 0
+        queue = [src]
+        for c in queue:
+            for d in tree_adj[c]:
+                if dist[d] == -1:
+                    dist[d] = dist[c] + 1
+                    queue.append(d)
+        return dist
+
+    # root: smallest-index component whose eccentricity equals the diameter.
+    # A component farthest from any start is one end a of a diametral path,
+    # one farthest from a is the other end b, and in a tree every
+    # eccentricity is max(d(a, c), d(b, c)).
+    from_0 = tree_bfs(0)
+    from_a = tree_bfs(from_0.index(max(from_0)))
+    b = from_a.index(max(from_a))
+    from_b = tree_bfs(b)
+    diam = from_a[b]
+    root = next(c for c in range(ncomp) if max(from_a[c], from_b[c]) == diam)
+
+    depth = tree_bfs(root)
+    parent = [-1] * ncomp
+    order = sorted(range(ncomp), key=lambda c: (depth[c], c))
+    for c in order:
+        if c == root:
+            continue
+        ups = [d for d in tree_adj[c] if depth[d] == depth[c] - 1]
+        if len(ups) != 1:
+            raise StructureViolationError(f"component {c} has {len(ups)} parents")
+        parent[c] = ups[0]
+
+    up_vertex = [-1] * ncomp
+    up_neighbor = [-1] * ncomp
+    for c in range(ncomp):
+        if c == root:
+            continue
+        u, v = bridge_between[(min(c, parent[c]), max(c, parent[c]))]
+        if comp_of[u] == c:
+            up_vertex[c], up_neighbor[c] = u, v
+        else:
+            up_vertex[c], up_neighbor[c] = v, u
+
+    degree2: list[tuple[int, ...]] = []
+    for c, comp in enumerate(components):
+        vset = set(comp)
+        d2 = sorted(
+            v for v in comp if sum(1 for w in g.neighbors(v) if w in vset) == 2
+        )
+        if c != root:
+            x1 = up_vertex[c]
+            if x1 not in d2:
+                raise StructureViolationError(
+                    f"up vertex {x1} of component {c} does not have degree 2 inside it"
+                )
+            d2 = [x1] + [v for v in d2 if v != x1]
+        degree2.append(tuple(d2))
+
+    return BridgeTree(
+        components=tuple(components),
+        kinds=kinds,
+        comp_of=tuple(comp_of),
+        bridges=bridges,
+        tree_adj=tuple(tuple(sorted(s)) for s in tree_adj),
+        root=root,
+        depth=tuple(depth),
+        parent=tuple(parent),
+        up_vertex=tuple(up_vertex),
+        up_neighbor=tuple(up_neighbor),
+        degree2=tuple(degree2),
     )

@@ -103,6 +103,13 @@ def _tree_degrees(rng: SplitMix64, k: int) -> list[int]:
     return degrees
 
 
+def _random_tree_spec(rng: SplitMix64) -> list[tuple[str, int]]:
+    """Kinds and attachment counts of a random tree of 2 to 10 components."""
+    degrees = _tree_degrees(rng, 2 + rng.randrange(9))
+    kinds = {2: "diamond", 3: "k3"}
+    return [(kinds[d] if d in kinds and rng.randrange(2) else "type3", d) for d in degrees]
+
+
 def _build_bridged_trees() -> list[tuple[str, MultiGraph]]:
     """Bridged assemblies with 1 to 60 components, half of them relabeled.
 
@@ -142,6 +149,13 @@ def _build_bridged_trees() -> list[tuple[str, MultiGraph]]:
 @pytest.fixture(scope="session")
 def bridged_trees():
     return _build_bridged_trees()
+
+
+@pytest.fixture(scope="session")
+def random_bridged_trees():
+    """200 `gen_bridged` trees of 2 to 10 random components, from one seed."""
+    rng = SplitMix64(0x7117DE)
+    return [gen_bridged(_random_tree_spec(rng), rng) for _ in range(200)]
 
 
 @pytest.fixture(scope="session")

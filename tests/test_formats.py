@@ -8,7 +8,6 @@ from clawcolor import (
     fixtures,
     parse_edgelist,
     parse_graph6,
-    parse_graph6_lines,
 )
 from clawcolor.errors import Graph6MultiedgeError, MalformedInputError, NotCubicError
 
@@ -84,21 +83,6 @@ def test_graph6_against_networkx_if_available():
         assert {tuple(sorted(e)) for e in ref.edges} == {
             (u, v) for u, v, _ in g.edge_pairs()
         }
-
-
-def test_graph6_lines():
-    gs = parse_graph6_lines("C~\n\nC~\n")
-    assert len(gs) == 2 and all(g.n == 4 for g in gs)
-
-
-def test_format_dispatch():
-    from clawcolor import emit_graph, parse_graph
-
-    g = parse_graph("C~", fmt="graph6")
-    assert parse_graph(emit_graph(g, fmt="edgelist"), fmt="edgelist") == g
-    assert emit_graph(g, fmt="graph6") == "C~\n"
-    with pytest.raises(ValueError):
-        parse_graph("C~", fmt="gml")
 
 
 simple_graphs = st.integers(min_value=1, max_value=70).flatmap(

@@ -103,7 +103,8 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     """One entry check, one local scan and one certificate per coloring.
 
     The only other scans are the ones a completed component's `_decompose`
-    runs for itself; no BFS runs only to decide connectivity.
+    runs for itself; no BFS runs only to decide connectivity, and the
+    attachment vertices come from the bridge tree, never from a rescan.
     """
     g = _inputs(named_fixtures)[name]
     verifies = _count_calls(monkeypatch, oracle.verify)
@@ -114,12 +115,14 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     )
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
+    attachments = _count_calls(monkeypatch, clawcolor.colorer._attachments)
 
     def counts():
-        return verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0]
+        return (verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0],
+                attachments[0])
 
     color_claw_free_cubic(g)
-    assert counts() == (1, 1, 1, 0, 0)
+    assert counts() == (1, 1, 1, 0, 0, 0)
     if not find_bridges(g):
         assert own_scans[0] == 0
 
@@ -127,7 +130,7 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     path.write_text(emit_edgelist(g))
     assert main(["color", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
-    assert counts() == (2, 2, 2, 0, 0)
+    assert counts() == (2, 2, 2, 0, 0, 0)
 
 
 def _broken(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:

@@ -1,8 +1,10 @@
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
 from clawcolor import (
+    BridgeTree,
     ComponentKind,
     MultiGraph,
     SplitMix64,
@@ -10,6 +12,7 @@ from clawcolor import (
     expand_to_clawfree,
     find_bridges,
     find_claw,
+    gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
     is_claw_free,
@@ -18,9 +21,11 @@ from clawcolor import (
     random_expansion_spec,
 )
 from clawcolor.errors import DisconnectedError
-from clawcolor.recognition import _local_scan
+from clawcolor.recognition import _bridges, _local_scan
 
 from brute import (
+    bfs_distances,
+    bridge_tree_by_sweeps,
     bridge_tree_root_brute,
     bridges_by_removal,
     find_claw_brute,
@@ -89,9 +94,67 @@ def test_bridges_match_removal_oracle(base_corpus):
             assert find_bridges(g) == bridges_by_removal(g)
 
 
+def test_bridges_match_removal_oracle_on_multigraphs():
+    """Random multigraphs with parallel pairs; a disconnected one gives None."""
+    rng = SplitMix64(0xB81D6E)
+    seen = {"disconnected": 0, "bridged": 0, "parallel": 0}
+    for _ in range(2000):
+        n = 1 + rng.randrange(10)
+        edges = []
+        if rng.randrange(4):
+            # a random spanning tree, so most graphs are connected
+            edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        for _ in range(rng.randrange(n + 1)):
+            if edges and rng.randrange(2):
+                edges.append(edges[rng.randrange(len(edges))])
+            elif n > 1:
+                u, v = rng.randrange(n), rng.randrange(n - 1)
+                edges.append((u, v if v < u else v + 1))
+        g = MultiGraph(n, edges)
+        if all(d != float("inf") for d in bfs_distances(n, edges, 0)):
+            assert _bridges(g) == bridges_by_removal(g)
+            seen["bridged"] += bool(bridges_by_removal(g))
+        else:
+            assert _bridges(g) is None
+            seen["disconnected"] += 1
+        seen["parallel"] += not g.is_simple()
+    assert min(seen.values()) > 100, seen
+
+
+def test_no_vertex_has_two_bridges(corpus, bridged_trees, random_bridged_trees):
+    graphs = [g for _, g in corpus + bridged_trees] + random_bridged_trees
+    for g in graphs:
+        ends = [v for e in find_bridges(g) for v in e]
+        assert len(ends) == len(set(ends))
+
+
+def _bridged_sweep_shapes() -> list[MultiGraph]:
+    """Diamond chains of 50 to 400 components and a tree of 50 K3 components."""
+    rng = SplitMix64(1)
+    chains = [
+        gen_bridged([("type3", 1)] + [("diamond", 2)] * k + [("type3", 1)], rng)
+        for k in (50, 100, 200, 400)
+    ]
+    return chains + [gen_bridged([("k3", 3)] * 50 + [("type3", 1)] * 52, SplitMix64(2409))]
+
+
+def test_bridge_tree_matches_sweeps_reference(
+    named_fixtures, base_corpus, bridged_trees, random_bridged_trees
+):
+    """Every field equals the one the previous construction gives."""
+    graphs = [named_fixtures[name] for name in ("k4", "prism", "big_expansion", "bridged_star")]
+    graphs += [g for _, g in base_corpus + bridged_trees if find_bridges(g)]
+    graphs += random_bridged_trees + _bridged_sweep_shapes()
+    for g in graphs:
+        got = build_bridge_tree(g)
+        want = bridge_tree_by_sweeps(g, find_bridges(g))
+        for f in fields(BridgeTree):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
 def test_bridge_tree_bridgeless_single_node():
     bt = build_bridge_tree(k4())
-    assert bt.b == 0
+    assert bt.bridges == ()
     assert len(bt.components) == 1
     assert bt.root == 0
     assert bt.depth == (0,)
@@ -145,7 +208,7 @@ def test_up_neighbor_in_component_neighbors_adjacent(base_corpus):
 def test_bridge_tree_component_count(base_corpus):
     for _, g in base_corpus:
         bt = build_bridge_tree(g)
-        assert len(bt.components) == bt.b + 1
+        assert len(bt.components) == len(bt.bridges) + 1
 
 
 def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees):

@@ -7,7 +7,6 @@ from clawcolor import (
     Variant,
     color_claw_free_cubic,
     expand_to_clawfree,
-    gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
     is_claw_free,
@@ -130,17 +129,7 @@ def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fix
         _assert_same_decomposition(oum_decompose(g), decompose_by_grouping(g))
 
 
-def _random_tree_spec(rng: SplitMix64) -> list[tuple[str, int]]:
-    """Kinds and attachment counts of a random tree of 2 to 10 components."""
-    k = 2 + rng.randrange(9)
-    degrees = [1] * k
-    for _ in range(k - 2):
-        degrees[rng.choice([i for i, d in enumerate(degrees) if d < 4])] += 1
-    kinds = {2: "diamond", 3: "k3"}
-    return [(kinds[d] if d in kinds and rng.randrange(2) else "type3", d) for d in degrees]
-
-
-def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch):
+def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch, random_bridged_trees):
     """The completions of 200 bridged trees, each decomposed as the pipeline does."""
     completions = []
 
@@ -150,9 +139,8 @@ def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch):
 
     real = colorer._decompose
     monkeypatch.setattr(colorer, "_decompose", recording)
-    rng = SplitMix64(0x7117DE)
-    for _ in range(200):
-        color_claw_free_cubic(gen_bridged(_random_tree_spec(rng), rng))
+    for g in random_bridged_trees:
+        color_claw_free_cubic(g)
     monkeypatch.undo()
 
     variants = set()
