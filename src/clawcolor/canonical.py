@@ -29,13 +29,7 @@ from .errors import (
     NotRingOfDiamondsError,
     VerificationFailedError,
 )
-from .factorization import (
-    TwoFactor,
-    _matching_through,
-    _two_factor,
-    _two_factor_through,
-    factor_from_matching,
-)
+from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import verify
 from .recognition import Diamond, _local_scan, is_k4, is_ring_of_diamonds
@@ -110,15 +104,16 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
 
     # cycles: per triangle, the entry corner is 1a and the exit corner 1b
     for cycle in factor.cycles:
-        m = len(cycle)
-        for i, (hv, exit_slot) in enumerate(cycle):
-            entry_slot = cycle[(i - 1) % m][1]
-            assignment[dec.attach[(hv, entry_slot)]] = C1A
-            assignment[dec.attach[(hv, exit_slot)]] = C1B
+        entry = dec.slot_edge[cycle[-1][1]]
+        for hv, exit_slot in cycle:
             e = dec.slot_edge[exit_slot]
+            forward = hv == e.slot[0]
+            assignment[entry.end_u if hv == entry.slot[0] else entry.end_v] = C1A
+            assignment[e.end_u if forward else e.end_v] = C1B
+            entry = e
             if not e.diamonds:
                 continue
-            seq = e.diamonds if hv == e.slot[0] else tuple(
+            seq = e.diamonds if forward else tuple(
                 d.reversed() for d in reversed(e.diamonds)
             )
             for d in seq:
@@ -179,8 +174,7 @@ def _with_matched_edge(
     g: MultiGraph, dec: Decomposition, edge: tuple[int, int]
 ) -> PackingColoring:
     slot = _lift_slot(dec, edge)
-    m = _matching_through(dec.h, slot)
-    coloring = _canonical(g, dec, factor_from_matching(dec.h, m))
+    coloring = _canonical(g, dec, _matched_through(dec.h, slot))
     cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
     if cols != {C2A, C2B}:
         raise InternalInvariantError(
@@ -200,7 +194,7 @@ def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:
         return _k4()
     if dec.variant is Variant.RING:
         return _ring(g, dec.ring_diamonds)
-    return _canonical(g, dec, _two_factor(dec.h))
+    return _canonical(g, dec, _complement(dec.h))
 
 
 def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:

@@ -40,9 +40,9 @@ from .generators import (
 )
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
-from .recognition import ComponentKind, build_bridge_tree, find_bridges
+from .recognition import ComponentKind, _bridge_tree, _require_claw_free_cubic
 from .rng import SplitMix64
-from .structure import Variant, oum_decompose
+from .structure import Variant, _decompose
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -283,9 +283,9 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        bridges = find_bridges(g)
+        bridges, local = _require_claw_free_cubic(g)
         if bridges:
-            bt = build_bridge_tree(g)
+            bt = _bridge_tree(g, bridges)
             print(f"bridges: {len(bt.bridges)}")
             print(f"bridge tree: {_tree_shape(bt.tree_adj)} (root component {bt.root})")
             kind_names = {
@@ -300,7 +300,7 @@ def cmd_decompose(args) -> int:
                     f"depth {bt.depth[i]}{tag}"
                 )
         else:
-            dec = oum_decompose(g)
+            dec = _decompose(g, local)
             if dec.variant is Variant.K4:
                 print("2-edge-connected: K4")
             elif dec.variant is Variant.RING:

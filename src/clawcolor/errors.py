@@ -85,10 +85,6 @@ class NonK3CycleError(StructureViolationError):
 
 # factorization
 
-class NoPerfectMatchingError(ClawcolorError):
-    pass
-
-
 class EdgeAbsentError(ClawcolorError):
     def __init__(self, u: int, v: int):
         super().__init__(f"edge {{{u},{v}}} not in graph")

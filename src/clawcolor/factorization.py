@@ -2,24 +2,26 @@
 
 The matching core is the classic O(n^3) blossom algorithm for maximum
 cardinality matching (BFS alternating forest with base contraction, after
-Edmonds).  Parallel edges are collapsed for the search and matched pairs
-are re-attributed to the lowest available edge slot.
+Edmonds).  Parallel edges are collapsed for the search.
 
-2-factors come from the complement of a perfect matching.  Forcing an
-edge onto a 2-factor uses Plesnik's theorem: in a 2-edge-connected cubic
-multigraph of even order, deleting any two edges leaves a graph with a
-1-factor, whose complement is a 2-factor through both deleted edges.
+Every 2-factor comes from one core, `_complement`: the complement of a
+perfect matching (Petersen's theorem) that may be kept off a set of
+banned slots.  Forcing an edge onto a 2-factor bans it and one other
+slot; by Plesnik's theorem, deleting any two edges of a 2-edge-connected
+cubic multigraph of even order leaves a graph with a 1-factor, whose
+complement is a 2-factor through both.  Forcing an edge into the
+matching bans the other two slots at one of its ends.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import (
     EdgeAbsentError,
     InternalInvariantError,
-    NoPerfectMatchingError,
     NotBridgelessError,
     NotCubicError,
     NotTwoEdgeConnectedError,
@@ -34,9 +36,6 @@ class Matching:
 
     slots: tuple[Slot, ...]
     perfect: bool
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v, _ in self.slots]
 
 
 @dataclass(frozen=True)
@@ -161,52 +160,70 @@ def perfect_matching(g: MultiGraph) -> Matching | None:
     return m if m.perfect else None
 
 
-def _cycles_from_slots(g: MultiGraph, factor: set[Slot]) -> tuple:
-    """Decompose a 2-regular slot set into vertex/slot cycles."""
-    incident: dict[int, list[Slot]] = {v: [] for v in range(g.n)}
-    for s in sorted(factor):
-        incident[s[0]].append(s)
-        incident[s[1]].append(s)
-    for v, inc in incident.items():
+def _slots_at(h: MultiGraph, v: int) -> list[Slot]:
+    """The slots at v, by neighbour and then by copy: their sorted order."""
+    return [
+        (v, w, k) if v < w else (w, v, k)
+        for w in h.neighbors(v)
+        for k in range(h.multiplicity(v, w))
+    ]
+
+
+def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
+    """The 2-factor of a cubic multigraph complementary to a perfect matching.
+
+    No slot in `banned` is matched, so each lies on the 2-factor.  The
+    blossom search runs on h's adjacency lists, less the pairs whose
+    copies are all banned; each matched pair takes its lowest slot that is
+    not banned.  Each cycle starts at its smallest vertex and leaves it by
+    that vertex's first factor slot in sorted order.
+    """
+    n = h.n
+    adj = [h.neighbors(v) for v in range(n)]
+    for u, v, _ in banned:
+        if all((u, v, k) in banned for k in range(h.multiplicity(u, v))):
+            adj[u] = [w for w in adj[u] if w != v]
+            adj[v] = [w for w in adj[v] if w != u]
+    mate = _max_matching_simple(n, adj)
+    if -1 in mate:
+        raise InternalInvariantError(
+            "no perfect matching avoiding the banned slots; impossible in a "
+            "2-edge-connected cubic multigraph (Petersen, Plesnik)"
+        )
+    matched: list[Slot] = [(0, 0, 0)] * n
+    for v, w in enumerate(mate):
+        if w > v:
+            k = 0
+            while (v, w, k) in banned:
+                k += 1
+            matched[v] = matched[w] = (v, w, k)
+    rest = []
+    for v in range(n):
+        inc = [s for s in _slots_at(h, v) if s != matched[v]]
         if len(inc) != 2:
             raise InternalInvariantError(
                 f"vertex {v} has {len(inc)} factor edges, expected 2"
             )
-    unused = set(factor)
+        rest.append(inc)
+
     cycles = []
-    for start in range(g.n):
-        starters = [s for s in incident[start] if s in unused]
-        if not starters:
+    on_cycle = bytearray(n)
+    for start in range(n):
+        if on_cycle[start]:
             continue
         cycle: list[tuple[int, Slot]] = []
-        v = start
-        slot = starters[0]
+        v, slot = start, rest[start][0]
         while True:
+            on_cycle[v] = 1
             cycle.append((v, slot))
-            unused.discard(slot)
             v = slot[1] if slot[0] == v else slot[0]
             if v == start:
                 break
-            nxt = [s for s in incident[v] if s in unused]
-            slot = nxt[0]
+            a, b = rest[v]
+            slot = b if a == slot else a
         cycles.append(tuple(cycle))
-    if unused:
-        raise InternalInvariantError("2-factor decomposition left unused slots")
-    return tuple(cycles)
-
-
-def _reattribute(g: MultiGraph, pairs: list[tuple[int, int]], banned: set[Slot]) -> list[Slot]:
-    """Map matched vertex pairs to the lowest non-banned slot of each pair."""
-    out = []
-    for u, v in pairs:
-        u, v = (u, v) if u < v else (v, u)
-        for k in range(g.multiplicity(u, v)):
-            if (u, v, k) not in banned:
-                out.append((u, v, k))
-                break
-        else:
-            raise InternalInvariantError(f"no available slot for matched pair {(u, v)}")
-    return out
+    pairs = tuple(s for v, s in enumerate(matched) if s[0] == v)
+    return TwoFactor(cycles=tuple(cycles), matching=Matching(pairs, True))
 
 
 def two_factor(g: MultiGraph) -> TwoFactor:
@@ -215,88 +232,48 @@ def two_factor(g: MultiGraph) -> TwoFactor:
         raise NotCubicError("2-factor requires a cubic multigraph")
     if not _connected_and_bridgeless(g):
         raise NotBridgelessError("2-factor requires a bridgeless graph")
-    return _two_factor(g)
-
-
-def _two_factor(g: MultiGraph) -> TwoFactor:
-    """`two_factor` on a multigraph already known to be cubic and bridgeless."""
-    m = perfect_matching(g)
-    if m is None:
-        raise NoPerfectMatchingError(
-            "no perfect matching; impossible for a bridgeless cubic multigraph"
-        )
-    matched = set(_reattribute(g, m.pairs(), banned=set()))
-    factor = {s for s in g.slots() if s not in matched}
-    cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched)), True))
+    return _complement(g)
 
 
 def two_factor_through(g: MultiGraph, e: Slot) -> TwoFactor:
     """A 2-factor containing the given edge slot.
 
-    Deletes e and the lexicographically smallest other slot f, finds a
-    perfect matching of the remainder (guaranteed by Plesnik's theorem),
-    and returns its complement, which contains both e and f.
+    Bans e and the lexicographically smallest other slot f from the
+    matching (a perfect matching of the rest exists by Plesnik's theorem),
+    so its complement contains both e and f.
     """
     _require_slot(g, e)
     return _two_factor_through(g, e)
 
 
-def _two_factor_through(g: MultiGraph, e: Slot) -> TwoFactor:
+def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
     """`two_factor_through` on an already checked multigraph and slot."""
-    all_slots = g.slots()
-    f = next(s for s in all_slots if s != e)
-    reduced = g.without_slots([e, f])
-    m = perfect_matching(reduced)
-    if m is None:
-        raise InternalInvariantError(
-            "matching after removing two edges must exist in a 2-edge-connected "
-            "cubic multigraph of even order"
-        )
-    matched = set(_reattribute(g, m.pairs(), banned={e, f}))
-    factor = {s for s in all_slots if s not in matched}
-    if e not in factor:
+    f = next(s for s in _slots_at(h, 0) if s != e)
+    tf = _complement(h, (e, f))
+    if e in tf.matching.slots:
         raise InternalInvariantError("forced edge missing from 2-factor")
-    cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched)), True))
+    return tf
 
 
 def matching_through(g: MultiGraph, e: Slot) -> Matching:
     """A perfect matching containing the given edge slot.
 
-    Deletes the other two slots at e's first endpoint; any perfect matching
-    of the remainder must cover that endpoint through e.
+    Bans the other two slots at e's first endpoint; any perfect matching
+    of the rest must cover that endpoint through e.
     """
     _require_slot(g, e)
-    return _matching_through(g, e)
+    return _matched_through(g, e).matching
 
 
-def _matching_through(g: MultiGraph, e: Slot) -> Matching:
-    """`matching_through` on an already checked multigraph and slot."""
-    all_slots = g.slots()
-    hu = e[0]
-    others = [s for s in all_slots if s != e and hu in (s[0], s[1])]
+def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
+    """The 2-factor whose matching contains e, on an already checked h and e."""
+    others = [s for s in _slots_at(h, e[0]) if s != e]
     if len(others) != 2:
-        raise InternalInvariantError(f"vertex {hu} does not have 3 slots")
-    reduced = g.without_slots(others)
-    m = perfect_matching(reduced)
-    if m is None:
-        raise InternalInvariantError(
-            "matching after removing two edges must exist in a 2-edge-connected "
-            "cubic multigraph of even order"
-        )
-    matched = _reattribute(g, m.pairs(), banned=set(others))
-    if e not in matched:
+        raise InternalInvariantError(f"vertex {e[0]} does not have 3 slots")
+    tf = _complement(h, others)
+    if e not in tf.matching.slots:
         raise InternalInvariantError("forced edge missing from matching")
-    return Matching(tuple(sorted(matched)), True)
-
-
-def factor_from_matching(g: MultiGraph, m: Matching) -> TwoFactor:
-    """The 2-factor complementary to a perfect matching of a cubic multigraph."""
-    matched = set(m.slots)
-    factor = {s for s in g.slots() if s not in matched}
-    cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=m)
+    return tf
 
 
 def _require_slot(g: MultiGraph, e: Slot) -> None:

@@ -10,6 +10,8 @@ triangle of the adjacency matrix packed column by column in 6-bit groups.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import (
     Graph6MultiedgeError,
     LoopEdgeError,
@@ -107,17 +109,17 @@ def parse_graph6(text: str) -> MultiGraph:
         raise MalformedInputError(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
         )
-    bits = []
-    for b in body:
-        val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    # bit i of the body is pair (u, v), u < v, with i = v(v-1)/2 + u;
+    # set bits past the last pair are padding and are ignored
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    for j, b in enumerate(body):
+        if b == 63:
+            continue
+        for k in range(6):
+            i = 6 * j + k
+            if (b - 63) >> (5 - k) & 1 and i < nbits:
+                v = (1 + isqrt(1 + 8 * i)) // 2
+                edges.append((i - v * (v - 1) // 2, v))
     return MultiGraph(n, edges)
 
 
@@ -135,15 +137,11 @@ def emit_graph6(g: MultiGraph) -> str:
     else:
         out.extend((126, 126))
         out.extend(((n >> shift) & 63) + 63 for shift in (30, 24, 18, 12, 6, 0))
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for v in range(n):
+        for u in g.neighbors(v):
+            if u < v:
+                i = v * (v - 1) // 2 + u
+                body[i // 6] |= 32 >> (i % 6)
+    out.extend(b + 63 for b in body)
     return out.decode("ascii")

@@ -102,7 +102,6 @@ class Decomposition:
     h_edges: tuple[HEdge, ...] = ()
     slot_edge: dict[Slot, HEdge] = field(default_factory=dict)
     edge_slot: dict[tuple[int, int], Slot] = field(default_factory=dict)
-    attach: dict[tuple[int, Slot], int] = field(default_factory=dict)
 
     def string_lengths(self) -> list[int]:
         """Lengths of the non-empty diamond strings, sorted."""
@@ -228,11 +227,8 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         raise StructureViolationError("reconstructed multigraph H has bridges")
 
     slot_edge = {e.slot: e for e in h_edges}
-    attach: dict[tuple[int, Slot], int] = {}
     edge_slot: dict[tuple[int, int], Slot] = {}
     for e in h_edges:
-        attach[(e.slot[0], e.slot)] = e.end_u
-        attach[(e.slot[1], e.slot)] = e.end_v
         for pair in e.connector_edges():
             edge_slot[pair] = e.slot
 
@@ -243,5 +239,4 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         h_edges=tuple(h_edges),
         slot_edge=slot_edge,
         edge_slot=edge_slot,
-        attach=attach,
     )

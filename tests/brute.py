@@ -7,8 +7,10 @@ detection, exhaustive S-packing search, and a direct graph6 bit-indexing
 decoder.  The exceptions are `solve_spacking_rescan`, a plain rescanning
 copy of the solver that pins its search tree, `decompose_by_grouping`,
 the decomposition as it was before the local scan, which pins `_decompose`,
-and `bridge_tree_by_sweeps`, the bridge tree as it was before it was built
-from each vertex's one bridge, which pins `_bridge_tree`.
+`bridge_tree_by_sweeps`, the bridge tree as it was before it was built
+from each vertex's one bridge, which pins `_bridge_tree`, and the
+`*_by_reattribution` 2-factors, as they were before one matching-complement
+core served them all, which pin `factorization._complement`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from itertools import combinations
 from clawcolor.coloring import PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
+    InternalInvariantError,
     NonK3CycleError,
     StructureViolationError,
     TypeIComponentError,
 )
-from clawcolor.multigraph import MultiGraph, is_cubic
+from clawcolor.factorization import Matching, TwoFactor, perfect_matching
+from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
 from clawcolor.structure import Decomposition, HEdge, StringDiamond, Variant
@@ -432,7 +436,7 @@ def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
 def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     """`_decompose` as it was before the local scan, as the reference for it.
 
-    Verbatim but for the dropped `triangle_of` field: `find_diamonds`, then
+    Verbatim but for the dropped `triangle_of` and `attach` fields: `find_diamonds`, then
     triangles grouped from the first uncovered vertex, then a walk over
     `Diamond.vertices` sets.
     """
@@ -559,11 +563,8 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         raise StructureViolationError("reconstructed multigraph H has bridges")
 
     slot_edge = {e.slot: e for e in h_edges}
-    attach: dict[tuple[int, Slot], int] = {}
     edge_slot: dict[tuple[int, int], Slot] = {}
     for e in h_edges:
-        attach[(e.slot[0], e.slot)] = e.end_u
-        attach[(e.slot[1], e.slot)] = e.end_v
         for pair in e.connector_edges():
             edge_slot[pair] = e.slot
 
@@ -574,7 +575,6 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         h_edges=tuple(h_edges),
         slot_edge=slot_edge,
         edge_slot=edge_slot,
-        attach=attach,
     )
 
 
@@ -722,3 +722,119 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
         up_neighbor=tuple(up_neighbor),
         degree2=tuple(degree2),
     )
+
+
+def _cycles_from_slots(g: MultiGraph, factor: set[Slot]) -> tuple:
+    """Decompose a 2-regular slot set into vertex/slot cycles."""
+    incident: dict[int, list[Slot]] = {v: [] for v in range(g.n)}
+    for s in sorted(factor):
+        incident[s[0]].append(s)
+        incident[s[1]].append(s)
+    for v, inc in incident.items():
+        if len(inc) != 2:
+            raise InternalInvariantError(
+                f"vertex {v} has {len(inc)} factor edges, expected 2"
+            )
+    unused = set(factor)
+    cycles = []
+    for start in range(g.n):
+        starters = [s for s in incident[start] if s in unused]
+        if not starters:
+            continue
+        cycle: list[tuple[int, Slot]] = []
+        v = start
+        slot = starters[0]
+        while True:
+            cycle.append((v, slot))
+            unused.discard(slot)
+            v = slot[1] if slot[0] == v else slot[0]
+            if v == start:
+                break
+            nxt = [s for s in incident[v] if s in unused]
+            slot = nxt[0]
+        cycles.append(tuple(cycle))
+    if unused:
+        raise InternalInvariantError("2-factor decomposition left unused slots")
+    return tuple(cycles)
+
+
+def _reattribute(g: MultiGraph, pairs: list[tuple[int, int]], banned: set[Slot]) -> list[Slot]:
+    """Map matched vertex pairs to the lowest non-banned slot of each pair."""
+    out = []
+    for u, v in pairs:
+        u, v = (u, v) if u < v else (v, u)
+        for k in range(g.multiplicity(u, v)):
+            if (u, v, k) not in banned:
+                out.append((u, v, k))
+                break
+        else:
+            raise InternalInvariantError(f"no available slot for matched pair {(u, v)}")
+    return out
+
+
+def _pairs(m: Matching) -> list[tuple[int, int]]:
+    return [(u, v) for u, v, _ in m.slots]
+
+
+def two_factor_by_reattribution(g: MultiGraph) -> TwoFactor:
+    """`factorization._two_factor` as it was: public matching, re-attribution, slot sets.
+
+    Verbatim but for the error class of a missing perfect matching, whose
+    class `NoPerfectMatchingError` is gone.
+    """
+    m = perfect_matching(g)
+    if m is None:
+        raise InternalInvariantError(
+            "no perfect matching; impossible for a bridgeless cubic multigraph"
+        )
+    matched = set(_reattribute(g, _pairs(m), banned=set()))
+    factor = {s for s in g.slots() if s not in matched}
+    cycles = _cycles_from_slots(g, factor)
+    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched)), True))
+
+
+def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
+    """`factorization._two_factor_through` as it was, on a copy of g less e and f."""
+    all_slots = g.slots()
+    f = next(s for s in all_slots if s != e)
+    reduced = g.without_slots([e, f])
+    m = perfect_matching(reduced)
+    if m is None:
+        raise InternalInvariantError(
+            "matching after removing two edges must exist in a 2-edge-connected "
+            "cubic multigraph of even order"
+        )
+    matched = set(_reattribute(g, _pairs(m), banned={e, f}))
+    factor = {s for s in all_slots if s not in matched}
+    if e not in factor:
+        raise InternalInvariantError("forced edge missing from 2-factor")
+    cycles = _cycles_from_slots(g, factor)
+    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched)), True))
+
+
+def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> Matching:
+    """`factorization._matching_through` as it was, on a copy of g less e's other slots."""
+    all_slots = g.slots()
+    hu = e[0]
+    others = [s for s in all_slots if s != e and hu in (s[0], s[1])]
+    if len(others) != 2:
+        raise InternalInvariantError(f"vertex {hu} does not have 3 slots")
+    reduced = g.without_slots(others)
+    m = perfect_matching(reduced)
+    if m is None:
+        raise InternalInvariantError(
+            "matching after removing two edges must exist in a 2-edge-connected "
+            "cubic multigraph of even order"
+        )
+    matched = _reattribute(g, _pairs(m), banned=set(others))
+    if e not in matched:
+        raise InternalInvariantError("forced edge missing from matching")
+    return Matching(tuple(sorted(matched)), True)
+
+
+def factor_from_matching_by_reattribution(g: MultiGraph, m: Matching) -> TwoFactor:
+    """`factorization.factor_from_matching` as it was: the complement of a perfect matching."""
+    matched = set(m.slots)
+    factor = {s for s in g.slots() if s not in matched}
+    cycles = _cycles_from_slots(g, factor)
+    return TwoFactor(cycles=cycles, matching=m)

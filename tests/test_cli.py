@@ -353,3 +353,44 @@ def test_single_graph_commands_reject_multi_graph6(tmp_path, capsys, command):
     # one graph in the same format is still accepted
     p.write_text("C~\n")
     assert main(argv) == 0
+
+
+_TWO_K4 = "8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"
+_C5 = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        pytest.param(_TWO_K4, "input graph is disconnected", id="disconnected"),
+        pytest.param("h10", "input must be a simple graph", id="non-simple"),
+        pytest.param(_C5, "input graph is not cubic", id="non-cubic"),
+        pytest.param("petersen", "claw with center 0 and leaves 1, 4, 5", id="petersen"),
+    ],
+)
+def test_decompose_rejections_pin_exit_and_message(
+    fixture_files, tmp_path, capsys, source, message
+):
+    path = fixture_files.get(source)
+    if path is None:
+        path = tmp_path / "graph.el"
+        path.write_text(source)
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["bridged_star", "big_expansion", "k4"])
+def test_decompose_validates_once(fixture_files, capsys, monkeypatch, name):
+    import clawcolor.recognition as recognition
+
+    g = fixtures()[name]
+    searched, scanned = [], []
+    bridges, local_scan = recognition._bridges, recognition._local_scan
+    monkeypatch.setattr(recognition, "_bridges", lambda h: searched.append(h) or bridges(h))
+    monkeypatch.setattr(recognition, "_local_scan", lambda h: scanned.append(h) or local_scan(h))
+    assert main(["decompose", fixture_files[name]]) == 0
+    # one bridge search and one local scan of the input; H gets its own search
+    assert searched.count(g) == 1
+    assert scanned == [g]

@@ -11,9 +11,18 @@ from clawcolor import (
     two_factor_through,
 )
 from clawcolor.errors import NotBridgelessError
+from clawcolor.factorization import _complement, _matched_through, _two_factor_through
 from clawcolor.rng import SplitMix64
 
-from brute import all_perfect_matchings, all_two_factors
+from brute import (
+    all_perfect_matchings,
+    relabeled,
+    all_two_factors,
+    factor_from_matching_by_reattribution,
+    matching_through_by_reattribution,
+    two_factor_by_reattribution,
+    two_factor_through_by_reattribution,
+)
 
 
 def k4():
@@ -201,3 +210,73 @@ def test_two_factor_through_cross_checked_with_enumeration():
             tf = two_factor_through(g, e)
             assert e in tf.slots()
             assert frozenset(tf.slots()) in factors
+
+
+def _reference_graphs(named_fixtures):
+    """h10, the H of big_expansion and 210 random H of order 2 to 40."""
+    from clawcolor import oum_decompose
+
+    graphs = [named_fixtures["h10"], oum_decompose(named_fixtures["big_expansion"]).h]
+    rng = SplitMix64(0xC0F1)
+    graphs += [gen_cubic_multigraph(2 * (1 + i % 20), rng) for i in range(210)]
+    return graphs
+
+
+def test_complement_matches_reattribution_reference(named_fixtures):
+    # the one complement core gives the same TwoFactor and Matching objects
+    # (cycles, start vertices, sorted matching) as the three cores it replaced
+    for h in _reference_graphs(named_fixtures):
+        assert _complement(h) == two_factor_by_reattribution(h)
+        for e in h.slots():
+            assert _two_factor_through(h, e) == two_factor_through_by_reattribution(h, e)
+            m = matching_through_by_reattribution(h, e)
+            assert _matched_through(h, e) == factor_from_matching_by_reattribution(h, m)
+
+
+def test_public_factorization_matches_reattribution_reference(named_fixtures):
+    h = named_fixtures["h10"]
+    assert two_factor(h) == two_factor_by_reattribution(h)
+    for e in h.slots():
+        assert two_factor_through(h, e) == two_factor_through_by_reattribution(h, e)
+        assert matching_through(h, e) == matching_through_by_reattribution(h, e)
+
+
+def _random_cubic_pairing(n, rng):
+    """A cubic multigraph from a random pairing of 3n half-edges, loops redrawn.
+
+    Unlike `gen_cubic_multigraph` it may have bridges or several components.
+    """
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        if all(u != v for u, v in pairs):
+            return MultiGraph(n, pairs)
+
+
+def _no_perfect_matching_cubic():
+    """16 vertices: a centre joined to three K4s with one edge subdivided."""
+    edges = []
+    for b in (1, 6, 11):
+        a, c, d, e, x = range(b, b + 5)
+        edges += [(a, c), (a, d), (c, d), (c, e), (d, e), (a, x), (x, e), (x, 0)]
+    return MultiGraph(16, edges)
+
+
+def test_matching_size_against_networkx():
+    # relabelings of a graph with maximum matching 7 < 8, then random graphs
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(0x4E7)
+    graphs = []
+    for _ in range(20):
+        perm = list(range(16))
+        rng.shuffle(perm)
+        graphs.append(relabeled(_no_perfect_matching_cubic(), perm))
+    graphs += [gen_cubic_multigraph(2 * (1 + i % 30), rng) for i in range(60)]
+    graphs += [_random_cubic_pairing(2 * (1 + i % 30), rng) for i in range(240)]
+    for g in graphs:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from((u, v) for u, v, _ in g.edge_pairs())
+        size = len(nx.max_weight_matching(ref, maxcardinality=True))
+        assert len(maximum_matching(g).slots) == size
