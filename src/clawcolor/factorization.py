@@ -277,10 +277,22 @@ def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
 
 
 def _require_slot(g: MultiGraph, e: Slot) -> None:
-    """g is cubic and 2-edge-connected, and e is one of its slots."""
+    """g is cubic and 2-edge-connected, and e is one of its slots.
+
+    A slot is a tuple (u, v, k) of ids u < v in range(n) and k in
+    range(multiplicity(u, v)).  Membership in a range compares as the
+    sorted slot list did, so an end of None or a k of 0.5 is no slot.
+    """
     if not is_cubic(g):
         raise NotCubicError("operation requires a cubic multigraph")
     if not _connected_and_bridgeless(g):
         raise NotTwoEdgeConnectedError("operation requires a 2-edge-connected graph")
-    if e not in g.slots():
+    if not (
+        isinstance(e, tuple)
+        and len(e) == 3
+        and e[0] in range(g.n)
+        and e[1] in range(g.n)
+        and e[0] < e[1]
+        and e[2] in range(g.multiplicity(e[0], e[1]))
+    ):
         raise EdgeAbsentError(e[0], e[1])

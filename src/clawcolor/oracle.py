@@ -2,15 +2,17 @@
 
 `verify` checks the definition of an S-packing coloring on any candidate
 coloring: a BFS from each vertex, cut off at its class radius, finds
-every same-class vertex too close to it.  On a graph of maximum degree
-Delta and largest radius r this costs O(n * Delta^r) time and O(Delta^r)
-extra memory, so it scales to the sizes the constructor handles.  The solver
-decides S-packing colorability by complete backtracking with saturation
-ordering and symmetry breaking between equal-radius classes, and is the
-oracle the constructive algorithm is tested against.  Its ball table comes
-from the same bounded BFS, cut off at the largest radius, and it keeps
-saturation degrees incrementally, so a search node costs an O(n) pick and
-an O(|ball|) update.
+every same-class vertex too close to it.  The BFS runs over flat lists,
+one adjacency list and one class per vertex, and one mark list stamped
+with the source id stands in for a per-source visited set.  On a graph of
+maximum degree Delta and largest radius r this costs O(n * Delta^r) time
+and O(n) extra memory, so it scales to the sizes the constructor handles.
+The solver decides S-packing colorability by complete backtracking with
+saturation ordering and symmetry breaking between equal-radius classes,
+and is the oracle the constructive algorithm is tested against.  Its ball
+table comes from `_bfs_layers`, a bounded BFS cut off at the largest
+radius, and it keeps saturation degrees incrementally, so a search node
+costs an O(n) pick and an O(|ball|) update.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def verify(
 
     For each vertex u, a BFS from u stops at depth radii[class(u)] and
     reports every same-class v > u it meets, with its distance.  The
-    list is ordered by u, then v.
+    list is ordered by u, then v.  It reads only the graph's adjacency
+    and the assignment, in O(n * Delta^r) time and O(n) extra memory.
     """
     assignment = coloring.assignment
     missing = {v for v in range(g.n) if v not in assignment}
@@ -51,17 +54,34 @@ def verify(
     if bad:
         raise PartialColoringError(bad)
     labels = spec.labels()
+    radii = spec.radii
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    cls = [assignment[v] for v in range(n)]
+    # mark[w] == u: w is already reached by the BFS from u
+    mark = [-1] * n
     out: list[Violation] = []
-    for u in range(g.n):
-        cu = assignment[u]
-        near = [
-            (v, d)
-            for d, layer in enumerate(_bfs_layers(g, u, spec.radii[cu]), 1)
-            for v in layer
-            if v > u and assignment[v] == cu
-        ]
-        for v, d in sorted(near):
-            out.append(Violation(cu, labels[cu], (u, v), d))
+    for u in range(n):
+        cu = cls[u]
+        mark[u] = u
+        frontier = [u]
+        near = []
+        for d in range(1, radii[cu] + 1):
+            reached = []
+            for x in frontier:
+                for w in adj[x]:
+                    if mark[w] != u:
+                        mark[w] = u
+                        reached.append(w)
+                        if w > u and cls[w] == cu:
+                            near.append((w, d))
+            if not reached:
+                break
+            frontier = reached
+        if near:
+            near.sort()
+            for v, d in near:
+                out.append(Violation(cu, labels[cu], (u, v), d))
     return out
 
 
@@ -98,7 +118,7 @@ def solve_spacking(
     which removes the permutation symmetry between equal classes.
 
     The ball table comes from one BFS per vertex cut off at the largest
-    radius, as in `verify`.  Saturation degrees are kept incrementally:
+    radius.  Saturation degrees are kept incrementally:
     a counter crossing 0 <-> 1 moves its vertex's saturation by one, so a
     search node costs an O(n) pick plus an O(|ball|) update.
     """

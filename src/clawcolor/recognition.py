@@ -1,6 +1,7 @@
 """Structural predicates and decompositions on claw-free cubic graphs.
 
-Covers induced-claw detection, bridge finding (DFS low-link, multigraph
+Covers induced-claw detection, bridge finding (a DFS preorder from an
+explicit vertex stack plus one reverse-preorder low-link sweep, multigraph
 aware), the bridge tree with component typing, induced diamonds, and
 ring-of-diamonds recognition.
 
@@ -59,7 +60,7 @@ def is_claw_free(g: MultiGraph) -> bool:
 
 
 def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
-    """Cut edges of a connected multigraph via one iterative low-link DFS."""
+    """Cut edges of a connected multigraph via one DFS and a low-link sweep."""
     bridges = _bridges(g)
     if bridges is None:
         raise DisconnectedError("bridge search requires a connected graph")
@@ -74,42 +75,49 @@ def _connected_and_bridgeless(g: MultiGraph) -> bool:
 def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
     """`find_bridges`, or None when the DFS discovers fewer than n vertices.
 
-    A pair with multiplicity >= 2 is never a bridge.  The DFS skips the
-    edge back to the parent, so a parallel copy does not lower low[v]; the
-    multiplicity is looked up only for a bridge candidate instead.
+    The DFS is a preorder from an explicit vertex stack: a vertex is
+    marked when it is popped, and its parent is the last vertex that
+    pushed it, which gives a valid DFS tree.  One sweep in reverse
+    preorder then sets low[v] from v's non-parent neighbors and folds it
+    into its parent's.  A pair with multiplicity >= 2 is never a bridge.
+    The sweep skips the parent, so a parallel copy does not lower low[v];
+    the multiplicity is looked up only for a bridge candidate instead.
     """
     n = g.n
-    disc = [-1] * n
-    low = [0] * n
     bridges: set[tuple[int, int]] = set()
-    timer = 0
     if n == 0:
         return bridges
-    # stack entries: (vertex, parent, iterator over neighbors)
-    stack = [(0, -1, iter(g.neighbors(0)))]
-    disc[0] = low[0] = timer
-    timer += 1
+    adj = [g.neighbors(v) for v in range(n)]
+    disc = [-1] * n
+    parent = [-1] * n
+    order: list[int] = []
+    stack = [0]
     while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
+        v = stack.pop()
+        if disc[v] != -1:
+            continue
+        disc[v] = len(order)
+        order.append(v)
+        for w in adj[v]:
             if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(g.neighbors(w))))
-                advanced = True
-                break
-            low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] > disc[pv] and g.multiplicity(pv, v) == 1:
-                    bridges.add((min(pv, v), max(pv, v)))
-    return bridges if timer == n else None
+                parent[w] = v
+                stack.append(w)
+    if len(order) < n:
+        return None
+    low = disc[:]
+    # every vertex but the root, order[0], children before parents
+    for v in order[:0:-1]:
+        p = parent[v]
+        lv = low[v]
+        for w in adj[v]:
+            if disc[w] < lv and w != p:
+                lv = disc[w]
+        if lv > disc[p]:
+            if g.multiplicity(p, v) == 1:
+                bridges.add((p, v) if p < v else (v, p))
+        elif lv < low[p]:
+            low[p] = lv
+    return bridges
 
 
 def is_k4(g: MultiGraph) -> bool:

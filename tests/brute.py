@@ -10,7 +10,10 @@ the decomposition as it was before the local scan, which pins `_decompose`,
 `bridge_tree_by_sweeps`, the bridge tree as it was before it was built
 from each vertex's one bridge, which pins `_bridge_tree`, and the
 `*_by_reattribution` 2-factors, as they were before one matching-complement
-core served them all, which pin `factorization._complement`.
+core served them all, which pin `factorization._complement`, and
+`verify_by_layers` and `bridges_by_iterator_dfs`, the certificate and the
+bridge search as they were before they ran over flat lists, which pin
+`oracle.verify` and `recognition._bridges` on large graphs.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from clawcolor.coloring import PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
     InternalInvariantError,
+    PartialColoringError,
     NonK3CycleError,
     StructureViolationError,
     TypeIComponentError,
 )
 from clawcolor.factorization import Matching, TwoFactor, perfect_matching
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
-from clawcolor.oracle import DEFAULT_SOLVER_CAP
+from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation, _bfs_layers
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
 from clawcolor.structure import Decomposition, HEdge, StringDiamond, Variant
 
@@ -838,3 +842,65 @@ def factor_from_matching_by_reattribution(g: MultiGraph, m: Matching) -> TwoFact
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
     return TwoFactor(cycles=cycles, matching=m)
+
+
+def verify_by_layers(
+    g: MultiGraph, spec: SPackingSpec, coloring: PackingColoring
+) -> list[Violation]:
+    """`oracle.verify` as it was: a set and layer lists per source vertex."""
+    assignment = coloring.assignment
+    missing = {v for v in range(g.n) if v not in assignment}
+    if missing:
+        raise PartialColoringError(missing)
+    bad = {v for v in assignment if not 0 <= v < g.n}
+    if bad:
+        raise PartialColoringError(bad)
+    labels = spec.labels()
+    out: list[Violation] = []
+    for u in range(g.n):
+        cu = assignment[u]
+        near = [
+            (v, d)
+            for d, layer in enumerate(_bfs_layers(g, u, spec.radii[cu]), 1)
+            for v in layer
+            if v > u and assignment[v] == cu
+        ]
+        for v, d in sorted(near):
+            out.append(Violation(cu, labels[cu], (u, v), d))
+    return out
+
+
+def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
+    """`recognition._bridges` as it was: a DFS stack of neighbor iterators."""
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    bridges: set[tuple[int, int]] = set()
+    timer = 0
+    if n == 0:
+        return bridges
+    # stack entries: (vertex, parent, iterator over neighbors)
+    stack = [(0, -1, iter(g.neighbors(0)))]
+    disc[0] = low[0] = timer
+    timer += 1
+    while stack:
+        v, parent, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w == parent:
+                continue
+            if disc[w] == -1:
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, v, iter(g.neighbors(w))))
+                advanced = True
+                break
+            low[v] = min(low[v], disc[w])
+        if not advanced:
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] > disc[pv] and g.multiplicity(pv, v) == 1:
+                    bridges.add((min(pv, v), max(pv, v)))
+    return bridges if timer == n else None

@@ -158,6 +158,29 @@ def random_bridged_trees():
     return [gen_bridged(_random_tree_spec(rng), rng) for _ in range(200)]
 
 
+def _build_large_graphs() -> list[tuple[str, MultiGraph]]:
+    """Three graphs far past MAX_CORPUS_N, each of about 8,000 to 10,000 vertices.
+
+    A triangle expansion of a random H of order 1,024 with string lengths
+    0, 1 and 2 in equal shares, a chain of 2,000 diamonds between two Type
+    III leaves (a DFS over it runs about n deep), and a ring of 2,500
+    diamonds.
+    """
+    rng = SplitMix64(0x1A46E)
+    h = gen_cubic_multigraph(1024, rng)
+    slots = h.slots()
+    lengths = [i % 3 for i in range(len(slots))]
+    rng.shuffle(lengths)
+    built = expand_to_clawfree(h, ExpansionSpec(dict(zip(slots, lengths))), rng)
+    chain = gen_bridged([("type3", 1)] + [("diamond", 2)] * 2000 + [("type3", 1)], rng)
+    return [("built-h1024", built), ("chain-2000", chain), ("ring-2500", gen_ring_of_diamonds(2500))]
+
+
+@pytest.fixture(scope="session")
+def large_graphs():
+    return _build_large_graphs()
+
+
 @pytest.fixture(scope="session")
 def named_fixtures():
     return fixtures()

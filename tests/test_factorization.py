@@ -135,6 +135,26 @@ def test_two_factor_through_errors(named_fixtures):
         two_factor_through(named_fixtures["bridged_star"], (0, 1, 0))
 
 
+def test_slot_check_rejects_what_slot_membership_rejected():
+    """Reversed ends, k out of range or not whole, a bad id or a list: EdgeAbsentError."""
+    from clawcolor.errors import EdgeAbsentError
+
+    # a 4-cycle with two doubled opposite sides: cubic and 2-edge-connected
+    g = MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
+    slots = g.slots()
+    for u, v, k in slots:
+        m = g.multiplicity(u, v)
+        absent = [(v, u, k), (u, v, m), (u, v, -1), (u, v, k + 0.5), (u, g.n, 0),
+                  (g.n, g.n + 1, 0), (None, v, k), (u, "v", k), [u, v, k]]
+        for e in absent:
+            assert e not in slots
+            for through in (two_factor_through, matching_through):
+                with pytest.raises(EdgeAbsentError):
+                    through(g, e)
+        for through in (two_factor_through, matching_through):
+            through(g, (u, v, k))
+
+
 def test_matching_through_every_slot(named_fixtures):
     g = named_fixtures["h10"]
     for e in g.slots():

@@ -29,6 +29,7 @@ from brute import (
     relabeled,
     solve_spacking_rescan,
     spacking_colorable_brute,
+    verify_by_layers,
     violations_brute,
 )
 from clawcolor.rng import SplitMix64
@@ -121,6 +122,24 @@ def test_verify_matches_definition_near_valid(base_corpus):
         assignment[v] = (assignment[v] + 1 + rng.randrange(3)) % 4
         got = _violation_tuples(g, SPEC_1122, assignment)
         assert got == violations_brute(g, SPEC_1122.radii, assignment), name
+
+
+def test_verify_matches_layered_reference_on_large_graphs(large_graphs):
+    """Constructed colorings, as built and with 50 vertices recolored."""
+    rng = SplitMix64(0x5CA1E)
+    total = 0
+    for name, g in large_graphs:
+        built = dict(color_claw_free_cubic(g).assignment)
+        for spec in (SPEC_1122, SPackingSpec((1, 2, 3, 3))):
+            recolored = dict(built)
+            for _ in range(50):
+                recolored[rng.randrange(g.n)] = rng.randrange(spec.r)
+            for assignment in (built, recolored):
+                coloring = PackingColoring(spec, assignment)
+                got = verify(g, spec, coloring)
+                assert got == verify_by_layers(g, spec, coloring), name
+                total += len(got)
+    assert total > 0
 
 
 def test_spec_validation():

@@ -27,6 +27,7 @@ from brute import (
     bfs_distances,
     bridge_tree_by_sweeps,
     bridge_tree_root_brute,
+    bridges_by_iterator_dfs,
     bridges_by_removal,
     find_claw_brute,
     find_diamonds,
@@ -119,6 +120,21 @@ def test_bridges_match_removal_oracle_on_multigraphs():
             seen["disconnected"] += 1
         seen["parallel"] += not g.is_simple()
     assert min(seen.values()) > 100, seen
+
+
+def test_bridges_match_iterator_dfs_reference(large_graphs, bridged_trees):
+    """Same sets on graphs past the corpus, and None once an edge is cut."""
+    disconnected = 0
+    for name, g in large_graphs + bridged_trees:
+        got = _bridges(g)
+        assert got == bridges_by_iterator_dfs(g), name
+        u, v = next(iter(got)) if got else (0, g.neighbors(0)[0])
+        cut = MultiGraph(g.n, [e for e in g.edge_list() if e != (u, v)])
+        after = _bridges(cut)
+        assert after == bridges_by_iterator_dfs(cut), name
+        assert (after is None) == bool(got), name
+        disconnected += after is None
+    assert disconnected > len(bridged_trees) // 2
 
 
 def test_no_vertex_has_two_bridges(corpus, bridged_trees, random_bridged_trees):
