@@ -3,8 +3,12 @@
 Bridgeless graphs go straight to the 2-edge-connected constructions.
 Otherwise the bridge tree is rooted at a leaf of a diametral path, the
 root component is colored first, and the remaining components are colored
-in BFS order.  Each component C with attachment vertices X (its degree-2
-vertices) is completed to a 2-edge-connected claw-free cubic graph:
+in BFS order.  K3 and diamond components are colored in place, from their
+vertices and attachment vertices: the up vertex gets the forced 2-class,
+a diamond's other exterior the other one, and the rest 1a and 1b.  Only a
+Type III component C with attachment vertices X (its degree-2 vertices)
+becomes a subgraph, and it is completed to a 2-edge-connected claw-free
+cubic graph:
 
   * |X| even: add a pairing edge on each consecutive pair of X; color so
     that the pair (x1, x2) is a matched edge carrying 2a/2b.
@@ -26,6 +30,7 @@ exit; in between it calls their unchecked cores.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 
 from .canonical import (
     _ring,
@@ -95,14 +100,27 @@ def _odd_gadget(comp: MultiGraph, x1: int) -> tuple[int, int, int, int]:
 def _odd_tilde(
     comp: MultiGraph, x1: int, u: int, w: int, s: int, y: int, xs: list[int]
 ) -> tuple[MultiGraph, list[int]]:
-    """The completed graph and its tilde-local -> component-local ids."""
-    pairs = [(xs[i], xs[i + 1]) for i in range(1, len(xs), 2)]
-    added = [(s, y)] + pairs
-    keep = [v for v in range(comp.n) if v not in (x1, u, w)]
-    sub, to_comp = comp.induced(keep)
-    to_local = {gv: lv for lv, gv in enumerate(to_comp)}
-    tilde = sub.with_edges([(to_local[a], to_local[b]) for a, b in added])
-    return tilde, to_comp
+    """The completed graph and its tilde-local -> component-local ids.
+
+    Built in one construction from the component's adjacency: the edges
+    among the kept vertices in ascending order, then s-y, then the pairs
+    of the remaining attachments.
+    """
+    to_comp = [v for v in range(comp.n) if v not in (x1, u, w)]
+    to_local = [-1] * comp.n
+    for lv, v in enumerate(to_comp):
+        to_local[v] = lv
+    adj = comp.adjacency()
+    edges = [
+        (to_local[a], to_local[b])
+        for a in to_comp
+        for b in adj[a]
+        if b > a and to_local[b] != -1
+        for _ in range(comp.multiplicity(a, b))
+    ]
+    edges.append((to_local[s], to_local[y]))
+    edges += [(to_local[xs[i]], to_local[xs[i + 1]]) for i in range(1, len(xs), 2)]
+    return MultiGraph(len(to_comp), edges), to_comp
 
 
 def _explicit_k4_completion(
@@ -246,30 +264,39 @@ def _extension(
 
     xs lists the component's degree-2 vertices, the up vertex x1 first.
     """
+    if kind is not ComponentKind.TYPE_III:
+        colors = _color_k3_or_diamond(range(comp.n), xs, forced, kind)
+        diamonds = frozenset(colors) if kind is ComponentKind.DIAMOND else frozenset()
+        return PackingColoring(SPEC_1122, colors), diamonds
     x1 = xs[0]
-    diamonds: frozenset[int] = frozenset()
-    if kind is ComponentKind.TRIANGLE:
-        others = [z for z in range(3) if z != x1]
-        colors = {x1: forced, others[0]: C1A, others[1]: C1B}
-    elif kind is ComponentKind.DIAMOND:
-        ints = [z for z in range(4) if comp.degree(z) == 3]
-        colors = {
-            ints[0]: C1A,
-            ints[1]: C1B,
-            x1: forced,
-            xs[1]: C2B if forced == C2A else C2A,
-        }
-        diamonds = frozenset(range(4))
+    _check_independent(comp, xs)
+    if len(xs) % 2 == 0:
+        colors, diamonds = _color_even_component(comp, xs)
     else:
-        _check_independent(comp, xs)
-        if len(xs) % 2 == 0:
-            colors, diamonds = _color_even_component(comp, xs)
-        else:
-            colors, diamonds = _color_odd_component(comp, xs, root_style=False)
-        if colors[x1] != forced:
-            swapped = {C2A: C2B, C2B: C2A}
-            colors = {v: swapped.get(c, c) for v, c in colors.items()}
+        colors, diamonds = _color_odd_component(comp, xs, root_style=False)
+    if colors[x1] != forced:
+        swapped = {C2A: C2B, C2B: C2A}
+        colors = {v: swapped.get(c, c) for v, c in colors.items()}
     return PackingColoring(SPEC_1122, colors), diamonds
+
+
+def _color_k3_or_diamond(
+    verts: Iterable[int], xs: Sequence[int], forced: int, kind: ComponentKind
+) -> dict[int, int]:
+    """Colors of a K3 or diamond component, keyed in the order of `verts`.
+
+    verts lists the component's vertices ascending, xs its degree-2
+    vertices with the up vertex x1 first, which gets `forced`.  A K3's
+    other corners get 1a, 1b; a diamond's interiors get 1a, 1b and its
+    other exterior the other radius-2 class.
+    """
+    x1 = xs[0]
+    ones = iter((C1A, C1B))
+    if kind is ComponentKind.TRIANGLE:
+        return {v: forced if v == x1 else next(ones) for v in verts}
+    x2 = xs[1]
+    other = C2B if forced == C2A else C2A
+    return {v: forced if v == x1 else other if v == x2 else next(ones) for v in verts}
 
 
 def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
@@ -308,31 +335,43 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
 
 
 def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
-    """Color each component of the bridge tree in BFS order, unverified."""
+    """Color each component of the bridge tree in BFS order, unverified.
+
+    K3 and diamond components are colored in place from their vertices
+    and attachments; only the Type III components, the root among them,
+    become subgraphs.
+    """
     assignment: dict[int, int] = {}
-    # component-local diamond vertices of each completed component, in
-    # global ids, for the no-diamond-at-up-neighbor invariant
+    # diamond vertices of each completed Type III component, in global ids,
+    # for the no-diamond-at-up-neighbor invariant
     tilde_diamonds: dict[int, frozenset[int]] = {}
 
+    kinds = bt.kinds
     order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
-    for c, (sub, to_global) in zip(order, g.induced_parts(bt.comp_of, order)):
-        # local ids follow sorted global ids, so the order of degree2 holds
-        xs = [bisect_left(to_global, x) for x in bt.degree2[c]]
-        if c == bt.root:
-            local_col, dia = _root_coloring(sub, xs, bt.kinds[c])
-        else:
+    completed = [c for c in order if c == bt.root or kinds[c] is ComponentKind.TYPE_III]
+    parts = g.induced_parts(bt.comp_of, completed)
+    for c in order:
+        kind = kinds[c]
+        if c != bt.root:
             q = bt.up_neighbor[c]
             parent = bt.parent[c]
-            if (
-                bt.kinds[parent] is not ComponentKind.DIAMOND
-                and q in tilde_diamonds.get(parent, frozenset())
-            ):
+            if q in tilde_diamonds.get(parent, ()):
                 raise InternalInvariantError(
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
             forced = free_two_color(g, assignment, q)
-            local_col, dia = _extension(sub, xs, forced, bt.kinds[c])
+            if kind is not ComponentKind.TYPE_III:
+                colors = _color_k3_or_diamond(bt.components[c], bt.degree2[c], forced, kind)
+                assignment.update(colors)
+                continue
+        sub, to_global = next(parts)
+        # local ids follow sorted global ids, so the order of degree2 holds
+        xs = [bisect_left(to_global, x) for x in bt.degree2[c]]
+        if c == bt.root:
+            local_col, dia = _root_coloring(sub, xs, kind)
+        else:
+            local_col, dia = _extension(sub, xs, forced, kind)
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):
             assignment[gv] = local_col.assignment[lv]

@@ -59,6 +59,13 @@ class MultiGraph:
         """Distinct neighbors of v, sorted ascending."""
         return self._adj[v]
 
+    def adjacency(self) -> list[list[int]]:
+        """Every vertex's `neighbors` list, indexed by vertex.
+
+        This is the graph's own storage, not a copy: read it, never mutate it.
+        """
+        return self._adj
+
     def multiplicity(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         return self._mult.get(key, 0)
@@ -128,25 +135,32 @@ class MultiGraph:
     def induced_parts(
         self, part_of: Sequence[int], order: Iterable[int]
     ) -> Iterator[tuple["MultiGraph", list[int]]]:
-        """Induced subgraphs on the classes of a vertex partition, in one pass.
+        """Induced subgraphs on some classes of a vertex partition, in one pass.
 
         part_of[v] is the class of vertex v; classes are 0..max(part_of).
         For each class i in `order`, yields what `induced` returns for the
         vertices of class i: local ids follow the ascending order of those
         vertices.  One scan of the edges serves every class, so the cost is
-        O(n + m) in all, and each subgraph is built only when its turn comes.
+        O(n + m) in all.  Vertices and edges are collected only for the
+        classes in `order`, and each subgraph is built only when its turn
+        comes.
         """
         if len(part_of) != self.n:
             raise ValueError(f"partition covers {len(part_of)} vertices, graph has {self.n}")
-        to_global: list[list[int]] = [[] for _ in range(max(part_of, default=-1) + 1)]
+        order = list(order)
+        to_global: list[list[int] | None] = [None] * (max(part_of, default=-1) + 1)
+        edges: list[list[tuple[int, int]] | None] = to_global[:]
+        for p in order:
+            to_global[p], edges[p] = [], []
         local = [0] * self.n
         for v, p in enumerate(part_of):
-            local[v] = len(to_global[p])
-            to_global[p].append(v)
-        edges: list[list[tuple[int, int]]] = [[] for _ in to_global]
+            members = to_global[p]
+            if members is not None:
+                local[v] = len(members)
+                members.append(v)
         for (u, v), m in self._mult.items():
             p = part_of[u]
-            if p == part_of[v]:
+            if p == part_of[v] and edges[p] is not None:
                 edges[p].extend([(local[u], local[v])] * m)
         for p in order:
             yield MultiGraph(len(to_global[p]), edges[p]), to_global[p]

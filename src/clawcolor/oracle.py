@@ -56,7 +56,7 @@ def verify(
     labels = spec.labels()
     radii = spec.radii
     n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = g.adjacency()
     cls = [assignment[v] for v in range(n)]
     # mark[w] == u: w is already reached by the BFS from u
     mark = [-1] * n

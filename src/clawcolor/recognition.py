@@ -87,7 +87,7 @@ def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
     bridges: set[tuple[int, int]] = set()
     if n == 0:
         return bridges
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = g.adjacency()
     disc = [-1] * n
     parent = [-1] * n
     order: list[int] = []
@@ -169,7 +169,7 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     lists come out in vertex order.
     """
     n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = g.adjacency()
     diamonds: list[Diamond] = []
     diamond_of = [-1] * n
     triangles: list[tuple[int, int, int]] = []
@@ -255,17 +255,22 @@ def _classify_component(
         raise TypeIComponentError(
             f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
         )
-    if any(deg_in[v] <= 1 for v in verts):
-        raise StructureViolationError(
-            f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
-        )
-    if all(deg_in[v] == 2 for v in verts):
+    twos = 0
+    for v in verts:
+        d = deg_in[v]
+        if d <= 1:
+            raise StructureViolationError(
+                f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
+            )
+        if d == 2:
+            twos += 1
+    if twos == len(verts):
         if len(verts) != 3:
             raise NonK3CycleError(
                 f"cycle component of size {len(verts)}; input is not claw-free cubic"
             )
         return ComponentKind.TRIANGLE
-    if len(verts) == 4 and any(deg_in[v] == 2 for v in verts):
+    if len(verts) == 4 and twos:
         ints = [v for v in verts if deg_in[v] == 3]
         exts = [v for v in verts if deg_in[v] == 2]
         if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
@@ -314,6 +319,7 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         deg_in[u] -= 1
         deg_in[v] -= 1
 
+    adj = g.adjacency()
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
     for start in range(n):
@@ -323,7 +329,7 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         comp_of[start] = idx
         queue = [start]
         for v in queue:
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if comp_of[w] == -1 and across[v] != w:
                     comp_of[w] = idx
                     queue.append(w)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DisconnectedError,
-    NotSimpleError,
     NotTwoEdgeConnectedError,
     StructureViolationError,
 )
@@ -118,8 +117,6 @@ def oum_decompose(g: MultiGraph) -> Decomposition:
     StructureViolationError if the triangle/string partition fails, which
     on a validated input indicates a bug.
     """
-    if not g.is_simple():
-        raise NotSimpleError("structure decomposition requires a simple graph")
     try:
         bridges, local = _require_claw_free_cubic(g)
     except DisconnectedError:

@@ -13,16 +13,28 @@ from each vertex's one bridge, which pins `_bridge_tree`, and the
 core served them all, which pin `factorization._complement`, and
 `verify_by_layers` and `bridges_by_iterator_dfs`, the certificate and the
 bridge search as they were before they ran over flat lists, which pin
-`oracle.verify` and `recognition._bridges` on large graphs.
+`oracle.verify` and `recognition._bridges` on large graphs, and the
+`*_by_subgraphs` bridged path, as it was before K3 and diamond components
+were colored in place and only Type III components became subgraphs,
+which pins `colorer._color_bridged`, `colorer._odd_tilde`,
+`recognition._classify_component` and `MultiGraph.induced_parts`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from itertools import combinations
 
-from clawcolor.coloring import PackingColoring, SPackingSpec
+from clawcolor.colorer import (
+    _check_independent,
+    _color_even_component,
+    _color_odd_component,
+    _root_coloring,
+    free_two_color,
+)
+from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
     InternalInvariantError,
@@ -904,3 +916,124 @@ def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
                 if low[v] > disc[pv] and g.multiplicity(pv, v) == 1:
                     bridges.add((min(pv, v), max(pv, v)))
     return bridges if timer == n else None
+
+
+def induced_parts_by_subgraphs(
+    g: MultiGraph, part_of: list[int], order: list[int]
+) -> list[tuple[MultiGraph, list[int]]]:
+    """`MultiGraph.induced_parts` as it was: vertices and edges of every class."""
+    if len(part_of) != g.n:
+        raise ValueError(f"partition covers {len(part_of)} vertices, graph has {g.n}")
+    to_global: list[list[int]] = [[] for _ in range(max(part_of, default=-1) + 1)]
+    local = [0] * g.n
+    for v, p in enumerate(part_of):
+        local[v] = len(to_global[p])
+        to_global[p].append(v)
+    edges: list[list[tuple[int, int]]] = [[] for _ in to_global]
+    for (u, v), m in g._mult.items():
+        p = part_of[u]
+        if p == part_of[v]:
+            edges[p].extend([(local[u], local[v])] * m)
+    return [(MultiGraph(len(to_global[p]), edges[p]), to_global[p]) for p in order]
+
+
+def classify_component_by_subgraphs(
+    g: MultiGraph, verts: tuple[int, ...], deg_in: list[int]
+) -> ComponentKind:
+    """`recognition._classify_component` as it was, with `any`/`all` passes."""
+    if len(verts) == 1:
+        raise TypeIComponentError(
+            f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
+        )
+    if any(deg_in[v] <= 1 for v in verts):
+        raise StructureViolationError(
+            f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
+        )
+    if all(deg_in[v] == 2 for v in verts):
+        if len(verts) != 3:
+            raise NonK3CycleError(
+                f"cycle component of size {len(verts)}; input is not claw-free cubic"
+            )
+        return ComponentKind.TRIANGLE
+    if len(verts) == 4 and any(deg_in[v] == 2 for v in verts):
+        ints = [v for v in verts if deg_in[v] == 3]
+        exts = [v for v in verts if deg_in[v] == 2]
+        if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
+            return ComponentKind.DIAMOND
+        raise StructureViolationError("4-vertex component is not a diamond")
+    return ComponentKind.TYPE_III
+
+
+def odd_tilde_by_subgraphs(
+    comp: MultiGraph, x1: int, u: int, w: int, s: int, y: int, xs: list[int]
+) -> tuple[MultiGraph, list[int]]:
+    """`colorer._odd_tilde` as it was: an induced subgraph, then the added edges."""
+    pairs = [(xs[i], xs[i + 1]) for i in range(1, len(xs), 2)]
+    added = [(s, y)] + pairs
+    keep = [v for v in range(comp.n) if v not in (x1, u, w)]
+    sub, to_comp = comp.induced(keep)
+    to_local = {gv: lv for lv, gv in enumerate(to_comp)}
+    tilde = sub.with_edges([(to_local[a], to_local[b]) for a, b in added])
+    return tilde, to_comp
+
+
+def extension_by_subgraphs(
+    comp: MultiGraph, xs: list[int], forced: int, kind: ComponentKind
+) -> tuple[PackingColoring, frozenset[int]]:
+    """`colorer._extension` as it was: K3 and diamond colored on their subgraph.
+
+    Type III components go through the library's even and odd completions.
+    """
+    x1 = xs[0]
+    diamonds: frozenset[int] = frozenset()
+    if kind is ComponentKind.TRIANGLE:
+        others = [z for z in range(3) if z != x1]
+        colors = {x1: forced, others[0]: C1A, others[1]: C1B}
+    elif kind is ComponentKind.DIAMOND:
+        ints = [z for z in range(4) if comp.degree(z) == 3]
+        colors = {
+            ints[0]: C1A,
+            ints[1]: C1B,
+            x1: forced,
+            xs[1]: C2B if forced == C2A else C2A,
+        }
+        diamonds = frozenset(range(4))
+    else:
+        _check_independent(comp, xs)
+        if len(xs) % 2 == 0:
+            colors, diamonds = _color_even_component(comp, xs)
+        else:
+            colors, diamonds = _color_odd_component(comp, xs, root_style=False)
+        if colors[x1] != forced:
+            swapped = {C2A: C2B, C2B: C2A}
+            colors = {v: swapped.get(c, c) for v, c in colors.items()}
+    return PackingColoring(SPEC_1122, colors), diamonds
+
+
+def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
+    """`colorer._color_bridged` as it was: one induced subgraph per component."""
+    assignment: dict[int, int] = {}
+    tilde_diamonds: dict[int, frozenset[int]] = {}
+
+    order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
+    for c, (sub, to_global) in zip(order, induced_parts_by_subgraphs(g, bt.comp_of, order)):
+        xs = [bisect_left(to_global, x) for x in bt.degree2[c]]
+        if c == bt.root:
+            local_col, dia = _root_coloring(sub, xs, bt.kinds[c])
+        else:
+            q = bt.up_neighbor[c]
+            parent = bt.parent[c]
+            if (
+                bt.kinds[parent] is not ComponentKind.DIAMOND
+                and q in tilde_diamonds.get(parent, frozenset())
+            ):
+                raise InternalInvariantError(
+                    f"up-neighbor {q} lies on a diamond of its completed "
+                    "component; contradicts the structure of claw-free cubic graphs"
+                )
+            forced = free_two_color(g, assignment, q)
+            local_col, dia = extension_by_subgraphs(sub, xs, forced, bt.kinds[c])
+        tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
+        for lv, gv in enumerate(to_global):
+            assignment[gv] = local_col.assignment[lv]
+    return PackingColoring(SPEC_1122, assignment)

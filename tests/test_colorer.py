@@ -6,6 +6,7 @@ from clawcolor import (
     C2A,
     C2B,
     SPEC_1122,
+    ComponentKind,
     ExpansionSpec,
     MultiGraph,
     build_bridge_tree,
@@ -27,7 +28,12 @@ from clawcolor.errors import (
     NotSimpleError,
     PreconditionViolatedError,
 )
+from clawcolor.colorer import _attachments, _color_bridged, _odd_gadget, _odd_tilde
+from clawcolor.recognition import _bridge_tree
 from clawcolor.rng import SplitMix64
+
+from brute import color_bridged_by_subgraphs, odd_tilde_by_subgraphs
+from test_recognition import _bridged_sweep_shapes
 
 
 def assert_valid(g, coloring):
@@ -290,3 +296,43 @@ def test_long_diamond_chain_colors_and_certifies():
     )
     assert g.n == 16060
     assert_valid(g, color_claw_free_cubic(g))
+
+
+def _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
+    graphs = [g for _, g in bridged_trees] + random_bridged_trees + _bridged_sweep_shapes()
+    graphs.append(dict(large_graphs)["chain-2000"])
+    return [g for g in graphs if find_bridges(g)]
+
+
+def test_bridged_path_matches_subgraph_reference(
+    bridged_trees, random_bridged_trees, large_graphs
+):
+    """The same assignment, in the same order, as one subgraph per component."""
+    for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
+        bt = _bridge_tree(g, find_bridges(g))
+        got = _color_bridged(g, bt).assignment
+        want = color_bridged_by_subgraphs(g, bt).assignment
+        assert list(got.items()) == list(want.items())
+
+
+def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged_trees):
+    """The completed graph of every odd Type III component, built in one go."""
+    tested = 0
+    for g in [g for _, g in bridged_trees] + random_bridged_trees:
+        bridges = find_bridges(g)
+        if not bridges:
+            continue
+        bt = _bridge_tree(g, bridges)
+        for c, comp in enumerate(bt.components):
+            xs = bt.degree2[c]
+            if bt.kinds[c] is not ComponentKind.TYPE_III or len(xs) % 2 == 0:
+                continue
+            sub, to_global = g.induced(comp)
+            local_xs = _attachments(sub, to_global.index(xs[0]))
+            gadget = _odd_gadget(sub, local_xs[0])
+            tilde, to_comp = _odd_tilde(sub, local_xs[0], *gadget, local_xs)
+            want, want_to_comp = odd_tilde_by_subgraphs(sub, local_xs[0], *gadget, local_xs)
+            assert tilde == want and to_comp == want_to_comp
+            assert tilde.adjacency() == want.adjacency()
+            tested += 1
+    assert tested > 500

@@ -129,6 +129,20 @@ def test_induced_parts_match_induced(graph, data):
         assert part == g.induced([v for v in range(n) if part_of[v] == p])
 
 
+@given(edge_lists, st.data())
+def test_induced_parts_of_some_classes_match_induced(graph, data):
+    """A subset of the classes, in any order."""
+    n, edges = graph
+    g = MultiGraph(n, edges)
+    part_of = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    classes = range(max(part_of, default=-1) + 1)
+    order = data.draw(st.lists(st.sampled_from(classes), unique=True))
+    parts = list(g.induced_parts(part_of, order))
+    assert len(parts) == len(order)
+    for p, part in zip(order, parts):
+        assert part == g.induced([v for v in range(n) if part_of[v] == p])
+
+
 def test_induced_parts_rejects_short_partition():
     with pytest.raises(ValueError):
         next(MultiGraph(3, [(0, 1)]).induced_parts([0, 0], [0]))

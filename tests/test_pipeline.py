@@ -133,6 +133,39 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     assert counts() == (2, 2, 2, 0, 0, 0)
 
 
+def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
+    """K3 and diamond components are colored in place.
+
+    Only the two Type III leaves of a diamond chain become subgraphs and
+    completions, so a coloring builds as many graphs for 400 diamonds as
+    for 100: a subgraph and a completion for each.  Both leaves are the
+    same gadget, whose completion is K4, so no decomposition adds to the
+    count.
+    """
+    chains = []
+    for k in (100, 400):
+        edges = leaf_gadget() + leaf_gadget(7 + 4 * k)
+        for i in range(k):
+            a, p, q, b = range(7 + 4 * i, 11 + 4 * i)
+            edges += [(a, p), (a, q), (p, q), (p, b), (q, b), (a - 1 if i else 0, a)]
+        edges.append((10 + 4 * (k - 1), 7 + 4 * k))
+        chains.append(MultiGraph(14 + 4 * k, edges))
+    real = MultiGraph.__init__
+    built = [0]
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGraph, "__init__", counted)
+    counts = []
+    for g in chains:
+        built[0] = 0
+        color_claw_free_cubic(g)
+        counts.append(built[0])
+    assert counts[0] == counts[1] <= 4, counts
+
+
 def _broken(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
     """The coloring with one vertex moved into a neighbor's radius-1 class."""
     a = dict(coloring.assignment)
@@ -151,6 +184,18 @@ def _break_extension(monkeypatch):
     monkeypatch.setattr(clawcolor.colorer, "_extension", extension)
 
 
+def _break_in_place(monkeypatch):
+    """A K3 or diamond component whose up vertex takes its neighbor's 1a."""
+    real = clawcolor.colorer._color_k3_or_diamond
+
+    def color_k3_or_diamond(verts, xs, forced, kind):
+        colors = real(verts, xs, forced, kind)
+        colors[xs[0]] = C1A
+        return colors
+
+    monkeypatch.setattr(clawcolor.colorer, "_color_k3_or_diamond", color_k3_or_diamond)
+
+
 def _break_two_edge_connected(monkeypatch):
     real = clawcolor.colorer._two_edge_connected
 
@@ -165,20 +210,23 @@ def _break_two_edge_connected(monkeypatch):
     [
         (_break_extension, "bridged_star", "prism"),
         (_break_two_edge_connected, "prism", "bridged_star"),
+        (_break_in_place, "chain50", "prism"),
+        (_break_in_place, "bridged_star", "prism"),
     ],
-    ids=["extension", "two_edge_connected"],
+    ids=["extension", "two_edge_connected", "in_place_diamond", "in_place_k3"],
 )
 def test_a_bug_in_any_layer_is_still_caught(
     named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy
 ):
+    graphs = {**named_fixtures, **_inputs(named_fixtures)}
     break_layer(monkeypatch)
     with pytest.raises(VerificationFailedError):
-        color_claw_free_cubic(named_fixtures[victim])
+        color_claw_free_cubic(graphs[victim])
 
     paths = []
     for i, name in enumerate((healthy, victim, healthy)):
         path = tmp_path / f"{i}-{name}.el"
-        path.write_text(emit_edgelist(named_fixtures[name]))
+        path.write_text(emit_edgelist(graphs[name]))
         paths.append(str(path))
     assert main(["color", "--json", *paths]) == 5
     first, bad, last = json_reports(capsys.readouterr().out)
@@ -375,7 +423,7 @@ ENTRY_REJECTIONS = [
     (build_bridge_tree, _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
     (build_bridge_tree, _diamond, NotCubicError, "input graph is not cubic"),
     (build_bridge_tree, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
-    (oum_decompose, _h10, NotSimpleError, "structure decomposition requires a simple graph"),
+    (oum_decompose, _h10, NotSimpleError, "input must be a simple graph"),
     (oum_decompose, _two_triangles, NotTwoEdgeConnectedError, "input graph is disconnected"),
     (oum_decompose, _diamond, NotCubicError, "input graph is not cubic"),
     (oum_decompose, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),

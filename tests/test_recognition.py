@@ -20,8 +20,8 @@ from clawcolor import (
     is_ring_of_diamonds,
     random_expansion_spec,
 )
-from clawcolor.errors import DisconnectedError
-from clawcolor.recognition import _bridges, _local_scan
+from clawcolor.errors import DisconnectedError, StructureViolationError
+from clawcolor.recognition import _bridges, _classify_component, _local_scan
 
 from brute import (
     bfs_distances,
@@ -29,6 +29,7 @@ from brute import (
     bridge_tree_root_brute,
     bridges_by_iterator_dfs,
     bridges_by_removal,
+    classify_component_by_subgraphs,
     find_claw_brute,
     find_diamonds,
     multigraph_isomorphic,
@@ -166,6 +167,47 @@ def test_bridge_tree_matches_sweeps_reference(
         want = bridge_tree_by_sweeps(g, find_bridges(g))
         for f in fields(BridgeTree):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def _kind_or_error(classify, g, verts, deg_in):
+    try:
+        return classify(g, verts, deg_in)
+    except StructureViolationError as e:
+        return type(e), str(e)
+
+
+def test_classify_component_matches_reference_on_broken_degrees(
+    bridged_trees, random_bridged_trees
+):
+    """Same kind, or the same error class and message, as the `any`/`all` passes.
+
+    Each component is classified with its true inside degrees, then with
+    the degrees of a few of its vertices redrawn from 0 to 4, and as a
+    single vertex.
+    """
+    rng = SplitMix64(0xC1A55)
+    outcomes = set()
+    for g in [g for _, g in bridged_trees] + random_bridged_trees:
+        bridges = find_bridges(g)
+        if not bridges:
+            continue
+        bt = build_bridge_tree(g)
+        deg_in = [3] * g.n
+        for v in (v for e in bridges for v in e):
+            deg_in[v] -= 1
+        for c, verts in enumerate(bt.components):
+            assert _classify_component(g, verts, deg_in) is bt.kinds[c]
+            cases = [(verts[:1], deg_in)]
+            for _ in range(3):
+                broken = deg_in[:]
+                for _ in range(1 + rng.randrange(2)):
+                    broken[verts[rng.randrange(len(verts))]] = rng.randrange(5)
+                cases.append((verts, broken))
+            for vs, degs in cases:
+                got = _kind_or_error(_classify_component, g, vs, degs)
+                assert got == _kind_or_error(classify_component_by_subgraphs, g, vs, degs)
+                outcomes.add(got if isinstance(got, ComponentKind) else got[0])
+    assert len(outcomes) == 6, outcomes
 
 
 def test_bridge_tree_bridgeless_single_node():
