@@ -13,6 +13,8 @@ import json
 import sys
 import time
 import traceback
+from collections.abc import Iterator
+from itertools import chain, islice
 
 from . import __version__
 from .coloring import SPackingSpec, parse_coloring_lines
@@ -95,17 +97,28 @@ def _failed(report: dict, kind: str, message: str, code: int) -> dict:
     return report
 
 
-def _color_file(path: str, fmt: str) -> list[dict]:
-    """One report per graph in the file: each non-empty graph6 line is one."""
+def _color_file(path: str, fmt: str) -> Iterator[dict]:
+    """One report per graph in the file, each as soon as its graph is done.
+
+    Each non-empty graph6 line is one graph.
+    """
     if not _is_graph6(path, fmt):
-        return [_color_one(path, lambda: parse_edgelist(_read_text(path), cubic=True))]
+        yield _color_one(path, lambda: parse_edgelist(_read_text(path), cubic=True))
+        return
     try:
         lines = _graph6_lines(_read_text(path))
     except (OSError, UnicodeDecodeError) as exc:
-        return [_failed({"input": path, "outcome": "error"}, "io", str(exc), EXIT_IO)]
+        yield _failed({"input": path, "outcome": "error"}, "io", str(exc), EXIT_IO)
+        return
     if not lines:
-        return [_color_one(path, lambda: parse_graph6(""))]
-    return [_color_one(f"{path}:{i}", lambda ln=ln: parse_graph6(ln)) for i, ln in lines]
+        yield _color_one(path, lambda: parse_graph6(""))
+    for i, ln in lines:
+        yield _color_one(f"{path}:{i}", lambda ln=ln: parse_graph6(ln))
+
+
+def _color_file_at_once(path: str, fmt: str) -> list[dict]:
+    """`_color_file` as one list: what a worker process sends back."""
+    return list(_color_file(path, fmt))
 
 
 def _color_one(label: str, parse) -> dict:
@@ -138,23 +151,34 @@ def _color_one(label: str, parse) -> dict:
     return report
 
 
-def cmd_color(args) -> int:
-    paths = args.paths
-    if args.jobs > 1 and len(paths) > 1 and "-" not in paths:
+def _reports(paths: list[str], fmt: str, jobs: int) -> Iterator[dict]:
+    """Every report of the batch in input order, each as soon as it is done."""
+    if jobs > 1 and len(paths) > 1 and "-" not in paths:
         # imported only here: loading it adds to every run's start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(_color_file, paths, [args.format] * len(paths)))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for batch in pool.map(_color_file_at_once, paths, [fmt] * len(paths)):
+                yield from batch
     else:
-        batches = [_color_file(p, args.format) for p in paths]
-    reports = [report for batch in batches for report in batch]
+        for path in paths:
+            yield from _color_file(path, fmt)
+
+
+def cmd_color(args) -> int:
+    reports = _reports(args.paths, args.format, args.jobs)
+    # `# <input>` headers go out when the batch has more than one report.
+    # Every path gives at least one, so only a single path leaves that
+    # open: its first report waits for a second one or for the end.
+    several = len(args.paths) > 1
+    head = list(islice(reports, 1 if several else 2))
+    several = several or len(head) > 1
     worst = EXIT_OK
-    for report in reports:
+    for report in chain(head, reports):
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         elif report["outcome"] == "colored":
-            if len(reports) > 1:
+            if several:
                 print(f"# {report['input']}")
             for v, label in report["coloring"].items():
                 print(f"{v} {label}")

@@ -145,8 +145,7 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
 
 def maximum_matching(g: MultiGraph) -> Matching:
     """Maximum cardinality matching; parallel copies collapse to one edge."""
-    adj = [list(g.neighbors(v)) for v in range(g.n)]
-    mate = _max_matching_simple(g.n, adj)
+    mate = _max_matching_simple(g.n, g.adjacency())
     slots = tuple(
         sorted((v, mate[v], 0) for v in range(g.n) if mate[v] > v)
     )
@@ -179,7 +178,7 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
     that vertex's first factor slot in sorted order.
     """
     n = h.n
-    adj = [h.neighbors(v) for v in range(n)]
+    adj = list(h.adjacency())
     for u, v, _ in banned:
         if all((u, v, k) in banned for k in range(h.multiplicity(u, v))):
             adj[u] = [w for w in adj[u] if w != v]

@@ -1,12 +1,17 @@
 """Loop-free undirected multigraphs with dense integer vertex ids.
 
-A MultiGraph stores each unordered pair at most once together with its
-multiplicity, so the edge multiset is always canonical.  Instances are
-immutable after construction; "mutating" helpers return new graphs.
+A MultiGraph stores each vertex's distinct neighbours as a sorted list,
+its degree (with multiplicity), and a dict holding the multiplicity of
+only the pairs with two or more parallel copies.  A simple graph keeps
+that dict empty, so it costs no more than its adjacency lists.  The
+stored form is canonical: it does not depend on the order of the input
+edges.  Instances are immutable after construction; "mutating" helpers
+return new graphs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import LoopEdgeError, VertexOutOfRangeError
@@ -19,33 +24,36 @@ Slot = tuple[int, int, int]
 class MultiGraph:
     """Immutable loop-free multigraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_mult", "_adj", "_deg")
+    __slots__ = ("n", "_adj", "_deg", "_par")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        mult: dict[tuple[int, int], int] = {}
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise LoopEdgeError(u)
-            for x in (u, v):
-                if not 0 <= x < n:
-                    raise VertexOutOfRangeError(x, n)
-            key = (u, v) if u < v else (v, u)
-            mult[key] = mult.get(key, 0) + 1
-        adj: list[list[int]] = [[] for _ in range(n)]
-        deg = [0] * n
-        for (u, v), m in mult.items():
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRangeError(v if 0 <= u < n else u, n)
             adj[u].append(v)
             adj[v].append(u)
-            deg[u] += m
-            deg[v] += m
-        for lst in adj:
-            lst.sort()
+        deg = [len(a) for a in adj]
+        # multiplicity of each pair (u, w), u < w, that has parallel copies
+        par: dict[tuple[int, int], int] = {}
+        for u, a in enumerate(adj):
+            a.sort()
+            if len(set(a)) < len(a):
+                distinct = [a[0]]
+                for w in a[1:]:
+                    if w != distinct[-1]:
+                        distinct.append(w)
+                    elif u < w:
+                        par[u, w] = par.get((u, w), 1) + 1
+                adj[u] = distinct
         self.n = n
-        self._mult = mult
         self._adj = adj
         self._deg = deg
+        self._par = par
 
     # basic queries
 
@@ -67,15 +75,29 @@ class MultiGraph:
         return self._adj
 
     def multiplicity(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self._mult.get(key, 0)
+        """Copies of the pair {u, v}; 0 for an absent pair or an id out of range."""
+        if not 0 <= u < self.n:
+            return 0
+        a = self._adj[u]
+        i = bisect_left(a, v)
+        if i == len(a) or a[i] != v:
+            return 0
+        if not self._par:
+            return 1
+        return self._par.get((u, v) if u < v else (v, u), 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0
 
     def edge_pairs(self) -> list[tuple[int, int, int]]:
         """Sorted list of (u, v, multiplicity) with u < v."""
-        return sorted((u, v, m) for (u, v), m in self._mult.items())
+        par = self._par
+        return [
+            (u, w, par.get((u, w), 1) if par else 1)
+            for u, a in enumerate(self._adj)
+            for w in a
+            if u < w
+        ]
 
     def slots(self) -> list[Slot]:
         """All edge slots, sorted; parallel copies get k = 0, 1, ..."""
@@ -91,10 +113,10 @@ class MultiGraph:
     @property
     def size(self) -> int:
         """Edge count with multiplicity."""
-        return sum(self._mult.values())
+        return sum(self._deg) // 2
 
     def is_simple(self) -> bool:
-        return all(m == 1 for m in self._mult.values())
+        return not self._par
 
     # derived graphs
 
@@ -102,12 +124,12 @@ class MultiGraph:
         """New graph with the given edge slots deleted."""
         drop: dict[tuple[int, int], int] = {}
         for u, v, k in removed:
-            key = (u, v) if u < v else (v, u)
-            if k >= self._mult.get(key, 0):
+            if k >= self.multiplicity(u, v):
                 raise ValueError(f"slot {(u, v, k)} not present")
+            key = (u, v) if u < v else (v, u)
             drop[key] = drop.get(key, 0) + 1
         edges = []
-        for (u, v), m in self._mult.items():
+        for u, v, m in self.edge_pairs():
             m -= drop.get((u, v), 0)
             if m < 0:
                 raise ValueError(f"removed more copies of {(u, v)} than exist")
@@ -123,13 +145,19 @@ class MultiGraph:
 
         Returns (subgraph, to_global) where to_global[i] is the original id
         of local vertex i.  Local ids follow the sorted order of `vertices`.
+        An id outside the graph becomes an isolated local vertex.
         """
         to_global = sorted(set(vertices))
         to_local = {g: i for i, g in enumerate(to_global)}
+        adj, par, n = self._adj, self._par, self.n
         edges = []
-        for (u, v), m in self._mult.items():
-            if u in to_local and v in to_local:
-                edges.extend([(to_local[u], to_local[v])] * m)
+        for i, u in enumerate(to_global):
+            if not 0 <= u < n:
+                continue
+            for w in adj[u]:
+                if u < w and w in to_local:
+                    m = par.get((u, w), 1) if par else 1
+                    edges.extend([(i, to_local[w])] * m)
         return MultiGraph(len(to_global), edges), to_global
 
     def induced_parts(
@@ -140,10 +168,10 @@ class MultiGraph:
         part_of[v] is the class of vertex v; classes are 0..max(part_of).
         For each class i in `order`, yields what `induced` returns for the
         vertices of class i: local ids follow the ascending order of those
-        vertices.  One scan of the edges serves every class, so the cost is
-        O(n + m) in all.  Vertices and edges are collected only for the
-        classes in `order`, and each subgraph is built only when its turn
-        comes.
+        vertices.  One scan of the adjacency serves every class, so the
+        cost is O(n + m) in all.  Vertices and edges are collected only for
+        the classes in `order`, and each subgraph is built only when its
+        turn comes.
         """
         if len(part_of) != self.n:
             raise ValueError(f"partition covers {len(part_of)} vertices, graph has {self.n}")
@@ -158,17 +186,23 @@ class MultiGraph:
             if members is not None:
                 local[v] = len(members)
                 members.append(v)
-        for (u, v), m in self._mult.items():
+        par = self._par
+        for u, a in enumerate(self._adj):
             p = part_of[u]
-            if p == part_of[v] and edges[p] is not None:
-                edges[p].extend([(local[u], local[v])] * m)
+            out = edges[p]
+            if out is None:
+                continue
+            for w in a:
+                if u < w and part_of[w] == p:
+                    m = par.get((u, w), 1) if par else 1
+                    out.extend([(local[u], local[w])] * m)
         for p in order:
             yield MultiGraph(len(to_global[p]), edges[p]), to_global[p]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
-        return self.n == other.n and self._mult == other._mult
+        return self.n == other.n and self._adj == other._adj and self._par == other._par
 
     def __hash__(self):
         return hash((self.n, tuple(self.edge_pairs())))

@@ -930,7 +930,7 @@ def induced_parts_by_subgraphs(
         local[v] = len(to_global[p])
         to_global[p].append(v)
     edges: list[list[tuple[int, int]]] = [[] for _ in to_global]
-    for (u, v), m in g._mult.items():
+    for u, v, m in g.edge_pairs():
         p = part_of[u]
         if p == part_of[v]:
             edges[p].extend([(local[u], local[v])] * m)

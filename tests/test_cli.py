@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -394,3 +395,89 @@ def test_decompose_validates_once(fixture_files, capsys, monkeypatch, name):
     # one bridge search and one local scan of the input; H gets its own search
     assert searched.count(g) == 1
     assert scanned == [g]
+
+
+# `color` stdout as the batch-at-once printer wrote it, pinned byte for byte.
+_K4_OUT = "0 1a\n1 1b\n2 2a\n3 2b\nVERIFIED\n"
+_PRISM_OUT = "0 2a\n1 1b\n2 1a\n3 2b\n4 1a\n5 1b\nVERIFIED\n"
+_K4_PRISM_OUT = "# k4.el\n" + _K4_OUT + "# prism.el\n" + _PRISM_OUT
+_K4_PRISM_JSON = """\
+{
+  "coloring": {
+    "0": "1a",
+    "1": "1b",
+    "2": "2a",
+    "3": "2b"
+  },
+  "elapsed_s": 0,
+  "exit": 0,
+  "input": "k4.el",
+  "n": 4,
+  "outcome": "colored",
+  "verified": true
+}
+{
+  "coloring": {
+    "0": "2a",
+    "1": "1b",
+    "2": "1a",
+    "3": "2b",
+    "4": "1a",
+    "5": "1b"
+  },
+  "elapsed_s": 0,
+  "exit": 0,
+  "input": "prism.el",
+  "n": 6,
+  "outcome": "colored",
+  "verified": true
+}
+"""
+
+
+@pytest.fixture
+def batch_dir(tmp_path, monkeypatch):
+    """K4, the prism and Petersen as edge lists; K4 alone and K4, prism, K4 as graph6."""
+    fx = fixtures()
+    for name in ("k4", "prism", "petersen"):
+        (tmp_path / f"{name}.el").write_text(emit_edgelist(fx[name]))
+    (tmp_path / "k4.g6").write_text("C~\n")
+    (tmp_path / "three.g6").write_text(f"C~\n{emit_graph6(fx['prism'])}\nC~\n")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["k4.el"], 0, _K4_OUT),
+        (["k4.el", "prism.el"], 0, _K4_PRISM_OUT),
+        (["k4.g6"], 0, _K4_OUT),
+        (
+            ["three.g6"],
+            0,
+            "# three.g6:1\n" + _K4_OUT + "# three.g6:2\n" + _PRISM_OUT + "# three.g6:3\n" + _K4_OUT,
+        ),
+        (["--jobs", "2", "k4.el", "prism.el"], 0, _K4_PRISM_OUT),
+        (["k4.el", "petersen.el"], 2, "# k4.el\n" + _K4_OUT),
+        (["--json", "k4.el", "prism.el"], 0, _K4_PRISM_JSON),
+    ],
+    ids=["one-file", "two-files", "one-graph-g6", "three-graph-g6", "jobs-2", "rejection", "json"],
+)
+def test_color_stdout_is_pinned(batch_dir, capsys, argv, code, out):
+    assert main(["color", *argv]) == code
+    printed = capsys.readouterr().out
+    assert re.sub(r'"elapsed_s": [^,]+', '"elapsed_s": 0', printed) == out
+
+
+def test_color_prints_each_report_before_reading_the_next_file(batch_dir, capsys, monkeypatch):
+    read = clawcolor.cli._read_text
+    printed_before = {}
+
+    def read_and_look(path):
+        printed_before[path] = capsys.readouterr().out
+        return read(path)
+
+    monkeypatch.setattr(clawcolor.cli, "_read_text", read_and_look)
+    assert main(["color", "k4.el", "prism.el"]) == 0
+    assert printed_before == {"k4.el": "", "prism.el": "# k4.el\n" + _K4_OUT}
+    assert capsys.readouterr().out == "# prism.el\n" + _PRISM_OUT

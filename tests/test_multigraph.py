@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,3 +161,159 @@ def test_bridge_tree_components_in_one_pass(bridged_trees):
             expected_sub, expected_to_global = g.induced(comp)
             assert sub == expected_sub, name
             assert to_global == expected_to_global, name
+
+
+# Definition-level checks: a MultiGraph must answer every query as the
+# Counter of its normalised edge pairs does.  Few vertices and many edges,
+# so parallel pairs are common.
+multisets = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=24,
+        ),
+    )
+)
+
+
+def pair_counts(edges) -> Counter:
+    return Counter((min(e), max(e)) for e in edges)
+
+
+def pairs_of(counts: Counter) -> list[tuple[int, int, int]]:
+    return sorted((u, v, m) for (u, v), m in counts.items() if m)
+
+
+def slots_of(counts: Counter) -> list[tuple[int, int, int]]:
+    return [(u, v, k) for u, v, m in pairs_of(counts) for k in range(m)]
+
+
+def restricted(counts: Counter, vertices) -> list[tuple[int, int, int]]:
+    """The edge pairs among `vertices`, renumbered in ascending id order."""
+    local = {v: i for i, v in enumerate(sorted(vertices))}
+    return pairs_of(
+        Counter({(local[u], local[v]): m for (u, v), m in counts.items() if u in local and v in local})
+    )
+
+
+@given(multisets)
+def test_queries_match_pair_counts(data):
+    n, edges = data
+    g = MultiGraph(n, edges)
+    counts = pair_counts(edges)
+    nbrs = [sorted({w for pair in counts for w in pair if v in pair and w != v}) for v in range(n)]
+    assert [g.neighbors(v) for v in range(n)] == g.adjacency() == nbrs
+    assert [g.degree(v) for v in range(n)] == g.degrees()
+    assert g.degrees() == [sum(m for pair, m in counts.items() if v in pair) for v in range(n)]
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            m = counts[min(u, v), max(u, v)]
+            assert g.multiplicity(u, v) == m
+            assert g.has_edge(u, v) == (m > 0)
+    assert g.edge_pairs() == pairs_of(counts)
+    assert g.slots() == slots_of(counts)
+    assert g.edge_list() == [(u, v) for u, v, _ in slots_of(counts)]
+    assert g.size == len(edges)
+    assert g.is_simple() == all(m == 1 for m in counts.values())
+
+
+@given(multisets, st.data())
+def test_equality_and_hash_ignore_edge_order(graph, data):
+    n, edges = graph
+    g = MultiGraph(n, edges)
+    shuffled = data.draw(st.permutations(edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    same = MultiGraph(n, [(v, u) if f else (u, v) for (u, v), f in zip(shuffled, flips)])
+    assert same == g
+    assert hash(same) == hash(g) == hash((n, tuple(pairs_of(pair_counts(edges)))))
+    assert MultiGraph(n + 1, edges) != g
+    if n >= 2:
+        assert MultiGraph(n, edges + [(0, 1)]) != g
+
+
+@given(multisets, st.data())
+def test_with_edges_and_without_slots_match_pair_counts(graph, data):
+    n, edges = graph
+    g = MultiGraph(n, edges)
+    counts = pair_counts(edges)
+    extra = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]))
+    )
+    assert g.with_edges(extra).edge_pairs() == pairs_of(counts + pair_counts(extra))
+    slots = slots_of(counts)
+    removed = data.draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    left = counts - Counter((u, v) for u, v, _ in removed)
+    assert g.without_slots(removed).edge_pairs() == pairs_of(left)
+    if n >= 2:
+        u, v = data.draw(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)]))
+        with pytest.raises(ValueError, match="not present"):
+            g.without_slots([(u, v, counts[u, v])])
+    if slots:
+        u, v, _ = data.draw(st.sampled_from(slots))
+        with pytest.raises(ValueError, match="removed more copies"):
+            g.without_slots([(u, v, 0)] * (counts[u, v] + 1))
+
+
+@given(multisets, st.data())
+def test_induced_match_pair_counts(graph, data):
+    n, edges = graph
+    g = MultiGraph(n, edges)
+    counts = pair_counts(edges)
+    vertices = data.draw(st.lists(st.integers(0, n - 1)))
+    sub, to_global = g.induced(vertices)
+    assert to_global == sorted(set(vertices))
+    assert sub.n == len(to_global)
+    assert sub.edge_pairs() == restricted(counts, to_global)
+    part_of = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    classes = data.draw(st.lists(st.integers(0, max(part_of)), unique=True))
+    parts = list(g.induced_parts(part_of, classes))
+    assert len(parts) == len(classes)
+    for p, (sub, to_global) in zip(classes, parts):
+        assert to_global == [v for v in range(n) if part_of[v] == p]
+        assert sub.n == len(to_global)
+        assert sub.edge_pairs() == restricted(counts, to_global)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=8)
+        )
+    )
+)
+def test_first_bad_edge_decides_the_error(data):
+    """A loop is reported before a range error, and u before v."""
+    n, edges = data
+    for u, v in edges:
+        if u == v:
+            with pytest.raises(LoopEdgeError) as info:
+                MultiGraph(n, edges)
+            break
+        bad = next((x for x in (u, v) if not 0 <= x < n), None)
+        if bad is not None:
+            with pytest.raises(VertexOutOfRangeError) as info:
+                MultiGraph(n, edges)
+            break
+    else:
+        assert MultiGraph(n, edges).size == len(edges)
+        return
+    assert info.value.vertex == (u if u == v else bad)
+
+
+def test_bytes_per_vertex(large_graphs):
+    """The 9,216-vertex built graph: a simple graph stores its neighbour lists and no per-edge dict."""
+    name, g = large_graphs[0]
+    assert name == "built-h1024"
+    n, edges = g.n, g.edge_list()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = MultiGraph(n, edges)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built == g
+    assert held / n < 160, f"{held / n:.0f} bytes per vertex"
