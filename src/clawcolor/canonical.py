@@ -130,13 +130,14 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
 
 
 def _lift_slot(dec: Decomposition, edge: tuple[int, int]):
+    """The slot of the H-edge whose realization contains `edge`."""
     key = (min(edge), max(edge))
-    slot = dec.edge_slot.get(key)
-    if slot is None:
-        raise EdgeNotLiftableError(
-            f"edge {key} lies inside a triangle or a diamond; no H-edge image"
-        )
-    return slot
+    for e in dec.h_edges:
+        if key in e.connector_edges():
+            return e.slot
+    raise EdgeNotLiftableError(
+        f"edge {key} lies inside a triangle or a diamond; no H-edge image"
+    )
 
 
 def canonical_color_with_edge(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -157,7 +158,9 @@ def _reports(paths: list[str], fmt: str, jobs: int) -> Iterator[dict]:
         # imported only here: loading it adds to every run's start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork the pool starts all its workers at the first submit
+        workers = min(jobs, len(paths), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(_color_file_at_once, paths, [fmt] * len(paths)):
                 yield from batch
     else:

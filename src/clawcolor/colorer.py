@@ -204,8 +204,6 @@ def _color_even_component(
             f"even completion produced variant {dec.variant}; expected built"
         )
     sub_col = _with_matched_edge(tilde, dec, (xs[0], xs[1]))
-    if sub_col.assignment[xs[0]] != C2A:
-        sub_col = sub_col.transposed(C2A, C2B)
     return dict(sub_col.assignment), _diamond_vertices(dec)
 
 

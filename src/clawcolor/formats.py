@@ -97,10 +97,10 @@ def parse_graph6(text: str) -> MultiGraph:
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()
+    for ch in s:
+        if not "?" <= ch <= "~":
+            raise MalformedInputError(f"byte {ord(ch)} outside graph6 range")
     data = s.encode("ascii")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise MalformedInputError(f"byte {b} outside graph6 range")
     n, at = _g6_decode_n(data)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6

@@ -9,9 +9,10 @@ In a claw-free cubic graph every vertex lies on a triangle, so the claw
 check, the induced diamonds and the triangles off the diamonds can all be
 read from the closed neighborhoods.  `_local_scan` does that in one pass,
 and the pipeline's entry check `_require_claw_free_cubic` tests, in this
-order, that the input is simple, connected (from the DFS of the bridge
-search, whose bridges it keeps), cubic, and claw-free (from the scan, which
-it keeps for the decomposition).  `find_claw` stays for arbitrary graphs.
+order, that the input is simple, non-empty, connected (from the DFS of the
+bridge search, whose bridges it keeps), cubic, and claw-free (from the scan,
+which it keeps for the decomposition).  `find_claw` stays for arbitrary
+graphs.
 
 For the same reason at most one edge at each vertex is a bridge, so
 `_bridge_tree` keeps per vertex only the other end of its bridge and its
@@ -280,13 +281,15 @@ def _classify_component(
 
 
 def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], LocalScan]:
-    """Raise unless g is simple, connected, cubic and claw-free, checked in that order.
+    """Raise unless g is simple, non-empty, connected, cubic and claw-free, in that order.
 
     Returns what the checks computed: the bridges, from the DFS that also
     decides connectivity, and the local scan, which is the claw check.
     """
     if not g.is_simple():
         raise NotSimpleError("input must be a simple graph")
+    if g.n == 0:
+        raise DisconnectedError("input graph has no vertices")
     bridges = _bridges(g)
     if bridges is None:
         raise DisconnectedError("input graph is disconnected")

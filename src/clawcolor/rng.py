@@ -39,8 +39,3 @@ class SplitMix64:
         for i in range(len(seq) - 1, 0, -1):
             j = self.randrange(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def sample(self, seq, k: int) -> list:
-        pool = list(seq)
-        self.shuffle(pool)
-        return pool[:k]

@@ -10,8 +10,20 @@ The triangles and diamonds come from `recognition._local_scan`, as lists
 indexed per vertex.  `color_claw_free_cubic` hands over the scan its entry
 check ran; a completed component of a bridged graph is scanned here.  The
 decomposition then walks from each triangle corner's outside neighbor
-through any diamond string to the next corner, and checks that the
-reconstructed H is cubic and bridgeless.
+through any diamond string to the next corner.
+
+The reconstructed H is cubic and bridgeless by construction, so neither is
+checked again:
+
+  * Cubic.  The walk raises unless each triangle corner has exactly one
+    outside edge, and it rejects H-loops.  A walk is deterministic and
+    reversible, so each corner ends exactly one realization.
+  * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
+    size.  On the pipeline path, G's entry bridge search found no bridge;
+    for a completed component of a bridged graph, the construction of the
+    completion guarantees it.  A violation would surface as
+    `_complement`'s InternalInvariantError or as the exit certificate's
+    VerificationFailedError.
 """
 
 from __future__ import annotations
@@ -24,13 +36,12 @@ from .errors import (
     NotTwoEdgeConnectedError,
     StructureViolationError,
 )
-from .multigraph import MultiGraph, Slot, is_cubic
+from .multigraph import MultiGraph, Slot
 from .recognition import (
     Diamond,
     LocalScan,
     _local_scan,
     _require_claw_free_cubic,
-    find_bridges,
     is_k4,
 )
 
@@ -100,7 +111,6 @@ class Decomposition:
     h: MultiGraph | None = None
     h_edges: tuple[HEdge, ...] = ()
     slot_edge: dict[Slot, HEdge] = field(default_factory=dict)
-    edge_slot: dict[tuple[int, int], Slot] = field(default_factory=dict)
 
     def string_lengths(self) -> list[int]:
         """Lengths of the non-empty diamond strings, sorted."""
@@ -217,23 +227,10 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         counts[(ha, hb)] = k + 1
         h_edges.append(HEdge(slot=(ha, hb, k), end_u=end_a, end_v=end_b, diamonds=seq))
 
-    h = MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges])
-    if not is_cubic(h):
-        raise StructureViolationError("reconstructed multigraph H is not cubic")
-    if find_bridges(h):
-        raise StructureViolationError("reconstructed multigraph H has bridges")
-
-    slot_edge = {e.slot: e for e in h_edges}
-    edge_slot: dict[tuple[int, int], Slot] = {}
-    for e in h_edges:
-        for pair in e.connector_edges():
-            edge_slot[pair] = e.slot
-
     return Decomposition(
         variant=Variant.BUILT,
         triangles=tuple(triangles),
-        h=h,
+        h=MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges]),
         h_edges=tuple(h_edges),
-        slot_edge=slot_edge,
-        edge_slot=edge_slot,
+        slot_edge={e.slot: e for e in h_edges},
     )

@@ -578,19 +578,12 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     if find_bridges(h):
         raise StructureViolationError("reconstructed multigraph H has bridges")
 
-    slot_edge = {e.slot: e for e in h_edges}
-    edge_slot: dict[tuple[int, int], Slot] = {}
-    for e in h_edges:
-        for pair in e.connector_edges():
-            edge_slot[pair] = e.slot
-
     return Decomposition(
         variant=Variant.BUILT,
         triangles=tuple(triangles),
         h=h,
         h_edges=tuple(h_edges),
-        slot_edge=slot_edge,
-        edge_slot=edge_slot,
+        slot_edge={e.slot: e for e in h_edges},
     )
 
 

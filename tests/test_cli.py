@@ -72,6 +72,44 @@ def test_color_multiple_files_with_jobs(fixture_files, capsys):
     assert out.count("VERIFIED") == 2
 
 
+def test_jobs_never_asks_for_more_workers_than_files_or_cpus(
+    fixture_files, capsys, monkeypatch
+):
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    paths = [fixture_files[name] for name in ("k4", "prism", "bridged_star")]
+    assert main(["color", "--jobs", "100000", *paths]) == 0
+    assert main(["color", "--jobs", "2", *paths]) == 0
+    assert capsys.readouterr().out.count("VERIFIED") == 6
+    cpus = os.cpu_count() or 1
+    assert asked == [min(3, cpus), min(2, cpus)]
+
+
+def test_color_null_graph_is_a_precondition_error(tmp_path, capsys):
+    p = tmp_path / "null.el"
+    p.write_text("0\n")
+    assert main(["color", "--json", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == {"kind": "precondition", "message": "input graph has no vertices"}
+
+
 def json_reports(text):
     """The concatenated JSON reports `color --json` prints, in order."""
     decoder = json.JSONDecoder()
@@ -342,6 +380,25 @@ def test_color_graph6_lines_text_mode(multi_g6, capsys):
     assert f"{multi_g6}:5: error (not-claw-free)" in captured.err
 
 
+def test_color_non_ascii_graph6_is_an_io_error(tmp_path, capsys):
+    p = tmp_path / "x.g6"
+    p.write_text("Cé\n", encoding="utf-8")
+    assert main(["color", "--json", str(p)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["kind"] == "io"
+    assert report["exit"] == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "decompose"])
+def test_non_ascii_graph6_is_an_io_error(tmp_path, capsys, command):
+    p = tmp_path / "x.g6"
+    p.write_text("Cé\n", encoding="utf-8")
+    assert main([command, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "decompose"])
 def test_single_graph_commands_reject_multi_graph6(tmp_path, capsys, command):
     p = tmp_path / "two.g6"
@@ -392,8 +449,8 @@ def test_decompose_validates_once(fixture_files, capsys, monkeypatch, name):
     monkeypatch.setattr(recognition, "_bridges", lambda h: searched.append(h) or bridges(h))
     monkeypatch.setattr(recognition, "_local_scan", lambda h: scanned.append(h) or local_scan(h))
     assert main(["decompose", fixture_files[name]]) == 0
-    # one bridge search and one local scan of the input; H gets its own search
-    assert searched.count(g) == 1
+    # one bridge search and one local scan of the input; H is not searched
+    assert searched == [g]
     assert scanned == [g]
 
 

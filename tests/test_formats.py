@@ -58,6 +58,12 @@ def test_graph6_header_tolerated():
     assert parse_graph6(">>graph6<<C~").n == 4
 
 
+@pytest.mark.parametrize("text", ["Cé", "C\udce9"], ids=["non-ascii", "lone-surrogate"])
+def test_graph6_rejects_characters_outside_its_range(text):
+    with pytest.raises(MalformedInputError):
+        parse_graph6(text)
+
+
 def test_graph6_rejects_multigraph():
     with pytest.raises(Graph6MultiedgeError):
         emit_graph6(MultiGraph(2, [(0, 1), (0, 1)]))

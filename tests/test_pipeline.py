@@ -7,6 +7,7 @@ connectivity check is the bridge search's DFS.  The public functions the
 pipeline is built from keep their own checks and certificates.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -39,6 +40,7 @@ from clawcolor import (
     gen_ring_of_diamonds,
     matching_through,
     oum_decompose,
+    random_expansion_spec,
     two_factor,
     two_factor_through,
 )
@@ -46,6 +48,7 @@ from clawcolor import multigraph, oracle, recognition, structure
 from clawcolor.cli import main
 from clawcolor.errors import (
     DisconnectedError,
+    InternalInvariantError,
     NotBridgelessError,
     NotClawFreeError,
     NotCubicError,
@@ -77,7 +80,11 @@ def _inputs(named_fixtures):
         "chain50": gen_bridged(
             [("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50)
         ),
+        # three Type III components, each completed and decomposed
+        "type3_path": gen_bridged([("type3", 1), ("type3", 2), ("type3", 1)], SplitMix64(0)),
         "built": _built(),
+        "prism": named_fixtures["prism"],
+        "big_expansion": named_fixtures["big_expansion"],
         "ring": gen_ring_of_diamonds(7),
         "k4": MultiGraph(4, K4_EDGES),
     }
@@ -98,15 +105,21 @@ def _count_calls(monkeypatch, fn, when=lambda *args: True) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("name", ["bridged_star", "chain50", "built", "ring", "k4"])
+@pytest.mark.parametrize(
+    "name", ["bridged_star", "chain50", "type3_path", "built", "prism", "big_expansion", "ring", "k4"]
+)
 def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, capsys, name):
-    """One entry check, one local scan and one certificate per coloring.
+    """One entry check, one local scan, one bridge search, one cubic check
+    and one certificate per coloring.
 
     The only other scans are the ones a completed component's `_decompose`
     runs for itself; no BFS runs only to decide connectivity, and the
     attachment vertices come from the bridge tree, never from a rescan.
+    Neither H nor a completion is searched for bridges or checked for
+    being cubic again.
     """
     g = _inputs(named_fixtures)[name]
+    bridged = bool(find_bridges(g))
     verifies = _count_calls(monkeypatch, oracle.verify)
     entries = _count_calls(monkeypatch, recognition._require_claw_free_cubic)
     scans = _count_calls(monkeypatch, recognition._local_scan)
@@ -116,21 +129,23 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
     attachments = _count_calls(monkeypatch, clawcolor.colorer._attachments)
+    searches = _count_calls(monkeypatch, recognition._bridges)
+    cubic = _count_calls(monkeypatch, multigraph.is_cubic)
 
     def counts():
         return (verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0],
-                attachments[0])
+                attachments[0], searches[0], cubic[0])
 
     color_claw_free_cubic(g)
-    assert counts() == (1, 1, 1, 0, 0, 0)
-    if not find_bridges(g):
+    assert counts() == (1, 1, 1, 0, 0, 0, 1, 1)
+    if not bridged:
         assert own_scans[0] == 0
 
     path = tmp_path / f"{name}.el"
     path.write_text(emit_edgelist(g))
     assert main(["color", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
-    assert counts() == (2, 2, 2, 0, 0, 0)
+    assert counts() == (2, 2, 2, 0, 0, 0, 2, 2)
 
 
 def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
@@ -236,12 +251,54 @@ def test_a_bug_in_any_layer_is_still_caught(
     assert bad["error"]["message"].startswith("VerificationFailedError")
 
 
+# seeds of `_seeded_built` whose broken contraction the certificate catches
+MUTANT_SEEDS = [1, 4, 5, 12, 17, 30, 38, 45]
+
+
+def _seeded_built(seed: int) -> MultiGraph:
+    """A built graph over H of order 2 to 32, strings of length 0 to 2."""
+    rng = SplitMix64(0x3A7 + seed)
+    h = gen_cubic_multigraph((2, 4, 6, 8, 16, 32)[seed % 6], rng)
+    return expand_to_clawfree(h, random_expansion_spec(h, rng, 2), rng)
+
+
+@pytest.mark.parametrize("seed", MUTANT_SEEDS)
+def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
+    """`_decompose` does not check H, so a wrong contraction must still fail.
+
+    The mutant swaps the end_u corners of the first two H-edges.  H itself
+    is unchanged, and the coloring still covers every vertex; only the exit
+    certificate can tell.  Over seeds 0 to 61 it catches 51 of the 62
+    graphs; on the other 11, and on the prism and big_expansion fixtures,
+    the swapped coloring happens to stay valid.
+    """
+    real = clawcolor.colorer._decompose
+
+    def swapped_corners(g, local=None):
+        dec = real(g, local)
+        e0, e1 = dec.h_edges[:2]
+        h_edges = (
+            dataclasses.replace(e0, end_u=e1.end_u),
+            dataclasses.replace(e1, end_u=e0.end_u),
+        ) + dec.h_edges[2:]
+        return dataclasses.replace(dec, h_edges=h_edges, slot_edge={e.slot: e for e in h_edges})
+
+    monkeypatch.setattr(clawcolor.colorer, "_decompose", swapped_corners)
+    with pytest.raises(InternalInvariantError) as caught:
+        color_claw_free_cubic(_seeded_built(seed))
+    assert type(caught.value) is VerificationFailedError
+
+
 def _two_k4s(fx):
     return MultiGraph(8, K4_EDGES + [(u + 4, v + 4) for u, v in K4_EDGES])
 
 
 def _diamond(fx):
     return MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+def _null(fx):
+    return MultiGraph(0)
 
 
 def _k4_and_isolated_vertex(fx):
@@ -310,12 +367,12 @@ def _canonical_color(g):
 
 def _with_edge(g):
     dec = oum_decompose(g)
-    return canonical_color_with_edge(g, dec, next(iter(dec.edge_slot)))
+    return canonical_color_with_edge(g, dec, dec.h_edges[0].connector_edges()[0])
 
 
 def _with_matched_edge(g):
     dec = oum_decompose(g)
-    return canonical_color_with_matched_edge(g, dec, next(iter(dec.edge_slot)))
+    return canonical_color_with_matched_edge(g, dec, dec.h_edges[0].connector_edges()[0])
 
 
 def _root(comp):
@@ -412,6 +469,7 @@ def _k33_with_a_triangle(fx):
 ENTRY_REJECTIONS = [
     (color_claw_free_cubic, _h10, NotSimpleError, "input must be a simple graph"),
     (color_claw_free_cubic, _digon_and_k4, NotSimpleError, "input must be a simple graph"),
+    (color_claw_free_cubic, _null, DisconnectedError, "input graph has no vertices"),
     (color_claw_free_cubic, _two_k4s, DisconnectedError, "input graph is disconnected"),
     (color_claw_free_cubic, _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
     (color_claw_free_cubic, _two_triangles, DisconnectedError, "input graph is disconnected"),

@@ -14,6 +14,7 @@ from clawcolor import (
     oum_decompose,
     random_expansion_spec,
 )
+from clawcolor.canonical import _lift_slot
 from clawcolor.errors import NotSimpleError, NotTwoEdgeConnectedError
 from clawcolor.rng import SplitMix64
 from clawcolor.structure import _decompose
@@ -79,7 +80,7 @@ def test_expansion_attach_and_connectors():
     # every connector edge maps back to its slot
     for e in dec.h_edges:
         for pair in e.connector_edges():
-            assert dec.edge_slot[pair] == e.slot
+            assert _lift_slot(dec, pair) == e.slot
         # each end is a corner of the triangle its slot end names
         assert e.end_u in dec.triangles[e.slot[0]]
         assert e.end_v in dec.triangles[e.slot[1]]
@@ -113,8 +114,7 @@ def test_triangle_partition_covers_everything(named_fixtures):
 
 def _assert_same_decomposition(got, expected):
     assert got == expected
-    for name in ("slot_edge", "edge_slot"):
-        assert list(getattr(got, name).items()) == list(getattr(expected, name).items())
+    assert list(got.slot_edge.items()) == list(expected.slot_edge.items())
 
 
 def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fixtures):
