@@ -3,12 +3,12 @@
 Bridgeless graphs go straight to the 2-edge-connected constructions.
 Otherwise the bridge tree is rooted at a leaf of a diametral path, the
 root component is colored first, and the remaining components are colored
-in BFS order.  K3 and diamond components are colored in place, from their
-vertices and attachment vertices: the up vertex gets the forced 2-class,
-a diamond's other exterior the other one, and the rest 1a and 1b.  Only a
-Type III component C with attachment vertices X (its degree-2 vertices)
-becomes a subgraph, and it is completed to a 2-edge-connected claw-free
-cubic graph:
+in BFS order, each in G's own vertex ids.  K3 and diamond components are
+colored in place, from their vertices and attachment vertices: the up
+vertex gets the forced 2-class, a diamond's other exterior the other one,
+and the rest 1a and 1b.  A Type III component C with attachment vertices X
+(its degree-2 vertices) is completed, in one step from G's adjacency, to a
+2-edge-connected claw-free cubic graph:
 
   * |X| even: add a pairing edge on each consecutive pair of X; color so
     that the pair (x1, x2) is a matched edge carrying 2a/2b.
@@ -29,8 +29,7 @@ exit; in between it calls their unchecked cores.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 
 from .canonical import (
     _ring,
@@ -62,34 +61,36 @@ def _attachments(comp: MultiGraph, x1: int) -> list[int]:
     return [x1] + [v for v in xs if v != x1]
 
 
-def _check_independent(comp: MultiGraph, xs: list[int]) -> None:
+def _check_independent(g: MultiGraph, xs: Sequence[int]) -> None:
+    """Raise on the first adjacent pair of xs, in the order of xs."""
+    pos = {x: i for i, x in enumerate(xs)}
     for i, u in enumerate(xs):
-        for v in xs[i + 1:]:
-            if comp.has_edge(u, v):
-                raise InternalInvariantError(
-                    f"attachment vertices {u} and {v} are adjacent; "
-                    "the degree-2 set must be independent"
-                )
+        later = [pos[v] for v in g.neighbors(u) if pos.get(v, -1) > i]
+        if later:
+            raise InternalInvariantError(
+                f"attachment vertices {u} and {xs[min(later)]} are adjacent; "
+                "the degree-2 set must be independent"
+            )
 
 
-def _odd_gadget(comp: MultiGraph, x1: int) -> tuple[int, int, int, int]:
-    """Locate u, w (neighbors of x1) and their outer neighbors s, y."""
-    nbrs = comp.neighbors(x1)
+def _odd_gadget(g: MultiGraph, x1: int, members: Container[int]) -> tuple[int, int, int, int]:
+    """Locate u, w (x1's neighbors among `members`) and their outer neighbors s, y."""
+    nbrs = [z for z in g.neighbors(x1) if z in members]
     if len(nbrs) != 2:
         raise PreconditionViolatedError(f"attachment {x1} has degree {len(nbrs)}")
     u, w = nbrs
-    if not comp.has_edge(u, w):
+    if not g.has_edge(u, w):
         raise PreconditionViolatedError(
             f"neighbors {u}, {w} of attachment {x1} are not adjacent; "
             "the input graph cannot be claw-free"
         )
-    s = next(z for z in comp.neighbors(u) if z not in (x1, w))
-    y = next(z for z in comp.neighbors(w) if z not in (x1, u))
+    s = next(z for z in g.neighbors(u) if z not in (x1, w))
+    y = next(z for z in g.neighbors(w) if z not in (x1, u))
     if s == y:
         raise PreconditionViolatedError(
             "component is a diamond; the odd construction does not apply"
         )
-    if comp.has_edge(s, y):
+    if g.has_edge(s, y):
         raise PreconditionViolatedError(
             f"outer neighbors {s}, {y} are adjacent; impossible in a claw-free "
             "cubic graph"
@@ -97,120 +98,113 @@ def _odd_gadget(comp: MultiGraph, x1: int) -> tuple[int, int, int, int]:
     return u, w, s, y
 
 
-def _odd_tilde(
-    comp: MultiGraph, x1: int, u: int, w: int, s: int, y: int, xs: list[int]
-) -> tuple[MultiGraph, list[int]]:
-    """The completed graph and its tilde-local -> component-local ids.
+def _completion(
+    g: MultiGraph, verts: Iterable[int], xs: Sequence[int]
+) -> tuple[MultiGraph, dict[int, int], tuple[int, int, int, int] | None]:
+    """The completed graph of a Type III component of g, built in one step.
 
-    Built in one construction from the component's adjacency: the edges
-    among the kept vertices in ascending order, then s-y, then the pairs
-    of the remaining attachments.
+    verts lists the component's vertices ascending, xs its attachment
+    vertices with x1 first.  Returns the completion, its {id in g: local
+    id} map, local ids ascending with g's, and the odd gadget (u, w, s, y),
+    None when |X| is even.  Its edges are g's edges among the kept
+    vertices, then s-y when |X| is odd, then a pairing edge on each
+    consecutive pair of the attachments left.
     """
-    to_comp = [v for v in range(comp.n) if v not in (x1, u, w)]
-    to_local = [-1] * comp.n
-    for lv, v in enumerate(to_comp):
-        to_local[v] = lv
-    adj = comp.adjacency()
+    local = dict.fromkeys(verts)
+    added = []
+    gadget = None
+    if len(xs) % 2:
+        gadget = u, w, s, y = _odd_gadget(g, xs[0], local)
+        for v in (xs[0], u, w):
+            del local[v]
+        added.append((s, y))
+    rest = xs[len(xs) % 2:]
+    added += zip(rest[::2], rest[1::2])
+    for i, v in enumerate(local):
+        local[v] = i
+    adj, mult = g.adjacency(), g.multiplicity
     edges = [
-        (to_local[a], to_local[b])
-        for a in to_comp
+        (i, local[b])
+        for a, i in local.items()
         for b in adj[a]
-        if b > a and to_local[b] != -1
-        for _ in range(comp.multiplicity(a, b))
+        if b > a and b in local
+        for _ in range(mult(a, b))
     ]
-    edges.append((to_local[s], to_local[y]))
-    edges += [(to_local[xs[i]], to_local[xs[i + 1]]) for i in range(1, len(xs), 2)]
-    return MultiGraph(len(to_comp), edges), to_comp
+    edges += [(local[a], local[b]) for a, b in added]
+    return MultiGraph(len(local), edges), local, gadget
 
 
 def _explicit_k4_completion(
-    tilde: MultiGraph,
-    to_comp: list[int],
-    s: int,
-    y: int,
-    root_style: bool,
+    local: dict[int, int], x1: int, gadget: tuple[int, int, int, int], root_style: bool
 ) -> dict[int, int]:
-    """Explicit coloring of {s, y} + two symmetric K4 partners.
+    """Explicit coloring of a 7-vertex component whose completion is K4.
 
-    Returns component-local colors for the four tilde vertices.  The two
-    non-s/y vertices are interchangeable; the smaller id plays the written
-    role first.
+    The two completion vertices other than s and y are interchangeable;
+    the smaller id plays the written role first.
     """
-    others = sorted(
-        to_comp[v]
-        for v in range(tilde.n)
-        if to_comp[v] not in (s, y)
-    )
-    z, a = others
+    u, w, s, y = gadget
+    z, a = (v for v in local if v not in (s, y))
     if root_style:
         # explicit root assignment: s -> 1b, y -> 1a, fourth -> 2a, apex -> 2b
-        return {s: C1B, y: C1A, a: C2A, z: C2B}
+        return {s: C1B, y: C1A, a: C2A, z: C2B, u: C1A, w: C1B, x1: C2A}
     # explicit child assignment: apex -> 2a, fourth -> 2b, s -> 1a, y -> 1b
-    return {s: C1A, y: C1B, z: C2A, a: C2B}
+    return {s: C1A, y: C1B, z: C2A, a: C2B, u: C1B, w: C1A, x1: C2A}
 
 
-def _color_odd_component(
-    comp: MultiGraph, xs: list[int], root_style: bool
-) -> tuple[dict[int, int], frozenset[int]]:
-    """Color a Type III component with an odd number of attachments.
+def _color_type3(
+    g: MultiGraph, verts: Sequence[int], xs: Sequence[int], forced: int, root_style: bool
+) -> tuple[dict[int, int], list[int]]:
+    """Colors of a Type III component of g, and its vertices on diamonds.
 
-    Returns (component-local colors with xs[0] -> 2a, component-local
-    vertices on tilde diamonds).
+    verts lists the component's vertices ascending, xs its attachment
+    vertices with x1 first, which gets `forced`.  The colors are keyed by
+    g's ids in the order of `verts`; the diamond vertices are those on the
+    diamonds of the completion.
     """
     x1 = xs[0]
-    u, w, s, y = _odd_gadget(comp, x1)
-    tilde, to_comp = _odd_tilde(comp, x1, u, w, s, y, xs)
-    to_local = {gv: lv for lv, gv in enumerate(to_comp)}
-    colors: dict[int, int] = {}
-
-    if is_k4(tilde):
-        colors.update(_explicit_k4_completion(tilde, to_comp, s, y, root_style))
-        if root_style:
-            colors[u], colors[w] = C1A, C1B
-        else:
-            colors[u], colors[w] = C1B, C1A
-        colors[x1] = C2A
-        return colors, frozenset()
-
-    dec = _decompose(tilde)
-    if dec.variant is Variant.K4:
-        raise InternalInvariantError("K4 must be caught before decomposition")
-    if dec.variant is Variant.RING:
-        sub_col = _ring(tilde, dec.ring_diamonds)
+    tilde, local, gadget = _completion(g, verts, xs)
+    fixed: dict[int, int] = {}  # colors of the vertices the completion lacks
+    sub: dict[int, int] = {}  # colors of the completion's vertices, by local id
+    diamonds: list[int] = []
+    if gadget is None:
+        dec = _decompose(tilde)
+        if dec.variant is not Variant.BUILT:
+            raise InternalInvariantError(
+                f"even completion produced variant {dec.variant}; expected built"
+            )
+        sub = _with_matched_edge(tilde, dec, (local[x1], local[xs[1]])).assignment
+        diamonds = _diamond_vertices(dec, local)
+    elif is_k4(tilde):
+        fixed = _explicit_k4_completion(local, x1, gadget, root_style)
     else:
-        sub_col = _with_edge(tilde, dec, (to_local[s], to_local[y]))
-    if {sub_col.assignment[to_local[s]], sub_col.assignment[to_local[y]]} != {C1A, C1B}:
-        raise InternalInvariantError(
-            "joined outer neighbors did not receive the two radius-1 colors"
-        )
-    if sub_col.assignment[to_local[s]] != C1A:
-        sub_col = sub_col.transposed(C1A, C1B)
-    for lv in range(tilde.n):
-        colors[to_comp[lv]] = sub_col.assignment[lv]
-    colors[u] = C1B
-    colors[w] = C1A
-    colors[x1] = C2A
-    return colors, frozenset(to_comp[v] for v in _diamond_vertices(dec))
+        u, w, s, y = gadget
+        dec = _decompose(tilde)
+        if dec.variant is Variant.K4:
+            raise InternalInvariantError("K4 must be caught before decomposition")
+        if dec.variant is Variant.RING:
+            col = _ring(tilde, dec.ring_diamonds)
+        else:
+            col = _with_edge(tilde, dec, (local[s], local[y]))
+        if {col.assignment[local[s]], col.assignment[local[y]]} != {C1A, C1B}:
+            raise InternalInvariantError(
+                "joined outer neighbors did not receive the two radius-1 colors"
+            )
+        if col.assignment[local[s]] != C1A:
+            col = col.transposed(C1A, C1B)
+        sub = col.assignment
+        fixed = {u: C1B, w: C1A, x1: C2A}
+        diamonds = _diamond_vertices(dec, local)
+    # swap[c] is c, with 2a and 2b exchanged unless x1 already has `forced`
+    first = fixed[x1] if x1 in fixed else sub[local[x1]]
+    swap = (C1A, C1B, C2A, C2B) if first == forced else (C1A, C1B, C2B, C2A)
+    return {v: swap[fixed[v] if v in fixed else sub[local[v]]] for v in verts}, diamonds
 
 
-def _color_even_component(
-    comp: MultiGraph, xs: list[int]
-) -> tuple[dict[int, int], frozenset[int]]:
-    """Color a Type III component with an even number of attachments."""
-    tilde = comp.with_edges([(xs[i], xs[i + 1]) for i in range(0, len(xs), 2)])
-    dec = _decompose(tilde)
-    if dec.variant is not Variant.BUILT:
-        raise InternalInvariantError(
-            f"even completion produced variant {dec.variant}; expected built"
-        )
-    sub_col = _with_matched_edge(tilde, dec, (xs[0], xs[1]))
-    return dict(sub_col.assignment), _diamond_vertices(dec)
-
-
-def _diamond_vertices(dec: Decomposition) -> frozenset[int]:
-    """Vertices on the diamonds of a decomposed graph: its ring or its strings."""
+def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
+    """g's ids of the completion's vertices on diamonds: its ring or its strings."""
     diamonds = dec.ring_diamonds or [d for e in dec.h_edges for d in e.diamonds]
-    return frozenset(v for d in diamonds for v in d.vertices)
+    on = {v for d in diamonds for v in d.vertices}
+    return [v for v, i in local.items() if i in on]
 
 
 def _kind(comp: MultiGraph) -> ComponentKind:
@@ -224,17 +218,17 @@ def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
 
     The root is a Type III component with v as its only degree-2 vertex.
     """
-    kind = _kind(comp)
-    coloring, _ = _root_coloring(comp, _attachments(comp, v), kind)
-    return _verified(comp, coloring)
+    colors, _ = _root_coloring(comp, range(comp.n), _attachments(comp, v), _kind(comp))
+    return _verified(comp, PackingColoring(SPEC_1122, colors))
 
 
 def _root_coloring(
-    comp: MultiGraph, xs: list[int], kind: ComponentKind
-) -> tuple[PackingColoring, frozenset[int]]:
-    """Root coloring and its component-local tilde-diamond vertices.
+    g: MultiGraph, verts: Sequence[int], xs: Sequence[int], kind: ComponentKind
+) -> tuple[dict[int, int], list[int]]:
+    """Root colors and the root's diamond vertices, in g's ids.
 
-    xs lists the component's degree-2 vertices, the designated one first.
+    verts lists the component's vertices ascending, xs its degree-2
+    vertices, the designated one first.
     """
     if len(xs) != 1:
         raise PreconditionViolatedError(
@@ -242,8 +236,7 @@ def _root_coloring(
         )
     if kind is not ComponentKind.TYPE_III:
         raise PreconditionViolatedError("root component must be of Type III")
-    colors, diamonds = _color_odd_component(comp, xs, root_style=True)
-    return PackingColoring(SPEC_1122, colors), diamonds
+    return _color_type3(g, verts, xs, C2A, root_style=True)
 
 
 def extend_component(comp: MultiGraph, x1: int, forced: int) -> PackingColoring:
@@ -251,31 +244,23 @@ def extend_component(comp: MultiGraph, x1: int, forced: int) -> PackingColoring:
     kind = _kind(comp)
     if forced not in (C2A, C2B):
         raise PreconditionViolatedError("forced color must be a radius-2 class")
-    coloring, _ = _extension(comp, _attachments(comp, x1), forced, kind)
-    return _verified(comp, coloring)
+    colors, _ = _extension(comp, range(comp.n), _attachments(comp, x1), forced, kind)
+    return _verified(comp, PackingColoring(SPEC_1122, colors))
 
 
 def _extension(
-    comp: MultiGraph, xs: list[int], forced: int, kind: ComponentKind
-) -> tuple[PackingColoring, frozenset[int]]:
-    """Extension coloring and its component-local tilde-diamond vertices.
+    g: MultiGraph, verts: Sequence[int], xs: Sequence[int], forced: int, kind: ComponentKind
+) -> tuple[dict[int, int], list[int]]:
+    """Colors of a non-root component and its completion's diamond vertices.
 
-    xs lists the component's degree-2 vertices, the up vertex x1 first.
+    verts lists the component's vertices ascending, xs its degree-2
+    vertices with the up vertex x1 first.  K3 and diamond components are
+    colored in place and have no completion.
     """
     if kind is not ComponentKind.TYPE_III:
-        colors = _color_k3_or_diamond(range(comp.n), xs, forced, kind)
-        diamonds = frozenset(colors) if kind is ComponentKind.DIAMOND else frozenset()
-        return PackingColoring(SPEC_1122, colors), diamonds
-    x1 = xs[0]
-    _check_independent(comp, xs)
-    if len(xs) % 2 == 0:
-        colors, diamonds = _color_even_component(comp, xs)
-    else:
-        colors, diamonds = _color_odd_component(comp, xs, root_style=False)
-    if colors[x1] != forced:
-        swapped = {C2A: C2B, C2B: C2A}
-        colors = {v: swapped.get(c, c) for v, c in colors.items()}
-    return PackingColoring(SPEC_1122, colors), diamonds
+        return _color_k3_or_diamond(verts, xs, forced, kind), []
+    _check_independent(g, xs)
+    return _color_type3(g, verts, xs, forced, root_style=False)
 
 
 def _color_k3_or_diamond(
@@ -335,42 +320,26 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
 def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     """Color each component of the bridge tree in BFS order, unverified.
 
-    K3 and diamond components are colored in place from their vertices
-    and attachments; only the Type III components, the root among them,
-    become subgraphs.
+    Every component is colored in g's own ids: K3 and diamond components
+    in place, Type III components through one completion graph each.
     """
     assignment: dict[int, int] = {}
-    # diamond vertices of each completed Type III component, in global ids,
-    # for the no-diamond-at-up-neighbor invariant
-    tilde_diamonds: dict[int, frozenset[int]] = {}
-
-    kinds = bt.kinds
-    order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
-    completed = [c for c in order if c == bt.root or kinds[c] is ComponentKind.TYPE_III]
-    parts = g.induced_parts(bt.comp_of, completed)
-    for c in order:
-        kind = kinds[c]
-        if c != bt.root:
+    # vertices on the diamonds of the completed Type III components, for
+    # the no-diamond-at-up-neighbor invariant
+    on_diamond: set[int] = set()
+    for c in sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c)):
+        verts, xs, kind = bt.components[c], bt.degree2[c], bt.kinds[c]
+        if c == bt.root:
+            colors, diamonds = _root_coloring(g, verts, xs, kind)
+        else:
             q = bt.up_neighbor[c]
-            parent = bt.parent[c]
-            if q in tilde_diamonds.get(parent, ()):
+            if q in on_diamond:
                 raise InternalInvariantError(
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
             forced = free_two_color(g, assignment, q)
-            if kind is not ComponentKind.TYPE_III:
-                colors = _color_k3_or_diamond(bt.components[c], bt.degree2[c], forced, kind)
-                assignment.update(colors)
-                continue
-        sub, to_global = next(parts)
-        # local ids follow sorted global ids, so the order of degree2 holds
-        xs = [bisect_left(to_global, x) for x in bt.degree2[c]]
-        if c == bt.root:
-            local_col, dia = _root_coloring(sub, xs, kind)
-        else:
-            local_col, dia = _extension(sub, xs, forced, kind)
-        tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
-        for lv, gv in enumerate(to_global):
-            assignment[gv] = local_col.assignment[lv]
+            colors, diamonds = _extension(g, verts, xs, forced, kind)
+        on_diamond.update(diamonds)
+        assignment.update(colors)
     return PackingColoring(SPEC_1122, assignment)

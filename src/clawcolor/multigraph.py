@@ -12,7 +12,7 @@ return new graphs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 
 from .errors import LoopEdgeError, VertexOutOfRangeError
 
@@ -159,45 +159,6 @@ class MultiGraph:
                     m = par.get((u, w), 1) if par else 1
                     edges.extend([(i, to_local[w])] * m)
         return MultiGraph(len(to_global), edges), to_global
-
-    def induced_parts(
-        self, part_of: Sequence[int], order: Iterable[int]
-    ) -> Iterator[tuple["MultiGraph", list[int]]]:
-        """Induced subgraphs on some classes of a vertex partition, in one pass.
-
-        part_of[v] is the class of vertex v; classes are 0..max(part_of).
-        For each class i in `order`, yields what `induced` returns for the
-        vertices of class i: local ids follow the ascending order of those
-        vertices.  One scan of the adjacency serves every class, so the
-        cost is O(n + m) in all.  Vertices and edges are collected only for
-        the classes in `order`, and each subgraph is built only when its
-        turn comes.
-        """
-        if len(part_of) != self.n:
-            raise ValueError(f"partition covers {len(part_of)} vertices, graph has {self.n}")
-        order = list(order)
-        to_global: list[list[int] | None] = [None] * (max(part_of, default=-1) + 1)
-        edges: list[list[tuple[int, int]] | None] = to_global[:]
-        for p in order:
-            to_global[p], edges[p] = [], []
-        local = [0] * self.n
-        for v, p in enumerate(part_of):
-            members = to_global[p]
-            if members is not None:
-                local[v] = len(members)
-                members.append(v)
-        par = self._par
-        for u, a in enumerate(self._adj):
-            p = part_of[u]
-            out = edges[p]
-            if out is None:
-                continue
-            for w in a:
-                if u < w and part_of[w] == p:
-                    m = par.get((u, w), 1) if par else 1
-                    out.extend([(local[u], local[w])] * m)
-        for p in order:
-            yield MultiGraph(len(to_global[p]), edges[p]), to_global[p]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):

@@ -14,26 +14,19 @@ core served them all, which pin `factorization._complement`, and
 `verify_by_layers` and `bridges_by_iterator_dfs`, the certificate and the
 bridge search as they were before they ran over flat lists, which pin
 `oracle.verify` and `recognition._bridges` on large graphs, and the
-`*_by_subgraphs` bridged path, as it was before K3 and diamond components
-were colored in place and only Type III components became subgraphs,
-which pins `colorer._color_bridged`, `colorer._odd_tilde`,
-`recognition._classify_component` and `MultiGraph.induced_parts`.
+`*_by_subgraphs` bridged path, as it was before every component was
+colored in G's own ids: one induced subgraph per component, and each Type
+III completion built from its subgraph, which pins `colorer._color_bridged`,
+`colorer._completion` and `recognition._classify_component`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from itertools import combinations
 
-from clawcolor.colorer import (
-    _check_independent,
-    _color_even_component,
-    _color_odd_component,
-    _root_coloring,
-    free_two_color,
-)
+from clawcolor.colorer import _extension, _root_coloring, free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
@@ -911,25 +904,6 @@ def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
     return bridges if timer == n else None
 
 
-def induced_parts_by_subgraphs(
-    g: MultiGraph, part_of: list[int], order: list[int]
-) -> list[tuple[MultiGraph, list[int]]]:
-    """`MultiGraph.induced_parts` as it was: vertices and edges of every class."""
-    if len(part_of) != g.n:
-        raise ValueError(f"partition covers {len(part_of)} vertices, graph has {g.n}")
-    to_global: list[list[int]] = [[] for _ in range(max(part_of, default=-1) + 1)]
-    local = [0] * g.n
-    for v, p in enumerate(part_of):
-        local[v] = len(to_global[p])
-        to_global[p].append(v)
-    edges: list[list[tuple[int, int]]] = [[] for _ in to_global]
-    for u, v, m in g.edge_pairs():
-        p = part_of[u]
-        if p == part_of[v]:
-            edges[p].extend([(local[u], local[v])] * m)
-    return [(MultiGraph(len(to_global[p]), edges[p]), to_global[p]) for p in order]
-
-
 def classify_component_by_subgraphs(
     g: MultiGraph, verts: tuple[int, ...], deg_in: list[int]
 ) -> ComponentKind:
@@ -957,50 +931,44 @@ def classify_component_by_subgraphs(
     return ComponentKind.TYPE_III
 
 
-def odd_tilde_by_subgraphs(
-    comp: MultiGraph, x1: int, u: int, w: int, s: int, y: int, xs: list[int]
-) -> tuple[MultiGraph, list[int]]:
-    """`colorer._odd_tilde` as it was: an induced subgraph, then the added edges."""
-    pairs = [(xs[i], xs[i + 1]) for i in range(1, len(xs), 2)]
-    added = [(s, y)] + pairs
-    keep = [v for v in range(comp.n) if v not in (x1, u, w)]
-    sub, to_comp = comp.induced(keep)
+def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph, list[int]]:
+    """A Type III completion as it was built: an induced subgraph, then the added edges.
+
+    `comp` is the component alone and xs its attachments, x1 first.
+    Returns the completion and its local -> component ids.
+    """
+    if len(xs) % 2 == 0:
+        return comp.with_edges(list(zip(xs[::2], xs[1::2]))), list(range(comp.n))
+    x1 = xs[0]
+    u, w = comp.neighbors(x1)
+    s = next(z for z in comp.neighbors(u) if z not in (x1, w))
+    y = next(z for z in comp.neighbors(w) if z not in (x1, u))
+    added = [(s, y)] + list(zip(xs[1::2], xs[2::2]))
+    sub, to_comp = comp.induced(v for v in range(comp.n) if v not in (x1, u, w))
     to_local = {gv: lv for lv, gv in enumerate(to_comp)}
-    tilde = sub.with_edges([(to_local[a], to_local[b]) for a, b in added])
-    return tilde, to_comp
+    return sub.with_edges([(to_local[a], to_local[b]) for a, b in added]), to_comp
 
 
 def extension_by_subgraphs(
     comp: MultiGraph, xs: list[int], forced: int, kind: ComponentKind
-) -> tuple[PackingColoring, frozenset[int]]:
-    """`colorer._extension` as it was: K3 and diamond colored on their subgraph.
+) -> tuple[dict[int, int], list[int]]:
+    """`colorer._extension` as it was: every component colored on its subgraph.
 
-    Type III components go through the library's even and odd completions.
+    Type III components go through the library's completion, on the subgraph.
     """
     x1 = xs[0]
-    diamonds: frozenset[int] = frozenset()
     if kind is ComponentKind.TRIANGLE:
         others = [z for z in range(3) if z != x1]
-        colors = {x1: forced, others[0]: C1A, others[1]: C1B}
-    elif kind is ComponentKind.DIAMOND:
+        return {x1: forced, others[0]: C1A, others[1]: C1B}, []
+    if kind is ComponentKind.DIAMOND:
         ints = [z for z in range(4) if comp.degree(z) == 3]
-        colors = {
+        return {
             ints[0]: C1A,
             ints[1]: C1B,
             x1: forced,
             xs[1]: C2B if forced == C2A else C2A,
-        }
-        diamonds = frozenset(range(4))
-    else:
-        _check_independent(comp, xs)
-        if len(xs) % 2 == 0:
-            colors, diamonds = _color_even_component(comp, xs)
-        else:
-            colors, diamonds = _color_odd_component(comp, xs, root_style=False)
-        if colors[x1] != forced:
-            swapped = {C2A: C2B, C2B: C2A}
-            colors = {v: swapped.get(c, c) for v, c in colors.items()}
-    return PackingColoring(SPEC_1122, colors), diamonds
+        }, list(range(4))
+    return _extension(comp, range(comp.n), xs, forced, kind)
 
 
 def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
@@ -1009,10 +977,12 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
     tilde_diamonds: dict[int, frozenset[int]] = {}
 
     order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
-    for c, (sub, to_global) in zip(order, induced_parts_by_subgraphs(g, bt.comp_of, order)):
-        xs = [bisect_left(to_global, x) for x in bt.degree2[c]]
+    for c in order:
+        sub, to_global = g.induced(bt.components[c])
+        to_local = {gv: lv for lv, gv in enumerate(to_global)}
+        xs = [to_local[x] for x in bt.degree2[c]]
         if c == bt.root:
-            local_col, dia = _root_coloring(sub, xs, bt.kinds[c])
+            local_col, dia = _root_coloring(sub, range(sub.n), xs, bt.kinds[c])
         else:
             q = bt.up_neighbor[c]
             parent = bt.parent[c]
@@ -1028,5 +998,5 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
             local_col, dia = extension_by_subgraphs(sub, xs, forced, bt.kinds[c])
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):
-            assignment[gv] = local_col.assignment[lv]
+            assignment[gv] = local_col[lv]
     return PackingColoring(SPEC_1122, assignment)

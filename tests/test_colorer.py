@@ -23,16 +23,18 @@ from clawcolor import (
 from clawcolor.errors import (
     ClaimViolatedError,
     DisconnectedError,
+    InternalInvariantError,
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
     PreconditionViolatedError,
 )
-from clawcolor.colorer import _attachments, _color_bridged, _odd_gadget, _odd_tilde
+import clawcolor.colorer
+from clawcolor.colorer import _color_bridged, _completion
 from clawcolor.recognition import _bridge_tree
 from clawcolor.rng import SplitMix64
 
-from brute import color_bridged_by_subgraphs, odd_tilde_by_subgraphs
+from brute import color_bridged_by_subgraphs, completion_by_subgraphs
 from test_recognition import _bridged_sweep_shapes
 
 
@@ -316,23 +318,92 @@ def test_bridged_path_matches_subgraph_reference(
 
 
 def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged_trees):
-    """The completed graph of every odd Type III component, built in one go."""
-    tested = 0
+    """The completed graph of every Type III component, odd and even, built in one go."""
+    tested = [0, 0]
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
         bridges = find_bridges(g)
         if not bridges:
             continue
         bt = _bridge_tree(g, bridges)
         for c, comp in enumerate(bt.components):
-            xs = bt.degree2[c]
-            if bt.kinds[c] is not ComponentKind.TYPE_III or len(xs) % 2 == 0:
+            if bt.kinds[c] is not ComponentKind.TYPE_III:
                 continue
+            tilde, local, _ = _completion(g, comp, bt.degree2[c])
             sub, to_global = g.induced(comp)
-            local_xs = _attachments(sub, to_global.index(xs[0]))
-            gadget = _odd_gadget(sub, local_xs[0])
-            tilde, to_comp = _odd_tilde(sub, local_xs[0], *gadget, local_xs)
-            want, want_to_comp = odd_tilde_by_subgraphs(sub, local_xs[0], *gadget, local_xs)
-            assert tilde == want and to_comp == want_to_comp
-            assert tilde.adjacency() == want.adjacency()
-            tested += 1
-    assert tested > 500
+            to_sub = {v: i for i, v in enumerate(to_global)}
+            want, want_to_sub = completion_by_subgraphs(sub, [to_sub[x] for x in bt.degree2[c]])
+            assert tilde == want and tilde.adjacency() == want.adjacency()
+            assert list(local) == [to_global[i] for i in want_to_sub]
+            assert list(local.values()) == list(range(tilde.n))
+            tested[len(bt.degree2[c]) % 2] += 1
+    assert tested[0] > 100 and tested[1] > 500, tested
+
+
+def test_up_neighbor_on_a_completion_diamond_is_an_internal_error(monkeypatch):
+    """The invariant reads the completions' diamond vertices in G's ids.
+
+    The centre's completion holds its three lower attachments, the leaves'
+    up-neighbors; claiming every completion vertex lies on a diamond must
+    stop the coloring at the first leaf.
+    """
+    g = gen_bridged([("type3", 4)] + [("type3", 1)] * 4, SplitMix64(1))
+    monkeypatch.setattr(clawcolor.colorer, "_diamond_vertices", lambda dec, local: list(local))
+    with pytest.raises(InternalInvariantError, match="lies on a diamond of its completed"):
+        color_claw_free_cubic(g)
+
+
+def test_adjacent_attachments_are_an_internal_error():
+    """Attachments 0 and 1 of this component are adjacent; 6 is the third."""
+    comp = MultiGraph(
+        7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
+    )
+    with pytest.raises(InternalInvariantError) as caught:
+        extend_component(comp, 0, C2A)
+    assert str(caught.value) == (
+        "attachment vertices 0 and 1 are adjacent; the degree-2 set must be independent"
+    )
+
+
+def _ladder_star(k):
+    """A star of k Type III leaves around one Type III centre with k attachments.
+
+    The centre is a circular ladder of k rungs with every vertex replaced
+    by a triangle, and every other rung cut; each cut end takes a leaf.
+    """
+    edges = []
+    for v in range(2 * k):
+        edges += [(3 * v, 3 * v + 1), (3 * v, 3 * v + 2), (3 * v + 1, 3 * v + 2)]
+    for ring in (0, k):
+        edges += [(3 * (ring + i) + 1, 3 * (ring + (i + 1) % k)) for i in range(k)]
+    ends = []
+    for i in range(k):
+        a, b = 3 * i + 2, 3 * (k + i) + 2
+        if i % 2:
+            edges.append((a, b))
+        else:
+            ends += [a, b]
+    n = 6 * k
+    for x in ends:
+        edges += leaf_gadget(n) + [(x, n)]
+        n += 7
+    return MultiGraph(n, edges)
+
+
+def test_independence_check_is_linear_in_the_attachments(monkeypatch):
+    """No pair of a centre's 2,000 attachments is queried for an edge.
+
+    The only `has_edge` calls left are the two of each leaf's odd gadget.
+    """
+    g = _ladder_star(2000)
+    bt = build_bridge_tree(g)
+    assert max(len(xs) for xs in bt.degree2) == 2000
+    real = MultiGraph.has_edge
+    calls = [0]
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return real(self, u, v)
+
+    monkeypatch.setattr(MultiGraph, "has_edge", counted)
+    assert_valid(g, color_claw_free_cubic(g))
+    assert calls[0] <= 2 * 2000, calls

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from clawcolor import (
     MultiGraph,
-    build_bridge_tree,
     fixtures,
     is_connected,
     is_cubic,
@@ -121,48 +120,6 @@ def test_distances_match_bfs_oracle(data):
             assert d[u][v] == d[v][u]
 
 
-@given(edge_lists, st.data())
-def test_induced_parts_match_induced(graph, data):
-    n, edges = graph
-    g = MultiGraph(n, edges)
-    part_of = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    classes = range(max(part_of, default=-1) + 1)
-    for p, part in zip(classes, g.induced_parts(part_of, classes), strict=True):
-        assert part == g.induced([v for v in range(n) if part_of[v] == p])
-
-
-@given(edge_lists, st.data())
-def test_induced_parts_of_some_classes_match_induced(graph, data):
-    """A subset of the classes, in any order."""
-    n, edges = graph
-    g = MultiGraph(n, edges)
-    part_of = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    classes = range(max(part_of, default=-1) + 1)
-    order = data.draw(st.lists(st.sampled_from(classes), unique=True))
-    parts = list(g.induced_parts(part_of, order))
-    assert len(parts) == len(order)
-    for p, part in zip(order, parts):
-        assert part == g.induced([v for v in range(n) if part_of[v] == p])
-
-
-def test_induced_parts_rejects_short_partition():
-    with pytest.raises(ValueError):
-        next(MultiGraph(3, [(0, 1)]).induced_parts([0, 0], [0]))
-
-
-def test_bridge_tree_components_in_one_pass(bridged_trees):
-    for name, g in bridged_trees:
-        bt = build_bridge_tree(g)
-        # reversed, to show the subgraphs do not depend on the order asked
-        order = range(len(bt.components) - 1, -1, -1)
-        parts = g.induced_parts(bt.comp_of, order)
-        for c, (sub, to_global) in zip(order, parts, strict=True):
-            comp = bt.components[c]
-            expected_sub, expected_to_global = g.induced(comp)
-            assert sub == expected_sub, name
-            assert to_global == expected_to_global, name
-
-
 # Definition-level checks: a MultiGraph must answer every query as the
 # Counter of its normalised edge pairs does.  Few vertices and many edges,
 # so parallel pairs are common.
@@ -267,14 +224,6 @@ def test_induced_match_pair_counts(graph, data):
     assert to_global == sorted(set(vertices))
     assert sub.n == len(to_global)
     assert sub.edge_pairs() == restricted(counts, to_global)
-    part_of = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    classes = data.draw(st.lists(st.integers(0, max(part_of)), unique=True))
-    parts = list(g.induced_parts(part_of, classes))
-    assert len(parts) == len(classes)
-    for p, (sub, to_global) in zip(classes, parts):
-        assert to_global == [v for v in range(n) if part_of[v] == p]
-        assert sub.n == len(to_global)
-        assert sub.edge_pairs() == restricted(counts, to_global)
 
 
 @given(
