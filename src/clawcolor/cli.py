@@ -71,11 +71,16 @@ def _graph6_lines(text: str) -> list[tuple[int, str]]:
     return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
 
 
-def _load_graph(path: str, fmt: str) -> MultiGraph:
-    """The one graph in a file; a graph6 file holding several is rejected."""
+def _load_graph(path: str, fmt: str, max_n: int | None = None) -> MultiGraph:
+    """The one graph in a file; a graph6 file holding several is rejected.
+
+    An edge-list header above max_n raises CapExceededError before any
+    adjacency is built.  A graph6 line spells out its whole adjacency
+    matrix, so the text already bounds what it builds.
+    """
     text = _read_text(path)
     if not _is_graph6(path, fmt):
-        return parse_edgelist(text)
+        return parse_edgelist(text, max_n=max_n)
     lines = _graph6_lines(text)
     if len(lines) > 1:
         raise MalformedInputError(
@@ -178,14 +183,15 @@ def cmd_color(args) -> int:
     several = several or len(head) > 1
     worst = EXIT_OK
     for report in chain(head, reports):
+        # each report goes out in one write: an unbuffered stdout makes
+        # every write a system call
         if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
+            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         elif report["outcome"] == "colored":
-            if several:
-                print(f"# {report['input']}")
-            for v, label in report["coloring"].items():
-                print(f"{v} {label}")
-            print("VERIFIED" if report["verified"] else "INVALID")
+            header = f"# {report['input']}\n" if several else ""
+            lines = "".join(f"{v} {label}\n" for v, label in report["coloring"].items())
+            verdict = "VERIFIED" if report["verified"] else "INVALID"
+            sys.stdout.write(f"{header}{lines}{verdict}\n")
         else:
             err = report["error"]
             msg = f"error ({err['kind']}): {err['message']}"
@@ -199,12 +205,11 @@ def cmd_color(args) -> int:
 def cmd_solve(args) -> int:
     try:
         spec = _parse_spec(args.spec)
-        g = _load_graph(args.path, args.format)
+        g = _load_graph(args.path, args.format, max_n=args.cap)
+        coloring = solve_spacking(g, spec, cap=args.cap)
     except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        coloring = solve_spacking(g, spec, cap=args.cap)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import (
+    CapExceededError,
     Graph6MultiedgeError,
     LoopEdgeError,
     MalformedInputError,
@@ -22,12 +23,15 @@ from .errors import (
 from .multigraph import MultiGraph
 
 
-def parse_edgelist(text: str, *, cubic: bool = False) -> MultiGraph:
+def parse_edgelist(
+    text: str, *, cubic: bool = False, max_n: int | None = None
+) -> MultiGraph:
     """Decode edge-list text.
 
     With cubic=True, an edge count other than 3n/2 raises NotCubicError
     before the graph is built, so a huge vertex-count header cannot
-    allocate more than the text itself holds.
+    allocate more than the text itself holds.  With max_n, a vertex count
+    above it raises CapExceededError as soon as the header is read.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -45,6 +49,8 @@ def parse_edgelist(text: str, *, cubic: bool = False) -> MultiGraph:
                 raise MalformedInputError(f"bad vertex count {fields[0]!r}", lineno) from None
             if n < 0:
                 raise MalformedInputError("vertex count must be non-negative", lineno)
+            if max_n is not None and n > max_n:
+                raise CapExceededError(n, max_n)
             continue
         if len(fields) != 2:
             raise MalformedInputError(f"expected 'u v', got {line!r}", lineno)

@@ -1,12 +1,19 @@
 """Independent ground truth: verification and exact decision by backtracking.
 
 `verify` checks the definition of an S-packing coloring on any candidate
-coloring: a BFS from each vertex, cut off at its class radius, finds
-every same-class vertex too close to it.  The BFS runs over flat lists,
-one adjacency list and one class per vertex, and one mark list stamped
-with the source id stands in for a per-source visited set.  On a graph of
-maximum degree Delta and largest radius r this costs O(n * Delta^r) time
-and O(n) extra memory, so it scales to the sizes the constructor handles.
+coloring.  It first decides, then explains.  When every radius is at
+most 2, validity is decided by one pass over the closed neighbourhoods:
+a class of radius 1 is an independent set exactly when no edge lies
+inside it, and a class of radius 2 is a 2-packing exactly when it meets
+every closed neighbourhood N[x] at most once.  On a graph of maximum
+degree Delta that costs O(n * Delta) time, and a valid coloring is
+certified by it alone.  Otherwise, and whenever some radius is above 2,
+a BFS from each vertex, cut off at its class radius, lists every
+same-class vertex too close to it.  The BFS runs over flat lists, one
+adjacency list and one class per vertex, and one mark list stamped with
+the source id stands in for a per-source visited set; it costs
+O(n * Delta^r) time for largest radius r.  Both use O(n) extra memory,
+so they scale to the sizes the constructor handles.
 The solver decides S-packing colorability by complete backtracking with
 saturation ordering and symmetry breaking between equal-radius classes,
 and is the oracle the constructive algorithm is tested against.  Its ball
@@ -41,23 +48,69 @@ def verify(
 ) -> list[Violation]:
     """All violations of the packing condition; empty list means valid.
 
-    For each vertex u, a BFS from u stops at depth radii[class(u)] and
-    reports every same-class v > u it meets, with its distance.  The
-    list is ordered by u, then v.  It reads only the graph's adjacency
-    and the assignment, in O(n * Delta^r) time and O(n) extra memory.
+    When every radius is at most 2, one pass over the closed
+    neighbourhoods decides validity in O(n * Delta) time, and a valid
+    coloring returns [] from it.  Otherwise a BFS from each vertex u stops
+    at depth radii[class(u)] and reports every same-class v > u it meets,
+    with its distance, in O(n * Delta^r) time.  The list is ordered by u,
+    then v.  Both read only the graph's adjacency and the assignment, with
+    O(n) extra memory.
     """
-    assignment = coloring.assignment
-    missing = {v for v in range(g.n) if v not in assignment}
-    if missing:
-        raise PartialColoringError(missing)
-    bad = {v for v in assignment if not 0 <= v < g.n}
-    if bad:
-        raise PartialColoringError(bad)
+    n = g.n
+    cls = _classes(coloring.assignment, n)
+    adj = g.adjacency()
+    if spec.radii[-1] <= 2 and _packed_within_two(adj, cls, spec.radii):
+        return []
+    return _violations(adj, cls, spec)
+
+
+def _classes(assignment: dict[int, int], n: int) -> list[int]:
+    """The class of each vertex 0..n-1, by index; a mismatched domain raises.
+
+    The missing vertices are reported when there are any, else the ids
+    outside 0..n-1.
+    """
+    try:
+        cls = [assignment[v] for v in range(n)]
+    except KeyError:
+        raise PartialColoringError({v for v in range(n) if v not in assignment}) from None
+    if len(assignment) != n:
+        bad = {v for v in assignment if not 0 <= v < n}
+        if bad:
+            raise PartialColoringError(bad)
+    return cls
+
+
+def _packed_within_two(
+    adj: list[list[int]], cls: list[int], radii: tuple[int, ...]
+) -> bool:
+    """Whether the coloring is valid, for radii that are all 1 or 2.
+
+    `seen` holds the class bits met so far in N[x], starting with x's own.
+    A bit met twice is a violation when it is x's own class (an edge
+    inside the class) or a class of radius 2 (two of its vertices in one
+    closed neighbourhood, so at distance at most 2).
+    """
+    bit = [1 << c for c in range(len(radii))]
+    two = sum(b for b, radius in zip(bit, radii) if radius == 2)
+    bits = [bit[c] for c in cls]
+    for own, nbrs in zip(bits, adj):
+        seen = own
+        for w in nbrs:
+            b = bits[w]
+            if b & seen and (b == own or b & two):
+                return False
+            seen |= b
+    return True
+
+
+def _violations(
+    adj: list[list[int]], cls: list[int], spec: SPackingSpec
+) -> list[Violation]:
+    """Every violation, by a BFS from each vertex cut off at its class radius."""
     labels = spec.labels()
     radii = spec.radii
-    n = g.n
-    adj = g.adjacency()
-    cls = [assignment[v] for v in range(n)]
+    n = len(cls)
     # mark[w] == u: w is already reached by the BFS from u
     mark = [-1] * n
     out: list[Violation] = []

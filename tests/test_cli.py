@@ -1,5 +1,8 @@
+import io
 import json
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -211,6 +214,23 @@ def test_solve_k4_single_class_unsat(fixture_files, capsys):
 
 def test_solve_cap_exit3(fixture_files, capsys):
     assert main(["solve", fixture_files["big_expansion"], "--cap", "10"]) == 3
+
+
+def test_solve_checks_the_cap_before_building(tmp_path, capsys):
+    """A header of 10^6 vertices over --cap exits 3 without building the graph."""
+    p = tmp_path / "huge.el"
+    p.write_text("1000000\n")
+    tracemalloc.start()
+    try:
+        code = main(["solve", str(p)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: instance has 1000000 vertices, solver cap is {DEFAULT_SOLVER_CAP}\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_solve_certifies_its_witness(fixture_files, capsys, monkeypatch):
@@ -538,3 +558,30 @@ def test_color_prints_each_report_before_reading_the_next_file(batch_dir, capsys
     assert main(["color", "k4.el", "prism.el"]) == 0
     assert printed_before == {"k4.el": "", "prism.el": "# k4.el\n" + _K4_OUT}
     assert capsys.readouterr().out == "# prism.el\n" + _PRISM_OUT
+
+
+# where the prism's report starts in _K4_PRISM_JSON
+_JSON_CUT = _K4_PRISM_JSON.index("}\n{") + 2
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["k4.el", "prism.el"], ["# k4.el\n" + _K4_OUT, "# prism.el\n" + _PRISM_OUT]),
+        (["k4.el", "petersen.el"], ["# k4.el\n" + _K4_OUT]),
+        (["--json", "k4.el", "prism.el"], [_K4_PRISM_JSON[:_JSON_CUT], _K4_PRISM_JSON[_JSON_CUT:]]),
+    ],
+    ids=["text", "rejection", "json"],
+)
+def test_color_writes_each_report_to_stdout_once(batch_dir, monkeypatch, argv, out):
+    """One `sys.stdout.write` per report: unbuffered, each write is a system call."""
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(re.sub(r'"elapsed_s": [^,]+', '"elapsed_s": 0', text))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    main(["color", *argv])
+    assert writes == out

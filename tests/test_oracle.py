@@ -21,6 +21,7 @@ from clawcolor import (
     subdivide,
     verify,
 )
+from clawcolor import oracle
 from clawcolor.errors import CapExceededError, PartialColoringError
 
 from brute import (
@@ -64,8 +65,9 @@ def test_verify_requires_total():
         ({0: 0, 2: 1}, {1, 3}),
         ({0: 0, 1: 1, 2: 2, 3: 3, 4: 0}, {4}),
         ({-1: 0, 0: 0, 1: 1, 2: 2, 3: 3}, {-1}),
+        ({0: 0, 1: 1, 2: 2, 4: 0}, {3}),
     ],
-    ids=["missing", "extra", "negative"],
+    ids=["missing", "extra", "negative", "missing-and-extra"],
 )
 def test_verify_domain_mismatch(assignment, mismatch):
     with pytest.raises(PartialColoringError) as exc:
@@ -139,6 +141,103 @@ def test_verify_matches_layered_reference_on_large_graphs(large_graphs):
                 got = verify(g, spec, coloring)
                 assert got == verify_by_layers(g, spec, coloring), name
                 total += len(got)
+    assert total > 0
+
+
+DECISION_SPECS = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2, 2)]
+
+
+def _witness_graphs() -> list[tuple[str, MultiGraph]]:
+    """Small graphs on which some of DECISION_SPECS have valid colorings."""
+    prism = fixtures()["prism"]
+    return [
+        ("edgeless", MultiGraph(3)),
+        ("c4_and_isolated_vertex", MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+        ("c4_with_parallel_pair", MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])),
+        ("path6", MultiGraph(6, [(i, i + 1) for i in range(5)])),
+        ("k4", k4()),
+        ("prism", prism),
+        ("subdivided_k4", subdivide(k4())),
+        ("subdivided_prism", subdivide(prism)),
+        ("subdivided_triple_edge", subdivide(MultiGraph(2, [(0, 1)] * 3))),
+    ]
+
+
+WITNESS_GRAPHS = _witness_graphs()
+
+
+def _decision_cases(base_corpus):
+    """(name, graph, radii, assignment): valid colorings and one-vertex changes.
+
+    The valid ones are solver witnesses on WITNESS_GRAPHS, each then
+    changed at every vertex in turn, and the constructed colorings of the
+    base corpus, each then changed at one vertex.
+    """
+    rng = SplitMix64(0xDEC1DE)
+    for radii in DECISION_SPECS:
+        spec = SPackingSpec(radii)
+        for name, g in WITNESS_GRAPHS:
+            col = solve_spacking(g, spec, cap=g.n)
+            if col is None:
+                continue
+            yield name, g, radii, col.assignment
+            for v in range(g.n) if spec.r > 1 else ():
+                moved = dict(col.assignment)
+                moved[v] = (moved[v] + 1 + rng.randrange(spec.r - 1)) % spec.r
+                yield f"{name}@{v}", g, radii, moved
+    for name, g in base_corpus:
+        built = color_claw_free_cubic(g).assignment
+        for radii in DECISION_SPECS:
+            if len(radii) < 4:
+                continue
+            yield name, g, radii, built
+            moved = dict(built)
+            v = rng.randrange(g.n)
+            moved[v] = (moved[v] + 1 + rng.randrange(len(radii) - 1)) % len(radii)
+            yield f"{name}@{v}", g, radii, moved
+
+
+def test_decision_pass_matches_definition(base_corpus, monkeypatch):
+    """Radii <= 2: valid colorings return [] without the BFS; the rest list
+    exactly the definition's violations."""
+    bfs_runs = []
+    bfs = oracle._violations
+
+    def counted(adj, cls, spec):
+        bfs_runs.append(spec)
+        return bfs(adj, cls, spec)
+
+    monkeypatch.setattr(oracle, "_violations", counted)
+    valid_specs = set()
+    invalid = 0
+    for name, g, radii, assignment in _decision_cases(base_corpus):
+        want = violations_brute(g, radii, assignment)
+        bfs_runs.clear()
+        assert _violation_tuples(g, SPackingSpec(radii), assignment) == want, (name, radii)
+        assert len(bfs_runs) == (1 if want else 0), (name, radii)
+        if want:
+            invalid += 1
+        else:
+            valid_specs.add(radii)
+    assert valid_specs == set(DECISION_SPECS)
+    assert invalid > 0
+
+
+def test_verify_lists_pairs_beyond_distance_two():
+    """A coloring with no conflict within distance 2 is still checked at radius 3."""
+    path = MultiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    spec = SPackingSpec((1, 1, 3))
+    got = verify(path, spec, PackingColoring(spec, {0: 2, 1: 0, 2: 1, 3: 2}))
+    assert [(vio.pair, vio.distance) for vio in got] == [((0, 3), 3)]
+    total = 0
+    for name, g in WITNESS_GRAPHS:
+        col = solve_spacking(g, SPackingSpec((1, 1, 2)), cap=g.n)
+        if col is None:
+            continue
+        for radii in ((1, 1, 3), (1, 2, 3)):
+            got = _violation_tuples(g, SPackingSpec(radii), col.assignment)
+            assert got == violations_brute(g, radii, col.assignment), name
+            total += len(got)
     assert total > 0
 
 
