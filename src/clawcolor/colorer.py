@@ -122,14 +122,17 @@ def _completion(
     added += zip(rest[::2], rest[1::2])
     for i, v in enumerate(local):
         local[v] = i
-    adj, mult = g.adjacency(), g.multiplicity
-    edges = [
-        (i, local[b])
-        for a, i in local.items()
-        for b in adj[a]
-        if b > a and b in local
-        for _ in range(mult(a, b))
-    ]
+    adj = g.adjacency()
+    if g.is_simple():
+        edges = [(i, local[b]) for a, i in local.items() for b in adj[a] if b > a and b in local]
+    else:
+        edges = [
+            (i, local[b])
+            for a, i in local.items()
+            for b in adj[a]
+            if b > a and b in local
+            for _ in range(g.multiplicity(a, b))
+        ]
     edges += [(local[a], local[b]) for a, b in added]
     return MultiGraph(len(local), edges), local, gadget
 
@@ -305,15 +308,18 @@ def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
     bridges, local = _require_claw_free_cubic(g)
+    # completions scan themselves, the tree keeps its own sorted copy of the
+    # bridges, and the decomposition keeps what it needs of the scan and its
+    # walk; holding any of those while coloring raises peak memory
     if bridges:
-        # completions scan themselves, and the tree keeps its own sorted
-        # copy of the bridges; holding either while coloring raises peak memory
         del local
         bt = _bridge_tree(g, bridges)
         del bridges
         coloring = _color_bridged(g, bt)
     else:
-        coloring = _two_edge_connected(g, _decompose(g, local))
+        dec = _decompose(g, local)
+        del local
+        coloring = _two_edge_connected(g, dec)
     return _verified(g, coloring)
 
 

@@ -7,25 +7,28 @@ ring-of-diamonds recognition.
 
 In a claw-free cubic graph every vertex lies on a triangle, so the claw
 check, the induced diamonds and the triangles off the diamonds can all be
-read from the closed neighborhoods.  `_local_scan` does that in one pass,
-and the pipeline's entry check `_require_claw_free_cubic` tests, in this
-order, that the input is simple, non-empty, connected (from the DFS of the
-bridge search, whose bridges it keeps), cubic, and claw-free (from the scan,
-which it keeps for the decomposition).  `find_claw` stays for arbitrary
-graphs.
+read from the closed neighborhoods.  `_local_scan` does that in one pass.
+By Oum's theorem every vertex of such a graph other than K4 then lies on
+exactly one of those triangles or diamonds, and `_walk` follows each
+triangle corner through its string of diamonds to another corner.  The
+walks are the edges of a cubic multigraph H on the triangles, and an edge
+cut of H lifts to an edge cut of G of the same size, so the pipeline's
+entry check `_require_claw_free_cubic` reads G's connectivity and bridges
+from H, which is much smaller.  `find_claw` stays for arbitrary graphs and
+`find_bridges` for connected ones.
 
-For the same reason at most one edge at each vertex is a bridge, so
-`_bridge_tree` keeps per vertex only the other end of its bridge and its
-degree inside its component.  The components, their kinds, their
-attachment vertices (inside degree 2) and the tree edges follow from those
-two arrays, and one BFS helper over the components runs the diameter
-sweeps that find the root and then roots the tree.
+Since every vertex lies on a triangle, at most one edge at each vertex is
+a bridge, so `_bridge_tree` keeps per vertex only the other end of its
+bridge and its degree inside its component.  The components, their kinds,
+their attachment vertices (inside degree 2) and the tree edges follow from
+those two arrays, and one BFS helper over the components runs the
+diameter sweeps that find the root and then roots the tree.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .errors import (
@@ -146,6 +149,9 @@ class LocalScan:
     `diamonds` lists the induced diamonds by their interior edge and
     `triangles` the triangles on no diamond by their smallest corner;
     `diamond_of[v]` and `triangle_of[v]` index those lists, -1 for none.
+
+    For a built graph the entry check fills in `walk`, the `_walk`, and
+    `h`, the H-edges of the realizations that are not H-loops.
     """
 
     claw: tuple[int, int, int, int] | None = None
@@ -153,6 +159,8 @@ class LocalScan:
     diamond_of: list[int] = field(default_factory=list)
     triangles: list[tuple[int, int, int]] = field(default_factory=list)
     triangle_of: list[int] = field(default_factory=list)
+    walk: list[tuple[int, ...]] = field(default_factory=list)
+    h: MultiGraph | None = None
 
 
 def _local_scan(g: MultiGraph) -> LocalScan:
@@ -203,6 +211,67 @@ def _local_scan(g: MultiGraph) -> LocalScan:
             diamond_of[v] = diamond_of[p] = diamond_of[e1] = diamond_of[e2] = len(diamonds)
             diamonds.append(Diamond(interiors=(v, p), exteriors=(e1, e2)))
     return LocalScan(None, diamonds, diamond_of, triangles, triangle_of)
+
+
+def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
+    """Each H-edge's realization: (corner, entry exterior of each string diamond, corner).
+
+    The two corners may lie on one triangle: an H-loop, which only a graph
+    with a bridge has.  A walk is deterministic and reversible, so each
+    corner ends exactly one realization.
+    """
+    adj = g.adjacency()
+    diamonds, diamond_of = local.diamonds, local.diamond_of
+    triangle_of = local.triangle_of
+    consumed = bytearray(g.n)
+    walk: list[tuple[int, ...]] = []
+    for t, tri in enumerate(local.triangles):
+        for c in tri:
+            outs = [w for w in adj[c] if triangle_of[w] != t]
+            if len(outs) != 1:
+                raise StructureViolationError(
+                    f"triangle corner {c} has {len(outs)} outside edges"
+                )
+            if consumed[c]:
+                continue
+            cur = outs[0]
+            seq = [c]
+            while (i := diamond_of[cur]) != -1:
+                e1, e2 = diamonds[i].exteriors
+                if cur != e1 and cur != e2:
+                    raise StructureViolationError(
+                        f"string enters diamond at interior vertex {cur}"
+                    )
+                seq.append(cur)
+                exit_ = e1 if cur == e2 else e2
+                outs = [w for w in adj[exit_] if diamond_of[w] != i]
+                if len(outs) != 1:
+                    raise StructureViolationError(
+                        f"diamond exterior {exit_} has {len(outs)} outside edges"
+                    )
+                cur = outs[0]
+            if triangle_of[cur] == -1:
+                raise StructureViolationError(
+                    f"realization starting at corner {c} ends at non-corner {cur}"
+                )
+            consumed[c] = consumed[cur] = 1
+            seq.append(cur)
+            walk.append(tuple(seq))
+    return walk
+
+
+def _ring_length(g: MultiGraph, local: LocalScan) -> int:
+    """How many diamonds the ring through diamond 0 has, on a graph of diamonds."""
+    adj, diamonds, diamond_of = g.adjacency(), local.diamonds, local.diamond_of
+    i, x, length = 0, diamonds[0].exteriors[0], 0
+    while True:
+        length += 1
+        e1, e2 = diamonds[i].exteriors
+        # the exit's neighbor besides the two interiors, on the next diamond
+        x = sum(adj[e1 if x == e2 else e2]) - sum(diamonds[i].interiors)
+        i = diamond_of[x]
+        if i == 0:
+            return length
 
 
 def is_ring_of_diamonds(g: MultiGraph) -> bool:
@@ -280,25 +349,65 @@ def _classify_component(
     return ComponentKind.TYPE_III
 
 
-def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], LocalScan]:
-    """Raise unless g is simple, non-empty, connected, cubic and claw-free, in that order.
+_DISCONNECTED = "input graph is disconnected"
 
-    Returns what the checks computed: the bridges, from the DFS that also
-    decides connectivity, and the local scan, which is the claw check.
+
+def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], LocalScan]:
+    """Raise unless g is a connected claw-free cubic graph; return its bridges.
+
+    Checks simple, non-empty, cubic, claw-free, then connected, but a
+    disconnected input is reported ahead of the cubic and claw checks: a
+    BFS decides it when one of those fails.  On claw-free cubic input the
+    structure decides it.  Vertices on no triangle or diamond lie on K4
+    components.  With no triangle, the ring through diamond 0 must hold
+    every diamond.  Otherwise the walks must reach every diamond, and H,
+    built from the realizations that are not H-loops, must be connected.
+    G's bridges are the edges outside the diamonds of the realizations of
+    H's bridges.  The scan is returned with the walk and H filled in.
     """
     if not g.is_simple():
         raise NotSimpleError("input must be a simple graph")
     if g.n == 0:
         raise DisconnectedError("input graph has no vertices")
-    bridges = _bridges(g)
-    if bridges is None:
-        raise DisconnectedError("input graph is disconnected")
     if not is_cubic(g):
+        if not is_connected(g):
+            raise DisconnectedError(_DISCONNECTED)
         raise NotCubicError("input graph is not cubic")
     local = _local_scan(g)
     if local.claw is not None:
+        if not is_connected(g):
+            raise DisconnectedError(_DISCONNECTED)
         raise NotClawFreeError(local.claw)
-    return bridges, local
+    triangles, triangle_of = local.triangles, local.triangle_of
+    diamonds, diamond_of = local.diamonds, local.diamond_of
+    if 3 * len(triangles) + 4 * len(diamonds) != g.n:
+        if g.n != 4:
+            raise DisconnectedError(_DISCONNECTED)
+        return set(), local
+    if not triangles:
+        if _ring_length(g, local) != len(diamonds):
+            raise DisconnectedError(_DISCONNECTED)
+        return set(), local
+    walk = _walk(g, local)
+    if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
+        raise DisconnectedError(_DISCONNECTED)
+    ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
+    h = MultiGraph(len(triangles), [(a, b) for a, b in ends if a != b])
+    h_bridges = _bridges(h)
+    if h_bridges is None:
+        raise DisconnectedError(_DISCONNECTED)
+    bridges: set[tuple[int, int]] = set()
+    if h_bridges:
+        for r, (a, b) in zip(walk, ends):
+            if ((a, b) if a < b else (b, a)) in h_bridges:
+                # the realization's edges outside its diamonds
+                prev = r[0]
+                for x in r[1:]:
+                    bridges.add((prev, x) if prev < x else (x, prev))
+                    if (i := diamond_of[x]) != -1:
+                        e1, e2 = diamonds[i].exteriors
+                        prev = e1 if x == e2 else e2
+    return bridges, replace(local, walk=walk, h=h)
 
 
 def build_bridge_tree(g: MultiGraph) -> BridgeTree:

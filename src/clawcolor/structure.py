@@ -7,20 +7,24 @@ recovers that structure: the triangles, the multigraph H, and for every
 H-edge its realization in G (a direct edge or an oriented diamond string).
 
 The triangles and diamonds come from `recognition._local_scan`, as lists
-indexed per vertex.  `color_claw_free_cubic` hands over the scan its entry
-check ran; a completed component of a bridged graph is scanned here.  The
-decomposition then walks from each triangle corner's outside neighbor
-through any diamond string to the next corner.
+indexed per vertex, and the realizations from `recognition._walk`, which
+goes from each triangle corner's outside neighbor through any diamond
+string to the next corner.  The entry check `_require_claw_free_cubic`
+runs both and builds H to find the bridges; `color_claw_free_cubic` hands
+all three over, so G is neither walked nor contracted twice.  A completed
+component of a bridged graph is scanned and walked here.
 
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
 
   * Cubic.  The walk raises unless each triangle corner has exactly one
-    outside edge, and it rejects H-loops.  A walk is deterministic and
-    reversible, so each corner ends exactly one realization.
+    outside edge, and the orientation step rejects H-loops.  A walk is
+    deterministic and reversible, so each corner ends exactly one
+    realization.
   * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
-    size.  On the pipeline path, G's entry bridge search found no bridge;
-    for a completed component of a bridged graph, the construction of the
+    size, so G's connectivity and bridges are read from H: on the pipeline
+    path the entry check searched H, not G, and found no bridge.  For a
+    completed component of a bridged graph, the construction of the
     completion guarantees it.  A violation would surface as
     `_complement`'s InternalInvariantError or as the exit certificate's
     VerificationFailedError.
@@ -42,6 +46,7 @@ from .recognition import (
     LocalScan,
     _local_scan,
     _require_claw_free_cubic,
+    _walk,
     is_k4,
 )
 
@@ -139,8 +144,8 @@ def oum_decompose(g: MultiGraph) -> Decomposition:
 def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     """`oum_decompose` on a graph already known to be valid input for it.
 
-    `local` is g's `_local_scan`, when the caller has it; otherwise it is
-    run here.
+    `local` is g's scan, when the caller has it; the entry check's carries
+    the walk and H.  Whatever is missing is computed here.
     """
     if is_k4(g):
         return Decomposition(variant=Variant.K4)
@@ -156,63 +161,31 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         return Decomposition(
             variant=Variant.RING, ring_diamonds=tuple(diamonds)
         )
-    if 3 * len(triangles) + 4 * len(diamonds) != g.n:
-        v = next(v for v in range(g.n) if diamond_of[v] == triangle_of[v] == -1)
-        raise StructureViolationError(
-            f"vertex {v} is on no diamond and no triangle of free vertices"
-        )
-
-    # walk realizations from each triangle corner's outside neighbor:
-    # direct edges or diamond strings, corner to corner
-    nbrs = g.neighbors
-    consumed = bytearray(g.n)
-    walked = 0
-    raw: list[tuple[int, int, list[StringDiamond]]] = []
-    for t, tri in enumerate(triangles):
-        for c in tri:
-            outs = [w for w in nbrs(c) if triangle_of[w] != t]
-            if len(outs) != 1:
-                raise StructureViolationError(
-                    f"triangle corner {c} has {len(outs)} outside edges"
-                )
-            if consumed[c]:
-                continue
-            cur = outs[0]
-            seq: list[StringDiamond] = []
-            while (i := diamond_of[cur]) != -1:
-                d = diamonds[i]
-                e1, e2 = d.exteriors
-                if cur != e1 and cur != e2:
-                    raise StructureViolationError(
-                        f"string enters diamond at interior vertex {cur}"
-                    )
-                exit_ = e1 if cur == e2 else e2
-                seq.append(StringDiamond(cur, d.interiors, exit_))
-                outs = [w for w in nbrs(exit_) if diamond_of[w] != i]
-                if len(outs) != 1:
-                    raise StructureViolationError(
-                        f"diamond exterior {exit_} has {len(outs)} outside edges"
-                    )
-                cur = outs[0]
-            if triangle_of[cur] == -1:
-                raise StructureViolationError(
-                    f"realization starting at corner {c} ends at non-corner {cur}"
-                )
-            consumed[c] = consumed[cur] = 1
-            walked += len(seq)
-            raw.append((c, cur, seq))
-
-    if walked != len(diamonds):
-        raise StructureViolationError("some diamonds belong to no string")
+    walk, h = local.walk, local.h
+    if h is None:
+        if 3 * len(triangles) + 4 * len(diamonds) != g.n:
+            v = next(v for v in range(g.n) if diamond_of[v] == triangle_of[v] == -1)
+            raise StructureViolationError(
+                f"vertex {v} is on no diamond and no triangle of free vertices"
+            )
+        walk = _walk(g, local)
+        if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
+            raise StructureViolationError("some diamonds belong to no string")
 
     # orient realizations toward the lower triangle index and assign slots
     oriented: list[tuple[int, int, int, int, tuple[StringDiamond, ...]]] = []
-    for end_a, end_b, seq in raw:
+    for r in walk:
+        end_a, end_b, entries = r[0], r[-1], r[1:-1]
         ha, hb = triangle_of[end_a], triangle_of[end_b]
         if ha == hb:
             raise StructureViolationError(
                 f"H-edge loop at triangle {ha}; impossible in a bridgeless graph"
             )
+        seq = []
+        for x in entries:
+            d = diamonds[diamond_of[x]]
+            e1, e2 = d.exteriors
+            seq.append(StringDiamond(x, d.interiors, e1 if x == e2 else e2))
         if ha > hb:
             ha, hb = hb, ha
             end_a, end_b = end_b, end_a
@@ -227,10 +200,12 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         counts[(ha, hb)] = k + 1
         h_edges.append(HEdge(slot=(ha, hb, k), end_u=end_a, end_v=end_b, diamonds=seq))
 
+    if h is None:
+        h = MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges])
     return Decomposition(
         variant=Variant.BUILT,
         triangles=tuple(triangles),
-        h=MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges]),
+        h=h,
         h_edges=tuple(h_edges),
         slot_edge={e.slot: e for e in h_edges},
     )

@@ -79,23 +79,32 @@ def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
     return [single_source_distances(g, v) for v in range(g.n)]
 
 
-def connected_after_removal(g: MultiGraph, u: int, v: int) -> bool:
-    """Is the graph still connected after deleting one copy of (u, v)?"""
-    edges = list(g.edge_list())
-    edges.remove((min(u, v), max(u, v)))
-    if g.n == 0:
-        return True
-    dist = bfs_distances(g.n, edges, 0)
-    return all(d != float("inf") for d in dist)
-
-
 def bridges_by_removal(g: MultiGraph) -> set[tuple[int, int]]:
-    """Quadratic oracle: an edge is a bridge iff removing it disconnects."""
-    out = set()
-    for u, v, m in g.edge_pairs():
-        if m == 1 and not connected_after_removal(g, u, v):
-            out.add((u, v))
-    return out
+    """Quadratic oracle: an edge is a bridge iff, once it is removed, no path joins its ends.
+
+    A pair with two or more copies is never a bridge.  The search from u
+    skips the removed edge and stops at the first sight of v.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edge_list():
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def joined_without(u: int, v: int) -> bool:
+        seen, stack = {u}, [u]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if x == u and y == v:
+                    continue
+                if y == v:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    return {(u, v) for u, v, m in g.edge_pairs() if m == 1 and not joined_without(u, v)}
 
 
 def all_perfect_matchings(g: MultiGraph) -> list[frozenset[tuple[int, int, int]]]:

@@ -31,10 +31,10 @@ from clawcolor.errors import (
 )
 import clawcolor.colorer
 from clawcolor.colorer import _color_bridged, _completion
-from clawcolor.recognition import _bridge_tree
+from clawcolor.recognition import _bridge_tree, _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
-from brute import color_bridged_by_subgraphs, completion_by_subgraphs
+from brute import bridges_by_removal, color_bridged_by_subgraphs, completion_by_subgraphs
 from test_recognition import _bridged_sweep_shapes
 
 
@@ -260,23 +260,33 @@ def test_exhaustive_small_orders():
     """Every connected claw-free cubic graph on at most 8 vertices colors.
 
     Covers all 2581 labeled instances (1 + 60 + 2520), cross-checked with
-    the exact solver.
+    the exact solver; the entry check finds the bridges the removal oracle
+    finds (none, at these orders).  The 35 labeled pairs of K4 are
+    rejected as disconnected.
     """
     from clawcolor import is_claw_free, is_connected, solve_spacking
 
     counts = {}
+    pairs_of_k4 = 0
     for n in (4, 6, 8):
         tested = 0
         for edges in _all_labeled_cubic(n):
             g = MultiGraph(n, edges)
-            if not is_connected(g) or not is_claw_free(g):
+            if not is_claw_free(g):
                 continue
+            if not is_connected(g):
+                with pytest.raises(DisconnectedError, match="^input graph is disconnected$"):
+                    _require_claw_free_cubic(g)
+                pairs_of_k4 += 1
+                continue
+            assert _require_claw_free_cubic(g)[0] == bridges_by_removal(g), edges
             col = color_claw_free_cubic(g)
             assert verify(g, SPEC_1122, col) == [], edges
             assert solve_spacking(g, SPEC_1122) is not None, edges
             tested += 1
         counts[n] = tested
     assert counts == {4: 1, 6: 60, 8: 2520}
+    assert pairs_of_k4 == 35
 
 
 def test_large_built_graph_colors_and_certifies():
@@ -337,6 +347,69 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
             assert list(local.values()) == list(range(tilde.n))
             tested[len(bt.degree2[c]) % 2] += 1
     assert tested[0] > 100 and tested[1] > 500, tested
+
+
+def _doubled(comp: MultiGraph, keep: set[int]) -> MultiGraph:
+    """comp with a second copy of its first edge with no end in `keep`."""
+    e = next((u, v) for u, v in comp.edge_list() if u not in keep and v not in keep)
+    return MultiGraph(comp.n, comp.edge_list() + [e])
+
+
+def test_completion_of_a_multigraph_matches_subgraph_reference(bridged_trees):
+    """The multiplicity-aware path, kept for multigraphs handed to `extend_component`.
+
+    Each Type III component gets a parallel copy of one edge away from x1
+    and its neighbors, which the completion must carry over.
+    """
+    tested = [0, 0]
+    for g in [g for _, g in bridged_trees]:
+        bridges = find_bridges(g)
+        if not bridges:
+            continue
+        bt = _bridge_tree(g, bridges)
+        for c, comp in enumerate(bt.components):
+            if bt.kinds[c] is not ComponentKind.TYPE_III:
+                continue
+            sub, to_global = g.induced(comp)
+            to_sub = {v: i for i, v in enumerate(to_global)}
+            xs = [to_sub[x] for x in bt.degree2[c]]
+            multi = _doubled(sub, {xs[0], *sub.neighbors(xs[0])})
+            tilde, local, _ = _completion(multi, range(multi.n), xs)
+            want, want_to_sub = completion_by_subgraphs(multi, xs)
+            assert not tilde.is_simple()
+            assert tilde == want and tilde.adjacency() == want.adjacency()
+            assert list(local) == want_to_sub
+            tested[len(xs) % 2] += 1
+    assert min(tested) > 20, tested
+
+
+def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
+    """On a simple G the completions copy each edge without a multiplicity lookup.
+
+    Coloring the 50-diamond chain made 205 `multiplicity` calls when every
+    copied edge looked its multiplicity up; 90 of them came from the two
+    leaves' completions.  The 115 left are `has_edge` calls, four of them
+    the two of each leaf's odd gadget.
+    """
+    g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
+    real_multiplicity, real_completion = MultiGraph.multiplicity, clawcolor.colorer._completion
+    calls, inside = [0], [0]
+
+    def multiplicity(self, u, v):
+        calls[0] += 1
+        return real_multiplicity(self, u, v)
+
+    def completion(*args):
+        before = calls[0]
+        out = real_completion(*args)
+        inside[0] += calls[0] - before
+        return out
+
+    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
+    monkeypatch.setattr(clawcolor.colorer, "_completion", completion)
+    assert_valid(g, color_claw_free_cubic(g))
+    assert inside[0] == 4
+    assert calls[0] == 115
 
 
 def test_up_neighbor_on_a_completion_diamond_is_an_internal_error(monkeypatch):

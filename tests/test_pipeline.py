@@ -109,17 +109,20 @@ def _count_calls(monkeypatch, fn, when=lambda *args: True) -> list[int]:
     "name", ["bridged_star", "chain50", "type3_path", "built", "prism", "big_expansion", "ring", "k4"]
 )
 def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, capsys, name):
-    """One entry check, one local scan, one bridge search, one cubic check
-    and one certificate per coloring.
+    """One entry check, one local scan, one cubic check and one certificate
+    per coloring, and at most one bridge search, on H.
 
-    The only other scans are the ones a completed component's `_decompose`
-    runs for itself; no BFS runs only to decide connectivity, and the
-    attachment vertices come from the bridge tree, never from a rescan.
-    Neither H nor a completion is searched for bridges or checked for
-    being cubic again.
+    The bridges and connectivity come from H, the contraction of the
+    entry's walk, never from a search of g; K4 and rings have no H and no
+    search.  The only other scans are the ones a completed component's
+    `_decompose` runs for itself; no BFS runs only to decide connectivity,
+    and the attachment vertices come from the bridge tree, never from a
+    rescan.  Neither H nor a completion is searched for bridges or checked
+    for being cubic again.
     """
     g = _inputs(named_fixtures)[name]
     bridged = bool(find_bridges(g))
+    triangles = len(recognition._local_scan(g).triangles)
     verifies = _count_calls(monkeypatch, oracle.verify)
     entries = _count_calls(monkeypatch, recognition._require_claw_free_cubic)
     scans = _count_calls(monkeypatch, recognition._local_scan)
@@ -129,15 +132,18 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
     attachments = _count_calls(monkeypatch, clawcolor.colorer._attachments)
-    searches = _count_calls(monkeypatch, recognition._bridges)
+    searched = []
+    searches = _count_calls(monkeypatch, recognition._bridges, lambda h: searched.append(h) or True)
     cubic = _count_calls(monkeypatch, multigraph.is_cubic)
 
     def counts():
         return (verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0],
                 attachments[0], searches[0], cubic[0])
 
+    h_searches = 0 if name in ("k4", "ring") else 1
     color_claw_free_cubic(g)
-    assert counts() == (1, 1, 1, 0, 0, 0, 1, 1)
+    assert counts() == (1, 1, 1, 0, 0, 0, h_searches, 1)
+    assert all(h is not g and h.n == triangles for h in searched)
     if not bridged:
         assert own_scans[0] == 0
 
@@ -145,7 +151,8 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     path.write_text(emit_edgelist(g))
     assert main(["color", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
-    assert counts() == (2, 2, 2, 0, 0, 0, 2, 2)
+    assert counts() == (2, 2, 2, 0, 0, 0, 2 * h_searches, 2)
+    assert all(h is not g and h.n == triangles for h in searched)
 
 
 def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
@@ -153,9 +160,9 @@ def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
 
     Only the two Type III leaves of a diamond chain are completed, each
     into one graph built from G's adjacency, so a coloring builds as many
-    graphs for 400 diamonds as for 100: one completion per leaf.  Both
-    leaves are the same gadget, whose completion is K4, so no
-    decomposition adds to the count.
+    graphs for 400 diamonds as for 100: G's H, whose one edge carries the
+    whole chain, and one completion per leaf.  Both leaves are the same
+    gadget, whose completion is K4, so no decomposition adds to the count.
     """
     chains = []
     for k in (100, 400):
@@ -178,7 +185,7 @@ def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
         built[0] = 0
         color_claw_free_cubic(g)
         counts.append(built[0])
-    assert counts[0] == counts[1] == 2, counts
+    assert counts[0] == counts[1] == 3, counts
 
 
 def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
@@ -469,6 +476,54 @@ def _k33_with_a_triangle(fx):
     return MultiGraph(8, triangle + [(u, v) for u in (3, 4) for v in (5, 6, 7)])
 
 
+def _union(*graphs: MultiGraph) -> MultiGraph:
+    """The disjoint union, each graph's ids shifted past the ones before it."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edge_list()]
+        n += g.n
+    return MultiGraph(n, edges)
+
+
+def _two_rings(fx):
+    """No triangle: the ring through the first diamond misses the others."""
+    return _union(gen_ring_of_diamonds(3), gen_ring_of_diamonds(4))
+
+
+def _ring_and_prism(fx):
+    """The walks from the prism's corners reach none of the ring's diamonds."""
+    return _union(gen_ring_of_diamonds(3), fx["prism"])
+
+
+def _prism_and_big_expansion(fx):
+    """Every diamond is walked, but H is disconnected."""
+    return _union(fx["prism"], fx["big_expansion"])
+
+
+def _prism_and_k4(fx):
+    """K4's vertices are on no triangle or diamond of the scan."""
+    return _union(fx["prism"], MultiGraph(4, K4_EDGES))
+
+
+def _petersen_and_k4(fx):
+    """A claw, in a disconnected graph."""
+    return _union(fx["petersen"], MultiGraph(4, K4_EDGES))
+
+
+def _bridged_star_and_ring(fx):
+    """H-loops and bridges, and a ring the walks miss."""
+    return _union(fx["bridged_star"], gen_ring_of_diamonds(3))
+
+
+DISCONNECTED_CLAW_FREE_OR_NOT = [
+    _two_rings,
+    _ring_and_prism,
+    _prism_and_big_expansion,
+    _prism_and_k4,
+    _petersen_and_k4,
+    _bridged_star_and_ring,
+]
+
 # (entry, input, error class, message): every way the entry checks reject,
 # with the class and message they have always given
 ENTRY_REJECTIONS = [
@@ -491,6 +546,14 @@ ENTRY_REJECTIONS = [
     (oum_decompose, _diamond, NotCubicError, "input graph is not cubic"),
     (oum_decompose, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
     (oum_decompose, _bridged, NotTwoEdgeConnectedError, "input graph has bridges"),
+    *[
+        (entry, make, error, "input graph is disconnected")
+        for make in DISCONNECTED_CLAW_FREE_OR_NOT
+        for entry, error in (
+            (color_claw_free_cubic, DisconnectedError),
+            (oum_decompose, NotTwoEdgeConnectedError),
+        )
+    ],
 ]
 
 

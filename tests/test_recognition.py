@@ -21,7 +21,13 @@ from clawcolor import (
     random_expansion_spec,
 )
 from clawcolor.errors import DisconnectedError, StructureViolationError
-from clawcolor.recognition import _bridges, _classify_component, _local_scan
+from clawcolor.recognition import (
+    _bridges,
+    _classify_component,
+    _local_scan,
+    _require_claw_free_cubic,
+    _walk,
+)
 
 from brute import (
     bfs_distances,
@@ -143,6 +149,43 @@ def test_no_vertex_has_two_bridges(corpus, bridged_trees, random_bridged_trees):
     for g in graphs:
         ends = [v for e in find_bridges(g) for v in e]
         assert len(ends) == len(set(ends))
+
+
+def _entry_bridges(g: MultiGraph) -> set[tuple[int, int]]:
+    """The bridges the entry check lifts from H."""
+    return _require_claw_free_cubic(g)[0]
+
+
+def _h_loops(g: MultiGraph) -> int:
+    local = _local_scan(g)
+    return sum(local.triangle_of[r[0]] == local.triangle_of[r[-1]] for r in _walk(g, local))
+
+
+def test_entry_bridges_match_removal_oracle(named_fixtures, random_bridged_trees):
+    """The connector edges of H's bridges are exactly G's bridges.
+
+    Over the fixtures and 200 random bridged trees, among them many
+    7-vertex Type III leaves, whose triangle has an H-loop through the
+    leaf's diamond.
+    """
+    graphs = [named_fixtures[name] for name in ("k4", "prism", "big_expansion", "bridged_star")]
+    graphs += random_bridged_trees
+    with_loops = 0
+    for g in graphs:
+        assert _entry_bridges(g) == bridges_by_removal(g)
+        with_loops += _h_loops(g) > 0
+    assert _h_loops(named_fixtures["bridged_star"]) == 3
+    assert with_loops > 100, with_loops
+
+
+def test_entry_bridges_match_find_bridges_on_large_graphs(large_graphs):
+    """A chain of 2,000 diamonds, which is one H-edge, and a graph over H of order 1,024."""
+    graphs = dict(large_graphs)
+    chain, built = graphs["chain-2000"], graphs["built-h1024"]
+    assert len(_local_scan(built).triangles) == 1024
+    assert len(_entry_bridges(chain)) == 2001
+    for g in (chain, built):
+        assert _entry_bridges(g) == find_bridges(g)
 
 
 def _bridged_sweep_shapes() -> list[MultiGraph]:
