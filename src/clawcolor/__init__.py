@@ -69,7 +69,7 @@ from .recognition import (
     is_ring_of_diamonds,
 )
 from .rng import SplitMix64
-from .structure import Decomposition, HEdge, StringDiamond, Variant, oum_decompose
+from .structure import Decomposition, Variant, oum_decompose
 
 __version__ = "0.1.0"
 
@@ -84,13 +84,11 @@ __all__ = [
     "Decomposition",
     "Diamond",
     "ExpansionSpec",
-    "HEdge",
     "Matching",
     "MultiGraph",
     "PackingColoring",
     "SPackingSpec",
     "SplitMix64",
-    "StringDiamond",
     "TwoFactor",
     "Variant",
     "Violation",

@@ -11,6 +11,9 @@ takes both radius-1 classes), and the canonical coloring driven by a
     and exit -> 1b, with Type 1 strings taking 1a/1b on their exteriors
     and 2a/2b inside.
 
+Corners and diamonds are read by position from the decomposition's
+realization tuples (`recognition._walk` gives the format).
+
 The public constructors verify their output before returning it.  Their
 unchecked cores, which `color_claw_free_cubic` calls, return unverified
 colorings: the pipeline validates its input once at entry and certifies
@@ -32,8 +35,8 @@ from .errors import (
 from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import Diamond, _local_scan, is_k4, is_ring_of_diamonds
-from .structure import Decomposition, Variant, oum_decompose
+from .recognition import Diamond, _local_scan, _ring_scan, is_k4
+from .structure import Decomposition, Variant, _reversed, oum_decompose
 
 
 def _verified(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
@@ -56,9 +59,10 @@ def _k4() -> PackingColoring:
 
 def color_ring_of_diamonds(g: MultiGraph) -> PackingColoring:
     """Diamond interiors get 2a/2b; each connecting edge gets 1a and 1b."""
-    if not is_ring_of_diamonds(g):
+    local = _ring_scan(g)
+    if local is None:
         raise NotRingOfDiamondsError("input is not a ring of diamonds")
-    return _verified(g, _ring(g, _local_scan(g).diamonds))
+    return _verified(g, _ring(g, local.diamonds))
 
 
 def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
@@ -93,34 +97,23 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
 
     # matching edges: the corner in the lower-indexed triangle gets 2a
     for slot in factor.matching.slots:
-        e = dec.slot_edge[slot]
-        assignment[e.end_u] = C2A
-        assignment[e.end_v] = C2B
-        for d in e.diamonds:
-            assignment[d.entry] = C2B
-            assignment[d.exit] = C2A
-            assignment[d.interiors[0]] = C1A
-            assignment[d.interiors[1]] = C1B
+        r = dec.realization[slot]
+        assignment[r[0]] = C2A
+        assignment[r[-1]] = C2B
+        _color_string(assignment, r, C2B, C2A, C1A, C1B)
 
     # cycles: per triangle, the entry corner is 1a and the exit corner 1b
     for cycle in factor.cycles:
-        entry = dec.slot_edge[cycle[-1][1]]
+        entry_slot = cycle[-1][1]
+        entry = dec.realization[entry_slot]
         for hv, exit_slot in cycle:
-            e = dec.slot_edge[exit_slot]
-            forward = hv == e.slot[0]
-            assignment[entry.end_u if hv == entry.slot[0] else entry.end_v] = C1A
-            assignment[e.end_u if forward else e.end_v] = C1B
-            entry = e
-            if not e.diamonds:
-                continue
-            seq = e.diamonds if forward else tuple(
-                d.reversed() for d in reversed(e.diamonds)
-            )
-            for d in seq:
-                assignment[d.entry] = C1A
-                assignment[d.exit] = C1B
-                assignment[d.interiors[0]] = C2A
-                assignment[d.interiors[1]] = C2B
+            r = dec.realization[exit_slot]
+            forward = hv == exit_slot[0]
+            assignment[entry[0] if hv == entry_slot[0] else entry[-1]] = C1A
+            assignment[r[0] if forward else r[-1]] = C1B
+            entry, entry_slot = r, exit_slot
+            if len(r) > 2:
+                _color_string(assignment, r if forward else _reversed(r), C1A, C1B, C2A, C2B)
 
     if len(assignment) != g.n:
         raise InternalInvariantError(
@@ -129,12 +122,28 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
     return PackingColoring(SPEC_1122, assignment)
 
 
+def _color_string(
+    assignment: dict[int, int], r: tuple[int, ...], entry: int, exit_: int, first: int, second: int
+) -> None:
+    """Color each diamond of the realization r, in r's direction.
+
+    Its entry and exit exteriors get `entry` and `exit_`, its smaller and
+    larger interior `first` and `second`.
+    """
+    for j in range(1, len(r) - 1, 4):
+        assignment[r[j]] = entry
+        assignment[r[j + 3]] = exit_
+        assignment[r[j + 1]] = first
+        assignment[r[j + 2]] = second
+
+
 def _lift_slot(dec: Decomposition, edge: tuple[int, int]):
     """The slot of the H-edge whose realization contains `edge`."""
     key = (min(edge), max(edge))
-    for e in dec.h_edges:
-        if key in e.connector_edges():
-            return e.slot
+    for slot, r in dec.realization.items():
+        for a, b in zip(r[::4], r[1::4]):
+            if (a, b) == key or (b, a) == key:
+                return slot
     raise EdgeNotLiftableError(
         f"edge {key} lies inside a triangle or a diamond; no H-edge image"
     )

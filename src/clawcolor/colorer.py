@@ -205,8 +205,10 @@ def _color_type3(
 
 def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
     """g's ids of the completion's vertices on diamonds: its ring or its strings."""
-    diamonds = dec.ring_diamonds or [d for e in dec.h_edges for d in e.diamonds]
-    on = {v for d in diamonds for v in d.vertices}
+    if dec.variant is Variant.RING:
+        on = {v for d in dec.ring_diamonds for v in d.vertices}
+    else:
+        on = {v for r in dec.realization.values() for v in r[1:-1]}
     return [v for v, i in local.items() if i in on]
 
 

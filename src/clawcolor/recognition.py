@@ -10,11 +10,13 @@ check, the induced diamonds and the triangles off the diamonds can all be
 read from the closed neighborhoods.  `_local_scan` does that in one pass.
 By Oum's theorem every vertex of such a graph other than K4 then lies on
 exactly one of those triangles or diamonds, and `_walk` follows each
-triangle corner through its string of diamonds to another corner.  The
-walks are the edges of a cubic multigraph H on the triangles, and an edge
-cut of H lifts to an edge cut of G of the same size, so the pipeline's
-entry check `_require_claw_free_cubic` reads G's connectivity and bridges
-from H, which is much smaller.  `find_claw` stays for arbitrary graphs and
+triangle corner through its string of diamonds to another corner, listing
+the vertices it passes.  The walks are the edges of a cubic multigraph H
+on the triangles, and an edge cut of H lifts to an edge cut of G of the
+same size, so the pipeline's entry check `_require_claw_free_cubic` reads
+G's connectivity and bridges from H, which is much smaller.  With no
+triangle, `_ring_length` decides connectivity: the ring through diamond 0
+must hold every diamond.  `find_claw` stays for arbitrary graphs and
 `find_bridges` for connected ones.
 
 Since every vertex lies on a triangle, at most one edge at each vertex is
@@ -150,8 +152,8 @@ class LocalScan:
     `triangles` the triangles on no diamond by their smallest corner;
     `diamond_of[v]` and `triangle_of[v]` index those lists, -1 for none.
 
-    For a built graph the entry check fills in `walk`, the `_walk`, and
-    `h`, the H-edges of the realizations that are not H-loops.
+    For a built graph the entry check fills in `walk`, the realizations
+    `_walk` lists, and `h`, the H-edges of the ones that are not H-loops.
     """
 
     claw: tuple[int, int, int, int] | None = None
@@ -214,7 +216,13 @@ def _local_scan(g: MultiGraph) -> LocalScan:
 
 
 def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
-    """Each H-edge's realization: (corner, entry exterior of each string diamond, corner).
+    """Each H-edge's realization, as its vertices in walk order.
+
+    A realization is the only record of an H-edge in G.  It starts at a
+    triangle corner, then lists for each diamond of its string the entry
+    exterior, the two interiors in ascending order and the exit exterior,
+    and ends at another corner.  A string of k diamonds is 4k + 2 ints, and
+    its edges outside the diamonds are the pairs zip(r[::4], r[1::4]).
 
     The two corners may lie on one triangle: an H-loop, which only a graph
     with a bridge has.  A walk is deterministic and reversible, so each
@@ -237,13 +245,14 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
             cur = outs[0]
             seq = [c]
             while (i := diamond_of[cur]) != -1:
-                e1, e2 = diamonds[i].exteriors
+                d = diamonds[i]
+                e1, e2 = d.exteriors
                 if cur != e1 and cur != e2:
                     raise StructureViolationError(
                         f"string enters diamond at interior vertex {cur}"
                     )
-                seq.append(cur)
                 exit_ = e1 if cur == e2 else e2
+                seq += (cur, *d.interiors, exit_)
                 outs = [w for w in adj[exit_] if diamond_of[w] != i]
                 if len(outs) != 1:
                     raise StructureViolationError(
@@ -279,10 +288,21 @@ def is_ring_of_diamonds(g: MultiGraph) -> bool:
 
     K4 is excluded by convention (it has no induced diamond anyway).
     """
-    if g.n == 0 or not g.is_simple() or not is_cubic(g) or not is_connected(g):
-        return False
+    return _ring_scan(g) is not None
+
+
+def _ring_scan(g: MultiGraph) -> LocalScan | None:
+    """g's scan if g is a ring of diamonds, else None.
+
+    When every vertex is on a diamond, g is connected exactly when the ring
+    through diamond 0 holds every diamond.
+    """
+    if g.n == 0 or not g.is_simple() or not is_cubic(g):
+        return None
     local = _local_scan(g)
-    return local.claw is None and 4 * len(local.diamonds) == g.n
+    if local.claw is not None or 4 * len(local.diamonds) != g.n:
+        return None
+    return local if _ring_length(g, local) == len(local.diamonds) else None
 
 
 class ComponentKind(enum.Enum):
@@ -378,8 +398,7 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
         if not is_connected(g):
             raise DisconnectedError(_DISCONNECTED)
         raise NotClawFreeError(local.claw)
-    triangles, triangle_of = local.triangles, local.triangle_of
-    diamonds, diamond_of = local.diamonds, local.diamond_of
+    triangles, triangle_of, diamonds = local.triangles, local.triangle_of, local.diamonds
     if 3 * len(triangles) + 4 * len(diamonds) != g.n:
         if g.n != 4:
             raise DisconnectedError(_DISCONNECTED)
@@ -389,7 +408,7 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
             raise DisconnectedError(_DISCONNECTED)
         return set(), local
     walk = _walk(g, local)
-    if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
+    if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
         raise DisconnectedError(_DISCONNECTED)
     ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
     h = MultiGraph(len(triangles), [(a, b) for a, b in ends if a != b])
@@ -401,12 +420,7 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
         for r, (a, b) in zip(walk, ends):
             if ((a, b) if a < b else (b, a)) in h_bridges:
                 # the realization's edges outside its diamonds
-                prev = r[0]
-                for x in r[1:]:
-                    bridges.add((prev, x) if prev < x else (x, prev))
-                    if (i := diamond_of[x]) != -1:
-                        e1, e2 = diamonds[i].exteriors
-                        prev = e1 if x == e2 else e2
+                bridges.update((x, y) if x < y else (y, x) for x, y in zip(r[::4], r[1::4]))
     return bridges, replace(local, walk=walk, h=h)
 
 

@@ -4,7 +4,7 @@ Every such graph is K4, a ring of diamonds, or is built from a
 2-edge-connected cubic multigraph H by replacing each H-vertex with a
 triangle and some H-edges with strings of diamonds.  `oum_decompose`
 recovers that structure: the triangles, the multigraph H, and for every
-H-edge its realization in G (a direct edge or an oriented diamond string).
+H-edge its realization in G (a direct edge or a diamond string).
 
 The triangles and diamonds come from `recognition._local_scan`, as lists
 indexed per vertex, and the realizations from `recognition._walk`, which
@@ -13,6 +13,10 @@ string to the next corner.  The entry check `_require_claw_free_cubic`
 runs both and builds H to find the bridges; `color_claw_free_cubic` hands
 all three over, so G is neither walked nor contracted twice.  A completed
 component of a bridged graph is scanned and walked here.
+
+A realization stays the vertex tuple the walk lists (`_walk`'s docstring
+gives the format).  `_decompose` only turns around the ones that start in
+the higher triangle, with `_reversed`, and files them under their slots.
 
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
@@ -58,70 +62,30 @@ class Variant(enum.Enum):
 
 
 @dataclass(frozen=True)
-class StringDiamond:
-    """One diamond of a string, oriented along the realization.
-
-    `entry` is the exterior nearer end_u of the owning HEdge, `exit` the
-    exterior nearer end_v; `interiors` are the two adjacent degree-3
-    vertices (sorted, no inherent orientation).
-    """
-
-    entry: int
-    interiors: tuple[int, int]
-    exit: int
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset((self.entry, self.exit) + self.interiors)
-
-    def reversed(self) -> "StringDiamond":
-        return StringDiamond(self.exit, self.interiors, self.entry)
-
-
-@dataclass(frozen=True)
-class HEdge:
-    """An H-edge slot together with its realization in G.
-
-    end_u is the triangle corner in triangle slot[0], end_v the corner in
-    triangle slot[1].  diamonds (possibly empty) run from the end_u side
-    to the end_v side; end_u is adjacent to diamonds[0].entry and end_v to
-    diamonds[-1].exit, while consecutive diamonds meet exit -> entry.
-    """
-
-    slot: Slot
-    end_u: int
-    end_v: int
-    diamonds: tuple[StringDiamond, ...] = ()
-
-    @property
-    def string_length(self) -> int:
-        return len(self.diamonds)
-
-    def connector_edges(self) -> list[tuple[int, int]]:
-        """The G-edges realizing this H-edge (excluding diamond-internal)."""
-        chain = [self.end_u]
-        for d in self.diamonds:
-            chain.extend((d.entry, d.exit))
-        chain.append(self.end_v)
-        return [
-            (min(a, b), max(a, b)) for a, b in zip(chain[::2], chain[1::2])
-        ]
-
-
-@dataclass(frozen=True)
 class Decomposition:
+    """What `oum_decompose` recovers.
+
+    For the built variant, `realization` maps each slot (a, b, k) of H, in
+    slot order, to its H-edge's vertices in G as `recognition._walk` lists
+    them, run from the corner in triangle a to the corner in triangle b.
+    """
+
     variant: Variant
     ring_diamonds: tuple[Diamond, ...] = ()
     triangles: tuple[tuple[int, int, int], ...] = ()
     h: MultiGraph | None = None
-    h_edges: tuple[HEdge, ...] = ()
-    slot_edge: dict[Slot, HEdge] = field(default_factory=dict)
+    realization: dict[Slot, tuple[int, ...]] = field(default_factory=dict)
 
     def string_lengths(self) -> list[int]:
         """Lengths of the non-empty diamond strings, sorted."""
-        return sorted(
-            e.string_length for e in self.h_edges if e.string_length > 0
-        )
+        return sorted(len(r) // 4 for r in self.realization.values() if len(r) > 2)
+
+
+def _reversed(r: tuple[int, ...]) -> tuple[int, ...]:
+    """The realization r run from its other corner, interiors still ascending."""
+    s = list(reversed(r))
+    s[2::4], s[3::4] = s[3::4], s[2::4]
+    return tuple(s)
 
 
 def oum_decompose(g: MultiGraph) -> Decomposition:
@@ -169,43 +133,32 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
                 f"vertex {v} is on no diamond and no triangle of free vertices"
             )
         walk = _walk(g, local)
-        if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
+        if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
             raise StructureViolationError("some diamonds belong to no string")
 
-    # orient realizations toward the lower triangle index and assign slots
-    oriented: list[tuple[int, int, int, int, tuple[StringDiamond, ...]]] = []
+    # orient realizations toward the lower triangle index and assign slots;
+    # each corner starts one realization, so the sort never looks past r[0]
+    oriented: list[tuple[int, int, tuple[int, ...]]] = []
     for r in walk:
-        end_a, end_b, entries = r[0], r[-1], r[1:-1]
-        ha, hb = triangle_of[end_a], triangle_of[end_b]
+        ha, hb = triangle_of[r[0]], triangle_of[r[-1]]
         if ha == hb:
             raise StructureViolationError(
                 f"H-edge loop at triangle {ha}; impossible in a bridgeless graph"
             )
-        seq = []
-        for x in entries:
-            d = diamonds[diamond_of[x]]
-            e1, e2 = d.exteriors
-            seq.append(StringDiamond(x, d.interiors, e1 if x == e2 else e2))
-        if ha > hb:
-            ha, hb = hb, ha
-            end_a, end_b = end_b, end_a
-            seq = [d.reversed() for d in reversed(seq)]
-        oriented.append((ha, hb, end_a, end_b, tuple(seq)))
-
-    oriented.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    h_edges: list[HEdge] = []
+        oriented.append((ha, hb, r) if ha < hb else (hb, ha, _reversed(r)))
+    oriented.sort()
+    realization: dict[Slot, tuple[int, ...]] = {}
     counts: dict[tuple[int, int], int] = {}
-    for ha, hb, end_a, end_b, seq in oriented:
+    for ha, hb, r in oriented:
         k = counts.get((ha, hb), 0)
         counts[(ha, hb)] = k + 1
-        h_edges.append(HEdge(slot=(ha, hb, k), end_u=end_a, end_v=end_b, diamonds=seq))
+        realization[(ha, hb, k)] = r
 
     if h is None:
-        h = MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges])
+        h = MultiGraph(len(triangles), [(a, b) for a, b, _ in realization])
     return Decomposition(
         variant=Variant.BUILT,
         triangles=tuple(triangles),
         h=h,
-        h_edges=tuple(h_edges),
-        slot_edge={e.slot: e for e in h_edges},
+        realization=realization,
     )

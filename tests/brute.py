@@ -40,7 +40,7 @@ from clawcolor.factorization import Matching, TwoFactor, perfect_matching
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation, _bfs_layers
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
-from clawcolor.structure import Decomposition, HEdge, StringDiamond, Variant
+from clawcolor.structure import Decomposition, Variant
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -456,7 +456,9 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
 
     Verbatim but for the dropped `triangle_of` and `attach` fields: `find_diamonds`, then
     triangles grouped from the first uncovered vertex, then a walk over
-    `Diamond.vertices` sets.
+    `Diamond.vertices` sets.  Each string diamond is kept as (entry,
+    interiors, exit) and only the output is flattened into the
+    `realization` tuples.
     """
     if is_k4(g):
         return Decomposition(variant=Variant.K4)
@@ -519,13 +521,13 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     # walk realizations: direct edges or diamond strings, corner to corner
     consumed: set[int] = set()
     used_diamonds: set[int] = set()
-    raw: list[tuple[int, int, list[StringDiamond]]] = []
+    raw: list[tuple[int, int, list[tuple[int, tuple[int, int], int]]]] = []
     for tri in triangles:
         for c in tri:
             if c in consumed:
                 continue
             cur = third[c]
-            seq: list[StringDiamond] = []
+            seq: list[tuple[int, tuple[int, int], int]] = []
             while cur in diamond_of:
                 d = diamonds[diamond_of[cur]]
                 if cur not in d.exteriors:
@@ -533,7 +535,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
                         f"string enters diamond at interior vertex {cur}"
                     )
                 exit_ = d.exteriors[0] if d.exteriors[1] == cur else d.exteriors[1]
-                seq.append(StringDiamond(cur, d.interiors, exit_))
+                seq.append((cur, d.interiors, exit_))
                 used_diamonds.add(diamond_of[cur])
                 outs = [w for w in g.neighbors(exit_) if w not in d.vertices]
                 if len(outs) != 1:
@@ -553,7 +555,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         raise StructureViolationError("some diamonds belong to no string")
 
     # orient realizations toward the lower triangle index and assign slots
-    oriented: list[tuple[int, int, int, int, tuple[StringDiamond, ...]]] = []
+    oriented: list[tuple[int, int, int, int, list[tuple[int, tuple[int, int], int]]]] = []
     for end_a, end_b, seq in raw:
         ha, hb = triangle_of[end_a], triangle_of[end_b]
         if ha == hb:
@@ -563,18 +565,20 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         if ha > hb:
             ha, hb = hb, ha
             end_a, end_b = end_b, end_a
-            seq = [d.reversed() for d in reversed(seq)]
-        oriented.append((ha, hb, end_a, end_b, tuple(seq)))
+            seq = [(exit_, ints, entry) for entry, ints, exit_ in reversed(seq)]
+        oriented.append((ha, hb, end_a, end_b, seq))
 
     oriented.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    h_edges: list[HEdge] = []
+    realization: dict[Slot, tuple[int, ...]] = {}
     counts: dict[tuple[int, int], int] = {}
     for ha, hb, end_a, end_b, seq in oriented:
         k = counts.get((ha, hb), 0)
         counts[(ha, hb)] = k + 1
-        h_edges.append(HEdge(slot=(ha, hb, k), end_u=end_a, end_v=end_b, diamonds=seq))
+        realization[(ha, hb, k)] = (
+            end_a, *(x for entry, ints, exit_ in seq for x in (entry, *ints, exit_)), end_b
+        )
 
-    h = MultiGraph(len(triangles), [(e.slot[0], e.slot[1]) for e in h_edges])
+    h = MultiGraph(len(triangles), [(a, b) for a, b, _ in realization])
     if not is_cubic(h):
         raise StructureViolationError("reconstructed multigraph H is not cubic")
     if find_bridges(h):
@@ -584,8 +588,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         variant=Variant.BUILT,
         triangles=tuple(triangles),
         h=h,
-        h_edges=tuple(h_edges),
-        slot_edge={e.slot: e for e in h_edges},
+        realization=realization,
     )
 
 

@@ -112,11 +112,11 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
     factor = two_factor(dec.h)
     col = canonical_color(g, dec, factor)
     for slot in factor.matching.slots:
-        e = dec.slot_edge[slot]
-        assert col.assignment[e.end_u] == C2A
-        assert col.assignment[e.end_v] == C2B
-        if not e.diamonds:
-            assert g.has_edge(e.end_u, e.end_v)
+        r = dec.realization[slot]
+        assert col.assignment[r[0]] == C2A
+        assert col.assignment[r[-1]] == C2B
+        if len(r) == 2:
+            assert g.has_edge(r[0], r[-1])
 
 
 def test_with_edge_endpoints_light(named_fixtures):
@@ -147,16 +147,17 @@ def test_triangle_edge_not_liftable(named_fixtures):
 def test_diamond_interior_edge_not_liftable(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = oum_decompose(g)
-    some_diamond = next(e.diamonds[0] for e in dec.h_edges if e.diamonds)
+    # a string's first diamond: its entry exterior and its smaller interior
+    entry, interior = next(r[1:3] for r in dec.realization.values() if len(r) > 2)
     with pytest.raises(EdgeNotLiftableError):
-        canonical_color_with_edge(g, dec, (some_diamond.entry, some_diamond.interiors[0]))
+        canonical_color_with_edge(g, dec, (entry, interior))
 
 
 def test_with_edge_on_string_connectors(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = oum_decompose(g)
-    string_edge = next(e for e in dec.h_edges if e.diamonds)
-    for pair in string_edge.connector_edges():
+    string = next(r for r in dec.realization.values() if len(r) > 2)
+    for pair in zip(string[::4], string[1::4]):
         col = canonical_color_with_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C1A, C1B}

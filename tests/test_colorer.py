@@ -239,8 +239,10 @@ def _all_labeled_cubic(n):
                 out.append(list(chosen))
             return
         u, v = pairs[i]
-        rem_u = sum(1 for j in range(i, len(pairs)) if u in pairs[j])
-        if deg[u] + rem_u < 3:
+        # pairs come in lexicographic order: from i on, u is in the n - v
+        # pairs (u, v), ..., (u, n - 1), and v in the n - 1 - u pairs
+        # (u, v), ..., (v - 1, v), (v, v + 1), ..., (v, n - 1)
+        if deg[u] + n - v < 3 or deg[v] + n - 1 - u < 3:
             return
         rec(i + 1)
         if deg[u] < 3 and deg[v] < 3:

@@ -155,6 +155,19 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     assert all(h is not g and h.n == triangles for h in searched)
 
 
+def test_the_ring_constructor_scans_once(monkeypatch):
+    """`color_ring_of_diamonds` decides the ring and colors it from one scan.
+
+    Once every vertex is on a diamond, the ring through diamond 0 holding
+    every diamond is the connectivity check, so no BFS runs for it.
+    """
+    g = gen_ring_of_diamonds(50)
+    scans = _count_calls(monkeypatch, recognition._local_scan)
+    connected = _count_calls(monkeypatch, multigraph.is_connected)
+    color_ring_of_diamonds(g)
+    assert (scans[0], connected[0]) == (1, 0)
+
+
 def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
     """K3 and diamond components are colored in place.
 
@@ -277,7 +290,7 @@ def _seeded_built(seed: int) -> MultiGraph:
 def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
     """`_decompose` does not check H, so a wrong contraction must still fail.
 
-    The mutant swaps the end_u corners of the first two H-edges.  H itself
+    The mutant swaps the first corners of the first two realizations.  H itself
     is unchanged, and the coloring still covers every vertex; only the exit
     certificate can tell.  Over seeds 0 to 61 it catches 51 of the 62
     graphs; on the other 11, and on the prism and big_expansion fixtures,
@@ -287,12 +300,10 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
 
     def swapped_corners(g, local=None):
         dec = real(g, local)
-        e0, e1 = dec.h_edges[:2]
-        h_edges = (
-            dataclasses.replace(e0, end_u=e1.end_u),
-            dataclasses.replace(e1, end_u=e0.end_u),
-        ) + dec.h_edges[2:]
-        return dataclasses.replace(dec, h_edges=h_edges, slot_edge={e.slot: e for e in h_edges})
+        realization = dict(dec.realization)
+        (s0, r0), (s1, r1) = list(realization.items())[:2]
+        realization[s0], realization[s1] = (r1[0],) + r0[1:], (r0[0],) + r1[1:]
+        return dataclasses.replace(dec, realization=realization)
 
     monkeypatch.setattr(clawcolor.colorer, "_decompose", swapped_corners)
     with pytest.raises(InternalInvariantError) as caught:
@@ -325,6 +336,20 @@ def _bridged(fx):
     return fx["bridged_star"]
 
 
+def _union(*graphs: MultiGraph) -> MultiGraph:
+    """The disjoint union, each graph's ids shifted past the ones before it."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edge_list()]
+        n += g.n
+    return MultiGraph(n, edges)
+
+
+def _two_rings(fx):
+    """No triangle: the ring through the first diamond misses the others."""
+    return _union(gen_ring_of_diamonds(3), gen_ring_of_diamonds(4))
+
+
 def _two_factor_through(g):
     return two_factor_through(g, (0, 1, 0))
 
@@ -347,6 +372,7 @@ WRAPPER_CASES = [
     (color_two_edge_connected, _two_k4s, NotTwoEdgeConnectedError),
     (color_ring_of_diamonds, _bridged, NotRingOfDiamondsError),
     (color_ring_of_diamonds, _two_k4s, NotRingOfDiamondsError),
+    (color_ring_of_diamonds, _two_rings, NotRingOfDiamondsError),
     (two_factor, _diamond, NotCubicError),
     (two_factor, _two_k4s, NotBridgelessError),
     (_two_factor_through, _diamond, NotCubicError),
@@ -378,12 +404,12 @@ def _canonical_color(g):
 
 def _with_edge(g):
     dec = oum_decompose(g)
-    return canonical_color_with_edge(g, dec, dec.h_edges[0].connector_edges()[0])
+    return canonical_color_with_edge(g, dec, next(iter(dec.realization.values()))[:2])
 
 
 def _with_matched_edge(g):
     dec = oum_decompose(g)
-    return canonical_color_with_matched_edge(g, dec, dec.h_edges[0].connector_edges()[0])
+    return canonical_color_with_matched_edge(g, dec, next(iter(dec.realization.values()))[:2])
 
 
 def _root(comp):
@@ -474,20 +500,6 @@ def _k33_with_a_triangle(fx):
     center is 3, not 0."""
     triangle = [(0, 1), (0, 2), (1, 2), (0, 5), (1, 6), (2, 7)]
     return MultiGraph(8, triangle + [(u, v) for u in (3, 4) for v in (5, 6, 7)])
-
-
-def _union(*graphs: MultiGraph) -> MultiGraph:
-    """The disjoint union, each graph's ids shifted past the ones before it."""
-    edges, n = [], 0
-    for g in graphs:
-        edges += [(u + n, v + n) for u, v in g.edge_list()]
-        n += g.n
-    return MultiGraph(n, edges)
-
-
-def _two_rings(fx):
-    """No triangle: the ring through the first diamond misses the others."""
-    return _union(gen_ring_of_diamonds(3), gen_ring_of_diamonds(4))
 
 
 def _ring_and_prism(fx):

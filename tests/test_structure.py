@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import clawcolor.colorer as colorer
@@ -16,6 +18,7 @@ from clawcolor import (
 )
 from clawcolor.canonical import _lift_slot
 from clawcolor.errors import NotSimpleError, NotTwoEdgeConnectedError
+from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 from clawcolor.structure import _decompose
 
@@ -71,19 +74,29 @@ def test_expansion_counts():
     assert g2.n == 6 + 12
 
 
+def _check_realizations(g, dec):
+    """Each realization is laid out as `_walk` lists it and lifts back to its slot."""
+    for slot, r in dec.realization.items():
+        assert len(r) % 4 == 2
+        # each end is a corner of the triangle its slot end names
+        assert r[0] in dec.triangles[slot[0]]
+        assert r[-1] in dec.triangles[slot[1]]
+        # every connector edge is a G-edge and maps back to its slot
+        for pair in zip(r[::4], r[1::4]):
+            assert g.has_edge(*pair)
+            assert _lift_slot(dec, pair) == slot
+        # each diamond's interiors are ascending and adjacent
+        for i1, i2 in zip(r[2::4], r[3::4]):
+            assert i1 < i2 and g.has_edge(i1, i2)
+
+
 def test_expansion_attach_and_connectors():
     h = MultiGraph(2, [(0, 1)] * 3)
     g = expand_to_clawfree(h, ExpansionSpec({(0, 1, 1): 1}))
     dec = oum_decompose(g)
     assert dec.variant is Variant.BUILT
     assert dec.string_lengths() == [1]
-    # every connector edge maps back to its slot
-    for e in dec.h_edges:
-        for pair in e.connector_edges():
-            assert _lift_slot(dec, pair) == e.slot
-        # each end is a corner of the triangle its slot end names
-        assert e.end_u in dec.triangles[e.slot[0]]
-        assert e.end_v in dec.triangles[e.slot[1]]
+    _check_realizations(g, dec)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -98,6 +111,7 @@ def test_round_trip_h_recovery(seed):
     assert dec.variant is Variant.BUILT
     assert multigraph_isomorphic(dec.h, h)
     assert sorted(spec.string_lengths[s] for s in h.slots() if spec.string_lengths[s]) == dec.string_lengths()
+    _check_realizations(g, dec)
 
 
 def test_triangle_partition_covers_everything(named_fixtures):
@@ -106,15 +120,29 @@ def test_triangle_partition_covers_everything(named_fixtures):
     covered = set()
     for tri in dec.triangles:
         covered |= set(tri)
-    for e in dec.h_edges:
-        for d in e.diamonds:
-            covered |= d.vertices
+    for r in dec.realization.values():
+        covered |= set(r[1:-1])
     assert covered == set(range(g.n))
+
+
+def test_decompose_peak_memory_per_vertex(large_graphs):
+    """`_decompose` of the 9,216-vertex built graph, given the entry's scan, walk and H."""
+    g = dict(large_graphs)["built-h1024"]
+    _, local = _require_claw_free_cubic(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = _decompose(g, local)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g.n == 9216 and dec.variant is Variant.BUILT
+    assert peak / g.n < 60, f"{peak / g.n:.1f} B/vertex"
 
 
 def _assert_same_decomposition(got, expected):
     assert got == expected
-    assert list(got.slot_edge.items()) == list(expected.slot_edge.items())
+    assert list(got.realization.items()) == list(expected.realization.items())
 
 
 def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fixtures):
