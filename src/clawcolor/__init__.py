@@ -16,30 +16,7 @@ from .coloring import (
     SPackingSpec,
     parse_coloring_lines,
 )
-from .canonical import (
-    canonical_color,
-    canonical_color_with_edge,
-    canonical_color_with_matched_edge,
-    color_k4,
-    color_ring_of_diamonds,
-    color_two_edge_connected,
-    light_support_property,
-)
-from .colorer import (
-    color_claw_free_cubic,
-    color_root_component,
-    extend_component,
-    free_two_color,
-)
-from .factorization import (
-    Matching,
-    TwoFactor,
-    matching_through,
-    maximum_matching,
-    perfect_matching,
-    two_factor,
-    two_factor_through,
-)
+from .colorer import color_claw_free_cubic, free_two_color
 from .formats import (
     emit_edgelist,
     emit_graph6,
@@ -84,27 +61,17 @@ __all__ = [
     "Decomposition",
     "Diamond",
     "ExpansionSpec",
-    "Matching",
     "MultiGraph",
     "PackingColoring",
     "SPackingSpec",
     "SplitMix64",
-    "TwoFactor",
     "Variant",
     "Violation",
     "build_bridge_tree",
-    "canonical_color",
-    "canonical_color_with_edge",
-    "canonical_color_with_matched_edge",
     "color_claw_free_cubic",
-    "color_k4",
-    "color_ring_of_diamonds",
-    "color_root_component",
-    "color_two_edge_connected",
     "emit_edgelist",
     "emit_graph6",
     "expand_to_clawfree",
-    "extend_component",
     "find_bridges",
     "find_claw",
     "fixtures",
@@ -117,18 +84,12 @@ __all__ = [
     "is_cubic",
     "is_k4",
     "is_ring_of_diamonds",
-    "light_support_property",
-    "matching_through",
-    "maximum_matching",
     "oum_decompose",
     "parse_coloring_lines",
     "parse_edgelist",
     "parse_graph6",
-    "perfect_matching",
     "random_expansion_spec",
     "solve_spacking",
     "subdivide",
-    "two_factor",
-    "two_factor_through",
     "verify",
 ]

@@ -14,10 +14,11 @@ takes both radius-1 classes), and the canonical coloring driven by a
 Corners and diamonds are read by position from the decomposition's
 realization tuples (`recognition._walk` gives the format).
 
-The public constructors verify their output before returning it.  Their
-unchecked cores, which `color_claw_free_cubic` calls, return unverified
-colorings: the pipeline validates its input once at entry and certifies
-its output once at exit.
+Nothing here is public or checks its input, and nothing here certifies
+its output: `color_claw_free_cubic` validates its input once at entry,
+calls these constructions, and certifies the glued coloring once at exit.
+A fact the construction relies on that is found false is a bug and raises
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -25,48 +26,20 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
-from .errors import (
-    EdgeNotLiftableError,
-    InternalInvariantError,
-    NotK4Error,
-    NotRingOfDiamondsError,
-    VerificationFailedError,
-)
+from .errors import InternalInvariantError
 from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
-from .oracle import verify
-from .recognition import Diamond, _local_scan, _ring_scan, is_k4
-from .structure import Decomposition, Variant, _reversed, oum_decompose
-
-
-def _verified(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
-    violations = verify(g, SPEC_1122, coloring)
-    if violations:
-        raise VerificationFailedError(violations)
-    return coloring
-
-
-def color_k4(g: MultiGraph) -> PackingColoring:
-    """K4 takes one vertex in each class."""
-    if not is_k4(g):
-        raise NotK4Error("input is not K4")
-    return _verified(g, _k4())
+from .recognition import Diamond
+from .structure import Decomposition, Variant, _reversed
 
 
 def _k4() -> PackingColoring:
+    """K4 takes one vertex in each class."""
     return PackingColoring(SPEC_1122, dict(enumerate((C1A, C1B, C2A, C2B))))
 
 
-def color_ring_of_diamonds(g: MultiGraph) -> PackingColoring:
-    """Diamond interiors get 2a/2b; each connecting edge gets 1a and 1b."""
-    local = _ring_scan(g)
-    if local is None:
-        raise NotRingOfDiamondsError("input is not a ring of diamonds")
-    return _verified(g, _ring(g, local.diamonds))
-
-
 def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
-    """`color_ring_of_diamonds`, unverified, given the ring's diamonds."""
+    """Diamond interiors get 2a/2b; each connecting edge gets 1a and 1b."""
     assignment: dict[int, int] = {}
     exterior = set()
     for d in diamonds:
@@ -81,14 +54,8 @@ def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
     return PackingColoring(SPEC_1122, assignment)
 
 
-def canonical_color(
-    g: MultiGraph, dec: Decomposition, factor: TwoFactor
-) -> PackingColoring:
-    """The canonical coloring of a built graph for a 2-factor of its H."""
-    return _verified(g, _canonical(g, dec, factor))
-
-
 def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingColoring:
+    """The canonical coloring of a built graph for a 2-factor of its H."""
     if dec.variant is not Variant.BUILT:
         raise InternalInvariantError(
             f"canonical coloring needs the built variant, got {dec.variant}"
@@ -144,22 +111,16 @@ def _lift_slot(dec: Decomposition, edge: tuple[int, int]):
         for a, b in zip(r[::4], r[1::4]):
             if (a, b) == key or (b, a) == key:
                 return slot
-    raise EdgeNotLiftableError(
+    raise InternalInvariantError(
         f"edge {key} lies inside a triangle or a diamond; no H-edge image"
     )
 
 
-def canonical_color_with_edge(
-    g: MultiGraph, dec: Decomposition, edge: tuple[int, int]
-) -> PackingColoring:
+def _with_edge(g: MultiGraph, dec: Decomposition, edge: tuple[int, int]) -> PackingColoring:
     """Canonical coloring via a 2-factor through the edge's H-image.
 
     The two endpoints of `edge` end up with distinct radius-1 colors.
     """
-    return _verified(g, _with_edge(g, dec, edge))
-
-
-def _with_edge(g: MultiGraph, dec: Decomposition, edge: tuple[int, int]) -> PackingColoring:
     slot = _lift_slot(dec, edge)
     coloring = _canonical(g, dec, _two_factor_through(dec.h, slot))
     cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
@@ -170,19 +131,13 @@ def _with_edge(g: MultiGraph, dec: Decomposition, edge: tuple[int, int]) -> Pack
     return coloring
 
 
-def canonical_color_with_matched_edge(
+def _with_matched_edge(
     g: MultiGraph, dec: Decomposition, edge: tuple[int, int]
 ) -> PackingColoring:
     """Canonical coloring via a perfect matching through the edge's H-image.
 
     The two endpoints of `edge` end up with distinct radius-2 colors.
     """
-    return _verified(g, _with_matched_edge(g, dec, edge))
-
-
-def _with_matched_edge(
-    g: MultiGraph, dec: Decomposition, edge: tuple[int, int]
-) -> PackingColoring:
     slot = _lift_slot(dec, edge)
     coloring = _canonical(g, dec, _matched_through(dec.h, slot))
     cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
@@ -193,38 +148,10 @@ def _with_matched_edge(
     return coloring
 
 
-def color_two_edge_connected(g: MultiGraph) -> PackingColoring:
-    """Dispatch on the structure variant; validates all preconditions."""
-    return _verified(g, _two_edge_connected(g, oum_decompose(g)))
-
-
 def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:
-    """`color_two_edge_connected`, unverified, given g's decomposition."""
+    """Dispatch on the structure variant of g's decomposition."""
     if dec.variant is Variant.K4:
         return _k4()
     if dec.variant is Variant.RING:
         return _ring(g, dec.ring_diamonds)
     return _canonical(g, dec, _complement(dec.h))
-
-
-def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:
-    """Check the canonical-coloring support property on a whole graph.
-
-    g must be simple, cubic and claw-free.  Every vertex in a radius-1
-    class must either have two neighbors in the partner radius-1 class or
-    lie on a diamond.
-    """
-    diamond_of = _local_scan(g).diamond_of
-    partner = {C1A: C1B, C1B: C1A}
-    for v in range(g.n):
-        c = coloring.assignment[v]
-        if c not in partner:
-            continue
-        if diamond_of[v] != -1:
-            continue
-        count = sum(
-            1 for w in g.neighbors(v) if coloring.assignment[w] == partner[c]
-        )
-        if count < 2:
-            return False
-    return True

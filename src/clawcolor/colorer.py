@@ -22,43 +22,30 @@ The color forced on each x1 comes from inspecting the closed neighborhood
 of its up-neighbor in the already-colored parent, and is realized by
 transposing whole color classes of the child's coloring.
 
-The public constructors verify what they return.  `color_claw_free_cubic`
-validates its input once at entry and certifies the glued coloring once at
-exit; in between it calls their unchecked cores.
+`color_claw_free_cubic` is the one public constructor.  It validates its
+input once at entry and certifies the glued coloring once at exit; nothing
+in between checks an input or certifies an output.  Every component it
+hands on comes from a validated graph, so a failed precondition below the
+entry check is a bug and raises InternalInvariantError.
 """
 
 from __future__ import annotations
 
 from collections.abc import Container, Iterable, Sequence
 
-from .canonical import (
-    _ring,
-    _two_edge_connected,
-    _verified,
-    _with_edge,
-    _with_matched_edge,
-)
+from .canonical import _ring, _two_edge_connected, _with_edge, _with_matched_edge
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
-from .errors import ClaimViolatedError, InternalInvariantError, PreconditionViolatedError
+from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
 from .multigraph import MultiGraph
+from .oracle import verify
 from .recognition import (
     BridgeTree,
     ComponentKind,
     _bridge_tree,
-    _classify_component,
     _require_claw_free_cubic,
     is_k4,
 )
 from .structure import Decomposition, Variant, _decompose
-
-
-def _attachments(comp: MultiGraph, x1: int) -> list[int]:
-    xs = [v for v in range(comp.n) if comp.degree(v) == 2]
-    if x1 not in xs:
-        raise PreconditionViolatedError(
-            f"designated attachment {x1} does not have degree 2 in its component"
-        )
-    return [x1] + [v for v in xs if v != x1]
 
 
 def _check_independent(g: MultiGraph, xs: Sequence[int]) -> None:
@@ -77,21 +64,21 @@ def _odd_gadget(g: MultiGraph, x1: int, members: Container[int]) -> tuple[int, i
     """Locate u, w (x1's neighbors among `members`) and their outer neighbors s, y."""
     nbrs = [z for z in g.neighbors(x1) if z in members]
     if len(nbrs) != 2:
-        raise PreconditionViolatedError(f"attachment {x1} has degree {len(nbrs)}")
+        raise InternalInvariantError(f"attachment {x1} has degree {len(nbrs)}")
     u, w = nbrs
     if not g.has_edge(u, w):
-        raise PreconditionViolatedError(
+        raise InternalInvariantError(
             f"neighbors {u}, {w} of attachment {x1} are not adjacent; "
             "the input graph cannot be claw-free"
         )
     s = next(z for z in g.neighbors(u) if z not in (x1, w))
     y = next(z for z in g.neighbors(w) if z not in (x1, u))
     if s == y:
-        raise PreconditionViolatedError(
+        raise InternalInvariantError(
             "component is a diamond; the odd construction does not apply"
         )
     if g.has_edge(s, y):
-        raise PreconditionViolatedError(
+        raise InternalInvariantError(
             f"outer neighbors {s}, {y} are adjacent; impossible in a claw-free "
             "cubic graph"
         )
@@ -107,8 +94,9 @@ def _completion(
     vertices with x1 first.  Returns the completion, its {id in g: local
     id} map, local ids ascending with g's, and the odd gadget (u, w, s, y),
     None when |X| is even.  Its edges are g's edges among the kept
-    vertices, then s-y when |X| is odd, then a pairing edge on each
-    consecutive pair of the attachments left.
+    vertices, each once since the entry check found g simple, then s-y
+    when |X| is odd, then a pairing edge on each consecutive pair of the
+    attachments left.
     """
     local = dict.fromkeys(verts)
     added = []
@@ -123,16 +111,7 @@ def _completion(
     for i, v in enumerate(local):
         local[v] = i
     adj = g.adjacency()
-    if g.is_simple():
-        edges = [(i, local[b]) for a, i in local.items() for b in adj[a] if b > a and b in local]
-    else:
-        edges = [
-            (i, local[b])
-            for a, i in local.items()
-            for b in adj[a]
-            if b > a and b in local
-            for _ in range(g.multiplicity(a, b))
-        ]
+    edges = [(i, local[b]) for a, i in local.items() for b in adj[a] if b > a and b in local]
     edges += [(local[a], local[b]) for a, b in added]
     return MultiGraph(len(local), edges), local, gadget
 
@@ -212,21 +191,6 @@ def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
     return [v for v, i in local.items() if i in on]
 
 
-def _kind(comp: MultiGraph) -> ComponentKind:
-    """The kind of a standalone component, classified as the bridge tree does."""
-    deg_in = [len(comp.neighbors(v)) for v in range(comp.n)]
-    return _classify_component(comp, tuple(range(comp.n)), deg_in)
-
-
-def color_root_component(comp: MultiGraph, v: int) -> PackingColoring:
-    """Color the root component so its attachment vertex v gets 2a.
-
-    The root is a Type III component with v as its only degree-2 vertex.
-    """
-    colors, _ = _root_coloring(comp, range(comp.n), _attachments(comp, v), _kind(comp))
-    return _verified(comp, PackingColoring(SPEC_1122, colors))
-
-
 def _root_coloring(
     g: MultiGraph, verts: Sequence[int], xs: Sequence[int], kind: ComponentKind
 ) -> tuple[dict[int, int], list[int]]:
@@ -236,21 +200,12 @@ def _root_coloring(
     vertices, the designated one first.
     """
     if len(xs) != 1:
-        raise PreconditionViolatedError(
+        raise InternalInvariantError(
             f"root component has {len(xs)} degree-2 vertices, expected exactly 1"
         )
     if kind is not ComponentKind.TYPE_III:
-        raise PreconditionViolatedError("root component must be of Type III")
+        raise InternalInvariantError("root component must be of Type III")
     return _color_type3(g, verts, xs, C2A, root_style=True)
-
-
-def extend_component(comp: MultiGraph, x1: int, forced: int) -> PackingColoring:
-    """Color one non-root component so that x1 gets the forced 2-class."""
-    kind = _kind(comp)
-    if forced not in (C2A, C2B):
-        raise PreconditionViolatedError("forced color must be a radius-2 class")
-    colors, _ = _extension(comp, range(comp.n), _attachments(comp, x1), forced, kind)
-    return _verified(comp, PackingColoring(SPEC_1122, colors))
 
 
 def _extension(
@@ -322,7 +277,10 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
         dec = _decompose(g, local)
         del local
         coloring = _two_edge_connected(g, dec)
-    return _verified(g, coloring)
+    violations = verify(g, SPEC_1122, coloring)
+    if violations:
+        raise VerificationFailedError(violations)
+    return coloring
 
 
 def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:

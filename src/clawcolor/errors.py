@@ -1,8 +1,8 @@
 """Exception hierarchy for clawcolor.
 
 Errors are grouped by the layer that raises them: graph construction and
-parsing, structural preconditions, factorization, coloring, the exact
-solver, and generators.  Errors that indicate an internal contradiction
+parsing, structural preconditions, coloring, the exact solver, and
+generators.  Errors that indicate an internal contradiction
 (something a theorem guarantees cannot happen) derive from
 InternalInvariantError so callers can distinguish "bad input" from "bug".
 """
@@ -67,10 +67,6 @@ class NotTwoEdgeConnectedError(ClawcolorError):
     pass
 
 
-class NotBridgelessError(ClawcolorError):
-    pass
-
-
 class StructureViolationError(ClawcolorError):
     """Input violates a structural guarantee; usually means a caller bug."""
 
@@ -83,31 +79,7 @@ class NonK3CycleError(StructureViolationError):
     pass
 
 
-# factorization
-
-class EdgeAbsentError(ClawcolorError):
-    def __init__(self, u: int, v: int):
-        super().__init__(f"edge {{{u},{v}}} not in graph")
-        self.edge = (u, v)
-
-
 # coloring
-
-class NotK4Error(ClawcolorError):
-    pass
-
-
-class NotRingOfDiamondsError(ClawcolorError):
-    pass
-
-
-class EdgeNotLiftableError(ClawcolorError):
-    """The edge lies inside a triangle or a diamond and has no H-edge image."""
-
-
-class PreconditionViolatedError(ClawcolorError):
-    pass
-
 
 class InternalInvariantError(ClawcolorError):
     """A fact the construction relies on was found false; indicates a bug."""

@@ -1,4 +1,4 @@
-"""Perfect matchings and 2-factors on cubic multigraphs.
+"""Perfect matchings and 2-factors of the cubic multigraph H.
 
 The matching core is the classic O(n^3) blossom algorithm for maximum
 cardinality matching (BFS alternating forest with base contraction, after
@@ -6,11 +6,14 @@ Edmonds).  Parallel edges are collapsed for the search.
 
 Every 2-factor comes from one core, `_complement`: the complement of a
 perfect matching (Petersen's theorem) that may be kept off a set of
-banned slots.  Forcing an edge onto a 2-factor bans it and one other
-slot; by Plesnik's theorem, deleting any two edges of a 2-edge-connected
-cubic multigraph of even order leaves a graph with a 1-factor, whose
-complement is a 2-factor through both.  Forcing an edge into the
-matching bans the other two slots at one of its ends.
+banned slots.  `_two_factor_through` forces an edge onto the 2-factor and
+`_matched_through` forces one into the matching (Plesnik's theorem).
+
+Nothing here is public and nothing here validates its input.  Every
+caller hands over the H of a decomposition, which the pipeline's entry
+check found cubic and 2-edge-connected, or that of a completed component,
+which is so by construction.  A theorem failing on such an H is a bug and
+raises InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -19,23 +22,15 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .errors import (
-    EdgeAbsentError,
-    InternalInvariantError,
-    NotBridgelessError,
-    NotCubicError,
-    NotTwoEdgeConnectedError,
-)
-from .multigraph import MultiGraph, Slot, is_cubic
-from .recognition import _connected_and_bridgeless
+from .errors import InternalInvariantError
+from .multigraph import MultiGraph, Slot
 
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of vertex-disjoint edge slots."""
+    """A perfect matching, as its slots in sorted order."""
 
     slots: tuple[Slot, ...]
-    perfect: bool
 
 
 @dataclass(frozen=True)
@@ -143,22 +138,6 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def maximum_matching(g: MultiGraph) -> Matching:
-    """Maximum cardinality matching; parallel copies collapse to one edge."""
-    mate = _max_matching_simple(g.n, g.adjacency())
-    slots = tuple(
-        sorted((v, mate[v], 0) for v in range(g.n) if mate[v] > v)
-    )
-    perfect = g.n % 2 == 0 and all(m != -1 for m in mate)
-    return Matching(slots=slots, perfect=perfect)
-
-
-def perfect_matching(g: MultiGraph) -> Matching | None:
-    """A perfect matching if one exists, else None."""
-    m = maximum_matching(g)
-    return m if m.perfect else None
-
-
 def _slots_at(h: MultiGraph, v: int) -> list[Slot]:
     """The slots at v, by neighbour and then by copy: their sorted order."""
     return [
@@ -222,31 +201,18 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
             slot = b if a == slot else a
         cycles.append(tuple(cycle))
     pairs = tuple(s for v, s in enumerate(matched) if s[0] == v)
-    return TwoFactor(cycles=tuple(cycles), matching=Matching(pairs, True))
-
-
-def two_factor(g: MultiGraph) -> TwoFactor:
-    """A 2-factor of a bridgeless cubic multigraph (Petersen's theorem)."""
-    if not is_cubic(g):
-        raise NotCubicError("2-factor requires a cubic multigraph")
-    if not _connected_and_bridgeless(g):
-        raise NotBridgelessError("2-factor requires a bridgeless graph")
-    return _complement(g)
-
-
-def two_factor_through(g: MultiGraph, e: Slot) -> TwoFactor:
-    """A 2-factor containing the given edge slot.
-
-    Bans e and the lexicographically smallest other slot f from the
-    matching (a perfect matching of the rest exists by Plesnik's theorem),
-    so its complement contains both e and f.
-    """
-    _require_slot(g, e)
-    return _two_factor_through(g, e)
+    return TwoFactor(cycles=tuple(cycles), matching=Matching(pairs))
 
 
 def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
-    """`two_factor_through` on an already checked multigraph and slot."""
+    """A 2-factor of h containing the slot e.
+
+    Bans e and the lexicographically smallest other slot f at vertex 0
+    from the matching.  By Plesnik's theorem, deleting any two edges of a
+    2-edge-connected cubic multigraph of even order leaves a graph with a
+    1-factor, so a perfect matching of the rest exists and its complement
+    contains both e and f.
+    """
     f = next(s for s in _slots_at(h, 0) if s != e)
     tf = _complement(h, (e, f))
     if e in tf.matching.slots:
@@ -254,18 +220,13 @@ def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
     return tf
 
 
-def matching_through(g: MultiGraph, e: Slot) -> Matching:
-    """A perfect matching containing the given edge slot.
+def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
+    """The 2-factor of h whose complementary perfect matching contains e.
 
     Bans the other two slots at e's first endpoint; any perfect matching
-    of the rest must cover that endpoint through e.
+    of the rest, which exists by Plesnik's theorem, must cover that
+    endpoint through e.
     """
-    _require_slot(g, e)
-    return _matched_through(g, e).matching
-
-
-def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
-    """The 2-factor whose matching contains e, on an already checked h and e."""
     others = [s for s in _slots_at(h, e[0]) if s != e]
     if len(others) != 2:
         raise InternalInvariantError(f"vertex {e[0]} does not have 3 slots")
@@ -273,25 +234,3 @@ def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
     if e not in tf.matching.slots:
         raise InternalInvariantError("forced edge missing from matching")
     return tf
-
-
-def _require_slot(g: MultiGraph, e: Slot) -> None:
-    """g is cubic and 2-edge-connected, and e is one of its slots.
-
-    A slot is a tuple (u, v, k) of ids u < v in range(n) and k in
-    range(multiplicity(u, v)).  Membership in a range compares as the
-    sorted slot list did, so an end of None or a k of 0.5 is no slot.
-    """
-    if not is_cubic(g):
-        raise NotCubicError("operation requires a cubic multigraph")
-    if not _connected_and_bridgeless(g):
-        raise NotTwoEdgeConnectedError("operation requires a 2-edge-connected graph")
-    if not (
-        isinstance(e, tuple)
-        and len(e) == 3
-        and e[0] in range(g.n)
-        and e[1] in range(g.n)
-        and e[0] < e[1]
-        and e[2] in range(g.multiplicity(e[0], e[1]))
-    ):
-        raise EdgeAbsentError(e[0], e[1])

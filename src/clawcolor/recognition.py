@@ -286,23 +286,16 @@ def _ring_length(g: MultiGraph, local: LocalScan) -> int:
 def is_ring_of_diamonds(g: MultiGraph) -> bool:
     """Connected, claw-free, cubic, simple, and every vertex on a diamond.
 
-    K4 is excluded by convention (it has no induced diamond anyway).
-    """
-    return _ring_scan(g) is not None
-
-
-def _ring_scan(g: MultiGraph) -> LocalScan | None:
-    """g's scan if g is a ring of diamonds, else None.
-
-    When every vertex is on a diamond, g is connected exactly when the ring
+    K4 is excluded by convention (it has no induced diamond anyway).  When
+    every vertex is on a diamond, g is connected exactly when the ring
     through diamond 0 holds every diamond.
     """
     if g.n == 0 or not g.is_simple() or not is_cubic(g):
-        return None
+        return False
     local = _local_scan(g)
     if local.claw is not None or 4 * len(local.diamonds) != g.n:
-        return None
-    return local if _ring_length(g, local) == len(local.diamonds) else None
+        return False
+    return _ring_length(g, local) == len(local.diamonds)
 
 
 class ComponentKind(enum.Enum):

@@ -36,7 +36,7 @@ from clawcolor.errors import (
     StructureViolationError,
     TypeIComponentError,
 )
-from clawcolor.factorization import Matching, TwoFactor, perfect_matching
+from clawcolor.factorization import Matching, TwoFactor, _max_matching_simple
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation, _bfs_layers
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
@@ -179,6 +179,21 @@ def find_diamonds(g: MultiGraph) -> list[Diamond]:
         if len(common) == 2 and not g.has_edge(common[0], common[1]):
             out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
     return out
+
+
+def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:
+    """The canonical coloring's support property, on a simple cubic claw-free g.
+
+    Every vertex in a radius-1 class has two neighbors in the partner
+    radius-1 class or lies on an induced diamond.
+    """
+    on_diamond = {v for d in find_diamonds(g) for v in d.vertices}
+    partner = {C1A: C1B, C1B: C1A}
+    for v, c in coloring.assignment.items():
+        if c in partner and v not in on_diamond:
+            if sum(coloring.assignment[w] == partner[c] for w in g.neighbors(v)) < 2:
+                return False
+    return True
 
 
 def find_claw_brute(g: MultiGraph) -> tuple | None:
@@ -786,8 +801,12 @@ def _reattribute(g: MultiGraph, pairs: list[tuple[int, int]], banned: set[Slot])
     return out
 
 
-def _pairs(m: Matching) -> list[tuple[int, int]]:
-    return [(u, v) for u, v, _ in m.slots]
+def _perfect_pairs(g: MultiGraph) -> list[tuple[int, int]] | None:
+    """The matched pairs of the blossom search's mate array, or None if not perfect."""
+    mate = _max_matching_simple(g.n, g.adjacency())
+    if -1 in mate:
+        return None
+    return [(v, w) for v, w in enumerate(mate) if w > v]
 
 
 def two_factor_by_reattribution(g: MultiGraph) -> TwoFactor:
@@ -796,15 +815,15 @@ def two_factor_by_reattribution(g: MultiGraph) -> TwoFactor:
     Verbatim but for the error class of a missing perfect matching, whose
     class `NoPerfectMatchingError` is gone.
     """
-    m = perfect_matching(g)
-    if m is None:
+    pairs = _perfect_pairs(g)
+    if pairs is None:
         raise InternalInvariantError(
             "no perfect matching; impossible for a bridgeless cubic multigraph"
         )
-    matched = set(_reattribute(g, _pairs(m), banned=set()))
+    matched = set(_reattribute(g, pairs, banned=set()))
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched)), True))
+    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched))))
 
 
 def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
@@ -812,18 +831,18 @@ def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
     all_slots = g.slots()
     f = next(s for s in all_slots if s != e)
     reduced = g.without_slots([e, f])
-    m = perfect_matching(reduced)
-    if m is None:
+    pairs = _perfect_pairs(reduced)
+    if pairs is None:
         raise InternalInvariantError(
             "matching after removing two edges must exist in a 2-edge-connected "
             "cubic multigraph of even order"
         )
-    matched = set(_reattribute(g, _pairs(m), banned={e, f}))
+    matched = set(_reattribute(g, pairs, banned={e, f}))
     factor = {s for s in all_slots if s not in matched}
     if e not in factor:
         raise InternalInvariantError("forced edge missing from 2-factor")
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched)), True))
+    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched))))
 
 
 def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> Matching:
@@ -834,16 +853,16 @@ def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> Matching:
     if len(others) != 2:
         raise InternalInvariantError(f"vertex {hu} does not have 3 slots")
     reduced = g.without_slots(others)
-    m = perfect_matching(reduced)
-    if m is None:
+    pairs = _perfect_pairs(reduced)
+    if pairs is None:
         raise InternalInvariantError(
             "matching after removing two edges must exist in a 2-edge-connected "
             "cubic multigraph of even order"
         )
-    matched = _reattribute(g, _pairs(m), banned=set(others))
+    matched = _reattribute(g, pairs, banned=set(others))
     if e not in matched:
         raise InternalInvariantError("forced edge missing from matching")
-    return Matching(tuple(sorted(matched)), True)
+    return Matching(tuple(sorted(matched)))
 
 
 def factor_from_matching_by_reattribution(g: MultiGraph, m: Matching) -> TwoFactor:

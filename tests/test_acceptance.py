@@ -12,25 +12,23 @@ from clawcolor import (
     SPackingSpec,
     Variant,
     build_bridge_tree,
-    canonical_color,
     color_claw_free_cubic,
     emit_edgelist,
     find_bridges,
     gen_cubic_multigraph,
-    light_support_property,
     oum_decompose,
     expand_to_clawfree,
     random_expansion_spec,
     solve_spacking,
     subdivide,
-    two_factor,
-    two_factor_through,
     verify,
 )
+from clawcolor.canonical import _canonical
 from clawcolor.cli import main as cli_main
+from clawcolor.factorization import _complement, _two_factor_through
 from clawcolor.rng import SplitMix64
 
-from brute import all_two_factors, multigraph_isomorphic, relabeled
+from brute import all_two_factors, light_support_property, multigraph_isomorphic, relabeled
 from test_canonical import LABEL_TO_IDX, REFERENCE_BIG_EXPANSION
 
 
@@ -130,7 +128,7 @@ def test_criterion_5_two_factor_through():
         h = gen_cubic_multigraph(n_h, rng)
         slots = h.slots()
         e = slots[rng.randrange(len(slots))]
-        tf = two_factor_through(h, e)
+        tf = _two_factor_through(h, e)
         assert e in tf.slots()
         deg = [0] * h.n
         for s in tf.slots():
@@ -181,7 +179,8 @@ def test_criterion_7_support_property(corpus):
         dec = oum_decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
-        coloring = canonical_color(g, dec, two_factor(dec.h))
+        coloring = _canonical(g, dec, _complement(dec.h))
+        assert verify(g, SPEC_1122, coloring) == [], name
         assert light_support_property(g, coloring), name
         scanned += 1
     assert scanned >= 100

@@ -9,20 +9,19 @@ from clawcolor import (
     MultiGraph,
     PackingColoring,
     Variant,
-    canonical_color,
-    canonical_color_with_edge,
-    canonical_color_with_matched_edge,
-    color_k4,
-    color_ring_of_diamonds,
-    color_two_edge_connected,
+    color_claw_free_cubic,
     expand_to_clawfree,
     gen_ring_of_diamonds,
-    light_support_property,
+    is_k4,
+    is_ring_of_diamonds,
     oum_decompose,
-    two_factor,
     verify,
 )
-from clawcolor.errors import EdgeNotLiftableError, NotK4Error, NotRingOfDiamondsError
+from clawcolor.canonical import _canonical, _k4, _lift_slot, _ring, _with_edge, _with_matched_edge
+from clawcolor.errors import InternalInvariantError, NotCubicError
+from clawcolor.factorization import _complement
+
+from brute import find_diamonds, light_support_property
 
 # frozen reference coloring of the big_expansion fixture: matching corners
 # carry 2a/2b, cycle corners 1a/1b, strings per their two type rules
@@ -45,32 +44,34 @@ def assert_valid(g, coloring):
 
 
 def test_color_k4():
-    col = color_k4(k4())
+    col = _k4()
     assert sorted(col.assignment.values()) == [C1A, C1B, C2A, C2B]
     assert_valid(k4(), col)
 
 
 def test_color_k4_rejects_c4():
-    with pytest.raises(NotK4Error):
-        color_k4(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    """C4 has K4's order but is not K4; the entry check rejects it."""
+    c4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert not is_k4(c4)
+    with pytest.raises(NotCubicError):
+        color_claw_free_cubic(c4)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
 def test_ring_coloring(k):
     g = gen_ring_of_diamonds(k)
-    col = color_ring_of_diamonds(g)
+    col = _ring(g, oum_decompose(g).ring_diamonds)
     assert_valid(g, col)
     # interiors carry the radius-2 classes, exteriors the radius-1 classes
-    from brute import find_diamonds
-
     for d in find_diamonds(g):
         assert {col.assignment[v] for v in d.interiors} == {C2A, C2B}
         assert {col.assignment[v] for v in d.exteriors} <= {C1A, C1B}
 
 
 def test_ring_coloring_rejects_k4():
-    with pytest.raises(NotRingOfDiamondsError):
-        color_ring_of_diamonds(k4())
+    """K4 has no induced diamond: it is not a ring, and decomposes as K4."""
+    assert not is_ring_of_diamonds(k4())
+    assert oum_decompose(k4()).variant is Variant.K4
 
 
 def test_reference_coloring_verifies(named_fixtures):
@@ -85,7 +86,7 @@ def test_reference_coloring_verifies(named_fixtures):
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = oum_decompose(g)
-    col = canonical_color(g, dec, two_factor(dec.h))
+    col = _canonical(g, dec, _complement(dec.h))
     assert_valid(g, col)
     assert light_support_property(g, col)
 
@@ -93,7 +94,7 @@ def test_canonical_on_big_expansion(named_fixtures):
 def test_canonical_on_k4_expansion():
     g = expand_to_clawfree(k4())
     assert g.n == 12
-    col = color_two_edge_connected(g)
+    col = color_claw_free_cubic(g)
     assert_valid(g, col)
     # the matching of K4 has 2 edges: exactly 2 vertices per radius-2 class
     counts = [sum(1 for c in col.assignment.values() if c == i) for i in range(4)]
@@ -102,15 +103,15 @@ def test_canonical_on_k4_expansion():
 
 def test_canonical_on_prism(named_fixtures):
     g = named_fixtures["prism"]
-    col = color_two_edge_connected(g)
+    col = color_claw_free_cubic(g)
     assert_valid(g, col)
 
 
 def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = oum_decompose(g)
-    factor = two_factor(dec.h)
-    col = canonical_color(g, dec, factor)
+    factor = _complement(dec.h)
+    col = _canonical(g, dec, factor)
     for slot in factor.matching.slots:
         r = dec.realization[slot]
         assert col.assignment[r[0]] == C2A
@@ -123,7 +124,7 @@ def test_with_edge_endpoints_light(named_fixtures):
     g = named_fixtures["prism"]
     dec = oum_decompose(g)
     for pair in ((0, 3), (1, 4), (2, 5)):
-        col = canonical_color_with_edge(g, dec, pair)
+        col = _with_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C1A, C1B}
 
@@ -132,7 +133,7 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
     g = named_fixtures["prism"]
     dec = oum_decompose(g)
     for pair in ((0, 3), (1, 4), (2, 5)):
-        col = canonical_color_with_matched_edge(g, dec, pair)
+        col = _with_matched_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C2A, C2B}
 
@@ -140,8 +141,8 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
 def test_triangle_edge_not_liftable(named_fixtures):
     g = named_fixtures["prism"]
     dec = oum_decompose(g)
-    with pytest.raises(EdgeNotLiftableError):
-        canonical_color_with_edge(g, dec, (0, 1))
+    with pytest.raises(InternalInvariantError, match="no H-edge image"):
+        _with_edge(g, dec, (0, 1))
 
 
 def test_diamond_interior_edge_not_liftable(named_fixtures):
@@ -149,8 +150,8 @@ def test_diamond_interior_edge_not_liftable(named_fixtures):
     dec = oum_decompose(g)
     # a string's first diamond: its entry exterior and its smaller interior
     entry, interior = next(r[1:3] for r in dec.realization.values() if len(r) > 2)
-    with pytest.raises(EdgeNotLiftableError):
-        canonical_color_with_edge(g, dec, (entry, interior))
+    with pytest.raises(InternalInvariantError, match="no H-edge image"):
+        _lift_slot(dec, (entry, interior))
 
 
 def test_with_edge_on_string_connectors(named_fixtures):
@@ -158,14 +159,14 @@ def test_with_edge_on_string_connectors(named_fixtures):
     dec = oum_decompose(g)
     string = next(r for r in dec.realization.values() if len(r) > 2)
     for pair in zip(string[::4], string[1::4]):
-        col = canonical_color_with_edge(g, dec, pair)
+        col = _with_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C1A, C1B}
 
 
 def test_transposition_preserves_validity(named_fixtures):
     g = named_fixtures["big_expansion"]
-    col = color_two_edge_connected(g)
+    col = color_claw_free_cubic(g)
     for i, j in ((C1A, C1B), (C2A, C2B)):
         assert_valid(g, col.transposed(i, j))
 
@@ -187,5 +188,5 @@ def test_support_property_on_corpus(base_corpus):
         dec = oum_decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
-        col = canonical_color(g, dec, two_factor(dec.h))
+        col = _canonical(g, dec, _complement(dec.h))
         assert light_support_property(g, col)

@@ -9,11 +9,10 @@ from clawcolor import (
     ComponentKind,
     ExpansionSpec,
     MultiGraph,
+    PackingColoring,
     build_bridge_tree,
     color_claw_free_cubic,
-    color_root_component,
     expand_to_clawfree,
-    extend_component,
     find_bridges,
     free_two_color,
     gen_bridged,
@@ -27,10 +26,9 @@ from clawcolor.errors import (
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
-    PreconditionViolatedError,
 )
 import clawcolor.colorer
-from clawcolor.colorer import _color_bridged, _completion
+from clawcolor.colorer import _color_bridged, _completion, _extension, _root_coloring
 from clawcolor.recognition import _bridge_tree, _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
@@ -46,6 +44,23 @@ def leaf_gadget(offset=0):
     """7-vertex Type III component whose completion collapses to K4."""
     e = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (3, 6), (5, 6), (5, 4), (6, 4)]
     return [(u + offset, v + offset) for u, v in e]
+
+
+def _attachments(comp, x1):
+    """comp's degree-2 vertices, x1 first."""
+    return [x1] + [v for v in range(comp.n) if comp.degree(v) == 2 and v != x1]
+
+
+def color_root(comp, x1):
+    """The root coloring of a whole Type III component whose one attachment is x1."""
+    colors, _ = _root_coloring(comp, range(comp.n), _attachments(comp, x1), ComponentKind.TYPE_III)
+    return PackingColoring(SPEC_1122, colors)
+
+
+def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
+    """The coloring of a whole non-root component whose up vertex x1 gets `forced`."""
+    colors, _ = _extension(comp, range(comp.n), _attachments(comp, x1), forced, kind)
+    return PackingColoring(SPEC_1122, colors)
 
 
 def test_k4_top_level():
@@ -104,44 +119,47 @@ def test_two_k4_completion_leaves():
 
 def test_root_component_coloring():
     comp = MultiGraph(7, leaf_gadget(0))
-    col = color_root_component(comp, 0)
+    col = color_root(comp, 0)
     assert col.assignment[0] == C2A
     assert_valid(comp, col)
 
 
 def test_root_component_rejects_wrong_vertex():
+    """A root handed two degree-2 vertices is a bug, not an input fault."""
     comp = MultiGraph(7, leaf_gadget(0))
-    with pytest.raises(PreconditionViolatedError):
-        color_root_component(comp, 3)
+    with pytest.raises(InternalInvariantError, match="2 degree-2 vertices"):
+        _root_coloring(comp, range(comp.n), [0, 3], ComponentKind.TYPE_III)
 
 
 def test_root_component_with_prism_completion():
     # prism with one rung replaced by the gadget: completion is the prism
     prism_minus = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (1, 4), (2, 5)]
     comp = MultiGraph(9, prism_minus + [(0, 6), (6, 7), (7, 3), (6, 8), (7, 8)])
-    col = color_root_component(comp, 8)
+    col = color_root(comp, 8)
     assert col.assignment[8] == C2A
     assert_valid(comp, col)
 
 
 def test_extend_k3():
     comp = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
-    col = extend_component(comp, 1, C2B)
+    col = extend(comp, 1, C2B, ComponentKind.TRIANGLE)
     assert col.assignment[1] == C2B
     assert {col.assignment[0], col.assignment[2]} == {C1A, C1B}
+    assert_valid(comp, col)
 
 
 def test_extend_diamond():
     comp = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    col = extend_component(comp, 0, C2A)
+    col = extend(comp, 0, C2A, ComponentKind.DIAMOND)
     assert col.assignment[0] == C2A
     assert col.assignment[3] == C2B
     assert {col.assignment[1], col.assignment[2]} == {C1A, C1B}
+    assert_valid(comp, col)
 
 
 def test_extend_k4_completion_with_forced_swap():
     comp = MultiGraph(7, leaf_gadget(0))
-    col = extend_component(comp, 0, C2B)
+    col = extend(comp, 0, C2B)
     assert col.assignment[0] == C2B
     assert_valid(comp, col)
 
@@ -149,7 +167,7 @@ def test_extend_k4_completion_with_forced_swap():
 def test_extend_even_component():
     # prism minus one rung: two attachments, even case
     comp = MultiGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (1, 4), (2, 5)])
-    col = extend_component(comp, 0, C2A)
+    col = extend(comp, 0, C2A)
     assert col.assignment[0] == C2A
     assert col.assignment[3] == C2B
     assert_valid(comp, col)
@@ -351,40 +369,6 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
     assert tested[0] > 100 and tested[1] > 500, tested
 
 
-def _doubled(comp: MultiGraph, keep: set[int]) -> MultiGraph:
-    """comp with a second copy of its first edge with no end in `keep`."""
-    e = next((u, v) for u, v in comp.edge_list() if u not in keep and v not in keep)
-    return MultiGraph(comp.n, comp.edge_list() + [e])
-
-
-def test_completion_of_a_multigraph_matches_subgraph_reference(bridged_trees):
-    """The multiplicity-aware path, kept for multigraphs handed to `extend_component`.
-
-    Each Type III component gets a parallel copy of one edge away from x1
-    and its neighbors, which the completion must carry over.
-    """
-    tested = [0, 0]
-    for g in [g for _, g in bridged_trees]:
-        bridges = find_bridges(g)
-        if not bridges:
-            continue
-        bt = _bridge_tree(g, bridges)
-        for c, comp in enumerate(bt.components):
-            if bt.kinds[c] is not ComponentKind.TYPE_III:
-                continue
-            sub, to_global = g.induced(comp)
-            to_sub = {v: i for i, v in enumerate(to_global)}
-            xs = [to_sub[x] for x in bt.degree2[c]]
-            multi = _doubled(sub, {xs[0], *sub.neighbors(xs[0])})
-            tilde, local, _ = _completion(multi, range(multi.n), xs)
-            want, want_to_sub = completion_by_subgraphs(multi, xs)
-            assert not tilde.is_simple()
-            assert tilde == want and tilde.adjacency() == want.adjacency()
-            assert list(local) == want_to_sub
-            tested[len(xs) % 2] += 1
-    assert min(tested) > 20, tested
-
-
 def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
     """On a simple G the completions copy each edge without a multiplicity lookup.
 
@@ -433,7 +417,7 @@ def test_adjacent_attachments_are_an_internal_error():
         7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
     )
     with pytest.raises(InternalInvariantError) as caught:
-        extend_component(comp, 0, C2A)
+        extend(comp, 0, C2A)
     assert str(caught.value) == (
         "attachment vertices 0 and 1 are adjacent; the degree-2 set must be independent"
     )

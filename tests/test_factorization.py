@@ -1,17 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clawcolor import (
-    MultiGraph,
-    gen_cubic_multigraph,
-    matching_through,
-    maximum_matching,
-    perfect_matching,
-    two_factor,
-    two_factor_through,
+from clawcolor import MultiGraph, gen_cubic_multigraph
+from clawcolor.errors import InternalInvariantError
+from clawcolor.factorization import (
+    _complement,
+    _matched_through,
+    _max_matching_simple,
+    _two_factor_through,
 )
-from clawcolor.errors import NotBridgelessError
-from clawcolor.factorization import _complement, _matched_through, _two_factor_through
 from clawcolor.rng import SplitMix64
 
 from brute import (
@@ -27,6 +24,12 @@ from brute import (
 
 def k4():
     return MultiGraph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+
+
+def matched_slots(g):
+    """The blossom search's matching as slots, each pair on its copy 0."""
+    mate = _max_matching_simple(g.n, g.adjacency())
+    return frozenset((v, w, 0) for v, w in enumerate(mate) if w > v)
 
 
 def assert_valid_two_factor(g, tf):
@@ -54,32 +57,32 @@ def assert_valid_two_factor(g, tf):
 
 
 def test_k4_perfect_matching():
-    m = perfect_matching(k4())
-    assert m is not None and m.perfect
-    assert frozenset(m.slots) in set(all_perfect_matchings(k4()))
+    m = matched_slots(k4())
+    assert len(m) == 2
+    assert m in set(all_perfect_matchings(k4()))
 
 
 def test_triple_edge_matching():
     g = MultiGraph(2, [(0, 1)] * 3)
-    m = perfect_matching(g)
-    assert m is not None and len(m.slots) == 1
+    assert _max_matching_simple(g.n, g.adjacency()) == [1, 0]
 
 
 def test_c5_has_no_perfect_matching():
     g = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert perfect_matching(g) is None
-    assert len(maximum_matching(g).slots) == 2
+    mate = _max_matching_simple(g.n, g.adjacency())
+    assert mate.count(-1) == 1
+    assert len(matched_slots(g)) == 2
 
 
 def test_two_factor_k4_is_hamiltonian():
-    tf = two_factor(k4())
+    tf = _complement(k4())
     assert_valid_two_factor(k4(), tf)
     assert len(tf.cycles) == 1 and len(tf.cycles[0]) == 4
 
 
 def test_two_factor_h10_and_reference_factor(named_fixtures):
     g = named_fixtures["h10"]
-    tf = two_factor(g)
+    tf = _complement(g)
     assert_valid_two_factor(g, tf)
     # a hand-picked complement matching for this fixture is itself perfect
     reference = frozenset(
@@ -99,19 +102,21 @@ def test_two_factor_h10_and_reference_factor(named_fixtures):
 
 def test_two_factor_petersen(named_fixtures):
     g = named_fixtures["petersen"]
-    tf = two_factor(g)
+    tf = _complement(g)
     assert_valid_two_factor(g, tf)
 
 
-def test_two_factor_rejects_bridged(named_fixtures):
-    with pytest.raises(NotBridgelessError):
-        two_factor(named_fixtures["bridged_star"])
+def test_two_factor_rejects_bridged():
+    """A bridged cubic graph without a perfect matching: Petersen's theorem
+    does not apply, and the core reports the broken theorem as a bug."""
+    with pytest.raises(InternalInvariantError, match="no perfect matching"):
+        _complement(_no_perfect_matching_cubic())
 
 
 def test_two_factor_through_k4_every_edge():
     g = k4()
     for e in g.slots():
-        tf = two_factor_through(g, e)
+        tf = _two_factor_through(g, e)
         assert_valid_two_factor(g, tf)
         assert e in tf.slots()
         assert len(tf.cycles[0]) == 4
@@ -120,45 +125,24 @@ def test_two_factor_through_k4_every_edge():
 def test_two_factor_through_triple_edge():
     g = MultiGraph(2, [(0, 1)] * 3)
     for e in g.slots():
-        tf = two_factor_through(g, e)
+        tf = _two_factor_through(g, e)
         assert_valid_two_factor(g, tf)
         assert e in tf.slots()
         assert len(tf.cycles) == 1 and len(tf.cycles[0]) == 2
 
 
-def test_two_factor_through_errors(named_fixtures):
-    from clawcolor.errors import EdgeAbsentError, NotTwoEdgeConnectedError
-
-    with pytest.raises(EdgeAbsentError):
-        two_factor_through(k4(), (0, 1, 5))
-    with pytest.raises(NotTwoEdgeConnectedError):
-        two_factor_through(named_fixtures["bridged_star"], (0, 1, 0))
-
-
-def test_slot_check_rejects_what_slot_membership_rejected():
-    """Reversed ends, k out of range or not whole, a bad id or a list: EdgeAbsentError."""
-    from clawcolor.errors import EdgeAbsentError
-
-    # a 4-cycle with two doubled opposite sides: cubic and 2-edge-connected
-    g = MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
-    slots = g.slots()
-    for u, v, k in slots:
-        m = g.multiplicity(u, v)
-        absent = [(v, u, k), (u, v, m), (u, v, -1), (u, v, k + 0.5), (u, g.n, 0),
-                  (g.n, g.n + 1, 0), (None, v, k), (u, "v", k), [u, v, k]]
-        for e in absent:
-            assert e not in slots
-            for through in (two_factor_through, matching_through):
-                with pytest.raises(EdgeAbsentError):
-                    through(g, e)
-        for through in (two_factor_through, matching_through):
-            through(g, (u, v, k))
+def test_two_factor_through_errors():
+    """The forcing cores check no input; what they still raise is a bug."""
+    with pytest.raises(InternalInvariantError, match="no perfect matching"):
+        _two_factor_through(_no_perfect_matching_cubic(), (0, 5, 0))
+    with pytest.raises(InternalInvariantError, match="does not have 3 slots"):
+        _matched_through(k4(), (0, 1, 5))
 
 
 def test_matching_through_every_slot(named_fixtures):
     g = named_fixtures["h10"]
     for e in g.slots():
-        m = matching_through(g, e)
+        m = _matched_through(g, e).matching
         assert e in m.slots
         assert frozenset(m.slots) in set(all_perfect_matchings(g))
 
@@ -166,11 +150,11 @@ def test_matching_through_every_slot(named_fixtures):
 def test_blossom_agrees_with_brute_force_on_random_cubic():
     for seed in range(30):
         g = gen_cubic_multigraph((2, 4, 6, 8)[seed % 4], SplitMix64(0xF00 + seed))
-        ours = perfect_matching(g)
+        ours = matched_slots(g)
         brute = all_perfect_matchings(g)
-        assert (ours is not None) == bool(brute)
-        if ours is not None:
-            assert frozenset(ours.slots) in set(brute)
+        assert (2 * len(ours) == g.n) == bool(brute)
+        if brute:
+            assert ours in set(brute)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,7 +172,7 @@ def test_blossom_agrees_with_brute_force_on_random_cubic():
     )
 )
 def test_maximum_matching_size_matches_brute(g):
-    ours = len(maximum_matching(g).slots)
+    ours = len(matched_slots(g))
     best = 0
     slots = g.slots()
 
@@ -214,7 +198,7 @@ def test_two_factor_through_on_decomposed_h(named_fixtures):
     h = oum_decompose(named_fixtures["big_expansion"]).h
     factors = set(all_two_factors(h))
     for e in h.slots():
-        tf = two_factor_through(h, e)
+        tf = _two_factor_through(h, e)
         assert e in tf.slots()
         assert (e[0], e[1]) in {(u, v) for u, v, _ in tf.slots()}
         assert frozenset(tf.slots()) in factors
@@ -227,7 +211,7 @@ def test_two_factor_through_cross_checked_with_enumeration():
         factors = set(all_two_factors(g))
         assert factors, "a bridgeless cubic multigraph always has a 2-factor"
         for e in g.slots()[:4]:
-            tf = two_factor_through(g, e)
+            tf = _two_factor_through(g, e)
             assert e in tf.slots()
             assert frozenset(tf.slots()) in factors
 
@@ -251,14 +235,6 @@ def test_complement_matches_reattribution_reference(named_fixtures):
             assert _two_factor_through(h, e) == two_factor_through_by_reattribution(h, e)
             m = matching_through_by_reattribution(h, e)
             assert _matched_through(h, e) == factor_from_matching_by_reattribution(h, m)
-
-
-def test_public_factorization_matches_reattribution_reference(named_fixtures):
-    h = named_fixtures["h10"]
-    assert two_factor(h) == two_factor_by_reattribution(h)
-    for e in h.slots():
-        assert two_factor_through(h, e) == two_factor_through_by_reattribution(h, e)
-        assert matching_through(h, e) == matching_through_by_reattribution(h, e)
 
 
 def _random_cubic_pairing(n, rng):
@@ -299,4 +275,4 @@ def test_matching_size_against_networkx():
         ref.add_nodes_from(range(g.n))
         ref.add_edges_from((u, v) for u, v, _ in g.edge_pairs())
         size = len(nx.max_weight_matching(ref, maxcardinality=True))
-        assert len(maximum_matching(g).slots) == size
+        assert len(matched_slots(g)) == size

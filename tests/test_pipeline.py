@@ -3,13 +3,17 @@
 `color_claw_free_cubic` checks its input at entry and runs `verify` once
 on the glued coloring at exit; in between it calls unchecked cores.  The
 entry's claw check is the local scan that `_decompose` builds on, and its
-connectivity check is the bridge search's DFS.  The public functions the
-pipeline is built from keep their own checks and certificates.
+connectivity and bridges come from a search of H.  It is the only public
+constructor: a core that returns a wrong coloring is caught by its
+certificate, and a core that finds a precondition false raises
+InternalInvariantError, which the CLI reports as a bug (exit 5).
 """
 
 import dataclasses
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,41 +22,27 @@ import clawcolor.colorer
 from clawcolor import (
     C1A,
     C1B,
-    C2A,
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
     build_bridge_tree,
-    canonical_color,
-    canonical_color_with_edge,
-    canonical_color_with_matched_edge,
     color_claw_free_cubic,
-    color_k4,
-    color_ring_of_diamonds,
-    color_root_component,
-    color_two_edge_connected,
     emit_edgelist,
     expand_to_clawfree,
-    extend_component,
     find_bridges,
     gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
-    matching_through,
     oum_decompose,
     random_expansion_spec,
-    two_factor,
-    two_factor_through,
 )
 from clawcolor import multigraph, oracle, recognition, structure
 from clawcolor.cli import main
 from clawcolor.errors import (
     DisconnectedError,
     InternalInvariantError,
-    NotBridgelessError,
     NotClawFreeError,
     NotCubicError,
-    NotRingOfDiamondsError,
     NotSimpleError,
     NotTwoEdgeConnectedError,
     VerificationFailedError,
@@ -115,9 +105,8 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     The bridges and connectivity come from H, the contraction of the
     entry's walk, never from a search of g; K4 and rings have no H and no
     search.  The only other scans are the ones a completed component's
-    `_decompose` runs for itself; no BFS runs only to decide connectivity,
-    and the attachment vertices come from the bridge tree, never from a
-    rescan.  Neither H nor a completion is searched for bridges or checked
+    `_decompose` runs for itself; no BFS runs only to decide connectivity.
+    Neither H nor a completion is searched for bridges or checked
     for being cubic again.
     """
     g = _inputs(named_fixtures)[name]
@@ -131,18 +120,17 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     )
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
-    attachments = _count_calls(monkeypatch, clawcolor.colorer._attachments)
     searched = []
     searches = _count_calls(monkeypatch, recognition._bridges, lambda h: searched.append(h) or True)
     cubic = _count_calls(monkeypatch, multigraph.is_cubic)
 
     def counts():
         return (verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0],
-                attachments[0], searches[0], cubic[0])
+                searches[0], cubic[0])
 
     h_searches = 0 if name in ("k4", "ring") else 1
     color_claw_free_cubic(g)
-    assert counts() == (1, 1, 1, 0, 0, 0, h_searches, 1)
+    assert counts() == (1, 1, 1, 0, 0, h_searches, 1)
     assert all(h is not g and h.n == triangles for h in searched)
     if not bridged:
         assert own_scans[0] == 0
@@ -151,21 +139,8 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     path.write_text(emit_edgelist(g))
     assert main(["color", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
-    assert counts() == (2, 2, 2, 0, 0, 0, 2 * h_searches, 2)
+    assert counts() == (2, 2, 2, 0, 0, 2 * h_searches, 2)
     assert all(h is not g and h.n == triangles for h in searched)
-
-
-def test_the_ring_constructor_scans_once(monkeypatch):
-    """`color_ring_of_diamonds` decides the ring and colors it from one scan.
-
-    Once every vertex is on a diamond, the ring through diamond 0 holding
-    every diamond is the connectivity check, so no BFS runs for it.
-    """
-    g = gen_ring_of_diamonds(50)
-    scans = _count_calls(monkeypatch, recognition._local_scan)
-    connected = _count_calls(monkeypatch, multigraph.is_connected)
-    color_ring_of_diamonds(g)
-    assert (scans[0], connected[0]) == (1, 0)
 
 
 def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
@@ -209,20 +184,6 @@ def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
     return a
 
 
-def _broken(g: MultiGraph, coloring: PackingColoring) -> PackingColoring:
-    return PackingColoring(coloring.spec, _moved(g, coloring.assignment))
-
-
-def _break_extension(monkeypatch):
-    real = clawcolor.colorer._extension
-
-    def extension(g, *args):
-        colors, diamonds = real(g, *args)
-        return _moved(g, colors), diamonds
-
-    monkeypatch.setattr(clawcolor.colorer, "_extension", extension)
-
-
 def _break_in_place(monkeypatch):
     """A K3 or diamond component whose up vertex takes its neighbor's 1a."""
     real = clawcolor.colorer._color_k3_or_diamond
@@ -235,24 +196,49 @@ def _break_in_place(monkeypatch):
     monkeypatch.setattr(clawcolor.colorer, "_color_k3_or_diamond", color_k3_or_diamond)
 
 
-def _break_two_edge_connected(monkeypatch):
-    real = clawcolor.colorer._two_edge_connected
+def _break_core(module, core: str):
+    """A breaker for the core named `core` in `module`, where its caller looks it up.
 
-    def two_edge_connected(g, dec):
-        return _broken(g, real(g, dec))
+    The broken core moves one vertex of what the real one returns into a
+    neighbor's radius-1 class, on the graph it was handed.  `_k4` is handed
+    no graph: it colors K4.
+    """
 
-    monkeypatch.setattr(clawcolor.colorer, "_two_edge_connected", two_edge_connected)
+    def break_layer(monkeypatch):
+        real = getattr(module, core)
+
+        def broken(*args):
+            out = real(*args)
+            g = args[0] if args else MultiGraph(4, K4_EDGES)
+            if isinstance(out, tuple):
+                colors, diamonds = out
+                return _moved(g, colors), diamonds
+            return PackingColoring(out.spec, _moved(g, out.assignment))
+
+        monkeypatch.setattr(module, core, broken)
+
+    return break_layer
+
+
+canonical, colorer = clawcolor.canonical, clawcolor.colorer
 
 
 @pytest.mark.parametrize(
     "break_layer, victim, healthy",
     [
-        (_break_extension, "bridged_star", "prism"),
-        (_break_two_edge_connected, "prism", "bridged_star"),
+        (_break_core(colorer, "_extension"), "bridged_star", "prism"),
+        (_break_core(colorer, "_two_edge_connected"), "prism", "bridged_star"),
         (_break_in_place, "chain50", "prism"),
         (_break_in_place, "bridged_star", "prism"),
+        (_break_core(canonical, "_k4"), "k4", "prism"),
+        (_break_core(canonical, "_ring"), "ring", "prism"),
+        (_break_core(canonical, "_canonical"), "big_expansion", "ring"),
+        (_break_core(colorer, "_with_edge"), "type3_path", "prism"),
+        (_break_core(colorer, "_with_matched_edge"), "type3_path", "prism"),
+        (_break_core(colorer, "_root_coloring"), "bridged_star", "prism"),
     ],
-    ids=["extension", "two_edge_connected", "in_place_diamond", "in_place_k3"],
+    ids=["extension", "two_edge_connected", "in_place_diamond", "in_place_k3", "k4", "ring",
+         "canonical", "with_edge", "with_matched_edge", "root_coloring"],
 )
 def test_a_bug_in_any_layer_is_still_caught(
     named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy
@@ -273,6 +259,26 @@ def test_a_bug_in_any_layer_is_still_caught(
     assert first["outcome"] == last["outcome"] == "colored"
     assert bad["exit"] == 5 and bad["error"]["kind"] == "internal"
     assert bad["error"]["message"].startswith("VerificationFailedError")
+
+
+def test_a_failed_precondition_after_the_entry_check_is_a_bug(
+    named_fixtures, monkeypatch, tmp_path, capsys
+):
+    """Past the entry check every component comes from a valid graph.
+
+    An odd gadget handed none of its component's members is the pipeline's
+    fault, not the input's: the CLI exits 5 with kind `internal`.
+    """
+    real = clawcolor.colorer._odd_gadget
+    monkeypatch.setattr(
+        clawcolor.colorer, "_odd_gadget", lambda g, x1, members: real(g, x1, ())
+    )
+    path = tmp_path / "bridged_star.el"
+    path.write_text(emit_edgelist(named_fixtures["bridged_star"]))
+    assert main(["color", "--json", str(path)]) == 5
+    (report,) = json_reports(capsys.readouterr().out)
+    assert report["exit"] == 5 and report["error"]["kind"] == "internal"
+    assert report["error"]["message"].startswith("InternalInvariantError: attachment")
 
 
 # seeds of `_seeded_built` whose broken contraction the certificate catches
@@ -350,14 +356,6 @@ def _two_rings(fx):
     return _union(gen_ring_of_diamonds(3), gen_ring_of_diamonds(4))
 
 
-def _two_factor_through(g):
-    return two_factor_through(g, (0, 1, 0))
-
-
-def _matching_through(g):
-    return matching_through(g, (0, 1, 0))
-
-
 # (public function, input, error class): the cases no other test covers
 WRAPPER_CASES = [
     (build_bridge_tree, _petersen, NotClawFreeError),
@@ -366,20 +364,6 @@ WRAPPER_CASES = [
     (oum_decompose, _petersen, NotClawFreeError),
     (oum_decompose, _diamond, NotCubicError),
     (oum_decompose, _two_k4s, NotTwoEdgeConnectedError),
-    (color_two_edge_connected, _petersen, NotClawFreeError),
-    (color_two_edge_connected, _bridged, NotTwoEdgeConnectedError),
-    (color_two_edge_connected, _diamond, NotCubicError),
-    (color_two_edge_connected, _two_k4s, NotTwoEdgeConnectedError),
-    (color_ring_of_diamonds, _bridged, NotRingOfDiamondsError),
-    (color_ring_of_diamonds, _two_k4s, NotRingOfDiamondsError),
-    (color_ring_of_diamonds, _two_rings, NotRingOfDiamondsError),
-    (two_factor, _diamond, NotCubicError),
-    (two_factor, _two_k4s, NotBridgelessError),
-    (_two_factor_through, _diamond, NotCubicError),
-    (_two_factor_through, _two_k4s, NotTwoEdgeConnectedError),
-    (_matching_through, _diamond, NotCubicError),
-    (_matching_through, _bridged, NotTwoEdgeConnectedError),
-    (_matching_through, _two_k4s, NotTwoEdgeConnectedError),
     (find_bridges, _k4_and_isolated_vertex, DisconnectedError),
 ]
 
@@ -395,88 +379,6 @@ WRAPPER_CASES = [
 def test_public_wrappers_keep_their_guarantees(named_fixtures, fn, make, error):
     with pytest.raises(error):
         fn(make(named_fixtures))
-
-
-def _canonical_color(g):
-    dec = oum_decompose(g)
-    return canonical_color(g, dec, two_factor(dec.h))
-
-
-def _with_edge(g):
-    dec = oum_decompose(g)
-    return canonical_color_with_edge(g, dec, next(iter(dec.realization.values()))[:2])
-
-
-def _with_matched_edge(g):
-    dec = oum_decompose(g)
-    return canonical_color_with_matched_edge(g, dec, next(iter(dec.realization.values()))[:2])
-
-
-def _root(comp):
-    return color_root_component(comp, 0)
-
-
-def _extend(comp):
-    return extend_component(comp, 0, C2A)
-
-
-def _k4(fx):
-    return MultiGraph(4, K4_EDGES)
-
-
-def _ring(fx):
-    return gen_ring_of_diamonds(4)
-
-
-def _prism(fx):
-    return fx["prism"]
-
-
-def _big_expansion(fx):
-    return fx["big_expansion"]
-
-
-def _leaf(fx):
-    return MultiGraph(7, leaf_gadget())
-
-
-canonical, colorer = clawcolor.canonical, clawcolor.colorer
-
-# (public constructor, module and name of its unchecked core, input)
-CONSTRUCTOR_CASES = [
-    (color_k4, canonical, "_k4", _k4),
-    (color_ring_of_diamonds, canonical, "_ring", _ring),
-    (color_two_edge_connected, canonical, "_two_edge_connected", _prism),
-    (_canonical_color, canonical, "_canonical", _big_expansion),
-    (_with_edge, canonical, "_with_edge", _big_expansion),
-    (_with_matched_edge, canonical, "_with_matched_edge", _big_expansion),
-    (_root, colorer, "_root_coloring", _leaf),
-    (_extend, colorer, "_extension", _leaf),
-]
-
-
-@pytest.mark.parametrize(
-    "construct, module, core, make",
-    CONSTRUCTOR_CASES,
-    ids=[core for _, _, core, _ in CONSTRUCTOR_CASES],
-)
-def test_public_constructors_still_certify(
-    named_fixtures, monkeypatch, construct, module, core, make
-):
-    """A core that returns a wrong coloring is caught by its public wrapper."""
-    g = make(named_fixtures)
-    real = getattr(module, core)
-
-    def broken(*args):
-        out = real(*args)
-        if isinstance(out, tuple):
-            colors, diamonds = out
-            return _moved(g, colors), diamonds
-        return _broken(g, out)
-
-    monkeypatch.setattr(module, core, broken)
-    with pytest.raises(VerificationFailedError):
-        construct(g)
 
 
 def _h10(fx):
@@ -579,3 +481,21 @@ def test_entry_rejections_keep_class_and_message(named_fixtures, entry, make, er
         entry(make(named_fixtures))
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def _readme_api_names() -> list[str]:
+    """The public names README lists under "Public API by layer", in order.
+
+    The list runs from that heading to the first blank line after it; a
+    name is a backticked identifier, so `Decomposition.realization` or
+    `multiplicity(u, v)` in the prose is not one.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\nPublic API by layer:\n\n", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`([A-Za-z]\w*)`", section)
+
+
+def test_the_public_names_are_the_ones_readme_lists():
+    listed = _readme_api_names()
+    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 41
+    assert sorted(set(listed)) == sorted(clawcolor.__all__)
