@@ -43,7 +43,7 @@ from .generators import (
 )
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
-from .recognition import ComponentKind, _bridge_tree, _require_claw_free_cubic
+from .recognition import _DISCONNECTED, ComponentKind, _bridge_tree, _require_claw_free_cubic
 from .rng import SplitMix64
 from .structure import Variant, _decompose
 
@@ -71,14 +71,13 @@ def _graph6_lines(text: str) -> list[tuple[int, str]]:
     return [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
 
 
-def _load_graph(path: str, fmt: str, max_n: int | None = None) -> MultiGraph:
-    """The one graph in a file; a graph6 file holding several is rejected.
+def _load_graph(path: str, text: str, fmt: str, max_n: int | None = None) -> MultiGraph:
+    """The one graph in `text`, read from `path`; several graph6 lines are rejected.
 
     An edge-list header above max_n raises CapExceededError before any
     adjacency is built.  A graph6 line spells out its whole adjacency
     matrix, so the text already bounds what it builds.
     """
-    text = _read_text(path)
     if not _is_graph6(path, fmt):
         return parse_edgelist(text, max_n=max_n)
     lines = _graph6_lines(text)
@@ -151,7 +150,8 @@ def _color_one(label: str, parse) -> dict:
         return report
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
     report["outcome"] = "colored"
-    report["coloring"] = {str(v): coloring.label(v) for v in sorted(coloring.assignment)}
+    labels, assignment = coloring.spec.labels(), coloring.assignment
+    report["coloring"] = {str(v): labels[assignment[v]] for v in sorted(assignment)}
     report["verified"] = True
     report["exit"] = EXIT_OK
     return report
@@ -205,7 +205,7 @@ def cmd_color(args) -> int:
 def cmd_solve(args) -> int:
     try:
         spec = _parse_spec(args.spec)
-        g = _load_graph(args.path, args.format, max_n=args.cap)
+        g = _load_graph(args.path, _read_text(args.path), args.format, max_n=args.cap)
         coloring = solve_spacking(g, spec, cap=args.cap)
     except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -229,15 +229,17 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     try:
         spec = _parse_spec(args.spec)
-        g = _load_graph(args.graph, args.format)
         coloring = parse_coloring_lines(_read_text(args.coloring), spec)
-    except (OSError, MalformedInputError, ValueError) as exc:
+        # every vertex 0..n-1 must be colored, so a larger header fails
+        # before the graph is built
+        g = _load_graph(args.graph, _read_text(args.graph), args.format,
+                        max_n=len(coloring.assignment))
+        violations = verify(g, spec, coloring)
+    except (OSError, MalformedInputError, ValueError, PartialColoringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        violations = verify(g, spec, coloring)
-    except PartialColoringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except CapExceededError as exc:
+        print(f"error: graph has {exc.n} vertices, coloring has {exc.cap}", file=sys.stderr)
         return EXIT_IO
     if not violations:
         print("OK")
@@ -310,10 +312,15 @@ def _tree_shape(adj: tuple[tuple[int, ...], ...]) -> str:
 
 def cmd_decompose(args) -> int:
     try:
-        g = _load_graph(args.path, args.format)
+        text = _read_text(args.path)
+        # a connected graph on n vertices has n - 1 edges, one per line
+        g = _load_graph(args.path, text, args.format, max_n=len(text.splitlines()) + 1)
     except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except CapExceededError:
+        print(f"error: {_DISCONNECTED}", file=sys.stderr)
+        return EXIT_PRECONDITION
     try:
         bridges, local = _require_claw_free_cubic(g)
         if bridges:

@@ -138,26 +138,21 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def _slots_at(h: MultiGraph, v: int) -> list[Slot]:
-    """The slots at v, by neighbour and then by copy: their sorted order."""
-    return [
-        (v, w, k) if v < w else (w, v, k)
-        for w in h.neighbors(v)
-        for k in range(h.multiplicity(v, w))
-    ]
-
-
 def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
     """The 2-factor of a cubic multigraph complementary to a perfect matching.
 
     No slot in `banned` is matched, so each lies on the 2-factor.  The
     blossom search runs on h's adjacency lists, less the pairs whose
-    copies are all banned; each matched pair takes its lowest slot that is
-    not banned.  Each cycle starts at its smallest vertex and leaves it by
-    that vertex's first factor slot in sorted order.
+    copies are all banned; with nothing banned it reads h's own lists,
+    uncopied, since it never writes them.  Each matched pair takes its
+    lowest slot that is not banned.  Each cycle starts at its smallest
+    vertex and leaves it by that vertex's first factor slot in sorted
+    order.  The factor slots at a vertex are `h.slots_at(v)` less the
+    matched one: one pass over its neighbours, which on a simple h looks
+    up no multiplicity.
     """
     n = h.n
-    adj = list(h.adjacency())
+    adj = list(h.adjacency()) if banned else h.adjacency()
     for u, v, _ in banned:
         if all((u, v, k) in banned for k in range(h.multiplicity(u, v))):
             adj[u] = [w for w in adj[u] if w != v]
@@ -177,7 +172,7 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
             matched[v] = matched[w] = (v, w, k)
     rest = []
     for v in range(n):
-        inc = [s for s in _slots_at(h, v) if s != matched[v]]
+        inc = [s for s in h.slots_at(v) if s != matched[v]]
         if len(inc) != 2:
             raise InternalInvariantError(
                 f"vertex {v} has {len(inc)} factor edges, expected 2"
@@ -213,7 +208,7 @@ def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
     1-factor, so a perfect matching of the rest exists and its complement
     contains both e and f.
     """
-    f = next(s for s in _slots_at(h, 0) if s != e)
+    f = next(s for s in h.slots_at(0) if s != e)
     tf = _complement(h, (e, f))
     if e in tf.matching.slots:
         raise InternalInvariantError("forced edge missing from 2-factor")
@@ -227,7 +222,7 @@ def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
     of the rest, which exists by Plesnik's theorem, must cover that
     endpoint through e.
     """
-    others = [s for s in _slots_at(h, e[0]) if s != e]
+    others = [s for s in h.slots_at(e[0]) if s != e]
     if len(others) != 2:
         raise InternalInvariantError(f"vertex {e[0]} does not have 3 slots")
     tf = _complement(h, others)

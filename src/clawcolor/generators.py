@@ -54,13 +54,9 @@ def expand_to_clawfree(
     spec = spec or ExpansionSpec({})
 
     # corner c of triangle t is vertex 3 t + c; slot -> corner assignment
-    slots_at: dict[int, list[Slot]] = {v: [] for v in range(h.n)}
-    for s in h.slots():
-        slots_at[s[0]].append(s)
-        slots_at[s[1]].append(s)
     corner_of: dict[tuple[int, Slot], int] = {}
     for v in range(h.n):
-        order = list(slots_at[v])
+        order = h.slots_at(v)
         if rng is not None:
             rng.shuffle(order)
         if len(order) != 3:

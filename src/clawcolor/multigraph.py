@@ -99,6 +99,17 @@ class MultiGraph:
             if u < w
         ]
 
+    def slots_at(self, v: int) -> list[Slot]:
+        """The slots at v, by neighbour and then by copy: their sorted order."""
+        par = self._par
+        if not par:
+            return [(v, w, 0) if v < w else (w, v, 0) for w in self._adj[v]]
+        return [
+            (v, w, k) if v < w else (w, v, k)
+            for w in self._adj[v]
+            for k in range(par.get((v, w) if v < w else (w, v), 1))
+        ]
+
     def slots(self) -> list[Slot]:
         """All edge slots, sorted; parallel copies get k = 0, 1, ..."""
         out: list[Slot] = []
@@ -189,4 +200,4 @@ def is_connected(g: MultiGraph) -> bool:
 
 def is_cubic(g: MultiGraph) -> bool:
     """True iff every vertex has degree exactly 3 (with multiplicity)."""
-    return all(d == 3 for d in g.degrees())
+    return g.degrees().count(3) == g.n

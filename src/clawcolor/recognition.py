@@ -178,6 +178,13 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     two corners share a second common neighbor.  Each diamond is recorded at
     its smaller interior and each triangle at its smallest corner, so both
     lists come out in vertex order.
+
+    A vertex already recorded is skipped.  Its neighbors span an edge, so
+    it is no claw center, and its own pass would end at the `v > x` or
+    `v > p` test: a later corner of a recorded triangle sees that triangle
+    alone (a second edge would put the smallest corner on two triangles,
+    or the triangle on a diamond), a larger interior sees the smaller one
+    as p, and a later exterior sees the two interiors as its one edge.
     """
     n = g.n
     adj = g.adjacency()
@@ -186,6 +193,8 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     triangles: list[tuple[int, int, int]] = []
     triangle_of = [-1] * n
     for v in range(n):
+        if triangle_of[v] != -1 or diamond_of[v] != -1:
+            continue
         a, b, c = adj[v]
         ab = b in adj[a]
         ac = c in adj[a]
@@ -227,6 +236,14 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
     The two corners may lie on one triangle: an H-loop, which only a graph
     with a bridge has.  A walk is deterministic and reversible, so each
     corner ends exactly one realization.
+
+    g is simple and cubic, and its scan found no claw and put every vertex
+    on one triangle or diamond; both callers check that first.  So a
+    corner has two neighbors on its triangle and one outside it, and an
+    exterior has its two interiors and one neighbor off its diamond (the
+    exteriors are not adjacent).  An interior's neighbors all lie on its
+    diamond, so the walk meets each diamond at an exterior, and it leaves
+    the diamonds at a vertex on a triangle.  Nothing is checked here.
     """
     adj = g.adjacency()
     diamonds, diamond_of = local.diamonds, local.diamond_of
@@ -235,34 +252,24 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
     walk: list[tuple[int, ...]] = []
     for t, tri in enumerate(local.triangles):
         for c in tri:
-            outs = [w for w in adj[c] if triangle_of[w] != t]
-            if len(outs) != 1:
-                raise StructureViolationError(
-                    f"triangle corner {c} has {len(outs)} outside edges"
-                )
             if consumed[c]:
                 continue
-            cur = outs[0]
+            a, b, cur = adj[c]
+            if triangle_of[a] != t:
+                cur = a
+            elif triangle_of[b] != t:
+                cur = b
             seq = [c]
             while (i := diamond_of[cur]) != -1:
                 d = diamonds[i]
                 e1, e2 = d.exteriors
-                if cur != e1 and cur != e2:
-                    raise StructureViolationError(
-                        f"string enters diamond at interior vertex {cur}"
-                    )
                 exit_ = e1 if cur == e2 else e2
                 seq += (cur, *d.interiors, exit_)
-                outs = [w for w in adj[exit_] if diamond_of[w] != i]
-                if len(outs) != 1:
-                    raise StructureViolationError(
-                        f"diamond exterior {exit_} has {len(outs)} outside edges"
-                    )
-                cur = outs[0]
-            if triangle_of[cur] == -1:
-                raise StructureViolationError(
-                    f"realization starting at corner {c} ends at non-corner {cur}"
-                )
+                a, b, cur = adj[exit_]
+                if diamond_of[a] != i:
+                    cur = a
+                elif diamond_of[b] != i:
+                    cur = b
             consumed[c] = consumed[cur] = 1
             seq.append(cur)
             walk.append(tuple(seq))

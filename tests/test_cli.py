@@ -233,6 +233,40 @@ def test_solve_checks_the_cap_before_building(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        pytest.param("decompose", 2, "input graph is disconnected", id="decompose"),
+        pytest.param("verify", 1, "graph has 1000000 vertices, coloring has 0", id="verify"),
+    ],
+)
+def test_a_header_past_what_the_text_allows_fails_before_building(
+    tmp_path, capsys, command, code, message
+):
+    """A header of 10^6 vertices alone in its file fails without building the graph.
+
+    `decompose` bounds n by the line count, since a connected graph on n
+    vertices has at least n - 1 edges.  `verify` bounds it by the
+    coloring's size, since every vertex must be colored.
+    """
+    p = tmp_path / "huge.el"
+    p.write_text("1000000\n")
+    c = tmp_path / "empty.col"
+    c.write_text("")
+    argv = [command, str(p)] + ([str(c)] if command == "verify" else [])
+    tracemalloc.start()
+    try:
+        exit_code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_code == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert peak < 1 << 20
+
+
 def test_solve_certifies_its_witness(fixture_files, capsys, monkeypatch):
     def all_one_class(g, spec, cap):
         return PackingColoring(spec, {v: 0 for v in range(g.n)})

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clawcolor import MultiGraph, gen_cubic_multigraph
+from clawcolor import MultiGraph, fixtures, gen_cubic_multigraph
 from clawcolor.errors import InternalInvariantError
 from clawcolor.factorization import (
     _complement,
@@ -276,3 +276,28 @@ def test_matching_size_against_networkx():
         ref.add_edges_from((u, v) for u, v, _ in g.edge_pairs())
         size = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert len(matched_slots(g)) == size
+
+
+def test_complement_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
+    """With nothing banned, a simple H's factor slots need no multiplicity lookup.
+
+    Each vertex's slots come from one `slots_at` pass, which reads the
+    parallel pairs only when there are some.
+    """
+    rng = SplitMix64(0xC0)
+    graphs = [k4()] + [fixtures()[name] for name in ("prism", "petersen", "big_expansion")]
+    while len(graphs) < 20:
+        h = gen_cubic_multigraph(2 * (2 + rng.randrange(20)), rng)
+        if h.is_simple():
+            graphs.append(h)
+    calls = [0]
+    real = MultiGraph.multiplicity
+
+    def multiplicity(self, u, v):
+        calls[0] += 1
+        return real(self, u, v)
+
+    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
+    for h in graphs:
+        assert len(_complement(h).cycles) >= 1
+    assert calls[0] == 0

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from clawcolor import (
     MultiGraph,
+    SplitMix64,
     fixtures,
+    gen_cubic_multigraph,
     is_connected,
     is_cubic,
 )
@@ -266,3 +268,27 @@ def test_bytes_per_vertex(large_graphs):
         tracemalloc.stop()
     assert built == g
     assert held / n < 160, f"{held / n:.0f} bytes per vertex"
+
+
+def test_slots_at_lists_each_vertex_slots_in_sorted_order():
+    """`slots_at(v)` is the definition, read with and without parallel pairs."""
+    rng = SplitMix64(0x5107)
+    graphs = [
+        MultiGraph(2, [(0, 1)] * 3),
+        MultiGraph(5, [(0, 1), (0, 1), (1, 2), (0, 3), (0, 3), (0, 3), (2, 4)]),
+        fixtures()["h10"],
+        fixtures()["petersen"],
+    ]
+    graphs += [gen_cubic_multigraph(2 * (1 + rng.randrange(12)), rng) for _ in range(60)]
+    parallel = 0
+    for g in graphs:
+        parallel += not g.is_simple()
+        for v in range(g.n):
+            expected = [
+                (min(v, w), max(v, w), k)
+                for w in g.neighbors(v)
+                for k in range(g.multiplicity(v, w))
+            ]
+            assert g.slots_at(v) == expected == sorted(expected)
+            assert set(expected) <= set(g.slots())
+    assert parallel >= 30, parallel

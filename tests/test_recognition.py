@@ -447,3 +447,107 @@ def test_local_scan_matches_definitions(named_fixtures, base_corpus):
             assert all(local.triangle_of[v] == i for v in t)
         covered = sum(x != -1 for x in local.diamond_of + local.triangle_of)
         assert covered == g.n
+
+
+def _rewired(rng: SplitMix64) -> tuple[MultiGraph, MultiGraph]:
+    """A built graph, and it with one vertex v's edge to p rewired.
+
+    A 2-switch trades the edge vp and an edge uw away from both for vu and
+    pw.  On a triangle or diamond edge it leaves v or p a claw center; on a
+    connector the graph stays claw-free.  v is drawn from the upper half of
+    the ids, so the first claw center tends to come after many triangles
+    and diamonds.
+    """
+    while True:
+        h = gen_cubic_multigraph(2 * (3 + rng.randrange(8)), rng)
+        g = expand_to_clawfree(h, random_expansion_spec(h, rng, 2), rng)
+        v = g.n // 2 + rng.randrange(g.n - g.n // 2)
+        p = g.neighbors(v)[rng.randrange(3)]
+        edges = g.edge_list()
+        u, w = edges[rng.randrange(len(edges))]
+        if {u, w} & {v, p} or g.has_edge(v, u) or g.has_edge(p, w):
+            continue
+        edges.remove((min(v, p), max(v, p)))
+        edges.remove((u, w))
+        return g, MultiGraph(g.n, edges + [(v, u), (p, w)])
+
+
+def test_local_scan_skipping_recorded_vertices_keeps_its_answer():
+    """The scan skips vertices it has recorded; the claw, diamonds and triangles stay.
+
+    Over rewired built graphs, where the first claw center (if any) comes
+    after at least three triangles and three diamonds the scan recorded
+    and skipped through, and simple random cubic graphs.  The witness is
+    `find_claw`'s, the first center in vertex order; `find_claw_brute`,
+    whose first claw is the lexicographically first quadruple, confirms a
+    claw on the smaller graphs.
+    """
+    rng = SplitMix64(0x5C1A)
+    late_claws = claw_free = 0
+    for _ in range(150):
+        before, g = _rewired(rng)
+        local, claw = _local_scan(g), find_claw(g)
+        assert local.claw == claw
+        if claw is None:
+            claw_free += 1
+            assert local.diamonds == find_diamonds(g)
+            # a 2-switch may split off a K4, whose triangles the scan leaves out
+            on_k4 = {v for v in range(g.n) if is_k4(g.induced([v, *g.neighbors(v)])[0])}
+            triangles = _triangles_off_diamonds_brute(g, local.diamonds)
+            assert local.triangles == [t for t in triangles if t[0] not in on_k4]
+            continue
+        # the triangles and diamonds of the unrewired graph, wholly below the center
+        scanned = _local_scan(before)
+        below = [t for t in scanned.triangles if max(t) < claw[0]]
+        below_d = [d for d in scanned.diamonds if max(d.vertices) < claw[0]]
+        late_claws += len(below) >= 3 and len(below_d) >= 3
+    assert late_claws >= 80 and claw_free >= 5, (late_claws, claw_free)
+    for g in _random_simple_cubic(rng, 100):
+        local = _local_scan(g)
+        assert local.claw == find_claw(g)
+        if g.n <= 16:
+            assert (local.claw is None) == (find_claw_brute(g) is None)
+        if local.claw is None:
+            assert local.diamonds == find_diamonds(g)
+
+
+class _ReadCounter(list):
+    """Adjacency lists that count how many lists are read from them."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return list.__getitem__(self, v)
+
+
+class _CountedGraph(MultiGraph):
+    def adjacency(self):
+        self.counter = _ReadCounter(super().adjacency())
+        return self.counter
+
+
+@pytest.mark.parametrize("strings", [0, 2, "ring"])
+def test_local_scan_reads_a_recorded_vertex_no_more(strings):
+    """Each triangle is read from its smallest corner only, each diamond from
+    its smaller interior and the exteriors below it.
+
+    A visit makes 4 reads: its own list, then a's twice and b's once to
+    test its neighborhood.  A vertex with one edge there, below its pair,
+    makes 2 more for the diamond test.  So a triangle costs 6 reads, and a
+    diamond 4 plus 6 per exterior below its smaller interior.  Visiting
+    every vertex would cost a triangle 14.
+    """
+    rng = SplitMix64(0xC0DE)
+    if strings == "ring":
+        plain = gen_ring_of_diamonds(12)
+    else:
+        h = gen_cubic_multigraph(24, rng)
+        plain = expand_to_clawfree(h, random_expansion_spec(h, rng, strings), rng)
+    g = _CountedGraph(plain.n, plain.edge_list())
+    local = _local_scan(g)
+    assert local.claw is None and (strings == 0) == (not local.diamonds)
+    expected = 6 * len(local.triangles) + sum(
+        4 + 6 * sum(e < min(d.interiors) for e in d.exteriors) for d in local.diamonds
+    )
+    assert g.counter.reads == expected
