@@ -147,6 +147,7 @@ def _color_type3(
     tilde, local, gadget = _completion(g, verts, xs)
     fixed: dict[int, int] = {}  # colors of the vertices the completion lacks
     sub: dict[int, int] = {}  # colors of the completion's vertices, by local id
+    ones = (C1A, C1B)  # the completion's 1a and 1b, as colored in g
     diamonds: list[int] = []
     if gadget is None:
         dec = _decompose(tilde)
@@ -167,19 +168,23 @@ def _color_type3(
             col = _ring(tilde, dec.ring_diamonds)
         else:
             col = _with_edge(tilde, dec, (local[s], local[y]))
-        if {col.assignment[local[s]], col.assignment[local[y]]} != {C1A, C1B}:
+        sub = col.assignment
+        if {sub[local[s]], sub[local[y]]} != {C1A, C1B}:
             raise InternalInvariantError(
                 "joined outer neighbors did not receive the two radius-1 colors"
             )
-        if col.assignment[local[s]] != C1A:
-            col = col.transposed(C1A, C1B)
-        sub = col.assignment
+        # s must carry 1a: exchange the completion's 1a and 1b if it does not
+        ones = (C1A, C1B) if sub[local[s]] == C1A else (C1B, C1A)
         fixed = {u: C1B, w: C1A, x1: C2A}
         diamonds = _diamond_vertices(dec, local)
-    # swap[c] is c, with 2a and 2b exchanged unless x1 already has `forced`
+    # 2a and 2b are exchanged unless x1 already has `forced`
     first = fixed[x1] if x1 in fixed else sub[local[x1]]
-    swap = (C1A, C1B, C2A, C2B) if first == forced else (C1A, C1B, C2B, C2A)
-    return {v: swap[fixed[v] if v in fixed else sub[local[v]]] for v in verts}, diamonds
+    twos = (C2A, C2B) if first == forced else (C2B, C2A)
+    # swap[c] is the color in g of the completion's c, fixed_swap of a fixed c
+    swap, fixed_swap = ones + twos, (C1A, C1B) + twos
+    return {
+        v: fixed_swap[fixed[v]] if v in fixed else swap[sub[local[v]]] for v in verts
+    }, diamonds
 
 
 def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
@@ -290,10 +295,13 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     in place, Type III components through one completion graph each.
     """
     assignment: dict[int, int] = {}
+    get = assignment.get
+    adj = g.adjacency()
     # vertices on the diamonds of the completed Type III components, for
     # the no-diamond-at-up-neighbor invariant
     on_diamond: set[int] = set()
-    for c in sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c)):
+    # ascending ids sorted stably by depth: the order of the key (depth, c)
+    for c in sorted(range(len(bt.components)), key=bt.depth.__getitem__):
         verts, xs, kind = bt.components[c], bt.degree2[c], bt.kinds[c]
         if c == bt.root:
             colors, diamonds = _root_coloring(g, verts, xs, kind)
@@ -304,7 +312,20 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
-            forced = free_two_color(g, assignment, q)
+            # `free_two_color` inline: q's closed neighborhood, less x1, is colored
+            a, b, d = adj[q]
+            present = (get(q), get(a), get(b), get(d))
+            if C2A not in present:
+                forced = C2A
+            elif C2B not in present:
+                forced = C2B
+            else:
+                raise ClaimViolatedError(
+                    f"both radius-2 classes appear around attachment vertex {q}"
+                )
+            if kind is not ComponentKind.TYPE_III:
+                assignment.update(_color_k3_or_diamond(verts, xs, forced, kind))
+                continue
             colors, diamonds = _extension(g, verts, xs, forced, kind)
         on_diamond.update(diamonds)
         assignment.update(colors)

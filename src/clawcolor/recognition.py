@@ -21,10 +21,13 @@ must hold every diamond.  `find_claw` stays for arbitrary graphs and
 
 Since every vertex lies on a triangle, at most one edge at each vertex is
 a bridge, so `_bridge_tree` keeps per vertex only the other end of its
-bridge and its degree inside its component.  The components, their kinds,
-their attachment vertices (inside degree 2) and the tree edges follow from
-those two arrays, and one BFS helper over the components runs the
-diameter sweeps that find the root and then roots the tree.
+bridge.  The components, their attachment vertices (those with a bridge)
+and the tree edges follow from that array.  A component's kind follows
+from its size and its number of attachments alone, on validated input
+(`_bridge_tree`'s docstring gives the argument), so `_classify_component`
+runs only on a bridge set that gives some vertex two bridges.  One BFS
+helper over the components runs the diameter sweeps that find the root
+and then roots the tree.
 """
 
 from __future__ import annotations
@@ -433,21 +436,44 @@ def build_bridge_tree(g: MultiGraph) -> BridgeTree:
 def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     """The bridge tree of a graph already validated, from its bridges.
 
-    across[v] is the other end of v's one bridge (-1 for none), and
-    deg_in[v], 3 minus v's bridge count, is its degree inside its component.
+    across[v] is the other end of v's one bridge (-1 for none), and the
+    vertices that have one are their component's attachments.
+
+    Each component is typed from its size and its number of attachments.
+    Once the component count is one more than the bridge count, every
+    bridge joins two components (G is connected), so a vertex's degree
+    inside its component is 3 minus its bridges: 2 at an attachment and 3
+    elsewhere.  A component of attachments only is a cycle; it holds the
+    triangle of each of its vertices, so it is a K3.  A 4-vertex component
+    with attachments has an even degree sum, so two: the exteriors, which
+    on a simple graph are adjacent to both interiors and not to each other.
+    Any other component is Type III.  The messages of `_classify_component`
+    are kept for the outcomes validated input cannot reach.
+
+    A set that gives some vertex two bridges is no bridge set: the search
+    then runs on a copy of the adjacency without any of them, which on a
+    connected G stops at the component count, and the kinds come from
+    `_classify_component` and the degrees deg_in.
     """
     n = g.n
     bridges = tuple(sorted(bridge_set))
     across = [-1] * n
-    deg_in = [3] * n
+    doubled = False
     for u, v in bridges:
+        if across[u] != -1 or across[v] != -1:
+            doubled = True
         across[u], across[v] = v, u
-        deg_in[u] -= 1
-        deg_in[v] -= 1
 
     adj = g.adjacency()
+    if doubled:
+        # the search skips one bridge per vertex; drop them all from a copy
+        cut = set(bridges)
+        adj = [
+            [w for w in ws if (v, w) not in cut and (w, v) not in cut] for v, ws in enumerate(adj)
+        ]
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
+    attach: list[list[int]] = []
     for start in range(n):
         if comp_of[start] != -1:
             continue
@@ -459,18 +485,43 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
                 if comp_of[w] == -1 and across[v] != w:
                     comp_of[w] = idx
                     queue.append(w)
-        components.append(tuple(sorted(queue)))
+        queue.sort()
+        components.append(tuple(queue))
+        attach.append([v for v in queue if across[v] != -1])
 
     ncomp = len(components)
     if ncomp != len(bridges) + 1:
         raise StructureViolationError(
             f"{ncomp} components for {len(bridges)} bridges; tree property violated"
         )
-    kinds = tuple(_classify_component(g, comp, deg_in) for comp in components)
+    if doubled:
+        deg_in = [3] * n
+        for u, v in bridges:
+            deg_in[u] -= 1
+            deg_in[v] -= 1
+        kinds = [_classify_component(g, comp, deg_in) for comp in components]
+    else:
+        kinds = []
+        for verts, xs in zip(components, attach):
+            if len(xs) == len(verts):
+                if len(verts) != 3:
+                    raise NonK3CycleError(
+                        f"cycle component of size {len(verts)}; input is not claw-free cubic"
+                    )
+                kinds.append(ComponentKind.TRIANGLE)
+            elif len(verts) == 4 and xs:
+                if len(xs) == 2:
+                    e1, e2 = xs
+                    i1, i2 = (v for v in verts if across[v] == -1)
+                    if i2 in adj[i1] and e2 not in adj[e1]:
+                        kinds.append(ComponentKind.DIAMOND)
+                        continue
+                raise StructureViolationError("4-vertex component is not a diamond")
+            else:
+                kinds.append(ComponentKind.TYPE_III)
     for u, v in bridges:
         if comp_of[u] == comp_of[v]:
             raise StructureViolationError(f"bridge {(u, v)} inside one component")
-    attach = [[v for v in comp if deg_in[v] == 2] for comp in components]
 
     def sweep(src: int) -> tuple[list[int], list[int]]:
         """Depth of each component, and the vertex the BFS entered it at."""
@@ -512,7 +563,7 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
 
     return BridgeTree(
         components=tuple(components),
-        kinds=kinds,
+        kinds=tuple(kinds),
         comp_of=tuple(comp_of),
         bridges=bridges,
         tree_adj=tuple(tuple(sorted(comp_of[across[v]] for v in xs)) for xs in attach),

@@ -21,10 +21,11 @@ the higher triangle, with `_reversed`, and files them under their slots.
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
 
-  * Cubic.  The walk raises unless each triangle corner has exactly one
-    outside edge, and the orientation step rejects H-loops.  A walk is
-    deterministic and reversible, so each corner ends exactly one
-    realization.
+  * Cubic.  The scan guarantees that each triangle corner has exactly one
+    outside edge: G's entry scan, or the completion's own scan here, which
+    must put every vertex on a triangle or a diamond.  The orientation
+    step rejects H-loops.  A walk is deterministic and reversible, so
+    each corner ends exactly one realization.
   * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
     size, so G's connectivity and bridges are read from H: on the pipeline
     path the entry check searched H, not G, and found no bridge.  For a

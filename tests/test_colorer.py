@@ -374,12 +374,13 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
 
     Coloring the 50-diamond chain made 205 `multiplicity` calls when every
     copied edge looked its multiplicity up; 90 of them came from the two
-    leaves' completions.  Of the 109 left, 104 are `has_edge` calls: two
-    for each diamond component's classification, and the two of each
-    leaf's odd gadget.  One checks the bridge candidate of the entry
-    check's search of H, and four are `_complement`'s banned-slot checks
-    under `_two_factor_through`.  Reading the factor slots made six more
-    while each slot looked its pair's multiplicity up.
+    leaves' completions.  Reading the factor slots made six more while each
+    slot looked its pair's multiplicity up, and classifying the components
+    made 100 more, two `has_edge` calls per diamond, before the bridge
+    tree typed them by size and attachment count.  The 9 left are the two
+    `has_edge` calls of each leaf's odd gadget (the 4 inside), one for the
+    bridge candidate of the entry check's search of H, and four
+    `_complement` banned-slot checks under `_two_factor_through`.
     """
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
     real_multiplicity, real_completion = MultiGraph.multiplicity, clawcolor.colorer._completion
@@ -399,7 +400,7 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
     monkeypatch.setattr(clawcolor.colorer, "_completion", completion)
     assert_valid(g, color_claw_free_cubic(g))
     assert inside[0] == 4
-    assert calls[0] == 109
+    assert calls[0] == 9
 
 
 def test_up_neighbor_on_a_completion_diamond_is_an_internal_error(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from clawcolor import (
 )
 from clawcolor.errors import DisconnectedError, StructureViolationError
 from clawcolor.recognition import (
+    _bridge_tree,
     _bridges,
     _classify_component,
     _local_scan,
@@ -251,6 +253,82 @@ def test_classify_component_matches_reference_on_broken_degrees(
                 assert got == _kind_or_error(classify_component_by_subgraphs, g, vs, degs)
                 outcomes.add(got if isinstance(got, ComponentKind) else got[0])
     assert len(outcomes) == 6, outcomes
+
+
+def _tree_or_error(build, g, bridge_set):
+    try:
+        return build(g, bridge_set)
+    except StructureViolationError as e:
+        return type(e), str(e)
+
+
+def _broken_bridge_sets(g, bridges, rng):
+    """Broken copies of `bridges`: less one, less half, plus a triangle
+    edge, plus the edges that give one vertex two, or plus a diamond's
+    interior edge."""
+    local = _local_scan(g)
+    ordered = sorted(bridges)
+    yield "drop one", bridges - {ordered[rng.randrange(len(ordered))]}
+    yield "drop half", set(ordered[::2])
+    if local.triangles:
+        t = local.triangles[rng.randrange(len(local.triangles))]
+        yield "triangle edge", bridges | {t[:2]}
+    v = rng.randrange(g.n)
+    inner = [e for e in ((min(v, w), max(v, w)) for w in g.neighbors(v)) if e not in bridges]
+    yield "two at a vertex", bridges | set(inner[1:])
+    if local.diamonds:
+        yield "interior edge", bridges | {local.diamonds[rng.randrange(len(local.diamonds))].interiors}
+
+
+def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
+    bridged_trees, random_bridged_trees
+):
+    """Same tree, or the same error class and message, as the reference.
+
+    On a connected G only a set of bridges splits off one component per
+    edge, so every other set stops at the component count; a vertex with
+    two edges in the set, as "two at a vertex" gives, must not let the
+    search cross either.  What is left of a bridge set is a tree of
+    merged components.
+    """
+    rng = SplitMix64(0xB8)
+    outcomes = set()
+    for g in [g for _, g in bridged_trees] + random_bridged_trees:
+        bridges = find_bridges(g)
+        if not bridges:
+            continue
+        for how, broken in _broken_bridge_sets(g, bridges, rng):
+            got = _tree_or_error(_bridge_tree, g, broken)
+            assert got == _tree_or_error(bridge_tree_by_sweeps, g, broken), how
+            if isinstance(got, BridgeTree):
+                outcomes.add((how, "tree"))
+            else:
+                outcomes.add((how, got[0], re.sub(r"\d+", "k", got[1])))
+    count = (StructureViolationError, "k components for k bridges; tree property violated")
+    assert outcomes == {
+        ("drop one", "tree"),
+        ("drop half", "tree"),
+        ("triangle edge", *count),
+        ("two at a vertex", *count),
+        ("interior edge", *count),
+    }, outcomes
+
+
+def test_bridge_tree_reads_no_multiplicity(monkeypatch):
+    """The kinds come from sizes and attachment counts, not from `has_edge`."""
+    g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
+    bridges = find_bridges(g)
+    calls = [0]
+    real = MultiGraph.multiplicity
+
+    def multiplicity(self, u, v):
+        calls[0] += 1
+        return real(self, u, v)
+
+    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
+    bt = _bridge_tree(g, bridges)
+    assert bt.kinds.count(ComponentKind.DIAMOND) == 50
+    assert calls[0] == 0
 
 
 def test_bridge_tree_bridgeless_single_node():
