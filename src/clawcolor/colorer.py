@@ -253,15 +253,12 @@ def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -
     `attachment` is the up-neighbor of the component about to be colored;
     its own component is already colored, the new component is not.
     """
-    present = set()
-    if attachment in assignment:
-        present.add(assignment[attachment])
-    for z in g.neighbors(attachment):
-        if z in assignment:
-            present.add(assignment[z])
-    for candidate in (C2A, C2B):
-        if candidate not in present:
-            return candidate
+    get = assignment.get
+    present = (get(attachment), *map(get, g.neighbors(attachment)))
+    if C2A not in present:
+        return C2A
+    if C2B not in present:
+        return C2B
     raise ClaimViolatedError(
         f"both radius-2 classes appear around attachment vertex {attachment}"
     )
@@ -295,8 +292,6 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     in place, Type III components through one completion graph each.
     """
     assignment: dict[int, int] = {}
-    get = assignment.get
-    adj = g.adjacency()
     # vertices on the diamonds of the completed Type III components, for
     # the no-diamond-at-up-neighbor invariant
     on_diamond: set[int] = set()
@@ -312,17 +307,7 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
-            # `free_two_color` inline: q's closed neighborhood, less x1, is colored
-            a, b, d = adj[q]
-            present = (get(q), get(a), get(b), get(d))
-            if C2A not in present:
-                forced = C2A
-            elif C2B not in present:
-                forced = C2B
-            else:
-                raise ClaimViolatedError(
-                    f"both radius-2 classes appear around attachment vertex {q}"
-                )
+            forced = free_two_color(g, assignment, q)
             if kind is not ComponentKind.TYPE_III:
                 assignment.update(_color_k3_or_diamond(verts, xs, forced, kind))
                 continue

@@ -24,10 +24,9 @@ a bridge, so `_bridge_tree` keeps per vertex only the other end of its
 bridge.  The components, their attachment vertices (those with a bridge)
 and the tree edges follow from that array.  A component's kind follows
 from its size and its number of attachments alone, on validated input
-(`_bridge_tree`'s docstring gives the argument), so `_classify_component`
-runs only on a bridge set that gives some vertex two bridges.  One BFS
-helper over the components runs the diameter sweeps that find the root
-and then roots the tree.
+(`_bridge_tree`'s docstring gives the argument), so no vertex is read
+again to type it.  One BFS helper over the components runs the diameter
+sweeps that find the root and then roots the tree.
 """
 
 from __future__ import annotations
@@ -436,24 +435,27 @@ def build_bridge_tree(g: MultiGraph) -> BridgeTree:
 def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     """The bridge tree of a graph already validated, from its bridges.
 
-    across[v] is the other end of v's one bridge (-1 for none), and the
-    vertices that have one are their component's attachments.
+    g has passed `_require_claw_free_cubic`, and the pipeline passes the
+    bridges that check returned.  across[v] is the other end of v's one
+    bridge (-1 for none), and the vertices that have one are their
+    component's attachments.
 
-    Each component is typed from its size and its number of attachments.
-    Once the component count is one more than the bridge count, every
-    bridge joins two components (G is connected), so a vertex's degree
-    inside its component is 3 minus its bridges: 2 at an attachment and 3
-    elsewhere.  A component of attachments only is a cycle; it holds the
-    triangle of each of its vertices, so it is a K3.  A 4-vertex component
-    with attachments has an even degree sum, so two: the exteriors, which
-    on a simple graph are adjacent to both interiors and not to each other.
-    Any other component is Type III.  The messages of `_classify_component`
-    are kept for the outcomes validated input cannot reach.
+    G minus a set F of edges has |F| + 1 components only when every edge of
+    F is a bridge, so past the count check each edge of the set is a bridge
+    joining two components, and a vertex's degree inside its component is
+    2 at an attachment and 3 elsewhere.  Each component's kind then follows
+    from its size and its number of attachments.  A component of
+    attachments only is a cycle; it holds the triangle of each of its
+    vertices, so it is a K3.  A 4-vertex component with attachments has an
+    even degree sum, so two: the other two vertices are adjacent to all
+    three others, and the two attachments are not adjacent to each other,
+    so it is a diamond.  Any other component is Type III, a bridgeless K4
+    (no attachments) included.
 
-    A set that gives some vertex two bridges is no bridge set: the search
-    then runs on a copy of the adjacency without any of them, which on a
-    connected G stops at the component count, and the kinds come from
-    `_classify_component` and the degrees deg_in.
+    Every vertex lies on a triangle, so no vertex has two bridges.  A set
+    that gives some vertex two edges therefore stops at the count check;
+    the search then runs on a copy of the adjacency without any of them,
+    so the message counts the components of G minus the set.
     """
     n = g.n
     bridges = tuple(sorted(bridge_set))
@@ -494,31 +496,14 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         raise StructureViolationError(
             f"{ncomp} components for {len(bridges)} bridges; tree property violated"
         )
-    if doubled:
-        deg_in = [3] * n
-        for u, v in bridges:
-            deg_in[u] -= 1
-            deg_in[v] -= 1
-        kinds = [_classify_component(g, comp, deg_in) for comp in components]
-    else:
-        kinds = []
-        for verts, xs in zip(components, attach):
-            if len(xs) == len(verts):
-                if len(verts) != 3:
-                    raise NonK3CycleError(
-                        f"cycle component of size {len(verts)}; input is not claw-free cubic"
-                    )
-                kinds.append(ComponentKind.TRIANGLE)
-            elif len(verts) == 4 and xs:
-                if len(xs) == 2:
-                    e1, e2 = xs
-                    i1, i2 = (v for v in verts if across[v] == -1)
-                    if i2 in adj[i1] and e2 not in adj[e1]:
-                        kinds.append(ComponentKind.DIAMOND)
-                        continue
-                raise StructureViolationError("4-vertex component is not a diamond")
-            else:
-                kinds.append(ComponentKind.TYPE_III)
+    kinds = tuple(
+        ComponentKind.TRIANGLE
+        if len(xs) == len(verts)
+        else ComponentKind.DIAMOND
+        if len(verts) == 4 and xs
+        else ComponentKind.TYPE_III
+        for verts, xs in zip(components, attach)
+    )
     for u, v in bridges:
         if comp_of[u] == comp_of[v]:
             raise StructureViolationError(f"bridge {(u, v)} inside one component")
@@ -563,7 +548,7 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
 
     return BridgeTree(
         components=tuple(components),
-        kinds=tuple(kinds),
+        kinds=kinds,
         comp_of=tuple(comp_of),
         bridges=bridges,
         tree_adj=tuple(tuple(sorted(comp_of[across[v]] for v in xs)) for xs in attach),
