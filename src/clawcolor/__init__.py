@@ -38,7 +38,6 @@ from .recognition import (
     BridgeTree,
     ComponentKind,
     Diamond,
-    build_bridge_tree,
     find_bridges,
     find_claw,
     is_claw_free,
@@ -46,7 +45,7 @@ from .recognition import (
     is_ring_of_diamonds,
 )
 from .rng import SplitMix64
-from .structure import Decomposition, Variant, oum_decompose
+from .structure import Decomposition, Variant, decompose
 
 __version__ = "0.1.0"
 
@@ -67,8 +66,8 @@ __all__ = [
     "SplitMix64",
     "Variant",
     "Violation",
-    "build_bridge_tree",
     "color_claw_free_cubic",
+    "decompose",
     "emit_edgelist",
     "emit_graph6",
     "expand_to_clawfree",
@@ -84,7 +83,6 @@ __all__ = [
     "is_cubic",
     "is_k4",
     "is_ring_of_diamonds",
-    "oum_decompose",
     "parse_coloring_lines",
     "parse_edgelist",
     "parse_graph6",

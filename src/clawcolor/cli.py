@@ -3,7 +3,7 @@
 Exit codes: 0 success (including a clean UNSAT), 1 I/O or parse failure,
 2 structural precondition failure (with a witness when available),
 3 solver cap exceeded, 4 invalid coloring in `verify`, 5 internal error
-in `color` or `solve` (a bug, never a property of the input).
+in `color`, `solve` or `decompose` (a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .generators import (
 )
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
-from .recognition import _DISCONNECTED, ComponentKind, _bridge_tree, _require_claw_free_cubic
+from .recognition import _DISCONNECTED, BridgeTree, ComponentKind
 from .rng import SplitMix64
-from .structure import Variant, _decompose
+from .structure import Variant, decompose
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -322,40 +322,41 @@ def cmd_decompose(args) -> int:
         print(f"error: {_DISCONNECTED}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        bridges, local = _require_claw_free_cubic(g)
-        if bridges:
-            bt = _bridge_tree(g, bridges)
-            print(f"bridges: {len(bt.bridges)}")
-            print(f"bridge tree: {_tree_shape(bt.tree_adj)} (root component {bt.root})")
-            kind_names = {
-                ComponentKind.TRIANGLE: "K3",
-                ComponentKind.DIAMOND: "diamond",
-                ComponentKind.TYPE_III: "TypeIII",
-            }
-            for i, comp in enumerate(bt.components):
-                tag = " (root)" if i == bt.root else ""
-                print(
-                    f"component {i}: {kind_names[bt.kinds[i]]}, {len(comp)} vertices, "
-                    f"depth {bt.depth[i]}{tag}"
-                )
-        else:
-            dec = _decompose(g, local)
-            if dec.variant is Variant.K4:
-                print("2-edge-connected: K4")
-            elif dec.variant is Variant.RING:
-                print(f"2-edge-connected: ring of {len(dec.ring_diamonds)} diamonds")
-            else:
-                pairs = dec.h.edge_pairs()
-                doubles = sum(1 for _, _, m in pairs if m >= 2)
-                lengths = dec.string_lengths()
-                print(
-                    f"2-edge-connected: built from H with {dec.h.n} vertices, "
-                    f"{dec.h.size} edges ({doubles} parallel pair(s)), "
-                    f"strings: {lengths if lengths else 'none'}"
-                )
+        structure = decompose(g)
+    except InternalInvariantError as exc:
+        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ClawcolorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if isinstance(structure, BridgeTree):
+        bt = structure
+        print(f"bridges: {len(bt.components) - 1}")
+        print(f"bridge tree: {_tree_shape(bt.tree_adj)} (root component {bt.root})")
+        kind_names = {
+            ComponentKind.TRIANGLE: "K3",
+            ComponentKind.DIAMOND: "diamond",
+            ComponentKind.TYPE_III: "TypeIII",
+        }
+        for i, comp in enumerate(bt.components):
+            tag = " (root)" if i == bt.root else ""
+            print(
+                f"component {i}: {kind_names[bt.kinds[i]]}, {len(comp)} vertices, "
+                f"depth {bt.depth[i]}{tag}"
+            )
+    elif structure.variant is Variant.K4:
+        print("2-edge-connected: K4")
+    elif structure.variant is Variant.RING:
+        print(f"2-edge-connected: ring of {len(structure.ring_diamonds)} diamonds")
+    else:
+        h = structure.h
+        doubles = sum(1 for _, _, m in h.edge_pairs() if m >= 2)
+        lengths = structure.string_lengths()
+        print(
+            f"2-edge-connected: built from H with {h.n} vertices, "
+            f"{h.size} edges ({doubles} parallel pair(s)), "
+            f"strings: {lengths if lengths else 'none'}"
+        )
     return EXIT_OK
 
 

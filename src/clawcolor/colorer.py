@@ -23,10 +23,11 @@ of its up-neighbor in the already-colored parent, and is realized by
 transposing whole color classes of the child's coloring.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
-input once at entry and certifies the glued coloring once at exit; nothing
-in between checks an input or certifies an output.  Every component it
-hands on comes from a validated graph, so a failed precondition below the
-entry check is a bug and raises InternalInvariantError.
+input once at entry, through `structure.decompose`, and certifies the
+glued coloring once at exit; nothing in between checks an input or
+certifies an output.  Every component it hands on comes from a validated
+graph, so a failed precondition below the entry check is a bug and raises
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import (
-    BridgeTree,
-    ComponentKind,
-    _bridge_tree,
-    _require_claw_free_cubic,
-    is_k4,
-)
-from .structure import Decomposition, Variant, _decompose
+from .recognition import BridgeTree, ComponentKind, is_k4
+from .structure import Decomposition, Variant, _decompose, decompose
 
 
 def _check_independent(g: MultiGraph, xs: Sequence[int]) -> None:
@@ -266,19 +261,11 @@ def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
-    bridges, local = _require_claw_free_cubic(g)
-    # completions scan themselves, the tree keeps its own sorted copy of the
-    # bridges, and the decomposition keeps what it needs of the scan and its
-    # walk; holding any of those while coloring raises peak memory
-    if bridges:
-        del local
-        bt = _bridge_tree(g, bridges)
-        del bridges
-        coloring = _color_bridged(g, bt)
+    structure = decompose(g)
+    if isinstance(structure, BridgeTree):
+        coloring = _color_bridged(g, structure)
     else:
-        dec = _decompose(g, local)
-        del local
-        coloring = _two_edge_connected(g, dec)
+        coloring = _two_edge_connected(g, structure)
     violations = verify(g, SPEC_1122, coloring)
     if violations:
         raise VerificationFailedError(violations)

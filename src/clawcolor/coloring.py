@@ -45,16 +45,6 @@ class PackingColoring:
     def label(self, v: int) -> str:
         return self.spec.labels()[self.assignment[v]]
 
-    def transposed(self, i: int, j: int) -> "PackingColoring":
-        """Swap two color classes; valid for classes of equal radius."""
-        if self.spec.radii[i] != self.spec.radii[j]:
-            raise ValueError("only equal-radius classes may be transposed")
-        swap = {i: j, j: i}
-        return PackingColoring(
-            self.spec,
-            {v: swap.get(c, c) for v, c in self.assignment.items()},
-        )
-
     def as_lines(self) -> str:
         labels = self.spec.labels()
         return "\n".join(

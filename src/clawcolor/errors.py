@@ -71,14 +71,6 @@ class StructureViolationError(ClawcolorError):
     """Input violates a structural guarantee; usually means a caller bug."""
 
 
-class TypeIComponentError(StructureViolationError):
-    pass
-
-
-class NonK3CycleError(StructureViolationError):
-    pass
-
-
 # coloring
 
 class InternalInvariantError(ClawcolorError):

@@ -147,30 +147,6 @@ class MultiGraph:
             edges.extend([(u, v)] * m)
         return MultiGraph(self.n, edges)
 
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "MultiGraph":
-        """New graph with extra edges added (multiplicities aggregate)."""
-        return MultiGraph(self.n, self.edge_list() + list(extra))
-
-    def induced(self, vertices: Iterable[int]) -> tuple["MultiGraph", list[int]]:
-        """Induced subgraph on the given vertices.
-
-        Returns (subgraph, to_global) where to_global[i] is the original id
-        of local vertex i.  Local ids follow the sorted order of `vertices`.
-        An id outside the graph becomes an isolated local vertex.
-        """
-        to_global = sorted(set(vertices))
-        to_local = {g: i for i, g in enumerate(to_global)}
-        adj, par, n = self._adj, self._par, self.n
-        edges = []
-        for i, u in enumerate(to_global):
-            if not 0 <= u < n:
-                continue
-            for w in adj[u]:
-                if u < w and w in to_local:
-                    m = par.get((u, w), 1) if par else 1
-                    edges.extend([(i, to_local[w])] * m)
-        return MultiGraph(len(to_global), edges), to_global
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented

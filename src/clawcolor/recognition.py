@@ -25,8 +25,9 @@ bridge.  The components, their attachment vertices (those with a bridge)
 and the tree edges follow from that array.  A component's kind follows
 from its size and its number of attachments alone, on validated input
 (`_bridge_tree`'s docstring gives the argument), so no vertex is read
-again to type it.  One BFS helper over the components runs the diameter
-sweeps that find the root and then roots the tree.
+again to type it; that rule is the one component classifier.  One BFS
+helper over the components runs the diameter sweeps that find the root
+and then roots the tree.  `structure.decompose` is the one public way in.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from itertools import combinations
 
 from .errors import (
     DisconnectedError,
-    NonK3CycleError,
+    InternalInvariantError,
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
     StructureViolationError,
-    TypeIComponentError,
 )
 from .multigraph import MultiGraph, is_connected, is_cubic
 
@@ -319,56 +319,20 @@ class BridgeTree:
 
     Components are indexed in order of their smallest vertex.  The root is
     the smallest-index component whose tree eccentricity equals the tree
-    diameter, i.e. a leaf of a diametral path.  For every non-root
-    component, up_vertex is its unique degree-2 vertex whose third edge is
-    the bridge toward the parent, and up_neighbor is that bridge's other
-    endpoint.  degree2 lists each component's degree-2 vertices with the
-    up_vertex first (non-root) and the rest ascending.
+    diameter, i.e. a leaf of a diametral path.  degree2 lists each
+    component's degree-2 vertices, the up vertex first and the rest
+    ascending; a non-root component's up vertex is its one degree-2 vertex
+    whose third edge is the bridge toward the parent, and up_neighbor is
+    that bridge's other endpoint (-1 at the root).
     """
 
     components: tuple[tuple[int, ...], ...]
     kinds: tuple[ComponentKind, ...]
-    comp_of: tuple[int, ...]
-    bridges: tuple[tuple[int, int], ...]
     tree_adj: tuple[tuple[int, ...], ...]
     root: int
     depth: tuple[int, ...]
-    parent: tuple[int, ...]
-    up_vertex: tuple[int, ...]
     up_neighbor: tuple[int, ...]
     degree2: tuple[tuple[int, ...], ...]
-
-
-def _classify_component(
-    g: MultiGraph, verts: tuple[int, ...], deg_in: list[int]
-) -> ComponentKind:
-    """The kind of the component on `verts`; deg_in[v] is v's degree inside it."""
-    if len(verts) == 1:
-        raise TypeIComponentError(
-            f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
-        )
-    twos = 0
-    for v in verts:
-        d = deg_in[v]
-        if d <= 1:
-            raise StructureViolationError(
-                f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
-            )
-        if d == 2:
-            twos += 1
-    if twos == len(verts):
-        if len(verts) != 3:
-            raise NonK3CycleError(
-                f"cycle component of size {len(verts)}; input is not claw-free cubic"
-            )
-        return ComponentKind.TRIANGLE
-    if len(verts) == 4 and twos:
-        ints = [v for v in verts if deg_in[v] == 3]
-        exts = [v for v in verts if deg_in[v] == 2]
-        if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
-            return ComponentKind.DIAMOND
-        raise StructureViolationError("4-vertex component is not a diamond")
-    return ComponentKind.TYPE_III
 
 
 _DISCONNECTED = "input graph is disconnected"
@@ -426,53 +390,38 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     return bridges, replace(local, walk=walk, h=h)
 
 
-def build_bridge_tree(g: MultiGraph) -> BridgeTree:
-    """Bridge-tree decomposition of a connected, claw-free, cubic graph."""
-    bridges, _ = _require_claw_free_cubic(g)
-    return _bridge_tree(g, bridges)
-
-
 def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     """The bridge tree of a graph already validated, from its bridges.
 
-    g has passed `_require_claw_free_cubic`, and the pipeline passes the
+    g has passed `_require_claw_free_cubic`, and `bridge_set` is the set of
     bridges that check returned.  across[v] is the other end of v's one
     bridge (-1 for none), and the vertices that have one are their
     component's attachments.
 
     G minus a set F of edges has |F| + 1 components only when every edge of
     F is a bridge, so past the count check each edge of the set is a bridge
-    joining two components, and a vertex's degree inside its component is
-    2 at an attachment and 3 elsewhere.  Each component's kind then follows
-    from its size and its number of attachments.  A component of
-    attachments only is a cycle; it holds the triangle of each of its
-    vertices, so it is a K3.  A 4-vertex component with attachments has an
-    even degree sum, so two: the other two vertices are adjacent to all
-    three others, and the two attachments are not adjacent to each other,
-    so it is a diamond.  Any other component is Type III, a bridgeless K4
-    (no attachments) included.
+    joining two components, the components form a tree, and a vertex's
+    degree inside its component is 2 at an attachment and 3 elsewhere.
+    Each component's kind then follows from its size and its number of
+    attachments.  A component of attachments only is a cycle; it holds the
+    triangle of each of its vertices, so it is a K3.  A 4-vertex component
+    with attachments has an even degree sum, so two: the other two vertices
+    are adjacent to all three others, and the two attachments are not
+    adjacent to each other, so it is a diamond.  Any other component is
+    Type III, a bridgeless K4 (no attachments) included.
 
-    Every vertex lies on a triangle, so no vertex has two bridges.  A set
-    that gives some vertex two edges therefore stops at the count check;
-    the search then runs on a copy of the adjacency without any of them,
-    so the message counts the components of G minus the set.
+    A set that gives some vertex two edges keeps only one of them in
+    across, so the search may cross the other.  Each component it finds is
+    then a union of components of G minus the set, of which there are
+    fewer than |F| + 1 (no vertex has two bridges), so it too stops at the
+    count check.
     """
     n = g.n
-    bridges = tuple(sorted(bridge_set))
     across = [-1] * n
-    doubled = False
-    for u, v in bridges:
-        if across[u] != -1 or across[v] != -1:
-            doubled = True
+    for u, v in bridge_set:
         across[u], across[v] = v, u
 
     adj = g.adjacency()
-    if doubled:
-        # the search skips one bridge per vertex; drop them all from a copy
-        cut = set(bridges)
-        adj = [
-            [w for w in ws if (v, w) not in cut and (w, v) not in cut] for v, ws in enumerate(adj)
-        ]
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
     attach: list[list[int]] = []
@@ -492,9 +441,9 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         attach.append([v for v in queue if across[v] != -1])
 
     ncomp = len(components)
-    if ncomp != len(bridges) + 1:
-        raise StructureViolationError(
-            f"{ncomp} components for {len(bridges)} bridges; tree property violated"
+    if ncomp != len(bridge_set) + 1:
+        raise InternalInvariantError(
+            f"{ncomp} components for {len(bridge_set)} bridges; tree property violated"
         )
     kinds = tuple(
         ComponentKind.TRIANGLE
@@ -504,9 +453,6 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         else ComponentKind.TYPE_III
         for verts, xs in zip(components, attach)
     )
-    for u, v in bridges:
-        if comp_of[u] == comp_of[v]:
-            raise StructureViolationError(f"bridge {(u, v)} inside one component")
 
     def sweep(src: int) -> tuple[list[int], list[int]]:
         """Depth of each component, and the vertex the BFS entered it at."""
@@ -536,9 +482,6 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     root = next(c for c in range(ncomp) if max(from_a[c], from_b[c]) == diam)
 
     depth, up_vertex = sweep(root)
-    if -1 in depth:
-        raise StructureViolationError("the bridge tree does not reach every component")
-    up_neighbor = [-1 if x == -1 else across[x] for x in up_vertex]
     degree2 = []
     for c, xs in enumerate(attach):
         x1 = up_vertex[c]
@@ -549,13 +492,9 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     return BridgeTree(
         components=tuple(components),
         kinds=kinds,
-        comp_of=tuple(comp_of),
-        bridges=bridges,
         tree_adj=tuple(tuple(sorted(comp_of[across[v]] for v in xs)) for xs in attach),
         root=root,
         depth=tuple(depth),
-        parent=tuple(-1 if q == -1 else comp_of[q] for q in up_neighbor),
-        up_vertex=tuple(up_vertex),
-        up_neighbor=tuple(up_neighbor),
+        up_neighbor=tuple(-1 if x == -1 else across[x] for x in up_vertex),
         degree2=tuple(degree2),
     )

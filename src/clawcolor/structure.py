@@ -2,17 +2,24 @@
 
 Every such graph is K4, a ring of diamonds, or is built from a
 2-edge-connected cubic multigraph H by replacing each H-vertex with a
-triangle and some H-edges with strings of diamonds.  `oum_decompose`
+triangle and some H-edges with strings of diamonds.  `_decompose`
 recovers that structure: the triangles, the multigraph H, and for every
 H-edge its realization in G (a direct edge or a diamond string).
+
+`decompose` is the one public way in, for any connected claw-free cubic
+graph.  It runs the entry check `_require_claw_free_cubic` once, then
+returns the bridge tree when the graph has bridges and its decomposition
+when it has none; `color_claw_free_cubic` and `clawcolor decompose` both
+branch on the type it returns.
 
 The triangles and diamonds come from `recognition._local_scan`, as lists
 indexed per vertex, and the realizations from `recognition._walk`, which
 goes from each triangle corner's outside neighbor through any diamond
-string to the next corner.  The entry check `_require_claw_free_cubic`
-runs both and builds H to find the bridges; `color_claw_free_cubic` hands
-all three over, so G is neither walked nor contracted twice.  A completed
-component of a bridged graph is scanned and walked here.
+string to the next corner.  The entry check runs both and builds H to
+find the bridges; `decompose` hands all three over, so G is neither
+walked nor contracted twice.  A completed component of a bridged graph is
+scanned and walked here.  Past the entry check a failed partition is a
+bug, so `_decompose` raises InternalInvariantError.
 
 A realization stays the vertex tuple the walk lists (`_walk`'s docstring
 gives the format).  `_decompose` only turns around the ones that start in
@@ -40,15 +47,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import (
-    DisconnectedError,
-    NotTwoEdgeConnectedError,
-    StructureViolationError,
-)
+from .errors import InternalInvariantError
 from .multigraph import MultiGraph, Slot
 from .recognition import (
+    BridgeTree,
     Diamond,
     LocalScan,
+    _bridge_tree,
     _local_scan,
     _require_claw_free_cubic,
     _walk,
@@ -64,7 +69,7 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """What `oum_decompose` recovers.
+    """What `_decompose` recovers from a 2-edge-connected graph.
 
     For the built variant, `realization` maps each slot (a, b, k) of H, in
     slot order, to its H-edge's vertices in G as `recognition._walk` lists
@@ -89,25 +94,26 @@ def _reversed(r: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s)
 
 
-def oum_decompose(g: MultiGraph) -> Decomposition:
-    """Decompose a 2-edge-connected, claw-free, cubic graph.
+def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
+    """The structure of a connected, claw-free, cubic graph.
 
-    Returns the K4 variant, the ring-of-diamonds variant, or the built
-    variant with the underlying cubic multigraph H reconstructed.  Raises
-    StructureViolationError if the triangle/string partition fails, which
-    on a validated input indicates a bug.
+    Returns the bridge tree when g has bridges.  Otherwise returns the K4
+    variant, the ring-of-diamonds variant, or the built variant with the
+    underlying cubic multigraph H reconstructed.  Raises the entry check's
+    NotSimpleError, DisconnectedError, NotCubicError or NotClawFreeError
+    on any other input, and InternalInvariantError on a bug.
     """
-    try:
-        bridges, local = _require_claw_free_cubic(g)
-    except DisconnectedError:
-        raise NotTwoEdgeConnectedError("input graph is disconnected") from None
+    bridges, local = _require_claw_free_cubic(g)
     if bridges:
-        raise NotTwoEdgeConnectedError("input graph has bridges")
+        # the tree reads none of the scan; holding it while the tree is
+        # built raises peak memory
+        del local
+        return _bridge_tree(g, bridges)
     return _decompose(g, local)
 
 
 def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
-    """`oum_decompose` on a graph already known to be valid input for it.
+    """The decomposition of a graph already known to be 2-edge-connected.
 
     `local` is g's scan, when the caller has it; the entry check's carries
     the walk and H.  Whatever is missing is computed here.
@@ -118,7 +124,7 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     if local is None:
         local = _local_scan(g)
         if local.claw is not None:
-            raise StructureViolationError(f"claw {local.claw} in a graph to decompose")
+            raise InternalInvariantError(f"claw {local.claw} in a graph to decompose")
     diamonds, diamond_of = local.diamonds, local.diamond_of
     triangles, triangle_of = local.triangles, local.triangle_of
 
@@ -130,12 +136,12 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     if h is None:
         if 3 * len(triangles) + 4 * len(diamonds) != g.n:
             v = next(v for v in range(g.n) if diamond_of[v] == triangle_of[v] == -1)
-            raise StructureViolationError(
+            raise InternalInvariantError(
                 f"vertex {v} is on no diamond and no triangle of free vertices"
             )
         walk = _walk(g, local)
         if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
-            raise StructureViolationError("some diamonds belong to no string")
+            raise InternalInvariantError("some diamonds belong to no string")
 
     # orient realizations toward the lower triangle index and assign slots;
     # each corner starts one realization, so the sort never looks past r[0]
@@ -143,7 +149,7 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     for r in walk:
         ha, hb = triangle_of[r[0]], triangle_of[r[-1]]
         if ha == hb:
-            raise StructureViolationError(
+            raise InternalInvariantError(
                 f"H-edge loop at triangle {ha}; impossible in a bridgeless graph"
             )
         oriented.append((ha, hb, r) if ha < hb else (hb, ha, _reversed(r)))

@@ -16,14 +16,20 @@ bridge search as they were before they ran over flat lists, which pin
 `oracle.verify` and `recognition._bridges` on large graphs, and the
 `*_by_subgraphs` bridged path, as it was before every component was
 colored in G's own ids: one induced subgraph per component, and each Type
-III completion built from its subgraph, which pins `colorer._color_bridged`,
-`colorer._completion` and `recognition._classify_component`.
+III completion built from its subgraph, which pins `colorer._color_bridged`
+and `colorer._completion`.  `classify_component_by_sets`, the component
+classifier as it was before the bridge tree typed components from their
+sizes, types the reference bridge tree.
+
+`induced`, `with_edges` and `transposed` are the derived graphs and the
+class transposition that only these references and the tests use.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from itertools import combinations
 
 from clawcolor.colorer import _extension, _root_coloring, free_two_color
@@ -32,9 +38,7 @@ from clawcolor.errors import (
     CapExceededError,
     InternalInvariantError,
     PartialColoringError,
-    NonK3CycleError,
     StructureViolationError,
-    TypeIComponentError,
 )
 from clawcolor.factorization import Matching, TwoFactor, _max_matching_simple
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
@@ -77,6 +81,40 @@ def single_source_distances(g: MultiGraph, source: int) -> list[float]:
 def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
     """Hop distance matrix; multiplicities do not affect distances."""
     return [single_source_distances(g, v) for v in range(g.n)]
+
+
+def induced(g: MultiGraph, vertices: Iterable[int]) -> tuple[MultiGraph, list[int]]:
+    """Induced subgraph on the given vertices.
+
+    Returns (subgraph, to_global) where to_global[i] is the original id
+    of local vertex i.  Local ids follow the sorted order of `vertices`.
+    An id outside the graph becomes an isolated local vertex.
+    """
+    to_global = sorted(set(vertices))
+    to_local = {v: i for i, v in enumerate(to_global)}
+    edges = []
+    for i, u in enumerate(to_global):
+        if not 0 <= u < g.n:
+            continue
+        for w in g.neighbors(u):
+            if u < w and w in to_local:
+                edges.extend([(i, to_local[w])] * g.multiplicity(u, w))
+    return MultiGraph(len(to_global), edges), to_global
+
+
+def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
+    """New graph with extra edges added (multiplicities aggregate)."""
+    return MultiGraph(g.n, g.edge_list() + list(extra))
+
+
+def transposed(coloring: PackingColoring, i: int, j: int) -> PackingColoring:
+    """Swap two color classes; valid for classes of equal radius."""
+    if coloring.spec.radii[i] != coloring.spec.radii[j]:
+        raise ValueError("only equal-radius classes may be transposed")
+    swap = {i: j, j: i}
+    return PackingColoring(
+        coloring.spec, {v: swap.get(c, c) for v, c in coloring.assignment.items()}
+    )
 
 
 def bridges_by_removal(g: MultiGraph) -> set[tuple[int, int]]:
@@ -608,9 +646,9 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
 
 
 def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> ComponentKind:
-    """`_classify_component` as it was, with a vertex set and a degree dict per component."""
+    """The component classifier as it was, with a vertex set and a degree dict per component."""
     if len(verts) == 1:
-        raise TypeIComponentError(
+        raise StructureViolationError(
             f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
         )
     vset = set(verts)
@@ -621,7 +659,7 @@ def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> Compone
         )
     if all(d == 2 for d in deg_in.values()):
         if len(verts) != 3:
-            raise NonK3CycleError(
+            raise StructureViolationError(
                 f"cycle component of size {len(verts)}; input is not claw-free cubic"
             )
         return ComponentKind.TRIANGLE
@@ -640,6 +678,8 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
     Verbatim: a tree BFS for each diameter sweep and for the depths, a
     parent pass sorted by depth, a dict of the bridge between two
     components, and a vertex set per component for its degree-2 vertices.
+    Only the count check's error class follows the library's: a set that
+    fails it comes from a bug past the entry check.
     """
     bridges = tuple(sorted(bridge_set))
     comp_of = [-1] * g.n
@@ -663,7 +703,7 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
 
     ncomp = len(components)
     if ncomp != len(bridges) + 1:
-        raise StructureViolationError(
+        raise InternalInvariantError(
             f"{ncomp} components for {len(bridges)} bridges; tree property violated"
         )
 
@@ -741,13 +781,9 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
     return BridgeTree(
         components=tuple(components),
         kinds=kinds,
-        comp_of=tuple(comp_of),
-        bridges=bridges,
         tree_adj=tuple(tuple(sorted(s)) for s in tree_adj),
         root=root,
         depth=tuple(depth),
-        parent=tuple(parent),
-        up_vertex=tuple(up_vertex),
         up_neighbor=tuple(up_neighbor),
         degree2=tuple(degree2),
     )
@@ -935,33 +971,6 @@ def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
     return bridges if timer == n else None
 
 
-def classify_component_by_subgraphs(
-    g: MultiGraph, verts: tuple[int, ...], deg_in: list[int]
-) -> ComponentKind:
-    """`recognition._classify_component` as it was, with `any`/`all` passes."""
-    if len(verts) == 1:
-        raise TypeIComponentError(
-            f"component {{{verts[0]}}} is a single vertex; input is not claw-free cubic"
-        )
-    if any(deg_in[v] <= 1 for v in verts):
-        raise StructureViolationError(
-            f"component containing {verts[0]} has a leaf; input is not claw-free cubic"
-        )
-    if all(deg_in[v] == 2 for v in verts):
-        if len(verts) != 3:
-            raise NonK3CycleError(
-                f"cycle component of size {len(verts)}; input is not claw-free cubic"
-            )
-        return ComponentKind.TRIANGLE
-    if len(verts) == 4 and any(deg_in[v] == 2 for v in verts):
-        ints = [v for v in verts if deg_in[v] == 3]
-        exts = [v for v in verts if deg_in[v] == 2]
-        if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
-            return ComponentKind.DIAMOND
-        raise StructureViolationError("4-vertex component is not a diamond")
-    return ComponentKind.TYPE_III
-
-
 def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph, list[int]]:
     """A Type III completion as it was built: an induced subgraph, then the added edges.
 
@@ -969,15 +978,15 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
     Returns the completion and its local -> component ids.
     """
     if len(xs) % 2 == 0:
-        return comp.with_edges(list(zip(xs[::2], xs[1::2]))), list(range(comp.n))
+        return with_edges(comp, list(zip(xs[::2], xs[1::2]))), list(range(comp.n))
     x1 = xs[0]
     u, w = comp.neighbors(x1)
     s = next(z for z in comp.neighbors(u) if z not in (x1, w))
     y = next(z for z in comp.neighbors(w) if z not in (x1, u))
     added = [(s, y)] + list(zip(xs[1::2], xs[2::2]))
-    sub, to_comp = comp.induced(v for v in range(comp.n) if v not in (x1, u, w))
+    sub, to_comp = induced(comp, (v for v in range(comp.n) if v not in (x1, u, w)))
     to_local = {gv: lv for lv, gv in enumerate(to_comp)}
-    return sub.with_edges([(to_local[a], to_local[b]) for a, b in added]), to_comp
+    return with_edges(sub, [(to_local[a], to_local[b]) for a, b in added]), to_comp
 
 
 def extension_by_subgraphs(
@@ -1006,17 +1015,18 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
     """`colorer._color_bridged` as it was: one induced subgraph per component."""
     assignment: dict[int, int] = {}
     tilde_diamonds: dict[int, frozenset[int]] = {}
+    comp_of = {v: c for c, comp in enumerate(bt.components) for v in comp}
 
     order = sorted(range(len(bt.components)), key=lambda c: (bt.depth[c], c))
     for c in order:
-        sub, to_global = g.induced(bt.components[c])
+        sub, to_global = induced(g, bt.components[c])
         to_local = {gv: lv for lv, gv in enumerate(to_global)}
         xs = [to_local[x] for x in bt.degree2[c]]
         if c == bt.root:
             local_col, dia = _root_coloring(sub, range(sub.n), xs, bt.kinds[c])
         else:
             q = bt.up_neighbor[c]
-            parent = bt.parent[c]
+            parent = comp_of[q]
             if (
                 bt.kinds[parent] is not ComponentKind.DIAMOND
                 and q in tilde_diamonds.get(parent, frozenset())

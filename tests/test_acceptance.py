@@ -11,12 +11,11 @@ from clawcolor import (
     PackingColoring,
     SPackingSpec,
     Variant,
-    build_bridge_tree,
     color_claw_free_cubic,
+    decompose,
     emit_edgelist,
     find_bridges,
     gen_cubic_multigraph,
-    oum_decompose,
     expand_to_clawfree,
     random_expansion_spec,
     solve_spacking,
@@ -98,7 +97,7 @@ def test_criterion_3_oracle_agreement(corpus):
 
 
 def test_criterion_4_structure_round_trip():
-    """oum_decompose inverts expand_to_clawfree for 200 random pairs."""
+    """decompose inverts expand_to_clawfree for 200 random pairs."""
     failures = 0
     for seed in range(200):
         rng = SplitMix64(0x47 + seed)
@@ -106,7 +105,7 @@ def test_criterion_4_structure_round_trip():
         h = gen_cubic_multigraph(n_h, rng)
         spec = random_expansion_spec(h, rng, max_string=2)
         g = expand_to_clawfree(h, spec, rng)
-        dec = oum_decompose(g)
+        dec = decompose(g)
         if dec.variant is not Variant.BUILT or not multigraph_isomorphic(dec.h, h):
             failures += 1
     assert failures == 0
@@ -153,13 +152,13 @@ def test_criterion_6_figure_fixtures(named_fixtures, capsys):
         SPEC_1122, {v: LABEL_TO_IDX[l] for v, l in REFERENCE_BIG_EXPANSION.items()}
     )
     assert verify(g, SPEC_1122, reference) == []
-    dec = oum_decompose(g)
+    dec = decompose(g)
     assert dec.variant is Variant.BUILT
     assert dec.h.n == 6
     assert sum(1 for _, _, m in dec.h.edge_pairs() if m == 2) == 1
     # one string of 2 diamonds on a matching edge, one of 2 on a cycle edge
     assert dec.string_lengths() == [2, 2]
-    bt = build_bridge_tree(named_fixtures["bridged_star"])
+    bt = decompose(named_fixtures["bridged_star"])
     assert len(bt.components) == 4
     assert sorted(len(a) for a in bt.tree_adj) == [1, 1, 1, 3]
     print(
@@ -176,7 +175,7 @@ def test_criterion_7_support_property(corpus):
     for name, g in corpus:
         if find_bridges(g):
             continue
-        dec = oum_decompose(g)
+        dec = decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
         coloring = _canonical(g, dec, _complement(dec.h))

@@ -10,18 +10,18 @@ from clawcolor import (
     PackingColoring,
     Variant,
     color_claw_free_cubic,
+    decompose,
     expand_to_clawfree,
     gen_ring_of_diamonds,
     is_k4,
     is_ring_of_diamonds,
-    oum_decompose,
     verify,
 )
 from clawcolor.canonical import _canonical, _k4, _lift_slot, _ring, _with_edge, _with_matched_edge
 from clawcolor.errors import InternalInvariantError, NotCubicError
 from clawcolor.factorization import _complement
 
-from brute import find_diamonds, light_support_property
+from brute import find_diamonds, light_support_property, transposed
 
 # frozen reference coloring of the big_expansion fixture: matching corners
 # carry 2a/2b, cycle corners 1a/1b, strings per their two type rules
@@ -60,7 +60,7 @@ def test_color_k4_rejects_c4():
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
 def test_ring_coloring(k):
     g = gen_ring_of_diamonds(k)
-    col = _ring(g, oum_decompose(g).ring_diamonds)
+    col = _ring(g, decompose(g).ring_diamonds)
     assert_valid(g, col)
     # interiors carry the radius-2 classes, exteriors the radius-1 classes
     for d in find_diamonds(g):
@@ -71,7 +71,7 @@ def test_ring_coloring(k):
 def test_ring_coloring_rejects_k4():
     """K4 has no induced diamond: it is not a ring, and decomposes as K4."""
     assert not is_ring_of_diamonds(k4())
-    assert oum_decompose(k4()).variant is Variant.K4
+    assert decompose(k4()).variant is Variant.K4
 
 
 def test_reference_coloring_verifies(named_fixtures):
@@ -85,7 +85,7 @@ def test_reference_coloring_verifies(named_fixtures):
 
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     col = _canonical(g, dec, _complement(dec.h))
     assert_valid(g, col)
     assert light_support_property(g, col)
@@ -109,7 +109,7 @@ def test_canonical_on_prism(named_fixtures):
 
 def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     factor = _complement(dec.h)
     col = _canonical(g, dec, factor)
     for slot in factor.matching.slots:
@@ -122,7 +122,7 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
 
 def test_with_edge_endpoints_light(named_fixtures):
     g = named_fixtures["prism"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     for pair in ((0, 3), (1, 4), (2, 5)):
         col = _with_edge(g, dec, pair)
         assert_valid(g, col)
@@ -131,7 +131,7 @@ def test_with_edge_endpoints_light(named_fixtures):
 
 def test_with_matched_edge_endpoints_heavy(named_fixtures):
     g = named_fixtures["prism"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     for pair in ((0, 3), (1, 4), (2, 5)):
         col = _with_matched_edge(g, dec, pair)
         assert_valid(g, col)
@@ -140,14 +140,14 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
 
 def test_triangle_edge_not_liftable(named_fixtures):
     g = named_fixtures["prism"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     with pytest.raises(InternalInvariantError, match="no H-edge image"):
         _with_edge(g, dec, (0, 1))
 
 
 def test_diamond_interior_edge_not_liftable(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     # a string's first diamond: its entry exterior and its smaller interior
     entry, interior = next(r[1:3] for r in dec.realization.values() if len(r) > 2)
     with pytest.raises(InternalInvariantError, match="no H-edge image"):
@@ -156,7 +156,7 @@ def test_diamond_interior_edge_not_liftable(named_fixtures):
 
 def test_with_edge_on_string_connectors(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     string = next(r for r in dec.realization.values() if len(r) > 2)
     for pair in zip(string[::4], string[1::4]):
         col = _with_edge(g, dec, pair)
@@ -168,7 +168,7 @@ def test_transposition_preserves_validity(named_fixtures):
     g = named_fixtures["big_expansion"]
     col = color_claw_free_cubic(g)
     for i, j in ((C1A, C1B), (C2A, C2B)):
-        assert_valid(g, col.transposed(i, j))
+        assert_valid(g, transposed(col, i, j))
 
 
 def test_support_property_rejects_bad_coloring(named_fixtures):
@@ -185,7 +185,7 @@ def test_support_property_on_corpus(base_corpus):
     for _, g in base_corpus:
         if find_bridges(g):
             continue
-        dec = oum_decompose(g)
+        dec = decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
         col = _canonical(g, dec, _complement(dec.h))

@@ -10,8 +10,8 @@ from clawcolor import (
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
-    build_bridge_tree,
     color_claw_free_cubic,
+    decompose,
     expand_to_clawfree,
     find_bridges,
     free_two_color,
@@ -32,7 +32,7 @@ from clawcolor.colorer import _color_bridged, _completion, _extension, _root_col
 from clawcolor.recognition import _bridge_tree, _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
-from brute import bridges_by_removal, color_bridged_by_subgraphs, completion_by_subgraphs
+from brute import bridges_by_removal, color_bridged_by_subgraphs, completion_by_subgraphs, induced
 from test_recognition import _bridged_sweep_shapes
 
 
@@ -98,12 +98,12 @@ def test_bridged_star_fixture(named_fixtures):
     assert_valid(g, col)
     # every component's attachment vertex carries a radius-2 class, and no
     # bridge has both endpoints in one class
-    bt = build_bridge_tree(g)
+    bt = decompose(g)
     for c in range(len(bt.components)):
         if c == bt.root:
             continue
-        assert col.assignment[bt.up_vertex[c]] in (C2A, C2B)
-    for u, v in bt.bridges:
+        assert col.assignment[bt.degree2[c][0]] in (C2A, C2B)
+    for u, v in find_bridges(g):
         assert col.assignment[u] != col.assignment[v]
 
 
@@ -221,8 +221,7 @@ def test_bridge_endpoint_classes_safe(base_corpus):
             continue
         col = color_claw_free_cubic(g)
         dist = all_pairs_distances(g)
-        bt = build_bridge_tree(g)
-        for u, v in bt.bridges:
+        for u, v in find_bridges(g):
             cu, cv = col.assignment[u], col.assignment[v]
             if cu == cv:
                 assert SPEC_1122.radii[cu] < dist[u][v], (name, u, v)
@@ -359,7 +358,7 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
             if bt.kinds[c] is not ComponentKind.TYPE_III:
                 continue
             tilde, local, _ = _completion(g, comp, bt.degree2[c])
-            sub, to_global = g.induced(comp)
+            sub, to_global = induced(g, comp)
             to_sub = {v: i for i, v in enumerate(to_global)}
             want, want_to_sub = completion_by_subgraphs(sub, [to_sub[x] for x in bt.degree2[c]])
             assert tilde == want and tilde.adjacency() == want.adjacency()
@@ -459,7 +458,7 @@ def test_independence_check_is_linear_in_the_attachments(monkeypatch):
     The only `has_edge` calls left are the two of each leaf's odd gadget.
     """
     g = _ladder_star(2000)
-    bt = build_bridge_tree(g)
+    bt = decompose(g)
     assert max(len(xs) for xs in bt.degree2) == 2000
     real = MultiGraph.has_edge
     calls = [0]

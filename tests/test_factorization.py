@@ -193,9 +193,9 @@ def test_maximum_matching_size_matches_brute(g):
 def test_two_factor_through_on_decomposed_h(named_fixtures):
     # the 6-vertex H recovered from the big expansion: force each slot onto
     # a 2-factor and confirm against full enumeration
-    from clawcolor import oum_decompose
+    from clawcolor import decompose
 
-    h = oum_decompose(named_fixtures["big_expansion"]).h
+    h = decompose(named_fixtures["big_expansion"]).h
     factors = set(all_two_factors(h))
     for e in h.slots():
         tf = _two_factor_through(h, e)
@@ -218,9 +218,9 @@ def test_two_factor_through_cross_checked_with_enumeration():
 
 def _reference_graphs(named_fixtures):
     """h10, the H of big_expansion and 210 random H of order 2 to 40."""
-    from clawcolor import oum_decompose
+    from clawcolor import decompose
 
-    graphs = [named_fixtures["h10"], oum_decompose(named_fixtures["big_expansion"]).h]
+    graphs = [named_fixtures["h10"], decompose(named_fixtures["big_expansion"]).h]
     rng = SplitMix64(0xC0F1)
     graphs += [gen_cubic_multigraph(2 * (1 + i % 20), rng) for i in range(210)]
     return graphs

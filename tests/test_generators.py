@@ -5,7 +5,7 @@ import pytest
 from clawcolor import (
     ComponentKind,
     MultiGraph,
-    build_bridge_tree,
+    decompose,
     expand_to_clawfree,
     find_bridges,
     fixtures,
@@ -90,7 +90,7 @@ def test_expansion_always_claw_free_cubic():
 def test_bridged_tree_shape_recovered():
     spec = [("k3", 3), ("type3", 1), ("type3", 1), ("type3", 1)]
     g = gen_bridged(spec, SplitMix64(11))
-    bt = build_bridge_tree(g)
+    bt = decompose(g)
     assert len(bt.components) == 4
     assert sorted(k.value for k in bt.kinds) == ["K3", "type3", "type3", "type3"]
     center = bt.kinds.index(ComponentKind.TRIANGLE)
@@ -100,15 +100,15 @@ def test_bridged_tree_shape_recovered():
 
 def test_bridged_two_type3():
     g = gen_bridged([("type3", 1), ("type3", 1)], SplitMix64(5))
-    bt = build_bridge_tree(g)
-    assert len(bt.bridges) == 1
+    bt = decompose(g)
+    assert bt.tree_adj == ((1,), (0,))
     assert all(k is ComponentKind.TYPE_III for k in bt.kinds)
 
 
 def test_bridged_with_diamond_chain():
     spec = [("type3", 1), ("diamond", 2), ("type3", 1)]
     g = gen_bridged(spec, SplitMix64(7))
-    bt = build_bridge_tree(g)
+    bt = decompose(g)
     assert sorted(k.value for k in bt.kinds) == ["diamond", "type3", "type3"]
     assert sorted(len(a) for a in bt.tree_adj) == [1, 1, 2]
 

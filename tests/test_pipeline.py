@@ -9,6 +9,7 @@ certificate, and a core that finds a precondition false raises
 InternalInvariantError, which the CLI reports as a bug (exit 5).
 """
 
+import ast
 import dataclasses
 import json
 import re
@@ -25,15 +26,14 @@ from clawcolor import (
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
-    build_bridge_tree,
     color_claw_free_cubic,
+    decompose,
     emit_edgelist,
     expand_to_clawfree,
     find_bridges,
     gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
-    oum_decompose,
     random_expansion_spec,
 )
 from clawcolor import multigraph, oracle, recognition, structure
@@ -44,7 +44,6 @@ from clawcolor.errors import (
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
-    NotTwoEdgeConnectedError,
     VerificationFailedError,
 )
 from clawcolor.rng import SplitMix64
@@ -281,6 +280,48 @@ def test_a_failed_precondition_after_the_entry_check_is_a_bug(
     assert report["error"]["message"].startswith("InternalInvariantError: attachment")
 
 
+def test_a_claw_in_a_completion_is_a_bug(named_fixtures, monkeypatch, tmp_path, capsys):
+    """Only completions reach `structure._local_scan`; a claw there is exit 5.
+
+    G's own scan runs in the entry check, so the patched scan is the one
+    `_decompose` runs on each completed Type III component.  The bridged
+    star's completions are all K4, colored without a decomposition, so the
+    input is a path of three Type III components.
+    """
+    claw = recognition.LocalScan(claw=(0, 1, 2, 3))
+    monkeypatch.setattr(structure, "_local_scan", lambda g: claw)
+    path = tmp_path / "type3_path.el"
+    path.write_text(emit_edgelist(_inputs(named_fixtures)["type3_path"]))
+    assert main(["color", "--json", str(path)]) == 5
+    (report,) = json_reports(capsys.readouterr().out)
+    assert report["exit"] == 5 and report["error"]["kind"] == "internal"
+    assert report["error"]["message"] == (
+        "InternalInvariantError: claw (0, 1, 2, 3) in a graph to decompose"
+    )
+
+
+def test_a_broken_bridge_tree_is_a_bug_in_decompose(
+    named_fixtures, monkeypatch, tmp_path, capsys
+):
+    """A bridge set that fails the tree's component count is exit 5, not 2."""
+    real = structure._bridge_tree
+
+    def with_a_non_bridge(g, bridges):
+        edges = ((v, w) for v in range(g.n) for w in g.neighbors(v) if v < w)
+        return real(g, bridges | {next(e for e in edges if e not in bridges)})
+
+    monkeypatch.setattr(structure, "_bridge_tree", with_a_non_bridge)
+    path = tmp_path / "bridged_star.el"
+    path.write_text(emit_edgelist(named_fixtures["bridged_star"]))
+    assert main(["decompose", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error (internal): InternalInvariantError: "
+        "4 components for 4 bridges; tree property violated\n"
+    )
+
+
 # seeds of `_seeded_built` whose broken contraction the certificate catches
 MUTANT_SEEDS = [1, 4, 5, 12, 17, 30, 38, 45]
 
@@ -302,7 +343,7 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
     graphs; on the other 11, and on the prism and big_expansion fixtures,
     the swapped coloring happens to stay valid.
     """
-    real = clawcolor.colorer._decompose
+    real = structure._decompose
 
     def swapped_corners(g, local=None):
         dec = real(g, local)
@@ -311,7 +352,7 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
         realization[s0], realization[s1] = (r1[0],) + r0[1:], (r0[0],) + r1[1:]
         return dataclasses.replace(dec, realization=realization)
 
-    monkeypatch.setattr(clawcolor.colorer, "_decompose", swapped_corners)
+    monkeypatch.setattr(structure, "_decompose", swapped_corners)
     with pytest.raises(InternalInvariantError) as caught:
         color_claw_free_cubic(_seeded_built(seed))
     assert type(caught.value) is VerificationFailedError
@@ -338,10 +379,6 @@ def _petersen(fx):
     return fx["petersen"]
 
 
-def _bridged(fx):
-    return fx["bridged_star"]
-
-
 def _union(*graphs: MultiGraph) -> MultiGraph:
     """The disjoint union, each graph's ids shifted past the ones before it."""
     edges, n = [], 0
@@ -356,29 +393,37 @@ def _two_rings(fx):
     return _union(gen_ring_of_diamonds(3), gen_ring_of_diamonds(4))
 
 
-# (public function, input, error class): the cases no other test covers
+# `decompose` replaced the public wrappers `build_bridge_tree` and
+# `oum_decompose`.  The rows written for them run through `decompose` and
+# keep those names in their test ids, so that the ids stay stable.
+ENTRIES = {
+    "color_claw_free_cubic": color_claw_free_cubic,
+    "build_bridge_tree": decompose,
+    "oum_decompose": decompose,
+    "find_bridges": find_bridges,
+}
+
+
+def _entry_ids(rows) -> list[str]:
+    return [f"{label}-{make.__name__.strip('_')}" for label, make, *_ in rows]
+
+
+# (entry, input, error class): the cases no other test covers
 WRAPPER_CASES = [
-    (build_bridge_tree, _petersen, NotClawFreeError),
-    (build_bridge_tree, _diamond, NotCubicError),
-    (build_bridge_tree, _two_k4s, DisconnectedError),
-    (oum_decompose, _petersen, NotClawFreeError),
-    (oum_decompose, _diamond, NotCubicError),
-    (oum_decompose, _two_k4s, NotTwoEdgeConnectedError),
-    (find_bridges, _k4_and_isolated_vertex, DisconnectedError),
+    ("build_bridge_tree", _petersen, NotClawFreeError),
+    ("build_bridge_tree", _diamond, NotCubicError),
+    ("build_bridge_tree", _two_k4s, DisconnectedError),
+    ("oum_decompose", _petersen, NotClawFreeError),
+    ("oum_decompose", _diamond, NotCubicError),
+    ("oum_decompose", _two_k4s, DisconnectedError),
+    ("find_bridges", _k4_and_isolated_vertex, DisconnectedError),
 ]
 
 
-@pytest.mark.parametrize(
-    "fn, make, error",
-    WRAPPER_CASES,
-    ids=[
-        f"{fn.__name__.strip('_')}-{make.__name__.strip('_')}"
-        for fn, make, _ in WRAPPER_CASES
-    ],
-)
-def test_public_wrappers_keep_their_guarantees(named_fixtures, fn, make, error):
+@pytest.mark.parametrize("entry, make, error", WRAPPER_CASES, ids=_entry_ids(WRAPPER_CASES))
+def test_public_wrappers_keep_their_guarantees(named_fixtures, entry, make, error):
     with pytest.raises(error):
-        fn(make(named_fixtures))
+        ENTRIES[entry](make(named_fixtures))
 
 
 def _h10(fx):
@@ -438,47 +483,41 @@ DISCONNECTED_CLAW_FREE_OR_NOT = [
     _bridged_star_and_ring,
 ]
 
-# (entry, input, error class, message): every way the entry checks reject,
-# with the class and message they have always given
+# (entry, input, error class, message): every way the entry check rejects,
+# with the class and message it has always given
 ENTRY_REJECTIONS = [
-    (color_claw_free_cubic, _h10, NotSimpleError, "input must be a simple graph"),
-    (color_claw_free_cubic, _digon_and_k4, NotSimpleError, "input must be a simple graph"),
-    (color_claw_free_cubic, _null, DisconnectedError, "input graph has no vertices"),
-    (color_claw_free_cubic, _two_k4s, DisconnectedError, "input graph is disconnected"),
-    (color_claw_free_cubic, _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
-    (color_claw_free_cubic, _two_triangles, DisconnectedError, "input graph is disconnected"),
-    (color_claw_free_cubic, _diamond, NotCubicError, "input graph is not cubic"),
-    (color_claw_free_cubic, _petersen, NotClawFreeError, "claw with center 0 and leaves 1, 4, 5"),
-    (color_claw_free_cubic, _k33, NotClawFreeError, "claw with center 0 and leaves 3, 4, 5"),
-    (color_claw_free_cubic, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
-    (build_bridge_tree, _h10, NotSimpleError, "input must be a simple graph"),
-    (build_bridge_tree, _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
-    (build_bridge_tree, _diamond, NotCubicError, "input graph is not cubic"),
-    (build_bridge_tree, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
-    (oum_decompose, _h10, NotSimpleError, "input must be a simple graph"),
-    (oum_decompose, _two_triangles, NotTwoEdgeConnectedError, "input graph is disconnected"),
-    (oum_decompose, _diamond, NotCubicError, "input graph is not cubic"),
-    (oum_decompose, _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
-    (oum_decompose, _bridged, NotTwoEdgeConnectedError, "input graph has bridges"),
+    ("color_claw_free_cubic", _h10, NotSimpleError, "input must be a simple graph"),
+    ("color_claw_free_cubic", _digon_and_k4, NotSimpleError, "input must be a simple graph"),
+    ("color_claw_free_cubic", _null, DisconnectedError, "input graph has no vertices"),
+    ("color_claw_free_cubic", _two_k4s, DisconnectedError, "input graph is disconnected"),
+    ("color_claw_free_cubic", _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
+    ("color_claw_free_cubic", _two_triangles, DisconnectedError, "input graph is disconnected"),
+    ("color_claw_free_cubic", _diamond, NotCubicError, "input graph is not cubic"),
+    ("color_claw_free_cubic", _petersen, NotClawFreeError, "claw with center 0 and leaves 1, 4, 5"),
+    ("color_claw_free_cubic", _k33, NotClawFreeError, "claw with center 0 and leaves 3, 4, 5"),
+    ("color_claw_free_cubic", _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
+    ("build_bridge_tree", _h10, NotSimpleError, "input must be a simple graph"),
+    ("build_bridge_tree", _k4_and_isolated_vertex, DisconnectedError, "input graph is disconnected"),
+    ("build_bridge_tree", _diamond, NotCubicError, "input graph is not cubic"),
+    ("build_bridge_tree", _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
+    ("oum_decompose", _h10, NotSimpleError, "input must be a simple graph"),
+    ("oum_decompose", _two_triangles, DisconnectedError, "input graph is disconnected"),
+    ("oum_decompose", _diamond, NotCubicError, "input graph is not cubic"),
+    ("oum_decompose", _k33_with_a_triangle, NotClawFreeError, "claw with center 3 and leaves 5, 6, 7"),
     *[
-        (entry, make, error, "input graph is disconnected")
+        (entry, make, DisconnectedError, "input graph is disconnected")
         for make in DISCONNECTED_CLAW_FREE_OR_NOT
-        for entry, error in (
-            (color_claw_free_cubic, DisconnectedError),
-            (oum_decompose, NotTwoEdgeConnectedError),
-        )
+        for entry in ("color_claw_free_cubic", "oum_decompose")
     ],
 ]
 
 
 @pytest.mark.parametrize(
-    "entry, make, error, message",
-    ENTRY_REJECTIONS,
-    ids=[f"{fn.__name__}-{make.__name__.strip('_')}" for fn, make, _, _ in ENTRY_REJECTIONS],
+    "entry, make, error, message", ENTRY_REJECTIONS, ids=_entry_ids(ENTRY_REJECTIONS)
 )
 def test_entry_rejections_keep_class_and_message(named_fixtures, entry, make, error, message):
     with pytest.raises(error) as caught:
-        entry(make(named_fixtures))
+        ENTRIES[entry](make(named_fixtures))
     assert type(caught.value) is error
     assert str(caught.value) == message
 
@@ -497,5 +536,33 @@ def _readme_api_names() -> list[str]:
 
 def test_the_public_names_are_the_ones_readme_lists():
     listed = _readme_api_names()
-    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 41
+    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 40
     assert sorted(set(listed)) == sorted(clawcolor.__all__)
+
+
+def test_every_function_in_src_is_public_or_named_in_src():
+    """No dead code: each top-level function and non-dunder method of the
+    package is in `clawcolor.__all__` or is named, as a Name or an
+    Attribute, somewhere in the package's source.  Its own definition and
+    an import of it do not count."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(clawcolor.__file__).parent.glob("*.py"))
+    ]
+    defined, named = set(), set(clawcolor.__all__)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined.update(
+                    f.name
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert sorted(defined - named) == []

@@ -4,20 +4,21 @@ import pytest
 
 import clawcolor.colorer as colorer
 from clawcolor import (
+    BridgeTree,
     ExpansionSpec,
     MultiGraph,
     Variant,
     color_claw_free_cubic,
+    decompose,
     expand_to_clawfree,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
     is_claw_free,
     is_cubic,
-    oum_decompose,
     random_expansion_spec,
 )
 from clawcolor.canonical import _lift_slot
-from clawcolor.errors import NotSimpleError, NotTwoEdgeConnectedError
+from clawcolor.errors import InternalInvariantError, NotSimpleError
 from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 from clawcolor.structure import _decompose
@@ -30,17 +31,17 @@ def k4():
 
 
 def test_k4_variant():
-    assert oum_decompose(k4()).variant is Variant.K4
+    assert decompose(k4()).variant is Variant.K4
 
 
 def test_ring_variant():
-    dec = oum_decompose(gen_ring_of_diamonds(4))
+    dec = decompose(gen_ring_of_diamonds(4))
     assert dec.variant is Variant.RING
     assert len(dec.ring_diamonds) == 4
 
 
 def test_prism_decomposition(named_fixtures):
-    dec = oum_decompose(named_fixtures["prism"])
+    dec = decompose(named_fixtures["prism"])
     assert dec.variant is Variant.BUILT
     assert dec.h.n == 2
     assert dec.h.multiplicity(0, 1) == 3
@@ -48,7 +49,7 @@ def test_prism_decomposition(named_fixtures):
 
 
 def test_big_expansion_decomposition(named_fixtures):
-    dec = oum_decompose(named_fixtures["big_expansion"])
+    dec = decompose(named_fixtures["big_expansion"])
     assert dec.variant is Variant.BUILT
     assert dec.h.n == 6
     # exactly one parallel pair in H
@@ -57,13 +58,16 @@ def test_big_expansion_decomposition(named_fixtures):
 
 
 def test_decompose_rejects_bridged(named_fixtures):
-    with pytest.raises(NotTwoEdgeConnectedError):
-        oum_decompose(named_fixtures["bridged_star"])
+    """A bridged graph gets its bridge tree; the bridgeless core calls one a bug."""
+    g = named_fixtures["bridged_star"]
+    assert isinstance(decompose(g), BridgeTree)
+    with pytest.raises(InternalInvariantError, match="H-edge loop"):
+        _decompose(g)
 
 
 def test_decompose_rejects_multigraph(named_fixtures):
     with pytest.raises(NotSimpleError):
-        oum_decompose(named_fixtures["h10"])
+        decompose(named_fixtures["h10"])
 
 
 def test_expansion_counts():
@@ -93,7 +97,7 @@ def _check_realizations(g, dec):
 def test_expansion_attach_and_connectors():
     h = MultiGraph(2, [(0, 1)] * 3)
     g = expand_to_clawfree(h, ExpansionSpec({(0, 1, 1): 1}))
-    dec = oum_decompose(g)
+    dec = decompose(g)
     assert dec.variant is Variant.BUILT
     assert dec.string_lengths() == [1]
     _check_realizations(g, dec)
@@ -107,7 +111,7 @@ def test_round_trip_h_recovery(seed):
     spec = random_expansion_spec(h, rng, max_string=2)
     g = expand_to_clawfree(h, spec, rng)
     assert is_cubic(g) and is_claw_free(g) and g.is_simple()
-    dec = oum_decompose(g)
+    dec = decompose(g)
     assert dec.variant is Variant.BUILT
     assert multigraph_isomorphic(dec.h, h)
     assert sorted(spec.string_lengths[s] for s in h.slots() if spec.string_lengths[s]) == dec.string_lengths()
@@ -116,7 +120,7 @@ def test_round_trip_h_recovery(seed):
 
 def test_triangle_partition_covers_everything(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = oum_decompose(g)
+    dec = decompose(g)
     covered = set()
     for tri in dec.triangles:
         covered |= set(tri)
@@ -155,7 +159,7 @@ def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fix
             graphs.append(expand_to_clawfree(h, random_expansion_spec(h, rng, max_string), rng))
     for g in graphs:
         _assert_same_decomposition(_decompose(g), decompose_by_grouping(g))
-        _assert_same_decomposition(oum_decompose(g), decompose_by_grouping(g))
+        _assert_same_decomposition(decompose(g), decompose_by_grouping(g))
 
 
 def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch, random_bridged_trees):
