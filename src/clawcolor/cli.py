@@ -3,7 +3,7 @@
 Exit codes: 0 success (including a clean UNSAT), 1 I/O or parse failure,
 2 structural precondition failure (with a witness when available),
 3 solver cap exceeded, 4 invalid coloring in `verify`, 5 internal error
-in `color`, `solve` or `decompose` (a bug, never a property of the input).
+(a bug, never a property of the input) in any command.
 """
 
 from __future__ import annotations
@@ -218,9 +218,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     violations = verify(g, spec, coloring)
     if violations:
-        exc = VerificationFailedError(violations)
-        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise VerificationFailedError(violations)  # a bug: `main` reports it
     sys.stdout.write(coloring.as_lines())
     print("SAT")
     return EXIT_OK
@@ -323,9 +321,8 @@ def cmd_decompose(args) -> int:
         return EXIT_PRECONDITION
     try:
         structure = decompose(g)
-    except InternalInvariantError as exc:
-        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except InternalInvariantError:
+        raise  # a bug: `main` reports it
     except ClawcolorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -410,7 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError:
+        raise
+    except Exception as exc:  # a bug: nothing the input can cause reaches here
+        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -45,9 +45,6 @@ class TwoFactor:
     cycles: tuple[tuple[tuple[int, Slot], ...], ...]
     matching: Matching
 
-    def slots(self) -> set[Slot]:
-        return {slot for cycle in self.cycles for _, slot in cycle}
-
 
 def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
     """Maximum cardinality matching on a simple graph; returns mate array."""

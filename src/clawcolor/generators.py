@@ -135,6 +135,8 @@ def gen_cubic_multigraph(n: int, rng: SplitMix64) -> MultiGraph:
 def random_expansion_spec(
     h: MultiGraph, rng: SplitMix64, max_string: int = 2
 ) -> ExpansionSpec:
+    if max_string < 0:
+        raise InfeasibleSpecError("string lengths must be non-negative")
     lengths = {s: rng.randrange(max_string + 1) for s in h.slots()}
     return ExpansionSpec(lengths)
 

@@ -16,10 +16,11 @@ O(n * Delta^r) time for largest radius r.  Both use O(n) extra memory,
 so they scale to the sizes the constructor handles.
 The solver decides S-packing colorability by complete backtracking with
 saturation ordering and symmetry breaking between equal-radius classes,
-and is the oracle the constructive algorithm is tested against.  Its ball
-table comes from `_bfs_layers`, a bounded BFS cut off at the largest
-radius, and it keeps saturation degrees incrementally, so a search node
-costs an O(n) pick and an O(|ball|) update.
+and is the oracle the constructive algorithm is tested against.  It
+works on n-bit ints as vertex sets: one ball mask per class and vertex,
+one blocked set per class, and saturation degrees in r.bit_length()
+bit-sliced counter planes.  A search node costs O(log r) operations on
+n-bit ints, and an undo restores two saved values in O(1).
 """
 
 from __future__ import annotations
@@ -138,28 +139,6 @@ def _violations(
     return out
 
 
-def _bfs_layers(g: MultiGraph, source: int, radius: int) -> list[list[int]]:
-    """Vertices at distance 1, 2, ..., radius from source, one list each.
-
-    The list stops early at the first empty layer.
-    """
-    seen = {source}
-    frontier = [source]
-    layers = []
-    for _ in range(radius):
-        reached = []
-        for x in frontier:
-            for w in g.neighbors(x):
-                if w not in seen:
-                    seen.add(w)
-                    reached.append(w)
-        if not reached:
-            break
-        layers.append(reached)
-        frontier = reached
-    return layers
-
-
 def solve_spacking(
     g: MultiGraph, spec: SPackingSpec, cap: int = DEFAULT_SOLVER_CAP
 ) -> PackingColoring | None:
@@ -170,10 +149,17 @@ def solve_spacking(
     class may only be opened if its predecessor in the group is in use,
     which removes the permutation symmetry between equal classes.
 
-    The ball table comes from one BFS per vertex cut off at the largest
-    radius.  Saturation degrees are kept incrementally:
-    a counter crossing 0 <-> 1 moves its vertex's saturation by one, so a
-    search node costs an O(n) pick plus an O(|ball|) update.
+    Vertex sets are Python ints, bit v for vertex v.  The ball of radius
+    d around v is the OR of the balls of radius d - 1 around v and its
+    neighbours, grown until the largest radius or until no ball changes.
+    `blocked[c]` holds the vertices within radii[c] of a colored class-c
+    vertex, and bit i of a vertex's saturation lives in `planes[i]`.  A
+    push ORs the ball into `blocked[c]` and ripple-carries the newly
+    blocked vertices into the planes.  The pick narrows the uncolored set
+    plane by plane, most significant first, and takes its lowest bit:
+    the largest saturation, ties to the smallest id.  A search node costs
+    O(log r) operations on n-bit ints, and an undo restores the saved
+    `blocked[c]` and planes in O(1).
     """
     n = g.n
     if n > cap:
@@ -182,29 +168,37 @@ def solve_spacking(
         return PackingColoring(spec, {})
     radii = spec.radii
     r = spec.r
-    # ball[c][v]: vertices u != v with d(u, v) <= radii[c]
-    ball: list[list[list[int]]] = [[] for _ in range(r)]
-    for v in range(n):
-        layers = _bfs_layers(g, v, radii[-1])
-        for c in range(r):
-            ball[c].append([u for layer in layers[: radii[c]] for u in layer])
-    # conflicts[c][u]: colored vertices of class c within radii[c] of u
-    conflicts = [[0] * n for _ in range(r)]
+    # balls[d][v]: vertices within distance d of v, v included
+    adj = g.adjacency()
+    balls = [[1 << v for v in range(n)]]
+    while len(balls) <= radii[-1]:
+        near = balls[-1]
+        grown = []
+        for v, nbrs in enumerate(adj):
+            m = near[v]
+            for w in nbrs:
+                m |= near[w]
+            grown.append(m)
+        if grown == near:
+            break
+        balls.append(grown)
+    ball = [balls[min(radius, len(balls) - 1)] for radius in radii]
+    blocked = [0] * r
     class_sizes = [0] * r
-    # sat[u]: classes c with conflicts[c][u] > 0, less r + 1 once u is
-    # colored, so the largest entry is always an uncolored vertex's
-    sat = [0] * n
-    parked = r + 1
+    # planes[i]: bit i of each vertex's saturation, the classes blocking it
+    planes = [0] * r.bit_length()
+    free = (1 << n) - 1
 
-    # picked[i]: the i-th vertex branched on and the class it holds; an
-    # explicit stack, so the depth is not bounded by the interpreter's
-    picked: list[tuple[int, int]] = []
-    v = sat.index(max(sat))
-    sat[v] -= parked
+    # stack[i]: the i-th vertex branched on, its class, and blocked[c] and
+    # the planes before it; an explicit stack, so the depth is not bounded
+    # by the interpreter's
+    stack: list[tuple[int, int, int, list[int]]] = []
+    v, bit = 0, 1  # nothing is blocked yet: the smallest id
+    free ^= bit
     c = 0
     while True:
         while c < r and (
-            conflicts[c][v] > 0
+            blocked[c] & bit
             or (
                 class_sizes[c] == 0
                 and c > 0
@@ -215,29 +209,34 @@ def solve_spacking(
             c += 1
         if c < r:
             class_sizes[c] += 1
-            cc = conflicts[c]
-            for u in ball[c][v]:
-                if not cc[u]:
-                    sat[u] += 1
-                cc[u] += 1
-            picked.append((v, c))
-            if len(picked) == n:
-                return PackingColoring(spec, dict(sorted(picked)))
-            v = sat.index(max(sat))
-            sat[v] -= parked
+            before = blocked[c]
+            stack.append((v, c, before, planes))
+            carry = ball[c][v] & ~before
+            blocked[c] = before | carry
+            planes = planes.copy()
+            i = 0
+            while carry:
+                planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                i += 1
+            if not free:
+                return PackingColoring(spec, dict(sorted((u, k) for u, k, _, _ in stack)))
+            pick = free
+            for plane in reversed(planes):
+                if pick & plane:
+                    pick &= plane
+            bit = pick & -pick
+            v = bit.bit_length() - 1
+            free ^= bit
             c = 0
             continue
-        # every class failed at v: unpark it and undo the previous choice
-        sat[v] += parked
-        if not picked:
+        # every class failed at v: free it and undo the previous choice
+        free |= bit
+        if not stack:
             return None
-        v, c = picked.pop()
+        v, c, before, planes = stack.pop()
+        blocked[c] = before
         class_sizes[c] -= 1
-        cc = conflicts[c]
-        for u in ball[c][v]:
-            cc[u] -= 1
-            if not cc[u]:
-                sat[u] -= 1
+        bit = 1 << v
         c += 1
 
 

@@ -22,7 +22,8 @@ classifier as it was before the bridge tree typed components from their
 sizes, types the reference bridge tree.
 
 `induced`, `with_edges` and `transposed` are the derived graphs and the
-class transposition that only these references and the tests use.
+class transposition, and `cycle_slots` the slot set of a 2-factor, that
+only these references and the tests use.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from clawcolor.errors import (
 )
 from clawcolor.factorization import Matching, TwoFactor, _max_matching_simple
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
-from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation, _bfs_layers
+from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
 from clawcolor.structure import Decomposition, Variant
 
@@ -789,6 +790,11 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
     )
 
 
+def cycle_slots(tf: TwoFactor) -> set[Slot]:
+    """The slots on the cycles of a 2-factor."""
+    return {slot for cycle in tf.cycles for _, slot in cycle}
+
+
 def _cycles_from_slots(g: MultiGraph, factor: set[Slot]) -> tuple:
     """Decompose a 2-regular slot set into vertex/slot cycles."""
     incident: dict[int, list[Slot]] = {v: [] for v in range(g.n)}
@@ -907,6 +913,28 @@ def factor_from_matching_by_reattribution(g: MultiGraph, m: Matching) -> TwoFact
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
     return TwoFactor(cycles=cycles, matching=m)
+
+
+def _bfs_layers(g: MultiGraph, source: int, radius: int) -> list[list[int]]:
+    """Vertices at distance 1, 2, ..., radius from source, one list each.
+
+    The list stops early at the first empty layer.
+    """
+    seen = {source}
+    frontier = [source]
+    layers = []
+    for _ in range(radius):
+        reached = []
+        for x in frontier:
+            for w in g.neighbors(x):
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        if not reached:
+            break
+        layers.append(reached)
+        frontier = reached
+    return layers
 
 
 def verify_by_layers(

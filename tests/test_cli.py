@@ -364,6 +364,42 @@ def test_generate_infeasible_exit2(capsys):
     assert main(["generate", "bridged", "--tree", "diamond:2,diamond:2,diamond:2"]) == 2
 
 
+def test_generate_negative_string_length_exit2(capsys):
+    assert main(["generate", "expansion", "--n", "4", "--max-string", "-1"]) == 2
+    assert capsys.readouterr().err == "error: string lengths must be non-negative\n"
+
+
+@pytest.mark.parametrize(
+    "command, core",
+    [
+        ("solve", "solve_spacking"),
+        ("verify", "verify"),
+        ("decompose", "decompose"),
+        ("generate", "gen_ring_of_diamonds"),
+    ],
+)
+def test_a_bug_in_any_command_is_internal_exit5(
+    fixture_files, tmp_path, capsys, monkeypatch, command, core
+):
+    def crash(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(clawcolor.cli, core, crash)
+    k4 = fixture_files["k4"]
+    coloring = tmp_path / "k4.col"
+    coloring.write_text("0 1a\n1 1b\n2 2a\n3 2b\n")
+    argv = {
+        "solve": ["solve", k4],
+        "verify": ["verify", k4, str(coloring)],
+        "decompose": ["decompose", k4],
+        "generate": ["generate", "ring"],
+    }[command]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (internal): IndexError: list index out of range\n"
+
+
 def test_decompose_big_expansion(fixture_files, capsys):
     assert main(["decompose", fixture_files["big_expansion"]]) == 0
     out = capsys.readouterr().out

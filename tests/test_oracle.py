@@ -396,10 +396,68 @@ def _same_tree_cases():
         perm = list(range(petersen.n))
         rng.shuffle(perm)
         yield f"petersen.{k}", relabeled(petersen, perm), (1, 1, 2, 2)
+    yield from _bit_sliced_edge_cases()
+
+
+def _cycle(n):
+    return MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete(n):
+    return MultiGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _disjoint_union(*graphs):
+    n, edges = 0, []
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v, _ in g.slots()]
+        n += g.n
+    return MultiGraph(n, edges)
+
+
+def _bit_sliced_edge_cases():
+    """Cases at the edges of the vertex masks and the saturation planes.
+
+    r = 1, 2, 4, 7 and 8 classes fill 1, 2, 3, 3 and 4 planes, and K8
+    under seven classes and K9 under eight drive a saturation to the top
+    of its planes.  Radii of 3 to 6, n of 64 and 65, and disconnected
+    graphs come last.
+    """
+    rng = SplitMix64(0xB175)
+    yield "empty5", MultiGraph(5, []), (1,)
+    yield "C8", _cycle(8), (1,)
+    yield "C8", _cycle(8), (1, 1)
+    yield "C9", _cycle(9), (1, 1)
+    for k in (7, 8):
+        yield f"K{k}", _complete(k), (1,) * 7
+    for r in (8, 9):
+        yield "K9", _complete(9), (1,) * r
+    for n in (12, 16, 20):
+        g = gen_cubic_multigraph(n, rng)
+        for radii in (
+            (1, 1, 2, 3),
+            (1, 2, 2, 3, 3, 4, 4),
+            (3, 3, 3, 3, 3, 3, 3),
+            (2, 2, 2, 2, 2, 2, 2, 2),
+        ):
+            yield f"cubic{n}{radii}", g, radii
+    for name in ("k4", "prism", "petersen"):
+        s = subdivide(fixtures()[name])
+        for radii in ((1, 2, 3, 4), (1, 2, 3, 4, 5), (3, 3, 4, 4, 5, 6)):
+            yield f"subdivided_{name}{radii}", s, radii
+    yield "C64", _cycle(64), (1, 1)
+    yield "C65", _cycle(65), (1, 1)
+    g = gen_cubic_multigraph(64, rng)
+    for radii in ((1, 2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2)):
+        yield f"cubic64{radii}", g, radii
+    k1 = MultiGraph(1, [])
+    yield "prism+K4+K1", _disjoint_union(fixtures()["prism"], k4(), k1), (1, 1, 2, 2)
+    yield "petersen+C5", _disjoint_union(fixtures()["petersen"], _cycle(5)), (1, 1, 2, 2)
+    yield "C5+C7", _disjoint_union(_cycle(5), _cycle(7)), (1, 1, 2)
 
 
 def test_solver_walks_the_rescanning_search_tree():
-    """Incremental saturation and the bounded ball change no decision."""
+    """The vertex masks and the counter planes change no decision."""
     verdicts = set()
     for name, g, radii in _same_tree_cases():
         spec = SPackingSpec(radii)
