@@ -1,9 +1,7 @@
 """Command-line front-end.
 
-Exit codes: 0 success (including a clean UNSAT), 1 I/O or parse failure,
-2 structural precondition failure (with a witness when available),
-3 solver cap exceeded, 4 invalid coloring in `verify`, 5 internal error
-(a bug, never a property of the input) in any command.
+`_EXITS` maps each exception that ends a command, or one input of a
+`color` batch, to its exit code and error kind.
 """
 
 from __future__ import annotations
@@ -54,6 +52,32 @@ EXIT_CAP = 3
 EXIT_INVALID_COLORING = 4
 EXIT_INTERNAL = 5
 
+# (exit code, error kind) per exception class.  An exception takes the row of
+# the first class in its MRO that has one, so the last row makes any other
+# exception a bug.  A kind of None reports the class name.
+_EXITS: dict[type, tuple[int, str | None]] = {
+    OSError: (EXIT_IO, "io"),
+    UnicodeDecodeError: (EXIT_IO, "io"),
+    MalformedInputError: (EXIT_IO, "io"),
+    PartialColoringError: (EXIT_IO, "io"),
+    CapExceededError: (EXIT_CAP, None),
+    NotClawFreeError: (EXIT_PRECONDITION, "not-claw-free"),
+    NotCubicError: (EXIT_PRECONDITION, "precondition"),
+    DisconnectedError: (EXIT_PRECONDITION, "precondition"),
+    NotSimpleError: (EXIT_PRECONDITION, "precondition"),
+    InternalInvariantError: (EXIT_INTERNAL, "internal"),
+    ClawcolorError: (EXIT_PRECONDITION, None),
+    Exception: (EXIT_INTERNAL, "internal"),
+}
+
+
+def _classify(exc: Exception) -> tuple[int, str, str]:
+    """(exit code, error kind, message) for `exc`, from its row in `_EXITS`."""
+    code, kind = next(_EXITS[cls] for cls in type(exc).__mro__ if cls in _EXITS)
+    if code == EXIT_INTERNAL:
+        return code, kind, f"{type(exc).__name__}: {exc}"
+    return code, kind or type(exc).__name__, str(exc)
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -96,8 +120,13 @@ def _parse_spec(text: str) -> SPackingSpec:
         raise MalformedInputError(f"bad spec {text!r}: {exc}") from exc
 
 
-def _failed(report: dict, kind: str, message: str, code: int) -> dict:
+def _failed(report: dict, exc: Exception) -> dict:
+    code, kind, message = _classify(exc)
     report["error"] = {"kind": kind, "message": message}
+    if isinstance(exc, NotClawFreeError):
+        report["error"]["witness"] = list(exc.witness)
+    if code == EXIT_INTERNAL:
+        report["error"]["traceback"] = "".join(traceback.format_exception(exc))
     report["exit"] = code
     return report
 
@@ -113,7 +142,7 @@ def _color_file(path: str, fmt: str) -> Iterator[dict]:
     try:
         lines = _graph6_lines(_read_text(path))
     except (OSError, UnicodeDecodeError) as exc:
-        yield _failed({"input": path, "outcome": "error"}, "io", str(exc), EXIT_IO)
+        yield _failed({"input": path, "outcome": "error"}, exc)
         return
     if not lines:
         yield _color_one(path, lambda: parse_graph6(""))
@@ -134,20 +163,8 @@ def _color_one(label: str, parse) -> dict:
         g = parse()
         report["n"] = g.n
         coloring = color_claw_free_cubic(g)  # certified before it returns
-    except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
-        return _failed(report, "io", str(exc), EXIT_IO)
-    except NotClawFreeError as exc:
-        _failed(report, "not-claw-free", str(exc), EXIT_PRECONDITION)
-        report["error"]["witness"] = list(exc.witness)
-        return report
-    except (NotCubicError, DisconnectedError, NotSimpleError) as exc:
-        return _failed(report, "precondition", str(exc), EXIT_PRECONDITION)
-    except Exception as exc:  # a bug: report this input, keep the batch going
-        if isinstance(exc, ClawcolorError) and not isinstance(exc, InternalInvariantError):
-            return _failed(report, type(exc).__name__, str(exc), EXIT_PRECONDITION)
-        _failed(report, "internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
-        report["error"]["traceback"] = traceback.format_exc()
-        return report
+    except Exception as exc:  # report this input, keep the batch going
+        return _failed(report, exc)
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
     report["outcome"] = "colored"
     labels, assignment = coloring.spec.labels(), coloring.assignment
@@ -203,16 +220,9 @@ def cmd_color(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = _parse_spec(args.spec)
-        g = _load_graph(args.path, _read_text(args.path), args.format, max_n=args.cap)
-        coloring = solve_spacking(g, spec, cap=args.cap)
-    except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    spec = _parse_spec(args.spec)
+    g = _load_graph(args.path, _read_text(args.path), args.format, max_n=args.cap)
+    coloring = solve_spacking(g, spec, cap=args.cap)
     if coloring is None:
         print("UNSAT")
         return EXIT_OK
@@ -225,20 +235,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    spec = _parse_spec(args.spec)
+    coloring = parse_coloring_lines(_read_text(args.coloring), spec)
+    # every vertex 0..n-1 must be colored, so a larger header fails
+    # before the graph is built
     try:
-        spec = _parse_spec(args.spec)
-        coloring = parse_coloring_lines(_read_text(args.coloring), spec)
-        # every vertex 0..n-1 must be colored, so a larger header fails
-        # before the graph is built
         g = _load_graph(args.graph, _read_text(args.graph), args.format,
                         max_n=len(coloring.assignment))
-        violations = verify(g, spec, coloring)
-    except (OSError, MalformedInputError, ValueError, PartialColoringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except CapExceededError as exc:
-        print(f"error: graph has {exc.n} vertices, coloring has {exc.cap}", file=sys.stderr)
-        return EXIT_IO
+        raise MalformedInputError(f"graph has {exc.n} vertices, coloring has {exc.cap}") from None
+    violations = verify(g, spec, coloring)
     if not violations:
         print("OK")
         return EXIT_OK
@@ -252,22 +258,17 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     rng = SplitMix64(args.seed)
-    try:
-        if args.kind == "ring":
-            g = gen_ring_of_diamonds(args.k)
-        elif args.kind == "multigraph":
-            g = gen_cubic_multigraph(args.n, rng)
-        elif args.kind == "expansion":
-            h = gen_cubic_multigraph(args.n, rng)
-            g = expand_to_clawfree(h, random_expansion_spec(h, rng, args.max_string), rng)
-        elif args.kind == "bridged":
-            spec = _parse_tree_spec(args.tree)
-            g = gen_bridged(spec, rng)
-        else:
-            raise InfeasibleSpecError(f"unknown kind {args.kind!r}")
-    except ClawcolorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    if args.kind == "ring":
+        g = gen_ring_of_diamonds(args.k)
+    elif args.kind == "multigraph":
+        g = gen_cubic_multigraph(args.n, rng)
+    elif args.kind == "expansion":
+        h = gen_cubic_multigraph(args.n, rng)
+        g = expand_to_clawfree(h, random_expansion_spec(h, rng, args.max_string), rng)
+    elif args.kind == "bridged":
+        g = gen_bridged(_parse_tree_spec(args.tree), rng)
+    else:
+        raise InfeasibleSpecError(f"unknown kind {args.kind!r}")
     text = emit_graph6(g) + "\n" if args.graph6 else emit_edgelist(g)
     if args.output == "-":
         sys.stdout.write(text)
@@ -285,12 +286,12 @@ def _parse_tree_spec(text: str) -> list[tuple[str, int]]:
         if not part:
             continue
         if ":" not in part:
-            raise MalformedInputError(f"bad component spec {part!r}, want kind:attachments")
+            raise InfeasibleSpecError(f"bad component spec {part!r}, want kind:attachments")
         kind, _, num = part.partition(":")
         try:
             out.append((kind.strip(), int(num)))
         except ValueError:
-            raise MalformedInputError(f"bad attachment count in {part!r}") from None
+            raise InfeasibleSpecError(f"bad attachment count in {part!r}") from None
     return out
 
 
@@ -309,23 +310,13 @@ def _tree_shape(adj: tuple[tuple[int, ...], ...]) -> str:
 
 
 def cmd_decompose(args) -> int:
+    text = _read_text(args.path)
+    # a connected graph on n vertices has n - 1 edges, one per line
     try:
-        text = _read_text(args.path)
-        # a connected graph on n vertices has n - 1 edges, one per line
         g = _load_graph(args.path, text, args.format, max_n=len(text.splitlines()) + 1)
-    except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except CapExceededError:
-        print(f"error: {_DISCONNECTED}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    try:
-        structure = decompose(g)
-    except InternalInvariantError:
-        raise  # a bug: `main` reports it
-    except ClawcolorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise DisconnectedError(_DISCONNECTED) from None
+    structure = decompose(g)
     if isinstance(structure, BridgeTree):
         bt = structure
         print(f"bridges: {len(bt.components) - 1}")
@@ -409,11 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError:
-        raise
-    except Exception as exc:  # a bug: nothing the input can cause reaches here
-        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code, _, message = _classify(exc)
+        print(f"error (internal): {message}" if code == EXIT_INTERNAL else f"error: {message}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import MalformedInputError
+
 
 @dataclass(frozen=True)
 class SPackingSpec:
@@ -53,7 +55,10 @@ class PackingColoring:
 
 
 def parse_coloring_lines(text: str, spec: SPackingSpec) -> PackingColoring:
-    """Parse "vertex label" lines into a coloring for the given spec."""
+    """Parse "vertex label" lines into a coloring for the given spec.
+
+    A line that does not parse raises MalformedInputError naming its number.
+    """
     label_to_idx = {lab: i for i, lab in enumerate(spec.labels())}
     assignment: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -62,12 +67,12 @@ def parse_coloring_lines(text: str, spec: SPackingSpec) -> PackingColoring:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'vertex label', got {line!r}")
+            raise MalformedInputError(f"line {lineno}: expected 'vertex label', got {line!r}")
         try:
             v = int(fields[0])
         except ValueError:
-            raise ValueError(f"line {lineno}: bad vertex {fields[0]!r}") from None
+            raise MalformedInputError(f"line {lineno}: bad vertex {fields[0]!r}") from None
         if fields[1] not in label_to_idx:
-            raise ValueError(f"line {lineno}: unknown label {fields[1]!r}")
+            raise MalformedInputError(f"line {lineno}: unknown label {fields[1]!r}")
         assignment[v] = label_to_idx[fields[1]]
     return PackingColoring(spec, assignment)

@@ -19,7 +19,12 @@ from clawcolor import (
     verify,
 )
 from clawcolor.cli import build_parser, main
-from clawcolor.errors import VerificationFailedError
+from clawcolor.errors import (
+    InternalInvariantError,
+    MalformedInputError,
+    NotCubicError,
+    VerificationFailedError,
+)
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 
 
@@ -342,6 +347,19 @@ def test_verify_partial_exit1(fixture_files, tmp_path, capsys):
     assert main(["verify", fixture_files["k4"], str(cpath)]) == 1
 
 
+def test_verify_coloring_outside_the_graph_exit1(fixture_files, tmp_path, capsys):
+    cpath = tmp_path / "extra.txt"
+    cpath.write_text("0 1a\n1 1b\n2 2a\n3 2b\n9 1a\n")
+    assert main(["verify", fixture_files["k4"], str(cpath)]) == 1
+    assert capsys.readouterr().err == "error: coloring domain mismatch on 1 vertices, e.g. [9]\n"
+
+
+def test_color_multigraph_is_a_precondition_error(fixture_files, capsys):
+    assert main(["color", "--json", fixture_files["h10"]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == {"kind": "precondition", "message": "input must be a simple graph"}
+
+
 def test_generate_ring(tmp_path, capsys):
     out = tmp_path / "ring.el"
     assert main(["generate", "ring", "--k", "4", "-o", str(out)]) == 0
@@ -369,35 +387,103 @@ def test_generate_negative_string_length_exit2(capsys):
     assert capsys.readouterr().err == "error: string lengths must be non-negative\n"
 
 
-@pytest.mark.parametrize(
-    "command, core",
-    [
-        ("solve", "solve_spacking"),
-        ("verify", "verify"),
-        ("decompose", "decompose"),
-        ("generate", "gen_ring_of_diamonds"),
-    ],
-)
-def test_a_bug_in_any_command_is_internal_exit5(
-    fixture_files, tmp_path, capsys, monkeypatch, command, core
-):
-    def crash(*args, **kwargs):
-        raise IndexError("list index out of range")
+_CORES = {
+    "color": "color_claw_free_cubic",
+    "solve": "solve_spacking",
+    "verify": "verify",
+    "decompose": "decompose",
+    "generate": "gen_ring_of_diamonds",
+}
+_CRASHES = [  # (exception, exit code, error kind)
+    (IndexError("list index out of range"), 5, "internal"),
+    (InternalInvariantError("boom"), 5, "internal"),
+    (NotCubicError("boom"), 2, "precondition"),
+    (OSError("boom"), 1, "io"),
+]
 
-    monkeypatch.setattr(clawcolor.cli, core, crash)
+
+def _exit_matrix():
+    """Every command's core crossed with each crash.
+
+    An IndexError case's id names only the command and its core.  The extra
+    rows: a ValueError in `verify`'s core is a bug, a parse error
+    from `decompose`'s core an I/O error, and `generate` writing into a
+    missing directory (nothing patched) an I/O error.
+    """
+    for command, core in _CORES.items():
+        for crash, code, kind in _CRASHES:
+            name = "" if isinstance(crash, IndexError) else f"-{type(crash).__name__}"
+            yield pytest.param(command, core, crash, code, kind, id=f"{command}-{core}{name}")
+    yield pytest.param("verify", "verify", ValueError("boom"), 5, "internal",
+                       id="verify-verify-ValueError")
+    yield pytest.param("decompose", "decompose", MalformedInputError("boom"), 1, "io",
+                       id="decompose-decompose-MalformedInputError")
+    yield pytest.param("generate", None, None, 1, "io", id="generate-missing-directory")
+
+
+@pytest.mark.parametrize("command, core, crash, code, kind", _exit_matrix())
+def test_a_bug_in_any_command_is_internal_exit5(
+    fixture_files, tmp_path, capsys, monkeypatch, command, core, crash, code, kind
+):
+    """One exit-code table: a bug exits 5, an input or I/O error keeps its code."""
+    def raise_crash(*args, **kwargs):
+        raise crash
+
+    if core is not None:
+        monkeypatch.setattr(clawcolor.cli, core, raise_crash)
     k4 = fixture_files["k4"]
     coloring = tmp_path / "k4.col"
     coloring.write_text("0 1a\n1 1b\n2 2a\n3 2b\n")
+    output = tmp_path / "missing" / "ring.el"
     argv = {
+        "color": ["color", k4],
         "solve": ["solve", k4],
         "verify": ["verify", k4, str(coloring)],
         "decompose": ["decompose", k4],
-        "generate": ["generate", "ring"],
+        "generate": ["generate", "ring", "-o", str(output)],
     }[command]
-    assert main(argv) == 5
+    if crash is None:
+        message = f"[Errno 2] No such file or directory: {str(output)!r}"
+    elif code == 5:
+        message = f"{type(crash).__name__}: {crash}"
+    else:
+        message = str(crash)
+    assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error (internal): IndexError: list index out of range\n"
+    if command == "color":
+        assert captured.err == f"{k4}: error ({kind}): {message}\n"
+        assert main(["color", "--json", k4]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert (report["exit"], report["error"]["kind"]) == (code, kind)
+    elif code == 5:
+        assert captured.err == f"error (internal): {message}\n"
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
+def test_generate_multigraph_as_graph6_is_a_precondition_error(capsys):
+    # seed 1 draws a multigraph with parallel edges, which graph6 cannot hold
+    assert main(["generate", "multigraph", "--n", "4", "--seed", "1", "--graph6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph has parallel edges; graph6 is simple-only\n"
+
+
+def test_generate_bad_tree_spec_exit2(capsys):
+    assert main(["generate", "bridged", "--tree", "k3"]) == 2
+    assert capsys.readouterr().err == "error: bad component spec 'k3', want kind:attachments\n"
+    assert main(["generate", "bridged", "--tree", "k3:x"]) == 2
+    assert capsys.readouterr().err == "error: bad attachment count in 'k3:x'\n"
+
+
+def test_verify_bad_coloring_line_is_a_parse_error(fixture_files, tmp_path, capsys):
+    cpath = tmp_path / "bad.col"
+    cpath.write_text("0 1a\nx 1b\n")
+    assert main(["verify", fixture_files["k4"], str(cpath)]) == 1
+    assert capsys.readouterr().err == "error: line 2: bad vertex 'x'\n"
+    with pytest.raises(MalformedInputError, match="^line 2: bad vertex 'x'$"):
+        parse_coloring_lines(cpath.read_text(), SPackingSpec((1, 1, 2, 2)))
 
 
 def test_decompose_big_expansion(fixture_files, capsys):
