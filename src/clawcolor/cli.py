@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from collections.abc import Iterator
 from itertools import chain, islice
 
@@ -117,7 +116,7 @@ def _parse_spec(text: str) -> SPackingSpec:
         radii = tuple(int(x) for x in text.split(","))
         return SPackingSpec(radii)
     except ValueError as exc:
-        raise MalformedInputError(f"bad spec {text!r}: {exc}") from exc
+        raise InfeasibleSpecError(f"bad spec {text!r}: {exc}") from exc
 
 
 def _failed(report: dict, exc: Exception) -> dict:
@@ -126,6 +125,8 @@ def _failed(report: dict, exc: Exception) -> dict:
     if isinstance(exc, NotClawFreeError):
         report["error"]["witness"] = list(exc.witness)
     if code == EXIT_INTERNAL:
+        import traceback
+
         report["error"]["traceback"] = "".join(traceback.format_exception(exc))
     report["exit"] = code
     return report

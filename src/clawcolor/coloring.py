@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedInputError
 
 
-@dataclass(frozen=True)
-class SPackingSpec:
+class SPackingSpec(NamedTuple("_Radii", [("radii", tuple[int, ...])])):
     """A non-decreasing sequence of exclusion radii, one per color class."""
 
-    radii: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.radii:
+    def __new__(cls, radii: tuple[int, ...]):
+        if not radii:
             raise ValueError("at least one radius required")
-        if any(r < 1 for r in self.radii):
+        if any(r < 1 for r in radii):
             raise ValueError("radii must be positive")
-        if any(a > b for a, b in zip(self.radii, self.radii[1:])):
+        if any(a > b for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be non-decreasing")
+        return super().__new__(cls, radii)
 
     @property
     def r(self) -> int:
@@ -37,8 +37,7 @@ SPEC_1122 = SPackingSpec((1, 1, 2, 2))
 C1A, C1B, C2A, C2B = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class PackingColoring:
+class PackingColoring(NamedTuple):
     """A total assignment of vertices to color-class indices."""
 
     spec: SPackingSpec

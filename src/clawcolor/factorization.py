@@ -20,21 +20,19 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .multigraph import MultiGraph, Slot
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A perfect matching, as its slots in sorted order."""
 
     slots: tuple[Slot, ...]
 
 
-@dataclass(frozen=True)
-class TwoFactor:
+class TwoFactor(NamedTuple):
     """A spanning 2-regular sub-multigraph plus its complement matching.
 
     Each cycle is a list of (vertex, slot) entries: the slot leads from

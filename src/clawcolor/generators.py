@@ -9,8 +9,7 @@ shipped with the package.
 from __future__ import annotations
 
 import heapq
-import importlib.resources
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InfeasibleSpecError,
@@ -28,8 +27,7 @@ from .rng import SplitMix64
 _RETRIES = 2000
 
 
-@dataclass(frozen=True)
-class ExpansionSpec:
+class ExpansionSpec(NamedTuple):
     """String length per H-edge slot; absent slots default to length 0."""
 
     string_lengths: dict[Slot, int]
@@ -365,6 +363,8 @@ def fixtures() -> dict[str, MultiGraph]:
     diamonds on a matching edge and one on a cycle edge.  bridged_star: a
     24-vertex graph whose bridge tree is a 3-leaf star centered on a K3.
     """
+    import importlib.resources
+
     out = {}
     pkg = importlib.resources.files("clawcolor") / "fixtures"
     for name, fname in _FIXTURE_FILES.items():

@@ -25,7 +25,7 @@ n-bit ints, and an undo restores two saved values in O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import PackingColoring, SPackingSpec
 from .errors import CapExceededError, PartialColoringError
@@ -34,8 +34,7 @@ from .multigraph import MultiGraph
 DEFAULT_SOLVER_CAP = 40
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Two same-class vertices at distance at most the class radius."""
 
     class_index: int

@@ -33,8 +33,9 @@ and then roots the tree.  `structure.decompose` is the one public way in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedError,
@@ -132,8 +133,7 @@ def is_k4(g: MultiGraph) -> bool:
     return g.n == 4 and g.is_simple() and g.size == 6
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(NamedTuple):
     """Induced K4-minus-an-edge: two adjacent interiors, two exteriors."""
 
     interiors: tuple[int, int]
@@ -144,8 +144,7 @@ class Diamond:
         return frozenset(self.interiors + self.exteriors)
 
 
-@dataclass(frozen=True)
-class LocalScan:
+class LocalScan(NamedTuple):
     """What `_local_scan` reads from the closed neighborhoods of a graph.
 
     Either `claw` is the first induced claw (center, a, b, c), and the rest
@@ -159,11 +158,11 @@ class LocalScan:
     """
 
     claw: tuple[int, int, int, int] | None = None
-    diamonds: list[Diamond] = field(default_factory=list)
-    diamond_of: list[int] = field(default_factory=list)
-    triangles: list[tuple[int, int, int]] = field(default_factory=list)
-    triangle_of: list[int] = field(default_factory=list)
-    walk: list[tuple[int, ...]] = field(default_factory=list)
+    diamonds: Sequence[Diamond] = ()
+    diamond_of: Sequence[int] = ()
+    triangles: Sequence[tuple[int, int, int]] = ()
+    triangle_of: Sequence[int] = ()
+    walk: Sequence[tuple[int, ...]] = ()
     h: MultiGraph | None = None
 
 
@@ -313,8 +312,7 @@ class ComponentKind(enum.Enum):
     TYPE_III = "type3"
 
 
-@dataclass(frozen=True)
-class BridgeTree:
+class BridgeTree(NamedTuple):
     """Components of G - B(G) arranged as a tree with typing and rooting.
 
     Components are indexed in order of their smallest vertex.  The root is
@@ -387,7 +385,7 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
             if ((a, b) if a < b else (b, a)) in h_bridges:
                 # the realization's edges outside its diamonds
                 bridges.update((x, y) if x < y else (y, x) for x, y in zip(r[::4], r[1::4]))
-    return bridges, replace(local, walk=walk, h=h)
+    return bridges, local._replace(walk=walk, h=h)
 
 
 def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:

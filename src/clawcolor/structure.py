@@ -45,7 +45,9 @@ checked again:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .multigraph import MultiGraph, Slot
@@ -67,20 +69,20 @@ class Variant(enum.Enum):
     BUILT = "built"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """What `_decompose` recovers from a 2-edge-connected graph.
 
     For the built variant, `realization` maps each slot (a, b, k) of H, in
     slot order, to its H-edge's vertices in G as `recognition._walk` lists
     them, run from the corner in triangle a to the corner in triangle b.
+    Each `decompose` result owns its dict; the default mapping is read-only.
     """
 
     variant: Variant
     ring_diamonds: tuple[Diamond, ...] = ()
     triangles: tuple[tuple[int, int, int], ...] = ()
     h: MultiGraph | None = None
-    realization: dict[Slot, tuple[int, ...]] = field(default_factory=dict)
+    realization: Mapping[Slot, tuple[int, ...]] = MappingProxyType({})
 
     def string_lengths(self) -> list[int]:
         """Lengths of the non-empty diamond strings, sorted."""
@@ -119,7 +121,7 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     the walk and H.  Whatever is missing is computed here.
     """
     if is_k4(g):
-        return Decomposition(variant=Variant.K4)
+        return Decomposition(variant=Variant.K4, realization={})
 
     if local is None:
         local = _local_scan(g)
@@ -130,7 +132,7 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
 
     if 4 * len(diamonds) == g.n:
         return Decomposition(
-            variant=Variant.RING, ring_diamonds=tuple(diamonds)
+            variant=Variant.RING, ring_diamonds=tuple(diamonds), realization={}
         )
     walk, h = local.walk, local.h
     if h is None:

@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -477,6 +480,22 @@ def test_generate_bad_tree_spec_exit2(capsys):
     assert capsys.readouterr().err == "error: bad attachment count in 'k3:x'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "k4", "--spec", "x"], "bad spec 'x': invalid literal for int() with base 10: 'x'"),
+        (["solve", "k4", "--spec", "0,1"], "bad spec '0,1': radii must be positive"),
+        (["verify", "k4", "k4", "--spec", "2,1"], "bad spec '2,1': radii must be non-decreasing"),
+    ],
+    ids=["solve-not-an-int", "solve-zero-radius", "verify-decreasing"],
+)
+def test_malformed_spec_exit2(fixture_files, capsys, argv, message):
+    """A bad --spec is a bad option value, exit 2 like a bad --tree."""
+    argv = [fixture_files.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_bad_coloring_line_is_a_parse_error(fixture_files, tmp_path, capsys):
     cpath = tmp_path / "bad.col"
     cpath.write_text("0 1a\nx 1b\n")
@@ -514,7 +533,8 @@ def test_decompose_ring(tmp_path, capsys):
 def test_stdin_input(fixture_files, capsys, monkeypatch):
     import io
 
-    text = open(fixture_files["k4"]).read()
+    with open(fixture_files["k4"]) as fh:
+        text = fh.read()
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["color", "-"]) == 0
     assert "VERIFIED" in capsys.readouterr().out
@@ -743,3 +763,28 @@ def test_color_writes_each_report_to_stdout_once(batch_dir, monkeypatch, argv, o
     monkeypatch.setattr(sys, "stdout", Recorder())
     main(["color", *argv])
     assert writes == out
+
+
+_STARTUP_PROBE = """
+import sys, clawcolor.cli
+print([m for m in ("dataclasses", "inspect", "traceback", "importlib.resources") if m in sys.modules])
+print(sorted(clawcolor.fixtures()))
+"""
+
+
+def test_startup_imports_no_heavy_stdlib_module():
+    """`import clawcolor.cli` on a bare interpreter (`-S`, no site hooks)
+    loads none of the modules only a bug report or the fixtures need, and
+    the fixtures still load once asked for."""
+    src = str(Path(clawcolor.cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "[]",
+        str(["big_expansion", "bridged_star", "h10", "k4", "petersen", "prism"]),
+    ]

@@ -242,9 +242,11 @@ def test_verify_lists_pairs_beyond_distance_two():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^at least one radius required$"):
+        SPackingSpec(())
+    with pytest.raises(ValueError, match="^radii must be non-decreasing$"):
         SPackingSpec((2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radii must be positive$"):
         SPackingSpec((0, 1))
     assert SPackingSpec((1, 2, 3)).labels() == ("c1", "c2", "c3")
     assert SPEC_1122.labels() == ("1a", "1b", "2a", "2b")

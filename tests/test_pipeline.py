@@ -10,7 +10,6 @@ InternalInvariantError, which the CLI reports as a bug (exit 5).
 """
 
 import ast
-import dataclasses
 import json
 import re
 import sys
@@ -23,9 +22,13 @@ import clawcolor.colorer
 from clawcolor import (
     C1A,
     C1B,
+    SPEC_1122,
+    Diamond,
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
+    SPackingSpec,
+    Violation,
     color_claw_free_cubic,
     decompose,
     emit_edgelist,
@@ -209,10 +212,10 @@ def _break_core(module, core: str):
         def broken(*args):
             out = real(*args)
             g = args[0] if args else MultiGraph(4, K4_EDGES)
-            if isinstance(out, tuple):
-                colors, diamonds = out
-                return _moved(g, colors), diamonds
-            return PackingColoring(out.spec, _moved(g, out.assignment))
+            if isinstance(out, PackingColoring):
+                return PackingColoring(out.spec, _moved(g, out.assignment))
+            colors, diamonds = out
+            return _moved(g, colors), diamonds
 
         monkeypatch.setattr(module, core, broken)
 
@@ -350,7 +353,7 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
         realization = dict(dec.realization)
         (s0, r0), (s1, r1) = list(realization.items())[:2]
         realization[s0], realization[s1] = (r1[0],) + r0[1:], (r0[0],) + r1[1:]
-        return dataclasses.replace(dec, realization=realization)
+        return dec._replace(realization=realization)
 
     monkeypatch.setattr(structure, "_decompose", swapped_corners)
     with pytest.raises(InternalInvariantError) as caught:
@@ -538,6 +541,42 @@ def test_the_public_names_are_the_ones_readme_lists():
     listed = _readme_api_names()
     assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 40
     assert sorted(set(listed)) == sorted(clawcolor.__all__)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda fx: SPackingSpec((1, 1, 2, 2)), "radii"),
+        (lambda fx: PackingColoring(SPEC_1122, {0: C1A}), "assignment"),
+        (lambda fx: Violation(0, "1a", (0, 1), 1), "distance"),
+        (lambda fx: Diamond((0, 1), (2, 3)), "interiors"),
+        (lambda fx: ExpansionSpec({(0, 1, 0): 2}), "string_lengths"),
+        (lambda fx: decompose(fx["big_expansion"]), "realization"),
+        (lambda fx: decompose(fx["k4"]), "variant"),
+        (lambda fx: decompose(fx["bridged_star"]), "root"),
+    ],
+    ids=[
+        "SPackingSpec",
+        "PackingColoring",
+        "Violation",
+        "Diamond",
+        "ExpansionSpec",
+        "Decomposition-built",
+        "Decomposition-K4",
+        "BridgeTree",
+    ],
+)
+def test_public_value_types_are_frozen_and_compared_by_value(named_fixtures, build, field):
+    one, two = build(named_fixtures), build(named_fixtures)
+    assert one is not two and one == two
+    with pytest.raises(AttributeError):
+        setattr(one, field, getattr(two, field))
+
+
+@pytest.mark.parametrize("build", [lambda: MultiGraph(4, K4_EDGES), lambda: gen_ring_of_diamonds(3)])
+def test_k4_and_ring_decompositions_each_own_an_empty_realization(build):
+    one, two = decompose(build()).realization, decompose(build()).realization
+    assert one == two == {} and type(one) is dict and one is not two
 
 
 def test_every_function_in_src_is_public_or_named_in_src():

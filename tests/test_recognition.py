@@ -1,5 +1,4 @@
 import re
-from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -215,8 +214,8 @@ def test_bridge_tree_matches_sweeps_reference(
         bridges = find_bridges(g)
         got = decompose(g) if bridges else _bridge_tree(g, bridges)
         want = bridge_tree_by_sweeps(g, bridges)
-        for f in fields(BridgeTree):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for f in BridgeTree._fields:
+            assert getattr(got, f) == getattr(want, f), f
 
 
 def _tree_or_error(build, g, bridge_set):
