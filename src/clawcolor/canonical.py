@@ -12,7 +12,10 @@ takes both radius-1 classes), and the canonical coloring driven by a
     and 2a/2b inside.
 
 Corners and diamonds are read by position from the decomposition's
-realization tuples (`recognition._walk` gives the format).
+realization tuples (`recognition._walk` gives the format).  A bridgeless
+graph's coloring takes `_complement`'s 2-factor; a completed Type III
+component's takes a 2-factor forced through one H-edge, whose slot
+`_lift_slot` finds, and `colorer._color_type3` composes the two.
 
 Nothing here is public or checks its input, and nothing here certifies
 its output: `color_claw_free_cubic` validates its input once at entry,
@@ -27,7 +30,7 @@ from collections.abc import Iterable
 
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import InternalInvariantError
-from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
+from .factorization import TwoFactor, _complement
 from .multigraph import MultiGraph
 from .recognition import Diamond
 from .structure import Decomposition, Variant, _reversed
@@ -56,14 +59,10 @@ def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
 
 def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingColoring:
     """The canonical coloring of a built graph for a 2-factor of its H."""
-    if dec.variant is not Variant.BUILT:
-        raise InternalInvariantError(
-            f"canonical coloring needs the built variant, got {dec.variant}"
-        )
     assignment: dict[int, int] = {}
 
     # matching edges: the corner in the lower-indexed triangle gets 2a
-    for slot in factor.matching.slots:
+    for slot in factor.matching:
         r = dec.realization[slot]
         assignment[r[0]] = C2A
         assignment[r[-1]] = C2B
@@ -114,38 +113,6 @@ def _lift_slot(dec: Decomposition, edge: tuple[int, int]):
     raise InternalInvariantError(
         f"edge {key} lies inside a triangle or a diamond; no H-edge image"
     )
-
-
-def _with_edge(g: MultiGraph, dec: Decomposition, edge: tuple[int, int]) -> PackingColoring:
-    """Canonical coloring via a 2-factor through the edge's H-image.
-
-    The two endpoints of `edge` end up with distinct radius-1 colors.
-    """
-    slot = _lift_slot(dec, edge)
-    coloring = _canonical(g, dec, _two_factor_through(dec.h, slot))
-    cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
-    if cols != {C1A, C1B}:
-        raise InternalInvariantError(
-            f"cycle-edge endpoints carry classes {cols}, expected both radius-1"
-        )
-    return coloring
-
-
-def _with_matched_edge(
-    g: MultiGraph, dec: Decomposition, edge: tuple[int, int]
-) -> PackingColoring:
-    """Canonical coloring via a perfect matching through the edge's H-image.
-
-    The two endpoints of `edge` end up with distinct radius-2 colors.
-    """
-    slot = _lift_slot(dec, edge)
-    coloring = _canonical(g, dec, _matched_through(dec.h, slot))
-    cols = {coloring.assignment[edge[0]], coloring.assignment[edge[1]]}
-    if cols != {C2A, C2B}:
-        raise InternalInvariantError(
-            f"matched-edge endpoints carry classes {cols}, expected both radius-2"
-        )
-    return coloring
 
 
 def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:

@@ -3,24 +3,25 @@
 Bridgeless graphs go straight to the 2-edge-connected constructions.
 Otherwise the bridge tree is rooted at a leaf of a diametral path, the
 root component is colored first, and the remaining components are colored
-in BFS order, each in G's own vertex ids.  K3 and diamond components are
-colored in place, from their vertices and attachment vertices: the up
-vertex gets the forced 2-class, a diamond's other exterior the other one,
-and the rest 1a and 1b.  A Type III component C with attachment vertices X
-(its degree-2 vertices) is completed, in one step from G's adjacency, to a
-2-edge-connected claw-free cubic graph:
+in BFS order, each in G's own vertex ids.  Each component's attachment x1
+is forced to a radius-2 class: 2a at the root, elsewhere one absent around
+its up-neighbor in the already-colored parent.  K3 and diamond components
+are colored in place: x1 gets the forced class, a diamond's other exterior
+the other one, and the rest 1a and 1b.  A Type III component C, the root
+included, with attachment vertices X (its degree-2 vertices) is
+completed, in one step from G's adjacency, to a 2-edge-connected
+claw-free cubic graph, which is decomposed once and colored from a
+2-factor of its H with one edge forced (Plesnik's theorem):
 
-  * |X| even: add a pairing edge on each consecutive pair of X; color so
-    that the pair (x1, x2) is a matched edge carrying 2a/2b.
-  * |X| odd (including the root, where |X| = 1): remove x1 and its two
-    neighbors u, w, join their outer neighbors s, y by an edge, pair up
-    the rest of X; color so that s, y carry 1a/1b, then put u -> 1b,
-    w -> 1a, x1 -> 2a.  When the completed graph collapses to K4 the
-    explicit 7-vertex assignment is used instead.
+  * |X| even: add a pairing edge on each consecutive pair of X; x1-x2 is
+    forced into the perfect matching, so x1, x2 carry 2a/2b.
+  * |X| odd: remove x1 and its two neighbors u, w, join their outer
+    neighbors s, y by an edge, pair up the rest of X; s-y is forced onto
+    the 2-factor, so s, y carry 1a/1b, then put u -> 1b, w -> 1a,
+    x1 -> 2a.  A K4 completion takes the explicit 7-vertex assignment
+    instead, and a ring of diamonds the ring coloring.
 
-The color forced on each x1 comes from inspecting the closed neighborhood
-of its up-neighbor in the already-colored parent, and is realized by
-transposing whole color classes of the child's coloring.
+The forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
 input once at entry, through `structure.decompose`, and certifies the
@@ -34,12 +35,13 @@ from __future__ import annotations
 
 from collections.abc import Container, Iterable, Sequence
 
-from .canonical import _ring, _two_edge_connected, _with_edge, _with_matched_edge
+from .canonical import _canonical, _lift_slot, _ring, _two_edge_connected
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
+from .factorization import _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import BridgeTree, ComponentKind, is_k4
+from .recognition import BridgeTree, ComponentKind
 from .structure import Decomposition, Variant, _decompose, decompose
 
 
@@ -134,44 +136,38 @@ def _color_type3(
     """Colors of a Type III component of g, and its vertices on diamonds.
 
     verts lists the component's vertices ascending, xs its attachment
-    vertices with x1 first, which gets `forced`.  The colors are keyed by
-    g's ids in the order of `verts`; the diamond vertices are those on the
-    diamonds of the completion.
+    vertices with x1 first, which gets `forced`.  The completion is
+    decomposed once and colored by its variant, as the module docstring
+    says.  The colors are keyed by g's ids in the order of `verts`; the
+    diamond vertices are those on the diamonds of the completion.
     """
     x1 = xs[0]
     tilde, local, gadget = _completion(g, verts, xs)
+    if gadget is None:
+        edge, through = (x1, xs[1]), _matched_through
+    else:
+        u, w, s, y = gadget
+        edge, through = (s, y), _two_factor_through
+    dec = _decompose(tilde)
     fixed: dict[int, int] = {}  # colors of the vertices the completion lacks
     sub: dict[int, int] = {}  # colors of the completion's vertices, by local id
     ones = (C1A, C1B)  # the completion's 1a and 1b, as colored in g
-    diamonds: list[int] = []
-    if gadget is None:
-        dec = _decompose(tilde)
-        if dec.variant is not Variant.BUILT:
-            raise InternalInvariantError(
-                f"even completion produced variant {dec.variant}; expected built"
-            )
-        sub = _with_matched_edge(tilde, dec, (local[x1], local[xs[1]])).assignment
-        diamonds = _diamond_vertices(dec, local)
-    elif is_k4(tilde):
+    if dec.variant is Variant.K4:
         fixed = _explicit_k4_completion(local, x1, gadget, root_style)
     else:
-        u, w, s, y = gadget
-        dec = _decompose(tilde)
-        if dec.variant is Variant.K4:
-            raise InternalInvariantError("K4 must be caught before decomposition")
         if dec.variant is Variant.RING:
-            col = _ring(tilde, dec.ring_diamonds)
+            sub = _ring(tilde, dec.ring_diamonds).assignment
         else:
-            col = _with_edge(tilde, dec, (local[s], local[y]))
-        sub = col.assignment
-        if {sub[local[s]], sub[local[y]]} != {C1A, C1B}:
-            raise InternalInvariantError(
-                "joined outer neighbors did not receive the two radius-1 colors"
-            )
-        # s must carry 1a: exchange the completion's 1a and 1b if it does not
-        ones = (C1A, C1B) if sub[local[s]] == C1A else (C1B, C1A)
-        fixed = {u: C1B, w: C1A, x1: C2A}
-        diamonds = _diamond_vertices(dec, local)
+            factor = through(dec.h, _lift_slot(dec, (local[edge[0]], local[edge[1]])))
+            sub = _canonical(tilde, dec, factor).assignment
+        if gadget is not None:
+            if {sub[local[s]], sub[local[y]]} != {C1A, C1B}:
+                raise InternalInvariantError(
+                    "joined outer neighbors did not receive the two radius-1 colors"
+                )
+            # s must carry 1a: exchange the completion's 1a and 1b if it does not
+            ones = (C1A, C1B) if sub[local[s]] == C1A else (C1B, C1A)
+            fixed = {u: C1B, w: C1A, x1: C2A}
     # 2a and 2b are exchanged unless x1 already has `forced`
     first = fixed[x1] if x1 in fixed else sub[local[x1]]
     twos = (C2A, C2B) if first == forced else (C2B, C2A)
@@ -179,7 +175,7 @@ def _color_type3(
     swap, fixed_swap = ones + twos, (C1A, C1B) + twos
     return {
         v: fixed_swap[fixed[v]] if v in fixed else swap[sub[local[v]]] for v in verts
-    }, diamonds
+    }, _diamond_vertices(dec, local)
 
 
 def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
@@ -189,38 +185,6 @@ def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
     else:
         on = {v for r in dec.realization.values() for v in r[1:-1]}
     return [v for v, i in local.items() if i in on]
-
-
-def _root_coloring(
-    g: MultiGraph, verts: Sequence[int], xs: Sequence[int], kind: ComponentKind
-) -> tuple[dict[int, int], list[int]]:
-    """Root colors and the root's diamond vertices, in g's ids.
-
-    verts lists the component's vertices ascending, xs its degree-2
-    vertices, the designated one first.
-    """
-    if len(xs) != 1:
-        raise InternalInvariantError(
-            f"root component has {len(xs)} degree-2 vertices, expected exactly 1"
-        )
-    if kind is not ComponentKind.TYPE_III:
-        raise InternalInvariantError("root component must be of Type III")
-    return _color_type3(g, verts, xs, C2A, root_style=True)
-
-
-def _extension(
-    g: MultiGraph, verts: Sequence[int], xs: Sequence[int], forced: int, kind: ComponentKind
-) -> tuple[dict[int, int], list[int]]:
-    """Colors of a non-root component and its completion's diamond vertices.
-
-    verts lists the component's vertices ascending, xs its degree-2
-    vertices with the up vertex x1 first.  K3 and diamond components are
-    colored in place and have no completion.
-    """
-    if kind is not ComponentKind.TYPE_III:
-        return _color_k3_or_diamond(verts, xs, forced, kind), []
-    _check_independent(g, xs)
-    return _color_type3(g, verts, xs, forced, root_style=False)
 
 
 def _color_k3_or_diamond(
@@ -286,7 +250,7 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     for c in sorted(range(len(bt.components)), key=bt.depth.__getitem__):
         verts, xs, kind = bt.components[c], bt.degree2[c], bt.kinds[c]
         if c == bt.root:
-            colors, diamonds = _root_coloring(g, verts, xs, kind)
+            forced = C2A
         else:
             q = bt.up_neighbor[c]
             if q in on_diamond:
@@ -295,10 +259,11 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
             forced = free_two_color(g, assignment, q)
-            if kind is not ComponentKind.TYPE_III:
-                assignment.update(_color_k3_or_diamond(verts, xs, forced, kind))
-                continue
-            colors, diamonds = _extension(g, verts, xs, forced, kind)
+        if kind is not ComponentKind.TYPE_III:
+            assignment.update(_color_k3_or_diamond(verts, xs, forced, kind))
+            continue
+        _check_independent(g, xs)
+        colors, diamonds = _color_type3(g, verts, xs, forced, root_style=c == bt.root)
         on_diamond.update(diamonds)
         assignment.update(colors)
     return PackingColoring(SPEC_1122, assignment)

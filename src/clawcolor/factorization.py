@@ -6,8 +6,11 @@ Edmonds).  Parallel edges are collapsed for the search.
 
 Every 2-factor comes from one core, `_complement`: the complement of a
 perfect matching (Petersen's theorem) that may be kept off a set of
-banned slots.  `_two_factor_through` forces an edge onto the 2-factor and
-`_matched_through` forces one into the matching (Plesnik's theorem).
+banned slots.  A completed Type III component forces one edge of its H:
+`_two_factor_through` onto the 2-factor, by banning it from the matching,
+and `_matched_through` into the matching, by banning the other two slots
+at one end (Plesnik's theorem).  A banned slot is never matched, so only
+the second needs a check that the forced edge landed.
 
 Nothing here is public and nothing here validates its input.  Every
 caller hands over the H of a decomposition, which the pipeline's entry
@@ -26,22 +29,17 @@ from .errors import InternalInvariantError
 from .multigraph import MultiGraph, Slot
 
 
-class Matching(NamedTuple):
-    """A perfect matching, as its slots in sorted order."""
-
-    slots: tuple[Slot, ...]
-
-
 class TwoFactor(NamedTuple):
     """A spanning 2-regular sub-multigraph plus its complement matching.
 
     Each cycle is a list of (vertex, slot) entries: the slot leads from
     that vertex to the next one (cyclically).  Digons, cycles of length 2
-    using two parallel slots, are allowed.
+    using two parallel slots, are allowed.  The perfect matching is its
+    slots in sorted order.
     """
 
     cycles: tuple[tuple[tuple[int, Slot], ...], ...]
-    matching: Matching
+    matching: tuple[Slot, ...]
 
 
 def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
@@ -191,7 +189,7 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
             slot = b if a == slot else a
         cycles.append(tuple(cycle))
     pairs = tuple(s for v, s in enumerate(matched) if s[0] == v)
-    return TwoFactor(cycles=tuple(cycles), matching=Matching(pairs))
+    return TwoFactor(cycles=tuple(cycles), matching=pairs)
 
 
 def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
@@ -204,10 +202,7 @@ def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
     contains both e and f.
     """
     f = next(s for s in h.slots_at(0) if s != e)
-    tf = _complement(h, (e, f))
-    if e in tf.matching.slots:
-        raise InternalInvariantError("forced edge missing from 2-factor")
-    return tf
+    return _complement(h, (e, f))
 
 
 def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
@@ -221,6 +216,6 @@ def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
     if len(others) != 2:
         raise InternalInvariantError(f"vertex {e[0]} does not have 3 slots")
     tf = _complement(h, others)
-    if e not in tf.matching.slots:
+    if e not in tf.matching:
         raise InternalInvariantError("forced edge missing from matching")
     return tf

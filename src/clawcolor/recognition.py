@@ -43,7 +43,6 @@ from .errors import (
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
-    StructureViolationError,
 )
 from .multigraph import MultiGraph, is_connected, is_cubic
 
@@ -186,6 +185,11 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     alone (a second edge would put the smallest corner on two triangles,
     or the triangle on a diamond), a larger interior sees the smaller one
     as p, and a later exterior sees the two interiors as its one edge.
+
+    A new diamond's exteriors are on no recorded diamond, so that is not
+    checked.  An exterior e has neighbors v, p and one more, and a diamond
+    holding e holds at least two of them, so v or p: it is {v, p, e1, e2}
+    itself, and then v would have been skipped.
     """
     n = g.n
     adj = g.adjacency()
@@ -216,10 +220,6 @@ def _local_scan(g: MultiGraph) -> LocalScan:
             p, e1, e2 = (a, b, c) if ab and ac else (b, a, c) if ab else (c, a, b)
             if v > p:
                 continue
-            if diamond_of[e1] != -1 or diamond_of[e2] != -1:
-                raise StructureViolationError(
-                    f"a vertex of {(e1, e2)} lies on two diamonds; only K4 allows that"
-                )
             diamond_of[v] = diamond_of[p] = diamond_of[e1] = diamond_of[e2] = len(diamonds)
             diamonds.append(Diamond(interiors=(v, p), exteriors=(e1, e2)))
     return LocalScan(None, diamonds, diamond_of, triangles, triangle_of)

@@ -33,7 +33,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from clawcolor.colorer import _extension, _root_coloring, free_two_color
+from clawcolor.colorer import _check_independent, _color_type3, free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
@@ -41,7 +41,7 @@ from clawcolor.errors import (
     PartialColoringError,
     StructureViolationError,
 )
-from clawcolor.factorization import Matching, TwoFactor, _max_matching_simple
+from clawcolor.factorization import TwoFactor, _max_matching_simple
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
@@ -865,7 +865,7 @@ def two_factor_by_reattribution(g: MultiGraph) -> TwoFactor:
     matched = set(_reattribute(g, pairs, banned=set()))
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched))))
+    return TwoFactor(cycles=cycles, matching=tuple(sorted(matched)))
 
 
 def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
@@ -884,10 +884,10 @@ def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
     if e not in factor:
         raise InternalInvariantError("forced edge missing from 2-factor")
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=Matching(tuple(sorted(matched))))
+    return TwoFactor(cycles=cycles, matching=tuple(sorted(matched)))
 
 
-def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> Matching:
+def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> tuple[Slot, ...]:
     """`factorization._matching_through` as it was, on a copy of g less e's other slots."""
     all_slots = g.slots()
     hu = e[0]
@@ -904,12 +904,12 @@ def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> Matching:
     matched = _reattribute(g, pairs, banned=set(others))
     if e not in matched:
         raise InternalInvariantError("forced edge missing from matching")
-    return Matching(tuple(sorted(matched)))
+    return tuple(sorted(matched))
 
 
-def factor_from_matching_by_reattribution(g: MultiGraph, m: Matching) -> TwoFactor:
+def factor_from_matching_by_reattribution(g: MultiGraph, m: tuple[Slot, ...]) -> TwoFactor:
     """`factorization.factor_from_matching` as it was: the complement of a perfect matching."""
-    matched = set(m.slots)
+    matched = set(m)
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
     return TwoFactor(cycles=cycles, matching=m)
@@ -1020,9 +1020,9 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
 def extension_by_subgraphs(
     comp: MultiGraph, xs: list[int], forced: int, kind: ComponentKind
 ) -> tuple[dict[int, int], list[int]]:
-    """`colorer._extension` as it was: every component colored on its subgraph.
+    """A non-root component colored on its own subgraph, as the colorer once did.
 
-    Type III components go through the library's completion, on the subgraph.
+    Type III components go through the library's `_color_type3`, on the subgraph.
     """
     x1 = xs[0]
     if kind is ComponentKind.TRIANGLE:
@@ -1036,7 +1036,8 @@ def extension_by_subgraphs(
             x1: forced,
             xs[1]: C2B if forced == C2A else C2A,
         }, list(range(4))
-    return _extension(comp, range(comp.n), xs, forced, kind)
+    _check_independent(comp, xs)
+    return _color_type3(comp, range(comp.n), xs, forced, root_style=False)
 
 
 def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
@@ -1051,7 +1052,7 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
         to_local = {gv: lv for lv, gv in enumerate(to_global)}
         xs = [to_local[x] for x in bt.degree2[c]]
         if c == bt.root:
-            local_col, dia = _root_coloring(sub, range(sub.n), xs, bt.kinds[c])
+            local_col, dia = _color_type3(sub, range(sub.n), xs, C2A, root_style=True)
         else:
             q = bt.up_neighbor[c]
             parent = comp_of[q]

@@ -151,11 +151,15 @@ def bridged_trees():
     return _build_bridged_trees()
 
 
-@pytest.fixture(scope="session")
-def random_bridged_trees():
+def _build_random_bridged_trees() -> list[MultiGraph]:
     """200 `gen_bridged` trees of 2 to 10 random components, from one seed."""
     rng = SplitMix64(0x7117DE)
     return [gen_bridged(_random_tree_spec(rng), rng) for _ in range(200)]
+
+
+@pytest.fixture(scope="session")
+def random_bridged_trees():
+    return _build_random_bridged_trees()
 
 
 def _build_large_graphs() -> list[tuple[str, MultiGraph]]:
@@ -191,10 +195,14 @@ def base_corpus():
     return _build_base_corpus()
 
 
-@pytest.fixture(scope="session")
-def corpus(base_corpus):
+def _build_corpus(base: list[tuple[str, MultiGraph]]) -> list[tuple[str, MultiGraph]]:
     """At least 500 claw-free cubic graphs with n <= MAX_CORPUS_N."""
-    copies = max(1, (520 + len(base_corpus) - 1) // len(base_corpus))
-    full = _with_relabelings(base_corpus, copies)
+    copies = max(1, (520 + len(base) - 1) // len(base))
+    full = _with_relabelings(base, copies)
     assert len(full) >= 500
     return full
+
+
+@pytest.fixture(scope="session")
+def corpus(base_corpus):
+    return _build_corpus(base_corpus)

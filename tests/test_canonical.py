@@ -17,9 +17,9 @@ from clawcolor import (
     is_ring_of_diamonds,
     verify,
 )
-from clawcolor.canonical import _canonical, _k4, _lift_slot, _ring, _with_edge, _with_matched_edge
+from clawcolor.canonical import _canonical, _k4, _lift_slot, _ring
 from clawcolor.errors import InternalInvariantError, NotCubicError
-from clawcolor.factorization import _complement
+from clawcolor.factorization import _complement, _matched_through, _two_factor_through
 
 from brute import find_diamonds, light_support_property, transposed
 
@@ -112,7 +112,7 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
     dec = decompose(g)
     factor = _complement(dec.h)
     col = _canonical(g, dec, factor)
-    for slot in factor.matching.slots:
+    for slot in factor.matching:
         r = dec.realization[slot]
         assert col.assignment[r[0]] == C2A
         assert col.assignment[r[-1]] == C2B
@@ -120,11 +120,21 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
             assert g.has_edge(r[0], r[-1])
 
 
+def with_edge(g, dec, edge):
+    """The canonical coloring for a 2-factor through the H-image of `edge`."""
+    return _canonical(g, dec, _two_factor_through(dec.h, _lift_slot(dec, edge)))
+
+
+def with_matched_edge(g, dec, edge):
+    """The canonical coloring for a perfect matching through the H-image of `edge`."""
+    return _canonical(g, dec, _matched_through(dec.h, _lift_slot(dec, edge)))
+
+
 def test_with_edge_endpoints_light(named_fixtures):
     g = named_fixtures["prism"]
     dec = decompose(g)
     for pair in ((0, 3), (1, 4), (2, 5)):
-        col = _with_edge(g, dec, pair)
+        col = with_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C1A, C1B}
 
@@ -133,7 +143,7 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
     g = named_fixtures["prism"]
     dec = decompose(g)
     for pair in ((0, 3), (1, 4), (2, 5)):
-        col = _with_matched_edge(g, dec, pair)
+        col = with_matched_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C2A, C2B}
 
@@ -142,7 +152,7 @@ def test_triangle_edge_not_liftable(named_fixtures):
     g = named_fixtures["prism"]
     dec = decompose(g)
     with pytest.raises(InternalInvariantError, match="no H-edge image"):
-        _with_edge(g, dec, (0, 1))
+        with_edge(g, dec, (0, 1))
 
 
 def test_diamond_interior_edge_not_liftable(named_fixtures):
@@ -159,7 +169,7 @@ def test_with_edge_on_string_connectors(named_fixtures):
     dec = decompose(g)
     string = next(r for r in dec.realization.values() if len(r) > 2)
     for pair in zip(string[::4], string[1::4]):
-        col = _with_edge(g, dec, pair)
+        col = with_edge(g, dec, pair)
         assert_valid(g, col)
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C1A, C1B}
 

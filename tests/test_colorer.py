@@ -28,7 +28,13 @@ from clawcolor.errors import (
     NotSimpleError,
 )
 import clawcolor.colorer
-from clawcolor.colorer import _color_bridged, _completion, _extension, _root_coloring
+from clawcolor.colorer import (
+    _check_independent,
+    _color_bridged,
+    _color_k3_or_diamond,
+    _color_type3,
+    _completion,
+)
 from clawcolor.recognition import _bridge_tree, _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
@@ -53,13 +59,17 @@ def _attachments(comp, x1):
 
 def color_root(comp, x1):
     """The root coloring of a whole Type III component whose one attachment is x1."""
-    colors, _ = _root_coloring(comp, range(comp.n), _attachments(comp, x1), ComponentKind.TYPE_III)
+    colors, _ = _color_type3(comp, range(comp.n), _attachments(comp, x1), C2A, root_style=True)
     return PackingColoring(SPEC_1122, colors)
 
 
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
     """The coloring of a whole non-root component whose up vertex x1 gets `forced`."""
-    colors, _ = _extension(comp, range(comp.n), _attachments(comp, x1), forced, kind)
+    xs = _attachments(comp, x1)
+    if kind is not ComponentKind.TYPE_III:
+        return PackingColoring(SPEC_1122, _color_k3_or_diamond(range(comp.n), xs, forced, kind))
+    _check_independent(comp, xs)
+    colors, _ = _color_type3(comp, range(comp.n), xs, forced, root_style=False)
     return PackingColoring(SPEC_1122, colors)
 
 
@@ -122,13 +132,6 @@ def test_root_component_coloring():
     col = color_root(comp, 0)
     assert col.assignment[0] == C2A
     assert_valid(comp, col)
-
-
-def test_root_component_rejects_wrong_vertex():
-    """A root handed two degree-2 vertices is a bug, not an input fault."""
-    comp = MultiGraph(7, leaf_gadget(0))
-    with pytest.raises(InternalInvariantError, match="2 degree-2 vertices"):
-        _root_coloring(comp, range(comp.n), [0, 3], ComponentKind.TYPE_III)
 
 
 def test_root_component_with_prism_completion():

@@ -41,10 +41,10 @@ def assert_valid_two_factor(g, tf):
         deg[s[1]] += 1
     assert all(d == 2 for d in deg)
     # factor and matching partition the slot multiset
-    assert factor | set(tf.matching.slots) == set(g.slots())
-    assert not (factor & set(tf.matching.slots))
+    assert factor | set(tf.matching) == set(g.slots())
+    assert not (factor & set(tf.matching))
     mdeg = [0] * g.n
-    for s in tf.matching.slots:
+    for s in tf.matching:
         mdeg[s[0]] += 1
         mdeg[s[1]] += 1
     assert all(d == 1 for d in mdeg)
@@ -145,8 +145,8 @@ def test_matching_through_every_slot(named_fixtures):
     g = named_fixtures["h10"]
     for e in g.slots():
         m = _matched_through(g, e).matching
-        assert e in m.slots
-        assert frozenset(m.slots) in set(all_perfect_matchings(g))
+        assert e in m
+        assert frozenset(m) in set(all_perfect_matchings(g))
 
 
 def test_blossom_agrees_with_brute_force_on_random_cubic():
@@ -229,7 +229,7 @@ def _reference_graphs(named_fixtures):
 
 
 def test_complement_matches_reattribution_reference(named_fixtures):
-    # the one complement core gives the same TwoFactor and Matching objects
+    # the one complement core gives the same TwoFactor objects
     # (cycles, start vertices, sorted matching) as the three cores it replaced
     for h in _reference_graphs(named_fixtures):
         assert _complement(h) == two_factor_by_reattribution(h)

@@ -37,6 +37,7 @@ from clawcolor import (
     gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
+    is_k4,
     random_expansion_spec,
 )
 from clawcolor import multigraph, oracle, recognition, structure
@@ -107,7 +108,8 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     The bridges and connectivity come from H, the contraction of the
     entry's walk, never from a search of g; K4 and rings have no H and no
     search.  The only other scans are the ones a completed component's
-    `_decompose` runs for itself; no BFS runs only to decide connectivity.
+    `_decompose` runs for itself, K4 completions excepted, which it
+    recognizes without a scan; no BFS runs only to decide connectivity.
     Neither H nor a completion is searched for bridges or checked
     for being cubic again.
     """
@@ -118,7 +120,7 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     entries = _count_calls(monkeypatch, recognition._require_claw_free_cubic)
     scans = _count_calls(monkeypatch, recognition._local_scan)
     own_scans = _count_calls(
-        monkeypatch, structure._decompose, lambda g, local=None: local is None
+        monkeypatch, structure._decompose, lambda g, local=None: local is None and not is_k4(g)
     )
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
@@ -152,7 +154,8 @@ def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
     into one graph built from G's adjacency, so a coloring builds as many
     graphs for 400 diamonds as for 100: G's H, whose one edge carries the
     whole chain, and one completion per leaf.  Both leaves are the same
-    gadget, whose completion is K4, so no decomposition adds to the count.
+    gadget, whose completion is K4, which `_decompose` recognizes without
+    building a graph, so no decomposition adds to the count.
     """
     chains = []
     for k in (100, 400):
@@ -209,8 +212,8 @@ def _break_core(module, core: str):
     def break_layer(monkeypatch):
         real = getattr(module, core)
 
-        def broken(*args):
-            out = real(*args)
+        def broken(*args, **kwargs):
+            out = real(*args, **kwargs)
             g = args[0] if args else MultiGraph(4, K4_EDGES)
             if isinstance(out, PackingColoring):
                 return PackingColoring(out.spec, _moved(g, out.assignment))
@@ -228,19 +231,17 @@ canonical, colorer = clawcolor.canonical, clawcolor.colorer
 @pytest.mark.parametrize(
     "break_layer, victim, healthy",
     [
-        (_break_core(colorer, "_extension"), "bridged_star", "prism"),
+        (_break_core(colorer, "_color_type3"), "bridged_star", "prism"),
         (_break_core(colorer, "_two_edge_connected"), "prism", "bridged_star"),
         (_break_in_place, "chain50", "prism"),
         (_break_in_place, "bridged_star", "prism"),
         (_break_core(canonical, "_k4"), "k4", "prism"),
         (_break_core(canonical, "_ring"), "ring", "prism"),
         (_break_core(canonical, "_canonical"), "big_expansion", "ring"),
-        (_break_core(colorer, "_with_edge"), "type3_path", "prism"),
-        (_break_core(colorer, "_with_matched_edge"), "type3_path", "prism"),
-        (_break_core(colorer, "_root_coloring"), "bridged_star", "prism"),
+        (_break_core(colorer, "_canonical"), "type3_path", "prism"),
     ],
-    ids=["extension", "two_edge_connected", "in_place_diamond", "in_place_k3", "k4", "ring",
-         "canonical", "with_edge", "with_matched_edge", "root_coloring"],
+    ids=["color_type3", "two_edge_connected", "in_place_diamond", "in_place_k3", "k4", "ring",
+         "canonical", "type3_canonical"],
 )
 def test_a_bug_in_any_layer_is_still_caught(
     named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy
@@ -288,8 +289,8 @@ def test_a_claw_in_a_completion_is_a_bug(named_fixtures, monkeypatch, tmp_path, 
 
     G's own scan runs in the entry check, so the patched scan is the one
     `_decompose` runs on each completed Type III component.  The bridged
-    star's completions are all K4, colored without a decomposition, so the
-    input is a path of three Type III components.
+    star's completions are all K4, which `_decompose` recognizes without a
+    scan, so the input is a path of three Type III components.
     """
     claw = recognition.LocalScan(claw=(0, 1, 2, 3))
     monkeypatch.setattr(structure, "_local_scan", lambda g: claw)

@@ -181,4 +181,4 @@ def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch, rando
         dec = _decompose(g)
         _assert_same_decomposition(dec, decompose_by_grouping(g))
         variants.add(dec.variant)
-    assert variants == {Variant.RING, Variant.BUILT}
+    assert variants == {Variant.K4, Variant.RING, Variant.BUILT}
