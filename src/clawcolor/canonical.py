@@ -33,7 +33,7 @@ from .errors import InternalInvariantError
 from .factorization import TwoFactor, _complement
 from .multigraph import MultiGraph
 from .recognition import Diamond
-from .structure import Decomposition, Variant, _reversed
+from .structure import Decomposition, Variant
 
 
 def _k4() -> PackingColoring:
@@ -42,18 +42,17 @@ def _k4() -> PackingColoring:
 
 
 def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
-    """Diamond interiors get 2a/2b; each connecting edge gets 1a and 1b."""
+    """Diamond interiors get 2a/2b; an edge between diamonds gets 1a at its smaller end and 1b."""
     assignment: dict[int, int] = {}
-    exterior = set()
+    adj = g.adjacency()
     for d in diamonds:
         i1, i2 = d.interiors
         assignment[i1] = C2A
         assignment[i2] = C2B
-        exterior.update(d.exteriors)
-    for u, v, _ in g.edge_pairs():
-        if u in exterior and v in exterior and u not in assignment and v not in assignment:
-            assignment[u] = C1A
-            assignment[v] = C1B
+        for e in d.exteriors:
+            x = sum(adj[e]) - i1 - i2  # e's one neighbor off the diamond
+            if e < x:
+                assignment[e], assignment[x] = C1A, C1B
     return PackingColoring(SPEC_1122, assignment)
 
 
@@ -79,7 +78,8 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
             assignment[r[0] if forward else r[-1]] = C1B
             entry, entry_slot = r, exit_slot
             if len(r) > 2:
-                _color_string(assignment, r if forward else _reversed(r), C1A, C1B, C2A, C2B)
+                # backward, a diamond is entered at its exit in r
+                _color_string(assignment, r, *((C1A, C1B) if forward else (C1B, C1A)), C2A, C2B)
 
     if len(assignment) != g.n:
         raise InternalInvariantError(
@@ -91,11 +91,8 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
 def _color_string(
     assignment: dict[int, int], r: tuple[int, ...], entry: int, exit_: int, first: int, second: int
 ) -> None:
-    """Color each diamond of the realization r, in r's direction.
-
-    Its entry and exit exteriors get `entry` and `exit_`, its smaller and
-    larger interior `first` and `second`.
-    """
+    """Color each diamond of the realization r: its exteriors r[j] and
+    r[j + 3] get `entry` and `exit_`, its interiors `first` and `second`."""
     for j in range(1, len(r) - 1, 4):
         assignment[r[j]] = entry
         assignment[r[j + 3]] = exit_

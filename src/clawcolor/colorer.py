@@ -243,9 +243,9 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     in place, Type III components through one completion graph each.
     """
     assignment: dict[int, int] = {}
-    # vertices on the diamonds of the completed Type III components, for
+    # 1 at each vertex on a diamond of a completed Type III component, for
     # the no-diamond-at-up-neighbor invariant
-    on_diamond: set[int] = set()
+    on_diamond = bytearray(g.n)
     # ascending ids sorted stably by depth: the order of the key (depth, c)
     for c in sorted(range(len(bt.components)), key=bt.depth.__getitem__):
         verts, xs, kind = bt.components[c], bt.degree2[c], bt.kinds[c]
@@ -253,7 +253,7 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
             forced = C2A
         else:
             q = bt.up_neighbor[c]
-            if q in on_diamond:
+            if on_diamond[q]:
                 raise InternalInvariantError(
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
@@ -264,6 +264,7 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
             continue
         _check_independent(g, xs)
         colors, diamonds = _color_type3(g, verts, xs, forced, root_style=c == bt.root)
-        on_diamond.update(diamonds)
+        for v in diamonds:
+            on_diamond[v] = 1
         assignment.update(colors)
     return PackingColoring(SPEC_1122, assignment)

@@ -1,8 +1,11 @@
 """Perfect matchings and 2-factors of the cubic multigraph H.
 
-The matching core is the classic O(n^3) blossom algorithm for maximum
-cardinality matching (BFS alternating forest with base contraction, after
-Edmonds).  Parallel edges are collapsed for the search.
+The matching core is Edmonds' blossom algorithm for maximum cardinality
+matching: a greedy start, then a BFS alternating forest from each exposed
+vertex.  Blossom bases live in a disjoint-set forest (Gabow and Tarjan),
+a search resets only the entries it set, and a contraction queues only
+the odd vertices of its two paths, so a search costs about the part of
+the graph it reaches, not n.  Parallel edges are collapsed for the search.
 
 Every 2-factor comes from one core, `_complement`: the complement of a
 perfect matching (Petersen's theorem) that may be kept off a set of
@@ -32,10 +35,9 @@ from .multigraph import MultiGraph, Slot
 class TwoFactor(NamedTuple):
     """A spanning 2-regular sub-multigraph plus its complement matching.
 
-    Each cycle is a list of (vertex, slot) entries: the slot leads from
-    that vertex to the next one (cyclically).  Digons, cycles of length 2
-    using two parallel slots, are allowed.  The perfect matching is its
-    slots in sorted order.
+    Each cycle lists (vertex, slot) entries, the slot leading on to the
+    next vertex, cyclically; a digon uses two parallel slots.  The perfect
+    matching is its slots in sorted order.
     """
 
     cycles: tuple[tuple[tuple[int, Slot], ...], ...]
@@ -51,83 +53,88 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
         if match[v] == -1:
             for u in adj[v]:
                 if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
+                    match[v], match[u] = u, v
                     break
 
-    def lca(base: list[int], p: list[int], a: int, b: int) -> int:
-        seen = set()
-        while True:
-            a = base[a]
+    # a search's forest parents and its blossoms, as a disjoint-set forest
+    # rooted at their bases, are reset through the vertices it set (touched,
+    # merged); used holds the root of the last search to queue a vertex
+    p = [-1] * n
+    base = list(range(n))
+    used = [-1] * n
+
+    def find(v):
+        while base[v] != v:
+            base[v] = v = base[base[v]]
+        return v
+
+    def lca(a, b):
+        seen = {a := find(a)}
+        while match[a] != -1:
+            a = find(p[match[a]])
             seen.add(a)
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if b in seen:
-                return b
+        while (b := find(b)) not in seen:
             b = p[match[b]]
+        return b
 
-    def mark_path(
-        base: list[int],
-        p: list[int],
-        blossom: list[bool],
-        v: int,
-        b: int,
-        child: int,
-    ) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+    def mark_path(v, b, child, marked):
+        while (bv := find(v)) != b:
+            marked += bv, find(match[v])
             p[v] = child
+            touched.append(v)
             child = match[v]
-            v = p[match[v]]
+            v = p[child]
 
-    def find_augmenting(root: int) -> tuple[int, list[int]]:
-        p = [-1] * n
-        base = list(range(n))
-        used = [False] * n
-        used[root] = True
-        q = deque([root])
-        while q:
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        used[root] = root
+        touched, merged = [], []
+        q = deque((root,))
+        exposed = -1
+        while q and exposed == -1:
             v = q.popleft()
+            bv = base[v]
+            if base[bv] != bv:
+                bv = find(v)
             for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
+                bt = base[to]
+                if base[bt] != bt:
+                    bt = find(to)
+                if bv == bt or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    curbase = lca(base, p, v, to)
-                    blossom = [False] * n
-                    mark_path(base, p, blossom, v, curbase, to)
-                    mark_path(base, p, blossom, to, curbase, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    # mark both paths before any union, as the second walk
+                    # reads the bases as they were; v's base is then bv
+                    bv = lca(v, to)
+                    marked = []
+                    mark_path(v, bv, to, marked)
+                    mark_path(to, bv, v, marked)
+                    for x in marked:
+                        base[x] = bv
+                    merged += marked
+                    # an unqueued vertex is its own base: queue those in id
+                    # order, as a scan over all n vertices would
+                    for x in sorted(marked):
+                        if used[x] != root:
+                            used[x] = root
+                            q.append(x)
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if match[to] == -1:
-                        return to, p
-                    used[match[to]] = True
+                        exposed = to
+                        break
+                    used[match[to]] = root
                     q.append(match[to])
-        return -1, p
-
-    for v in range(n):
-        if match[v] != -1:
-            continue
-        exposed, p = find_augmenting(v)
-        if exposed == -1:
-            continue
         # flip matched/unmatched along the alternating path back to the root
-        cur = exposed
-        while cur != -1:
-            prev = p[cur]
-            nxt = match[prev]
-            match[cur] = prev
-            match[prev] = cur
-            cur = nxt
+        while exposed != -1:
+            prev = p[exposed]
+            match[exposed], match[prev], exposed = prev, exposed, match[prev]
+        for x in touched:
+            p[x] = -1
+        for x in merged:
+            base[x] = x
     return match
 
 
@@ -135,14 +142,13 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
     """The 2-factor of a cubic multigraph complementary to a perfect matching.
 
     No slot in `banned` is matched, so each lies on the 2-factor.  The
-    blossom search runs on h's adjacency lists, less the pairs whose
-    copies are all banned; with nothing banned it reads h's own lists,
-    uncopied, since it never writes them.  Each matched pair takes its
-    lowest slot that is not banned.  Each cycle starts at its smallest
-    vertex and leaves it by that vertex's first factor slot in sorted
-    order.  The factor slots at a vertex are `h.slots_at(v)` less the
-    matched one: one pass over its neighbours, which on a simple h looks
-    up no multiplicity.
+    blossom search runs on h's adjacency lists, less the pairs whose copies
+    are all banned; with nothing banned it reads h's own lists, uncopied.
+    Each matched pair takes its lowest slot that is not banned.  Each cycle
+    starts at its smallest vertex and leaves it by that vertex's first
+    factor slot in sorted order.  The walk reads a vertex's two factor
+    slots as it reaches it, `h.slots_at(v)` less the matched one, and
+    keeps no per-vertex list; on a simple h that reads no multiplicity.
     """
     n = h.n
     adj = list(h.adjacency()) if banned else h.adjacency()
@@ -163,30 +169,27 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
             while (v, w, k) in banned:
                 k += 1
             matched[v] = matched[w] = (v, w, k)
-    rest = []
-    for v in range(n):
-        inc = [s for s in h.slots_at(v) if s != matched[v]]
-        if len(inc) != 2:
-            raise InternalInvariantError(
-                f"vertex {v} has {len(inc)} factor edges, expected 2"
-            )
-        rest.append(inc)
-
     cycles = []
     on_cycle = bytearray(n)
     for start in range(n):
         if on_cycle[start]:
             continue
         cycle: list[tuple[int, Slot]] = []
-        v, slot = start, rest[start][0]
+        v, slot = start, None
         while True:
+            inc = h.slots_at(v)
+            inc.remove(matched[v])
+            if len(inc) != 2:
+                raise InternalInvariantError(
+                    f"vertex {v} has {len(inc)} factor edges, expected 2"
+                )
+            a, b = inc
+            slot = b if a == slot else a
             on_cycle[v] = 1
             cycle.append((v, slot))
             v = slot[1] if slot[0] == v else slot[0]
             if v == start:
                 break
-            a, b = rest[v]
-            slot = b if a == slot else a
         cycles.append(tuple(cycle))
     pairs = tuple(s for v, s in enumerate(matched) if s[0] == v)
     return TwoFactor(cycles=tuple(cycles), matching=pairs)
@@ -195,11 +198,8 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
 def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
     """A 2-factor of h containing the slot e.
 
-    Bans e and the lexicographically smallest other slot f at vertex 0
-    from the matching.  By Plesnik's theorem, deleting any two edges of a
-    2-edge-connected cubic multigraph of even order leaves a graph with a
-    1-factor, so a perfect matching of the rest exists and its complement
-    contains both e and f.
+    Bans e and the smallest other slot at vertex 0: by Plesnik's theorem,
+    h less any two edges has a perfect matching, whose complement holds both.
     """
     f = next(s for s in h.slots_at(0) if s != e)
     return _complement(h, (e, f))
@@ -208,9 +208,8 @@ def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
 def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
     """The 2-factor of h whose complementary perfect matching contains e.
 
-    Bans the other two slots at e's first endpoint; any perfect matching
-    of the rest, which exists by Plesnik's theorem, must cover that
-    endpoint through e.
+    Bans the other two slots at e[0], so a perfect matching of the rest,
+    which exists by Plesnik's theorem, covers e[0] through e.
     """
     others = [s for s in h.slots_at(e[0]) if s != e]
     if len(others) != 2:

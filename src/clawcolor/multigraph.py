@@ -100,13 +100,18 @@ class MultiGraph:
         ]
 
     def slots_at(self, v: int) -> list[Slot]:
-        """The slots at v, by neighbour and then by copy: their sorted order."""
+        """The slots at v, by neighbour and then by copy: their sorted order.
+
+        A vertex with as many neighbours as edges has no parallel copies,
+        so its slots read no multiplicity.
+        """
+        a = self._adj[v]
+        if len(a) == self._deg[v]:
+            return [(v, w, 0) if v < w else (w, v, 0) for w in a]
         par = self._par
-        if not par:
-            return [(v, w, 0) if v < w else (w, v, 0) for w in self._adj[v]]
         return [
             (v, w, k) if v < w else (w, v, k)
-            for w in self._adj[v]
+            for w in a
             for k in range(par.get((v, w) if v < w else (w, v), 1))
         ]
 

@@ -236,7 +236,10 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
 
     The two corners may lie on one triangle: an H-loop, which only a graph
     with a bridge has.  A walk is deterministic and reversible, so each
-    corner ends exactly one realization.
+    corner ends exactly one realization, and since the triangles are
+    visited in index order, each realization is listed from its corner in
+    the lower-indexed triangle: its other corner, were it lower, would
+    have been walked from first.
 
     g is simple and cubic, and its scan found no claw and put every vertex
     on one triangle or diamond; both callers check that first.  So a

@@ -22,16 +22,16 @@ scanned and walked here.  Past the entry check a failed partition is a
 bug, so `_decompose` raises InternalInvariantError.
 
 A realization stays the vertex tuple the walk lists (`_walk`'s docstring
-gives the format).  `_decompose` only turns around the ones that start in
-the higher triangle, with `_reversed`, and files them under their slots.
+gives the format).  The walk already runs each one from its lower-indexed
+triangle, so `_decompose` only files them under their slots.
 
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
 
   * Cubic.  The scan guarantees that each triangle corner has exactly one
     outside edge: G's entry scan, or the completion's own scan here, which
-    must put every vertex on a triangle or a diamond.  The orientation
-    step rejects H-loops.  A walk is deterministic and reversible, so
+    must put every vertex on a triangle or a diamond.  Filing rejects
+    H-loops.  A walk is deterministic and reversible, so
     each corner ends exactly one realization.
   * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
     size, so G's connectivity and bridges are read from H: on the pipeline
@@ -89,13 +89,6 @@ class Decomposition(NamedTuple):
         return sorted(len(r) // 4 for r in self.realization.values() if len(r) > 2)
 
 
-def _reversed(r: tuple[int, ...]) -> tuple[int, ...]:
-    """The realization r run from its other corner, interiors still ascending."""
-    s = list(reversed(r))
-    s[2::4], s[3::4] = s[3::4], s[2::4]
-    return tuple(s)
-
-
 def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
     """The structure of a connected, claw-free, cubic graph.
 
@@ -145,16 +138,17 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
             raise InternalInvariantError("some diamonds belong to no string")
 
-    # orient realizations toward the lower triangle index and assign slots;
+    # the walk runs each realization from its lower triangle (`_walk`);
     # each corner starts one realization, so the sort never looks past r[0]
     oriented: list[tuple[int, int, tuple[int, ...]]] = []
     for r in walk:
         ha, hb = triangle_of[r[0]], triangle_of[r[-1]]
-        if ha == hb:
+        if ha >= hb:
             raise InternalInvariantError(
-                f"H-edge loop at triangle {ha}; impossible in a bridgeless graph"
+                f"H-edge loop or a walk from the higher triangle, {ha} to {hb}; "
+                "impossible in a bridgeless graph"
             )
-        oriented.append((ha, hb, r) if ha < hb else (hb, ha, _reversed(r)))
+        oriented.append((ha, hb, r))
     oriented.sort()
     realization: dict[Slot, tuple[int, ...]] = {}
     counts: dict[tuple[int, int], int] = {}

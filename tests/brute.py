@@ -10,7 +10,10 @@ the decomposition as it was before the local scan, which pins `_decompose`,
 `bridge_tree_by_sweeps`, the bridge tree as it was before it was built
 from each vertex's one bridge, which pins `_bridge_tree`, and the
 `*_by_reattribution` 2-factors, as they were before one matching-complement
-core served them all, which pin `factorization._complement`, and
+core served them all, which pin `factorization._complement`,
+`max_matching_by_full_scans`, the blossom search as it was before its
+bases went into a disjoint-set forest, which pins `_max_matching_simple`
+and which the `*_by_reattribution` references search with, and
 `verify_by_layers` and `bridges_by_iterator_dfs`, the certificate and the
 bridge search as they were before they ran over flat lists, which pin
 `oracle.verify` and `recognition._bridges` on large graphs, and the
@@ -41,7 +44,7 @@ from clawcolor.errors import (
     PartialColoringError,
     StructureViolationError,
 )
-from clawcolor.factorization import TwoFactor, _max_matching_simple
+from clawcolor.factorization import TwoFactor
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
@@ -790,6 +793,99 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
     )
 
 
+def max_matching_by_full_scans(n: int, adj: list[list[int]]) -> list[int]:
+    """`factorization._max_matching_simple` as it was: fresh n-lists per search.
+
+    Verbatim: each augmenting search allocates `p`, `base` and `used`, and
+    each blossom contraction scans all n vertices for its members.
+    """
+    match = [-1] * n
+
+    # greedy warm start
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+
+    def lca(base: list[int], p: list[int], a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = p[match[b]]
+
+    def mark_path(
+        base: list[int],
+        p: list[int],
+        blossom: list[bool],
+        v: int,
+        b: int,
+        child: int,
+    ) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_augmenting(root: int) -> tuple[int, list[int]]:
+        p = [-1] * n
+        base = list(range(n))
+        used = [False] * n
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    curbase = lca(base, p, v, to)
+                    blossom = [False] * n
+                    mark_path(base, p, blossom, v, curbase, to)
+                    mark_path(base, p, blossom, to, curbase, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        return to, p
+                    used[match[to]] = True
+                    q.append(match[to])
+        return -1, p
+
+    for v in range(n):
+        if match[v] != -1:
+            continue
+        exposed, p = find_augmenting(v)
+        if exposed == -1:
+            continue
+        # flip matched/unmatched along the alternating path back to the root
+        cur = exposed
+        while cur != -1:
+            prev = p[cur]
+            nxt = match[prev]
+            match[cur] = prev
+            match[prev] = cur
+            cur = nxt
+    return match
+
+
 def cycle_slots(tf: TwoFactor) -> set[Slot]:
     """The slots on the cycles of a 2-factor."""
     return {slot for cycle in tf.cycles for _, slot in cycle}
@@ -845,7 +941,7 @@ def _reattribute(g: MultiGraph, pairs: list[tuple[int, int]], banned: set[Slot])
 
 def _perfect_pairs(g: MultiGraph) -> list[tuple[int, int]] | None:
     """The matched pairs of the blossom search's mate array, or None if not perfect."""
-    mate = _max_matching_simple(g.n, g.adjacency())
+    mate = max_matching_by_full_scans(g.n, g.adjacency())
     if -1 in mate:
         return None
     return [(v, w) for v, w in enumerate(mate) if w > v]

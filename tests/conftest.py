@@ -162,6 +162,15 @@ def random_bridged_trees():
     return _build_random_bridged_trees()
 
 
+def _built(h_order: int, rng: SplitMix64) -> MultiGraph:
+    """A triangle expansion of a random H, string lengths 0, 1 and 2 in equal shares."""
+    h = gen_cubic_multigraph(h_order, rng)
+    slots = h.slots()
+    lengths = [i % 3 for i in range(len(slots))]
+    rng.shuffle(lengths)
+    return expand_to_clawfree(h, ExpansionSpec(dict(zip(slots, lengths))), rng)
+
+
 def _build_large_graphs() -> list[tuple[str, MultiGraph]]:
     """Three graphs far past MAX_CORPUS_N, each of about 8,000 to 10,000 vertices.
 
@@ -171,11 +180,7 @@ def _build_large_graphs() -> list[tuple[str, MultiGraph]]:
     diamonds.
     """
     rng = SplitMix64(0x1A46E)
-    h = gen_cubic_multigraph(1024, rng)
-    slots = h.slots()
-    lengths = [i % 3 for i in range(len(slots))]
-    rng.shuffle(lengths)
-    built = expand_to_clawfree(h, ExpansionSpec(dict(zip(slots, lengths))), rng)
+    built = _built(1024, rng)
     chain = gen_bridged([("type3", 1)] + [("diamond", 2)] * 2000 + [("type3", 1)], rng)
     return [("built-h1024", built), ("chain-2000", chain), ("ring-2500", gen_ring_of_diamonds(2500))]
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clawcolor import MultiGraph, fixtures, gen_cubic_multigraph
+from clawcolor import MultiGraph, decompose, factorization, fixtures, gen_cubic_multigraph
 from clawcolor.errors import InternalInvariantError
 from clawcolor.factorization import (
     _complement,
@@ -11,6 +11,7 @@ from clawcolor.factorization import (
 )
 from clawcolor.rng import SplitMix64
 
+from conftest import _built
 from brute import (
     all_perfect_matchings,
     relabeled,
@@ -18,6 +19,7 @@ from brute import (
     cycle_slots,
     factor_from_matching_by_reattribution,
     matching_through_by_reattribution,
+    max_matching_by_full_scans,
     two_factor_by_reattribution,
     two_factor_through_by_reattribution,
 )
@@ -237,6 +239,51 @@ def test_complement_matches_reattribution_reference(named_fixtures):
             assert _two_factor_through(h, e) == two_factor_through_by_reattribution(h, e)
             m = matching_through_by_reattribution(h, e)
             assert _matched_through(h, e) == factor_from_matching_by_reattribution(h, m)
+
+
+def _matching_inputs(named_fixtures):
+    """300 random H of order 4 to 120, every named fixture and its H, when
+    it has one, and the H decomposed from expansions of H of order 32,
+    1,024 and 4,096, seeds 1 to 3."""
+    rng = SplitMix64(0x5EA2C)
+    graphs = [gen_cubic_multigraph(2 * (2 + i % 59), rng) for i in range(300)]
+    graphs += named_fixtures.values()
+    # the others are K4, bridged, not claw-free, or an H themselves
+    graphs += [decompose(named_fixtures[name]).h for name in ("prism", "big_expansion")]
+    for order in (32, 1024, 4096):
+        graphs += [decompose(_built(order, SplitMix64(seed))).h for seed in (1, 2, 3)]
+    return graphs
+
+
+def test_search_matches_full_scan_reference(named_fixtures):
+    """The blossom search gives the mate array of the search that allocated
+    fresh n-lists per search and scanned all n vertices per blossom."""
+    graphs = _matching_inputs(named_fixtures)
+    assert sum(not g.is_simple() for g in graphs) > 100
+    assert max(g.n for g in graphs) == 4096
+    for g in graphs:
+        n, adj = g.n, g.adjacency()
+        assert _max_matching_simple(n, adj) == max_matching_by_full_scans(n, adj)
+
+
+def test_banned_searches_match_full_scan_reference(named_fixtures, monkeypatch):
+    """The adjacency lists a forced edge hands the search, its banned pairs
+    removed, give the full-scan search's mate array too."""
+    calls = [0]
+
+    def both(n, adj):
+        mate = max_matching_by_full_scans(n, adj)
+        assert _max_matching_simple(n, adj) == mate
+        calls[0] += 1
+        return mate
+
+    monkeypatch.setattr(factorization, "_max_matching_simple", both)
+    graphs = _reference_graphs(named_fixtures)
+    for h in graphs:
+        for e in h.slots():
+            _two_factor_through(h, e)
+            _matched_through(h, e)
+    assert calls[0] == 2 * sum(h.size for h in graphs)
 
 
 def _random_cubic_pairing(n, rng):
