@@ -16,21 +16,12 @@ from .coloring import (
     SPackingSpec,
     parse_coloring_lines,
 )
-from .colorer import color_claw_free_cubic, free_two_color
+from .colorer import color_claw_free_cubic
 from .formats import (
     emit_edgelist,
     emit_graph6,
     parse_edgelist,
     parse_graph6,
-)
-from .generators import (
-    ExpansionSpec,
-    expand_to_clawfree,
-    fixtures,
-    gen_bridged,
-    gen_cubic_multigraph,
-    gen_ring_of_diamonds,
-    random_expansion_spec,
 )
 from .multigraph import MultiGraph, is_connected, is_cubic
 from .oracle import Violation, solve_spacking, subdivide, verify
@@ -48,6 +39,27 @@ from .rng import SplitMix64
 from .structure import Decomposition, Variant, decompose
 
 __version__ = "0.1.0"
+
+# served by `__getattr__`, so that a command that generates no graph, such
+# as `clawcolor color`, does not load `generators` at start-up
+_GENERATORS = frozenset({
+    "ExpansionSpec",
+    "expand_to_clawfree",
+    "fixtures",
+    "gen_bridged",
+    "gen_cubic_multigraph",
+    "gen_ring_of_diamonds",
+    "random_expansion_spec",
+})
+
+
+def __getattr__(name: str):
+    """The generator names, loaded on first use (PEP 562)."""
+    if name in _GENERATORS:
+        from . import generators
+
+        return getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "C1A",
@@ -74,7 +86,6 @@ __all__ = [
     "find_bridges",
     "find_claw",
     "fixtures",
-    "free_two_color",
     "gen_bridged",
     "gen_cubic_multigraph",
     "gen_ring_of_diamonds",

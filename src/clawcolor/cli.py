@@ -31,17 +31,9 @@ from .errors import (
     VerificationFailedError,
 )
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
-from .generators import (
-    expand_to_clawfree,
-    gen_bridged,
-    gen_cubic_multigraph,
-    gen_ring_of_diamonds,
-    random_expansion_spec,
-)
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
 from .recognition import _DISCONNECTED, BridgeTree, ComponentKind
-from .rng import SplitMix64
 from .structure import Variant, decompose
 
 EXIT_OK = 0
@@ -258,6 +250,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # imported only here: no other command generates a graph
+    from .generators import (
+        expand_to_clawfree,
+        gen_bridged,
+        gen_cubic_multigraph,
+        gen_ring_of_diamonds,
+        random_expansion_spec,
+    )
+    from .rng import SplitMix64
+
     rng = SplitMix64(args.seed)
     if args.kind == "ring":
         g = gen_ring_of_diamonds(args.k)

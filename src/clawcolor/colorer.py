@@ -6,12 +6,14 @@ root component is colored first, and the remaining components are colored
 in BFS order, each in G's own vertex ids.  Each component's attachment x1
 is forced to a radius-2 class: 2a at the root, elsewhere one absent around
 its up-neighbor in the already-colored parent.  K3 and diamond components
-are colored in place: x1 gets the forced class, a diamond's other exterior
-the other one, and the rest 1a and 1b.  A Type III component C, the root
-included, with attachment vertices X (its degree-2 vertices) is
-completed, in one step from G's adjacency, to a 2-edge-connected
-claw-free cubic graph, which is decomposed once and colored from a
-2-factor of its H with one edge forced (Plesnik's theorem):
+are colored in place, by direct stores into the glued assignment: x1 gets
+the forced class, a diamond's other exterior the other one, and the two
+vertices left 1a and 1b in ascending order.  A Type III component C, the
+root included, with attachment vertices X (its degree-2 vertices) is
+completed, in one step from G's sorted adjacency lists and with no edge
+list or validating build, to a 2-edge-connected claw-free cubic graph,
+which is decomposed once and colored from a 2-factor of its H with one
+edge forced (Plesnik's theorem):
 
   * |X| even: add a pairing edge on each consecutive pair of X; x1-x2 is
     forced into the perfect matching, so x1, x2 carry 2a/2b.
@@ -33,6 +35,7 @@ InternalInvariantError.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Container, Iterable, Sequence
 
 from .canonical import _canonical, _lift_slot, _ring, _two_edge_connected
@@ -90,10 +93,13 @@ def _completion(
     verts lists the component's vertices ascending, xs its attachment
     vertices with x1 first.  Returns the completion, its {id in g: local
     id} map, local ids ascending with g's, and the odd gadget (u, w, s, y),
-    None when |X| is even.  Its edges are g's edges among the kept
-    vertices, each once since the entry check found g simple, then s-y
-    when |X| is odd, then a pairing edge on each consecutive pair of the
-    attachments left.
+    None when |X| is even.  Each kept vertex's neighbour list is g's,
+    relabelled, so it stays sorted; then each end of s-y when |X| is odd,
+    and of a pairing edge on each consecutive pair of the attachments
+    left, is inserted in order.  The completion is simple: g is (the entry
+    check found it so), the attachments are independent, and the odd
+    gadget has no s-y edge and keeps s and y off the attachments, so no
+    added edge repeats a pair.
     """
     local = dict.fromkeys(verts)
     added = []
@@ -108,9 +114,12 @@ def _completion(
     for i, v in enumerate(local):
         local[v] = i
     adj = g.adjacency()
-    edges = [(i, local[b]) for a, i in local.items() for b in adj[a] if b > a and b in local]
-    edges += [(local[a], local[b]) for a, b in added]
-    return MultiGraph(len(local), edges), local, gadget
+    tilde = [[local[w] for w in adj[v] if w in local] for v in local]
+    for a, b in added:
+        a, b = local[a], local[b]
+        insort(tilde[a], b)
+        insort(tilde[b], a)
+    return MultiGraph._from_sorted_adjacency(tilde), local, gadget
 
 
 def _explicit_k4_completion(
@@ -187,26 +196,7 @@ def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
     return [v for v, i in local.items() if i in on]
 
 
-def _color_k3_or_diamond(
-    verts: Iterable[int], xs: Sequence[int], forced: int, kind: ComponentKind
-) -> dict[int, int]:
-    """Colors of a K3 or diamond component, keyed in the order of `verts`.
-
-    verts lists the component's vertices ascending, xs its degree-2
-    vertices with the up vertex x1 first, which gets `forced`.  A K3's
-    other corners get 1a, 1b; a diamond's interiors get 1a, 1b and its
-    other exterior the other radius-2 class.
-    """
-    x1 = xs[0]
-    ones = iter((C1A, C1B))
-    if kind is ComponentKind.TRIANGLE:
-        return {v: forced if v == x1 else next(ones) for v in verts}
-    x2 = xs[1]
-    other = C2B if forced == C2A else C2A
-    return {v: forced if v == x1 else other if v == x2 else next(ones) for v in verts}
-
-
-def free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
+def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
     """A radius-2 class absent from the colored closed neighborhood.
 
     `attachment` is the up-neighbor of the component about to be colored;
@@ -246,24 +236,39 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     # 1 at each vertex on a diamond of a completed Type III component, for
     # the no-diamond-at-up-neighbor invariant
     on_diamond = bytearray(g.n)
+    components, degree2, kinds, up_neighbor = bt.components, bt.degree2, bt.kinds, bt.up_neighbor
+    root = bt.root
+    triangle, type3 = ComponentKind.TRIANGLE, ComponentKind.TYPE_III
     # ascending ids sorted stably by depth: the order of the key (depth, c)
-    for c in sorted(range(len(bt.components)), key=bt.depth.__getitem__):
-        verts, xs, kind = bt.components[c], bt.degree2[c], bt.kinds[c]
-        if c == bt.root:
+    for c in sorted(range(len(components)), key=bt.depth.__getitem__):
+        xs, kind = degree2[c], kinds[c]
+        if c == root:
             forced = C2A
         else:
-            q = bt.up_neighbor[c]
+            q = up_neighbor[c]
             if on_diamond[q]:
                 raise InternalInvariantError(
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
-            forced = free_two_color(g, assignment, q)
-        if kind is not ComponentKind.TYPE_III:
-            assignment.update(_color_k3_or_diamond(verts, xs, forced, kind))
+            forced = _free_two_color(g, assignment, q)
+        if kind is not type3:
+            # x1 gets the forced class, a diamond's x2 the other radius-2
+            # class, and the two vertices left 1a and 1b in ascending order
+            x1 = xs[0]
+            assignment[x1] = forced
+            if kind is triangle:
+                u, v, w = components[c]
+                a, b = (v, w) if x1 == u else (u, w) if x1 == v else (u, v)
+            else:
+                x2 = xs[1]
+                assignment[x2] = C2B if forced == C2A else C2A
+                a, b = [v for v in components[c] if v != x1 and v != x2]
+            assignment[a] = C1A
+            assignment[b] = C1B
             continue
         _check_independent(g, xs)
-        colors, diamonds = _color_type3(g, verts, xs, forced, root_style=c == bt.root)
+        colors, diamonds = _color_type3(g, components[c], xs, forced, root_style=c == root)
         for v in diamonds:
             on_diamond[v] = 1
         assignment.update(colors)

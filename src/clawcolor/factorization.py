@@ -147,11 +147,15 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
     Each matched pair takes its lowest slot that is not banned.  Each cycle
     starts at its smallest vertex and leaves it by that vertex's first
     factor slot in sorted order.  The walk reads a vertex's two factor
-    slots as it reaches it, `h.slots_at(v)` less the matched one, and
-    keeps no per-vertex list; on a simple h that reads no multiplicity.
+    slots as it reaches it and keeps no per-vertex list.  h is cubic, so a
+    vertex with three distinct neighbours is on no parallel pair: its
+    factor slots are the copy-0 slots to the two neighbours other than its
+    mate, read with no multiplicity.  Only a vertex on a parallel pair
+    reads `h.slots_at(v)` less its matched slot.
     """
     n = h.n
-    adj = list(h.adjacency()) if banned else h.adjacency()
+    hadj = h.adjacency()
+    adj = list(hadj) if banned else hadj
     for u, v, _ in banned:
         if all((u, v, k) in banned for k in range(h.multiplicity(u, v))):
             adj[u] = [w for w in adj[u] if w != v]
@@ -177,14 +181,26 @@ def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
         cycle: list[tuple[int, Slot]] = []
         v, slot = start, None
         while True:
-            inc = h.slots_at(v)
-            inc.remove(matched[v])
-            if len(inc) != 2:
-                raise InternalInvariantError(
-                    f"vertex {v} has {len(inc)} factor edges, expected 2"
-                )
-            a, b = inc
-            slot = b if a == slot else a
+            nbrs = hadj[v]
+            if len(nbrs) == 3:
+                # three distinct neighbours: the factor slots lead to the two
+                # that are not v's mate, each by the pair's one copy
+                x, y, z = nbrs
+                m = mate[v]
+                p, q = (y, z) if m == x else (x, z) if m == y else (x, y)
+                a = (v, p, 0) if v < p else (p, v, 0)
+                if a == slot:
+                    a = (v, q, 0) if v < q else (q, v, 0)
+                slot = a
+            else:
+                inc = h.slots_at(v)
+                inc.remove(matched[v])
+                if len(inc) != 2:
+                    raise InternalInvariantError(
+                        f"vertex {v} has {len(inc)} factor edges, expected 2"
+                    )
+                a, b = inc
+                slot = b if a == slot else a
             on_cycle[v] = 1
             cycle.append((v, slot))
             v = slot[1] if slot[0] == v else slot[0]

@@ -26,8 +26,10 @@ and the tree edges follow from that array.  A component's kind follows
 from its size and its number of attachments alone, on validated input
 (`_bridge_tree`'s docstring gives the argument), so no vertex is read
 again to type it; that rule is the one component classifier.  One BFS
-helper over the components runs the diameter sweeps that find the root
-and then roots the tree.  `structure.decompose` is the one public way in.
+per component gives its vertices, attachments and kind.  One BFS helper
+over the components runs the diameter sweeps that find the root, and
+roots the tree, reusing a diameter sweep when it started at the root.
+`structure.decompose` is the one public way in.
 """
 
 from __future__ import annotations
@@ -397,7 +399,17 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     g has passed `_require_claw_free_cubic`, and `bridge_set` is the set of
     bridges that check returned.  across[v] is the other end of v's one
     bridge (-1 for none), and the vertices that have one are their
-    component's attachments.
+    component's attachments.  One BFS per component, which reads
+    across[v] once per vertex it queues, lists the component's vertices
+    and attachments, and its kind follows from their counts.
+
+    The root comes from three sweeps over the components (from component
+    0, then from the far end a of that sweep, then from the far end b of
+    a's sweep).  When the root is a or b, that sweep's depths and entry
+    vertices root the tree; otherwise a fourth sweep from the root does.
+    The other sweeps' arrays are dropped before the result's tuples are
+    built.  No per-component list of neighbouring components is kept: the
+    sweeps read the tree edges from the attachments and across.
 
     G minus a set F of edges has |F| + 1 components only when every edge of
     F is a bridge, so past the count check each edge of the set is a bridge
@@ -426,34 +438,38 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
     attach: list[list[int]] = []
+    kinds: list[ComponentKind] = []
+    triangle, diamond = ComponentKind.TRIANGLE, ComponentKind.DIAMOND
+    type3 = ComponentKind.TYPE_III
     for start in range(n):
         if comp_of[start] != -1:
             continue
         idx = len(components)
         comp_of[start] = idx
         queue = [start]
+        xs = []
         for v in queue:
+            x = across[v]
+            if x != -1:
+                xs.append(v)
             for w in adj[v]:
-                if comp_of[w] == -1 and across[v] != w:
+                if w != x and comp_of[w] == -1:
                     comp_of[w] = idx
                     queue.append(w)
         queue.sort()
+        xs.sort()
         components.append(tuple(queue))
-        attach.append([v for v in queue if across[v] != -1])
+        attach.append(xs)
+        size = len(queue)
+        kinds.append(
+            triangle if len(xs) == size else diamond if size == 4 and xs else type3
+        )
 
     ncomp = len(components)
     if ncomp != len(bridge_set) + 1:
         raise InternalInvariantError(
             f"{ncomp} components for {len(bridge_set)} bridges; tree property violated"
         )
-    kinds = tuple(
-        ComponentKind.TRIANGLE
-        if len(xs) == len(verts)
-        else ComponentKind.DIAMOND
-        if len(verts) == 4 and xs
-        else ComponentKind.TYPE_III
-        for verts, xs in zip(components, attach)
-    )
 
     def sweep(src: int) -> tuple[list[int], list[int]]:
         """Depth of each component, and the vertex the BFS entered it at."""
@@ -462,11 +478,12 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
         depth[src] = 0
         queue = [src]
         for c in queue:
+            below = depth[c] + 1
             for v in attach[c]:
                 x = across[v]
                 d = comp_of[x]
                 if depth[d] == -1:
-                    depth[d] = depth[c] + 1
+                    depth[d] = below
                     entry[d] = x
                     queue.append(d)
         return depth, entry
@@ -474,28 +491,36 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     # root: smallest-index component whose eccentricity equals the diameter.
     # A component farthest from any start is one end a of a diametral path,
     # one farthest from a is the other end b, and in a tree every
-    # eccentricity is max(d(a, c), d(b, c)).
+    # eccentricity is max(d(a, c), d(b, c)).  When the root is a or b, the
+    # sweep from it already roots the tree.
     from_0, _ = sweep(0)
-    from_a, _ = sweep(from_0.index(max(from_0)))
+    a = from_0.index(max(from_0))
+    del from_0
+    from_a, entry_a = sweep(a)
     b = from_a.index(max(from_a))
-    from_b, _ = sweep(b)
+    from_b, entry_b = sweep(b)
     diam = from_a[b]
     root = next(c for c in range(ncomp) if max(from_a[c], from_b[c]) == diam)
+    if root == a:
+        depth, up_vertex = from_a, entry_a
+    elif root == b:
+        depth, up_vertex = from_b, entry_b
+    else:
+        depth, up_vertex = sweep(root)
+    del from_a, entry_a, from_b, entry_b
 
-    depth, up_vertex = sweep(root)
-    degree2 = []
-    for c, xs in enumerate(attach):
-        x1 = up_vertex[c]
-        if x1 != -1:
-            xs = [x1] + [v for v in xs if v != x1]
-        degree2.append(tuple(xs))
+    # each attachment list, up vertex first
+    for xs, x1 in zip(attach, up_vertex):
+        if x1 != -1 and xs[0] != x1:
+            xs.remove(x1)
+            xs.insert(0, x1)
 
     return BridgeTree(
         components=tuple(components),
-        kinds=kinds,
-        tree_adj=tuple(tuple(sorted(comp_of[across[v]] for v in xs)) for xs in attach),
+        kinds=tuple(kinds),
+        tree_adj=tuple(tuple(sorted([comp_of[across[v]] for v in xs])) for xs in attach),
         root=root,
         depth=tuple(depth),
         up_neighbor=tuple(-1 if x == -1 else across[x] for x in up_vertex),
-        degree2=tuple(degree2),
+        degree2=tuple(map(tuple, attach)),
     )

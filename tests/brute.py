@@ -36,7 +36,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from clawcolor.colorer import _check_independent, _color_type3, free_two_color
+from clawcolor.colorer import _check_independent, _color_type3, _free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
@@ -1160,7 +1160,7 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
                     f"up-neighbor {q} lies on a diamond of its completed "
                     "component; contradicts the structure of claw-free cubic graphs"
                 )
-            forced = free_two_color(g, assignment, q)
+            forced = _free_two_color(g, assignment, q)
             local_col, dia = extension_by_subgraphs(sub, xs, forced, bt.kinds[c])
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import clawcolor.cli
+import clawcolor.generators
 from clawcolor import (
     MultiGraph,
     PackingColoring,
@@ -433,7 +434,9 @@ def test_a_bug_in_any_command_is_internal_exit5(
         raise crash
 
     if core is not None:
-        monkeypatch.setattr(clawcolor.cli, core, raise_crash)
+        # `generate` imports its generators when it runs
+        module = clawcolor.generators if command == "generate" else clawcolor.cli
+        monkeypatch.setattr(module, core, raise_crash)
     k4 = fixture_files["k4"]
     coloring = tmp_path / "k4.col"
     coloring.write_text("0 1a\n1 1b\n2 2a\n3 2b\n")
@@ -767,15 +770,18 @@ def test_color_writes_each_report_to_stdout_once(batch_dir, monkeypatch, argv, o
 
 _STARTUP_PROBE = """
 import sys, clawcolor.cli
-print([m for m in ("dataclasses", "inspect", "traceback", "importlib.resources") if m in sys.modules])
+heavy = ("dataclasses", "inspect", "traceback", "importlib.resources", "clawcolor.generators")
+print([m for m in heavy if m in sys.modules])
 print(sorted(clawcolor.fixtures()))
+print("clawcolor.generators" in sys.modules)
 """
 
 
 def test_startup_imports_no_heavy_stdlib_module():
     """`import clawcolor.cli` on a bare interpreter (`-S`, no site hooks)
-    loads none of the modules only a bug report or the fixtures need, and
-    the fixtures still load once asked for."""
+    loads none of the modules only a bug report, `generate` or the
+    fixtures need, and the fixtures, with the generators, still load once
+    asked for."""
     src = str(Path(clawcolor.cli.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-S", "-c", _STARTUP_PROBE],
@@ -787,4 +793,5 @@ def test_startup_imports_no_heavy_stdlib_module():
     assert out.splitlines() == [
         "[]",
         str(["big_expansion", "bridged_star", "h10", "k4", "petersen", "prism"]),
+        "True",
     ]

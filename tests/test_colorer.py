@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from clawcolor import (
@@ -6,6 +8,7 @@ from clawcolor import (
     C2A,
     C2B,
     SPEC_1122,
+    BridgeTree,
     ComponentKind,
     ExpansionSpec,
     MultiGraph,
@@ -14,7 +17,6 @@ from clawcolor import (
     decompose,
     expand_to_clawfree,
     find_bridges,
-    free_two_color,
     gen_bridged,
     gen_cubic_multigraph,
     verify,
@@ -31,9 +33,9 @@ import clawcolor.colorer
 from clawcolor.colorer import (
     _check_independent,
     _color_bridged,
-    _color_k3_or_diamond,
     _color_type3,
     _completion,
+    _free_two_color,
 )
 from clawcolor.recognition import _bridge_tree, _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
@@ -64,10 +66,25 @@ def color_root(comp, x1):
 
 
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
-    """The coloring of a whole non-root component whose up vertex x1 gets `forced`."""
+    """The coloring of a whole non-root component whose up vertex x1 gets `forced`.
+
+    A K3 or diamond is colored in place by `_color_bridged`, as the one
+    non-root component of a tree whose up-neighbor, x1 itself, leaves
+    `forced` free.
+    """
     xs = _attachments(comp, x1)
     if kind is not ComponentKind.TYPE_III:
-        return PackingColoring(SPEC_1122, _color_k3_or_diamond(range(comp.n), xs, forced, kind))
+        bt = BridgeTree(
+            components=(tuple(range(comp.n)),),
+            kinds=(kind,),
+            tree_adj=((),),
+            root=-1,
+            depth=(1,),
+            up_neighbor=(x1,),
+            degree2=(tuple(xs),),
+        )
+        with mock.patch.object(clawcolor.colorer, "_free_two_color", lambda g, a, q: forced):
+            return _color_bridged(comp, bt)
     _check_independent(comp, xs)
     colors, _ = _color_type3(comp, range(comp.n), xs, forced, root_style=False)
     return PackingColoring(SPEC_1122, colors)
@@ -180,20 +197,20 @@ def test_free_two_color_k3_parent():
     g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
     assignment = {0: C2A, 1: C1A, 2: C1B}
     # attaching at vertex 2: closed neighborhood colors {1b, 2a, 1a} -> 2b
-    assert free_two_color(g, assignment, 2) == C2B
+    assert _free_two_color(g, assignment, 2) == C2B
 
 
 def test_free_two_color_diamond_parent():
     g = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assignment = {0: C2B, 1: C1A, 2: C1B, 3: C2A}
-    assert free_two_color(g, assignment, 3) == C2B
+    assert _free_two_color(g, assignment, 3) == C2B
 
 
 def test_free_two_color_claim_violation_is_loud():
     g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
     assignment = {0: C2A, 1: C2B, 2: C1A}
     with pytest.raises(ClaimViolatedError):
-        free_two_color(g, assignment, 2)
+        _free_two_color(g, assignment, 2)
 
 
 def test_ring_completion_leaf():
@@ -341,12 +358,15 @@ def _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
 def test_bridged_path_matches_subgraph_reference(
     bridged_trees, random_bridged_trees, large_graphs
 ):
-    """The same assignment, in the same order, as one subgraph per component."""
+    """The same assignment as one subgraph per component.
+
+    The key order may differ: a K3 or diamond is stored x1 first.
+    """
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
         bt = _bridge_tree(g, find_bridges(g))
         got = _color_bridged(g, bt).assignment
         want = color_bridged_by_subgraphs(g, bt).assignment
-        assert list(got.items()) == list(want.items())
+        assert got == want
 
 
 def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged_trees):
@@ -367,6 +387,29 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
             assert tilde == want and tilde.adjacency() == want.adjacency()
             assert list(local) == [to_global[i] for i in want_to_sub]
             assert list(local.values()) == list(range(tilde.n))
+            tested[len(bt.degree2[c]) % 2] += 1
+    assert tested[0] > 100 and tested[1] > 500, tested
+
+
+def test_completion_is_the_graph_its_edges_build(base_corpus, bridged_trees, random_bridged_trees):
+    """The completion handed over as sorted lists is what `MultiGraph.__init__`
+    builds from its edges: every list sorted and distinct, every added edge
+    at both ends, and no parallel pair."""
+    tested = [0, 0]
+    graphs = [g for _, g in base_corpus + bridged_trees] + random_bridged_trees
+    for g in graphs:
+        bt = decompose(g)
+        if not isinstance(bt, BridgeTree):
+            continue
+        for c, comp in enumerate(bt.components):
+            if bt.kinds[c] is not ComponentKind.TYPE_III:
+                continue
+            tilde, _, _ = _completion(g, comp, bt.degree2[c])
+            want = MultiGraph(tilde.n, tilde.edge_list())
+            assert tilde.n == want.n
+            assert tilde.adjacency() == want.adjacency()
+            assert tilde.degrees() == want.degrees() == [3] * tilde.n
+            assert tilde.is_simple() and want.is_simple()
             tested[len(bt.degree2[c]) % 2] += 1
     assert tested[0] > 100 and tested[1] > 500, tested
 

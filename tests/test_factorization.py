@@ -330,8 +330,9 @@ def test_matching_size_against_networkx():
 def test_complement_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
     """With nothing banned, a simple H's factor slots need no multiplicity lookup.
 
-    Each vertex's slots come from one `slots_at` pass, which reads the
-    parallel pairs only when there are some.
+    A vertex with three distinct neighbours takes its two factor slots from
+    its neighbour list and its mate; only a vertex on a parallel pair reads
+    `slots_at`.
     """
     rng = SplitMix64(0xC0)
     graphs = [k4()] + [fixtures()[name] for name in ("prism", "petersen", "big_expansion")]

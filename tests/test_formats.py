@@ -46,6 +46,49 @@ def test_malformed_inputs():
             parse_edgelist(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("", "empty input", None),
+        ("# only a comment\n\n", "empty input", None),
+        ("x", "bad vertex count 'x' (line 1)", 1),
+        ("# header\n\n 2 3 \n", "expected vertex count on first line (line 3)", 3),
+        ("-1\n", "vertex count must be non-negative (line 1)", 1),
+        ("3\n0", "expected 'u v', got '0' (line 2)", 2),
+        ("3\n0 1 2", "expected 'u v', got '0 1 2' (line 2)", 2),
+        ("3\n# note\n0 1\n\n  a b  \n", "non-integer endpoint in 'a b' (line 5)", 5),
+        ("3\n0 1\n1 2.0\n", "non-integer endpoint in '1 2.0' (line 3)", 3),
+        ("2\n0 5", "vertex 5 out of range for graph on 2 vertices", None),
+        ("2\n-1 0", "vertex -1 out of range for graph on 2 vertices", None),
+        ("2\n1 1", "loop edge at vertex 1 is not allowed", None),
+    ],
+    ids=[
+        "empty",
+        "comment-only",
+        "bad-count",
+        "two-field-header",
+        "negative-count",
+        "short-line",
+        "long-line",
+        "non-integer",
+        "float-endpoint",
+        "out-of-range",
+        "negative-endpoint",
+        "loop",
+    ],
+)
+def test_edgelist_error_messages_and_line_numbers(text, message, line):
+    """Each edge-list rejection keeps its message and the 1-based line it names.
+
+    Comments and blank lines count toward the line number; a range or loop
+    error is found once the whole text is read, so it names no line.
+    """
+    with pytest.raises(MalformedInputError) as caught:
+        parse_edgelist(text)
+    assert str(caught.value) == message
+    assert caught.value.line == line
+
+
 def test_graph6_k4():
     # "C~" is the standard graph6 encoding of the 4-clique
     g = parse_graph6("C~")
