@@ -160,8 +160,7 @@ def _color_one(label: str, parse) -> dict:
         return _failed(report, exc)
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
     report["outcome"] = "colored"
-    labels, assignment = coloring.spec.labels(), coloring.assignment
-    report["coloring"] = {str(v): labels[assignment[v]] for v in sorted(assignment)}
+    report["coloring"] = coloring  # `cmd_color` writes it out
     report["verified"] = True
     report["exit"] = EXIT_OK
     return report
@@ -195,13 +194,20 @@ def cmd_color(args) -> int:
     for report in chain(head, reports):
         # each report goes out in one write: an unbuffered stdout makes
         # every write a system call
+        coloring = report.pop("coloring", None)
         if args.json:
-            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        elif report["outcome"] == "colored":
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            if coloring:
+                # the lines `json.dumps(..., indent=2, sort_keys=True)` would
+                # write: "coloring" is the first key, and ids sort as strings,
+                # which sorting whole lines does since '"' sorts below digits
+                labels = coloring.spec.labels()
+                lines = sorted(f'    "{v}": "{labels[c]}"' for v, c in coloring.assignment.items())
+                text = '{\n  "coloring": {\n' + ",\n".join(lines) + "\n  }," + text[1:]
+            sys.stdout.write(text)
+        elif coloring:
             header = f"# {report['input']}\n" if several else ""
-            lines = "".join(f"{v} {label}\n" for v, label in report["coloring"].items())
-            verdict = "VERIFIED" if report["verified"] else "INVALID"
-            sys.stdout.write(f"{header}{lines}{verdict}\n")
+            sys.stdout.write(f"{header}{coloring.as_lines()}VERIFIED\n")
         else:
             err = report["error"]
             msg = f"error ({err['kind']}): {err['message']}"
@@ -252,6 +258,7 @@ def cmd_verify(args) -> int:
 def cmd_generate(args) -> int:
     # imported only here: no other command generates a graph
     from .generators import (
+        _parse_tree_spec,
         expand_to_clawfree,
         gen_bridged,
         gen_cubic_multigraph,
@@ -279,23 +286,6 @@ def cmd_generate(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     return EXIT_OK
-
-
-def _parse_tree_spec(text: str) -> list[tuple[str, int]]:
-    """Parse e.g. "k3:3,type3:1,type3:1,type3:1" into component specs."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise InfeasibleSpecError(f"bad component spec {part!r}, want kind:attachments")
-        kind, _, num = part.partition(":")
-        try:
-            out.append((kind.strip(), int(num)))
-        except ValueError:
-            raise InfeasibleSpecError(f"bad attachment count in {part!r}") from None
-    return out
 
 
 def _tree_shape(adj: tuple[tuple[int, ...], ...]) -> str:

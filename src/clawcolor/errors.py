@@ -67,10 +67,6 @@ class NotTwoEdgeConnectedError(ClawcolorError):
     pass
 
 
-class StructureViolationError(ClawcolorError):
-    """Input violates a structural guarantee; usually means a caller bug."""
-
-
 # coloring
 
 class InternalInvariantError(ClawcolorError):

@@ -2,7 +2,11 @@
 
 Edge-list format: first non-comment line is the vertex count, then one
 "u v" pair per line; a repeated line raises that pair's multiplicity.
-Lines starting with '#' and blank lines are ignored.
+Lines starting with '#' and blank lines are ignored.  Text with no '#',
+one token on its first line and two on every other line is converted in
+bulk, all tokens at once; any other text, or a token that is not an
+integer or a negative count, is read line by line, and only that reader
+raises the errors that name a line.
 
 graph6 follows the de-facto standard: 63-offset ASCII bytes, the upper
 triangle of the adjacency matrix packed column by column in 6-bit groups.
@@ -10,6 +14,7 @@ triangle of the adjacency matrix packed column by column in 6-bit groups.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt
 
 from .errors import (
@@ -33,6 +38,42 @@ def parse_edgelist(
     allocate more than the text itself holds.  With max_n, a vertex count
     above it raises CapExceededError as soon as the header is read.
     """
+    n, edges = _read_in_bulk(text, max_n) or _read_by_line(text, max_n)
+    if cubic and 2 * len(edges) != 3 * n:
+        raise NotCubicError(
+            f"edge list has {len(edges)} edges; a cubic graph on {n} vertices has 3n/2"
+        )
+    try:
+        return MultiGraph(n, edges)
+    except (LoopEdgeError, VertexOutOfRangeError) as exc:
+        raise MalformedInputError(str(exc)) from exc
+
+
+def _read_in_bulk(text: str, max_n: int | None) -> tuple[int, list[tuple[int, int]]] | None:
+    """(n, edges) from all tokens of `text` at once, or None where the text
+    must be read line by line (see the module docstring)."""
+    if "#" in text:
+        return None
+    lines = text.splitlines()
+    if not lines or len(lines[0].split()) != 1:
+        return None
+    if not set(map(len, map(str.split, islice(lines, 1, None)))) <= {2}:
+        return None
+    del lines  # the token list costs about twice their memory
+    tokens = map(int, text.split())
+    try:
+        n = next(tokens)
+        if n < 0:
+            return None
+        if max_n is not None and n > max_n:
+            raise CapExceededError(n, max_n)
+        return n, list(zip(tokens, tokens))
+    except ValueError:
+        return None
+
+
+def _read_by_line(text: str, max_n: int | None) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) read one line at a time; a malformed line raises with its number."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -61,14 +102,7 @@ def parse_edgelist(
         edges.append((u, v))
     if n is None:
         raise MalformedInputError("empty input")
-    if cubic and 2 * len(edges) != 3 * n:
-        raise NotCubicError(
-            f"edge list has {len(edges)} edges; a cubic graph on {n} vertices has 3n/2"
-        )
-    try:
-        return MultiGraph(n, edges)
-    except (LoopEdgeError, VertexOutOfRangeError) as exc:
-        raise MalformedInputError(str(exc)) from exc
+    return n, edges
 
 
 def emit_edgelist(g: MultiGraph) -> str:

@@ -298,6 +298,23 @@ def _tree_with_degrees(degrees: list[int], rng: SplitMix64) -> list[tuple[int, i
     return edges
 
 
+def _parse_tree_spec(text: str) -> list[tuple[str, int]]:
+    """Parse e.g. "k3:3,type3:1,type3:1,type3:1" into `gen_bridged`'s component specs."""
+    out = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if ":" not in part:
+            raise InfeasibleSpecError(f"bad component spec {part!r}, want kind:attachments")
+        kind, _, num = part.partition(":")
+        try:
+            out.append((kind.strip(), int(num)))
+        except ValueError:
+            raise InfeasibleSpecError(f"bad attachment count in {part!r}") from None
+    return out
+
+
 def gen_bridged(tree_spec: list[tuple[str, int]], rng: SplitMix64) -> MultiGraph:
     """Connected claw-free cubic graph whose bridge tree realizes tree_spec.
 

@@ -39,12 +39,13 @@ class MultiGraph:
                 raise VertexOutOfRangeError(v if 0 <= u < n else u, n)
             adj[u].append(v)
             adj[v].append(u)
-        deg = [len(a) for a in adj]
+        deg = list(map(len, adj))
         # multiplicity of each pair (u, w), u < w, that has parallel copies
         par: dict[tuple[int, int], int] = {}
         for u, a in enumerate(adj):
             a.sort()
-            if len(set(a)) < len(a):
+            # in a sorted list of three, the cubic case, any repeat involves the middle entry
+            if (a[0] == a[1] or a[1] == a[2]) if len(a) == 3 else len(set(a)) < len(a):
                 distinct = [a[0]]
                 for w in a[1:]:
                     if w != distinct[-1]:

@@ -40,9 +40,9 @@ from clawcolor.colorer import _check_independent, _color_type3, _free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
+    ClawcolorError,
     InternalInvariantError,
     PartialColoringError,
-    StructureViolationError,
 )
 from clawcolor.factorization import TwoFactor
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
@@ -506,6 +506,10 @@ def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
         return False
 
     return extend(0)
+
+
+class StructureViolationError(ClawcolorError):
+    """Input violates a structural guarantee the reference classifiers rely on."""
 
 
 def decompose_by_grouping(g: MultiGraph) -> Decomposition:

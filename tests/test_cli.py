@@ -26,6 +26,7 @@ from clawcolor.cli import build_parser, main
 from clawcolor.errors import (
     InternalInvariantError,
     MalformedInputError,
+    NotClawFreeError,
     NotCubicError,
     VerificationFailedError,
 )
@@ -725,6 +726,54 @@ def test_color_stdout_is_pinned(batch_dir, capsys, argv, code, out):
     assert main(["color", *argv]) == code
     printed = capsys.readouterr().out
     assert re.sub(r'"elapsed_s": [^,]+', '"elapsed_s": 0', printed) == out
+
+
+def _expected_report(path: str, g: MultiGraph) -> dict:
+    """The `color --json` report of `g` rebuilt from the library, `elapsed_s` masked."""
+    report = {"input": path, "n": g.n, "outcome": "error", "exit": 2}
+    try:
+        coloring = color_claw_free_cubic(g)
+    except NotClawFreeError as exc:
+        report["error"] = {"kind": "not-claw-free", "message": str(exc), "witness": list(exc.witness)}
+        return report
+    labels = coloring.spec.labels()
+    report.update(outcome="colored", exit=0, elapsed_s=0, verified=True,
+                  coloring={str(v): labels[c] for v, c in coloring.assignment.items()})
+    return report
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_color_json_is_the_stdlib_layout(
+    named_fixtures, corpus, bridged_trees, tmp_path, capsys, monkeypatch, jobs
+):
+    """`color --json` writes each report as `json.dumps(report, indent=2,
+    sort_keys=True)` does, where vertex ids sort as strings ("10" before
+    "2"): the simple named fixtures, Petersen's witness included, golden
+    inputs with n >= 11, and a bug's report with its traceback, on the prism."""
+    graphs = [g for g in named_fixtures.values() if g.is_simple()]  # h10 is a multigraph
+    graphs += [g for _, g in corpus[::25] if g.n >= 11] + [g for _, g in bridged_trees[3::5]]
+    paths = []
+    for i, g in enumerate(graphs):
+        paths.append(str(tmp_path / f"{i}.el"))
+        Path(paths[-1]).write_text(emit_edgelist(g))
+
+    def crash_on_prism(g):
+        if g.n == 6:
+            raise ZeroDivisionError("division by zero")
+        return color_claw_free_cubic(g)
+
+    monkeypatch.setattr(clawcolor.cli, "color_claw_free_cubic", crash_on_prism)
+    assert main(["color", "--json", "--jobs", jobs, *paths]) == 5
+    printed = re.sub(r'"elapsed_s": [^,]+', '"elapsed_s": 0', capsys.readouterr().out)
+    expected = [_expected_report(p, g) for p, g in zip(paths, graphs)]
+    (crashed,) = [i for i, g in enumerate(graphs) if g.n == 6]
+    traceback = json_reports(printed)[crashed]["error"]["traceback"]
+    assert "crash_on_prism" in traceback
+    expected[crashed] = {"input": paths[crashed], "n": 6, "outcome": "error", "exit": 5, "error": {
+        "kind": "internal", "message": "ZeroDivisionError: division by zero", "traceback": traceback,
+    }}
+    assert any(g.n >= 11 for g in graphs) and any(r["outcome"] == "error" for r in expected)
+    assert printed == "".join(json.dumps(r, indent=2, sort_keys=True) + "\n" for r in expected)
 
 
 def test_color_prints_each_report_before_reading_the_next_file(batch_dir, capsys, monkeypatch):

@@ -9,7 +9,12 @@ from clawcolor import (
     parse_edgelist,
     parse_graph6,
 )
-from clawcolor.errors import Graph6MultiedgeError, MalformedInputError, NotCubicError
+from clawcolor.errors import (
+    CapExceededError,
+    Graph6MultiedgeError,
+    MalformedInputError,
+    NotCubicError,
+)
 
 from brute import ref_graph6_decode
 
@@ -61,6 +66,10 @@ def test_malformed_inputs():
         ("2\n0 5", "vertex 5 out of range for graph on 2 vertices", None),
         ("2\n-1 0", "vertex -1 out of range for graph on 2 vertices", None),
         ("2\n1 1", "loop edge at vertex 1 is not allowed", None),
+        ("4\n0 1\n0 1 2\n1 2\n3\n", "expected 'u v', got '0 1 2' (line 3)", 3),
+        ("6\n0 1\n0 2\n0 3\n1 2\n1 4\n2 5\n3 4\n3 5\n4 x\n",
+         "non-integer endpoint in '4 x' (line 10)", 10),
+        ("-1\n0 1\n1 2\n", "vertex count must be non-negative (line 1)", 1),
     ],
     ids=[
         "empty",
@@ -75,6 +84,9 @@ def test_malformed_inputs():
         "out-of-range",
         "negative-endpoint",
         "loop",
+        "long-then-short-line",
+        "late-bad-line",
+        "negative-count-with-edges",
     ],
 )
 def test_edgelist_error_messages_and_line_numbers(text, message, line):
@@ -87,6 +99,60 @@ def test_edgelist_error_messages_and_line_numbers(text, message, line):
         parse_edgelist(text)
     assert str(caught.value) == message
     assert caught.value.line == line
+
+
+_K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n"
+
+
+@pytest.mark.parametrize(
+    "text, kwargs, error, message",
+    [
+        ("10\n0 1\n0 1 2\n", {"max_n": 5}, CapExceededError,
+         "instance has 10 vertices, solver cap is 5"),
+        ("10\n0 1\n0 x\n", {"max_n": 5}, CapExceededError,
+         "instance has 10 vertices, solver cap is 5"),
+        ("4\n" + _K4_EDGES + "3 3\n", {"cubic": True}, MalformedInputError,
+         "loop edge at vertex 3 is not allowed"),
+        ("4\n" + _K4_EDGES + "2 4\n", {"cubic": True}, MalformedInputError,
+         "vertex 4 out of range for graph on 4 vertices"),
+    ],
+    ids=["cap-before-long-line", "cap-before-bad-token", "cubic-loop", "cubic-out-of-range"],
+)
+def test_edgelist_errors_under_cap_and_cubic(text, kwargs, error, message):
+    """A header over max_n wins over any later malformed line, and under
+    cubic=True a text with 3n/2 edges still names its loop or bad vertex."""
+    with pytest.raises(error) as caught:
+        parse_edgelist(text, **kwargs)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def _variants(text: str) -> dict[str, str]:
+    """`text` with the syntax the bulk reader leaves to the line reader, and more."""
+    head, _, body = text.partition("\n")
+    lines = text.splitlines()
+    middle = len(lines) // 2
+    return {
+        "clean": text,
+        "comment-line": "\n".join(lines[:middle] + ["# a comment"] + lines[middle:]) + "\n",
+        "blank-lines": f"{head}\n\n{body}\n\n",
+        "crlf": text.replace("\n", "\r\n"),
+        "tabs": text.replace(" ", "\t"),
+        "padded": "".join(f"  {line} \t\n" for line in lines),
+        "comment-before-header": "# a graph\n" + text,
+    }
+
+
+def test_edgelist_syntax_variants_parse_alike(
+    named_fixtures, corpus, bridged_trees, random_bridged_trees, large_graphs
+):
+    """Every fixture and golden input reads back as the same graph from its
+    plain edge list, read in bulk, and from each variant of its syntax."""
+    graphs = [*named_fixtures.values(), *random_bridged_trees]
+    graphs += [g for _, g in corpus + bridged_trees + large_graphs]
+    for g in graphs:
+        for name, text in _variants(emit_edgelist(g)).items():
+            assert parse_edgelist(text) == g, name
 
 
 def test_graph6_k4():
