@@ -33,7 +33,6 @@ from .recognition import (
     find_claw,
     is_claw_free,
     is_k4,
-    is_ring_of_diamonds,
 )
 from .rng import SplitMix64
 from .structure import Decomposition, Variant, decompose
@@ -93,7 +92,6 @@ __all__ = [
     "is_connected",
     "is_cubic",
     "is_k4",
-    "is_ring_of_diamonds",
     "parse_coloring_lines",
     "parse_edgelist",
     "parse_graph6",

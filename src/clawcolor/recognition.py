@@ -2,8 +2,7 @@
 
 Covers induced-claw detection, bridge finding (a DFS preorder from an
 explicit vertex stack plus one reverse-preorder low-link sweep, multigraph
-aware), the bridge tree with component typing, induced diamonds, and
-ring-of-diamonds recognition.
+aware), induced diamonds, the contraction H and the bridge tree.
 
 In a claw-free cubic graph every vertex lies on a triangle, so the claw
 check, the induced diamonds and the triangles off the diamonds can all be
@@ -12,23 +11,21 @@ By Oum's theorem every vertex of such a graph other than K4 then lies on
 exactly one of those triangles or diamonds, and `_walk` follows each
 triangle corner through its string of diamonds to another corner, listing
 the vertices it passes.  The walks are the edges of a cubic multigraph H
-on the triangles, and an edge cut of H lifts to an edge cut of G of the
-same size, so the pipeline's entry check `_require_claw_free_cubic` reads
-G's connectivity and bridges from H, which is much smaller.  With no
-triangle, `_ring_length` decides connectivity: the ring through diamond 0
-must hold every diamond.  `find_claw` stays for arbitrary graphs and
-`find_bridges` for connected ones.
+on the triangles, which `_contract` builds for the entry check
+`_require_claw_free_cubic` and for `structure._decompose` alike.  An edge
+cut of H lifts to an edge cut of G of the same size, so the entry check
+reads G's connectivity and bridges from H, which is much smaller.  With
+no triangle, `_ring_length` decides connectivity: the ring through
+diamond 0 must hold every diamond.  `find_claw` stays for arbitrary
+graphs and `find_bridges` for connected ones.
 
-Since every vertex lies on a triangle, at most one edge at each vertex is
-a bridge, so `_bridge_tree` keeps per vertex only the other end of its
-bridge.  The components, their attachment vertices (those with a bridge)
-and the tree edges follow from that array.  A component's kind follows
-from its size and its number of attachments alone, on validated input
-(`_bridge_tree`'s docstring gives the argument), so no vertex is read
-again to type it; that rule is the one component classifier.  One BFS
-per component gives its vertices, attachments and kind.  One BFS helper
-over the components runs the diameter sweeps that find the root, and
-roots the tree, reusing a diameter sweep when it started at the root.
+The components of G minus its bridges are read from H too (S. Oum,
+Electron. J. Combin. 18 (2011) P62): the triangles joined by H's
+non-bridge edges, H-loops included, with the diamonds on those edges'
+strings, and each diamond on the string of an H-bridge on its own.
+`_bridge_tree` joins the triangles with a union-find and types each
+component by its size alone, the one component classifier.  One BFS
+helper over the components finds the root and roots the tree.
 `structure.decompose` is the one public way in.
 """
 
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -154,8 +151,10 @@ class LocalScan(NamedTuple):
     `triangles` the triangles on no diamond by their smallest corner;
     `diamond_of[v]` and `triangle_of[v]` index those lists, -1 for none.
 
-    For a built graph the entry check fills in `walk`, the realizations
-    `_walk` lists, and `h`, the H-edges of the ones that are not H-loops.
+    `_contract` keeps, for a graph with triangles, only `triangles` and
+    fills in `walk`, the realizations `_walk` lists, `ends`, the triangles
+    at the two ends of each, and `h`, the H-edges of the ones that are
+    not H-loops.
     """
 
     claw: tuple[int, int, int, int] | None = None
@@ -164,6 +163,7 @@ class LocalScan(NamedTuple):
     triangles: Sequence[tuple[int, int, int]] = ()
     triangle_of: Sequence[int] = ()
     walk: Sequence[tuple[int, ...]] = ()
+    ends: Sequence[tuple[int, int]] = ()
     h: MultiGraph | None = None
 
 
@@ -244,7 +244,8 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
     have been walked from first.
 
     g is simple and cubic, and its scan found no claw and put every vertex
-    on one triangle or diamond; both callers check that first.  So a
+    on one triangle or diamond; `_contract` and its callers check that
+    first.  So a
     corner has two neighbors on its triangle and one outside it, and an
     exterior has its two interiors and one neighbor off its diamond (the
     exteriors are not adjacent).  An interior's neighbors all lie on its
@@ -282,6 +283,28 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
     return walk
 
 
+def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
+    """g's triangles, walk, the two triangles at the ends of each realization, and H.
+
+    None when the scan's triangles and diamonds do not partition g, or the
+    walks miss a diamond.  A graph of diamonds only, a ring if connected,
+    keeps its scan.  Otherwise the diamonds and per-vertex indexes, which
+    no reader of a contraction uses, are dropped, so that a diamond chain's
+    bridge tree does not hold them.
+    """
+    triangles, triangle_of, diamonds = local.triangles, local.triangle_of, local.diamonds
+    if 3 * len(triangles) + 4 * len(diamonds) != g.n:
+        return None
+    if not triangles:
+        return local
+    walk = _walk(g, local)
+    if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
+        return None
+    ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
+    h = MultiGraph(len(triangles), [(a, b) for a, b in ends if a != b])
+    return LocalScan(triangles=triangles, walk=walk, ends=ends, h=h)
+
+
 def _ring_length(g: MultiGraph, local: LocalScan) -> int:
     """How many diamonds the ring through diamond 0 has, on a graph of diamonds."""
     adj, diamonds, diamond_of = g.adjacency(), local.diamonds, local.diamond_of
@@ -294,21 +317,6 @@ def _ring_length(g: MultiGraph, local: LocalScan) -> int:
         i = diamond_of[x]
         if i == 0:
             return length
-
-
-def is_ring_of_diamonds(g: MultiGraph) -> bool:
-    """Connected, claw-free, cubic, simple, and every vertex on a diamond.
-
-    K4 is excluded by convention (it has no induced diamond anyway).  When
-    every vertex is on a diamond, g is connected exactly when the ring
-    through diamond 0 holds every diamond.
-    """
-    if g.n == 0 or not g.is_simple() or not is_cubic(g):
-        return False
-    local = _local_scan(g)
-    if local.claw is not None or 4 * len(local.diamonds) != g.n:
-        return False
-    return _ring_length(g, local) == len(local.diamonds)
 
 
 class ComponentKind(enum.Enum):
@@ -342,17 +350,19 @@ _DISCONNECTED = "input graph is disconnected"
 
 
 def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], LocalScan]:
-    """Raise unless g is a connected claw-free cubic graph; return its bridges.
+    """Raise unless g is a connected claw-free cubic graph; return H's bridges.
 
     Checks simple, non-empty, cubic, claw-free, then connected, but a
     disconnected input is reported ahead of the cubic and claw checks: a
     BFS decides it when one of those fails.  On claw-free cubic input the
-    structure decides it.  Vertices on no triangle or diamond lie on K4
-    components.  With no triangle, the ring through diamond 0 must hold
-    every diamond.  Otherwise the walks must reach every diamond, and H,
-    built from the realizations that are not H-loops, must be connected.
-    G's bridges are the edges outside the diamonds of the realizations of
-    H's bridges.  The scan is returned with the walk and H filled in.
+    structure decides it.  A graph of 4 vertices is K4.  Otherwise
+    `_contract` must succeed (vertices it leaves out lie on K4
+    components), the ring through diamond 0 must hold every diamond when
+    there is no triangle, and H must be connected when there is.  Returns
+    H's bridges, as pairs (a, b) with a < b, and what `_contract` returned,
+    less H when it has bridges: the bridge tree does not read H, and on a
+    tree of K3 components holding it through the build raises the peak by
+    an eighth.
     """
     if not g.is_simple():
         raise NotSimpleError("input must be a simple graph")
@@ -367,41 +377,36 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
         if not is_connected(g):
             raise DisconnectedError(_DISCONNECTED)
         raise NotClawFreeError(local.claw)
-    triangles, triangle_of, diamonds = local.triangles, local.triangle_of, local.diamonds
-    if 3 * len(triangles) + 4 * len(diamonds) != g.n:
-        if g.n != 4:
-            raise DisconnectedError(_DISCONNECTED)
+    if g.n == 4:
         return set(), local
-    if not triangles:
-        if _ring_length(g, local) != len(diamonds):
-            raise DisconnectedError(_DISCONNECTED)
-        return set(), local
-    walk = _walk(g, local)
-    if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
+    local = _contract(g, local)
+    if local is None or (local.h is None and _ring_length(g, local) != len(local.diamonds)):
         raise DisconnectedError(_DISCONNECTED)
-    ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
-    h = MultiGraph(len(triangles), [(a, b) for a, b in ends if a != b])
-    h_bridges = _bridges(h)
+    h_bridges = set() if local.h is None else _bridges(local.h)
     if h_bridges is None:
         raise DisconnectedError(_DISCONNECTED)
-    bridges: set[tuple[int, int]] = set()
-    if h_bridges:
-        for r, (a, b) in zip(walk, ends):
-            if ((a, b) if a < b else (b, a)) in h_bridges:
-                # the realization's edges outside its diamonds
-                bridges.update((x, y) if x < y else (y, x) for x, y in zip(r[::4], r[1::4]))
-    return bridges, local._replace(walk=walk, h=h)
+    return h_bridges, local._replace(h=None) if h_bridges else local
 
 
-def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
-    """The bridge tree of a graph already validated, from its bridges.
+def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalScan) -> BridgeTree:
+    """The bridge tree of a graph already validated, read from H.
 
-    g has passed `_require_claw_free_cubic`, and `bridge_set` is the set of
-    bridges that check returned.  across[v] is the other end of v's one
-    bridge (-1 for none), and the vertices that have one are their
-    component's attachments.  One BFS per component, which reads
-    across[v] once per vertex it queues, lists the component's vertices
-    and attachments, and its kind follows from their counts.
+    g has passed `_require_claw_free_cubic`, which returned `h_bridges`
+    and `local`, g's contraction, whose walk lists every vertex once.  A
+    union-find over the triangles joins the two ends of each realization
+    that is not an H-bridge; each class, with the inner vertices of those
+    realizations, is one component.  Each diamond on an H-bridge's
+    realization r is a component of its own, and r's connectors
+    zip(r[::4], r[1::4]) are G's bridges: across[v] is the other end of
+    v's bridge (-1 for none), and the vertices that have one are their
+    component's attachments.  One pass over the vertices in ascending
+    order numbers the components by smallest vertex and lists each one's
+    vertices and attachments.
+
+    A component of 3 vertices is a K3, a triangle whose three realizations
+    are H-bridges, and one of 4 is a diamond.  Any other holds a non-bridge
+    realization, which joins two triangles or, as an H-loop, carries a
+    diamond (g is simple), so it is Type III.
 
     The root comes from three sweeps over the components (from component
     0, then from the far end a of that sweep, then from the far end b of
@@ -411,65 +416,74 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
     built.  No per-component list of neighbouring components is kept: the
     sweeps read the tree edges from the attachments and across.
 
-    G minus a set F of edges has |F| + 1 components only when every edge of
-    F is a bridge, so past the count check each edge of the set is a bridge
-    joining two components, the components form a tree, and a vertex's
-    degree inside its component is 2 at an attachment and 3 elsewhere.
-    Each component's kind then follows from its size and its number of
-    attachments.  A component of attachments only is a cycle; it holds the
-    triangle of each of its vertices, so it is a K3.  A 4-vertex component
-    with attachments has an even degree sum, so two: the other two vertices
-    are adjacent to all three others, and the two attachments are not
-    adjacent to each other, so it is a diamond.  Any other component is
-    Type III, a bridgeless K4 (no attachments) included.
-
-    A set that gives some vertex two edges keeps only one of them in
-    across, so the search may cross the other.  Each component it finds is
-    then a union of components of G minus the set, of which there are
-    fewer than |F| + 1 (no vertex has two bridges), so it too stops at the
-    count check.
+    G minus a set F of edges has |F| + 1 components only when every edge
+    of F is a bridge, and H's bridges lift to G's, so the count check
+    fails only when `h_bridges` holds a non-bridge of H, which is a bug.
     """
-    n = g.n
-    across = [-1] * n
-    for u, v in bridge_set:
-        across[u], across[v] = v, u
+    n, ntri = g.n, len(local.triangles)
+    up = list(range(ntri))  # union-find parent of each triangle
 
-    adj = g.adjacency()
-    comp_of = [-1] * n
-    components: list[tuple[int, ...]] = []
+    def find(t: int) -> int:
+        while up[t] != t:
+            up[t] = t = up[up[t]]  # path halving
+        return t
+
+    across = [-1] * n
+    # a vertex's group: a triangle, standing for its union-find class, or
+    # past ntri one per diamond on an H-bridge
+    group = [-1] * n
+    key = ntri
+    nbridges = 0
+    for r, (a, b) in zip(local.walk, local.ends):
+        if (a, b) in h_bridges:
+            for x, y in zip(r[::4], r[1::4]):
+                across[x] = y
+                across[y] = x
+                nbridges += 1
+            for i in range(1, len(r) - 1, 4):
+                group[r[i]] = group[r[i + 1]] = group[r[i + 2]] = group[r[i + 3]] = key
+                key += 1
+            group[r[0]] = a
+            group[r[-1]] = b
+        else:
+            up[find(a)] = find(b)
+            for v in r:
+                group[v] = a
+    root_of = [find(t) for t in range(ntri)]
+
+    # the walk's int objects, sorted, are shared by the components, which
+    # would otherwise hold a new one per vertex; group becomes comp_of in
+    # place, each entry read before it is replaced
+    comp_of = group
+    index = [-1] * key
+    components: list = []
     attach: list[list[int]] = []
-    kinds: list[ComponentKind] = []
-    triangle, diamond = ComponentKind.TRIANGLE, ComponentKind.DIAMOND
-    type3 = ComponentKind.TYPE_III
-    for start in range(n):
-        if comp_of[start] != -1:
-            continue
-        idx = len(components)
-        comp_of[start] = idx
-        queue = [start]
-        xs = []
-        for v in queue:
-            x = across[v]
-            if x != -1:
-                xs.append(v)
-            for w in adj[v]:
-                if w != x and comp_of[w] == -1:
-                    comp_of[w] = idx
-                    queue.append(w)
-        queue.sort()
-        xs.sort()
-        components.append(tuple(queue))
-        attach.append(xs)
-        size = len(queue)
-        kinds.append(
-            triangle if len(xs) == size else diamond if size == 4 and xs else type3
-        )
+    for v in sorted(chain.from_iterable(local.walk)):
+        k = group[v]
+        if k < ntri:
+            k = root_of[k]
+        c = index[k]
+        if c == -1:
+            c = index[k] = len(components)
+            components.append([])
+            attach.append([])
+        comp_of[v] = c
+        components[c].append(v)
+        if across[v] != -1:
+            attach[c].append(v)
+    for c, vs in enumerate(components):
+        components[c] = tuple(vs)
 
     ncomp = len(components)
-    if ncomp != len(bridge_set) + 1:
+    if ncomp != nbridges + 1:
         raise InternalInvariantError(
-            f"{ncomp} components for {len(bridge_set)} bridges; tree property violated"
+            f"{ncomp} components for {nbridges} bridges; tree property violated"
         )
+    triangle, diamond = ComponentKind.TRIANGLE, ComponentKind.DIAMOND
+    type3 = ComponentKind.TYPE_III
+    kinds = tuple(
+        triangle if len(vs) == 3 else diamond if len(vs) == 4 else type3 for vs in components
+    )
 
     def sweep(src: int) -> tuple[list[int], list[int]]:
         """Depth of each component, and the vertex the BFS entered it at."""
@@ -517,7 +531,7 @@ def _bridge_tree(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
 
     return BridgeTree(
         components=tuple(components),
-        kinds=tuple(kinds),
+        kinds=kinds,
         tree_adj=tuple(tuple(sorted([comp_of[across[v]] for v in xs])) for xs in attach),
         root=root,
         depth=tuple(depth),

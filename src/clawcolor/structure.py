@@ -8,18 +8,18 @@ H-edge its realization in G (a direct edge or a diamond string).
 
 `decompose` is the one public way in, for any connected claw-free cubic
 graph.  It runs the entry check `_require_claw_free_cubic` once, then
-returns the bridge tree when the graph has bridges and its decomposition
-when it has none; `color_claw_free_cubic` and `clawcolor decompose` both
-branch on the type it returns.
+returns the bridge tree, read from H and its bridges, when the graph has
+bridges and its decomposition when it has none; `color_claw_free_cubic`
+and `clawcolor decompose` both branch on the type it returns.
 
-The triangles and diamonds come from `recognition._local_scan`, as lists
-indexed per vertex, and the realizations from `recognition._walk`, which
-goes from each triangle corner's outside neighbor through any diamond
-string to the next corner.  The entry check runs both and builds H to
-find the bridges; `decompose` hands all three over, so G is neither
-walked nor contracted twice.  A completed component of a bridged graph is
-scanned and walked here.  Past the entry check a failed partition is a
-bug, so `_decompose` raises InternalInvariantError.
+The triangles and diamonds come from `recognition._local_scan`, and the
+realizations and H from `recognition._contract`, which walks from each
+triangle corner's outside neighbor through any diamond string to the next
+corner.  The entry check contracts G and `decompose` hands the result
+over, so G is neither walked nor contracted twice; a completed component
+of a bridged graph is contracted here through the same helper.  Past the
+entry check a failed partition is a bug, so `_decompose` raises
+InternalInvariantError.
 
 A realization stays the vertex tuple the walk lists (`_walk`'s docstring
 gives the format).  The walk already runs each one from its lower-indexed
@@ -30,8 +30,8 @@ checked again:
 
   * Cubic.  The scan guarantees that each triangle corner has exactly one
     outside edge: G's entry scan, or the completion's own scan here, which
-    must put every vertex on a triangle or a diamond.  Filing rejects
-    H-loops.  A walk is deterministic and reversible, so
+    `_contract` requires to put every vertex on a triangle or a diamond.
+    Filing rejects H-loops.  A walk is deterministic and reversible, so
     each corner ends exactly one realization.
   * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
     size, so G's connectivity and bridges are read from H: on the pipeline
@@ -56,9 +56,9 @@ from .recognition import (
     Diamond,
     LocalScan,
     _bridge_tree,
+    _contract,
     _local_scan,
     _require_claw_free_cubic,
-    _walk,
     is_k4,
 )
 
@@ -98,20 +98,17 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
     NotSimpleError, DisconnectedError, NotCubicError or NotClawFreeError
     on any other input, and InternalInvariantError on a bug.
     """
-    bridges, local = _require_claw_free_cubic(g)
-    if bridges:
-        # the tree reads none of the scan; holding it while the tree is
-        # built raises peak memory
-        del local
-        return _bridge_tree(g, bridges)
+    h_bridges, local = _require_claw_free_cubic(g)
+    if h_bridges:
+        return _bridge_tree(g, h_bridges, local)
     return _decompose(g, local)
 
 
 def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
     """The decomposition of a graph already known to be 2-edge-connected.
 
-    `local` is g's scan, when the caller has it; the entry check's carries
-    the walk and H.  Whatever is missing is computed here.
+    `local` is what the entry check returned for g, when the caller has
+    it; otherwise g is scanned and contracted here.
     """
     if is_k4(g):
         return Decomposition(variant=Variant.K4, realization={})
@@ -120,48 +117,33 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         local = _local_scan(g)
         if local.claw is not None:
             raise InternalInvariantError(f"claw {local.claw} in a graph to decompose")
-    diamonds, diamond_of = local.diamonds, local.diamond_of
-    triangles, triangle_of = local.triangles, local.triangle_of
-
-    if 4 * len(diamonds) == g.n:
-        return Decomposition(
-            variant=Variant.RING, ring_diamonds=tuple(diamonds), realization={}
-        )
-    walk, h = local.walk, local.h
-    if h is None:
-        if 3 * len(triangles) + 4 * len(diamonds) != g.n:
-            v = next(v for v in range(g.n) if diamond_of[v] == triangle_of[v] == -1)
+        local = _contract(g, local)
+        if local is None:
             raise InternalInvariantError(
-                f"vertex {v} is on no diamond and no triangle of free vertices"
+                "the triangles and diamond strings do not partition the graph to decompose"
             )
-        walk = _walk(g, local)
-        if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
-            raise InternalInvariantError("some diamonds belong to no string")
+    if local.h is None:
+        return Decomposition(
+            variant=Variant.RING, ring_diamonds=tuple(local.diamonds), realization={}
+        )
 
     # the walk runs each realization from its lower triangle (`_walk`);
     # each corner starts one realization, so the sort never looks past r[0]
-    oriented: list[tuple[int, int, tuple[int, ...]]] = []
-    for r in walk:
-        ha, hb = triangle_of[r[0]], triangle_of[r[-1]]
+    realization: dict[Slot, tuple[int, ...]] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for (ha, hb), r in sorted(zip(local.ends, local.walk)):
         if ha >= hb:
             raise InternalInvariantError(
                 f"H-edge loop or a walk from the higher triangle, {ha} to {hb}; "
                 "impossible in a bridgeless graph"
             )
-        oriented.append((ha, hb, r))
-    oriented.sort()
-    realization: dict[Slot, tuple[int, ...]] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for ha, hb, r in oriented:
         k = counts.get((ha, hb), 0)
         counts[(ha, hb)] = k + 1
         realization[(ha, hb, k)] = r
 
-    if h is None:
-        h = MultiGraph(len(triangles), [(a, b) for a, b, _ in realization])
     return Decomposition(
         variant=Variant.BUILT,
-        triangles=tuple(triangles),
-        h=h,
+        triangles=tuple(local.triangles),
+        h=local.h,
         realization=realization,
     )

@@ -14,7 +14,6 @@ from clawcolor import (
     expand_to_clawfree,
     gen_ring_of_diamonds,
     is_k4,
-    is_ring_of_diamonds,
     verify,
 )
 from clawcolor.canonical import _canonical, _k4, _lift_slot, _ring
@@ -69,8 +68,7 @@ def test_ring_coloring(k):
 
 
 def test_ring_coloring_rejects_k4():
-    """K4 has no induced diamond: it is not a ring, and decomposes as K4."""
-    assert not is_ring_of_diamonds(k4())
+    """K4 has no induced diamond: it decomposes as K4, not as a ring."""
     assert decompose(k4()).variant is Variant.K4
 
 

@@ -37,7 +37,7 @@ from clawcolor.colorer import (
     _completion,
     _free_two_color,
 )
-from clawcolor.recognition import _bridge_tree, _require_claw_free_cubic
+from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
 from brute import bridges_by_removal, color_bridged_by_subgraphs, completion_by_subgraphs, induced
@@ -299,9 +299,9 @@ def test_exhaustive_small_orders():
     """Every connected claw-free cubic graph on at most 8 vertices colors.
 
     Covers all 2581 labeled instances (1 + 60 + 2520), cross-checked with
-    the exact solver; the entry check finds the bridges the removal oracle
-    finds (none, at these orders).  The 35 labeled pairs of K4 are
-    rejected as disconnected.
+    the exact solver; the entry check finds no bridge of H, and the
+    removal oracle no bridge of G, at these orders.  The 35 labeled pairs
+    of K4 are rejected as disconnected.
     """
     from clawcolor import is_claw_free, is_connected, solve_spacking
 
@@ -318,7 +318,7 @@ def test_exhaustive_small_orders():
                     _require_claw_free_cubic(g)
                 pairs_of_k4 += 1
                 continue
-            assert _require_claw_free_cubic(g)[0] == bridges_by_removal(g), edges
+            assert _require_claw_free_cubic(g)[0] == set() == bridges_by_removal(g), edges
             col = color_claw_free_cubic(g)
             assert verify(g, SPEC_1122, col) == [], edges
             assert solve_spacking(g, SPEC_1122) is not None, edges
@@ -363,7 +363,7 @@ def test_bridged_path_matches_subgraph_reference(
     The key order may differ: a K3 or diamond is stored x1 first.
     """
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
-        bt = _bridge_tree(g, find_bridges(g))
+        bt = decompose(g)
         got = _color_bridged(g, bt).assignment
         want = color_bridged_by_subgraphs(g, bt).assignment
         assert got == want
@@ -373,10 +373,9 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
     """The completed graph of every Type III component, odd and even, built in one go."""
     tested = [0, 0]
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
-        bridges = find_bridges(g)
-        if not bridges:
+        bt = decompose(g)
+        if not isinstance(bt, BridgeTree):
             continue
-        bt = _bridge_tree(g, bridges)
         for c, comp in enumerate(bt.components):
             if bt.kinds[c] is not ComponentKind.TYPE_III:
                 continue

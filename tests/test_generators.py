@@ -5,6 +5,7 @@ import pytest
 from clawcolor import (
     ComponentKind,
     MultiGraph,
+    Variant,
     decompose,
     expand_to_clawfree,
     find_bridges,
@@ -15,7 +16,6 @@ from clawcolor import (
     is_claw_free,
     is_connected,
     is_cubic,
-    is_ring_of_diamonds,
     random_expansion_spec,
 )
 from clawcolor.errors import InfeasibleSpecError, KTooSmallError, OddOrderError
@@ -24,7 +24,7 @@ from clawcolor.rng import SplitMix64
 
 def test_ring_generator():
     assert gen_ring_of_diamonds(2).n == 8
-    assert is_ring_of_diamonds(gen_ring_of_diamonds(2))
+    assert decompose(gen_ring_of_diamonds(2)).variant is Variant.RING
     assert gen_ring_of_diamonds(3).n == 12
     g = gen_ring_of_diamonds(10)
     assert g.n == 40 and not find_bridges(g)

@@ -310,22 +310,27 @@ def test_a_claw_in_a_completion_is_a_bug(named_fixtures, monkeypatch, tmp_path, 
 def test_a_broken_bridge_tree_is_a_bug_in_decompose(
     named_fixtures, monkeypatch, tmp_path, capsys
 ):
-    """A bridge set that fails the tree's component count is exit 5, not 2."""
+    """A set of H's bridges that fails the tree's component count is exit 5, not 2.
+
+    The set gains the first H-edge that is no bridge: on the path of three
+    Type III components, H's edge (0, 1), whose two realizations carry a
+    diamond each.  They lift to four G-edges that are no bridges, so G
+    minus the 6 lifted edges has 5 components, not 7.
+    """
     real = structure._bridge_tree
 
-    def with_a_non_bridge(g, bridges):
-        edges = ((v, w) for v in range(g.n) for w in g.neighbors(v) if v < w)
-        return real(g, bridges | {next(e for e in edges if e not in bridges)})
+    def with_a_non_bridge(g, h_bridges, local):
+        return real(g, h_bridges | {next(e for e in local.ends if e not in h_bridges)}, local)
 
     monkeypatch.setattr(structure, "_bridge_tree", with_a_non_bridge)
-    path = tmp_path / "bridged_star.el"
-    path.write_text(emit_edgelist(named_fixtures["bridged_star"]))
+    path = tmp_path / "type3_path.el"
+    path.write_text(emit_edgelist(_inputs(named_fixtures)["type3_path"]))
     assert main(["decompose", str(path)]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error (internal): InternalInvariantError: "
-        "4 components for 4 bridges; tree property violated\n"
+        "5 components for 6 bridges; tree property violated\n"
     )
 
 
@@ -543,7 +548,7 @@ def _readme_api_names() -> list[str]:
 
 def test_the_public_names_are_the_ones_readme_lists():
     listed = _readme_api_names()
-    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 39
+    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 38
     assert sorted(set(listed)) == sorted(clawcolor.__all__)
 
 

@@ -9,6 +9,7 @@ from clawcolor import (
     MultiGraph,
     Decomposition,
     SplitMix64,
+    Variant,
     decompose,
     expand_to_clawfree,
     find_bridges,
@@ -18,7 +19,6 @@ from clawcolor import (
     gen_ring_of_diamonds,
     is_claw_free,
     is_k4,
-    is_ring_of_diamonds,
     random_expansion_spec,
 )
 from clawcolor.errors import ClawcolorError, DisconnectedError, InternalInvariantError
@@ -27,7 +27,6 @@ from clawcolor.recognition import (
     _bridges,
     _local_scan,
     _require_claw_free_cubic,
-    _walk,
 )
 
 from brute import (
@@ -152,18 +151,23 @@ def test_no_vertex_has_two_bridges(corpus, bridged_trees, random_bridged_trees):
         assert len(ends) == len(set(ends))
 
 
-def _entry_bridges(g: MultiGraph) -> set[tuple[int, int]]:
-    """The bridges the entry check lifts from H."""
-    return _require_claw_free_cubic(g)[0]
+def _tree_bridges(g: MultiGraph) -> set[tuple[int, int]]:
+    """G's bridges read off `decompose`'s tree: each non-root component's
+    up vertex with its up-neighbor.  None for a bridgeless graph."""
+    bt = decompose(g)
+    if not isinstance(bt, BridgeTree):
+        return set()
+    ups = [(bt.degree2[c][0], bt.up_neighbor[c]) for c in range(len(bt.components)) if c != bt.root]
+    return {(min(e), max(e)) for e in ups}
 
 
 def _h_loops(g: MultiGraph) -> int:
-    local = _local_scan(g)
-    return sum(local.triangle_of[r[0]] == local.triangle_of[r[-1]] for r in _walk(g, local))
+    """The realizations the entry check finds with both ends on one triangle."""
+    return sum(a == b for a, b in _require_claw_free_cubic(g)[1].ends)
 
 
 def test_entry_bridges_match_removal_oracle(named_fixtures, random_bridged_trees):
-    """The connector edges of H's bridges are exactly G's bridges.
+    """The tree read from H's bridges has exactly G's bridges as its edges.
 
     Over the fixtures and 200 random bridged trees, among them many
     7-vertex Type III leaves, whose triangle has an H-loop through the
@@ -173,7 +177,7 @@ def test_entry_bridges_match_removal_oracle(named_fixtures, random_bridged_trees
     graphs += random_bridged_trees
     with_loops = 0
     for g in graphs:
-        assert _entry_bridges(g) == bridges_by_removal(g)
+        assert _tree_bridges(g) == bridges_by_removal(g)
         with_loops += _h_loops(g) > 0
     assert _h_loops(named_fixtures["bridged_star"]) == 3
     assert with_loops > 100, with_loops
@@ -184,9 +188,9 @@ def test_entry_bridges_match_find_bridges_on_large_graphs(large_graphs):
     graphs = dict(large_graphs)
     chain, built = graphs["chain-2000"], graphs["built-h1024"]
     assert len(_local_scan(built).triangles) == 1024
-    assert len(_entry_bridges(chain)) == 2001
+    assert len(_tree_bridges(chain)) == 2001
     for g in (chain, built):
-        assert _entry_bridges(g) == find_bridges(g)
+        assert _tree_bridges(g) == find_bridges(g)
 
 
 def _bridged_sweep_shapes() -> list[MultiGraph]:
@@ -204,70 +208,71 @@ def test_bridge_tree_matches_sweeps_reference(
 ):
     """Every field equals the one the previous construction gives.
 
-    A bridged graph's tree comes through `decompose`; a bridgeless one's,
-    a single component, from `_bridge_tree` with no bridges.
+    A bridged graph's tree comes through `decompose`; a bridgeless built
+    graph's, a single component, from `_bridge_tree` with H's empty set
+    of bridges.
     """
-    graphs = [named_fixtures[name] for name in ("k4", "prism", "big_expansion", "bridged_star")]
+    graphs = [named_fixtures[name] for name in ("prism", "big_expansion", "bridged_star")]
     graphs += [g for _, g in base_corpus + bridged_trees if find_bridges(g)]
     graphs += random_bridged_trees + _bridged_sweep_shapes()
     for g in graphs:
-        bridges = find_bridges(g)
-        got = decompose(g) if bridges else _bridge_tree(g, bridges)
-        want = bridge_tree_by_sweeps(g, bridges)
+        h_bridges, local = _require_claw_free_cubic(g)
+        got = decompose(g) if h_bridges else _bridge_tree(g, h_bridges, local)
+        want = bridge_tree_by_sweeps(g, find_bridges(g))
         for f in BridgeTree._fields:
             assert getattr(got, f) == getattr(want, f), f
 
 
-def _tree_or_error(build, g, bridge_set):
+def _tree_or_error(build, *args):
     try:
-        return build(g, bridge_set)
+        return build(*args)
     except ClawcolorError as e:
         return type(e), str(e)
 
 
-def _broken_bridge_sets(g, bridges, rng):
-    """Broken copies of `bridges`: less one, less half, plus a triangle
-    edge, plus the edges that give one vertex two, or plus a diamond's
-    interior edge."""
-    local = _local_scan(g)
-    ordered = sorted(bridges)
-    yield "drop one", bridges - {ordered[rng.randrange(len(ordered))]}
+def _lifted(local, h_edges) -> set[tuple[int, int]]:
+    """The G-edges of H-edges: the connectors of every realization whose
+    two ends are one of the pairs in `h_edges`."""
+    lifted = set()
+    for r, ends in zip(local.walk, local.ends):
+        if ends in h_edges:
+            lifted.update((min(e), max(e)) for e in zip(r[::4], r[1::4]))
+    return lifted
+
+
+def _broken_h_bridge_sets(local, h_bridges, rng):
+    """Broken copies of H's bridges: less one, less half, plus an H-edge
+    that is no bridge, or plus an H-loop."""
+    ordered = sorted(h_bridges)
+    yield "drop one", h_bridges - {ordered[rng.randrange(len(ordered))]}
     yield "drop half", set(ordered[::2])
-    if local.triangles:
-        t = local.triangles[rng.randrange(len(local.triangles))]
-        yield "triangle edge", bridges | {t[:2]}
-    v = rng.randrange(g.n)
-    inner = [e for e in ((min(v, w), max(v, w)) for w in g.neighbors(v)) if e not in bridges]
-    yield "two at a vertex", bridges | set(inner[1:])
-    if local.diamonds:
-        yield "interior edge", bridges | {local.diamonds[rng.randrange(len(local.diamonds))].interiors}
+    others = sorted({e for e in local.ends if e[0] != e[1]} - h_bridges)
+    if others:
+        yield "non-bridge H-edge", h_bridges | {others[rng.randrange(len(others))]}
+    loops = sorted({e for e in local.ends if e[0] == e[1]})
+    if loops:
+        yield "H-loop", h_bridges | {loops[rng.randrange(len(loops))]}
 
 
 def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
     bridged_trees, random_bridged_trees
 ):
-    """Same tree, or the same error class and message, as the reference.
+    """Same tree, or the same error class and message, as the reference on
+    the G-edges the broken set of H-edges lifts to.
 
-    On a connected G only a set of bridges splits off one component per
-    edge, so every other set stops at the component count.  A vertex with
-    two edges in the set, as "two at a vertex" gives and "triangle edge"
-    gives at an attachment, keeps only one of them as its bridge, so the
-    search may cross the other and the count it reports can differ from
-    the reference's; such a set pins only the outcome below, its class and
-    its message up to the numbers.  What is left of a bridge set is a tree
-    of merged components.
+    Less one or half of H's bridges, the tree is one of merged components.
+    An H-edge that is no bridge, or an H-loop, lifts to G-edges that are
+    no bridges either, so the set stops at the component count.
     """
     rng = SplitMix64(0xB8)
     outcomes = set()
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
-        bridges = find_bridges(g)
-        if not bridges:
+        h_bridges, local = _require_claw_free_cubic(g)
+        if not h_bridges:
             continue
-        for how, broken in _broken_bridge_sets(g, bridges, rng):
-            got = _tree_or_error(_bridge_tree, g, broken)
-            ends = [v for e in broken for v in e]
-            if len(set(ends)) == len(ends):
-                assert got == _tree_or_error(bridge_tree_by_sweeps, g, broken), how
+        for how, broken in _broken_h_bridge_sets(local, h_bridges, rng):
+            got = _tree_or_error(_bridge_tree, g, broken, local)
+            assert got == _tree_or_error(bridge_tree_by_sweeps, g, _lifted(local, broken)), how
             if isinstance(got, BridgeTree):
                 outcomes.add((how, "tree"))
             else:
@@ -276,34 +281,47 @@ def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
     assert outcomes == {
         ("drop one", "tree"),
         ("drop half", "tree"),
-        ("triangle edge", *count),
-        ("two at a vertex", *count),
-        ("interior edge", *count),
+        ("non-bridge H-edge", *count),
+        ("H-loop", *count),
     }, outcomes
 
 
 def test_bridge_tree_reads_no_multiplicity(monkeypatch):
-    """The kinds come from sizes and attachment counts, not from `has_edge`."""
+    """The tree is read from the contraction: it looks up no multiplicity
+    and no adjacency of G, so it runs no search over G's vertices.  Nor
+    does it read H, which the entry check drops for a bridged graph: on a
+    tree of K3 components, holding H through the build raises the peak by
+    an eighth."""
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
-    bridges = find_bridges(g)
+    h_bridges, local = _require_claw_free_cubic(g)
+    assert local.h is None and local.walk
     calls = [0]
-    real = MultiGraph.multiplicity
 
-    def multiplicity(self, u, v):
-        calls[0] += 1
-        return real(self, u, v)
+    def counted(real):
+        def method(self, *args):
+            calls[0] += 1
+            return real(self, *args)
 
-    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
-    bt = _bridge_tree(g, bridges)
+        return method
+
+    for name in ("multiplicity", "has_edge", "neighbors", "adjacency"):
+        monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
+    bt = _bridge_tree(g, h_bridges, local)
     assert bt.kinds.count(ComponentKind.DIAMOND) == 50
     assert calls[0] == 0
 
 
-def test_bridge_tree_bridgeless_single_node():
+def test_bridge_tree_bridgeless_single_node(named_fixtures):
+    """K4 decomposes; a bridgeless built graph's tree, read from H's empty
+    set of bridges, is one Type III node."""
     assert isinstance(decompose(k4()), Decomposition)
-    bt = _bridge_tree(k4(), set())
+    g = named_fixtures["prism"]
+    h_bridges, local = _require_claw_free_cubic(g)
+    assert h_bridges == set()
+    bt = _bridge_tree(g, h_bridges, local)
+    assert bt.components == (tuple(range(6)),)
+    assert bt.kinds == (ComponentKind.TYPE_III,)
     assert bt.tree_adj == ((),)
-    assert len(bt.components) == 1
     assert bt.root == 0
     assert bt.depth == (0,)
 
@@ -367,10 +385,16 @@ def test_bridge_tree_component_count(base_corpus):
 
 
 def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees):
-    """Three BFS sweeps pick the root the eccentricity of every node picks."""
+    """Three BFS sweeps pick the root the eccentricity of every node picks,
+    on every bridged tree of the corpus."""
+    tested = 0
     for name, g in bridged_trees:
         bridges = find_bridges(g)
-        bt = _bridge_tree(g, bridges)
+        bt = decompose(g)
+        if not bridges:
+            assert isinstance(bt, Decomposition), name
+            continue
+        tested += 1
         comp_of = {v: c for c, comp in enumerate(bt.components) for v in comp}
         got = {
             "root": bt.root,
@@ -380,6 +404,7 @@ def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees):
             "up_neighbor": list(bt.up_neighbor),
         }
         assert got == bridge_tree_root_brute(g, bridges), name
+    assert tested == 49
 
 
 def test_single_diamond():
@@ -407,12 +432,12 @@ def test_ring3_diamonds_disjoint():
 
 
 def test_ring_recognition():
-    assert is_ring_of_diamonds(gen_ring_of_diamonds(2))
-    assert not is_ring_of_diamonds(k4())
+    assert decompose(gen_ring_of_diamonds(2)).variant is Variant.RING
+    assert decompose(k4()).variant is not Variant.RING
 
 
 def test_big_expansion_not_ring(named_fixtures):
-    assert not is_ring_of_diamonds(named_fixtures["big_expansion"])
+    assert decompose(named_fixtures["big_expansion"]).variant is not Variant.RING
 
 
 def test_isomorphism_basic():

@@ -144,6 +144,27 @@ def test_decompose_peak_memory_per_vertex(large_graphs):
     assert peak / g.n < 60, f"{peak / g.n:.1f} B/vertex"
 
 
+def test_decompose_of_a_diamond_chain_peak_memory_per_vertex(large_graphs):
+    """`decompose` of the 2,000-diamond chain: the entry check, and the
+    bridge tree read from its contraction, peak below 145 bytes per vertex.
+
+    The tree needs the walk and H through its build; holding the whole
+    scan with them as well would take about 200.  The previous tree, built
+    from a set of G's bridges after the scan was dropped, took 140.6.
+    """
+    g = dict(large_graphs)["chain-2000"]
+    decompose(g)  # the first call's one-time allocations are no part of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bt = decompose(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g.n == 8028 and len(bt.components) == 2002
+    assert peak / g.n < 145, f"{peak / g.n:.1f} B/vertex"
+
+
 def _assert_same_decomposition(got, expected):
     assert got == expected
     assert list(got.realization.items()) == list(expected.realization.items())
