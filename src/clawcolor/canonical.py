@@ -67,19 +67,16 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
         assignment[r[-1]] = C2B
         _color_string(assignment, r, C2B, C2A, C1A, C1B)
 
-    # cycles: per triangle, the entry corner is 1a and the exit corner 1b
+    # cycles: each edge runs from hv, whose exit corner is 1b, to the next
+    # H-vertex, whose entry corner is 1a; r runs from slot[0]
     for cycle in factor.cycles:
-        entry_slot = cycle[-1][1]
-        entry = dec.realization[entry_slot]
-        for hv, exit_slot in cycle:
-            r = dec.realization[exit_slot]
-            forward = hv == exit_slot[0]
-            assignment[entry[0] if hv == entry_slot[0] else entry[-1]] = C1A
-            assignment[r[0] if forward else r[-1]] = C1B
-            entry, entry_slot = r, exit_slot
+        for hv, slot in cycle:
+            r = dec.realization[slot]
+            first, last = (C1B, C1A) if hv == slot[0] else (C1A, C1B)
+            assignment[r[0]] = first
+            assignment[r[-1]] = last
             if len(r) > 2:
-                # backward, a diamond is entered at its exit in r
-                _color_string(assignment, r, *((C1A, C1B) if forward else (C1B, C1A)), C2A, C2B)
+                _color_string(assignment, r, last, first, C2A, C2B)
 
     if len(assignment) != g.n:
         raise InternalInvariantError(

@@ -275,10 +275,8 @@ def cmd_generate(args) -> int:
     elif args.kind == "expansion":
         h = gen_cubic_multigraph(args.n, rng)
         g = expand_to_clawfree(h, random_expansion_spec(h, rng, args.max_string), rng)
-    elif args.kind == "bridged":
+    else:  # bridged; argparse's choices admit no other kind
         g = gen_bridged(_parse_tree_spec(args.tree), rng)
-    else:
-        raise InfeasibleSpecError(f"unknown kind {args.kind!r}")
     text = emit_graph6(g) + "\n" if args.graph6 else emit_edgelist(g)
     if args.output == "-":
         sys.stdout.write(text)
@@ -289,9 +287,7 @@ def cmd_generate(args) -> int:
 
 
 def _tree_shape(adj: tuple[tuple[int, ...], ...]) -> str:
-    n = len(adj)
-    if n == 1:
-        return "K_1"
+    n = len(adj)  # a bridge tree has at least two nodes
     if n == 2:
         return "K_2"
     degs = sorted(len(a) for a in adj)

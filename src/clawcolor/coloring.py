@@ -43,9 +43,6 @@ class PackingColoring(NamedTuple):
     spec: SPackingSpec
     assignment: dict[int, int]
 
-    def label(self, v: int) -> str:
-        return self.spec.labels()[self.assignment[v]]
-
     def as_lines(self) -> str:
         labels = self.spec.labels()
         return "\n".join(

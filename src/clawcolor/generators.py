@@ -57,8 +57,6 @@ def expand_to_clawfree(
         order = h.slots_at(v)
         if rng is not None:
             rng.shuffle(order)
-        if len(order) != 3:
-            raise NotCubicError(f"H-vertex {v} has {len(order)} edge slots")
         for c, s in enumerate(order):
             corner_of[(v, s)] = 3 * v + c
 
@@ -106,28 +104,24 @@ def gen_ring_of_diamonds(k: int) -> MultiGraph:
 def gen_cubic_multigraph(n: int, rng: SplitMix64) -> MultiGraph:
     """Random 2-edge-connected cubic multigraph: cycle + perfect matching.
 
-    A random cyclic arrangement of the vertices gives a 2-factor and a
-    random perfect matching supplies the third edge slot; rejection
-    sampling keeps only 2-edge-connected results.
+    A random cyclic arrangement of the vertices gives a Hamiltonian cycle
+    (the digon when n = 2) and a random perfect matching supplies the
+    third edge slot.  Every vertex has two cycle edges and one matching
+    edge, none of them a loop, so the graph is cubic.  Each cycle edge lies
+    on the cycle, and each matching edge closes a cycle with a path of it,
+    so no edge is a bridge: every draw is kept.
     """
     if n < 2:
         raise OddOrderError("need at least 2 vertices")
     if n % 2:
         raise OddOrderError("a cubic multigraph has even order")
-    for _ in range(_RETRIES):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
-        if n == 2:
-            # the 2-cycle is the digon; drop the duplicate arc
-            edges = [(perm[0], perm[1]), (perm[0], perm[1])]
-        pairing = list(range(n))
-        rng.shuffle(pairing)
-        edges += [(pairing[i], pairing[i + 1]) for i in range(0, n, 2)]
-        g = MultiGraph(n, edges)
-        if is_cubic(g) and _connected_and_bridgeless(g):
-            return g
-    raise RetryLimitError("could not sample a 2-edge-connected cubic multigraph")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairing = list(range(n))
+    rng.shuffle(pairing)
+    edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    edges += [(pairing[i], pairing[i + 1]) for i in range(0, n, 2)]
+    return MultiGraph(n, edges)
 
 
 def random_expansion_spec(
@@ -146,12 +140,11 @@ def _deletable_edges(g: MultiGraph) -> list[tuple[int, int]]:
     """Edges whose deletion keeps every endpoint claw-safe.
 
     An endpoint stays claw-safe when its two remaining neighbors are
-    adjacent (its third edge will become a bridge in the assembly).
+    adjacent (its third edge will become a bridge in the assembly).  g is
+    a base or one with edges deleted, so simple: every pair is one edge.
     """
     out = []
-    for u, v, m in g.edge_pairs():
-        if m != 1:
-            continue
+    for u, v, _ in g.edge_pairs():
         ru = [z for z in g.neighbors(u) if z != v]
         rv = [z for z in g.neighbors(v) if z != u]
         if len(ru) == 2 and len(rv) == 2 and g.has_edge(*ru) and g.has_edge(*rv):
@@ -173,7 +166,10 @@ def _random_base(rng: SplitMix64, allow_k4: bool) -> MultiGraph:
 def _delete_edges(g: MultiGraph, count: int, rng: SplitMix64, banned: set[int]):
     """Delete `count` claw-safe edges with pairwise nonadjacent endpoints.
 
-    Returns (graph, freed degree-2 vertices) or None when stuck.
+    Returns the graph, or None when stuck or when it has a bridge.  Both
+    ends of a deletable edge have three distinct neighbours, so degree 3
+    (no degree here exceeds 3), and each deletion frees two new degree-2
+    vertices, adjacent to no vertex freed before.
     """
     cur = g
     freed: list[int] = []
@@ -183,15 +179,7 @@ def _delete_edges(g: MultiGraph, count: int, rng: SplitMix64, banned: set[int]):
             for u, v in _deletable_edges(cur)
             if u not in banned
             and v not in banned
-            and not any(
-                cur.has_edge(u, f) or cur.has_edge(v, f) or f in (u, v)
-                for f in freed
-            )
-        ]
-        candidates = [
-            (u, v)
-            for u, v in candidates
-            if cur.degree(u) == 3 and cur.degree(v) == 3
+            and not any(cur.has_edge(u, f) or cur.has_edge(v, f) for f in freed)
         ]
         if not candidates:
             return None
@@ -200,34 +188,37 @@ def _delete_edges(g: MultiGraph, count: int, rng: SplitMix64, banned: set[int]):
         freed += [u, v]
     if not _connected_and_bridgeless(cur):
         return None
-    return cur, freed
+    return cur
 
 
 def _gen_component(kind: str, attach: int, rng: SplitMix64):
     """One component with `attach` degree-2 attachment vertices.
 
-    Returns (graph, attachment vertex list).
+    Returns (graph, attachment vertex list).  `gen_bridged`, the only
+    caller, has checked the counts: 3 for a K3, 2 for a diamond, at least 1.
+
+    A Type III component is a random base (K4, a ring of diamonds or an
+    expansion), 2-edge-connected and claw-free, with edges deleted.  Each
+    edge of K4 and each connector of a ring or an expansion is deletable,
+    so an odd count always finds the edge its gadget replaces.  The gadget
+    subdivides that edge twice, s-u-w-y, and hangs v on u and w: the graph
+    stays 2-edge-connected, and v is its one degree-2 vertex.  Each further
+    deletion frees two vertices (`_delete_edges`), which checks that the
+    result has no bridge, so the attachments number `attach`, are pairwise
+    nonadjacent (v's neighbours u and w are banned), and n >= 5.
     """
     if kind == "k3":
-        if attach != 3:
-            raise InfeasibleSpecError("a K3 component has exactly 3 attachments")
         return MultiGraph(3, [(0, 1), (0, 2), (1, 2)]), [0, 1, 2]
     if kind == "diamond":
-        if attach != 2:
-            raise InfeasibleSpecError("a diamond component has exactly 2 attachments")
         g = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         return g, [0, 3]
     if kind != "type3":
         raise InfeasibleSpecError(f"unknown component kind {kind!r}")
-    if attach < 1:
-        raise InfeasibleSpecError("a Type III component needs at least 1 attachment")
 
     for _ in range(_RETRIES):
         if attach % 2:
             base = _random_base(rng, allow_k4=True)
             cands = _deletable_edges(base)
-            if not cands:
-                continue
             s, y = cands[rng.randrange(len(cands))]
             # replace edge (s, y) by the 3-vertex gadget: s-u, u-w, w-y, u-v, w-v
             stripped = base.without_slots([(s, y, 0)])
@@ -241,28 +232,15 @@ def _gen_component(kind: str, attach: int, rng: SplitMix64):
             extra = (attach - 1) // 2
             banned = {s, y, u, w, v}
         else:
-            base = _random_base(rng, allow_k4=False)
-            comp = base
-            v = None
+            comp = _random_base(rng, allow_k4=False)
             extra = attach // 2
             banned = set()
         if extra:
-            res = _delete_edges(comp, extra, rng, banned)
-            if res is None:
+            comp = _delete_edges(comp, extra, rng, banned)
+            if comp is None:
                 continue
-            comp, freed = res
-        if v is not None and not _connected_and_bridgeless(comp):
-            continue
-        attachments = sorted(z for z in range(comp.n) if comp.degree(z) == 2)
-        if len(attachments) != attach or comp.n < 5:
-            continue
-        ok = all(
-            not comp.has_edge(a, b)
-            for i, a in enumerate(attachments)
-            for b in attachments[i + 1:]
-        )
-        if ok and is_claw_free(comp):
-            return comp, attachments
+        if is_claw_free(comp):
+            return comp, sorted(z for z in range(comp.n) if comp.degree(z) == 2)
     raise RetryLimitError(f"could not build a Type III component with {attach} attachments")
 
 

@@ -67,17 +67,16 @@ def verify(
 def _classes(assignment: dict[int, int], n: int) -> list[int]:
     """The class of each vertex 0..n-1, by index; a mismatched domain raises.
 
-    The missing vertices are reported when there are any, else the ids
-    outside 0..n-1.
+    The missing vertices are reported when there are any, else every key
+    not in range(n).  With none missing, a dict of more than n keys holds
+    such a key.
     """
     try:
         cls = [assignment[v] for v in range(n)]
     except KeyError:
         raise PartialColoringError({v for v in range(n) if v not in assignment}) from None
     if len(assignment) != n:
-        bad = {v for v in assignment if not 0 <= v < n}
-        if bad:
-            raise PartialColoringError(bad)
+        raise PartialColoringError(set(assignment).difference(range(n)))
     return cls
 
 

@@ -181,12 +181,14 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     its smaller interior and each triangle at its smallest corner, so both
     lists come out in vertex order.
 
-    A vertex already recorded is skipped.  Its neighbors span an edge, so
-    it is no claw center, and its own pass would end at the `v > x` or
-    `v > p` test: a later corner of a recorded triangle sees that triangle
-    alone (a second edge would put the smallest corner on two triangles,
-    or the triangle on a diamond), a larger interior sees the smaller one
-    as p, and a later exterior sees the two interiors as its one edge.
+    A vertex already recorded is skipped; its neighbors span an edge, so it
+    is no claw center.  A vertex v not yet recorded whose neighbors span
+    one edge, on a triangle on no diamond, is that triangle's smallest
+    corner: a smaller corner x would see the same one edge and would have
+    recorded the triangle.  An interior v not yet recorded is the smaller
+    one: the other interior p, if smaller, would have recorded the diamond.
+    An exterior sees the two interiors as its one edge, and the common
+    neighbor test skips it.
 
     A new diamond's exteriors are on no recorded diamond, so that is not
     checked.  An exterior e has neighbors v, p and one more, and a diamond
@@ -211,8 +213,6 @@ def _local_scan(g: MultiGraph) -> LocalScan:
             return LocalScan(claw=(v, a, b, c))
         if edges == 1:
             x, y = (a, b) if ab else (a, c) if ac else (b, c)
-            if v > x:
-                continue
             # the neighbor of x besides v and y; adjacent to y on a diamond
             if sum(adj[x]) - v - y in adj[y]:
                 continue
@@ -220,8 +220,6 @@ def _local_scan(g: MultiGraph) -> LocalScan:
             triangles.append((v, x, y))
         elif edges == 2:
             p, e1, e2 = (a, b, c) if ab and ac else (b, a, c) if ab else (c, a, b)
-            if v > p:
-                continue
             diamond_of[v] = diamond_of[p] = diamond_of[e1] = diamond_of[e2] = len(diamonds)
             diamonds.append(Diamond(interiors=(v, p), exteriors=(e1, e2)))
     return LocalScan(None, diamonds, diamond_of, triangles, triangle_of)
@@ -408,13 +406,19 @@ def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalSca
     realization, which joins two triangles or, as an H-loop, carries a
     diamond (g is simple), so it is Type III.
 
-    The root comes from three sweeps over the components (from component
-    0, then from the far end a of that sweep, then from the far end b of
-    a's sweep).  When the root is a or b, that sweep's depths and entry
-    vertices root the tree; otherwise a fourth sweep from the root does.
-    The other sweeps' arrays are dropped before the result's tuples are
-    built.  No per-component list of neighbouring components is kept: the
-    sweeps read the tree edges from the attachments and across.
+    The root is min(a, b), where a is the smallest component farthest from
+    component 0 and b the smallest farthest from a.  The ends of the
+    diametral paths are the components at the tree's radius from its
+    centre, one component or one edge, and the sides are the subtrees
+    hanging off the centre.  The components farthest from any x are the
+    ends on the other sides than x's (every end when x is the centre).  So
+    a is an end.  When the smallest end lies on another side than 0's, it
+    is a, and b > a.  Otherwise it lies on 0's side, not a's, so it is b,
+    and b < a.  A sweep from component 0 finds a, one from a finds b and
+    roots the tree when a < b, and one from b roots it otherwise; at most
+    two sweep arrays are alive at once.  No per-component list of
+    neighbouring components is kept: the sweeps read the tree edges from
+    the attachments and across.
 
     G minus a set F of edges has |F| + 1 components only when every edge
     of F is a bridge, and H's bridges lift to G's, so the count check
@@ -502,26 +506,16 @@ def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalSca
                     queue.append(d)
         return depth, entry
 
-    # root: smallest-index component whose eccentricity equals the diameter.
-    # A component farthest from any start is one end a of a diametral path,
-    # one farthest from a is the other end b, and in a tree every
-    # eccentricity is max(d(a, c), d(b, c)).  When the root is a or b, the
-    # sweep from it already roots the tree.
-    from_0, _ = sweep(0)
+    # root: min(a, b), the smallest end of a diametral path
+    from_0 = sweep(0)[0]
     a = from_0.index(max(from_0))
     del from_0
-    from_a, entry_a = sweep(a)
-    b = from_a.index(max(from_a))
-    from_b, entry_b = sweep(b)
-    diam = from_a[b]
-    root = next(c for c in range(ncomp) if max(from_a[c], from_b[c]) == diam)
-    if root == a:
-        depth, up_vertex = from_a, entry_a
-    elif root == b:
-        depth, up_vertex = from_b, entry_b
-    else:
-        depth, up_vertex = sweep(root)
-    del from_a, entry_a, from_b, entry_b
+    depth, up_vertex = sweep(a)
+    b = depth.index(max(depth))
+    root = min(a, b)
+    if root == b:
+        del depth, up_vertex
+        depth, up_vertex = sweep(b)
 
     # each attachment list, up vertex first
     for xs, x1 in zip(attach, up_vertex):

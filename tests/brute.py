@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, product
 
 from clawcolor.colorer import _check_independent, _color_type3, _free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
@@ -410,6 +410,44 @@ def bridge_tree_root_brute(g: MultiGraph, bridges) -> dict[str, list[int]]:
                 up_vertex[comp[x]], up_neighbor[comp[x]] = x, y
     return {"root": root, "depth": depth, "parent": parent,
             "up_vertex": up_vertex, "up_neighbor": up_neighbor}
+
+
+def labelled_trees(n: int):
+    """Every labelled tree on n >= 2 nodes once, as an edge list, by Pruefer decoding."""
+    for seq in product(range(n), repeat=n - 2):
+        deg = [1] * n
+        for x in seq:
+            deg[x] += 1
+        edges = []
+        for x in seq:
+            leaf = deg.index(1)
+            edges.append((leaf, x))
+            deg[leaf] = 0
+            deg[x] -= 1
+        u = deg.index(1)
+        edges.append((u, deg.index(1, u + 1)))
+        yield edges
+
+
+def root_rule_counterexamples(max_n: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Check `_bridge_tree`'s root rule on every labelled tree of 2 to max_n nodes.
+
+    The rule: a is the smallest node farthest from node 0, b the smallest
+    farthest from a, and the root is min(a, b).  The reference is the
+    smallest node whose eccentricity, from a BFS out of every node, is the
+    diameter.  Returns the number of trees and those where the two differ.
+    """
+    count, bad = 0, []
+    for n in range(2, max_n + 1):
+        for edges in labelled_trees(n):
+            count += 1
+            dist = [bfs_distances(n, edges, c) for c in range(n)]
+            a = dist[0].index(max(dist[0]))
+            b = dist[a].index(max(dist[a]))
+            ecc = [max(row) for row in dist]
+            if min(a, b) != ecc.index(max(ecc)):
+                bad.append(edges)
+    return count, bad
 
 
 def ref_graph6_decode(s: str) -> tuple[int, set[tuple[int, int]]]:

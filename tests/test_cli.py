@@ -19,6 +19,7 @@ from clawcolor import (
     emit_edgelist,
     emit_graph6,
     fixtures,
+    gen_ring_of_diamonds,
     parse_coloring_lines,
     verify,
 )
@@ -67,6 +68,22 @@ def test_color_malformed_exit1(tmp_path, capsys):
 
 def test_color_missing_file_exit1(capsys):
     assert main(["color", "/nonexistent/file.el"]) == 1
+
+
+@pytest.mark.parametrize("name", ["missing.g6", "empty.g6"])
+def test_color_graph6_file_missing_or_empty_is_an_io_error(tmp_path, capsys, name):
+    (tmp_path / "empty.g6").write_text("")
+    path = str(tmp_path / name)
+    message = (
+        f"[Errno 2] No such file or directory: {path!r}" if name == "missing.g6"
+        else "empty graph6 string"
+    )
+    assert main(["color", path]) == 1
+    assert capsys.readouterr() == ("", f"{path}: error (io): {message}\n")
+    assert main(["color", "--json", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": {"kind": "io", "message": message}, "exit": 1,
+                      "input": path, "outcome": "error"}
 
 
 def test_color_json_report(fixture_files, capsys):
@@ -507,6 +524,53 @@ def test_verify_bad_coloring_line_is_a_parse_error(fixture_files, tmp_path, caps
     assert capsys.readouterr().err == "error: line 2: bad vertex 'x'\n"
     with pytest.raises(MalformedInputError, match="^line 2: bad vertex 'x'$"):
         parse_coloring_lines(cpath.read_text(), SPackingSpec((1, 1, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "text, code, out, err",
+    [
+        ("0 1a\n1 1b\n2 2a 3\n", 1, "", "error: line 3: expected 'vertex label', got '2 2a 3'\n"),
+        ("0 1a\n1 1b\n2 2c\n3 2b\n", 1, "", "error: line 3: unknown label '2c'\n"),
+        ("# a comment\n\n0 1a\n1 1b\n   \n2 2a\n# another\n3 2b\n", 0, "OK\n", ""),
+    ],
+    ids=["three-fields", "unknown-label", "comments-and-blanks"],
+)
+def test_verify_coloring_lines(fixture_files, tmp_path, capsys, text, code, out, err):
+    cpath = tmp_path / "k4.col"
+    cpath.write_text(text)
+    assert main(["verify", fixture_files["k4"], str(cpath)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_generate_writes_to_stdout_when_run_as_a_module(monkeypatch, capsys):
+    """`python -m clawcolor.cli generate` with no -o prints the edge list."""
+    import runpy
+
+    monkeypatch.delitem(sys.modules, "clawcolor.cli")  # run the module afresh, as -m does
+    monkeypatch.setattr(sys, "argv", ["clawcolor", "generate", "ring", "--k", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("clawcolor.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == emit_edgelist(gen_ring_of_diamonds(2))
+
+
+@pytest.mark.parametrize(
+    "tree, shape",
+    [
+        ("type3:1,type3:1", "K_2 (root component 0)"),
+        ("type3:1,diamond:2,diamond:2,type3:1", "P_4 (root component 0)"),
+        ("k3:3,type3:2,type3:1,type3:1,type3:1",
+         "tree on 5 nodes, degrees [1, 1, 1, 2, 3] (root component 2)"),
+    ],
+    ids=["K2", "P4", "tree"],
+)
+def test_decompose_names_the_bridge_tree_shape(tmp_path, capsys, tree, shape):
+    path = str(tmp_path / "g.el")
+    assert main(["generate", "bridged", "--tree", tree, "--seed", "1", "-o", path]) == 0
+    assert main(["decompose", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"bridge tree: {shape}"
+    assert len(lines) == 2 + len(tree.split(","))
 
 
 def test_decompose_big_expansion(fixture_files, capsys):

@@ -173,6 +173,27 @@ def test_graph6_rejects_characters_outside_its_range(text):
         parse_graph6(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        ("~??", "truncated graph6 vertex count"),
+        ("~~???", "truncated graph6 vertex count"),
+        ("C~~", "graph6 body has 2 bytes, expected 1 for n=4"),
+    ],
+    ids=["empty", "4-byte-header", "8-byte-header", "body-length"],
+)
+def test_graph6_malformed_messages(text, message):
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        parse_graph6(text)
+
+
+@pytest.mark.parametrize("text", ["~??A?", "~~?????A?"], ids=["4-byte-header", "8-byte-header"])
+def test_graph6_long_headers_decode(text):
+    """n = 2 in the 4- and 8-byte forms of the header, no edge."""
+    assert parse_graph6(text) == MultiGraph(2)
+
+
 def test_graph6_rejects_multigraph():
     with pytest.raises(Graph6MultiedgeError):
         emit_graph6(MultiGraph(2, [(0, 1), (0, 1)]))

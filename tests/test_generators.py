@@ -19,6 +19,7 @@ from clawcolor import (
     random_expansion_spec,
 )
 from clawcolor.errors import InfeasibleSpecError, KTooSmallError, OddOrderError
+from clawcolor.generators import _parse_tree_spec
 from clawcolor.rng import SplitMix64
 
 
@@ -120,6 +121,27 @@ def test_infeasible_specs():
         gen_bridged([("k3", 2), ("type3", 1)], SplitMix64(0))
     with pytest.raises(InfeasibleSpecError):
         gen_bridged([("type3", 1)], SplitMix64(0))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([("k3", 2), ("type3", 1), ("type3", 1)], "a K3 component has exactly 3 attachments"),
+        ([("diamond", 1), ("type3", 1)], "a diamond component has exactly 2 attachments"),
+        ([("k5", 1), ("type3", 1)], "unknown component kind 'k5'"),
+        ([("type3", 0), ("type3", 2), ("type3", 1)], "every component needs at least one attachment"),
+    ],
+    ids=["k3-count", "diamond-count", "unknown-kind", "no-attachment"],
+)
+def test_bridged_spec_errors(spec, message):
+    with pytest.raises(InfeasibleSpecError, match=f"^{message}$"):
+        gen_bridged(spec, SplitMix64(0))
+
+
+def test_tree_spec_skips_empty_parts():
+    assert _parse_tree_spec(" type3:1,, diamond:2 ,type3:1,") == [
+        ("type3", 1), ("diamond", 2), ("type3", 1)
+    ]
 
 
 def test_fixture_catalog():

@@ -66,8 +66,10 @@ def test_verify_requires_total():
         ({0: 0, 1: 1, 2: 2, 3: 3, 4: 0}, {4}),
         ({-1: 0, 0: 0, 1: 1, 2: 2, 3: 3}, {-1}),
         ({0: 0, 1: 1, 2: 2, 4: 0}, {3}),
+        ({0: 0, 1: 1, 2: 2, 3: 3, 2.5: 0}, {2.5}),
+        ({0: 0, 1: 1, 2: 2, 3: 3, 2.5: 0, 7: 1}, {2.5, 7}),
     ],
-    ids=["missing", "extra", "negative", "missing-and-extra"],
+    ids=["missing", "extra", "negative", "missing-and-extra", "non-integer", "non-integer-and-extra"],
 )
 def test_verify_domain_mismatch(assignment, mismatch):
     with pytest.raises(PartialColoringError) as exc:

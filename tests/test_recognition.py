@@ -38,6 +38,7 @@ from brute import (
     find_claw_brute,
     find_diamonds,
     induced,
+    root_rule_counterexamples,
     multigraph_isomorphic,
     relabeled,
 )
@@ -384,11 +385,11 @@ def test_bridge_tree_component_count(base_corpus):
             assert isinstance(structure, Decomposition)
 
 
-def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees):
-    """Three BFS sweeps pick the root the eccentricity of every node picks,
-    on every bridged tree of the corpus."""
-    tested = 0
-    for name, g in bridged_trees:
+def _rooting_mismatches(graphs) -> tuple[int, list]:
+    """How many graphs have bridges, and those whose `decompose` rooting is
+    not the all-pairs rule's."""
+    tested, bad = 0, []
+    for name, g in graphs:
         bridges = find_bridges(g)
         bt = decompose(g)
         if not bridges:
@@ -403,8 +404,25 @@ def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees):
             "up_vertex": [-1 if c == bt.root else xs[0] for c, xs in enumerate(bt.degree2)],
             "up_neighbor": list(bt.up_neighbor),
         }
-        assert got == bridge_tree_root_brute(g, bridges), name
-    assert tested == 49
+        if got != bridge_tree_root_brute(g, bridges):
+            bad.append(name)
+    return tested, bad
+
+
+def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees, random_bridged_trees):
+    """The root min(a, b) and the depths from its sweep are the ones the
+    eccentricity of every node picks, on every bridged tree of both corpora."""
+    assert _rooting_mismatches(bridged_trees) == (49, [])
+    assert _rooting_mismatches(
+        (f"random{i}", g) for i, g in enumerate(random_bridged_trees)
+    ) == (200, [])
+
+
+def test_root_rule_on_every_labelled_tree_up_to_7_nodes():
+    """min(a, b) is the smallest end of a diametral path on each of the
+    18,248 labelled trees of 2 to 7 nodes.  `tests/bridge_tree_at_scale.py`
+    runs the 280,392 trees of up to 8 nodes."""
+    assert root_rule_counterexamples(7) == (18_248, [])
 
 
 def test_single_diamond():
