@@ -15,7 +15,7 @@ Corners and diamonds are read by position from the decomposition's
 realization tuples (`recognition._walk` gives the format).  A bridgeless
 graph's coloring takes `_complement`'s 2-factor; a completed Type III
 component's takes a 2-factor forced through one H-edge, whose slot
-`_lift_slot` finds, and `colorer._color_type3` composes the two.
+`colorer._surgery` gives, and `colorer._color_type3` composes the two.
 
 Nothing here is public or checks its input, and nothing here certifies
 its output: `color_claw_free_cubic` validates its input once at entry,
@@ -56,8 +56,11 @@ def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
     return PackingColoring(SPEC_1122, assignment)
 
 
-def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingColoring:
-    """The canonical coloring of a built graph for a 2-factor of its H."""
+def _canonical(dec: Decomposition, factor: TwoFactor) -> PackingColoring:
+    """The canonical coloring of a built graph for a 2-factor of its H.
+
+    Each vertex lies on one realization, so the check counts their lengths.
+    """
     assignment: dict[int, int] = {}
 
     # matching edges: the corner in the lower-indexed triangle gets 2a
@@ -78,9 +81,10 @@ def _canonical(g: MultiGraph, dec: Decomposition, factor: TwoFactor) -> PackingC
             if len(r) > 2:
                 _color_string(assignment, r, last, first, C2A, C2B)
 
-    if len(assignment) != g.n:
+    n = sum(map(len, dec.realization.values()))
+    if len(assignment) != n:
         raise InternalInvariantError(
-            f"canonical coloring covered {len(assignment)} of {g.n} vertices"
+            f"canonical coloring covered {len(assignment)} of {n} vertices"
         )
     return PackingColoring(SPEC_1122, assignment)
 
@@ -97,22 +101,10 @@ def _color_string(
         assignment[r[j + 2]] = second
 
 
-def _lift_slot(dec: Decomposition, edge: tuple[int, int]):
-    """The slot of the H-edge whose realization contains `edge`."""
-    key = (min(edge), max(edge))
-    for slot, r in dec.realization.items():
-        for a, b in zip(r[::4], r[1::4]):
-            if (a, b) == key or (b, a) == key:
-                return slot
-    raise InternalInvariantError(
-        f"edge {key} lies inside a triangle or a diamond; no H-edge image"
-    )
-
-
 def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:
     """Dispatch on the structure variant of g's decomposition."""
     if dec.variant is Variant.K4:
         return _k4()
     if dec.variant is Variant.RING:
         return _ring(g, dec.ring_diamonds)
-    return _canonical(g, dec, _complement(dec.h))
+    return _canonical(dec, _complement(dec.h))

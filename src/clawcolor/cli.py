@@ -196,14 +196,19 @@ def cmd_color(args) -> int:
         # every write a system call
         coloring = report.pop("coloring", None)
         if args.json:
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             if coloring:
                 # the lines `json.dumps(..., indent=2, sort_keys=True)` would
                 # write: "coloring" is the first key, and ids sort as strings,
-                # which sorting whole lines does since '"' sorts below digits
+                # which sorting whole lines does since '"' sorts below digits.
+                # The other values are scalars, so the C encoder, which runs
+                # only without indent, writes their lines with these separators
                 labels = coloring.spec.labels()
                 lines = sorted(f'    "{v}": "{labels[c]}"' for v, c in coloring.assignment.items())
-                text = '{\n  "coloring": {\n' + ",\n".join(lines) + "\n  }," + text[1:]
+                rest = json.dumps(report, sort_keys=True, separators=(",\n  ", ": "))
+                text = '{\n  "coloring": {\n' + ",\n".join(lines)
+                text += "\n  },\n  " + rest[1:-1] + "\n}\n"
+            else:
+                text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             sys.stdout.write(text)
         elif coloring:
             header = f"# {report['input']}\n" if several else ""

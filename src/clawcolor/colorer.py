@@ -10,10 +10,8 @@ are colored in place, by direct stores into the glued assignment: x1 gets
 the forced class, a diamond's other exterior the other one, and the two
 vertices left 1a and 1b in ascending order.  A Type III component C, the
 root included, with attachment vertices X (its degree-2 vertices) is
-completed, in one step from G's sorted adjacency lists and with no edge
-list or validating build, to a 2-edge-connected claw-free cubic graph,
-which is decomposed once and colored from a 2-factor of its H with one
-edge forced (Plesnik's theorem):
+completed to a 2-edge-connected claw-free cubic graph, colored from a
+2-factor of its H with one edge forced (Plesnik's theorem):
 
   * |X| even: add a pairing edge on each consecutive pair of X; x1-x2 is
     forced into the perfect matching, so x1, x2 carry 2a/2b.
@@ -23,10 +21,12 @@ edge forced (Plesnik's theorem):
     x1 -> 2a.  A K4 completion takes the explicit 7-vertex assignment
     instead, and a ring of diamonds the ring coloring.
 
-The forced class of x1 is realized by transposing whole color classes.
+The completed graph is never built: `_surgery` cuts its H from C's share
+of G's contraction, which the bridge tree hands over, in G's ids.  The
+forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
-input once at entry, through `structure.decompose`, and certifies the
+input once at entry, through `structure._structure`, and certifies the
 glued coloring once at exit; nothing in between checks an input or
 certifies an output.  Every component it hands on comes from a validated
 graph, so a failed precondition below the entry check is a bug and raises
@@ -35,103 +35,109 @@ InternalInvariantError.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Mapping, Sequence
+from itertools import chain
 
-from .canonical import _canonical, _lift_slot, _ring, _two_edge_connected
+from .canonical import _canonical, _two_edge_connected
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
 from .factorization import _matched_through, _two_factor_through
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, Slot
 from .oracle import verify
-from .recognition import BridgeTree, ComponentKind
-from .structure import Decomposition, Variant, _decompose, decompose
+from .recognition import BridgeTree, ComponentKind, LocalScan
+from .structure import Decomposition, _decompose, _structure
 
 
-def _check_independent(g: MultiGraph, xs: Sequence[int]) -> None:
-    """Raise on the first adjacent pair of xs, in the order of xs."""
-    pos = {x: i for i, x in enumerate(xs)}
-    for i, u in enumerate(xs):
-        later = [pos[v] for v in g.neighbors(u) if pos.get(v, -1) > i]
-        if later:
+def _check_attachments(at: Mapping[int, int], xs: Sequence[int]) -> None:
+    """Raise unless each of xs is a corner, `at` mapping each corner of the
+    component's triangles to its triangle, and no two share a triangle.
+
+    An attachment's third edge is its bridge, so it is a corner of a
+    triangle, on no diamond, and two attachments are adjacent exactly when
+    they share a triangle.
+    """
+    first: dict[int, int] = {}
+    for x in xs:
+        t = at.get(x)
+        if t is None:
             raise InternalInvariantError(
-                f"attachment vertices {u} and {xs[min(later)]} are adjacent; "
+                f"attachment {x} lies on a diamond of its completed component; "
+                "contradicts the structure of claw-free cubic graphs"
+            )
+        y = first.setdefault(t, x)
+        if y != x:
+            raise InternalInvariantError(
+                f"attachment vertices {y} and {x} are adjacent; "
                 "the degree-2 set must be independent"
             )
 
 
-def _odd_gadget(g: MultiGraph, x1: int, members: Container[int]) -> tuple[int, int, int, int]:
-    """Locate u, w (x1's neighbors among `members`) and their outer neighbors s, y."""
-    nbrs = [z for z in g.neighbors(x1) if z in members]
-    if len(nbrs) != 2:
-        raise InternalInvariantError(f"attachment {x1} has degree {len(nbrs)}")
-    u, w = nbrs
-    if not g.has_edge(u, w):
-        raise InternalInvariantError(
-            f"neighbors {u}, {w} of attachment {x1} are not adjacent; "
-            "the input graph cannot be claw-free"
-        )
-    s = next(z for z in g.neighbors(u) if z not in (x1, w))
-    y = next(z for z in g.neighbors(w) if z not in (x1, u))
-    if s == y:
-        raise InternalInvariantError(
-            "component is a diamond; the odd construction does not apply"
-        )
-    if g.has_edge(s, y):
-        raise InternalInvariantError(
-            f"outer neighbors {s}, {y} are adjacent; impossible in a claw-free "
-            "cubic graph"
-        )
-    return u, w, s, y
+def _flip(r: tuple[int, ...]) -> tuple[int, ...]:
+    """The realization r walked from its other end, each diamond's interiors ascending."""
+    f = list(reversed(r))
+    f[2::4], f[3::4] = f[3::4], f[2::4]
+    return tuple(f)
 
 
-def _completion(
-    g: MultiGraph, verts: Iterable[int], xs: Sequence[int]
-) -> tuple[MultiGraph, dict[int, int], tuple[int, int, int, int] | None]:
-    """The completed graph of a Type III component of g, built in one step.
+def _surgery(
+    share: LocalScan, at: Mapping[int, int], xs: Sequence[int]
+) -> tuple[Decomposition, Slot, tuple[int, int, int, int] | None]:
+    """The completion of a Type III component C, cut from its share of G's contraction.
 
-    verts lists the component's vertices ascending, xs its attachment
-    vertices with x1 first.  Returns the completion, its {id in g: local
-    id} map, local ids ascending with g's, and the odd gadget (u, w, s, y),
-    None when |X| is even.  Each kept vertex's neighbour list is g's,
-    relabelled, so it stays sorted; then each end of s-y when |X| is odd,
-    and of a pairing edge on each consecutive pair of the attachments
-    left, is inserted in order.  The completion is simple: g is (the entry
-    check found it so), the attachments are independent, and the odd
-    gadget has no s-y edge and keeps s and y off the attachments, so no
-    added edge repeats a pair.
+    `share` holds C's triangles in G's order and its realizations that
+    are no H-bridges, `at` maps each corner to its triangle, and xs lists
+    C's attachments, x1 first.  Each pair of X the completion joins
+    becomes a direct realization.  With |X| odd, x1's triangle (x1, u, w)
+    goes, and the realizations of u and w are spliced at the new edge s-y.
+    A new realization runs from its lower triangle and lists its diamonds
+    as `_walk` does, and the triangles keep G's order, so H, its slots and
+    the forced slot are those the completed graph's own scan, walk and
+    contraction would give.  Returns the decomposition, in G's ids, the
+    slot of x1-x2 or of s-y, and the odd gadget (u, w, s, y), None when
+    |X| is even.
     """
-    local = dict.fromkeys(verts)
-    added = []
-    gadget = None
-    if len(xs) % 2:
-        gadget = u, w, s, y = _odd_gadget(g, xs[0], local)
-        for v in (xs[0], u, w):
-            del local[v]
-        added.append((s, y))
-    rest = xs[len(xs) % 2:]
-    added += zip(rest[::2], rest[1::2])
-    for i, v in enumerate(local):
-        local[v] = i
-    adj = g.adjacency()
-    tilde = [[local[w] for w in adj[v] if w in local] for v in local]
-    for a, b in added:
-        a, b = local[a], local[b]
-        insort(tilde[a], b)
-        insort(tilde[b], a)
-    return MultiGraph._from_sorted_adjacency(tilde), local, gadget
+    triangles = share.triangles
+    odd = len(xs) % 2
+    drop = at[xs[0]] if odd else len(triangles)  # the triangle that goes, if any
+    kept, toward, gadget = [], {}, None  # toward: u's and w's realizations, run to end there
+    for r in share.walk:
+        if at[r[0]] == drop:
+            toward[r[0]] = _flip(r)
+        elif at[r[-1]] == drop:
+            toward[r[-1]] = r
+        else:
+            kept.append(r)
+    if odd:
+        u, w = (v for v in triangles[drop] if v != xs[0])
+        head, tail = toward[u], _flip(toward[w])  # (..., s, u) and (w, y, ...)
+        gadget = u, w, head[-2], tail[1]
+        kept.append(head[:-1] + tail[1:])
+    forced = len(kept) - odd
+    walk, ends = [], []
+    for r in chain(kept, zip(xs[odd::2], xs[odd + 1::2])):
+        a, b = at[r[0]], at[r[-1]]
+        a, b = a - (a > drop), b - (b > drop)
+        walk.append(r if a <= b else _flip(r))
+        ends.append((a, b) if a <= b else (b, a))
+    # as in `_contract`, H leaves out a loop, which `_decompose` reports as a bug
+    h = MultiGraph(len(triangles) - odd, [(a, b) for a, b in ends if a != b])
+    dec = _decompose(LocalScan(
+        triangles=[t for i, t in enumerate(triangles) if i != drop], walk=walk, ends=ends, h=h
+    ))
+    (a, b), k = ends[forced], 0
+    while dec.realization[a, b, k] is not walk[forced]:
+        k += 1
+    return dec, (a, b, k), gadget
 
 
-def _explicit_k4_completion(
-    local: dict[int, int], x1: int, gadget: tuple[int, int, int, int], root_style: bool
-) -> dict[int, int]:
+def _explicit_k4_completion(x1: int, r: tuple[int, ...], root_style: bool) -> dict[int, int]:
     """Explicit coloring of a 7-vertex component whose completion is K4.
 
-    The two completion vertices other than s and y are interchangeable;
-    the smaller id plays the written role first.
+    r = (u, s, z, a, y, w) is the H-loop at x1's triangle: one diamond,
+    whose interiors z < a are the completion's two vertices other than s
+    and y.  The smaller plays the written role first.
     """
-    u, w, s, y = gadget
-    z, a = (v for v in local if v not in (s, y))
+    u, s, z, a, y, w = r
     if root_style:
         # explicit root assignment: s -> 1b, y -> 1a, fourth -> 2a, apex -> 2b
         return {s: C1B, y: C1A, a: C2A, z: C2B, u: C1A, w: C1B, x1: C2A}
@@ -140,60 +146,58 @@ def _explicit_k4_completion(
 
 
 def _color_type3(
-    g: MultiGraph, verts: Sequence[int], xs: Sequence[int], forced: int, root_style: bool
-) -> tuple[dict[int, int], list[int]]:
-    """Colors of a Type III component of g, and its vertices on diamonds.
+    share: LocalScan, xs: Sequence[int], forced: int, root_style: bool
+) -> dict[int, int]:
+    """Colors of a Type III component, keyed by G's ids.
 
-    verts lists the component's vertices ascending, xs its attachment
-    vertices with x1 first, which gets `forced`.  The completion is
-    decomposed once and colored by its variant, as the module docstring
-    says.  The colors are keyed by g's ids in the order of `verts`; the
-    diamond vertices are those on the diamonds of the completion.
+    `share` is the component's share of G's contraction, xs its
+    attachment vertices with x1 first, which gets `forced`.  A component
+    of one triangle, x1's, holds an H-loop (u, s, ..., y, w), and its
+    completion is the loop's string closed up by s-y: K4 for one diamond,
+    else a ring.  Any other is completed by `_surgery` and colored
+    canonically, as the module docstring says.
     """
+    at = {v: t for t, tri in enumerate(share.triangles) for v in tri}
+    _check_attachments(at, xs)
     x1 = xs[0]
-    tilde, local, gadget = _completion(g, verts, xs)
-    if gadget is None:
-        edge, through = (x1, xs[1]), _matched_through
-    else:
-        u, w, s, y = gadget
-        edge, through = (s, y), _two_factor_through
-    dec = _decompose(tilde)
     fixed: dict[int, int] = {}  # colors of the vertices the completion lacks
-    sub: dict[int, int] = {}  # colors of the completion's vertices, by local id
-    ones = (C1A, C1B)  # the completion's 1a and 1b, as colored in g
-    if dec.variant is Variant.K4:
-        fixed = _explicit_k4_completion(local, x1, gadget, root_style)
-    else:
-        if dec.variant is Variant.RING:
-            sub = _ring(tilde, dec.ring_diamonds).assignment
+    sub: dict[int, int] = {}  # colors of the completion's vertices
+    ones = (C1A, C1B)  # the completion's 1a and 1b, as colored in G
+    if len(share.triangles) == 1:
+        (r,) = share.walk
+        gadget = r[0], r[-1], r[1], r[-2]
+        if len(r) == 6:
+            fixed = _explicit_k4_completion(x1, r, root_style)
         else:
-            factor = through(dec.h, _lift_slot(dec, (local[edge[0]], local[edge[1]])))
-            sub = _canonical(tilde, dec, factor).assignment
-        if gadget is not None:
-            if {sub[local[s]], sub[local[y]]} != {C1A, C1B}:
-                raise InternalInvariantError(
-                    "joined outer neighbors did not receive the two radius-1 colors"
-                )
-            # s must carry 1a: exchange the completion's 1a and 1b if it does not
-            ones = (C1A, C1B) if sub[local[s]] == C1A else (C1B, C1A)
-            fixed = {u: C1B, w: C1A, x1: C2A}
-    # 2a and 2b are exchanged unless x1 already has `forced`
-    first = fixed[x1] if x1 in fixed else sub[local[x1]]
-    twos = (C2A, C2B) if first == forced else (C2B, C2A)
-    # swap[c] is the color in g of the completion's c, fixed_swap of a fixed c
-    swap, fixed_swap = ones + twos, (C1A, C1B) + twos
-    return {
-        v: fixed_swap[fixed[v]] if v in fixed else swap[sub[local[v]]] for v in verts
-    }, _diamond_vertices(dec, local)
-
-
-def _diamond_vertices(dec: Decomposition, local: dict[int, int]) -> list[int]:
-    """g's ids of the completion's vertices on diamonds: its ring or its strings."""
-    if dec.variant is Variant.RING:
-        on = {v for d in dec.ring_diamonds for v in d.vertices}
+            # `_ring`'s rule on the ring of r's diamonds: interiors 2a and 2b,
+            # and 1a at the smaller end of each edge between diamonds, s-y
+            # and r's inner connectors
+            for e, z in ((r[1], r[-2]), *zip(r[4:-1:4], r[5:-1:4])):
+                sub[e], sub[z] = (C1A, C1B) if e < z else (C1B, C1A)
+            for j in range(2, len(r) - 2, 4):
+                sub[r[j]], sub[r[j + 1]] = C2A, C2B
     else:
-        on = {v for r in dec.realization.values() for v in r[1:-1]}
-    return [v for v, i in local.items() if i in on]
+        dec, slot, gadget = _surgery(share, at, xs)
+        through = _matched_through if gadget is None else _two_factor_through
+        sub = _canonical(dec, through(dec.h, slot)).assignment
+    if sub and gadget is not None:
+        u, w, s, y = gadget
+        if {sub[s], sub[y]} != {C1A, C1B}:
+            raise InternalInvariantError(
+                "joined outer neighbors did not receive the two radius-1 colors"
+            )
+        # s must carry 1a: exchange the completion's 1a and 1b if it does not
+        ones = (C1A, C1B) if sub[s] == C1A else (C1B, C1A)
+        fixed = {u: C1B, w: C1A, x1: C2A}
+    # 2a and 2b are exchanged unless x1 already has `forced`
+    first = fixed[x1] if x1 in fixed else sub[x1]
+    twos = (C2A, C2B) if first == forced else (C2B, C2A)
+    # swap[c] is the color in G of the completion's c, fixed_swap of a fixed c
+    swap, fixed_swap = ones + twos, (C1A, C1B) + twos
+    colors = {v: swap[c] for v, c in sub.items()}
+    for v, c in fixed.items():
+        colors[v] = fixed_swap[c]
+    return colors
 
 
 def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
@@ -215,27 +219,26 @@ def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) 
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
-    structure = decompose(g)
-    if isinstance(structure, BridgeTree):
-        coloring = _color_bridged(g, structure)
-    else:
+    structure = _structure(g)
+    if isinstance(structure, Decomposition):
         coloring = _two_edge_connected(g, structure)
+    else:
+        coloring = _color_bridged(g, *structure)
     violations = verify(g, SPEC_1122, coloring)
     if violations:
         raise VerificationFailedError(violations)
     return coloring
 
 
-def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
+def _color_bridged(
+    g: MultiGraph, bt: BridgeTree, shares: Mapping[int, LocalScan]
+) -> PackingColoring:
     """Color each component of the bridge tree in BFS order, unverified.
 
     Every component is colored in g's own ids: K3 and diamond components
-    in place, Type III components through one completion graph each.
+    in place, Type III components from their shares of g's contraction.
     """
     assignment: dict[int, int] = {}
-    # 1 at each vertex on a diamond of a completed Type III component, for
-    # the no-diamond-at-up-neighbor invariant
-    on_diamond = bytearray(g.n)
     components, degree2, kinds, up_neighbor = bt.components, bt.degree2, bt.kinds, bt.up_neighbor
     root = bt.root
     triangle, type3 = ComponentKind.TRIANGLE, ComponentKind.TYPE_III
@@ -245,13 +248,7 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
         if c == root:
             forced = C2A
         else:
-            q = up_neighbor[c]
-            if on_diamond[q]:
-                raise InternalInvariantError(
-                    f"up-neighbor {q} lies on a diamond of its completed "
-                    "component; contradicts the structure of claw-free cubic graphs"
-                )
-            forced = _free_two_color(g, assignment, q)
+            forced = _free_two_color(g, assignment, up_neighbor[c])
         if kind is not type3:
             # x1 gets the forced class, a diamond's x2 the other radius-2
             # class, and the two vertices left 1a and 1b in ascending order
@@ -267,9 +264,6 @@ def _color_bridged(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
             assignment[a] = C1A
             assignment[b] = C1B
             continue
-        _check_independent(g, xs)
-        colors, diamonds = _color_type3(g, components[c], xs, forced, root_style=c == root)
-        for v in diamonds:
-            on_diamond[v] = 1
-        assignment.update(colors)
+        # each share is freed once its component is colored
+        assignment.update(_color_type3(shares.pop(c), xs, forced, root_style=c == root))
     return PackingColoring(SPEC_1122, assignment)

@@ -91,9 +91,12 @@ class VerificationFailedError(InternalInvariantError):
 
 class PartialColoringError(ClawcolorError):
     def __init__(self, missing):
+        # ints in numeric order, then the rest by repr: those may not compare
+        ints = sorted(v for v in missing if isinstance(v, int))
+        others = sorted((v for v in missing if not isinstance(v, int)), key=repr)
         super().__init__(
             f"coloring domain mismatch on {len(missing)} vertices, "
-            f"e.g. {sorted(missing)[:5]}"
+            f"e.g. {(ints + others)[:5]}"
         )
         self.missing = missing
 

@@ -5,10 +5,8 @@ its degree (with multiplicity), and a dict holding the multiplicity of
 only the pairs with two or more parallel copies.  A simple graph keeps
 that dict empty, so it costs no more than its adjacency lists.  The
 stored form is canonical: it does not depend on the order of the input
-edges.  A caller that already holds that form for a simple graph hands
-its lists over through `_from_sorted_adjacency`, skipping the per-edge
-build and its checks.  Instances are immutable after construction;
-"mutating" helpers return new graphs.
+edges.  Instances are immutable after construction; "mutating" helpers
+return new graphs.
 """
 
 from __future__ import annotations
@@ -57,20 +55,6 @@ class MultiGraph:
         self._adj = adj
         self._deg = deg
         self._par = par
-
-    @classmethod
-    def _from_sorted_adjacency(cls, adj: list[list[int]]) -> "MultiGraph":
-        """The simple graph whose neighbour lists are `adj`, kept as given.
-
-        Each list must already be sorted, distinct and loop-free, and the
-        lists symmetric: this is the stored form, and nothing is checked.
-        """
-        g = cls.__new__(cls)
-        g.n = len(adj)
-        g._adj = adj
-        g._deg = list(map(len, adj))
-        g._par = {}
-        return g
 
     # basic queries
 

@@ -12,7 +12,7 @@ exactly one of those triangles or diamonds, and `_walk` follows each
 triangle corner through its string of diamonds to another corner, listing
 the vertices it passes.  The walks are the edges of a cubic multigraph H
 on the triangles, which `_contract` builds for the entry check
-`_require_claw_free_cubic` and for `structure._decompose` alike.  An edge
+`_require_claw_free_cubic`, and `structure._decompose` files.  An edge
 cut of H lifts to an edge cut of G of the same size, so the entry check
 reads G's connectivity and bridges from H, which is much smaller.  With
 no triangle, `_ring_length` decides connectivity: the ring through
@@ -25,7 +25,9 @@ non-bridge edges, H-loops included, with the diamonds on those edges'
 strings, and each diamond on the string of an H-bridge on its own.
 `_bridge_tree` joins the triangles with a union-find and types each
 component by its size alone, the one component classifier.  One BFS
-helper over the components finds the root and roots the tree.
+helper over the components finds the root and roots the tree.  Beside
+the tree it hands each Type III component its triangles and realizations,
+from which `colorer` completes it without scanning it again.
 `structure.decompose` is the one public way in.
 """
 
@@ -137,10 +139,6 @@ class Diamond(NamedTuple):
     interiors: tuple[int, int]
     exteriors: tuple[int, int]
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.interiors + self.exteriors)
-
 
 class LocalScan(NamedTuple):
     """What `_local_scan` reads from the closed neighborhoods of a graph.
@@ -154,7 +152,8 @@ class LocalScan(NamedTuple):
     `_contract` keeps, for a graph with triangles, only `triangles` and
     fills in `walk`, the realizations `_walk` lists, `ends`, the triangles
     at the two ends of each, and `h`, the H-edges of the ones that are
-    not H-loops.
+    not H-loops.  `_bridge_tree` hands each Type III component its share
+    of G's contraction in `triangles` and `walk`.
     """
 
     claw: tuple[int, int, int, int] | None = None
@@ -386,8 +385,11 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     return h_bridges, local._replace(h=None) if h_bridges else local
 
 
-def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalScan) -> BridgeTree:
-    """The bridge tree of a graph already validated, read from H.
+def _bridge_tree(
+    g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalScan
+) -> tuple[BridgeTree, dict[int, LocalScan]]:
+    """The bridge tree of a graph already validated, read from H, and each
+    Type III component's share of the contraction.
 
     g has passed `_require_claw_free_cubic`, which returned `h_bridges`
     and `local`, g's contraction, whose walk lists every vertex once.  A
@@ -423,6 +425,11 @@ def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalSca
     G minus a set F of edges has |F| + 1 components only when every edge
     of F is a bridge, and H's bridges lift to G's, so the count check
     fails only when `h_bridges` holds a non-bridge of H, which is a bug.
+
+    The share of Type III component c, shares[c], holds c's triangles in
+    G's order, and its realizations that are no H-bridges in walk order,
+    each the walk's own tuple.  A dict keeps a chain of diamonds from
+    holding an entry per component.
     """
     n, ntri = g.n, len(local.triangles)
     up = list(range(ntri))  # union-find parent of each triangle
@@ -523,6 +530,14 @@ def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalSca
             xs.remove(x1)
             xs.insert(0, x1)
 
+    shares = {c: LocalScan(triangles=[], walk=[]) for c, k in enumerate(kinds) if k is type3}
+    for t, tri in enumerate(local.triangles):
+        if share := shares.get(index[root_of[t]]):
+            share.triangles.append(tri)
+    for r, e in zip(local.walk, local.ends):
+        if e not in h_bridges:
+            shares[index[root_of[e[0]]]].walk.append(r)
+
     return BridgeTree(
         components=tuple(components),
         kinds=kinds,
@@ -531,4 +546,4 @@ def _bridge_tree(g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalSca
         depth=tuple(depth),
         up_neighbor=tuple(-1 if x == -1 else across[x] for x in up_vertex),
         degree2=tuple(map(tuple, attach)),
-    )
+    ), shares

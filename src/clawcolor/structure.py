@@ -9,30 +9,32 @@ H-edge its realization in G (a direct edge or a diamond string).
 `decompose` is the one public way in, for any connected claw-free cubic
 graph.  It runs the entry check `_require_claw_free_cubic` once, then
 returns the bridge tree, read from H and its bridges, when the graph has
-bridges and its decomposition when it has none; `color_claw_free_cubic`
-and `clawcolor decompose` both branch on the type it returns.
+bridges and its decomposition when it has none.  `color_claw_free_cubic`
+branches on the type `_structure` returns, which hands each Type III
+component's share of G's contraction over beside the bridge tree.
 
 The triangles and diamonds come from `recognition._local_scan`, and the
 realizations and H from `recognition._contract`, which walks from each
 triangle corner's outside neighbor through any diamond string to the next
 corner.  The entry check contracts G and `decompose` hands the result
-over, so G is neither walked nor contracted twice; a completed component
-of a bridged graph is contracted here through the same helper.  Past the
-entry check a failed partition is a bug, so `_decompose` raises
-InternalInvariantError.
+over, so G is neither walked nor contracted twice.  No other graph is
+scanned: a completed Type III component's H is cut from G's contraction
+by `colorer._surgery`.
 
 A realization stays the vertex tuple the walk lists (`_walk`'s docstring
 gives the format).  The walk already runs each one from its lower-indexed
-triangle, so `_decompose` only files them under their slots.
+triangle, so `_decompose` only files them under their slots, for G's H
+and for each completion's H alike.
 
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
 
-  * Cubic.  The scan guarantees that each triangle corner has exactly one
-    outside edge: G's entry scan, or the completion's own scan here, which
-    `_contract` requires to put every vertex on a triangle or a diamond.
-    Filing rejects H-loops.  A walk is deterministic and reversible, so
-    each corner ends exactly one realization.
+  * Cubic.  G's entry scan guarantees that each triangle corner has
+    exactly one outside edge, and `_contract` requires it to put every
+    vertex on a triangle or a diamond.  A walk is deterministic and
+    reversible, so each corner ends exactly one realization; the surgery
+    on a completion replaces realizations end for end.  Filing rejects
+    H-loops.
   * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
     size, so G's connectivity and bridges are read from H: on the pipeline
     path the entry check searched H, not G, and found no bridge.  For a
@@ -56,10 +58,7 @@ from .recognition import (
     Diamond,
     LocalScan,
     _bridge_tree,
-    _contract,
-    _local_scan,
     _require_claw_free_cubic,
-    is_k4,
 )
 
 
@@ -98,37 +97,34 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
     NotSimpleError, DisconnectedError, NotCubicError or NotClawFreeError
     on any other input, and InternalInvariantError on a bug.
     """
+    structure = _structure(g)
+    return structure if isinstance(structure, Decomposition) else structure[0]
+
+
+def _structure(g: MultiGraph) -> Decomposition | tuple[BridgeTree, dict[int, LocalScan]]:
+    """`decompose`'s result, with a bridge tree the Type III components'
+    shares of G's contraction beside it (`recognition._bridge_tree`)."""
     h_bridges, local = _require_claw_free_cubic(g)
     if h_bridges:
         return _bridge_tree(g, h_bridges, local)
-    return _decompose(g, local)
+    return _decompose(local)
 
 
-def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
-    """The decomposition of a graph already known to be 2-edge-connected.
+def _decompose(local: LocalScan) -> Decomposition:
+    """The decomposition of a 2-edge-connected graph from its contraction.
 
-    `local` is what the entry check returned for g, when the caller has
-    it; otherwise g is scanned and contracted here.
+    `local` is what the entry check returned for the graph: its scan when
+    it is K4, which has neither triangle nor diamond, or a ring, which has
+    no triangle.  The walk runs each realization from its lower triangle
+    (`_walk`); each corner starts one realization, so the sort that
+    numbers parallel copies never looks past r[0].
     """
-    if is_k4(g):
-        return Decomposition(variant=Variant.K4, realization={})
-
-    if local is None:
-        local = _local_scan(g)
-        if local.claw is not None:
-            raise InternalInvariantError(f"claw {local.claw} in a graph to decompose")
-        local = _contract(g, local)
-        if local is None:
-            raise InternalInvariantError(
-                "the triangles and diamond strings do not partition the graph to decompose"
-            )
     if local.h is None:
+        if not local.diamonds:
+            return Decomposition(variant=Variant.K4, realization={})
         return Decomposition(
             variant=Variant.RING, ring_diamonds=tuple(local.diamonds), realization={}
         )
-
-    # the walk runs each realization from its lower triangle (`_walk`);
-    # each corner starts one realization, so the sort never looks past r[0]
     realization: dict[Slot, tuple[int, ...]] = {}
     counts: dict[tuple[int, int], int] = {}
     for (ha, hb), r in sorted(zip(local.ends, local.walk)):
@@ -140,7 +136,6 @@ def _decompose(g: MultiGraph, local: LocalScan | None = None) -> Decomposition:
         k = counts.get((ha, hb), 0)
         counts[(ha, hb)] = k + 1
         realization[(ha, hb, k)] = r
-
     return Decomposition(
         variant=Variant.BUILT,
         triangles=tuple(local.triangles),

@@ -19,10 +19,12 @@ bridge search as they were before they ran over flat lists, which pin
 `oracle.verify` and `recognition._bridges` on large graphs, and the
 `*_by_subgraphs` bridged path, as it was before every component was
 colored in G's own ids: one induced subgraph per component, and each Type
-III completion built from its subgraph, which pins `colorer._color_bridged`
-and `colorer._completion`.  `classify_component_by_sets`, the component
-classifier as it was before the bridge tree typed components from their
-sizes, types the reference bridge tree.
+III completion built from its subgraph, then scanned, walked, contracted
+and searched for its forced edge's slot (`lift_slot`), which pins
+`colorer._color_bridged` and `colorer._surgery`.
+`classify_component_by_sets`, the component classifier as it was before
+the bridge tree typed components from their sizes, types the reference
+bridge tree.
 
 `induced`, `with_edges` and `transposed` are the derived graphs and the
 class transposition, and `cycle_slots` the slot set of a 2-factor, that
@@ -36,7 +38,8 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations, product
 
-from clawcolor.colorer import _check_independent, _color_type3, _free_two_color
+from clawcolor.canonical import _canonical, _ring
+from clawcolor.colorer import _explicit_k4_completion, _free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
@@ -44,11 +47,19 @@ from clawcolor.errors import (
     InternalInvariantError,
     PartialColoringError,
 )
-from clawcolor.factorization import TwoFactor
+from clawcolor.factorization import TwoFactor, _matched_through, _two_factor_through
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
-from clawcolor.recognition import BridgeTree, ComponentKind, Diamond, find_bridges, is_k4
-from clawcolor.structure import Decomposition, Variant
+from clawcolor.recognition import (
+    BridgeTree,
+    ComponentKind,
+    Diamond,
+    _contract,
+    _local_scan,
+    find_bridges,
+    is_k4,
+)
+from clawcolor.structure import Decomposition, Variant, _decompose
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -209,6 +220,11 @@ def all_two_factors(g: MultiGraph) -> list[frozenset[tuple[int, int, int]]]:
     return out
 
 
+def diamond_vertices(d: Diamond) -> frozenset[int]:
+    """The four vertices of a diamond."""
+    return frozenset(d.interiors + d.exteriors)
+
+
 def find_diamonds(g: MultiGraph) -> list[Diamond]:
     """All induced diamonds, keyed by their interior edge, in edge order.
 
@@ -229,7 +245,7 @@ def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:
     Every vertex in a radius-1 class has two neighbors in the partner
     radius-1 class or lies on an induced diamond.
     """
-    on_diamond = {v for d in find_diamonds(g) for v in d.vertices}
+    on_diamond = {v for d in find_diamonds(g) for v in diamond_vertices(d)}
     partner = {C1A: C1B, C1B: C1A}
     for v, c in coloring.assignment.items():
         if c in partner and v not in on_diamond:
@@ -553,9 +569,10 @@ class StructureViolationError(ClawcolorError):
 def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     """`_decompose` as it was before the local scan, as the reference for it.
 
-    Verbatim but for the dropped `triangle_of` and `attach` fields: `find_diamonds`, then
-    triangles grouped from the first uncovered vertex, then a walk over
-    `Diamond.vertices` sets.  Each string diamond is kept as (entry,
+    Verbatim but for the dropped `triangle_of` and `attach` fields, and
+    `diamond_vertices` for the gone `Diamond.vertices`: `find_diamonds`,
+    then triangles grouped from the first uncovered vertex, then a walk
+    over `diamond_vertices` sets.  Each string diamond is kept as (entry,
     interiors, exit) and only the output is flattened into the
     `realization` tuples.
     """
@@ -565,7 +582,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     diamonds = find_diamonds(g)
     diamond_of: dict[int, int] = {}
     for i, d in enumerate(diamonds):
-        for v in d.vertices:
+        for v in diamond_vertices(d):
             if v in diamond_of:
                 raise StructureViolationError(
                     f"vertex {v} lies on two diamonds; only K4 allows that"
@@ -636,7 +653,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
                 exit_ = d.exteriors[0] if d.exteriors[1] == cur else d.exteriors[1]
                 seq.append((cur, d.interiors, exit_))
                 used_diamonds.add(diamond_of[cur])
-                outs = [w for w in g.neighbors(exit_) if w not in d.vertices]
+                outs = [w for w in g.neighbors(exit_) if w not in diamond_vertices(d)]
                 if len(outs) != 1:
                     raise StructureViolationError(
                         f"diamond exterior {exit_} has {len(outs)} outside edges"
@@ -1155,13 +1172,78 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
     return with_edges(sub, [(to_local[a], to_local[b]) for a, b in added]), to_comp
 
 
+def decompose_by_own_scan(g: MultiGraph) -> Decomposition:
+    """g decomposed from its own scan, walk and contraction, as a completion once was."""
+    local = _local_scan(g)
+    return _decompose(local if is_k4(g) else _contract(g, local))
+
+
+def lift_slot(dec: Decomposition, edge: tuple[int, int]) -> Slot:
+    """The slot of the H-edge whose realization contains `edge`, by a search of them all."""
+    key = (min(edge), max(edge))
+    for slot, r in dec.realization.items():
+        for a, b in zip(r[::4], r[1::4]):
+            if (a, b) == key or (b, a) == key:
+                return slot
+    raise InternalInvariantError(f"edge {key} lies inside a triangle or a diamond; no H-edge image")
+
+
+def color_type3_by_subgraphs(
+    comp: MultiGraph, xs: list[int], forced: int, root_style: bool
+) -> tuple[dict[int, int], list[int]]:
+    """`colorer._color_type3` as it was, on the component alone.
+
+    The completion is built from the subgraph, scanned, walked and
+    contracted, and the forced edge's slot is found by `lift_slot`.
+    Returns the colors by component id and the vertices on the
+    completion's diamonds.
+    """
+    if any(comp.has_edge(a, b) for a, b in combinations(xs, 2)):
+        raise InternalInvariantError("attachment vertices are adjacent")
+    x1 = xs[0]
+    tilde, to_comp = completion_by_subgraphs(comp, xs)
+    to_tilde = {v: i for i, v in enumerate(to_comp)}
+    dec = decompose_by_own_scan(tilde)
+    fixed: dict[int, int] = {}  # colors by component id
+    sub: dict[int, int] = {}  # colors by completion id
+    ones = (C1A, C1B)
+    if len(xs) % 2:
+        u, w = comp.neighbors(x1)
+        s = next(z for z in comp.neighbors(u) if z not in (x1, w))
+        y = next(z for z in comp.neighbors(w) if z not in (x1, u))
+    if dec.variant is Variant.K4:
+        z, a = (v for v in to_comp if v not in (s, y))
+        fixed = _explicit_k4_completion(x1, (u, s, z, a, y, w), root_style)
+    else:
+        if dec.variant is Variant.RING:
+            sub = _ring(tilde, dec.ring_diamonds).assignment
+        else:
+            if len(xs) % 2:
+                edge, through = (s, y), _two_factor_through
+            else:
+                edge, through = (x1, xs[1]), _matched_through
+            slot = lift_slot(dec, (to_tilde[edge[0]], to_tilde[edge[1]]))
+            sub = _canonical(dec, through(dec.h, slot)).assignment
+        if len(xs) % 2:
+            if {sub[to_tilde[s]], sub[to_tilde[y]]} != {C1A, C1B}:
+                raise InternalInvariantError("s and y are not 1a and 1b")
+            ones = (C1A, C1B) if sub[to_tilde[s]] == C1A else (C1B, C1A)
+            fixed = {u: C1B, w: C1A, x1: C2A}
+    first = fixed[x1] if x1 in fixed else sub[to_tilde[x1]]
+    twos = (C2A, C2B) if first == forced else (C2B, C2A)
+    colors = {to_comp[v]: (ones + twos)[c] for v, c in sub.items()}
+    colors.update({v: ((C1A, C1B) + twos)[c] for v, c in fixed.items()})
+    if dec.variant is Variant.RING:
+        on = {v for d in dec.ring_diamonds for v in diamond_vertices(d)}
+    else:
+        on = {v for r in dec.realization.values() for v in r[1:-1]}
+    return colors, [to_comp[v] for v in sorted(on)]
+
+
 def extension_by_subgraphs(
     comp: MultiGraph, xs: list[int], forced: int, kind: ComponentKind
 ) -> tuple[dict[int, int], list[int]]:
-    """A non-root component colored on its own subgraph, as the colorer once did.
-
-    Type III components go through the library's `_color_type3`, on the subgraph.
-    """
+    """A non-root component colored on its own subgraph, as the colorer once did."""
     x1 = xs[0]
     if kind is ComponentKind.TRIANGLE:
         others = [z for z in range(3) if z != x1]
@@ -1174,8 +1256,7 @@ def extension_by_subgraphs(
             x1: forced,
             xs[1]: C2B if forced == C2A else C2A,
         }, list(range(4))
-    _check_independent(comp, xs)
-    return _color_type3(comp, range(comp.n), xs, forced, root_style=False)
+    return color_type3_by_subgraphs(comp, xs, forced, root_style=False)
 
 
 def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
@@ -1190,7 +1271,7 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
         to_local = {gv: lv for lv, gv in enumerate(to_global)}
         xs = [to_local[x] for x in bt.degree2[c]]
         if c == bt.root:
-            local_col, dia = _color_type3(sub, range(sub.n), xs, C2A, root_style=True)
+            local_col, dia = color_type3_by_subgraphs(sub, xs, C2A, root_style=True)
         else:
             q = bt.up_neighbor[c]
             parent = comp_of[q]

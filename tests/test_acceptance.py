@@ -184,7 +184,7 @@ def test_criterion_7_support_property(corpus):
         dec = decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
-        coloring = _canonical(g, dec, _complement(dec.h))
+        coloring = _canonical(dec, _complement(dec.h))
         assert verify(g, SPEC_1122, coloring) == [], name
         assert light_support_property(g, coloring), name
         scanned += 1

@@ -16,11 +16,11 @@ from clawcolor import (
     is_k4,
     verify,
 )
-from clawcolor.canonical import _canonical, _k4, _lift_slot, _ring
+from clawcolor.canonical import _canonical, _k4, _ring
 from clawcolor.errors import InternalInvariantError, NotCubicError
 from clawcolor.factorization import _complement, _matched_through, _two_factor_through
 
-from brute import find_diamonds, light_support_property, transposed
+from brute import find_diamonds, lift_slot, light_support_property, transposed
 
 # frozen reference coloring of the big_expansion fixture: matching corners
 # carry 2a/2b, cycle corners 1a/1b, strings per their two type rules
@@ -84,7 +84,7 @@ def test_reference_coloring_verifies(named_fixtures):
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = decompose(g)
-    col = _canonical(g, dec, _complement(dec.h))
+    col = _canonical(dec, _complement(dec.h))
     assert_valid(g, col)
     assert light_support_property(g, col)
 
@@ -109,7 +109,7 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = decompose(g)
     factor = _complement(dec.h)
-    col = _canonical(g, dec, factor)
+    col = _canonical(dec, factor)
     for slot in factor.matching:
         r = dec.realization[slot]
         assert col.assignment[r[0]] == C2A
@@ -120,12 +120,12 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
 
 def with_edge(g, dec, edge):
     """The canonical coloring for a 2-factor through the H-image of `edge`."""
-    return _canonical(g, dec, _two_factor_through(dec.h, _lift_slot(dec, edge)))
+    return _canonical(dec, _two_factor_through(dec.h, lift_slot(dec, edge)))
 
 
 def with_matched_edge(g, dec, edge):
     """The canonical coloring for a perfect matching through the H-image of `edge`."""
-    return _canonical(g, dec, _matched_through(dec.h, _lift_slot(dec, edge)))
+    return _canonical(dec, _matched_through(dec.h, lift_slot(dec, edge)))
 
 
 def test_with_edge_endpoints_light(named_fixtures):
@@ -146,20 +146,14 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C2A, C2B}
 
 
-def test_triangle_edge_not_liftable(named_fixtures):
-    g = named_fixtures["prism"]
-    dec = decompose(g)
-    with pytest.raises(InternalInvariantError, match="no H-edge image"):
-        with_edge(g, dec, (0, 1))
-
-
-def test_diamond_interior_edge_not_liftable(named_fixtures):
-    g = named_fixtures["big_expansion"]
-    dec = decompose(g)
-    # a string's first diamond: its entry exterior and its smaller interior
-    entry, interior = next(r[1:3] for r in dec.realization.values() if len(r) > 2)
-    with pytest.raises(InternalInvariantError, match="no H-edge image"):
-        _lift_slot(dec, (entry, interior))
+def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures):
+    """The coverage check counts the realizations' vertices: a string whose
+    first diamond lists its smaller interior twice leaves the other uncolored."""
+    dec = decompose(named_fixtures["big_expansion"])
+    slot, r = next((slot, r) for slot, r in dec.realization.items() if len(r) > 2)
+    broken = dec._replace(realization={**dec.realization, slot: r[:3] + r[2:3] + r[4:]})
+    with pytest.raises(InternalInvariantError, match="^canonical coloring covered 33 of 34 "):
+        _canonical(broken, _complement(dec.h))
 
 
 def test_with_edge_on_string_connectors(named_fixtures):
@@ -196,5 +190,5 @@ def test_support_property_on_corpus(base_corpus):
         dec = decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
-        col = _canonical(g, dec, _complement(dec.h))
+        col = _canonical(dec, _complement(dec.h))
         assert light_support_property(g, col)

@@ -13,6 +13,7 @@ from clawcolor import (
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
+    Variant,
     color_claw_free_cubic,
     decompose,
     expand_to_clawfree,
@@ -30,17 +31,19 @@ from clawcolor.errors import (
     NotSimpleError,
 )
 import clawcolor.colorer
-from clawcolor.colorer import (
-    _check_independent,
-    _color_bridged,
-    _color_type3,
-    _completion,
-    _free_two_color,
-)
-from clawcolor.recognition import _require_claw_free_cubic
+from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
+from clawcolor.recognition import LocalScan, _bridge_tree, _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
-from brute import bridges_by_removal, color_bridged_by_subgraphs, completion_by_subgraphs, induced
+from brute import (
+    bridges_by_removal,
+    color_bridged_by_subgraphs,
+    completion_by_subgraphs,
+    decompose_by_own_scan,
+    diamond_vertices,
+    induced,
+    lift_slot,
+)
 from test_recognition import _bridged_sweep_shapes
 
 
@@ -59,10 +62,25 @@ def _attachments(comp, x1):
     return [x1] + [v for v in range(comp.n) if comp.degree(v) == 2 and v != x1]
 
 
+def _corners(share):
+    """Each corner of the share's triangles, mapped to its triangle."""
+    return {v: t for t, tri in enumerate(share.triangles) for v in tri}
+
+
+def _share(comp, xs):
+    """comp's share of the contraction of comp with a leaf gadget bridged to each of xs."""
+    edges, n = comp.edge_list(), comp.n
+    for x in xs:
+        edges += leaf_gadget(n) + [(x, n)]
+        n += 7
+    g = MultiGraph(n, edges)
+    return _bridge_tree(g, *_require_claw_free_cubic(g))[1][0]
+
+
 def color_root(comp, x1):
     """The root coloring of a whole Type III component whose one attachment is x1."""
-    colors, _ = _color_type3(comp, range(comp.n), _attachments(comp, x1), C2A, root_style=True)
-    return PackingColoring(SPEC_1122, colors)
+    xs = _attachments(comp, x1)
+    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, C2A, root_style=True))
 
 
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
@@ -84,10 +102,8 @@ def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
             degree2=(tuple(xs),),
         )
         with mock.patch.object(clawcolor.colorer, "_free_two_color", lambda g, a, q: forced):
-            return _color_bridged(comp, bt)
-    _check_independent(comp, xs)
-    colors, _ = _color_type3(comp, range(comp.n), xs, forced, root_style=False)
-    return PackingColoring(SPEC_1122, colors)
+            return _color_bridged(comp, bt, {})
+    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, forced, root_style=False))
 
 
 def test_k4_top_level():
@@ -363,110 +379,146 @@ def test_bridged_path_matches_subgraph_reference(
     The key order may differ: a K3 or diamond is stored x1 first.
     """
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
-        bt = decompose(g)
-        got = _color_bridged(g, bt).assignment
+        bt, shares = _bridge_tree(g, *_require_claw_free_cubic(g))
+        got = _color_bridged(g, bt, shares).assignment
         want = color_bridged_by_subgraphs(g, bt).assignment
         assert got == want
 
 
+def _assert_cut_as_built(share, xs, tilde, to_g):
+    """`_surgery` of a share gives, in G's ids, the H, triangles,
+    slot-ordered realizations and forced slot of the completed graph
+    tilde, decomposed from its own scan; to_g maps tilde's ids to G's."""
+    dec, slot, gadget = _surgery(share, _corners(share), xs)
+    want = decompose_by_own_scan(tilde)
+    assert want.variant is Variant.BUILT
+    assert dec.h == want.h and dec.h.adjacency() == want.h.adjacency()
+    assert dec.triangles == tuple(tuple(to_g[v] for v in t) for t in want.triangles)
+    assert list(dec.realization.items()) == [
+        (k, tuple(to_g[v] for v in r)) for k, r in want.realization.items()
+    ]
+    edge = (xs[0], xs[1]) if gadget is None else gadget[2:]
+    to_tilde = {v: i for i, v in enumerate(to_g)}
+    assert slot == lift_slot(want, (to_tilde[edge[0]], to_tilde[edge[1]]))
+    return dec, slot, gadget
+
+
 def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged_trees):
-    """The completed graph of every Type III component, odd and even, built in one go."""
+    """Every Type III component's completion, odd and even, cut from G's
+    contraction, is the one the completed graph's own scan, walk and
+    contraction give, in G's ids.  A component of one triangle completes
+    to K4 or to the ring of its H-loop's diamonds."""
     tested = [0, 0]
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
-        bt = decompose(g)
-        if not isinstance(bt, BridgeTree):
+        h_bridges, local = _require_claw_free_cubic(g)
+        if not h_bridges:
             continue
-        for c, comp in enumerate(bt.components):
-            if bt.kinds[c] is not ComponentKind.TYPE_III:
-                continue
-            tilde, local, _ = _completion(g, comp, bt.degree2[c])
+        bt, shares = _bridge_tree(g, h_bridges, local)
+        for c, share in shares.items():
+            comp, xs = bt.components[c], bt.degree2[c]
             sub, to_global = induced(g, comp)
             to_sub = {v: i for i, v in enumerate(to_global)}
-            want, want_to_sub = completion_by_subgraphs(sub, [to_sub[x] for x in bt.degree2[c]])
-            assert tilde == want and tilde.adjacency() == want.adjacency()
-            assert list(local) == [to_global[i] for i in want_to_sub]
-            assert list(local.values()) == list(range(tilde.n))
-            tested[len(bt.degree2[c]) % 2] += 1
+            tilde, to_sub_ids = completion_by_subgraphs(sub, [to_sub[x] for x in xs])
+            to_g = [to_global[i] for i in to_sub_ids]
+            if len(share.triangles) > 1:
+                _assert_cut_as_built(share, xs, tilde, to_g)
+            else:
+                (r,) = share.walk
+                want = decompose_by_own_scan(tilde)
+                assert want.variant is (Variant.K4 if len(r) == 6 else Variant.RING)
+                ring = {frozenset(to_g[v] for v in diamond_vertices(d)) for d in want.ring_diamonds}
+                loop = {frozenset(r[j:j + 4]) for j in range(1, len(r) - 1, 4)}
+                assert ring == (loop if len(r) > 6 else set())
+            tested[len(xs) % 2] += 1
     assert tested[0] > 100 and tested[1] > 500, tested
 
 
-def test_completion_is_the_graph_its_edges_build(base_corpus, bridged_trees, random_bridged_trees):
-    """The completion handed over as sorted lists is what `MultiGraph.__init__`
-    builds from its edges: every list sorted and distinct, every added edge
-    at both ends, and no parallel pair."""
-    tested = [0, 0]
-    graphs = [g for _, g in base_corpus + bridged_trees] + random_bridged_trees
-    for g in graphs:
-        bt = decompose(g)
-        if not isinstance(bt, BridgeTree):
-            continue
-        for c, comp in enumerate(bt.components):
-            if bt.kinds[c] is not ComponentKind.TYPE_III:
-                continue
-            tilde, _, _ = _completion(g, comp, bt.degree2[c])
-            want = MultiGraph(tilde.n, tilde.edge_list())
-            assert tilde.n == want.n
-            assert tilde.adjacency() == want.adjacency()
-            assert tilde.degrees() == want.degrees() == [3] * tilde.n
-            assert tilde.is_simple() and want.is_simple()
-            tested[len(bt.degree2[c]) % 2] += 1
-    assert tested[0] > 100 and tested[1] > 500, tested
+def _surgery_and_reference(comp, xs):
+    """`_surgery` of comp's share, checked against the completed graph that
+    `brute.completion_by_subgraphs` builds."""
+    tilde, to_comp = completion_by_subgraphs(comp, xs)
+    return _assert_cut_as_built(_share(comp, xs), xs, tilde, to_comp)
+
+
+def test_surgery_on_a_pairing_edge_parallel_to_an_h_edge():
+    """Two triangles joined by 0-3 and 1-4; the pairing edge 2-5 is the
+    third copy of their H-edge, and the last in slot order."""
+    comp = MultiGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4)])
+    dec, slot, gadget = _surgery_and_reference(comp, [5, 2])
+    assert gadget is None and dec.h.multiplicity(0, 1) == 3
+    assert slot == (0, 1, 2) and dec.realization[slot] == (2, 5)
+    col = extend(comp, 5, C2B)
+    assert col.assignment[5] == C2B and col.assignment[2] == C2A
+    assert_valid(comp, col)
+
+
+def _splice_component(ends):
+    """x1 = 0 on the triangle (0, 1, 2); 1 and 2 lead through the diamonds
+    (3, 4, 5, 6) and (7, 8, 9, 10) to the triangles at ends[0] and ends[1],
+    of (11, 12, 13) and (14, 15, 16), which 12-15 and 13-16 also join."""
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (6, ends[0]), (2, 7), (10, ends[1])]
+    for a in (3, 7):
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    for a in (11, 14):
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
+    return MultiGraph(17, edges + [(12, 15), (13, 16)])
+
+
+@pytest.mark.parametrize(
+    "ends, spliced",
+    [((11, 14), (11, 6, 4, 5, 3, 7, 8, 9, 10, 14)), ((14, 11), (11, 10, 8, 9, 7, 3, 4, 5, 6, 14))],
+    ids=["u-side-lower", "w-side-lower"],
+)
+def test_surgery_splices_strings_on_both_sides(ends, spliced):
+    """x1 = 0's neighbours u = 1 and w = 2 each lead through a diamond, to
+    triangles (11, 12, 13) and (14, 15, 16), which two edges also join.
+    The splice runs from 11 through both diamonds to 14, its diamonds
+    listed entry exterior, interiors ascending, exit exterior, whichever
+    side 11 lies on."""
+    comp = _splice_component(ends)
+    dec, slot, gadget = _surgery_and_reference(comp, [0])
+    assert gadget == (1, 2, 3, 7)
+    assert slot == (0, 1, 0) and dec.realization[slot] == spliced
+    assert_valid(comp, color_root(comp, 0))
 
 
 def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
-    """On a simple G the completions copy each edge without a multiplicity lookup.
+    """On a simple G the completions read no multiplicity.
 
     Coloring the 50-diamond chain made 205 `multiplicity` calls when every
-    copied edge looked its multiplicity up; 90 of them came from the two
-    leaves' completions.  Reading the factor slots made six more while each
-    slot looked its pair's multiplicity up, and classifying the components
-    made 100 more, two `has_edge` calls per diamond, before the bridge
-    tree typed them by size and attachment count.  The 9 left are the two
-    `has_edge` calls of each leaf's odd gadget (the 4 inside), one for the
-    bridge candidate of the entry check's search of H, and four
+    edge a completion copied looked its multiplicity up, and 9 while each
+    leaf's odd gadget checked two of G's pairs for an edge.  Completions
+    cut from G's contraction read no pair of G.  The 5 left are one for
+    the bridge candidate of the entry check's search of H, and four
     `_complement` banned-slot checks under `_two_factor_through`.
     """
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
-    real_multiplicity, real_completion = MultiGraph.multiplicity, clawcolor.colorer._completion
-    calls, inside = [0], [0]
+    real = MultiGraph.multiplicity
+    calls = [0]
 
     def multiplicity(self, u, v):
         calls[0] += 1
-        return real_multiplicity(self, u, v)
-
-    def completion(*args):
-        before = calls[0]
-        out = real_completion(*args)
-        inside[0] += calls[0] - before
-        return out
+        return real(self, u, v)
 
     monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
-    monkeypatch.setattr(clawcolor.colorer, "_completion", completion)
     assert_valid(g, color_claw_free_cubic(g))
-    assert inside[0] == 4
-    assert calls[0] == 9
+    assert calls[0] == 5
 
 
-def test_up_neighbor_on_a_completion_diamond_is_an_internal_error(monkeypatch):
-    """The invariant reads the completions' diamond vertices in G's ids.
-
-    The centre's completion holds its three lower attachments, the leaves'
-    up-neighbors; claiming every completion vertex lies on a diamond must
-    stop the coloring at the first leaf.
-    """
-    g = gen_bridged([("type3", 4)] + [("type3", 1)] * 4, SplitMix64(1))
-    monkeypatch.setattr(clawcolor.colorer, "_diamond_vertices", lambda dec, local: list(local))
-    with pytest.raises(InternalInvariantError, match="lies on a diamond of its completed"):
-        color_claw_free_cubic(g)
+def test_up_neighbor_on_a_completion_diamond_is_an_internal_error():
+    """Each attachment of a Type III component, a child's up-neighbor, must be
+    a triangle corner: one inside a realization lies on a diamond.  Here 4
+    is an interior of the diamond on u's string."""
+    share = _share(_splice_component((11, 14)), [0])
+    with pytest.raises(InternalInvariantError, match="^attachment 4 lies on a diamond of its comp"):
+        _color_type3(share, [0, 4], C2A, root_style=False)
 
 
 def test_adjacent_attachments_are_an_internal_error():
-    """Attachments 0 and 1 of this component are adjacent; 6 is the third."""
-    comp = MultiGraph(
-        7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
-    )
+    """Attachments 0 and 1 of this share lie on one triangle; 4 and 5 on the other."""
+    share = LocalScan(triangles=[(0, 1, 2), (3, 4, 5)], walk=[(2, 3)], ends=[(0, 1)])
     with pytest.raises(InternalInvariantError) as caught:
-        extend(comp, 0, C2A)
+        _color_type3(share, [0, 1, 4, 5], C2A, root_style=False)
     assert str(caught.value) == (
         "attachment vertices 0 and 1 are adjacent; the degree-2 set must be independent"
     )
@@ -498,10 +550,8 @@ def _ladder_star(k):
 
 
 def test_independence_check_is_linear_in_the_attachments(monkeypatch):
-    """No pair of a centre's 2,000 attachments is queried for an edge.
-
-    The only `has_edge` calls left are the two of each leaf's odd gadget.
-    """
+    """No pair of a centre's 2,000 attachments is queried for an edge: the
+    check reads each attachment's triangle, and nothing asks G for one."""
     g = _ladder_star(2000)
     bt = decompose(g)
     assert max(len(xs) for xs in bt.degree2) == 2000
@@ -514,4 +564,4 @@ def test_independence_check_is_linear_in_the_attachments(monkeypatch):
 
     monkeypatch.setattr(MultiGraph, "has_edge", counted)
     assert_valid(g, color_claw_free_cubic(g))
-    assert calls[0] <= 2 * 2000, calls
+    assert calls[0] == 0, calls

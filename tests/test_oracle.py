@@ -60,21 +60,25 @@ def test_verify_requires_total():
 
 
 @pytest.mark.parametrize(
-    "assignment, mismatch",
+    "assignment, mismatch, listed",
     [
-        ({0: 0, 2: 1}, {1, 3}),
-        ({0: 0, 1: 1, 2: 2, 3: 3, 4: 0}, {4}),
-        ({-1: 0, 0: 0, 1: 1, 2: 2, 3: 3}, {-1}),
-        ({0: 0, 1: 1, 2: 2, 4: 0}, {3}),
-        ({0: 0, 1: 1, 2: 2, 3: 3, 2.5: 0}, {2.5}),
-        ({0: 0, 1: 1, 2: 2, 3: 3, 2.5: 0, 7: 1}, {2.5, 7}),
+        ({0: 0, 2: 1}, {1, 3}, "[1, 3]"),
+        ({0: 0, 1: 1, 2: 2, 3: 3, 4: 0}, {4}, "[4]"),
+        ({-1: 0, 0: 0, 1: 1, 2: 2, 3: 3}, {-1}, "[-1]"),
+        ({0: 0, 1: 1, 2: 2, 4: 0}, {3}, "[3]"),
+        ({0: 0, 1: 1, 2: 2, 3: 3, 2.5: 0}, {2.5}, "[2.5]"),
+        ({0: 0, 1: 1, 2: 2, 3: 3, 2.5: 0, 7: 1}, {2.5, 7}, "[7, 2.5]"),
+        ({0: 0, 1: 1, 2: 2, 3: 3, "a": 0, 7: 1}, {"a", 7}, "[7, 'a']"),
     ],
-    ids=["missing", "extra", "negative", "missing-and-extra", "non-integer", "non-integer-and-extra"],
+    ids=["missing", "extra", "negative", "missing-and-extra", "non-integer",
+         "non-integer-and-extra", "non-numeric-and-extra"],
 )
-def test_verify_domain_mismatch(assignment, mismatch):
+def test_verify_domain_mismatch(assignment, mismatch, listed):
+    """The message lists integer keys in numeric order, then any others by repr."""
     with pytest.raises(PartialColoringError) as exc:
         verify(k4(), SPEC_1122, PackingColoring(SPEC_1122, assignment))
     assert exc.value.missing == mismatch
+    assert str(exc.value) == f"coloring domain mismatch on {len(mismatch)} vertices, e.g. {listed}"
 
 
 def _differential_graphs() -> list[tuple[str, MultiGraph]]:

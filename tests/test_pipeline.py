@@ -22,6 +22,7 @@ import clawcolor.colorer
 from clawcolor import (
     C1A,
     C1B,
+    C2A,
     SPEC_1122,
     Diamond,
     ExpansionSpec,
@@ -37,7 +38,6 @@ from clawcolor import (
     gen_bridged,
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
-    is_k4,
     random_expansion_spec,
 )
 from clawcolor import multigraph, oracle, recognition, structure
@@ -107,11 +107,10 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
 
     The bridges and connectivity come from H, the contraction of the
     entry's walk, never from a search of g; K4 and rings have no H and no
-    search.  The only other scans are the ones a completed component's
-    `_decompose` runs for itself, K4 completions excepted, which it
-    recognizes without a scan; no BFS runs only to decide connectivity.
-    Neither H nor a completion is searched for bridges or checked
-    for being cubic again.
+    search.  A completed Type III component is cut from that contraction,
+    so no other graph is scanned, and no BFS runs only to decide
+    connectivity.  Neither H nor a completion is searched for bridges or
+    checked for being cubic again.
     """
     g = _inputs(named_fixtures)[name]
     bridged = bool(find_bridges(g))
@@ -119,9 +118,6 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     verifies = _count_calls(monkeypatch, oracle.verify)
     entries = _count_calls(monkeypatch, recognition._require_claw_free_cubic)
     scans = _count_calls(monkeypatch, recognition._local_scan)
-    own_scans = _count_calls(
-        monkeypatch, structure._decompose, lambda g, local=None: local is None and not is_k4(g)
-    )
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
     searched = []
@@ -129,15 +125,12 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     cubic = _count_calls(monkeypatch, multigraph.is_cubic)
 
     def counts():
-        return (verifies[0], entries[0], scans[0] - own_scans[0], connected[0], claws[0],
-                searches[0], cubic[0])
+        return (verifies[0], entries[0], scans[0], connected[0], claws[0], searches[0], cubic[0])
 
     h_searches = 0 if name in ("k4", "ring") else 1
     color_claw_free_cubic(g)
     assert counts() == (1, 1, 1, 0, 0, h_searches, 1)
     assert all(h is not g and h.n == triangles for h in searched)
-    if not bridged:
-        assert own_scans[0] == 0
 
     path = tmp_path / f"{name}.el"
     path.write_text(emit_edgelist(g))
@@ -150,12 +143,12 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
 def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
     """K3 and diamond components are colored in place.
 
-    Only the two Type III leaves of a diamond chain are completed, each
-    into one graph built from G's adjacency lists, so a coloring builds as
-    many graphs for 400 diamonds as for 100: G's H, whose one edge carries
-    the whole chain, and one completion per leaf.  Both leaves are the same
-    gadget, whose completion is K4, which `_decompose` recognizes without
-    building a graph, so no decomposition adds to the count.
+    Only the two Type III leaves of a diamond chain are completed, and a
+    completion is cut from G's contraction, not built as a graph, so a
+    coloring builds as many graphs for 400 diamonds as for 100: G's H,
+    whose one edge carries the whole chain.  Both leaves are the same
+    gadget, one triangle with an H-loop of one diamond, whose completion
+    is K4 and has no H to build.
     """
     chains = []
     for k in (100, 400):
@@ -165,25 +158,20 @@ def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
             edges += [(a, p), (a, q), (p, q), (p, b), (q, b), (a - 1 if i else 0, a)]
         edges.append((10 + 4 * (k - 1), 7 + 4 * k))
         chains.append(MultiGraph(14 + 4 * k, edges))
-    real, real_sorted = MultiGraph.__init__, MultiGraph._from_sorted_adjacency
+    real = MultiGraph.__init__
     built = [0]
 
     def counted(self, *args, **kwargs):
         built[0] += 1
         real(self, *args, **kwargs)
 
-    def counted_sorted(adj):
-        built[0] += 1
-        return real_sorted(adj)
-
     monkeypatch.setattr(MultiGraph, "__init__", counted)
-    monkeypatch.setattr(MultiGraph, "_from_sorted_adjacency", counted_sorted)
     counts = []
     for g in chains:
         built[0] = 0
         color_claw_free_cubic(g)
         counts.append(built[0])
-    assert counts[0] == counts[1] == 3, counts
+    assert counts[0] == counts[1] == 1, counts
 
 
 def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
@@ -194,7 +182,7 @@ def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
     return a
 
 
-def _break_in_place(monkeypatch):
+def _break_in_place(monkeypatch, g):
     """A K3 or diamond component whose up vertex takes its neighbor's 1a.
 
     Every non-root component is forced 1a.  A Type III one only exchanges
@@ -208,20 +196,18 @@ def _break_core(module, core: str):
     """A breaker for the core named `core` in `module`, where its caller looks it up.
 
     The broken core moves one vertex of what the real one returns into a
-    neighbor's radius-1 class, on the graph it was handed.  `_k4` is handed
-    no graph: it colors K4.
+    neighbor's radius-1 class in g, the graph being colored: every core
+    colors in g's ids.
     """
 
-    def break_layer(monkeypatch):
+    def break_layer(monkeypatch, g):
         real = getattr(module, core)
 
         def broken(*args, **kwargs):
             out = real(*args, **kwargs)
-            g = args[0] if args else MultiGraph(4, K4_EDGES)
             if isinstance(out, PackingColoring):
                 return PackingColoring(out.spec, _moved(g, out.assignment))
-            colors, diamonds = out
-            return _moved(g, colors), diamonds
+            return _moved(g, out)
 
         monkeypatch.setattr(module, core, broken)
 
@@ -250,7 +236,7 @@ def test_a_bug_in_any_layer_is_still_caught(
     named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy
 ):
     graphs = {**named_fixtures, **_inputs(named_fixtures)}
-    break_layer(monkeypatch)
+    break_layer(monkeypatch, graphs[victim])
     with pytest.raises(VerificationFailedError):
         color_claw_free_cubic(graphs[victim])
 
@@ -272,38 +258,26 @@ def test_a_failed_precondition_after_the_entry_check_is_a_bug(
 ):
     """Past the entry check every component comes from a valid graph.
 
-    An odd gadget handed none of its component's members is the pipeline's
-    fault, not the input's: the CLI exits 5 with kind `internal`.
+    A canonical coloring that puts 2a on every vertex of an odd component's
+    completion leaves s and y without 1a and 1b, which is the pipeline's
+    fault, not the input's: the CLI exits 5 with kind `internal`.  The
+    path of three Type III components is rooted at a leaf with one
+    attachment, whose completion is built from H.
     """
-    real = clawcolor.colorer._odd_gadget
-    monkeypatch.setattr(
-        clawcolor.colorer, "_odd_gadget", lambda g, x1, members: real(g, x1, ())
-    )
-    path = tmp_path / "bridged_star.el"
-    path.write_text(emit_edgelist(named_fixtures["bridged_star"]))
-    assert main(["color", "--json", str(path)]) == 5
-    (report,) = json_reports(capsys.readouterr().out)
-    assert report["exit"] == 5 and report["error"]["kind"] == "internal"
-    assert report["error"]["message"].startswith("InternalInvariantError: attachment")
 
+    def all_2a(dec, factor):
+        return PackingColoring(
+            SPEC_1122, {v: C2A for r in dec.realization.values() for v in r}
+        )
 
-def test_a_claw_in_a_completion_is_a_bug(named_fixtures, monkeypatch, tmp_path, capsys):
-    """Only completions reach `structure._local_scan`; a claw there is exit 5.
-
-    G's own scan runs in the entry check, so the patched scan is the one
-    `_decompose` runs on each completed Type III component.  The bridged
-    star's completions are all K4, which `_decompose` recognizes without a
-    scan, so the input is a path of three Type III components.
-    """
-    claw = recognition.LocalScan(claw=(0, 1, 2, 3))
-    monkeypatch.setattr(structure, "_local_scan", lambda g: claw)
+    monkeypatch.setattr(clawcolor.colorer, "_canonical", all_2a)
     path = tmp_path / "type3_path.el"
     path.write_text(emit_edgelist(_inputs(named_fixtures)["type3_path"]))
     assert main(["color", "--json", str(path)]) == 5
     (report,) = json_reports(capsys.readouterr().out)
     assert report["exit"] == 5 and report["error"]["kind"] == "internal"
     assert report["error"]["message"] == (
-        "InternalInvariantError: claw (0, 1, 2, 3) in a graph to decompose"
+        "InternalInvariantError: joined outer neighbors did not receive the two radius-1 colors"
     )
 
 
@@ -357,8 +331,8 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
     """
     real = structure._decompose
 
-    def swapped_corners(g, local=None):
-        dec = real(g, local)
+    def swapped_corners(local):
+        dec = real(local)
         realization = dict(dec.realization)
         (s0, r0), (s1, r1) = list(realization.items())[:2]
         realization[s0], realization[s1] = (r1[0],) + r0[1:], (r0[0],) + r1[1:]

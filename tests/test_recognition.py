@@ -35,6 +35,7 @@ from brute import (
     bridge_tree_root_brute,
     bridges_by_iterator_dfs,
     bridges_by_removal,
+    diamond_vertices,
     find_claw_brute,
     find_diamonds,
     induced,
@@ -218,7 +219,7 @@ def test_bridge_tree_matches_sweeps_reference(
     graphs += random_bridged_trees + _bridged_sweep_shapes()
     for g in graphs:
         h_bridges, local = _require_claw_free_cubic(g)
-        got = decompose(g) if h_bridges else _bridge_tree(g, h_bridges, local)
+        got = decompose(g) if h_bridges else _bridge_tree(g, h_bridges, local)[0]
         want = bridge_tree_by_sweeps(g, find_bridges(g))
         for f in BridgeTree._fields:
             assert getattr(got, f) == getattr(want, f), f
@@ -272,7 +273,7 @@ def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
         if not h_bridges:
             continue
         for how, broken in _broken_h_bridge_sets(local, h_bridges, rng):
-            got = _tree_or_error(_bridge_tree, g, broken, local)
+            got = _tree_or_error(lambda *args: _bridge_tree(*args)[0], g, broken, local)
             assert got == _tree_or_error(bridge_tree_by_sweeps, g, _lifted(local, broken)), how
             if isinstance(got, BridgeTree):
                 outcomes.add((how, "tree"))
@@ -307,24 +308,29 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
 
     for name in ("multiplicity", "has_edge", "neighbors", "adjacency"):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
-    bt = _bridge_tree(g, h_bridges, local)
+    bt = _bridge_tree(g, h_bridges, local)[0]
     assert bt.kinds.count(ComponentKind.DIAMOND) == 50
     assert calls[0] == 0
 
 
 def test_bridge_tree_bridgeless_single_node(named_fixtures):
     """K4 decomposes; a bridgeless built graph's tree, read from H's empty
-    set of bridges, is one Type III node."""
+    set of bridges, is one Type III node, whose share is the whole
+    contraction."""
     assert isinstance(decompose(k4()), Decomposition)
     g = named_fixtures["prism"]
     h_bridges, local = _require_claw_free_cubic(g)
     assert h_bridges == set()
-    bt = _bridge_tree(g, h_bridges, local)
+    bt, shares = _bridge_tree(g, h_bridges, local)
     assert bt.components == (tuple(range(6)),)
     assert bt.kinds == (ComponentKind.TYPE_III,)
     assert bt.tree_adj == ((),)
     assert bt.root == 0
     assert bt.depth == (0,)
+    (share,) = shares.values()
+    assert share.triangles == list(local.triangles)
+    assert share.walk == list(local.walk)
+    assert all(a is b for a, b in zip(share.walk, local.walk))
 
 
 def test_bridge_tree_of_star_fixture(named_fixtures):
@@ -444,8 +450,8 @@ def test_ring3_diamonds_disjoint():
     assert len(ds) == 3
     seen = set()
     for d in ds:
-        assert not (d.vertices & seen)
-        seen |= d.vertices
+        assert not (diamond_vertices(d) & seen)
+        seen |= diamond_vertices(d)
     assert len(seen) == 12
 
 
@@ -520,7 +526,7 @@ def test_local_scan_claw_matches_find_claw(named_fixtures, base_corpus):
 
 
 def _triangles_off_diamonds_brute(g: MultiGraph, diamonds) -> list[tuple[int, int, int]]:
-    on_diamond = {v for d in diamonds for v in d.vertices}
+    on_diamond = {v for d in diamonds for v in diamond_vertices(d)}
     triangles = {
         tuple(sorted((u, v, w)))
         for u in range(g.n)
@@ -541,7 +547,7 @@ def test_local_scan_matches_definitions(named_fixtures, base_corpus):
             continue
         assert local.triangles == _triangles_off_diamonds_brute(g, local.diamonds)
         for i, d in enumerate(local.diamonds):
-            assert all(local.diamond_of[v] == i for v in d.vertices)
+            assert all(local.diamond_of[v] == i for v in diamond_vertices(d))
         for i, t in enumerate(local.triangles):
             assert all(local.triangle_of[v] == i for v in t)
         covered = sum(x != -1 for x in local.diamond_of + local.triangle_of)
@@ -598,7 +604,7 @@ def test_local_scan_skipping_recorded_vertices_keeps_its_answer():
         # the triangles and diamonds of the unrewired graph, wholly below the center
         scanned = _local_scan(before)
         below = [t for t in scanned.triangles if max(t) < claw[0]]
-        below_d = [d for d in scanned.diamonds if max(d.vertices) < claw[0]]
+        below_d = [d for d in scanned.diamonds if max(diamond_vertices(d)) < claw[0]]
         late_claws += len(below) >= 3 and len(below_d) >= 3
     assert late_claws >= 80 and claw_free >= 5, (late_claws, claw_free)
     for g in _random_simple_cubic(rng, 100):

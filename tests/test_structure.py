@@ -2,13 +2,12 @@ import tracemalloc
 
 import pytest
 
-import clawcolor.colorer as colorer
 from clawcolor import (
     BridgeTree,
+    ComponentKind,
     ExpansionSpec,
     MultiGraph,
     Variant,
-    color_claw_free_cubic,
     decompose,
     expand_to_clawfree,
     gen_cubic_multigraph,
@@ -17,13 +16,19 @@ from clawcolor import (
     is_cubic,
     random_expansion_spec,
 )
-from clawcolor.canonical import _lift_slot
 from clawcolor.errors import InternalInvariantError, NotSimpleError
 from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 from clawcolor.structure import _decompose
 
-from brute import decompose_by_grouping, multigraph_isomorphic
+from brute import (
+    completion_by_subgraphs,
+    decompose_by_grouping,
+    decompose_by_own_scan,
+    induced,
+    lift_slot,
+    multigraph_isomorphic,
+)
 
 
 def k4():
@@ -62,7 +67,7 @@ def test_decompose_rejects_bridged(named_fixtures):
     g = named_fixtures["bridged_star"]
     assert isinstance(decompose(g), BridgeTree)
     with pytest.raises(InternalInvariantError, match="H-edge loop"):
-        _decompose(g)
+        decompose_by_own_scan(g)
 
 
 def test_decompose_rejects_multigraph(named_fixtures):
@@ -88,7 +93,7 @@ def _check_realizations(g, dec):
         # every connector edge is a G-edge and maps back to its slot
         for pair in zip(r[::4], r[1::4]):
             assert g.has_edge(*pair)
-            assert _lift_slot(dec, pair) == slot
+            assert lift_slot(dec, pair) == slot
         # each diamond's interiors are ascending and adjacent
         for i1, i2 in zip(r[2::4], r[3::4]):
             assert i1 < i2 and g.has_edge(i1, i2)
@@ -136,7 +141,7 @@ def test_decompose_peak_memory_per_vertex(large_graphs):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dec = _decompose(g, local)
+        dec = _decompose(local)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -179,27 +184,23 @@ def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fix
             h = gen_cubic_multigraph(n_h, rng)
             graphs.append(expand_to_clawfree(h, random_expansion_spec(h, rng, max_string), rng))
     for g in graphs:
-        _assert_same_decomposition(_decompose(g), decompose_by_grouping(g))
+        _assert_same_decomposition(decompose_by_own_scan(g), decompose_by_grouping(g))
         _assert_same_decomposition(decompose(g), decompose_by_grouping(g))
 
 
-def test_decompose_matches_grouping_on_every_tilde_completion(monkeypatch, random_bridged_trees):
-    """The completions of 200 bridged trees, each decomposed as the pipeline does."""
-    completions = []
-
-    def recording(g, local=None):
-        completions.append(g)
-        return real(g, local)
-
-    real = colorer._decompose
-    monkeypatch.setattr(colorer, "_decompose", recording)
-    for g in random_bridged_trees:
-        color_claw_free_cubic(g)
-    monkeypatch.undo()
-
+def test_decompose_matches_grouping_on_every_tilde_completion(random_bridged_trees):
+    """The completions of 200 bridged trees, built as graphs and each
+    decomposed from its own scan, walk and contraction."""
     variants = set()
-    for g in completions:
-        dec = _decompose(g)
-        _assert_same_decomposition(dec, decompose_by_grouping(g))
-        variants.add(dec.variant)
+    for g in random_bridged_trees:
+        bt = decompose(g)
+        for comp, xs, kind in zip(bt.components, bt.degree2, bt.kinds):
+            if kind is not ComponentKind.TYPE_III:
+                continue
+            sub, to_global = induced(g, comp)
+            to_sub = {v: i for i, v in enumerate(to_global)}
+            tilde, _ = completion_by_subgraphs(sub, [to_sub[x] for x in xs])
+            dec = decompose_by_own_scan(tilde)
+            _assert_same_decomposition(dec, decompose_by_grouping(tilde))
+            variants.add(dec.variant)
     assert variants == {Variant.K4, Variant.RING, Variant.BUILT}
