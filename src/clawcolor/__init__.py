@@ -32,7 +32,6 @@ from .recognition import (
     find_bridges,
     find_claw,
     is_claw_free,
-    is_k4,
 )
 from .rng import SplitMix64
 from .structure import Decomposition, Variant, decompose
@@ -91,7 +90,6 @@ __all__ = [
     "is_claw_free",
     "is_connected",
     "is_cubic",
-    "is_k4",
     "parse_coloring_lines",
     "parse_edgelist",
     "parse_graph6",

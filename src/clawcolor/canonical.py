@@ -11,11 +11,13 @@ takes both radius-1 classes), and the canonical coloring driven by a
     and exit -> 1b, with Type 1 strings taking 1a/1b on their exteriors
     and 2a/2b inside.
 
-Corners and diamonds are read by position from the decomposition's
-realization tuples (`recognition._walk` gives the format).  A bridgeless
-graph's coloring takes `_complement`'s 2-factor; a completed Type III
-component's takes a 2-factor forced through one H-edge, whose slot
-`colorer._surgery` gives, and `colorer._color_type3` composes the two.
+Corners and diamonds are read by position from the realization tuples
+(`recognition._walk` gives the format): H-edge e is `walk[e]`, run from
+triangle `ends[e][0]` (`structure`'s docstring).  A bridgeless graph's
+coloring takes `_complement`'s 2-factor; a completed Type III component's
+takes a 2-factor forced through one H-edge, whose id `colorer._surgery`
+gives, and `colorer._color_type3` composes the two.  A ring, of G or of
+a completion, is colored from one cyclic walk by `_ring`.
 
 Nothing here is public or checks its input, and nothing here certifies
 its output: `color_claw_free_cubic` validates its input once at entry,
@@ -26,14 +28,10 @@ InternalInvariantError.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import InternalInvariantError
 from .factorization import TwoFactor, _complement
-from .multigraph import MultiGraph
-from .recognition import Diamond
-from .structure import Decomposition, Variant
+from .recognition import LocalScan
 
 
 def _k4() -> PackingColoring:
@@ -41,47 +39,50 @@ def _k4() -> PackingColoring:
     return PackingColoring(SPEC_1122, dict(enumerate((C1A, C1B, C2A, C2B))))
 
 
-def _ring(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
-    """Diamond interiors get 2a/2b; an edge between diamonds gets 1a at its smaller end and 1b."""
+def _ring(ring: tuple[int, ...]) -> PackingColoring:
+    """Color a ring of diamonds from its cyclic walk (`recognition._ring_walk`).
+
+    Interiors get 2a and 2b; an edge between diamonds gets 1a at its
+    smaller end and 1b at the other.
+    """
     assignment: dict[int, int] = {}
-    adj = g.adjacency()
-    for d in diamonds:
-        i1, i2 = d.interiors
-        assignment[i1] = C2A
-        assignment[i2] = C2B
-        for e in d.exteriors:
-            x = sum(adj[e]) - i1 - i2  # e's one neighbor off the diamond
-            if e < x:
-                assignment[e], assignment[x] = C1A, C1B
+    for j in range(0, len(ring), 4):
+        x, y = ring[j - 1], ring[j]  # the previous diamond's exit and this one's entry
+        assignment[x], assignment[y] = (C1A, C1B) if x < y else (C1B, C1A)
+        assignment[ring[j + 1]] = C2A
+        assignment[ring[j + 2]] = C2B
     return PackingColoring(SPEC_1122, assignment)
 
 
-def _canonical(dec: Decomposition, factor: TwoFactor) -> PackingColoring:
+def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
     """The canonical coloring of a built graph for a 2-factor of its H.
 
-    Each vertex lies on one realization, so the check counts their lengths.
+    `local` is a numbered contraction (`structure._decompose`) and
+    `factor` a 2-factor of its H.  Each vertex lies on one realization, so
+    the check counts their lengths.
     """
+    walk, ends = local.walk, local.ends
     assignment: dict[int, int] = {}
 
     # matching edges: the corner in the lower-indexed triangle gets 2a
-    for slot in factor.matching:
-        r = dec.realization[slot]
+    for e in factor.matching:
+        r = walk[e]
         assignment[r[0]] = C2A
         assignment[r[-1]] = C2B
         _color_string(assignment, r, C2B, C2A, C1A, C1B)
 
     # cycles: each edge runs from hv, whose exit corner is 1b, to the next
-    # H-vertex, whose entry corner is 1a; r runs from slot[0]
+    # H-vertex, whose entry corner is 1a; r runs from ends[e][0]
     for cycle in factor.cycles:
-        for hv, slot in cycle:
-            r = dec.realization[slot]
-            first, last = (C1B, C1A) if hv == slot[0] else (C1A, C1B)
+        for hv, e in cycle:
+            r = walk[e]
+            first, last = (C1B, C1A) if hv == ends[e][0] else (C1A, C1B)
             assignment[r[0]] = first
             assignment[r[-1]] = last
             if len(r) > 2:
                 _color_string(assignment, r, last, first, C2A, C2B)
 
-    n = sum(map(len, dec.realization.values()))
+    n = sum(map(len, walk))
     if len(assignment) != n:
         raise InternalInvariantError(
             f"canonical coloring covered {len(assignment)} of {n} vertices"
@@ -101,10 +102,9 @@ def _color_string(
         assignment[r[j + 2]] = second
 
 
-def _two_edge_connected(g: MultiGraph, dec: Decomposition) -> PackingColoring:
-    """Dispatch on the structure variant of g's decomposition."""
-    if dec.variant is Variant.K4:
-        return _k4()
-    if dec.variant is Variant.RING:
-        return _ring(g, dec.ring_diamonds)
-    return _canonical(dec, _complement(dec.h))
+def _two_edge_connected(local: LocalScan) -> PackingColoring:
+    """Dispatch on what the numbered contraction of a bridgeless graph holds:
+    H, a ring's one cyclic walk, or nothing, for K4."""
+    if local.h is not None:
+        return _canonical(local, _complement(local.h, local.ends))
+    return _ring(local.walk[0]) if local.walk else _k4()

@@ -22,8 +22,9 @@ completed to a 2-edge-connected claw-free cubic graph, colored from a
     instead, and a ring of diamonds the ring coloring.
 
 The completed graph is never built: `_surgery` cuts its H from C's share
-of G's contraction, which the bridge tree hands over, in G's ids.  The
-forced class of x1 is realized by transposing whole color classes.
+of G's contraction, which `structure._structure` hands over beside the
+bridge tree, in G's ids, and numbers its H-edges as G's are numbered.
+The forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
 input once at entry, through `structure._structure`, and certifies the
@@ -38,14 +39,14 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import chain
 
-from .canonical import _canonical, _two_edge_connected
+from .canonical import _canonical, _ring, _two_edge_connected
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
 from .factorization import _matched_through, _two_factor_through
-from .multigraph import MultiGraph, Slot
+from .multigraph import MultiGraph
 from .oracle import verify
 from .recognition import BridgeTree, ComponentKind, LocalScan
-from .structure import Decomposition, _decompose, _structure
+from .structure import _decompose, _structure
 
 
 def _check_attachments(at: Mapping[int, int], xs: Sequence[int]) -> None:
@@ -81,7 +82,7 @@ def _flip(r: tuple[int, ...]) -> tuple[int, ...]:
 
 def _surgery(
     share: LocalScan, at: Mapping[int, int], xs: Sequence[int]
-) -> tuple[Decomposition, Slot, tuple[int, int, int, int] | None]:
+) -> tuple[LocalScan, int, tuple[int, int, int, int] | None]:
     """The completion of a Type III component C, cut from its share of G's contraction.
 
     `share` holds C's triangles in G's order and its realizations that
@@ -90,11 +91,11 @@ def _surgery(
     becomes a direct realization.  With |X| odd, x1's triangle (x1, u, w)
     goes, and the realizations of u and w are spliced at the new edge s-y.
     A new realization runs from its lower triangle and lists its diamonds
-    as `_walk` does, and the triangles keep G's order, so H, its slots and
-    the forced slot are those the completed graph's own scan, walk and
-    contraction would give.  Returns the decomposition, in G's ids, the
-    slot of x1-x2 or of s-y, and the odd gadget (u, w, s, y), None when
-    |X| is even.
+    as `_walk` does, and the triangles keep G's order, so H and its
+    numbering are those the completed graph's own scan, walk and
+    contraction would give.  Returns the numbered contraction, in G's
+    ids, the id of x1-x2 or of s-y, and the odd gadget (u, w, s, y), None
+    when |X| is even.
     """
     triangles = share.triangles
     odd = len(xs) % 2
@@ -121,13 +122,8 @@ def _surgery(
         ends.append((a, b) if a <= b else (b, a))
     # as in `_contract`, H leaves out a loop, which `_decompose` reports as a bug
     h = MultiGraph(len(triangles) - odd, [(a, b) for a, b in ends if a != b])
-    dec = _decompose(LocalScan(
-        triangles=[t for i, t in enumerate(triangles) if i != drop], walk=walk, ends=ends, h=h
-    ))
-    (a, b), k = ends[forced], 0
-    while dec.realization[a, b, k] is not walk[forced]:
-        k += 1
-    return dec, (a, b, k), gadget
+    numbered = _decompose(LocalScan(walk=walk, ends=ends, h=h))
+    return numbered, numbered.walk.index(walk[forced]), gadget
 
 
 def _explicit_k4_completion(x1: int, r: tuple[int, ...], root_style: bool) -> dict[int, int]:
@@ -169,17 +165,12 @@ def _color_type3(
         if len(r) == 6:
             fixed = _explicit_k4_completion(x1, r, root_style)
         else:
-            # `_ring`'s rule on the ring of r's diamonds: interiors 2a and 2b,
-            # and 1a at the smaller end of each edge between diamonds, s-y
-            # and r's inner connectors
-            for e, z in ((r[1], r[-2]), *zip(r[4:-1:4], r[5:-1:4])):
-                sub[e], sub[z] = (C1A, C1B) if e < z else (C1B, C1A)
-            for j in range(2, len(r) - 2, 4):
-                sub[r[j]], sub[r[j + 1]] = C2A, C2B
+            # s-y closes r's string into a ring: s, ..., y is its cyclic walk
+            sub = _ring(r[1:-1]).assignment
     else:
-        dec, slot, gadget = _surgery(share, at, xs)
+        local, e, gadget = _surgery(share, at, xs)
         through = _matched_through if gadget is None else _two_factor_through
-        sub = _canonical(dec, through(dec.h, slot)).assignment
+        sub = _canonical(local, through(local.h, local.ends, e)).assignment
     if sub and gadget is not None:
         u, w, s, y = gadget
         if {sub[s], sub[y]} != {C1A, C1B}:
@@ -220,8 +211,8 @@ def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
     structure = _structure(g)
-    if isinstance(structure, Decomposition):
-        coloring = _two_edge_connected(g, structure)
+    if isinstance(structure, LocalScan):
+        coloring = _two_edge_connected(structure)
     else:
         coloring = _color_bridged(g, *structure)
     violations = verify(g, SPEC_1122, coloring)

@@ -9,11 +9,14 @@ the graph it reaches, not n.  Parallel edges are collapsed for the search.
 
 Every 2-factor comes from one core, `_complement`: the complement of a
 perfect matching (Petersen's theorem) that may be kept off a set of
-banned slots.  A completed Type III component forces one edge of its H:
+banned H-edges.  A completed Type III component forces one edge of its H:
 `_two_factor_through` onto the 2-factor, by banning it from the matching,
-and `_matched_through` into the matching, by banning the other two slots
-at one end (Plesnik's theorem).  A banned slot is never matched, so only
+and `_matched_through` into the matching, by banning the other two edges
+at one end (Plesnik's theorem).  A banned edge is never matched, so only
 the second needs a check that the forced edge landed.
+
+An H-edge is named by its id: H-edge e joins the two vertices in
+`ends[e]`, the lower first (`structure`'s docstring gives the numbering).
 
 Nothing here is public and nothing here validates its input.  Every
 caller hands over the H of a decomposition, which the pipeline's entry
@@ -25,23 +28,23 @@ raises InternalInvariantError.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from typing import NamedTuple
 
 from .errors import InternalInvariantError
-from .multigraph import MultiGraph, Slot
+from .multigraph import MultiGraph
 
 
 class TwoFactor(NamedTuple):
     """A spanning 2-regular sub-multigraph plus its complement matching.
 
-    Each cycle lists (vertex, slot) entries, the slot leading on to the
-    next vertex, cyclically; a digon uses two parallel slots.  The perfect
-    matching is its slots in sorted order.
+    Each cycle lists (vertex, id) entries, the H-edge leading on to the
+    next vertex, cyclically; a digon uses two parallel edges.  The perfect
+    matching is its ids in ascending order.
     """
 
-    cycles: tuple[tuple[tuple[int, Slot], ...], ...]
-    matching: tuple[Slot, ...]
+    cycles: tuple[tuple[tuple[int, int], ...], ...]
+    matching: tuple[int, ...]
 
 
 def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
@@ -138,99 +141,83 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def _complement(h: MultiGraph, banned: Collection[Slot] = ()) -> TwoFactor:
+def _complement(
+    h: MultiGraph, ends: Sequence[tuple[int, int]], banned: Collection[int] = ()
+) -> TwoFactor:
     """The 2-factor of a cubic multigraph complementary to a perfect matching.
 
-    No slot in `banned` is matched, so each lies on the 2-factor.  The
-    blossom search runs on h's adjacency lists, less the pairs whose copies
-    are all banned; with nothing banned it reads h's own lists, uncopied.
-    Each matched pair takes its lowest slot that is not banned.  Each cycle
-    starts at its smallest vertex and leaves it by that vertex's first
-    factor slot in sorted order.  The walk reads a vertex's two factor
-    slots as it reaches it and keeps no per-vertex list.  h is cubic, so a
-    vertex with three distinct neighbours is on no parallel pair: its
-    factor slots are the copy-0 slots to the two neighbours other than its
-    mate, read with no multiplicity.  Only a vertex on a parallel pair
-    reads `h.slots_at(v)` less its matched slot.
+    `ends` numbers h's edges, each by its ends (a, b), a < b, so parallel
+    edges are written alike.  No id in `banned` is matched, so each lies
+    on the 2-factor.  The blossom search runs on h's adjacency lists, less
+    the pairs whose parallel edges are all banned; with nothing banned it
+    reads h's own lists, uncopied.  Each matched pair takes its lowest id
+    that is not banned, and one pass over the ids in ascending order finds
+    it: a vertex's two factor edges are its other two ids, ascending.
+    Each cycle starts at its smallest vertex and leaves it by that
+    vertex's lower factor edge.
     """
     n = h.n
-    hadj = h.adjacency()
-    adj = list(hadj) if banned else hadj
-    for u, v, _ in banned:
-        if all((u, v, k) in banned for k in range(h.multiplicity(u, v))):
-            adj[u] = [w for w in adj[u] if w != v]
-            adj[v] = [w for w in adj[v] if w != u]
+    adj = h.adjacency()
+    if banned:
+        adj = list(adj)
+        for e in banned:
+            a, b = pair = ends[e]
+            if ends.count(pair) == sum(ends[f] == pair for f in banned):
+                adj[a] = [w for w in adj[a] if w != b]
+                adj[b] = [w for w in adj[b] if w != a]
     mate = _max_matching_simple(n, adj)
     if -1 in mate:
         raise InternalInvariantError(
-            "no perfect matching avoiding the banned slots; impossible in a "
+            "no perfect matching avoiding the banned edges; impossible in a "
             "2-edge-connected cubic multigraph (Petersen, Plesnik)"
         )
-    matched: list[Slot] = [(0, 0, 0)] * n
-    for v, w in enumerate(mate):
-        if w > v:
-            k = 0
-            while (v, w, k) in banned:
-                k += 1
-            matched[v] = matched[w] = (v, w, k)
+    matched = bytearray(n)  # matched[a]: an edge from a to its mate b > a is taken
+    pairs: list[int] = []
+    factor: list[list[int]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(ends):
+        if mate[a] == b and not matched[a] and e not in banned:
+            matched[a] = 1
+            pairs.append(e)
+        else:
+            factor[a].append(e)
+            factor[b].append(e)
     cycles = []
     on_cycle = bytearray(n)
     for start in range(n):
         if on_cycle[start]:
             continue
-        cycle: list[tuple[int, Slot]] = []
-        v, slot = start, None
+        cycle: list[tuple[int, int]] = []
+        v, e = start, -1
         while True:
-            nbrs = hadj[v]
-            if len(nbrs) == 3:
-                # three distinct neighbours: the factor slots lead to the two
-                # that are not v's mate, each by the pair's one copy
-                x, y, z = nbrs
-                m = mate[v]
-                p, q = (y, z) if m == x else (x, z) if m == y else (x, y)
-                a = (v, p, 0) if v < p else (p, v, 0)
-                if a == slot:
-                    a = (v, q, 0) if v < q else (q, v, 0)
-                slot = a
-            else:
-                inc = h.slots_at(v)
-                inc.remove(matched[v])
-                if len(inc) != 2:
-                    raise InternalInvariantError(
-                        f"vertex {v} has {len(inc)} factor edges, expected 2"
-                    )
-                a, b = inc
-                slot = b if a == slot else a
+            p, q = factor[v]
+            e = q if p == e else p
             on_cycle[v] = 1
-            cycle.append((v, slot))
-            v = slot[1] if slot[0] == v else slot[0]
+            cycle.append((v, e))
+            a, b = ends[e]
+            v = b if a == v else a
             if v == start:
                 break
         cycles.append(tuple(cycle))
-    pairs = tuple(s for v, s in enumerate(matched) if s[0] == v)
-    return TwoFactor(cycles=tuple(cycles), matching=pairs)
+    return TwoFactor(cycles=tuple(cycles), matching=tuple(pairs))
 
 
-def _two_factor_through(h: MultiGraph, e: Slot) -> TwoFactor:
-    """A 2-factor of h containing the slot e.
+def _two_factor_through(h: MultiGraph, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
+    """A 2-factor of h containing the edge e.
 
-    Bans e and the smallest other slot at vertex 0: by Plesnik's theorem,
-    h less any two edges has a perfect matching, whose complement holds both.
+    Bans e and the lowest other id: by Plesnik's theorem, h less any two
+    edges has a perfect matching, whose complement holds both.
     """
-    f = next(s for s in h.slots_at(0) if s != e)
-    return _complement(h, (e, f))
+    return _complement(h, ends, (e, 1 if e == 0 else 0))
 
 
-def _matched_through(h: MultiGraph, e: Slot) -> TwoFactor:
+def _matched_through(h: MultiGraph, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
     """The 2-factor of h whose complementary perfect matching contains e.
 
-    Bans the other two slots at e[0], so a perfect matching of the rest,
-    which exists by Plesnik's theorem, covers e[0] through e.
+    Bans the other two edges at e's lower end, so a perfect matching of
+    the rest, which exists by Plesnik's theorem, covers that end through e.
     """
-    others = [s for s in h.slots_at(e[0]) if s != e]
-    if len(others) != 2:
-        raise InternalInvariantError(f"vertex {e[0]} does not have 3 slots")
-    tf = _complement(h, others)
+    a = ends[e][0]
+    tf = _complement(h, ends, [f for f, pair in enumerate(ends) if a in pair and f != e])
     if e not in tf.matching:
         raise InternalInvariantError("forced edge missing from matching")
     return tf

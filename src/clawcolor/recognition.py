@@ -12,10 +12,10 @@ exactly one of those triangles or diamonds, and `_walk` follows each
 triangle corner through its string of diamonds to another corner, listing
 the vertices it passes.  The walks are the edges of a cubic multigraph H
 on the triangles, which `_contract` builds for the entry check
-`_require_claw_free_cubic`, and `structure._decompose` files.  An edge
+`_require_claw_free_cubic`, and `structure._decompose` numbers.  An edge
 cut of H lifts to an edge cut of G of the same size, so the entry check
 reads G's connectivity and bridges from H, which is much smaller.  With
-no triangle, `_ring_length` decides connectivity: the ring through
+no triangle, `_ring_walk` decides connectivity: the ring through
 diamond 0 must hold every diamond.  `find_claw` stays for arbitrary
 graphs and `find_bridges` for connected ones.
 
@@ -25,9 +25,9 @@ non-bridge edges, H-loops included, with the diamonds on those edges'
 strings, and each diamond on the string of an H-bridge on its own.
 `_bridge_tree` joins the triangles with a union-find and types each
 component by its size alone, the one component classifier.  One BFS
-helper over the components finds the root and roots the tree.  Beside
-the tree it hands each Type III component its triangles and realizations,
-from which `colorer` completes it without scanning it again.
+helper over the components finds the root and roots the tree.  For the
+colorer, `_shares` then hands each Type III component its triangles and
+realizations, from which it is completed without being scanned again.
 `structure.decompose` is the one public way in.
 """
 
@@ -129,10 +129,6 @@ def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
     return bridges
 
 
-def is_k4(g: MultiGraph) -> bool:
-    return g.n == 4 and g.is_simple() and g.size == 6
-
-
 class Diamond(NamedTuple):
     """Induced K4-minus-an-edge: two adjacent interiors, two exteriors."""
 
@@ -152,8 +148,11 @@ class LocalScan(NamedTuple):
     `_contract` keeps, for a graph with triangles, only `triangles` and
     fills in `walk`, the realizations `_walk` lists, `ends`, the triangles
     at the two ends of each, and `h`, the H-edges of the ones that are
-    not H-loops.  `_bridge_tree` hands each Type III component its share
-    of G's contraction in `triangles` and `walk`.
+    not H-loops.  For a ring it fills in `walk` with the one cyclic walk
+    `_ring_walk` lists.  `structure._decompose` numbers the H-edges: H-edge
+    e is `walk[e]`, from triangle `ends[e][0]` to `ends[e][1]`.  `_shares`
+    hands each Type III component its share of G's contraction in
+    `triangles` and `walk`.
     """
 
     claw: tuple[int, int, int, int] | None = None
@@ -285,7 +284,8 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
 
     None when the scan's triangles and diamonds do not partition g, or the
     walks miss a diamond.  A graph of diamonds only, a ring if connected,
-    keeps its scan.  Otherwise the diamonds and per-vertex indexes, which
+    keeps its scan, with the ring through diamond 0 as its one walk
+    (`_ring_walk`).  Otherwise the diamonds and per-vertex indexes, which
     no reader of a contraction uses, are dropped, so that a diamond chain's
     bridge tree does not hold them.
     """
@@ -293,7 +293,7 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     if 3 * len(triangles) + 4 * len(diamonds) != g.n:
         return None
     if not triangles:
-        return local
+        return local._replace(walk=(_ring_walk(g, local),))
     walk = _walk(g, local)
     if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
         return None
@@ -302,18 +302,27 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     return LocalScan(triangles=triangles, walk=walk, ends=ends, h=h)
 
 
-def _ring_length(g: MultiGraph, local: LocalScan) -> int:
-    """How many diamonds the ring through diamond 0 has, on a graph of diamonds."""
+def _ring_walk(g: MultiGraph, local: LocalScan) -> tuple[int, ...]:
+    """The ring through diamond 0, on a graph of diamonds, as one cyclic walk.
+
+    Each diamond is listed as `_walk` lists one: entry exterior, the two
+    interiors ascending, exit exterior.  Each exit is adjacent to the next
+    entry, and the last exit to the first entry, so a ring of k diamonds
+    is 4k ints and its edges between diamonds are the pairs (r[j - 1],
+    r[j]) for j = 0, 4, 8, ...
+    """
     adj, diamonds, diamond_of = g.adjacency(), local.diamonds, local.diamond_of
-    i, x, length = 0, diamonds[0].exteriors[0], 0
+    i, x, ring = 0, diamonds[0].exteriors[0], []
     while True:
-        length += 1
-        e1, e2 = diamonds[i].exteriors
+        d = diamonds[i]
+        e1, e2 = d.exteriors
+        exit_ = e1 if x == e2 else e2
+        ring += (x, *d.interiors, exit_)
         # the exit's neighbor besides the two interiors, on the next diamond
-        x = sum(adj[e1 if x == e2 else e2]) - sum(diamonds[i].interiors)
+        x = sum(adj[exit_]) - sum(d.interiors)
         i = diamond_of[x]
         if i == 0:
-            return length
+            return tuple(ring)
 
 
 class ComponentKind(enum.Enum):
@@ -377,7 +386,7 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     if g.n == 4:
         return set(), local
     local = _contract(g, local)
-    if local is None or (local.h is None and _ring_length(g, local) != len(local.diamonds)):
+    if local is None or (local.h is None and len(local.walk[0]) != 4 * len(local.diamonds)):
         raise DisconnectedError(_DISCONNECTED)
     h_bridges = set() if local.h is None else _bridges(local.h)
     if h_bridges is None:
@@ -387,9 +396,9 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
 
 def _bridge_tree(
     g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalScan
-) -> tuple[BridgeTree, dict[int, LocalScan]]:
-    """The bridge tree of a graph already validated, read from H, and each
-    Type III component's share of the contraction.
+) -> tuple[BridgeTree, list[int]]:
+    """The bridge tree of a graph already validated, read from H, and the
+    component of each vertex.
 
     g has passed `_require_claw_free_cubic`, which returned `h_bridges`
     and `local`, g's contraction, whose walk lists every vertex once.  A
@@ -425,11 +434,6 @@ def _bridge_tree(
     G minus a set F of edges has |F| + 1 components only when every edge
     of F is a bridge, and H's bridges lift to G's, so the count check
     fails only when `h_bridges` holds a non-bridge of H, which is a bug.
-
-    The share of Type III component c, shares[c], holds c's triangles in
-    G's order, and its realizations that are no H-bridges in walk order,
-    each the walk's own tuple.  A dict keeps a chain of diamonds from
-    holding an entry per component.
     """
     n, ntri = g.n, len(local.triangles)
     up = list(range(ntri))  # union-find parent of each triangle
@@ -530,14 +534,6 @@ def _bridge_tree(
             xs.remove(x1)
             xs.insert(0, x1)
 
-    shares = {c: LocalScan(triangles=[], walk=[]) for c, k in enumerate(kinds) if k is type3}
-    for t, tri in enumerate(local.triangles):
-        if share := shares.get(index[root_of[t]]):
-            share.triangles.append(tri)
-    for r, e in zip(local.walk, local.ends):
-        if e not in h_bridges:
-            shares[index[root_of[e[0]]]].walk.append(r)
-
     return BridgeTree(
         components=tuple(components),
         kinds=kinds,
@@ -546,4 +542,27 @@ def _bridge_tree(
         depth=tuple(depth),
         up_neighbor=tuple(-1 if x == -1 else across[x] for x in up_vertex),
         degree2=tuple(map(tuple, attach)),
-    ), shares
+    ), comp_of
+
+
+def _shares(
+    local: LocalScan, h_bridges: set[tuple[int, int]], kinds: Sequence[ComponentKind],
+    comp_of: Sequence[int],
+) -> dict[int, LocalScan]:
+    """Each Type III component's share of G's contraction, by component.
+
+    `local`, `h_bridges`, and `kinds` and `comp_of` as `_bridge_tree`
+    returned them, describe a bridged graph.  The share of Type III
+    component c holds c's triangles in G's order, and its realizations
+    that are no H-bridges in walk order, each the walk's own tuple.  A
+    dict keeps a chain of diamonds from holding an entry per component.
+    """
+    type3 = ComponentKind.TYPE_III
+    shares = {c: LocalScan(triangles=[], walk=[]) for c, k in enumerate(kinds) if k is type3}
+    for tri in local.triangles:
+        if share := shares.get(comp_of[tri[0]]):
+            share.triangles.append(tri)
+    for r, e in zip(local.walk, local.ends):
+        if e not in h_bridges:
+            shares[comp_of[r[0]]].walk.append(r)
+    return shares

@@ -10,8 +10,9 @@ H-edge its realization in G (a direct edge or a diamond string).
 graph.  It runs the entry check `_require_claw_free_cubic` once, then
 returns the bridge tree, read from H and its bridges, when the graph has
 bridges and its decomposition when it has none.  `color_claw_free_cubic`
-branches on the type `_structure` returns, which hands each Type III
-component's share of G's contraction over beside the bridge tree.
+reads the same structure through `_structure`, which hands it the
+numbered contraction of a bridgeless graph, or the bridge tree with each
+Type III component's share of G's contraction beside it.
 
 The triangles and diamonds come from `recognition._local_scan`, and the
 realizations and H from `recognition._contract`, which walks from each
@@ -21,10 +22,15 @@ over, so G is neither walked nor contracted twice.  No other graph is
 scanned: a completed Type III component's H is cut from G's contraction
 by `colorer._surgery`.
 
-A realization stays the vertex tuple the walk lists (`_walk`'s docstring
-gives the format).  The walk already runs each one from its lower-indexed
-triangle, so `_decompose` only files them under their slots, for G's H
-and for each completion's H alike.
+Each H-edge is named by one integer, its id.  `_decompose` numbers the
+H-edges 0..m-1 by their ends, then by their realizations, for G's H and
+for each completion's H alike; H-edge e is `walk[e]`, run from triangle
+`ends[e][0]` to the higher `ends[e][1]` (`_walk`'s docstring gives the
+format).  Parallel H-edges thus take consecutive ids, and the ids at a
+vertex ascend as its slots in H do.  The coloring path reads nothing
+else.  Only `decompose` files the realizations under H's slots (a, b, k),
+in a public `Decomposition`: the id of slot (a, b, k) is its index in
+`h.slots()`.
 
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
@@ -33,7 +39,7 @@ checked again:
     exactly one outside edge, and `_contract` requires it to put every
     vertex on a triangle or a diamond.  A walk is deterministic and
     reversible, so each corner ends exactly one realization; the surgery
-    on a completion replaces realizations end for end.  Filing rejects
+    on a completion replaces realizations end for end.  Numbering rejects
     H-loops.
   * Bridgeless.  An edge cut of H lifts to an edge cut of G of the same
     size, so G's connectivity and bridges are read from H: on the pipeline
@@ -59,6 +65,7 @@ from .recognition import (
     LocalScan,
     _bridge_tree,
     _require_claw_free_cubic,
+    _shares,
 )
 
 
@@ -69,7 +76,7 @@ class Variant(enum.Enum):
 
 
 class Decomposition(NamedTuple):
-    """What `_decompose` recovers from a 2-edge-connected graph.
+    """What `decompose` returns for a 2-edge-connected graph.
 
     For the built variant, `realization` maps each slot (a, b, k) of H, in
     slot order, to its H-edge's vertices in G as `recognition._walk` lists
@@ -97,48 +104,58 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
     NotSimpleError, DisconnectedError, NotCubicError or NotClawFreeError
     on any other input, and InternalInvariantError on a bug.
     """
-    structure = _structure(g)
-    return structure if isinstance(structure, Decomposition) else structure[0]
-
-
-def _structure(g: MultiGraph) -> Decomposition | tuple[BridgeTree, dict[int, LocalScan]]:
-    """`decompose`'s result, with a bridge tree the Type III components'
-    shares of G's contraction beside it (`recognition._bridge_tree`)."""
     h_bridges, local = _require_claw_free_cubic(g)
     if h_bridges:
-        return _bridge_tree(g, h_bridges, local)
-    return _decompose(local)
+        return _bridge_tree(g, h_bridges, local)[0]
+    return _decomposition(_decompose(local))
 
 
-def _decompose(local: LocalScan) -> Decomposition:
-    """The decomposition of a 2-edge-connected graph from its contraction.
-
-    `local` is what the entry check returned for the graph: its scan when
-    it is K4, which has neither triangle nor diamond, or a ring, which has
-    no triangle.  The walk runs each realization from its lower triangle
-    (`_walk`); each corner starts one realization, so the sort that
-    numbers parallel copies never looks past r[0].
-    """
-    if local.h is None:
-        if not local.diamonds:
-            return Decomposition(variant=Variant.K4, realization={})
+def _decomposition(local: LocalScan) -> Decomposition:
+    """The public form of a numbered contraction, as `_decompose` returns it."""
+    if local.h is not None:
+        return Decomposition(
+            variant=Variant.BUILT,
+            triangles=tuple(local.triangles),
+            h=local.h,
+            realization=dict(zip(local.h.slots(), local.walk)),
+        )
+    if local.diamonds:
         return Decomposition(
             variant=Variant.RING, ring_diamonds=tuple(local.diamonds), realization={}
         )
-    realization: dict[Slot, tuple[int, ...]] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for (ha, hb), r in sorted(zip(local.ends, local.walk)):
+    return Decomposition(variant=Variant.K4, realization={})
+
+
+def _structure(g: MultiGraph) -> LocalScan | tuple[BridgeTree, dict[int, LocalScan]]:
+    """What the colorer reads of g: the numbered contraction when g has no
+    bridge, else the bridge tree with its Type III components' shares of
+    G's contraction beside it (`recognition._shares`)."""
+    h_bridges, local = _require_claw_free_cubic(g)
+    if h_bridges:
+        bt, comp_of = _bridge_tree(g, h_bridges, local)
+        return bt, _shares(local, h_bridges, bt.kinds, comp_of)
+    return _decompose(local)
+
+
+def _decompose(local: LocalScan) -> LocalScan:
+    """A contraction with its H-edges numbered in the order of their ends.
+
+    `local` is what the entry check returned for a bridgeless graph, or
+    what `colorer._surgery` cut for a completion.  The contraction of K4,
+    which has neither triangle nor diamond, or of a ring, which has no
+    triangle, has no H and is returned as it is.  Otherwise `walk` and
+    `ends` come back sorted by (ends, walk): H-edge e is `walk[e]`.  The
+    walk runs each realization from its lower triangle (`_walk`), and each
+    corner starts one realization, so the sort never looks past r[0].
+    """
+    if local.h is None:
+        return local
+    pairs = sorted(zip(local.ends, local.walk))
+    ends = [e for e, _ in pairs]
+    for ha, hb in ends:
         if ha >= hb:
             raise InternalInvariantError(
                 f"H-edge loop or a walk from the higher triangle, {ha} to {hb}; "
                 "impossible in a bridgeless graph"
             )
-        k = counts.get((ha, hb), 0)
-        counts[(ha, hb)] = k + 1
-        realization[(ha, hb, k)] = r
-    return Decomposition(
-        variant=Variant.BUILT,
-        triangles=tuple(local.triangles),
-        h=local.h,
-        realization=realization,
-    )
+    return local._replace(walk=[r for _, r in pairs], ends=ends)

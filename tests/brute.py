@@ -27,8 +27,11 @@ the bridge tree typed components from their sizes, types the reference
 bridge tree.
 
 `induced`, `with_edges` and `transposed` are the derived graphs and the
-class transposition, and `cycle_slots` the slot set of a 2-factor, that
-only these references and the tests use.
+class transposition, `is_k4` the K4 test, `slot_form` a 2-factor named
+by H's slots, not its edge ids, and `cycle_slots` the slot set of such a
+2-factor, that only these references and the tests use.  `ring_by_diamonds`,
+the ring rule as it was before a ring was colored from its cyclic walk,
+colors the reference completions that are rings.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations, product
 
-from clawcolor.canonical import _canonical, _ring
+from clawcolor.canonical import _canonical
 from clawcolor.colorer import _explicit_k4_completion, _free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
@@ -54,12 +57,12 @@ from clawcolor.recognition import (
     BridgeTree,
     ComponentKind,
     Diamond,
+    LocalScan,
     _contract,
     _local_scan,
     find_bridges,
-    is_k4,
 )
-from clawcolor.structure import Decomposition, Variant, _decompose
+from clawcolor.structure import Decomposition, Variant, _decompose, _decomposition
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -120,6 +123,10 @@ def induced(g: MultiGraph, vertices: Iterable[int]) -> tuple[MultiGraph, list[in
 def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
     """New graph with extra edges added (multiplicities aggregate)."""
     return MultiGraph(g.n, g.edge_list() + list(extra))
+
+
+def is_k4(g: MultiGraph) -> bool:
+    return g.n == 4 and g.is_simple() and g.size == 6
 
 
 def transposed(coloring: PackingColoring, i: int, j: int) -> PackingColoring:
@@ -945,6 +952,16 @@ def max_matching_by_full_scans(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
+def slot_form(h: MultiGraph, tf: TwoFactor) -> TwoFactor:
+    """tf, a 2-factor of h whose edges are named by their ids, with each id
+    replaced by its slot: id e is slot `h.slots()[e]` (`structure`)."""
+    slots = h.slots()
+    return TwoFactor(
+        cycles=tuple(tuple((v, slots[e]) for v, e in cycle) for cycle in tf.cycles),
+        matching=tuple(slots[e] for e in tf.matching),
+    )
+
+
 def cycle_slots(tf: TwoFactor) -> set[Slot]:
     """The slots on the cycles of a 2-factor."""
     return {slot for cycle in tf.cycles for _, slot in cycle}
@@ -1175,7 +1192,23 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
 def decompose_by_own_scan(g: MultiGraph) -> Decomposition:
     """g decomposed from its own scan, walk and contraction, as a completion once was."""
     local = _local_scan(g)
-    return _decompose(local if is_k4(g) else _contract(g, local))
+    return _decomposition(_decompose(local if is_k4(g) else _contract(g, local)))
+
+
+def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
+    """`canonical._ring` as it was, from g's diamonds and adjacency: interiors
+    2a/2b; an edge between diamonds gets 1a at its smaller end and 1b."""
+    assignment: dict[int, int] = {}
+    adj = g.adjacency()
+    for d in diamonds:
+        i1, i2 = d.interiors
+        assignment[i1] = C2A
+        assignment[i2] = C2B
+        for e in d.exteriors:
+            x = sum(adj[e]) - i1 - i2  # e's one neighbor off the diamond
+            if e < x:
+                assignment[e], assignment[x] = C1A, C1B
+    return PackingColoring(SPEC_1122, assignment)
 
 
 def lift_slot(dec: Decomposition, edge: tuple[int, int]) -> Slot:
@@ -1216,14 +1249,17 @@ def color_type3_by_subgraphs(
         fixed = _explicit_k4_completion(x1, (u, s, z, a, y, w), root_style)
     else:
         if dec.variant is Variant.RING:
-            sub = _ring(tilde, dec.ring_diamonds).assignment
+            sub = ring_by_diamonds(tilde, dec.ring_diamonds).assignment
         else:
             if len(xs) % 2:
                 edge, through = (s, y), _two_factor_through
             else:
                 edge, through = (x1, xs[1]), _matched_through
             slot = lift_slot(dec, (to_tilde[edge[0]], to_tilde[edge[1]]))
-            sub = _canonical(dec, through(dec.h, slot)).assignment
+            # the colorer names H-edges by their index in slot order
+            slots = list(dec.realization)
+            local = LocalScan(walk=list(dec.realization.values()), ends=[k[:2] for k in slots])
+            sub = _canonical(local, through(dec.h, local.ends, slots.index(slot))).assignment
         if len(xs) % 2:
             if {sub[to_tilde[s]], sub[to_tilde[y]]} != {C1A, C1B}:
                 raise InternalInvariantError("s and y are not 1a and 1b")

@@ -1,11 +1,15 @@
-"""The blossom search against its full-scan reference at H of order 16,384.
+"""The blossom search and the 2-factor core against their references at H of order 16,384.
 
 For seeds 1 to 3, builds a triangle expansion of a random H of order
-16,384 (about 147,000 vertices), decomposes it, and runs both
-`factorization._max_matching_simple` and `brute.max_matching_by_full_scans`
-on the H it recovers.  Prints both times per seed, and exits 1 unless the
-two mate arrays are equal.  Too slow for tier-1; run it from the
-repository root:
+16,384 (about 147,000 vertices) and contracts it as `color_claw_free_cubic`
+does, its H-edges numbered.  On the H it recovers, runs both
+`factorization._max_matching_simple` and `brute.max_matching_by_full_scans`,
+then `factorization._complement` and `brute.two_factor_by_reattribution`,
+the 2-factor named by slots as it was before each H-edge was named by its
+id.  Prints the times per seed, and exits 1 unless the two mate arrays
+are equal and `_complement`'s 2-factor, each id mapped to its slot
+(`brute.slot_form`), equals the reference's.  Too slow for tier-1; run it
+from the repository root:
 
     PYTHONPATH=src:tests python tests/matching_at_scale.py
 """
@@ -15,31 +19,37 @@ from __future__ import annotations
 import sys
 import time
 
-from brute import max_matching_by_full_scans
-from clawcolor import decompose
-from clawcolor.factorization import _max_matching_simple
+from brute import max_matching_by_full_scans, slot_form, two_factor_by_reattribution
+from clawcolor.factorization import _complement, _max_matching_simple
 from clawcolor.rng import SplitMix64
+from clawcolor.structure import _structure
 from conftest import _built
 
 H_ORDER = 16_384
 
 
+def _timed(f, *args):
+    started = time.perf_counter()
+    return f(*args), time.perf_counter() - started
+
+
 def main() -> int:
     failed = 0
     for seed in (1, 2, 3):
-        h = decompose(_built(H_ORDER, SplitMix64(seed))).h
+        local = _structure(_built(H_ORDER, SplitMix64(seed)))
+        h = local.h
         n, adj = h.n, h.adjacency()
-        started = time.perf_counter()
-        mate = _max_matching_simple(n, adj)
-        search_s = time.perf_counter() - started
-        started = time.perf_counter()
-        reference = max_matching_by_full_scans(n, adj)
-        reference_s = time.perf_counter() - started
-        same = mate == reference
-        failed += not same
+        mate, search_s = _timed(_max_matching_simple, n, adj)
+        reference, reference_s = _timed(max_matching_by_full_scans, n, adj)
+        factor, factor_s = _timed(_complement, h, local.ends)
+        want, want_s = _timed(two_factor_by_reattribution, h)
+        same_mate, same_factor = mate == reference, slot_form(h, factor) == want
+        failed += (not same_mate) + (not same_factor)
         print(
             f"H={n} seed {seed}: search {search_s:.3f} s, full-scan reference "
-            f"{reference_s:.3f} s, mate arrays {'equal' if same else 'DIFFER'}"
+            f"{reference_s:.3f} s, mate arrays {'equal' if same_mate else 'DIFFER'}; "
+            f"2-factor {factor_s:.3f} s, reattribution reference {want_s:.3f} s, "
+            f"2-factors {'equal' if same_factor else 'DIFFER'}"
         )
     return 1 if failed else 0
 

@@ -26,6 +26,7 @@ from clawcolor.canonical import _canonical
 from clawcolor.cli import main as cli_main
 from clawcolor.factorization import _complement, _two_factor_through
 from clawcolor.rng import SplitMix64
+from clawcolor.structure import _structure
 
 from brute import (
     all_two_factors,
@@ -33,6 +34,7 @@ from brute import (
     light_support_property,
     multigraph_isomorphic,
     relabeled,
+    slot_form,
 )
 from test_canonical import LABEL_TO_IDX, REFERENCE_BIG_EXPANSION
 
@@ -132,8 +134,10 @@ def test_criterion_5_two_factor_through():
         n_h = (2, 4, 6, 8, 10)[seed % 5]
         h = gen_cubic_multigraph(n_h, rng)
         slots = h.slots()
-        e = slots[rng.randrange(len(slots))]
-        tf = _two_factor_through(h, e)
+        i = rng.randrange(len(slots))
+        e = slots[i]
+        # the core names H's edges by their index in slot order
+        tf = slot_form(h, _two_factor_through(h, h.edge_list(), i))
         assert e in cycle_slots(tf)
         deg = [0] * h.n
         for s in cycle_slots(tf):
@@ -184,7 +188,8 @@ def test_criterion_7_support_property(corpus):
         dec = decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
-        coloring = _canonical(dec, _complement(dec.h))
+        local = _structure(g)
+        coloring = _canonical(local, _complement(local.h, local.ends))
         assert verify(g, SPEC_1122, coloring) == [], name
         assert light_support_property(g, coloring), name
         scanned += 1

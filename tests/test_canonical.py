@@ -13,14 +13,21 @@ from clawcolor import (
     decompose,
     expand_to_clawfree,
     gen_ring_of_diamonds,
-    is_k4,
     verify,
 )
 from clawcolor.canonical import _canonical, _k4, _ring
 from clawcolor.errors import InternalInvariantError, NotCubicError
 from clawcolor.factorization import _complement, _matched_through, _two_factor_through
+from clawcolor.structure import _structure
 
-from brute import find_diamonds, lift_slot, light_support_property, transposed
+from brute import (
+    find_diamonds,
+    is_k4,
+    lift_slot,
+    light_support_property,
+    ring_by_diamonds,
+    transposed,
+)
 
 # frozen reference coloring of the big_expansion fixture: matching corners
 # carry 2a/2b, cycle corners 1a/1b, strings per their two type rules
@@ -59,8 +66,10 @@ def test_color_k4_rejects_c4():
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
 def test_ring_coloring(k):
     g = gen_ring_of_diamonds(k)
-    col = _ring(g, decompose(g).ring_diamonds)
+    col = _ring(_structure(g).walk[0])
     assert_valid(g, col)
+    # the rule read from the cyclic walk colors as the rule read from the diamonds
+    assert col == ring_by_diamonds(g, decompose(g).ring_diamonds)
     # interiors carry the radius-2 classes, exteriors the radius-1 classes
     for d in find_diamonds(g):
         assert {col.assignment[v] for v in d.interiors} == {C2A, C2B}
@@ -83,8 +92,8 @@ def test_reference_coloring_verifies(named_fixtures):
 
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = decompose(g)
-    col = _canonical(dec, _complement(dec.h))
+    local = _structure(g)
+    col = _canonical(local, _complement(local.h, local.ends))
     assert_valid(g, col)
     assert light_support_property(g, col)
 
@@ -107,11 +116,11 @@ def test_canonical_on_prism(named_fixtures):
 
 def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
-    dec = decompose(g)
-    factor = _complement(dec.h)
-    col = _canonical(dec, factor)
-    for slot in factor.matching:
-        r = dec.realization[slot]
+    local = _structure(g)
+    factor = _complement(local.h, local.ends)
+    col = _canonical(local, factor)
+    for e in factor.matching:
+        r = local.walk[e]
         assert col.assignment[r[0]] == C2A
         assert col.assignment[r[-1]] == C2B
         if len(r) == 2:
@@ -120,12 +129,20 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
 
 def with_edge(g, dec, edge):
     """The canonical coloring for a 2-factor through the H-image of `edge`."""
-    return _canonical(dec, _two_factor_through(dec.h, lift_slot(dec, edge)))
+    return _forced(g, dec, edge, _two_factor_through)
 
 
 def with_matched_edge(g, dec, edge):
     """The canonical coloring for a perfect matching through the H-image of `edge`."""
-    return _canonical(dec, _matched_through(dec.h, lift_slot(dec, edge)))
+    return _forced(g, dec, edge, _matched_through)
+
+
+def _forced(g, dec, edge, through):
+    """The canonical coloring of g for `through` at the H-image of `edge`,
+    whose id is its slot's index in slot order."""
+    local = _structure(g)
+    e = list(dec.realization).index(lift_slot(dec, edge))
+    return _canonical(local, through(local.h, local.ends, e))
 
 
 def test_with_edge_endpoints_light(named_fixtures):
@@ -149,11 +166,11 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
 def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures):
     """The coverage check counts the realizations' vertices: a string whose
     first diamond lists its smaller interior twice leaves the other uncolored."""
-    dec = decompose(named_fixtures["big_expansion"])
-    slot, r = next((slot, r) for slot, r in dec.realization.items() if len(r) > 2)
-    broken = dec._replace(realization={**dec.realization, slot: r[:3] + r[2:3] + r[4:]})
+    local = _structure(named_fixtures["big_expansion"])
+    e, r = next((e, r) for e, r in enumerate(local.walk) if len(r) > 2)
+    walk = [*local.walk[:e], r[:3] + r[2:3] + r[4:], *local.walk[e + 1:]]
     with pytest.raises(InternalInvariantError, match="^canonical coloring covered 33 of 34 "):
-        _canonical(broken, _complement(dec.h))
+        _canonical(local._replace(walk=walk), _complement(local.h, local.ends))
 
 
 def test_with_edge_on_string_connectors(named_fixtures):
@@ -182,13 +199,13 @@ def test_support_property_rejects_bad_coloring(named_fixtures):
 
 
 def test_support_property_on_corpus(base_corpus):
-    from clawcolor import Variant, find_bridges
+    from clawcolor import find_bridges
 
     for _, g in base_corpus:
         if find_bridges(g):
             continue
-        dec = decompose(g)
-        if dec.variant is not Variant.BUILT:
+        local = _structure(g)
+        if local.h is None:
             continue
-        col = _canonical(dec, _complement(dec.h))
+        col = _canonical(local, _complement(local.h, local.ends))
         assert light_support_property(g, col)

@@ -32,7 +32,8 @@ from clawcolor.errors import (
 )
 import clawcolor.colorer
 from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
-from clawcolor.recognition import LocalScan, _bridge_tree, _require_claw_free_cubic
+from clawcolor.recognition import LocalScan, _require_claw_free_cubic
+from clawcolor.structure import _structure
 from clawcolor.rng import SplitMix64
 
 from brute import (
@@ -73,8 +74,7 @@ def _share(comp, xs):
     for x in xs:
         edges += leaf_gadget(n) + [(x, n)]
         n += 7
-    g = MultiGraph(n, edges)
-    return _bridge_tree(g, *_require_claw_free_cubic(g))[1][0]
+    return _structure(MultiGraph(n, edges))[1][0]
 
 
 def color_root(comp, x1):
@@ -379,28 +379,28 @@ def test_bridged_path_matches_subgraph_reference(
     The key order may differ: a K3 or diamond is stored x1 first.
     """
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
-        bt, shares = _bridge_tree(g, *_require_claw_free_cubic(g))
+        bt, shares = _structure(g)
         got = _color_bridged(g, bt, shares).assignment
         want = color_bridged_by_subgraphs(g, bt).assignment
         assert got == want
 
 
 def _assert_cut_as_built(share, xs, tilde, to_g):
-    """`_surgery` of a share gives, in G's ids, the H, triangles,
-    slot-ordered realizations and forced slot of the completed graph
-    tilde, decomposed from its own scan; to_g maps tilde's ids to G's."""
-    dec, slot, gadget = _surgery(share, _corners(share), xs)
+    """`_surgery` of a share gives, in G's ids, the H, realizations and
+    forced edge of the completed graph tilde, decomposed from its own
+    scan, the ids numbering its slots in slot order; to_g maps tilde's ids
+    to G's.  Returns the cut, the forced edge's slot and the gadget."""
+    local, e, gadget = _surgery(share, _corners(share), xs)
     want = decompose_by_own_scan(tilde)
     assert want.variant is Variant.BUILT
-    assert dec.h == want.h and dec.h.adjacency() == want.h.adjacency()
-    assert dec.triangles == tuple(tuple(to_g[v] for v in t) for t in want.triangles)
-    assert list(dec.realization.items()) == [
-        (k, tuple(to_g[v] for v in r)) for k, r in want.realization.items()
-    ]
+    assert local.h == want.h and local.h.adjacency() == want.h.adjacency()
+    assert local.ends == [k[:2] for k in want.realization]
+    assert local.walk == [tuple(to_g[v] for v in r) for r in want.realization.values()]
     edge = (xs[0], xs[1]) if gadget is None else gadget[2:]
     to_tilde = {v: i for i, v in enumerate(to_g)}
-    assert slot == lift_slot(want, (to_tilde[edge[0]], to_tilde[edge[1]]))
-    return dec, slot, gadget
+    slot = lift_slot(want, (to_tilde[edge[0]], to_tilde[edge[1]]))
+    assert e == list(want.realization).index(slot)
+    return local, slot, gadget
 
 
 def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged_trees):
@@ -410,10 +410,9 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
     to K4 or to the ring of its H-loop's diamonds."""
     tested = [0, 0]
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
-        h_bridges, local = _require_claw_free_cubic(g)
-        if not h_bridges:
+        if not _require_claw_free_cubic(g)[0]:
             continue
-        bt, shares = _bridge_tree(g, h_bridges, local)
+        bt, shares = _structure(g)
         for c, share in shares.items():
             comp, xs = bt.components[c], bt.degree2[c]
             sub, to_global = induced(g, comp)
@@ -444,9 +443,9 @@ def test_surgery_on_a_pairing_edge_parallel_to_an_h_edge():
     """Two triangles joined by 0-3 and 1-4; the pairing edge 2-5 is the
     third copy of their H-edge, and the last in slot order."""
     comp = MultiGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4)])
-    dec, slot, gadget = _surgery_and_reference(comp, [5, 2])
-    assert gadget is None and dec.h.multiplicity(0, 1) == 3
-    assert slot == (0, 1, 2) and dec.realization[slot] == (2, 5)
+    local, slot, gadget = _surgery_and_reference(comp, [5, 2])
+    assert gadget is None and local.h.multiplicity(0, 1) == 3
+    assert slot == (0, 1, 2) and local.walk[2] == (2, 5)
     col = extend(comp, 5, C2B)
     assert col.assignment[5] == C2B and col.assignment[2] == C2A
     assert_valid(comp, col)
@@ -476,9 +475,9 @@ def test_surgery_splices_strings_on_both_sides(ends, spliced):
     listed entry exterior, interiors ascending, exit exterior, whichever
     side 11 lies on."""
     comp = _splice_component(ends)
-    dec, slot, gadget = _surgery_and_reference(comp, [0])
+    local, slot, gadget = _surgery_and_reference(comp, [0])
     assert gadget == (1, 2, 3, 7)
-    assert slot == (0, 1, 0) and dec.realization[slot] == spliced
+    assert slot == (0, 1, 0) and local.walk[0] == spliced
     assert_valid(comp, color_root(comp, 0))
 
 
@@ -488,9 +487,10 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
     Coloring the 50-diamond chain made 205 `multiplicity` calls when every
     edge a completion copied looked its multiplicity up, and 9 while each
     leaf's odd gadget checked two of G's pairs for an edge.  Completions
-    cut from G's contraction read no pair of G.  The 5 left are one for
+    cut from G's contraction read no pair of G, and 5 were left: one for
     the bridge candidate of the entry check's search of H, and four
-    `_complement` banned-slot checks under `_two_factor_through`.
+    `_complement` banned-slot checks under `_two_factor_through`.  With
+    each H-edge named by its id, the one left is the bridge candidate.
     """
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
     real = MultiGraph.multiplicity
@@ -502,7 +502,7 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
 
     monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
     assert_valid(g, color_claw_free_cubic(g))
-    assert calls[0] == 5
+    assert calls[0] == 1
 
 
 def test_up_neighbor_on_a_completion_diamond_is_an_internal_error():

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clawcolor import MultiGraph, decompose, factorization, fixtures, gen_cubic_multigraph
+from clawcolor import (
+    MultiGraph,
+    color_claw_free_cubic,
+    decompose,
+    factorization,
+    find_bridges,
+    gen_cubic_multigraph,
+)
+from clawcolor import structure
 from clawcolor.errors import InternalInvariantError
 from clawcolor.factorization import (
     _complement,
@@ -9,6 +17,7 @@ from clawcolor.factorization import (
     _max_matching_simple,
     _two_factor_through,
 )
+from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
 from conftest import _built
@@ -20,6 +29,7 @@ from brute import (
     factor_from_matching_by_reattribution,
     matching_through_by_reattribution,
     max_matching_by_full_scans,
+    slot_form,
     two_factor_by_reattribution,
     two_factor_through_by_reattribution,
 )
@@ -27,6 +37,17 @@ from brute import (
 
 def k4():
     return MultiGraph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+
+
+def two_factor(h):
+    """`_complement` of h, its edges numbered in slot order, named by slots."""
+    return slot_form(h, _complement(h, h.edge_list()))
+
+
+def forced(through, h, e):
+    """`through` (`_two_factor_through` or `_matched_through`) of h at the
+    slot e, its edges numbered in slot order, named by slots."""
+    return slot_form(h, through(h, h.edge_list(), h.slots().index(e)))
 
 
 def matched_slots(g):
@@ -79,14 +100,14 @@ def test_c5_has_no_perfect_matching():
 
 
 def test_two_factor_k4_is_hamiltonian():
-    tf = _complement(k4())
+    tf = two_factor(k4())
     assert_valid_two_factor(k4(), tf)
     assert len(tf.cycles) == 1 and len(tf.cycles[0]) == 4
 
 
 def test_two_factor_h10_and_reference_factor(named_fixtures):
     g = named_fixtures["h10"]
-    tf = _complement(g)
+    tf = two_factor(g)
     assert_valid_two_factor(g, tf)
     # a hand-picked complement matching for this fixture is itself perfect
     reference = frozenset(
@@ -106,7 +127,7 @@ def test_two_factor_h10_and_reference_factor(named_fixtures):
 
 def test_two_factor_petersen(named_fixtures):
     g = named_fixtures["petersen"]
-    tf = _complement(g)
+    tf = two_factor(g)
     assert_valid_two_factor(g, tf)
 
 
@@ -114,13 +135,13 @@ def test_two_factor_rejects_bridged():
     """A bridged cubic graph without a perfect matching: Petersen's theorem
     does not apply, and the core reports the broken theorem as a bug."""
     with pytest.raises(InternalInvariantError, match="no perfect matching"):
-        _complement(_no_perfect_matching_cubic())
+        two_factor(_no_perfect_matching_cubic())
 
 
 def test_two_factor_through_k4_every_edge():
     g = k4()
     for e in g.slots():
-        tf = _two_factor_through(g, e)
+        tf = forced(_two_factor_through, g, e)
         assert_valid_two_factor(g, tf)
         assert e in cycle_slots(tf)
         assert len(tf.cycles[0]) == 4
@@ -129,7 +150,7 @@ def test_two_factor_through_k4_every_edge():
 def test_two_factor_through_triple_edge():
     g = MultiGraph(2, [(0, 1)] * 3)
     for e in g.slots():
-        tf = _two_factor_through(g, e)
+        tf = forced(_two_factor_through, g, e)
         assert_valid_two_factor(g, tf)
         assert e in cycle_slots(tf)
         assert len(tf.cycles) == 1 and len(tf.cycles[0]) == 2
@@ -138,15 +159,13 @@ def test_two_factor_through_triple_edge():
 def test_two_factor_through_errors():
     """The forcing cores check no input; what they still raise is a bug."""
     with pytest.raises(InternalInvariantError, match="no perfect matching"):
-        _two_factor_through(_no_perfect_matching_cubic(), (0, 5, 0))
-    with pytest.raises(InternalInvariantError, match="does not have 3 slots"):
-        _matched_through(k4(), (0, 1, 5))
+        forced(_two_factor_through, _no_perfect_matching_cubic(), (0, 5, 0))
 
 
 def test_matching_through_every_slot(named_fixtures):
     g = named_fixtures["h10"]
     for e in g.slots():
-        m = _matched_through(g, e).matching
+        m = forced(_matched_through, g, e).matching
         assert e in m
         assert frozenset(m) in set(all_perfect_matchings(g))
 
@@ -202,7 +221,7 @@ def test_two_factor_through_on_decomposed_h(named_fixtures):
     h = decompose(named_fixtures["big_expansion"]).h
     factors = set(all_two_factors(h))
     for e in h.slots():
-        tf = _two_factor_through(h, e)
+        tf = forced(_two_factor_through, h, e)
         assert e in cycle_slots(tf)
         assert (e[0], e[1]) in {(u, v) for u, v, _ in cycle_slots(tf)}
         assert frozenset(cycle_slots(tf)) in factors
@@ -215,7 +234,7 @@ def test_two_factor_through_cross_checked_with_enumeration():
         factors = set(all_two_factors(g))
         assert factors, "a bridgeless cubic multigraph always has a 2-factor"
         for e in g.slots()[:4]:
-            tf = _two_factor_through(g, e)
+            tf = forced(_two_factor_through, g, e)
             assert e in cycle_slots(tf)
             assert frozenset(cycle_slots(tf)) in factors
 
@@ -232,13 +251,17 @@ def _reference_graphs(named_fixtures):
 
 def test_complement_matches_reattribution_reference(named_fixtures):
     # the one complement core gives the same TwoFactor objects
-    # (cycles, start vertices, sorted matching) as the three cores it replaced
+    # (cycles, start vertices, sorted matching) as the three cores it replaced,
+    # once its edge ids are mapped to the slots they number
     for h in _reference_graphs(named_fixtures):
-        assert _complement(h) == two_factor_by_reattribution(h)
-        for e in h.slots():
-            assert _two_factor_through(h, e) == two_factor_through_by_reattribution(h, e)
+        ends = h.edge_list()
+        assert slot_form(h, _complement(h, ends)) == two_factor_by_reattribution(h)
+        for i, e in enumerate(h.slots()):
+            tf = slot_form(h, _two_factor_through(h, ends, i))
+            assert tf == two_factor_through_by_reattribution(h, e)
             m = matching_through_by_reattribution(h, e)
-            assert _matched_through(h, e) == factor_from_matching_by_reattribution(h, m)
+            tf = slot_form(h, _matched_through(h, ends, i))
+            assert tf == factor_from_matching_by_reattribution(h, m)
 
 
 def _matching_inputs(named_fixtures):
@@ -280,9 +303,10 @@ def test_banned_searches_match_full_scan_reference(named_fixtures, monkeypatch):
     monkeypatch.setattr(factorization, "_max_matching_simple", both)
     graphs = _reference_graphs(named_fixtures)
     for h in graphs:
-        for e in h.slots():
-            _two_factor_through(h, e)
-            _matched_through(h, e)
+        ends = h.edge_list()
+        for e in range(h.size):
+            _two_factor_through(h, ends, e)
+            _matched_through(h, ends, e)
     assert calls[0] == 2 * sum(h.size for h in graphs)
 
 
@@ -327,27 +351,51 @@ def test_matching_size_against_networkx():
         assert len(matched_slots(g)) == size
 
 
-def test_complement_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
-    """With nothing banned, a simple H's factor slots need no multiplicity lookup.
+def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
+    """Coloring names each H-edge by its id, from the contraction to the
+    coloring: no `slots_at` or `slots` call on any input, and no
+    `multiplicity` call past the entry check.
 
-    A vertex with three distinct neighbours takes its two factor slots from
-    its neighbour list and its mate; only a vertex on a parallel pair reads
-    `slots_at`.
+    The entry check's search of H looks a pair up only for a bridge
+    candidate: an H-bridge, or a parallel pair of H.  So a bridgeless
+    input whose H is simple makes no `multiplicity` call at all.  The
+    named fixtures include a bridged graph, and the corpus holds rings,
+    built graphs with and without strings, and bridged trees.
     """
-    rng = SplitMix64(0xC0)
-    graphs = [k4()] + [fixtures()[name] for name in ("prism", "petersen", "big_expansion")]
-    while len(graphs) < 20:
-        h = gen_cubic_multigraph(2 * (2 + rng.randrange(20)), rng)
-        if h.is_simple():
-            graphs.append(h)
-    calls = [0]
-    real = MultiGraph.multiplicity
+    calls = {"slots_at": 0, "slots": 0, "multiplicity": 0}
 
-    def multiplicity(self, u, v):
-        calls[0] += 1
-        return real(self, u, v)
+    def counted(name):
+        real = getattr(MultiGraph, name)
 
-    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
-    for h in graphs:
-        assert len(_complement(h).cycles) >= 1
-    assert calls[0] == 0
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return wrapper
+
+    graphs = [g for name, g in named_fixtures.items() if name not in ("h10", "petersen")]
+    graphs += [g for _, g in corpus]
+    kinds = []
+    for g in graphs:
+        h_bridges, local = _require_claw_free_cubic(g)
+        simple = local.h is None or local.h.is_simple()
+        kinds.append("bridged" if h_bridges else "simple H" if simple else "parallel H")
+    assert all(kinds.count(k) > 50 for k in ("bridged", "simple H", "parallel H"))
+    in_entry = [0]
+    entry = structure._require_claw_free_cubic
+
+    def counted_entry(g):
+        before = calls["multiplicity"]
+        out = entry(g)
+        in_entry[0] += calls["multiplicity"] - before
+        return out
+
+    for name in calls:
+        monkeypatch.setattr(MultiGraph, name, counted(name))
+    monkeypatch.setattr(structure, "_require_claw_free_cubic", counted_entry)
+    for g, kind in zip(graphs, kinds):
+        before = calls["multiplicity"], in_entry[0]
+        color_claw_free_cubic(g)
+        assert calls["multiplicity"] - before[0] == in_entry[0] - before[1], kind
+        assert kind != "simple H" or calls["multiplicity"] == before[0]
+    assert calls["slots_at"] == calls["slots"] == 0, calls

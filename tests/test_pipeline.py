@@ -265,10 +265,8 @@ def test_a_failed_precondition_after_the_entry_check_is_a_bug(
     attachment, whose completion is built from H.
     """
 
-    def all_2a(dec, factor):
-        return PackingColoring(
-            SPEC_1122, {v: C2A for r in dec.realization.values() for v in r}
-        )
+    def all_2a(local, factor):
+        return PackingColoring(SPEC_1122, {v: C2A for r in local.walk for v in r})
 
     monkeypatch.setattr(clawcolor.colorer, "_canonical", all_2a)
     path = tmp_path / "type3_path.el"
@@ -332,11 +330,9 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
     real = structure._decompose
 
     def swapped_corners(local):
-        dec = real(local)
-        realization = dict(dec.realization)
-        (s0, r0), (s1, r1) = list(realization.items())[:2]
-        realization[s0], realization[s1] = (r1[0],) + r0[1:], (r0[0],) + r1[1:]
-        return dec._replace(realization=realization)
+        numbered = real(local)
+        r0, r1, *rest = numbered.walk
+        return numbered._replace(walk=[(r1[0],) + r0[1:], (r0[0],) + r1[1:], *rest])
 
     monkeypatch.setattr(structure, "_decompose", swapped_corners)
     with pytest.raises(InternalInvariantError) as caught:
@@ -522,7 +518,7 @@ def _readme_api_names() -> list[str]:
 
 def test_the_public_names_are_the_ones_readme_lists():
     listed = _readme_api_names()
-    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 38
+    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 37
     assert sorted(set(listed)) == sorted(clawcolor.__all__)
 
 

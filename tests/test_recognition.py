@@ -18,7 +18,6 @@ from clawcolor import (
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
     is_claw_free,
-    is_k4,
     random_expansion_spec,
 )
 from clawcolor.errors import ClawcolorError, DisconnectedError, InternalInvariantError
@@ -27,6 +26,7 @@ from clawcolor.recognition import (
     _bridges,
     _local_scan,
     _require_claw_free_cubic,
+    _shares,
 )
 
 from brute import (
@@ -39,6 +39,7 @@ from brute import (
     find_claw_brute,
     find_diamonds,
     induced,
+    is_k4,
     root_rule_counterexamples,
     multigraph_isomorphic,
     relabeled,
@@ -321,7 +322,8 @@ def test_bridge_tree_bridgeless_single_node(named_fixtures):
     g = named_fixtures["prism"]
     h_bridges, local = _require_claw_free_cubic(g)
     assert h_bridges == set()
-    bt, shares = _bridge_tree(g, h_bridges, local)
+    bt, comp_of = _bridge_tree(g, h_bridges, local)
+    shares = _shares(local, h_bridges, bt.kinds, comp_of)
     assert bt.components == (tuple(range(6)),)
     assert bt.kinds == (ComponentKind.TYPE_III,)
     assert bt.tree_adj == ((),)

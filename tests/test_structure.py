@@ -135,7 +135,8 @@ def test_triangle_partition_covers_everything(named_fixtures):
 
 
 def test_decompose_peak_memory_per_vertex(large_graphs):
-    """`_decompose` of the 9,216-vertex built graph, given the entry's scan, walk and H."""
+    """`_decompose` of the 9,216-vertex built graph, given the entry's scan,
+    walk and H: the H-edges numbered, with no slot filed."""
     g = dict(large_graphs)["built-h1024"]
     _, local = _require_claw_free_cubic(g)
     tracemalloc.start()
@@ -145,7 +146,7 @@ def test_decompose_peak_memory_per_vertex(large_graphs):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert g.n == 9216 and dec.variant is Variant.BUILT
+    assert g.n == 9216 and len(dec.walk) == dec.h.size
     assert peak / g.n < 60, f"{peak / g.n:.1f} B/vertex"
 
 
