@@ -28,13 +28,12 @@ from .oracle import Violation, solve_spacking, subdivide, verify
 from .recognition import (
     BridgeTree,
     ComponentKind,
-    Diamond,
     find_bridges,
     find_claw,
     is_claw_free,
 )
 from .rng import SplitMix64
-from .structure import Decomposition, Variant, decompose
+from .structure import Decomposition, Diamond, Variant, decompose
 
 __version__ = "0.1.0"
 

@@ -25,6 +25,7 @@ n-bit ints, and an undo restores two saved values in O(1).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .coloring import PackingColoring, SPackingSpec
@@ -56,32 +57,30 @@ def verify(
     then v.  Both read only the graph's adjacency and the assignment, with
     O(n) extra memory.
     """
-    n = g.n
-    cls = _classes(coloring.assignment, n)
     adj = g.adjacency()
-    if spec.radii[-1] <= 2 and _packed_within_two(adj, cls, spec.radii):
+    if spec.radii[-1] <= 2 and _packed_within_two(adj, coloring.assignment, spec.radii):
         return []
-    return _violations(adj, cls, spec)
+    return _violations(adj, _classes(coloring.assignment, g.n, range(spec.r)), spec)
 
 
-def _classes(assignment: dict[int, int], n: int) -> list[int]:
-    """The class of each vertex 0..n-1, by index; a mismatched domain raises.
+def _classes(assignment: dict[int, int], n: int, table: Sequence[int]) -> list[int]:
+    """table[class] of each vertex 0..n-1; a mismatched domain raises.
 
     The missing vertices are reported when there are any, else every key
     not in range(n).  With none missing, a dict of more than n keys holds
     such a key.
     """
     try:
-        cls = [assignment[v] for v in range(n)]
+        out = [table[assignment[v]] for v in range(n)]
     except KeyError:
         raise PartialColoringError({v for v in range(n) if v not in assignment}) from None
     if len(assignment) != n:
         raise PartialColoringError(set(assignment).difference(range(n)))
-    return cls
+    return out
 
 
 def _packed_within_two(
-    adj: list[list[int]], cls: list[int], radii: tuple[int, ...]
+    adj: list[list[int]], assignment: dict[int, int], radii: tuple[int, ...]
 ) -> bool:
     """Whether the coloring is valid, for radii that are all 1 or 2.
 
@@ -92,7 +91,7 @@ def _packed_within_two(
     """
     bit = [1 << c for c in range(len(radii))]
     two = sum(b for b, radius in zip(bit, radii) if radius == 2)
-    bits = [bit[c] for c in cls]
+    bits = _classes(assignment, len(adj), bit)
     for own, nbrs in zip(bits, adj):
         seen = own
         for w in nbrs:

@@ -129,21 +129,15 @@ def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
     return bridges
 
 
-class Diamond(NamedTuple):
-    """Induced K4-minus-an-edge: two adjacent interiors, two exteriors."""
-
-    interiors: tuple[int, int]
-    exteriors: tuple[int, int]
-
-
 class LocalScan(NamedTuple):
     """What `_local_scan` reads from the closed neighborhoods of a graph.
 
     Either `claw` is the first induced claw (center, a, b, c), and the rest
     is empty, or `claw` is None and the graph is claw-free.  Then
-    `diamonds` lists the induced diamonds by their interior edge and
-    `triangles` the triangles on no diamond by their smallest corner;
-    `diamond_of[v]` and `triangle_of[v]` index those lists, -1 for none.
+    `diamonds` lists the induced diamonds flat, four ints each: interiors,
+    then exteriors, each pair ascending; `triangles` the triangles on no
+    diamond by their smallest corner; `diamond_of[v]` and `triangle_of[v]`
+    index those lists, by offset in `diamonds`, -1 for none.
 
     `_contract` keeps, for a graph with triangles, only `triangles` and
     fills in `walk`, the realizations `_walk` lists, `ends`, the triangles
@@ -156,7 +150,7 @@ class LocalScan(NamedTuple):
     """
 
     claw: tuple[int, int, int, int] | None = None
-    diamonds: Sequence[Diamond] = ()
+    diamonds: Sequence[int] = ()
     diamond_of: Sequence[int] = ()
     triangles: Sequence[tuple[int, int, int]] = ()
     triangle_of: Sequence[int] = ()
@@ -173,29 +167,28 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     witness `find_claw` gives.  Three: v is on a K4, which in a connected
     cubic graph is the whole graph; nothing is recorded.  Two: v is an
     interior of a diamond, the other interior is the neighbor adjacent to
-    both others, and the remaining two are its exteriors.  One: v lies on
-    exactly one triangle, which belongs to a diamond exactly when its other
-    two corners share a second common neighbor.  Each diamond is recorded at
-    its smaller interior and each triangle at its smallest corner, so both
-    lists come out in vertex order.
+    both others, and the remaining two are its exteriors.  One, x-y: v lies
+    on one triangle, on a diamond exactly when x's third neighbor e, read
+    from x's list, is adjacent to y; v and e are then its exteriors.
 
     A vertex already recorded is skipped; its neighbors span an edge, so it
-    is no claw center.  A vertex v not yet recorded whose neighbors span
-    one edge, on a triangle on no diamond, is that triangle's smallest
-    corner: a smaller corner x would see the same one edge and would have
-    recorded the triangle.  An interior v not yet recorded is the smaller
-    one: the other interior p, if smaller, would have recorded the diamond.
-    An exterior sees the two interiors as its one edge, and the common
-    neighbor test skips it.
+    is no claw center.  A triangle on no diamond is recorded at its
+    smallest corner, as a smaller one would have done, and a diamond at its
+    smallest vertex, as each of its vertices records it if visited
+    unrecorded; so v < e.
 
-    A new diamond's exteriors are on no recorded diamond, so that is not
-    checked.  An exterior e has neighbors v, p and one more, and a diamond
-    holding e holds at least two of them, so v or p: it is {v, p, e1, e2}
-    itself, and then v would have been skipped.
+    None of the other vertices of a diamond D met first at v is recorded
+    yet, so that is not checked.  A recorded triangle or diamond S meeting
+    D but not v holds an interior i, as each vertex of S has two neighbors
+    on S and an exterior has one off D, and then i's two neighbors besides
+    v.  With v an interior, these are e1 i e2, and S would be a 4-cycle.
+    Else they are a triangle, with one neighbor off D, so S is that
+    triangle.  But no corner records a triangle on a diamond: an interior
+    sees two edges, an exterior passes the test.
     """
     n = g.n
     adj = g.adjacency()
-    diamonds: list[Diamond] = []
+    diamonds: list[int] = []
     diamond_of = [-1] * n
     triangles: list[tuple[int, int, int]] = []
     triangle_of = [-1] * n
@@ -211,15 +204,19 @@ def _local_scan(g: MultiGraph) -> LocalScan:
             return LocalScan(claw=(v, a, b, c))
         if edges == 1:
             x, y = (a, b) if ab else (a, c) if ac else (b, c)
-            # the neighbor of x besides v and y; adjacent to y on a diamond
-            if sum(adj[x]) - v - y in adj[y]:
+            for e in adj[x]:
+                if e != v and e != y:
+                    break
+            if e in adj[y]:
+                diamond_of[v] = diamond_of[x] = diamond_of[y] = diamond_of[e] = len(diamonds)
+                diamonds += (x, y, v, e)
                 continue
             triangle_of[v] = triangle_of[x] = triangle_of[y] = len(triangles)
             triangles.append((v, x, y))
         elif edges == 2:
             p, e1, e2 = (a, b, c) if ab and ac else (b, a, c) if ab else (c, a, b)
             diamond_of[v] = diamond_of[p] = diamond_of[e1] = diamond_of[e2] = len(diamonds)
-            diamonds.append(Diamond(interiors=(v, p), exteriors=(e1, e2)))
+            diamonds += (v, p, e1, e2)
     return LocalScan(None, diamonds, diamond_of, triangles, triangle_of)
 
 
@@ -264,10 +261,8 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
                 cur = b
             seq = [c]
             while (i := diamond_of[cur]) != -1:
-                d = diamonds[i]
-                e1, e2 = d.exteriors
-                exit_ = e1 if cur == e2 else e2
-                seq += (cur, *d.interiors, exit_)
+                exit_ = diamonds[i + 3] if cur == diamonds[i + 2] else diamonds[i + 2]
+                seq += (cur, diamonds[i], diamonds[i + 1], exit_)
                 a, b, cur = adj[exit_]
                 if diamond_of[a] != i:
                     cur = a
@@ -290,12 +285,12 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     bridge tree does not hold them.
     """
     triangles, triangle_of, diamonds = local.triangles, local.triangle_of, local.diamonds
-    if 3 * len(triangles) + 4 * len(diamonds) != g.n:
+    if 3 * len(triangles) + len(diamonds) != g.n:
         return None
     if not triangles:
         return local._replace(walk=(_ring_walk(g, local),))
     walk = _walk(g, local)
-    if sum(map(len, walk)) - 2 * len(walk) != 4 * len(diamonds):
+    if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
         return None
     ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
     h = MultiGraph(len(triangles), [(a, b) for a, b in ends if a != b])
@@ -307,21 +302,17 @@ def _ring_walk(g: MultiGraph, local: LocalScan) -> tuple[int, ...]:
 
     Each diamond is listed as `_walk` lists one: entry exterior, the two
     interiors ascending, exit exterior.  Each exit is adjacent to the next
-    entry, and the last exit to the first entry, so a ring of k diamonds
-    is 4k ints and its edges between diamonds are the pairs (r[j - 1],
-    r[j]) for j = 0, 4, 8, ...
+    entry, read from its list, and the last exit to the first entry, so a
+    ring of k diamonds is 4k ints and its edges between diamonds are the
+    pairs (r[j - 1], r[j]) for j = 0, 4, 8, ...
     """
     adj, diamonds, diamond_of = g.adjacency(), local.diamonds, local.diamond_of
-    i, x, ring = 0, diamonds[0].exteriors[0], []
+    i, x, ring = 0, diamonds[2], []
     while True:
-        d = diamonds[i]
-        e1, e2 = d.exteriors
-        exit_ = e1 if x == e2 else e2
-        ring += (x, *d.interiors, exit_)
-        # the exit's neighbor besides the two interiors, on the next diamond
-        x = sum(adj[exit_]) - sum(d.interiors)
-        i = diamond_of[x]
-        if i == 0:
+        exit_ = diamonds[i + 3] if x == diamonds[i + 2] else diamonds[i + 2]
+        ring += (x, diamonds[i], diamonds[i + 1], exit_)
+        x = next(w for w in adj[exit_] if diamond_of[w] != i)
+        if (i := diamond_of[x]) == 0:
             return tuple(ring)
 
 
@@ -386,7 +377,7 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     if g.n == 4:
         return set(), local
     local = _contract(g, local)
-    if local is None or (local.h is None and len(local.walk[0]) != 4 * len(local.diamonds)):
+    if local is None or (local.h is None and len(local.walk[0]) != len(local.diamonds)):
         raise DisconnectedError(_DISCONNECTED)
     h_bridges = set() if local.h is None else _bridges(local.h)
     if h_bridges is None:

@@ -61,7 +61,6 @@ from .errors import InternalInvariantError
 from .multigraph import MultiGraph, Slot
 from .recognition import (
     BridgeTree,
-    Diamond,
     LocalScan,
     _bridge_tree,
     _require_claw_free_cubic,
@@ -73,6 +72,13 @@ class Variant(enum.Enum):
     K4 = "K4"
     RING = "ring-of-diamonds"
     BUILT = "built"
+
+
+class Diamond(NamedTuple):
+    """Induced K4-minus-an-edge: two adjacent interiors, two exteriors."""
+
+    interiors: tuple[int, int]
+    exteriors: tuple[int, int]
 
 
 class Decomposition(NamedTuple):
@@ -119,10 +125,9 @@ def _decomposition(local: LocalScan) -> Decomposition:
             h=local.h,
             realization=dict(zip(local.h.slots(), local.walk)),
         )
-    if local.diamonds:
-        return Decomposition(
-            variant=Variant.RING, ring_diamonds=tuple(local.diamonds), realization={}
-        )
+    if d := local.diamonds:
+        ring = sorted(Diamond((d[j], d[j + 1]), (d[j + 2], d[j + 3])) for j in range(0, len(d), 4))
+        return Decomposition(variant=Variant.RING, ring_diamonds=tuple(ring), realization={})
     return Decomposition(variant=Variant.K4, realization={})
 
 

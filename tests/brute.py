@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import combinations, product
 
 from clawcolor.canonical import _canonical
@@ -56,13 +56,12 @@ from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import (
     BridgeTree,
     ComponentKind,
-    Diamond,
     LocalScan,
     _contract,
     _local_scan,
     find_bridges,
 )
-from clawcolor.structure import Decomposition, Variant, _decompose, _decomposition
+from clawcolor.structure import Decomposition, Diamond, Variant, _decompose, _decomposition
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -244,6 +243,27 @@ def find_diamonds(g: MultiGraph) -> list[Diamond]:
         if len(common) == 2 and not g.has_edge(common[0], common[1]):
             out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
     return out
+
+
+def scan_diamonds(flat: Sequence[int]) -> list[Diamond]:
+    """`_local_scan`'s flat diamonds, four ints each, as `Diamond`s in `find_diamonds`'s order."""
+    return sorted(
+        Diamond((flat[j], flat[j + 1]), (flat[j + 2], flat[j + 3])) for j in range(0, len(flat), 4)
+    )
+
+
+def triangles_off_diamonds_brute(
+    g: MultiGraph, diamonds: Iterable[Diamond]
+) -> list[tuple[int, int, int]]:
+    """Every triangle sharing no vertex with the diamonds, sorted, each corners ascending."""
+    on_diamond = {v for d in diamonds for v in diamond_vertices(d)}
+    triangles = {
+        tuple(sorted((u, v, w)))
+        for u in range(g.n)
+        for v, w in combinations(g.neighbors(u), 2)
+        if g.has_edge(v, w)
+    }
+    return sorted(t for t in triangles if not on_diamond & set(t))
 
 
 def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:

@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from clawcolor import (
+    SPEC_1122,
     BridgeTree,
     ComponentKind,
     MultiGraph,
     Decomposition,
     SplitMix64,
     Variant,
+    color_claw_free_cubic,
     decompose,
     expand_to_clawfree,
     find_bridges,
@@ -19,6 +21,7 @@ from clawcolor import (
     gen_ring_of_diamonds,
     is_claw_free,
     random_expansion_spec,
+    verify,
 )
 from clawcolor.errors import ClawcolorError, DisconnectedError, InternalInvariantError
 from clawcolor.recognition import (
@@ -43,6 +46,8 @@ from brute import (
     root_rule_counterexamples,
     multigraph_isomorphic,
     relabeled,
+    scan_diamonds,
+    triangles_off_diamonds_brute,
 )
 
 
@@ -527,33 +532,67 @@ def test_local_scan_claw_matches_find_claw(named_fixtures, base_corpus):
     assert claws >= 200
 
 
-def _triangles_off_diamonds_brute(g: MultiGraph, diamonds) -> list[tuple[int, int, int]]:
-    on_diamond = {v for d in diamonds for v in diamond_vertices(d)}
-    triangles = {
-        tuple(sorted((u, v, w)))
-        for u in range(g.n)
-        for v, w in combinations(g.neighbors(u), 2)
-        if g.has_edge(v, w)
-    }
-    return sorted(t for t in triangles if not on_diamond & set(t))
+def _assert_scan_matches_definitions(g: MultiGraph, local) -> None:
+    """The scan of a claw-free g, K4 aside, against the definitions.
+
+    The flat diamonds, regrouped, are `find_diamonds`'s; the triangles are
+    those on no diamond by smallest corner; each diamond_of entry is its
+    diamond's offset and each triangle_of entry its triangle's index, and
+    together they cover every vertex.
+    """
+    assert local.claw is None
+    diamonds = scan_diamonds(local.diamonds)
+    assert diamonds == find_diamonds(g)
+    assert local.triangles == triangles_off_diamonds_brute(g, diamonds)
+    for j in range(0, len(local.diamonds), 4):
+        assert all(local.diamond_of[v] == j for v in local.diamonds[j:j + 4])
+    for i, t in enumerate(local.triangles):
+        assert all(local.triangle_of[v] == i for v in t)
+    covered = sum(x != -1 for x in local.diamond_of + local.triangle_of)
+    assert covered == g.n
 
 
 def test_local_scan_matches_definitions(named_fixtures, base_corpus):
-    """Diamonds as `find_diamonds` lists them, and the triangles on no diamond
-    by smallest corner, with per-vertex indexes into both."""
+    """Diamonds as `find_diamonds` lists them, in the order of their smallest
+    vertices, and the triangles on no diamond by smallest corner, with
+    per-vertex indexes into both."""
     for g in _claw_free_graphs(base_corpus, named_fixtures):
         local = _local_scan(g)
-        assert local.claw is None
-        assert local.diamonds == find_diamonds(g)
         if is_k4(g):
+            assert local.claw is None and local.diamonds == local.triangles == []
             continue
-        assert local.triangles == _triangles_off_diamonds_brute(g, local.diamonds)
-        for i, d in enumerate(local.diamonds):
-            assert all(local.diamond_of[v] == i for v in diamond_vertices(d))
-        for i, t in enumerate(local.triangles):
-            assert all(local.triangle_of[v] == i for v in t)
-        covered = sum(x != -1 for x in local.diamond_of + local.triangle_of)
-        assert covered == g.n
+        _assert_scan_matches_definitions(g, local)
+        firsts = [min(local.diamonds[j:j + 4]) for j in range(0, len(local.diamonds), 4)]
+        assert firsts == sorted(firsts)
+
+
+def test_local_scan_does_not_depend_on_vertex_order():
+    """Seeded relabellings of built graphs with strings of 0 to 2 diamonds,
+    rings and diamond chains: the scan matches the definitions, and the
+    coloring certifies.  A diamond is recorded at its smallest vertex, so
+    the relabellings meet diamonds first at an exterior and at an interior
+    alike, and both are counted."""
+    rng = SplitMix64(0x5CA9)
+    graphs = []
+    for strings in (0, 1, 2):
+        for n_h in (4, 16, 64):
+            h = gen_cubic_multigraph(n_h, rng)
+            graphs.append(expand_to_clawfree(h, random_expansion_spec(h, rng, strings), rng))
+    graphs += [gen_ring_of_diamonds(k) for k in (2, 5, 30)]
+    for k in (1, 10):
+        graphs.append(gen_bridged([("type3", 1)] + [("diamond", 2)] * k + [("type3", 1)], rng))
+    met_at = {"exterior": 0, "interior": 0}
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g2 = relabeled(g, perm)
+            local = _local_scan(g2)
+            _assert_scan_matches_definitions(g2, local)
+            for j in range(0, len(local.diamonds), 4):
+                met_at["exterior" if local.diamonds[j + 2] < local.diamonds[j] else "interior"] += 1
+            assert verify(g2, SPEC_1122, color_claw_free_cubic(g2)) == []
+    assert min(met_at.values()) >= 100, met_at
 
 
 def _rewired(rng: SplitMix64) -> tuple[MultiGraph, MultiGraph]:
@@ -597,16 +636,17 @@ def test_local_scan_skipping_recorded_vertices_keeps_its_answer():
         assert local.claw == claw
         if claw is None:
             claw_free += 1
-            assert local.diamonds == find_diamonds(g)
+            diamonds = scan_diamonds(local.diamonds)
+            assert diamonds == find_diamonds(g)
             # a 2-switch may split off a K4, whose triangles the scan leaves out
             on_k4 = {v for v in range(g.n) if is_k4(induced(g, [v, *g.neighbors(v)])[0])}
-            triangles = _triangles_off_diamonds_brute(g, local.diamonds)
+            triangles = triangles_off_diamonds_brute(g, diamonds)
             assert local.triangles == [t for t in triangles if t[0] not in on_k4]
             continue
         # the triangles and diamonds of the unrewired graph, wholly below the center
         scanned = _local_scan(before)
         below = [t for t in scanned.triangles if max(t) < claw[0]]
-        below_d = [d for d in scanned.diamonds if max(diamond_vertices(d)) < claw[0]]
+        below_d = [d for d in scan_diamonds(scanned.diamonds) if max(diamond_vertices(d)) < claw[0]]
         late_claws += len(below) >= 3 and len(below_d) >= 3
     assert late_claws >= 80 and claw_free >= 5, (late_claws, claw_free)
     for g in _random_simple_cubic(rng, 100):
@@ -615,7 +655,7 @@ def test_local_scan_skipping_recorded_vertices_keeps_its_answer():
         if g.n <= 16:
             assert (local.claw is None) == (find_claw_brute(g) is None)
         if local.claw is None:
-            assert local.diamonds == find_diamonds(g)
+            assert scan_diamonds(local.diamonds) == find_diamonds(g)
 
 
 class _ReadCounter(list):
@@ -636,14 +676,14 @@ class _CountedGraph(MultiGraph):
 
 @pytest.mark.parametrize("strings", [0, 2, "ring"])
 def test_local_scan_reads_a_recorded_vertex_no_more(strings):
-    """Each triangle is read from its smallest corner only, each diamond from
-    its smaller interior and the exteriors below it.
+    """Each triangle is read from its smallest corner only, and each diamond
+    from the first of its vertices the scan visits, its smallest, only.
 
     A visit makes 4 reads: its own list, then a's twice and b's once to
-    test its neighborhood.  A vertex with one edge there, below its pair,
-    makes 2 more for the diamond test.  So a triangle costs 6 reads, and a
-    diamond 4 plus 6 per exterior below its smaller interior.  Visiting
-    every vertex would cost a triangle 14.
+    test its neighborhood.  A vertex with one edge there makes 2 more for
+    the diamond test, x's list and y's.  So a triangle costs 6 reads, and a
+    diamond 4 when its smallest vertex is an interior and 6 when it is an
+    exterior.  Visiting every vertex would cost a triangle 14.
     """
     rng = SplitMix64(0xC0DE)
     if strings == "ring":
@@ -655,6 +695,6 @@ def test_local_scan_reads_a_recorded_vertex_no_more(strings):
     local = _local_scan(g)
     assert local.claw is None and (strings == 0) == (not local.diamonds)
     expected = 6 * len(local.triangles) + sum(
-        4 + 6 * sum(e < min(d.interiors) for e in d.exteriors) for d in local.diamonds
+        6 if d.exteriors[0] < d.interiors[0] else 4 for d in scan_diamonds(local.diamonds)
     )
     assert g.counter.reads == expected
