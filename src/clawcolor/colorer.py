@@ -1,17 +1,20 @@
 """(1,1,2,2)-coloring of arbitrary connected claw-free cubic graphs.
 
 Bridgeless graphs go straight to the 2-edge-connected constructions.
-Otherwise the bridge tree is rooted at a leaf of a diametral path, the
-root component is colored first, and the remaining components are colored
-in BFS order, each in G's own vertex ids.  Each component's attachment x1
-is forced to a radius-2 class: 2a at the root, elsewhere one absent around
-its up-neighbor in the already-colored parent.  K3 and diamond components
-are colored in place, by direct stores into the glued assignment: x1 gets
-the forced class, a diamond's other exterior the other one, and the two
-vertices left 1a and 1b in ascending order.  A Type III component C, the
-root included, with attachment vertices X (its degree-2 vertices) is
-completed to a 2-edge-connected claw-free cubic graph, colored from a
-2-factor of its H with one edge forced (Plesnik's theorem):
+Otherwise the tree over the classes of H's triangles
+(`recognition._class_tree`), rooted at a leaf of a diametral path of the
+bridge tree, is colored from the root, each class after its parent, in
+G's own vertex ids.  A class's attachment x1 is forced to a radius-2
+class: 2a at the root, else the class f absent around the parent's
+corner of the bridge between them.  Each diamond on that bridge's string
+gets f on the exterior it is entered by, the other radius-2 class on the
+exit and 1a, 1b on its interiors in ascending order; f is then the
+class absent around the exit, so the next diamond and x1 are forced f
+again.  A K3 is colored in place: x1 gets f, its other corners 1a and 1b
+in ascending order.  A Type III component C, the root included, with
+attachment vertices X (its degree-2 vertices) is completed to a
+2-edge-connected claw-free cubic graph, colored from a 2-factor of its H
+with one edge forced (Plesnik's theorem):
 
   * |X| even: add a pairing edge on each consecutive pair of X; x1-x2 is
     forced into the perfect matching, so x1, x2 carry 2a/2b.
@@ -22,8 +25,8 @@ completed to a 2-edge-connected claw-free cubic graph, colored from a
     instead, and a ring of diamonds the ring coloring.
 
 The completed graph is never built: `_surgery` cuts its H from C's share
-of G's contraction, which `structure._structure` hands over beside the
-bridge tree, in G's ids, and numbers its H-edges as G's are numbered.
+of G's contraction, which the class tree holds, in G's ids, and numbers
+its H-edges as G's are numbered.
 The forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
@@ -39,13 +42,13 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import chain
 
-from .canonical import _canonical, _ring, _two_edge_connected
+from .canonical import _canonical, _color_string, _ring, _two_edge_connected
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
 from .factorization import _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import BridgeTree, ComponentKind, LocalScan
+from .recognition import ClassTree, LocalScan, _attachments
 from .structure import _decompose, _structure
 
 
@@ -194,8 +197,8 @@ def _color_type3(
 def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
     """A radius-2 class absent from the colored closed neighborhood.
 
-    `attachment` is the up-neighbor of the component about to be colored;
-    its own component is already colored, the new component is not.
+    `attachment` is the parent's corner on the bridge to the class about
+    to be colored; the parent is colored, the bridge's string is not.
     """
     get = assignment.get
     present = (get(attachment), *map(get, g.neighbors(attachment)))
@@ -214,47 +217,31 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     if isinstance(structure, LocalScan):
         coloring = _two_edge_connected(structure)
     else:
-        coloring = _color_bridged(g, *structure)
+        coloring = _color_bridged(g, structure)
     violations = verify(g, SPEC_1122, coloring)
     if violations:
         raise VerificationFailedError(violations)
     return coloring
 
 
-def _color_bridged(
-    g: MultiGraph, bt: BridgeTree, shares: Mapping[int, LocalScan]
-) -> PackingColoring:
-    """Color each component of the bridge tree in BFS order, unverified.
-
-    Every component is colored in g's own ids: K3 and diamond components
-    in place, Type III components from their shares of g's contraction.
-    """
+def _color_bridged(g: MultiGraph, tree: ClassTree) -> PackingColoring:
+    """Color each class of the class tree from the root, unverified: the
+    string of the bridge it is entered by first, as the module docstring
+    says, then a K3 in place and a Type III class from its share."""
     assignment: dict[int, int] = {}
-    components, degree2, kinds, up_neighbor = bt.components, bt.degree2, bt.kinds, bt.up_neighbor
-    root = bt.root
-    triangle, type3 = ComponentKind.TRIANGLE, ComponentKind.TYPE_III
-    # ascending ids sorted stably by depth: the order of the key (depth, c)
-    for c in sorted(range(len(components)), key=bt.depth.__getitem__):
-        xs, kind = degree2[c], kinds[c]
-        if c == root:
-            forced = C2A
+    bridges, ends, via = tree.bridges, tree.ends, tree.via
+    for c in tree.order:
+        xs, share, i = _attachments(tree, c), tree.shares.get(c), via[c]
+        forced = C2A
+        if i != -1:
+            r = bridges[i]
+            down = ends[i][1] == c  # r runs from the parent's corner
+            forced = _free_two_color(g, assignment, r[0] if down else r[-1])
+            other = C2B if forced == C2A else C2A
+            # r[j] is the exterior on r[0]'s side of the diamond at r[j:j + 4]
+            _color_string(assignment, r, *((forced, other) if down else (other, forced)), C1A, C1B)
+        if share is None:  # a K3, whose corners are xs: x1, then the other two ascending
+            assignment[xs[0]], assignment[xs[1]], assignment[xs[2]] = forced, C1A, C1B
         else:
-            forced = _free_two_color(g, assignment, up_neighbor[c])
-        if kind is not type3:
-            # x1 gets the forced class, a diamond's x2 the other radius-2
-            # class, and the two vertices left 1a and 1b in ascending order
-            x1 = xs[0]
-            assignment[x1] = forced
-            if kind is triangle:
-                u, v, w = components[c]
-                a, b = (v, w) if x1 == u else (u, w) if x1 == v else (u, v)
-            else:
-                x2 = xs[1]
-                assignment[x2] = C2B if forced == C2A else C2A
-                a, b = [v for v in components[c] if v != x1 and v != x2]
-            assignment[a] = C1A
-            assignment[b] = C1B
-            continue
-        # each share is freed once its component is colored
-        assignment.update(_color_type3(shares.pop(c), xs, forced, root_style=c == root))
+            assignment.update(_color_type3(share, xs, forced, root_style=i == -1))
     return PackingColoring(SPEC_1122, assignment)

@@ -19,6 +19,7 @@ from math import isqrt
 
 from .errors import (
     CapExceededError,
+    ClawcolorError,
     Graph6MultiedgeError,
     LoopEdgeError,
     MalformedInputError,
@@ -26,6 +27,9 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .multigraph import MultiGraph
+
+# the largest graph `emit_graph6` encodes: its line is 22 MB
+GRAPH6_MAX_N = 16_384
 
 
 def parse_edgelist(
@@ -164,19 +168,25 @@ def parse_graph6(text: str) -> MultiGraph:
 
 
 def emit_graph6(g: MultiGraph) -> str:
-    """Encode a simple graph as one graph6 line."""
+    """Encode a simple graph of at most GRAPH6_MAX_N vertices as one graph6 line.
+
+    The line holds n(n-1)/12 bytes, so a larger graph is refused before
+    any of them is allocated.
+    """
+    n = g.n
+    if n > GRAPH6_MAX_N:
+        raise ClawcolorError(
+            f"graph6 output holds at most {GRAPH6_MAX_N} vertices; the graph has {n}; "
+            "write it as an edge list"
+        )
     if not g.is_simple():
         raise Graph6MultiedgeError("graph has parallel edges; graph6 is simple-only")
-    n = g.n
     out = bytearray()
     if n <= 62:
         out.append(n + 63)
-    elif n <= 258047:
+    else:
         out.append(126)
         out.extend(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
-    else:
-        out.extend((126, 126))
-        out.extend(((n >> shift) & 63) + 63 for shift in (30, 24, 18, 12, 6, 0))
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for v in range(n):
         for u in g.neighbors(v):

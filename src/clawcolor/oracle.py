@@ -25,11 +25,10 @@ n-bit ints, and an undo restores two saved values in O(1).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import NamedTuple
 
 from .coloring import PackingColoring, SPackingSpec
-from .errors import CapExceededError, PartialColoringError
+from .errors import CapExceededError, MalformedInputError, PartialColoringError
 from .multigraph import MultiGraph
 
 DEFAULT_SOLVER_CAP = 40
@@ -60,20 +59,29 @@ def verify(
     adj = g.adjacency()
     if spec.radii[-1] <= 2 and _packed_within_two(adj, coloring.assignment, spec.radii):
         return []
-    return _violations(adj, _classes(coloring.assignment, g.n, range(spec.r)), spec)
+    table = {c: c for c in range(spec.r)}
+    return _violations(adj, _classes(coloring.assignment, g.n, table), spec)
 
 
-def _classes(assignment: dict[int, int], n: int, table: Sequence[int]) -> list[int]:
-    """table[class] of each vertex 0..n-1; a mismatched domain raises.
+def _classes(assignment: dict[int, int], n: int, table: dict[int, int]) -> list[int]:
+    """table[class] of each vertex 0..n-1; a mismatched domain or a class
+    outside the table raises.
 
-    The missing vertices are reported when there are any, else every key
-    not in range(n).  With none missing, a dict of more than n keys holds
-    such a key.
+    The missing vertices are reported when there are any, else the first
+    vertex whose class the table lacks, else every key not in range(n).
+    With none missing, a dict of more than n keys holds such a key.  The
+    table is a dict, so a negative class does not wrap around as in a list.
     """
     try:
         out = [table[assignment[v]] for v in range(n)]
     except KeyError:
-        raise PartialColoringError({v for v in range(n) if v not in assignment}) from None
+        missing = {v for v in range(n) if v not in assignment}
+        if missing:
+            raise PartialColoringError(missing) from None
+        v = next(v for v in range(n) if assignment[v] not in table)
+        raise MalformedInputError(
+            f"vertex {v} has class {assignment[v]!r}, outside the spec's {len(table)} classes"
+        ) from None
     if len(assignment) != n:
         raise PartialColoringError(set(assignment).difference(range(n)))
     return out
@@ -89,8 +97,8 @@ def _packed_within_two(
     inside the class) or a class of radius 2 (two of its vertices in one
     closed neighbourhood, so at distance at most 2).
     """
-    bit = [1 << c for c in range(len(radii))]
-    two = sum(b for b, radius in zip(bit, radii) if radius == 2)
+    bit = {c: 1 << c for c in range(len(radii))}
+    two = sum(bit[c] for c, radius in enumerate(radii) if radius == 2)
     bits = _classes(assignment, len(adj), bit)
     for own, nbrs in zip(bits, adj):
         seen = own

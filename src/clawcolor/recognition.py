@@ -23,12 +23,15 @@ The components of G minus its bridges are read from H too (S. Oum,
 Electron. J. Combin. 18 (2011) P62): the triangles joined by H's
 non-bridge edges, H-loops included, with the diamonds on those edges'
 strings, and each diamond on the string of an H-bridge on its own.
-`_bridge_tree` joins the triangles with a union-find and types each
-component by its size alone, the one component classifier.  One BFS
-helper over the components finds the root and roots the tree.  For the
-colorer, `_shares` then hands each Type III component its triangles and
-realizations, from which it is completed without being scanned again.
-`structure.decompose` is the one public way in.
+`_class_tree`'s union-find, the one component classifier, makes the
+classes, K3 or Type III, the nodes of a tree whose edges are H's
+bridges, each weighing 1 + its string's diamonds: the distances, so the
+root rule min(a, b), are those of the tree of all components.  The
+colorer reads the classes with their shares of the contraction.  A
+diamond string needs no node: the class f free at the parent's corner
+goes on each diamond's exterior toward the root, the other radius-2
+class on the other and 1a, 1b inside, so f is forced again past it.
+`_bridge_tree` expands the tree for `structure.decompose`.
 """
 
 from __future__ import annotations
@@ -144,8 +147,8 @@ class LocalScan(NamedTuple):
     at the two ends of each, and `h`, the H-edges of the ones that are
     not H-loops.  For a ring it fills in `walk` with the one cyclic walk
     `_ring_walk` lists.  `structure._decompose` numbers the H-edges: H-edge
-    e is `walk[e]`, from triangle `ends[e][0]` to `ends[e][1]`.  `_shares`
-    hands each Type III component its share of G's contraction in
+    e is `walk[e]`, from triangle `ends[e][0]` to `ends[e][1]`.
+    `_class_tree` hands each class its share of G's contraction in
     `triangles` and `walk`.
     """
 
@@ -385,175 +388,171 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     return h_bridges, local._replace(h=None) if h_bridges else local
 
 
-def _bridge_tree(
-    g: MultiGraph, h_bridges: set[tuple[int, int]], local: LocalScan
-) -> tuple[BridgeTree, list[int]]:
-    """The bridge tree of a graph already validated, read from H, and the
-    component of each vertex.
+class ClassTree(NamedTuple):
+    """The bridge tree over the classes of H's triangles, as `_class_tree` builds it.
 
-    g has passed `_require_claw_free_cubic`, which returned `h_bridges`
-    and `local`, g's contraction, whose walk lists every vertex once.  A
-    union-find over the triangles joins the two ends of each realization
-    that is not an H-bridge; each class, with the inner vertices of those
-    realizations, is one component.  Each diamond on an H-bridge's
-    realization r is a component of its own, and r's connectors
-    zip(r[::4], r[1::4]) are G's bridges: across[v] is the other end of
-    v's bridge (-1 for none), and the vertices that have one are their
-    component's attachments.  One pass over the vertices in ascending
-    order numbers the components by smallest vertex and lists each one's
-    vertices and attachments.
-
-    A component of 3 vertices is a K3, a triangle whose three realizations
-    are H-bridges, and one of 4 is a diamond.  Any other holds a non-bridge
-    realization, which joins two triangles or, as an H-loop, carries a
-    diamond (g is simple), so it is Type III.
-
-    The root is min(a, b), where a is the smallest component farthest from
-    component 0 and b the smallest farthest from a.  The ends of the
-    diametral paths are the components at the tree's radius from its
-    centre, one component or one edge, and the sides are the subtrees
-    hanging off the centre.  The components farthest from any x are the
-    ends on the other sides than x's (every end when x is the centre).  So
-    a is an end.  When the smallest end lies on another side than 0's, it
-    is a, and b > a.  Otherwise it lies on 0's side, not a's, so it is b,
-    and b < a.  A sweep from component 0 finds a, one from a finds b and
-    roots the tree when a < b, and one from b roots it otherwise; at most
-    two sweep arrays are alive at once.  No per-component list of
-    neighbouring components is kept: the sweeps read the tree edges from
-    the attachments and across.
-
-    G minus a set F of edges has |F| + 1 components only when every edge
-    of F is a bridge, and H's bridges lift to G's, so the count check
-    fails only when `h_bridges` holds a non-bridge of H, which is a bug.
+    Class c is a K3 or Type III component.  `shares[c]` holds a Type III
+    class's triangles in G's order and its realizations that are no
+    H-bridges; a K3 has none, its corners being its attachments.  Bridge
+    i is the H-bridge realization `bridges[i]`, from class `ends[i][0]` to
+    class `ends[i][1]`, and `links[c]` lists the bridges at class c.
+    `order` lists the classes from the root, each after the class it
+    hangs from; class c is entered by bridge `via[c]` (-1 at the root), at
+    depth `depth[c]` in the bridge tree.
     """
-    n, ntri = g.n, len(local.triangles)
-    up = list(range(ntri))  # union-find parent of each triangle
+
+    shares: dict[int, LocalScan]
+    bridges: list[tuple[int, ...]]
+    ends: list[tuple[int, int]]
+    links: list[list[int]]
+    order: list[int]
+    via: list[int]
+    depth: list[int]
+
+
+def _class_tree(h_bridges: set[tuple[int, int]], local: LocalScan) -> ClassTree:
+    """The class tree of a graph already validated, read from its contraction.
+
+    `h_bridges` and `local` are what `_require_claw_free_cubic` returned.
+    A union-find over the triangles joins the two ends of each realization
+    that is not an H-bridge, H-loops included; a class is K3 when it is one
+    triangle with no such realization, else Type III (g is simple, so a
+    loop carries a diamond).  Classes are numbered by their first triangle.
+    A bridge of k diamonds weighs k + 1, so depths are those of the bridge
+    tree of all components.
+
+    The root is min(a, b), components ordered by smallest vertex, where a
+    is the smallest component farthest from x, here class 0, and b the
+    smallest farthest from a.  The ends of the diametral paths lie at the
+    tree's radius from its centre, a component or an edge, and the sides
+    are the subtrees hanging off the centre.  The farthest from x are the
+    ends on the other sides than x's (every end when x is the centre),
+    leaves, so classes.  So a is an end.  When the smallest end lies on
+    another side than x's, it is a, and b > a.  Otherwise it lies on x's
+    side, not a's, so it is b, and b < a.  G minus a set F of edges has
+    |F| + 1 components only when every edge of F is a bridge, so the count
+    check fails only when `h_bridges` holds a non-bridge of H, which is a
+    bug.
+    """
+    up = list(range(len(local.triangles)))  # union-find parent of each triangle
 
     def find(t: int) -> int:
         while up[t] != t:
             up[t] = t = up[up[t]]  # path halving
         return t
 
-    across = [-1] * n
-    # a vertex's group: a triangle, standing for its union-find class, or
-    # past ntri one per diamond on an H-bridge
-    group = [-1] * n
-    key = ntri
-    nbridges = 0
-    for r, (a, b) in zip(local.walk, local.ends):
-        if (a, b) in h_bridges:
-            for x, y in zip(r[::4], r[1::4]):
-                across[x] = y
-                across[y] = x
-                nbridges += 1
-            for i in range(1, len(r) - 1, 4):
-                group[r[i]] = group[r[i + 1]] = group[r[i + 2]] = group[r[i + 3]] = key
-                key += 1
-            group[r[0]] = a
-            group[r[-1]] = b
+    bridges, at = [], []  # at: the triangles at each bridge's ends
+    for r, e in zip(local.walk, local.ends):
+        if e in h_bridges:
+            bridges.append(r)
+            at.append(e)
         else:
-            up[find(a)] = find(b)
-            for v in r:
-                group[v] = a
-    root_of = [find(t) for t in range(ntri)]
-
-    # the walk's int objects, sorted, are shared by the components, which
-    # would otherwise hold a new one per vertex; group becomes comp_of in
-    # place, each entry read before it is replaced
-    comp_of = group
-    index = [-1] * key
-    components: list = []
-    attach: list[list[int]] = []
-    for v in sorted(chain.from_iterable(local.walk)):
-        k = group[v]
-        if k < ntri:
-            k = root_of[k]
-        c = index[k]
-        if c == -1:
-            c = index[k] = len(components)
-            components.append([])
-            attach.append([])
-        comp_of[v] = c
-        components[c].append(v)
-        if across[v] != -1:
-            attach[c].append(v)
-    for c, vs in enumerate(components):
-        components[c] = tuple(vs)
-
-    ncomp = len(components)
-    if ncomp != nbridges + 1:
+            up[find(e[0])] = find(e[1])
+    roots = list(map(find, range(len(up))))
+    index = dict(zip(dict.fromkeys(roots), range(len(up))))  # classes by first triangle
+    cls, m = list(map(index.__getitem__, roots)), len(index)  # the class of each triangle
+    if m != len(bridges) + 1:
+        d = (sum(map(len, bridges)) - 2 * len(bridges)) // 4  # the diamonds on them
         raise InternalInvariantError(
-            f"{ncomp} components for {nbridges} bridges; tree property violated"
+            f"{m + d} components for {len(bridges) + d} bridges; tree property violated"
         )
-    triangle, diamond = ComponentKind.TRIANGLE, ComponentKind.DIAMOND
-    type3 = ComponentKind.TYPE_III
-    kinds = tuple(
-        triangle if len(vs) == 3 else diamond if len(vs) == 4 else type3 for vs in components
-    )
-
-    def sweep(src: int) -> tuple[list[int], list[int]]:
-        """Depth of each component, and the vertex the BFS entered it at."""
-        depth = [-1] * ncomp
-        entry = [-1] * ncomp
-        depth[src] = 0
-        queue = [src]
-        for c in queue:
-            below = depth[c] + 1
-            for v in attach[c]:
-                x = across[v]
-                d = comp_of[x]
-                if depth[d] == -1:
-                    depth[d] = below
-                    entry[d] = x
-                    queue.append(d)
-        return depth, entry
-
-    # root: min(a, b), the smallest end of a diametral path
-    from_0 = sweep(0)[0]
-    a = from_0.index(max(from_0))
-    del from_0
-    depth, up_vertex = sweep(a)
-    b = depth.index(max(depth))
-    root = min(a, b)
-    if root == b:
-        del depth, up_vertex
-        depth, up_vertex = sweep(b)
-
-    # each attachment list, up vertex first
-    for xs, x1 in zip(attach, up_vertex):
-        if x1 != -1 and xs[0] != x1:
-            xs.remove(x1)
-            xs.insert(0, x1)
-
-    return BridgeTree(
-        components=tuple(components),
-        kinds=kinds,
-        tree_adj=tuple(tuple(sorted([comp_of[across[v]] for v in xs])) for xs in attach),
-        root=root,
-        depth=tuple(depth),
-        up_neighbor=tuple(-1 if x == -1 else across[x] for x in up_vertex),
-        degree2=tuple(map(tuple, attach)),
-    ), comp_of
-
-
-def _shares(
-    local: LocalScan, h_bridges: set[tuple[int, int]], kinds: Sequence[ComponentKind],
-    comp_of: Sequence[int],
-) -> dict[int, LocalScan]:
-    """Each Type III component's share of G's contraction, by component.
-
-    `local`, `h_bridges`, and `kinds` and `comp_of` as `_bridge_tree`
-    returned them, describe a bridged graph.  The share of Type III
-    component c holds c's triangles in G's order, and its realizations
-    that are no H-bridges in walk order, each the walk's own tuple.  A
-    dict keeps a chain of diamonds from holding an entry per component.
-    """
-    type3 = ComponentKind.TYPE_III
-    shares = {c: LocalScan(triangles=[], walk=[]) for c, k in enumerate(kinds) if k is type3}
-    for tri in local.triangles:
-        if share := shares.get(comp_of[tri[0]]):
-            share.triangles.append(tri)
+    shares: dict[int, LocalScan] = {}  # a class is Type III when it has a realization
     for r, e in zip(local.walk, local.ends):
         if e not in h_bridges:
-            shares[comp_of[r[0]]].walk.append(r)
-    return shares
+            if cls[e[0]] not in shares:
+                shares[cls[e[0]]] = LocalScan(triangles=[], walk=[])
+            shares[cls[e[0]]].walk.append(r)
+    for c, tri in zip(cls, local.triangles):
+        if c in shares:
+            shares[c].triangles.append(tri)
+    ends, links = [], [[] for _ in range(m)]
+    for i, (a, b) in enumerate(at):
+        ends.append((cls[a], cls[b]))
+        links[cls[a]].append(i)
+        links[cls[b]].append(i)
+
+    def sweep(src: int) -> tuple[list[int], list[int], list[int]]:
+        """The classes from src, each after its parent, their bridges to it and depths."""
+        order, via, depth = [src], [-1] * m, [-1] * m
+        depth[src] = 0
+        for c in order:
+            for i in links[c]:
+                d = sum(ends[i]) - c
+                if depth[d] == -1:
+                    depth[d] = depth[c] + (len(bridges[i]) + 2) // 4
+                    via[d] = i
+                    order.append(d)
+        return order, via, depth
+
+    def first(c: int) -> int:
+        """The smallest vertex of a Type III class, as every end is."""
+        return min([shares[c].triangles[0][0], *map(min, shares[c].walk)])
+
+    def farthest(depth: list[int]) -> int:
+        far = max(depth)
+        return min((c for c in range(m) if depth[c] == far), key=first)
+
+    a = farthest(sweep(0)[2])
+    tree = sweep(a)
+    b = farthest(tree[2])
+    if first(b) < first(a):
+        tree = sweep(b)
+    return ClassTree(shares, bridges, ends, links, *tree)
+
+
+def _attachments(tree: ClassTree, c: int) -> list[int]:
+    """Class c's attachments, the corners on its bridges: the one on
+    `via[c]` first, the rest ascending."""
+    bridges, ends, i = tree.bridges, tree.ends, tree.via[c]
+    xs = sorted(bridges[j][0 if ends[j][0] == c else -1] for j in tree.links[c] if j != i)
+    return xs if i == -1 else [bridges[i][0 if ends[i][0] == c else -1], *xs]
+
+
+def _bridge_tree(tree: ClassTree) -> BridgeTree:
+    """The public bridge tree of a class tree, each diamond on a bridge's
+    string a component of its own.
+
+    Components are listed first in the class tree's order, the classes and
+    then each bridge's diamonds from r[0] on, then renumbered by smallest
+    vertex.  A diamond is entered at its exterior toward the root.
+    """
+    shares, bridges, ends, via = tree.shares, tree.bridges, tree.ends, tree.via
+    comps, kinds, degree2, up_neighbor, adj = [], [], [], [-1] * len(via), [[] for _ in via]
+    for c in range(len(via)):
+        xs, s = _attachments(tree, c), shares.get(c)
+        vs = xs if s is None else chain(*s.triangles, *(r[1:-1] for r in s.walk))
+        comps.append(tuple(sorted(vs)))
+        kinds.append(ComponentKind.TRIANGLE if s is None else ComponentKind.TYPE_III)
+        degree2.append(tuple(xs))
+    depth = list(tree.depth)
+    for i, r in enumerate(bridges):
+        a, b = ends[i]
+        path = [a, *range(len(comps), len(comps) + len(r) // 4), b]  # the components along r
+        adj[a].append(path[1])
+        adj[b].append(path[-2])
+        down = via[b] == i  # r runs from the parent class
+        up_neighbor[b if down else a] = r[-2] if down else r[1]
+        for j in range(1, len(path) - 1):
+            q = 4 * j - 3  # the diamond is r[q:q + 4], r[q] on a's side
+            comps.append(tuple(sorted(r[q:q + 4])))
+            kinds.append(ComponentKind.DIAMOND)
+            adj.append((path[j - 1], path[j + 1]))
+            depth.append(depth[a] + j if down else depth[b] + len(path) - 1 - j)
+            up_neighbor.append(r[q - 1] if down else r[q + 4])
+            degree2.append((r[q], r[q + 3]) if down else (r[q + 3], r[q]))
+    # components are disjoint sorted tuples, so they sort by smallest vertex
+    perm = sorted(range(len(comps)), key=comps.__getitem__)
+    rank = sorted(range(len(perm)), key=perm.__getitem__)  # the inverse of perm
+
+    def permuted(xs: list) -> tuple:
+        return tuple(map(xs.__getitem__, perm))
+
+    return BridgeTree(
+        components=permuted(comps),
+        kinds=permuted(kinds),
+        tree_adj=permuted([tuple(sorted(map(rank.__getitem__, ds))) for ds in adj]),
+        root=rank[tree.order[0]],
+        depth=permuted(depth),
+        up_neighbor=permuted(up_neighbor),
+        degree2=permuted(degree2),
+    )

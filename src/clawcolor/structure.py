@@ -11,8 +11,8 @@ graph.  It runs the entry check `_require_claw_free_cubic` once, then
 returns the bridge tree, read from H and its bridges, when the graph has
 bridges and its decomposition when it has none.  `color_claw_free_cubic`
 reads the same structure through `_structure`, which hands it the
-numbered contraction of a bridgeless graph, or the bridge tree with each
-Type III component's share of G's contraction beside it.
+numbered contraction of a bridgeless graph, or the tree over the classes
+of H's triangles that the bridge tree is expanded from.
 
 The triangles and diamonds come from `recognition._local_scan`, and the
 realizations and H from `recognition._contract`, which walks from each
@@ -61,10 +61,11 @@ from .errors import InternalInvariantError
 from .multigraph import MultiGraph, Slot
 from .recognition import (
     BridgeTree,
+    ClassTree,
     LocalScan,
     _bridge_tree,
+    _class_tree,
     _require_claw_free_cubic,
-    _shares,
 )
 
 
@@ -111,9 +112,11 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
     on any other input, and InternalInvariantError on a bug.
     """
     h_bridges, local = _require_claw_free_cubic(g)
-    if h_bridges:
-        return _bridge_tree(g, h_bridges, local)[0]
-    return _decomposition(_decompose(local))
+    if not h_bridges:
+        return _decomposition(_decompose(local))
+    tree = _class_tree(h_bridges, local)
+    del local  # its triangles and ends, which the class tree does not hold, go
+    return _bridge_tree(tree)
 
 
 def _decomposition(local: LocalScan) -> Decomposition:
@@ -131,14 +134,12 @@ def _decomposition(local: LocalScan) -> Decomposition:
     return Decomposition(variant=Variant.K4, realization={})
 
 
-def _structure(g: MultiGraph) -> LocalScan | tuple[BridgeTree, dict[int, LocalScan]]:
+def _structure(g: MultiGraph) -> LocalScan | ClassTree:
     """What the colorer reads of g: the numbered contraction when g has no
-    bridge, else the bridge tree with its Type III components' shares of
-    G's contraction beside it (`recognition._shares`)."""
+    bridge, else the tree over the classes of H's triangles."""
     h_bridges, local = _require_claw_free_cubic(g)
     if h_bridges:
-        bt, comp_of = _bridge_tree(g, h_bridges, local)
-        return bt, _shares(local, h_bridges, bt.kinds, comp_of)
+        return _class_tree(h_bridges, local)
     return _decompose(local)
 
 

@@ -473,23 +473,28 @@ def labelled_trees(n: int):
 
 
 def root_rule_counterexamples(max_n: int) -> tuple[int, list[list[tuple[int, int]]]]:
-    """Check `_bridge_tree`'s root rule on every labelled tree of 2 to max_n nodes.
+    """Check `_class_tree`'s root rule on every labelled tree of 2 to max_n nodes.
 
-    The rule: a is the smallest node farthest from node 0, b the smallest
-    farthest from a, and the root is min(a, b).  The reference is the
-    smallest node whose eccentricity, from a BFS out of every node, is the
-    diameter.  Returns the number of trees and those where the two differ.
+    The rule: a is the smallest node farthest from a start x, b the
+    smallest farthest from a, and the root is min(a, b), whichever node x
+    is: the class tree starts at class 0, which need not hold vertex 0.
+    The reference is the smallest node whose eccentricity, from a BFS out
+    of every node, is the diameter.  Returns the number of trees and those
+    where the two differ for some start.
     """
     count, bad = 0, []
     for n in range(2, max_n + 1):
         for edges in labelled_trees(n):
             count += 1
             dist = [bfs_distances(n, edges, c) for c in range(n)]
-            a = dist[0].index(max(dist[0]))
-            b = dist[a].index(max(dist[a]))
             ecc = [max(row) for row in dist]
-            if min(a, b) != ecc.index(max(ecc)):
-                bad.append(edges)
+            root = ecc.index(max(ecc))
+            for row in dist:
+                a = row.index(max(row))
+                b = dist[a].index(max(dist[a]))
+                if min(a, b) != root:
+                    bad.append(edges)
+                    break
     return count, bad
 
 

@@ -494,6 +494,17 @@ def test_generate_multigraph_as_graph6_is_a_precondition_error(capsys):
     assert captured.err == "error: graph has parallel edges; graph6 is simple-only\n"
 
 
+def test_generate_a_graph_too_large_for_graph6_is_a_precondition_error(capsys):
+    # a ring of 4,097 diamonds has 16,388 vertices, past GRAPH6_MAX_N
+    assert main(["generate", "ring", "--k", "4097", "--graph6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graph6 output holds at most 16384 vertices; the graph has 16388; "
+        "write it as an edge list\n"
+    )
+
+
 def test_generate_bad_tree_spec_exit2(capsys):
     assert main(["generate", "bridged", "--tree", "k3"]) == 2
     assert capsys.readouterr().err == "error: bad component spec 'k3', want kind:attachments\n"

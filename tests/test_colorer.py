@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -32,7 +33,7 @@ from clawcolor.errors import (
 )
 import clawcolor.colorer
 from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
-from clawcolor.recognition import LocalScan, _require_claw_free_cubic
+from clawcolor.recognition import ClassTree, LocalScan, _bridge_tree, _require_claw_free_cubic
 from clawcolor.structure import _structure
 from clawcolor.rng import SplitMix64
 
@@ -69,12 +70,13 @@ def _corners(share):
 
 
 def _share(comp, xs):
-    """comp's share of the contraction of comp with a leaf gadget bridged to each of xs."""
+    """comp's share of the contraction of comp with a leaf gadget bridged to
+    each of xs: class 0's, as comp holds the smallest triangle corner."""
     edges, n = comp.edge_list(), comp.n
     for x in xs:
         edges += leaf_gadget(n) + [(x, n)]
         n += 7
-    return _structure(MultiGraph(n, edges))[1][0]
+    return _structure(MultiGraph(n, edges)).shares[0]
 
 
 def color_root(comp, x1):
@@ -86,23 +88,27 @@ def color_root(comp, x1):
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
     """The coloring of a whole non-root component whose up vertex x1 gets `forced`.
 
-    A K3 or diamond is colored in place by `_color_bridged`, as the one
-    non-root component of a tree whose up-neighbor, x1 itself, leaves
-    `forced` free.
+    A K3 or diamond is colored in place by `_color_bridged`: the class
+    entered from the root, by a bridge whose corner there, -1, leaves
+    `forced` free, is a K3, comp itself or a phantom (n, n + 1, n + 2)
+    past comp's one diamond, and its other two corners lead to phantom
+    classes.
     """
     xs = _attachments(comp, x1)
     if kind is not ComponentKind.TYPE_III:
-        bt = BridgeTree(
-            components=(tuple(range(comp.n)),),
-            kinds=(kind,),
-            tree_adj=((),),
-            root=-1,
-            depth=(1,),
-            up_neighbor=(x1,),
-            degree2=(tuple(xs),),
+        n = comp.n
+        if kind is ComponentKind.TRIANGLE:
+            r, (y, z) = (-1, x1), xs[1:]
+        else:
+            r, (y, z) = (-1, x1, *[v for v in range(n) if v not in xs], xs[1], n), (n + 1, n + 2)
+        tree = ClassTree(
+            shares={}, bridges=[r, (y, -2), (z, -3)], ends=[(0, 1), (1, 2), (1, 3)],
+            links=[[0], [0, 1, 2], [1], [2]], order=[1], via=[-1, 0, 1, 2],
+            depth=[0, len(r) // 4 + 1, 0, 0],
         )
         with mock.patch.object(clawcolor.colorer, "_free_two_color", lambda g, a, q: forced):
-            return _color_bridged(comp, bt, {})
+            col = _color_bridged(comp, tree)
+        return PackingColoring(SPEC_1122, {v: col.assignment[v] for v in range(n)})
     return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, forced, root_style=False))
 
 
@@ -379,10 +385,35 @@ def test_bridged_path_matches_subgraph_reference(
     The key order may differ: a K3 or diamond is stored x1 first.
     """
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
-        bt, shares = _structure(g)
-        got = _color_bridged(g, bt, shares).assignment
-        want = color_bridged_by_subgraphs(g, bt).assignment
+        tree = _structure(g)
+        got = _color_bridged(g, tree).assignment
+        want = color_bridged_by_subgraphs(g, _bridge_tree(tree)).assignment
         assert got == want
+
+
+def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, monkeypatch):
+    """Colouring the 2,000-diamond chain reads the tree over H's classes:
+    it never builds the public `BridgeTree`, which holds each diamond as a
+    component, and its tracemalloc peak stays below 80 bytes per vertex
+    (63.2; it was 103.6 when the colouring swept a component per diamond)."""
+    g = dict(large_graphs)["chain-2000"]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a BridgeTree was built")
+
+    monkeypatch.setattr(BridgeTree, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a BridgeTree was built"):
+        decompose(g)
+    color_claw_free_cubic(g)  # the first call's one-time allocations are no part of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        color_claw_free_cubic(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g.n == 8028
+    assert peak / g.n < 80, f"{peak / g.n:.1f} B/vertex"
 
 
 def _assert_cut_as_built(share, xs, tilde, to_g):
@@ -412,7 +443,12 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
         if not _require_claw_free_cubic(g)[0]:
             continue
-        bt, shares = _structure(g)
+        tree = _structure(g)
+        bt = _bridge_tree(tree)
+        component = {v: c for c, comp in enumerate(bt.components) for v in comp}
+        # the shares of the Type III classes, by component
+        shares = {component[s.triangles[0][0]]: s for s in tree.shares.values()}
+        assert sorted(shares) == [c for c, k in enumerate(bt.kinds) if k is ComponentKind.TYPE_III]
         for c, share in shares.items():
             comp, xs = bt.components[c], bt.degree2[c]
             sub, to_global = induced(g, comp)

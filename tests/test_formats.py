@@ -11,10 +11,13 @@ from clawcolor import (
 )
 from clawcolor.errors import (
     CapExceededError,
+    ClawcolorError,
     Graph6MultiedgeError,
     MalformedInputError,
     NotCubicError,
 )
+
+from clawcolor.formats import GRAPH6_MAX_N
 
 from brute import ref_graph6_decode
 
@@ -192,6 +195,19 @@ def test_graph6_malformed_messages(text, message):
 def test_graph6_long_headers_decode(text):
     """n = 2 in the 4- and 8-byte forms of the header, no edge."""
     assert parse_graph6(text) == MultiGraph(2)
+
+
+def test_graph6_refuses_a_graph_over_the_limit_before_allocating():
+    """The line of n vertices holds n(n-1)/12 bytes, 22 MB at the limit."""
+    with pytest.raises(ClawcolorError) as exc:
+        emit_graph6(MultiGraph(GRAPH6_MAX_N + 1, []))
+    assert type(exc.value) is ClawcolorError
+    assert str(exc.value) == (
+        f"graph6 output holds at most {GRAPH6_MAX_N} vertices; the graph has "
+        f"{GRAPH6_MAX_N + 1}; write it as an edge list"
+    )
+    with pytest.raises(ClawcolorError, match="the graph has 258048;"):
+        emit_graph6(MultiGraph(258_048, []))
 
 
 def test_graph6_rejects_multigraph():

@@ -22,7 +22,7 @@ from clawcolor import (
     verify,
 )
 from clawcolor import oracle
-from clawcolor.errors import CapExceededError, PartialColoringError
+from clawcolor.errors import CapExceededError, MalformedInputError, PartialColoringError
 
 from brute import (
     all_pairs_distances,
@@ -79,6 +79,31 @@ def test_verify_domain_mismatch(assignment, mismatch, listed):
         verify(k4(), SPEC_1122, PackingColoring(SPEC_1122, assignment))
     assert exc.value.missing == mismatch
     assert str(exc.value) == f"coloring domain mismatch on {len(mismatch)} vertices, e.g. {listed}"
+
+
+@pytest.mark.parametrize("spec", [SPEC_1122, SPackingSpec((1, 1, 2, 3))], ids=["bits", "bfs"])
+@pytest.mark.parametrize(
+    "old, new", [(3, -1), (2, -2), (3, -5), (3, 4), (0, 9), (1, "1b")],
+    ids=["2b-as-minus-1", "2a-as-minus-2", "below-minus-r", "r", "above-r", "label"],
+)
+def test_verify_rejects_a_class_outside_the_spec(spec, old, new):
+    """A class id outside range(r) raises, on the radius-at-most-2 bits
+    path and on the BFS path: a list indexed by it would wrap a negative id
+    around, so that every 2b written as -1 passed, or raise IndexError."""
+    g = fixtures()["prism"]
+    good = solve_spacking(g, spec).assignment
+    assert verify(g, spec, PackingColoring(spec, good)) == []
+    bad = {v: new if c == old else c for v, c in good.items()}
+    v = min(v for v, c in good.items() if c == old)
+    with pytest.raises(MalformedInputError) as exc:
+        verify(g, spec, PackingColoring(spec, bad))
+    assert str(exc.value) == f"vertex {v} has class {new!r}, outside the spec's 4 classes"
+
+
+def test_verify_reports_a_missing_vertex_before_a_bad_class():
+    with pytest.raises(PartialColoringError) as exc:
+        verify(k4(), SPEC_1122, PackingColoring(SPEC_1122, {0: -1, 1: 1, 2: 2}))
+    assert exc.value.missing == {3}
 
 
 def _differential_graphs() -> list[tuple[str, MultiGraph]]:

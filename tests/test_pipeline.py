@@ -289,12 +289,12 @@ def test_a_broken_bridge_tree_is_a_bug_in_decompose(
     diamond each.  They lift to four G-edges that are no bridges, so G
     minus the 6 lifted edges has 5 components, not 7.
     """
-    real = structure._bridge_tree
+    real = structure._class_tree
 
-    def with_a_non_bridge(g, h_bridges, local):
-        return real(g, h_bridges | {next(e for e in local.ends if e not in h_bridges)}, local)
+    def with_a_non_bridge(h_bridges, local):
+        return real(h_bridges | {next(e for e in local.ends if e not in h_bridges)}, local)
 
-    monkeypatch.setattr(structure, "_bridge_tree", with_a_non_bridge)
+    monkeypatch.setattr(structure, "_class_tree", with_a_non_bridge)
     path = tmp_path / "type3_path.el"
     path.write_text(emit_edgelist(_inputs(named_fixtures)["type3_path"]))
     assert main(["decompose", str(path)]) == 5

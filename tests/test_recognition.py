@@ -27,9 +27,9 @@ from clawcolor.errors import ClawcolorError, DisconnectedError, InternalInvarian
 from clawcolor.recognition import (
     _bridge_tree,
     _bridges,
+    _class_tree,
     _local_scan,
     _require_claw_free_cubic,
-    _shares,
 )
 
 from brute import (
@@ -217,15 +217,15 @@ def test_bridge_tree_matches_sweeps_reference(
     """Every field equals the one the previous construction gives.
 
     A bridged graph's tree comes through `decompose`; a bridgeless built
-    graph's, a single component, from `_bridge_tree` with H's empty set
-    of bridges.
+    graph's, a single component, from the class tree of H's empty set of
+    bridges.
     """
     graphs = [named_fixtures[name] for name in ("prism", "big_expansion", "bridged_star")]
     graphs += [g for _, g in base_corpus + bridged_trees if find_bridges(g)]
     graphs += random_bridged_trees + _bridged_sweep_shapes()
     for g in graphs:
         h_bridges, local = _require_claw_free_cubic(g)
-        got = decompose(g) if h_bridges else _bridge_tree(g, h_bridges, local)[0]
+        got = decompose(g) if h_bridges else _bridge_tree(_class_tree(h_bridges, local))
         want = bridge_tree_by_sweeps(g, find_bridges(g))
         for f in BridgeTree._fields:
             assert getattr(got, f) == getattr(want, f), f
@@ -279,7 +279,7 @@ def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
         if not h_bridges:
             continue
         for how, broken in _broken_h_bridge_sets(local, h_bridges, rng):
-            got = _tree_or_error(lambda *args: _bridge_tree(*args)[0], g, broken, local)
+            got = _tree_or_error(lambda *args: _bridge_tree(_class_tree(*args)), broken, local)
             assert got == _tree_or_error(bridge_tree_by_sweeps, g, _lifted(local, broken)), how
             if isinstance(got, BridgeTree):
                 outcomes.add((how, "tree"))
@@ -314,7 +314,7 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
 
     for name in ("multiplicity", "has_edge", "neighbors", "adjacency"):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
-    bt = _bridge_tree(g, h_bridges, local)[0]
+    bt = _bridge_tree(_class_tree(h_bridges, local))
     assert bt.kinds.count(ComponentKind.DIAMOND) == 50
     assert calls[0] == 0
 
@@ -327,8 +327,8 @@ def test_bridge_tree_bridgeless_single_node(named_fixtures):
     g = named_fixtures["prism"]
     h_bridges, local = _require_claw_free_cubic(g)
     assert h_bridges == set()
-    bt, comp_of = _bridge_tree(g, h_bridges, local)
-    shares = _shares(local, h_bridges, bt.kinds, comp_of)
+    tree = _class_tree(h_bridges, local)
+    bt, shares = _bridge_tree(tree), tree.shares
     assert bt.components == (tuple(range(6)),)
     assert bt.kinds == (ComponentKind.TYPE_III,)
     assert bt.tree_adj == ((),)
@@ -433,8 +433,8 @@ def test_bridge_tree_rooting_matches_all_pairs_rule(bridged_trees, random_bridge
 
 def test_root_rule_on_every_labelled_tree_up_to_7_nodes():
     """min(a, b) is the smallest end of a diametral path on each of the
-    18,248 labelled trees of 2 to 7 nodes.  `tests/bridge_tree_at_scale.py`
-    runs the 280,392 trees of up to 8 nodes."""
+    18,248 labelled trees of 2 to 7 nodes, from every start node.
+    `tests/bridge_tree_at_scale.py` runs the 280,392 trees of up to 8 nodes."""
     assert root_rule_counterexamples(7) == (18_248, [])
 
 
