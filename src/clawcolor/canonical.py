@@ -104,7 +104,7 @@ def _color_string(
 
 def _two_edge_connected(local: LocalScan) -> PackingColoring:
     """Dispatch on what the numbered contraction of a bridgeless graph holds:
-    H, a ring's one cyclic walk, or nothing, for K4."""
-    if local.h is not None:
-        return _canonical(local, _complement(local.h, local.ends))
+    H's triangles, a ring's one cyclic walk, or nothing, for K4."""
+    if local.triangles:
+        return _canonical(local, _complement(len(local.triangles), local.ends))
     return _ring(local.walk[0]) if local.walk else _k4()

@@ -24,9 +24,9 @@ with one edge forced (Plesnik's theorem):
     x1 -> 2a.  A K4 completion takes the explicit 7-vertex assignment
     instead, and a ring of diamonds the ring coloring.
 
-The completed graph is never built: `_surgery` cuts its H from C's share
-of G's contraction, which the class tree holds, in G's ids, and numbers
-its H-edges as G's are numbered.
+Neither the completed graph nor its H is built: `_surgery` cuts H's
+edge list from C's share of G's contraction, which the class tree holds,
+in G's ids, and numbers its H-edges as G's are numbered.
 The forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
@@ -97,8 +97,8 @@ def _surgery(
     as `_walk` does, and the triangles keep G's order, so H and its
     numbering are those the completed graph's own scan, walk and
     contraction would give.  Returns the numbered contraction, in G's
-    ids, the id of x1-x2 or of s-y, and the odd gadget (u, w, s, y), None
-    when |X| is even.
+    ids, with the triangles kept, the id of x1-x2 or of s-y, and the odd
+    gadget (u, w, s, y), None when |X| is even.  No graph is built.
     """
     triangles = share.triangles
     odd = len(xs) % 2
@@ -123,9 +123,8 @@ def _surgery(
         a, b = a - (a > drop), b - (b > drop)
         walk.append(r if a <= b else _flip(r))
         ends.append((a, b) if a <= b else (b, a))
-    # as in `_contract`, H leaves out a loop, which `_decompose` reports as a bug
-    h = MultiGraph(len(triangles) - odd, [(a, b) for a, b in ends if a != b])
-    numbered = _decompose(LocalScan(walk=walk, ends=ends, h=h))
+    triangles = triangles[:drop] + triangles[drop + 1:]
+    numbered = _decompose(LocalScan(triangles=triangles, walk=walk, ends=ends))
     return numbered, numbered.walk.index(walk[forced]), gadget
 
 
@@ -173,7 +172,7 @@ def _color_type3(
     else:
         local, e, gadget = _surgery(share, at, xs)
         through = _matched_through if gadget is None else _two_factor_through
-        sub = _canonical(local, through(local.h, local.ends, e)).assignment
+        sub = _canonical(local, through(len(local.triangles), local.ends, e)).assignment
     if sub and gadget is not None:
         u, w, s, y = gadget
         if {sub[s], sub[y]} != {C1A, C1B}:

@@ -15,8 +15,9 @@ and `_matched_through` into the matching, by banning the other two edges
 at one end (Plesnik's theorem).  A banned edge is never matched, so only
 the second needs a check that the forced edge landed.
 
-An H-edge is named by its id: H-edge e joins the two vertices in
-`ends[e]`, the lower first (`structure`'s docstring gives the numbering).
+H is held as its order n and its edge list `ends`, with no graph object:
+H-edge e, its id, joins the two vertices in `ends[e]`, the lower first
+(`structure`'s docstring gives the numbering).
 
 Nothing here is public and nothing here validates its input.  Every
 caller hands over the H of a decomposition, which the pipeline's entry
@@ -32,7 +33,6 @@ from collections.abc import Collection, Sequence
 from typing import NamedTuple
 
 from .errors import InternalInvariantError
-from .multigraph import MultiGraph
 
 
 class TwoFactor(NamedTuple):
@@ -142,29 +142,29 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
 
 
 def _complement(
-    h: MultiGraph, ends: Sequence[tuple[int, int]], banned: Collection[int] = ()
+    n: int, ends: Sequence[tuple[int, int]], banned: Collection[int] = ()
 ) -> TwoFactor:
     """The 2-factor of a cubic multigraph complementary to a perfect matching.
 
-    `ends` numbers h's edges, each by its ends (a, b), a < b, so parallel
-    edges are written alike.  No id in `banned` is matched, so each lies
-    on the 2-factor.  The blossom search runs on h's adjacency lists, less
-    the pairs whose parallel edges are all banned; with nothing banned it
-    reads h's own lists, uncopied.  Each matched pair takes its lowest id
-    that is not banned, and one pass over the ids in ascending order finds
-    it: a vertex's two factor edges are its other two ids, ascending.
-    Each cycle starts at its smallest vertex and leaves it by that
-    vertex's lower factor edge.
+    The multigraph has vertices 0..n-1, and its edge e joins the two
+    vertices in `ends[e]`, a pair (a, b), a < b, the pairs sorted, so
+    parallel edges take consecutive ids.  No id in `banned` is matched, so
+    each lies on the 2-factor.  The blossom search runs on adjacency lists
+    built in one pass over the ids, less the banned ids and each pair's
+    copies after the first kept: as the pairs are sorted, every list comes
+    out sorted, the smaller neighbours first, as `MultiGraph` keeps it.
+    Each matched pair takes its lowest id that is not banned, and one pass
+    over the ids in ascending order finds it: a vertex's two factor edges
+    are its other two ids, ascending.  Each cycle starts at its smallest
+    vertex and leaves it by that vertex's lower factor edge.
     """
-    n = h.n
-    adj = h.adjacency()
-    if banned:
-        adj = list(adj)
-        for e in banned:
-            a, b = pair = ends[e]
-            if ends.count(pair) == sum(ends[f] == pair for f in banned):
-                adj[a] = [w for w in adj[a] if w != b]
-                adj[b] = [w for w in adj[b] if w != a]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    last = None  # the last pair kept
+    for e, pair in enumerate(ends):
+        if pair != last and e not in banned:
+            a, b = last = pair
+            adj[a].append(b)
+            adj[b].append(a)
     mate = _max_matching_simple(n, adj)
     if -1 in mate:
         raise InternalInvariantError(
@@ -201,23 +201,24 @@ def _complement(
     return TwoFactor(cycles=tuple(cycles), matching=tuple(pairs))
 
 
-def _two_factor_through(h: MultiGraph, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
-    """A 2-factor of h containing the edge e.
+def _two_factor_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
+    """A 2-factor of the multigraph `_complement` reads containing the edge e.
 
-    Bans e and the lowest other id: by Plesnik's theorem, h less any two
+    Bans e and the lowest other id: by Plesnik's theorem, H less any two
     edges has a perfect matching, whose complement holds both.
     """
-    return _complement(h, ends, (e, 1 if e == 0 else 0))
+    return _complement(n, ends, (e, 1 if e == 0 else 0))
 
 
-def _matched_through(h: MultiGraph, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
-    """The 2-factor of h whose complementary perfect matching contains e.
+def _matched_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
+    """The 2-factor of the multigraph `_complement` reads whose complementary
+    perfect matching contains e.
 
     Bans the other two edges at e's lower end, so a perfect matching of
     the rest, which exists by Plesnik's theorem, covers that end through e.
     """
     a = ends[e][0]
-    tf = _complement(h, ends, [f for f, pair in enumerate(ends) if a in pair and f != e])
+    tf = _complement(n, ends, [f for f, pair in enumerate(ends) if a in pair and f != e])
     if e not in tf.matching:
         raise InternalInvariantError("forced edge missing from matching")
     return tf

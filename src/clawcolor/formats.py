@@ -31,6 +31,9 @@ from .multigraph import MultiGraph
 # the largest graph `emit_graph6` encodes: its line is 22 MB
 GRAPH6_MAX_N = 16_384
 
+# byte b of a graph6 body is written as b + 63; a body byte holds 6 bits
+_GRAPH6_OFFSET = bytes((b + 63) & 255 for b in range(256))
+
 
 def parse_edgelist(
     text: str, *, cubic: bool = False, max_n: int | None = None
@@ -193,5 +196,5 @@ def emit_graph6(g: MultiGraph) -> str:
             if u < v:
                 i = v * (v - 1) // 2 + u
                 body[i // 6] |= 32 >> (i % 6)
-    out.extend(b + 63 for b in body)
+    out += body.translate(_GRAPH6_OFFSET)
     return out.decode("ascii")

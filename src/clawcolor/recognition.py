@@ -1,8 +1,9 @@
 """Structural predicates and decompositions on claw-free cubic graphs.
 
 Covers induced-claw detection, bridge finding (a DFS preorder from an
-explicit vertex stack plus one reverse-preorder low-link sweep, multigraph
-aware), induced diamonds, the contraction H and the bridge tree.
+explicit vertex stack plus one reverse-preorder low-link sweep, over edge
+ids, so parallel edges and loops need no special case), induced diamonds,
+the contraction H and the bridge tree.
 
 In a claw-free cubic graph every vertex lies on a triangle, so the claw
 check, the induced diamonds and the triangles off the diamonds can all be
@@ -11,13 +12,15 @@ By Oum's theorem every vertex of such a graph other than K4 then lies on
 exactly one of those triangles or diamonds, and `_walk` follows each
 triangle corner through its string of diamonds to another corner, listing
 the vertices it passes.  The walks are the edges of a cubic multigraph H
-on the triangles, which `_contract` builds for the entry check
-`_require_claw_free_cubic`, and `structure._decompose` numbers.  An edge
-cut of H lifts to an edge cut of G of the same size, so the entry check
-reads G's connectivity and bridges from H, which is much smaller.  With
-no triangle, `_ring_walk` decides connectivity: the ring through
-diamond 0 must hold every diamond.  `find_claw` stays for arbitrary
-graphs and `find_bridges` for connected ones.
+on the triangles, held only as the list `ends` of each walk's two end
+triangles: `_contract` makes it for the entry check
+`_require_claw_free_cubic`, and `structure._decompose` numbers it.  An
+edge cut of H lifts to an edge cut of G of the same size, so the entry
+check reads G's connectivity and bridges from H, which is much smaller,
+by `_bridges` over H's edge ids.  With no triangle, `_ring_walk` decides
+connectivity: the ring through diamond 0 must hold every diamond.
+`find_claw` stays for arbitrary graphs and `find_bridges` for connected
+ones.
 
 The components of G minus its bridges are read from H too (S. Oum,
 Electron. J. Combin. 18 (2011) P62): the triangles joined by H's
@@ -73,35 +76,39 @@ def is_claw_free(g: MultiGraph) -> bool:
 
 def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
     """Cut edges of a connected multigraph via one DFS and a low-link sweep."""
-    bridges = _bridges(g)
-    if bridges is None:
+    edges = g.edge_list()
+    if (bridges := _bridges(g.n, edges)) is None:
         raise DisconnectedError("bridge search requires a connected graph")
-    return bridges
+    return {edges[e] for e in bridges}
 
 
 def _connected_and_bridgeless(g: MultiGraph) -> bool:
     """True iff g is connected and has no bridge, from one DFS."""
-    return _bridges(g) == set()
+    return _bridges(g.n, g.edge_list()) == set()
 
 
-def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
-    """`find_bridges`, or None when the DFS discovers fewer than n vertices.
+def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> set[int] | None:
+    """The ids of the bridges of the multigraph on 0..n-1 whose edge e joins
+    the two vertices in `ends[e]`, or None when the DFS discovers fewer than
+    n vertices.
 
     The DFS is a preorder from an explicit vertex stack: a vertex is
-    marked when it is popped, and its parent is the last vertex that
+    marked when it is popped, and it is reached by the last edge that
     pushed it, which gives a valid DFS tree.  One sweep in reverse
-    preorder then sets low[v] from v's non-parent neighbors and folds it
-    into its parent's.  A pair with multiplicity >= 2 is never a bridge.
-    The sweep skips the parent, so a parallel copy does not lower low[v];
-    the multiplicity is looked up only for a bridge candidate instead.
+    preorder then sets low[v] from the edges at v other than the one it
+    was reached by, and folds it into its parent's.  So a parallel copy of
+    that edge lowers low[v] to the parent's preorder number, and neither
+    copy is a bridge; an edge whose ends are one vertex is never a tree
+    edge, so never a bridge.
     """
-    n = g.n
-    bridges: set[tuple[int, int]] = set()
+    bridges: set[int] = set()
     if n == 0:
         return bridges
-    adj = g.adjacency()
-    disc = [-1] * n
-    parent = [-1] * n
+    inc: list[list[int]] = [[] for _ in range(n)]  # the ids at each vertex
+    for e, (a, b) in enumerate(ends):
+        inc[a].append(e)
+        inc[b].append(e)
+    disc, via = [-1] * n, [-1] * n  # via[v]: the edge v is reached by
     order: list[int] = []
     stack = [0]
     while stack:
@@ -110,23 +117,24 @@ def _bridges(g: MultiGraph) -> set[tuple[int, int]] | None:
             continue
         disc[v] = len(order)
         order.append(v)
-        for w in adj[v]:
-            if disc[w] == -1:
-                parent[w] = v
+        for e in inc[v]:
+            a, b = ends[e]
+            if disc[w := a + b - v] == -1:  # w: e's other end
+                via[w] = e
                 stack.append(w)
     if len(order) < n:
         return None
     low = disc[:]
     # every vertex but the root, order[0], children before parents
     for v in order[:0:-1]:
-        p = parent[v]
-        lv = low[v]
-        for w in adj[v]:
-            if disc[w] < lv and w != p:
+        t, lv = via[v], low[v]
+        for e in inc[v]:
+            a, b = ends[e]
+            if e != t and disc[w := a + b - v] < lv:
                 lv = disc[w]
-        if lv > disc[p]:
-            if g.multiplicity(p, v) == 1:
-                bridges.add((p, v) if p < v else (v, p))
+        a, b = ends[t]
+        if lv > disc[p := a + b - v]:
+            bridges.add(t)
         elif lv < low[p]:
             low[p] = lv
     return bridges
@@ -143,9 +151,9 @@ class LocalScan(NamedTuple):
     index those lists, by offset in `diamonds`, -1 for none.
 
     `_contract` keeps, for a graph with triangles, only `triangles` and
-    fills in `walk`, the realizations `_walk` lists, `ends`, the triangles
-    at the two ends of each, and `h`, the H-edges of the ones that are
-    not H-loops.  For a ring it fills in `walk` with the one cyclic walk
+    fills in `walk`, the realizations `_walk` lists, and `ends`, the
+    triangles at the two ends of each: these are the edges of H, H-loops
+    included.  For a ring it fills in `walk` with the one cyclic walk
     `_ring_walk` lists.  `structure._decompose` numbers the H-edges: H-edge
     e is `walk[e]`, from triangle `ends[e][0]` to `ends[e][1]`.
     `_class_tree` hands each class its share of G's contraction in
@@ -159,7 +167,6 @@ class LocalScan(NamedTuple):
     triangle_of: Sequence[int] = ()
     walk: Sequence[tuple[int, ...]] = ()
     ends: Sequence[tuple[int, int]] = ()
-    h: MultiGraph | None = None
 
 
 def _local_scan(g: MultiGraph) -> LocalScan:
@@ -278,7 +285,7 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
 
 
 def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
-    """g's triangles, walk, the two triangles at the ends of each realization, and H.
+    """g's triangles, walk, and the two triangles at the ends of each realization.
 
     None when the scan's triangles and diamonds do not partition g, or the
     walks miss a diamond.  A graph of diamonds only, a ring if connected,
@@ -296,8 +303,7 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
         return None
     ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
-    h = MultiGraph(len(triangles), [(a, b) for a, b in ends if a != b])
-    return LocalScan(triangles=triangles, walk=walk, ends=ends, h=h)
+    return LocalScan(triangles=triangles, walk=walk, ends=ends)
 
 
 def _ring_walk(g: MultiGraph, local: LocalScan) -> tuple[int, ...]:
@@ -349,7 +355,7 @@ class BridgeTree(NamedTuple):
 _DISCONNECTED = "input graph is disconnected"
 
 
-def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], LocalScan]:
+def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[int], LocalScan]:
     """Raise unless g is a connected claw-free cubic graph; return H's bridges.
 
     Checks simple, non-empty, cubic, claw-free, then connected, but a
@@ -359,10 +365,8 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     `_contract` must succeed (vertices it leaves out lie on K4
     components), the ring through diamond 0 must hold every diamond when
     there is no triangle, and H must be connected when there is.  Returns
-    H's bridges, as pairs (a, b) with a < b, and what `_contract` returned,
-    less H when it has bridges: the bridge tree does not read H, and on a
-    tree of K3 components holding it through the build raises the peak by
-    an eighth.
+    the ids of H's bridges, indexes into `ends`, and what `_contract`
+    returned.
     """
     if not g.is_simple():
         raise NotSimpleError("input must be a simple graph")
@@ -380,12 +384,12 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[tuple[int, int]], Local
     if g.n == 4:
         return set(), local
     local = _contract(g, local)
-    if local is None or (local.h is None and len(local.walk[0]) != len(local.diamonds)):
+    if local is None or (not local.triangles and len(local.walk[0]) != len(local.diamonds)):
         raise DisconnectedError(_DISCONNECTED)
-    h_bridges = set() if local.h is None else _bridges(local.h)
+    h_bridges = _bridges(len(local.triangles), local.ends) if local.triangles else set()
     if h_bridges is None:
         raise DisconnectedError(_DISCONNECTED)
-    return h_bridges, local._replace(h=None) if h_bridges else local
+    return h_bridges, local
 
 
 class ClassTree(NamedTuple):
@@ -410,7 +414,7 @@ class ClassTree(NamedTuple):
     depth: list[int]
 
 
-def _class_tree(h_bridges: set[tuple[int, int]], local: LocalScan) -> ClassTree:
+def _class_tree(h_bridges: set[int], local: LocalScan) -> ClassTree:
     """The class tree of a graph already validated, read from its contraction.
 
     `h_bridges` and `local` are what `_require_claw_free_cubic` returned.
@@ -442,8 +446,8 @@ def _class_tree(h_bridges: set[tuple[int, int]], local: LocalScan) -> ClassTree:
         return t
 
     bridges, at = [], []  # at: the triangles at each bridge's ends
-    for r, e in zip(local.walk, local.ends):
-        if e in h_bridges:
+    for i, (r, e) in enumerate(zip(local.walk, local.ends)):
+        if i in h_bridges:
             bridges.append(r)
             at.append(e)
         else:
@@ -457,8 +461,8 @@ def _class_tree(h_bridges: set[tuple[int, int]], local: LocalScan) -> ClassTree:
             f"{m + d} components for {len(bridges) + d} bridges; tree property violated"
         )
     shares: dict[int, LocalScan] = {}  # a class is Type III when it has a realization
-    for r, e in zip(local.walk, local.ends):
-        if e not in h_bridges:
+    for i, (r, e) in enumerate(zip(local.walk, local.ends)):
+        if i not in h_bridges:
             if cls[e[0]] not in shares:
                 shares[cls[e[0]]] = LocalScan(triangles=[], walk=[])
             shares[cls[e[0]]].walk.append(r)

@@ -3,8 +3,10 @@
 Every such graph is K4, a ring of diamonds, or is built from a
 2-edge-connected cubic multigraph H by replacing each H-vertex with a
 triangle and some H-edges with strings of diamonds.  `_decompose`
-recovers that structure: the triangles, the multigraph H, and for every
-H-edge its realization in G (a direct edge or a diamond string).
+recovers that structure: the triangles, and for every H-edge its two
+end triangles and its realization in G (a direct edge or a diamond
+string).  These lists are H: no graph object is built for it on the
+coloring path.
 
 `decompose` is the one public way in, for any connected claw-free cubic
 graph.  It runs the entry check `_require_claw_free_cubic` once, then
@@ -15,12 +17,12 @@ numbered contraction of a bridgeless graph, or the tree over the classes
 of H's triangles that the bridge tree is expanded from.
 
 The triangles and diamonds come from `recognition._local_scan`, and the
-realizations and H from `recognition._contract`, which walks from each
-triangle corner's outside neighbor through any diamond string to the next
-corner.  The entry check contracts G and `decompose` hands the result
-over, so G is neither walked nor contracted twice.  No other graph is
-scanned: a completed Type III component's H is cut from G's contraction
-by `colorer._surgery`.
+realizations and their ends from `recognition._contract`, which walks
+from each triangle corner's outside neighbor through any diamond string
+to the next corner.  The entry check contracts G and `decompose` hands
+the result over, so G is neither walked nor contracted twice.  No other
+graph is scanned: a completed Type III component's H is cut from G's
+contraction by `colorer._surgery`.
 
 Each H-edge is named by one integer, its id.  `_decompose` numbers the
 H-edges 0..m-1 by their ends, then by their realizations, for G's H and
@@ -28,9 +30,9 @@ for each completion's H alike; H-edge e is `walk[e]`, run from triangle
 `ends[e][0]` to the higher `ends[e][1]` (`_walk`'s docstring gives the
 format).  Parallel H-edges thus take consecutive ids, and the ids at a
 vertex ascend as its slots in H do.  The coloring path reads nothing
-else.  Only `decompose` files the realizations under H's slots (a, b, k),
-in a public `Decomposition`: the id of slot (a, b, k) is its index in
-`h.slots()`.
+else.  Only `decompose` builds H as a `MultiGraph`, in `_decomposition`,
+and files the realizations under its slots (a, b, k) in a public
+`Decomposition`: the id of slot (a, b, k) is its index in `h.slots()`.
 
 The reconstructed H is cubic and bridgeless by construction, so neither is
 checked again:
@@ -120,13 +122,15 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
 
 
 def _decomposition(local: LocalScan) -> Decomposition:
-    """The public form of a numbered contraction, as `_decompose` returns it."""
-    if local.h is not None:
+    """The public form of a numbered contraction, as `_decompose` returns it,
+    with H built from its ends."""
+    if local.triangles:
+        h = MultiGraph(len(local.triangles), local.ends)
         return Decomposition(
             variant=Variant.BUILT,
             triangles=tuple(local.triangles),
-            h=local.h,
-            realization=dict(zip(local.h.slots(), local.walk)),
+            h=h,
+            realization=dict(zip(h.slots(), local.walk)),
         )
     if d := local.diamonds:
         ring = sorted(Diamond((d[j], d[j + 1]), (d[j + 2], d[j + 3])) for j in range(0, len(d), 4))
@@ -154,7 +158,7 @@ def _decompose(local: LocalScan) -> LocalScan:
     walk runs each realization from its lower triangle (`_walk`), and each
     corner starts one realization, so the sort never looks past r[0].
     """
-    if local.h is None:
+    if not local.triangles:
         return local
     pairs = sorted(zip(local.ends, local.walk))
     ends = [e for e, _ in pairs]

@@ -1284,7 +1284,7 @@ def color_type3_by_subgraphs(
             # the colorer names H-edges by their index in slot order
             slots = list(dec.realization)
             local = LocalScan(walk=list(dec.realization.values()), ends=[k[:2] for k in slots])
-            sub = _canonical(local, through(dec.h, local.ends, slots.index(slot))).assignment
+            sub = _canonical(local, through(dec.h.n, local.ends, slots.index(slot))).assignment
         if len(xs) % 2:
             if {sub[to_tilde[s]], sub[to_tilde[y]]} != {C1A, C1B}:
                 raise InternalInvariantError("s and y are not 1a and 1b")

@@ -5,8 +5,9 @@ For seeds 1 to 3, builds a triangle expansion of a random H of order
 `recognition._local_scan` and compares its diamonds, regrouped, with
 `brute.find_diamonds` and its triangles with
 `brute.triangles_off_diamonds_brute`.  Then contracts the graph as
-`color_claw_free_cubic` does, its H-edges numbered.  On the H it
-recovers, runs both `factorization._max_matching_simple` and
+`color_claw_free_cubic` does, its H-edges numbered, and builds H from
+their ends for the references.  On that H, runs both
+`factorization._max_matching_simple` and
 `brute.max_matching_by_full_scans`, then `factorization._complement` and
 `brute.two_factor_by_reattribution`, the 2-factor named by slots as it
 was before each H-edge was named by its id.  Prints the times per seed,
@@ -32,6 +33,7 @@ from brute import (
     triangles_off_diamonds_brute,
     two_factor_by_reattribution,
 )
+from clawcolor import MultiGraph
 from clawcolor.factorization import _complement, _max_matching_simple
 from clawcolor.recognition import _local_scan
 from clawcolor.rng import SplitMix64
@@ -68,11 +70,11 @@ def main() -> int:
             f"{'equal to' if same_scan else 'DIFFERENT from'} the references"
         )
         local = _structure(g)
-        h = local.h
+        h = MultiGraph(len(local.triangles), local.ends)  # for the references
         n, adj = h.n, h.adjacency()
         mate, search_s = _timed(_max_matching_simple, n, adj)
         reference, reference_s = _timed(max_matching_by_full_scans, n, adj)
-        factor, factor_s = _timed(_complement, h, local.ends)
+        factor, factor_s = _timed(_complement, n, local.ends)
         want, want_s = _timed(two_factor_by_reattribution, h)
         same_mate, same_factor = mate == reference, slot_form(h, factor) == want
         failed += (not same_mate) + (not same_factor)

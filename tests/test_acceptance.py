@@ -137,7 +137,7 @@ def test_criterion_5_two_factor_through():
         i = rng.randrange(len(slots))
         e = slots[i]
         # the core names H's edges by their index in slot order
-        tf = slot_form(h, _two_factor_through(h, h.edge_list(), i))
+        tf = slot_form(h, _two_factor_through(h.n, h.edge_list(), i))
         assert e in cycle_slots(tf)
         deg = [0] * h.n
         for s in cycle_slots(tf):
@@ -189,7 +189,7 @@ def test_criterion_7_support_property(corpus):
         if dec.variant is not Variant.BUILT:
             continue
         local = _structure(g)
-        coloring = _canonical(local, _complement(local.h, local.ends))
+        coloring = _canonical(local, _complement(len(local.triangles), local.ends))
         assert verify(g, SPEC_1122, coloring) == [], name
         assert light_support_property(g, coloring), name
         scanned += 1

@@ -93,7 +93,7 @@ def test_reference_coloring_verifies(named_fixtures):
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
     local = _structure(g)
-    col = _canonical(local, _complement(local.h, local.ends))
+    col = _canonical(local, _complement(len(local.triangles), local.ends))
     assert_valid(g, col)
     assert light_support_property(g, col)
 
@@ -117,7 +117,7 @@ def test_canonical_on_prism(named_fixtures):
 def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
     local = _structure(g)
-    factor = _complement(local.h, local.ends)
+    factor = _complement(len(local.triangles), local.ends)
     col = _canonical(local, factor)
     for e in factor.matching:
         r = local.walk[e]
@@ -142,7 +142,7 @@ def _forced(g, dec, edge, through):
     whose id is its slot's index in slot order."""
     local = _structure(g)
     e = list(dec.realization).index(lift_slot(dec, edge))
-    return _canonical(local, through(local.h, local.ends, e))
+    return _canonical(local, through(len(local.triangles), local.ends, e))
 
 
 def test_with_edge_endpoints_light(named_fixtures):
@@ -170,7 +170,7 @@ def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures):
     e, r = next((e, r) for e, r in enumerate(local.walk) if len(r) > 2)
     walk = [*local.walk[:e], r[:3] + r[2:3] + r[4:], *local.walk[e + 1:]]
     with pytest.raises(InternalInvariantError, match="^canonical coloring covered 33 of 34 "):
-        _canonical(local._replace(walk=walk), _complement(local.h, local.ends))
+        _canonical(local._replace(walk=walk), _complement(len(local.triangles), local.ends))
 
 
 def test_with_edge_on_string_connectors(named_fixtures):
@@ -205,7 +205,7 @@ def test_support_property_on_corpus(base_corpus):
         if find_bridges(g):
             continue
         local = _structure(g)
-        if local.h is None:
+        if not local.triangles:
             continue
-        col = _canonical(local, _complement(local.h, local.ends))
+        col = _canonical(local, _complement(len(local.triangles), local.ends))
         assert light_support_property(g, col)

@@ -721,13 +721,15 @@ def test_decompose_validates_once(fixture_files, capsys, monkeypatch, name):
     g = fixtures()[name]
     searched, scanned = [], []
     bridges, local_scan = recognition._bridges, recognition._local_scan
-    monkeypatch.setattr(recognition, "_bridges", lambda h: searched.append(h) or bridges(h))
+    monkeypatch.setattr(
+        recognition, "_bridges", lambda n, ends: searched.append(n) or bridges(n, ends)
+    )
     monkeypatch.setattr(recognition, "_local_scan", lambda h: scanned.append(h) or local_scan(h))
     assert main(["decompose", fixture_files[name]]) == 0
     # one local scan of the input and one bridge search of its H (none for K4)
     triangles = len(local_scan(g).triangles)
-    assert [h.n for h in searched] == ([] if name == "k4" else [triangles])
-    assert all(h is not g for h in searched)
+    assert searched == ([] if name == "k4" else [triangles])
+    assert all(n != g.n for n in searched)
     assert scanned == [g]
 
 

@@ -424,7 +424,9 @@ def _assert_cut_as_built(share, xs, tilde, to_g):
     local, e, gadget = _surgery(share, _corners(share), xs)
     want = decompose_by_own_scan(tilde)
     assert want.variant is Variant.BUILT
-    assert local.h == want.h and local.h.adjacency() == want.h.adjacency()
+    h = MultiGraph(len(local.triangles), local.ends)
+    assert h == want.h and h.adjacency() == want.h.adjacency()
+    assert local.triangles == [tuple(to_g[v] for v in t) for t in want.triangles]
     assert local.ends == [k[:2] for k in want.realization]
     assert local.walk == [tuple(to_g[v] for v in r) for r in want.realization.values()]
     edge = (xs[0], xs[1]) if gadget is None else gadget[2:]
@@ -480,7 +482,7 @@ def test_surgery_on_a_pairing_edge_parallel_to_an_h_edge():
     third copy of their H-edge, and the last in slot order."""
     comp = MultiGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4)])
     local, slot, gadget = _surgery_and_reference(comp, [5, 2])
-    assert gadget is None and local.h.multiplicity(0, 1) == 3
+    assert gadget is None and local.ends.count((0, 1)) == 3
     assert slot == (0, 1, 2) and local.walk[2] == (2, 5)
     col = extend(comp, 5, C2B)
     assert col.assignment[5] == C2B and col.assignment[2] == C2A
@@ -515,30 +517,6 @@ def test_surgery_splices_strings_on_both_sides(ends, spliced):
     assert gadget == (1, 2, 3, 7)
     assert slot == (0, 1, 0) and local.walk[0] == spliced
     assert_valid(comp, color_root(comp, 0))
-
-
-def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
-    """On a simple G the completions read no multiplicity.
-
-    Coloring the 50-diamond chain made 205 `multiplicity` calls when every
-    edge a completion copied looked its multiplicity up, and 9 while each
-    leaf's odd gadget checked two of G's pairs for an edge.  Completions
-    cut from G's contraction read no pair of G, and 5 were left: one for
-    the bridge candidate of the entry check's search of H, and four
-    `_complement` banned-slot checks under `_two_factor_through`.  With
-    each H-edge named by its id, the one left is the bridge candidate.
-    """
-    g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
-    real = MultiGraph.multiplicity
-    calls = [0]
-
-    def multiplicity(self, u, v):
-        calls[0] += 1
-        return real(self, u, v)
-
-    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
-    assert_valid(g, color_claw_free_cubic(g))
-    assert calls[0] == 1
 
 
 def test_up_neighbor_on_a_completion_diamond_is_an_internal_error():

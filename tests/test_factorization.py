@@ -3,13 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from clawcolor import (
     MultiGraph,
-    color_claw_free_cubic,
     decompose,
     factorization,
-    find_bridges,
     gen_cubic_multigraph,
 )
-from clawcolor import structure
 from clawcolor.errors import InternalInvariantError
 from clawcolor.factorization import (
     _complement,
@@ -17,7 +14,6 @@ from clawcolor.factorization import (
     _max_matching_simple,
     _two_factor_through,
 )
-from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
 from conftest import _built
@@ -41,13 +37,13 @@ def k4():
 
 def two_factor(h):
     """`_complement` of h, its edges numbered in slot order, named by slots."""
-    return slot_form(h, _complement(h, h.edge_list()))
+    return slot_form(h, _complement(h.n, h.edge_list()))
 
 
 def forced(through, h, e):
     """`through` (`_two_factor_through` or `_matched_through`) of h at the
     slot e, its edges numbered in slot order, named by slots."""
-    return slot_form(h, through(h, h.edge_list(), h.slots().index(e)))
+    return slot_form(h, through(h.n, h.edge_list(), h.slots().index(e)))
 
 
 def matched_slots(g):
@@ -255,12 +251,12 @@ def test_complement_matches_reattribution_reference(named_fixtures):
     # once its edge ids are mapped to the slots they number
     for h in _reference_graphs(named_fixtures):
         ends = h.edge_list()
-        assert slot_form(h, _complement(h, ends)) == two_factor_by_reattribution(h)
+        assert slot_form(h, _complement(h.n, ends)) == two_factor_by_reattribution(h)
         for i, e in enumerate(h.slots()):
-            tf = slot_form(h, _two_factor_through(h, ends, i))
+            tf = slot_form(h, _two_factor_through(h.n, ends, i))
             assert tf == two_factor_through_by_reattribution(h, e)
             m = matching_through_by_reattribution(h, e)
-            tf = slot_form(h, _matched_through(h, ends, i))
+            tf = slot_form(h, _matched_through(h.n, ends, i))
             assert tf == factor_from_matching_by_reattribution(h, m)
 
 
@@ -291,12 +287,17 @@ def test_search_matches_full_scan_reference(named_fixtures):
 
 def test_banned_searches_match_full_scan_reference(named_fixtures, monkeypatch):
     """The adjacency lists a forced edge hands the search, its banned pairs
-    removed, give the full-scan search's mate array too."""
+    removed, give the full-scan search's mate array too.  Every list the
+    search is handed is sorted with one entry per pair, and with nothing
+    banned the lists are the multigraph's own."""
     calls = [0]
+    handed = []
 
     def both(n, adj):
         mate = max_matching_by_full_scans(n, adj)
         assert _max_matching_simple(n, adj) == mate
+        assert all(a == sorted(set(a)) for a in adj)
+        handed.append(adj)
         calls[0] += 1
         return mate
 
@@ -304,10 +305,12 @@ def test_banned_searches_match_full_scan_reference(named_fixtures, monkeypatch):
     graphs = _reference_graphs(named_fixtures)
     for h in graphs:
         ends = h.edge_list()
+        _complement(h.n, ends)
+        assert handed[-1] == h.adjacency()
         for e in range(h.size):
-            _two_factor_through(h, ends, e)
-            _matched_through(h, ends, e)
-    assert calls[0] == 2 * sum(h.size for h in graphs)
+            _two_factor_through(h.n, ends, e)
+            _matched_through(h.n, ends, e)
+    assert calls[0] == 2 * sum(h.size for h in graphs) + len(graphs)
 
 
 def _random_cubic_pairing(n, rng):
@@ -349,53 +352,3 @@ def test_matching_size_against_networkx():
         ref.add_edges_from((u, v) for u, v, _ in g.edge_pairs())
         size = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert len(matched_slots(g)) == size
-
-
-def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
-    """Coloring names each H-edge by its id, from the contraction to the
-    coloring: no `slots_at` or `slots` call on any input, and no
-    `multiplicity` call past the entry check.
-
-    The entry check's search of H looks a pair up only for a bridge
-    candidate: an H-bridge, or a parallel pair of H.  So a bridgeless
-    input whose H is simple makes no `multiplicity` call at all.  The
-    named fixtures include a bridged graph, and the corpus holds rings,
-    built graphs with and without strings, and bridged trees.
-    """
-    calls = {"slots_at": 0, "slots": 0, "multiplicity": 0}
-
-    def counted(name):
-        real = getattr(MultiGraph, name)
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return real(self, *args)
-
-        return wrapper
-
-    graphs = [g for name, g in named_fixtures.items() if name not in ("h10", "petersen")]
-    graphs += [g for _, g in corpus]
-    kinds = []
-    for g in graphs:
-        h_bridges, local = _require_claw_free_cubic(g)
-        simple = local.h is None or local.h.is_simple()
-        kinds.append("bridged" if h_bridges else "simple H" if simple else "parallel H")
-    assert all(kinds.count(k) > 50 for k in ("bridged", "simple H", "parallel H"))
-    in_entry = [0]
-    entry = structure._require_claw_free_cubic
-
-    def counted_entry(g):
-        before = calls["multiplicity"]
-        out = entry(g)
-        in_entry[0] += calls["multiplicity"] - before
-        return out
-
-    for name in calls:
-        monkeypatch.setattr(MultiGraph, name, counted(name))
-    monkeypatch.setattr(structure, "_require_claw_free_cubic", counted_entry)
-    for g, kind in zip(graphs, kinds):
-        before = calls["multiplicity"], in_entry[0]
-        color_claw_free_cubic(g)
-        assert calls["multiplicity"] - before[0] == in_entry[0] - before[1], kind
-        assert kind != "simple H" or calls["multiplicity"] == before[0]
-    assert calls["slots_at"] == calls["slots"] == 0, calls

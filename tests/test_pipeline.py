@@ -120,8 +120,10 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     scans = _count_calls(monkeypatch, recognition._local_scan)
     connected = _count_calls(monkeypatch, multigraph.is_connected)
     claws = _count_calls(monkeypatch, recognition.find_claw)
-    searched = []
-    searches = _count_calls(monkeypatch, recognition._bridges, lambda h: searched.append(h) or True)
+    searched = []  # the order of each graph searched for bridges
+    searches = _count_calls(
+        monkeypatch, recognition._bridges, lambda n, ends: searched.append(n) or True
+    )
     cubic = _count_calls(monkeypatch, multigraph.is_cubic)
 
     def counts():
@@ -130,48 +132,70 @@ def test_one_certificate_per_coloring(named_fixtures, monkeypatch, tmp_path, cap
     h_searches = 0 if name in ("k4", "ring") else 1
     color_claw_free_cubic(g)
     assert counts() == (1, 1, 1, 0, 0, h_searches, 1)
-    assert all(h is not g and h.n == triangles for h in searched)
+    assert all(n != g.n and n == triangles for n in searched)
 
     path = tmp_path / f"{name}.el"
     path.write_text(emit_edgelist(g))
     assert main(["color", "--json", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
     assert counts() == (2, 2, 2, 0, 0, 2 * h_searches, 2)
-    assert all(h is not g and h.n == triangles for h in searched)
+    assert all(n != g.n and n == triangles for n in searched)
 
 
-def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
-    """K3 and diamond components are colored in place.
+def _diamond_chain(k):
+    """A chain of k diamonds between two 7-vertex leaves whose completion is K4."""
+    edges = leaf_gadget() + leaf_gadget(7 + 4 * k)
+    for i in range(k):
+        a, p, q, b = range(7 + 4 * i, 11 + 4 * i)
+        edges += [(a, p), (a, q), (p, q), (p, b), (q, b), (a - 1 if i else 0, a)]
+    edges.append((10 + 4 * (k - 1), 7 + 4 * k))
+    return MultiGraph(14 + 4 * k, edges)
 
-    Only the two Type III leaves of a diamond chain are completed, and a
-    completion is cut from G's contraction, not built as a graph, so a
-    coloring builds as many graphs for 400 diamonds as for 100: G's H,
-    whose one edge carries the whole chain.  Both leaves are the same
-    gadget, one triangle with an H-loop of one diamond, whose completion
-    is K4 and has no H to build.
+
+def test_the_coloring_path_builds_no_graph_and_reads_no_slot(named_fixtures, corpus, monkeypatch):
+    """H is held only as its edge-id list from the entry check to the
+    coloring: `color_claw_free_cubic` constructs no `MultiGraph` and calls
+    no `multiplicity`, `slots` or `slots_at`, on any input.
+
+    The bridge search of H skips the edge id a vertex is reached by, so a
+    parallel pair of H needs no multiplicity.  A completion is cut from G's
+    contraction, and K3 and diamond components are colored in place, so
+    no graph is built for a diamond chain of 100 or 400 diamonds, whose
+    leaves complete to K4, or of 50, whose leaves take a 2-factor.  The
+    inputs are the named fixtures, the pipeline's inputs and the corpus:
+    bridged graphs, rings, K4, and built graphs whose H is simple or has
+    parallel edges.
     """
-    chains = []
-    for k in (100, 400):
-        edges = leaf_gadget() + leaf_gadget(7 + 4 * k)
-        for i in range(k):
-            a, p, q, b = range(7 + 4 * i, 11 + 4 * i)
-            edges += [(a, p), (a, q), (p, q), (p, b), (q, b), (a - 1 if i else 0, a)]
-        edges.append((10 + 4 * (k - 1), 7 + 4 * k))
-        chains.append(MultiGraph(14 + 4 * k, edges))
-    real = MultiGraph.__init__
-    built = [0]
+    graphs = [g for name, g in named_fixtures.items() if name not in ("h10", "petersen")]
+    graphs += list(_inputs(named_fixtures).values()) + [_diamond_chain(k) for k in (100, 400)]
+    graphs += [g for _, g in corpus]
+    kinds = []
+    for g in graphs:
+        h_bridges, local = recognition._require_claw_free_cubic(g)
+        if h_bridges:
+            kinds.append("bridged")
+        elif local.triangles:
+            kinds.append("simple H" if len(set(local.ends)) == len(local.ends) else "parallel H")
+        else:
+            kinds.append("ring" if local.diamonds else "K4")
+    assert all(kinds.count(k) > 50 for k in ("bridged", "simple H", "parallel H")), kinds
+    assert kinds.count("ring") > 1 and kinds.count("K4") > 1, kinds
+    calls = dict.fromkeys(("__init__", "multiplicity", "slots", "slots_at"), 0)
 
-    def counted(self, *args, **kwargs):
-        built[0] += 1
-        real(self, *args, **kwargs)
+    def counted(name):
+        real = getattr(MultiGraph, name)
 
-    monkeypatch.setattr(MultiGraph, "__init__", counted)
-    counts = []
-    for g in chains:
-        built[0] = 0
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return real(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MultiGraph, name, counted(name))
+    for g, kind in zip(graphs, kinds):
         color_claw_free_cubic(g)
-        counts.append(built[0])
-    assert counts[0] == counts[1] == 1, counts
+        assert not any(calls.values()), (kind, calls)
 
 
 def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
@@ -284,15 +308,17 @@ def test_a_broken_bridge_tree_is_a_bug_in_decompose(
 ):
     """A set of H's bridges that fails the tree's component count is exit 5, not 2.
 
-    The set gains the first H-edge that is no bridge: on the path of three
-    Type III components, H's edge (0, 1), whose two realizations carry a
-    diamond each.  They lift to four G-edges that are no bridges, so G
-    minus the 6 lifted edges has 5 components, not 7.
+    The set gains the ids of the first pair of H's ends that is no
+    bridge: on the path of three Type III components, H's two parallel
+    edges (0, 1), whose realizations carry a diamond each.  They lift to
+    four G-edges that are no bridges, so G minus the 6 lifted edges has 5
+    components, not 7.
     """
     real = structure._class_tree
 
     def with_a_non_bridge(h_bridges, local):
-        return real(h_bridges | {next(e for e in local.ends if e not in h_bridges)}, local)
+        pair = next(e for i, e in enumerate(local.ends) if i not in h_bridges)
+        return real(h_bridges | {i for i, e in enumerate(local.ends) if e == pair}, local)
 
     monkeypatch.setattr(structure, "_class_tree", with_a_non_bridge)
     path = tmp_path / "type3_path.el"

@@ -110,10 +110,24 @@ def test_bridges_match_removal_oracle(base_corpus):
             assert find_bridges(g) == bridges_by_removal(g)
 
 
+def _bridge_pairs(g: MultiGraph) -> set[tuple[int, int]] | None:
+    """`_bridges` over g's edge list, each id mapped to its pair; None when
+    g is disconnected."""
+    edges = g.edge_list()
+    ids = _bridges(g.n, edges)
+    return None if ids is None else {edges[i] for i in ids}
+
+
 def test_bridges_match_removal_oracle_on_multigraphs():
-    """Random multigraphs with parallel pairs; a disconnected one gives None."""
+    """Random multigraphs with parallel pairs; a disconnected one gives None.
+
+    Each is also searched as an edge list with loops inserted, in the drawn
+    order and orientation: the bridge ids are those of the edges whose pair
+    the oracle reports on the loop-free multigraph, so neither a loop nor a
+    parallel copy is one.
+    """
     rng = SplitMix64(0xB81D6E)
-    seen = {"disconnected": 0, "bridged": 0, "parallel": 0}
+    seen = {"disconnected": 0, "bridged": 0, "parallel": 0, "loops": 0}
     for _ in range(2000):
         n = 1 + rng.randrange(10)
         edges = []
@@ -127,13 +141,24 @@ def test_bridges_match_removal_oracle_on_multigraphs():
                 u, v = rng.randrange(n), rng.randrange(n - 1)
                 edges.append((u, v if v < u else v + 1))
         g = MultiGraph(n, edges)
+        ends = list(edges)
+        for _ in range(rng.randrange(3)):
+            v = rng.randrange(n)
+            ends.insert(rng.randrange(len(ends) + 1), (v, v))
         if all(d != float("inf") for d in bfs_distances(n, edges, 0)):
-            assert _bridges(g) == bridges_by_removal(g)
-            seen["bridged"] += bool(bridges_by_removal(g))
+            want = bridges_by_removal(g)
+            assert _bridge_pairs(g) == want
+            assert find_bridges(g) == want
+            assert _bridges(n, ends) == {
+                i for i, (u, v) in enumerate(ends) if (min(u, v), max(u, v)) in want
+            }
+            seen["bridged"] += bool(want)
         else:
-            assert _bridges(g) is None
+            assert _bridge_pairs(g) is None
+            assert _bridges(n, ends) is None
             seen["disconnected"] += 1
         seen["parallel"] += not g.is_simple()
+        seen["loops"] += len(ends) > len(edges)
     assert min(seen.values()) > 100, seen
 
 
@@ -141,11 +166,11 @@ def test_bridges_match_iterator_dfs_reference(large_graphs, bridged_trees):
     """Same sets on graphs past the corpus, and None once an edge is cut."""
     disconnected = 0
     for name, g in large_graphs + bridged_trees:
-        got = _bridges(g)
+        got = _bridge_pairs(g)
         assert got == bridges_by_iterator_dfs(g), name
         u, v = next(iter(got)) if got else (0, g.neighbors(0)[0])
         cut = MultiGraph(g.n, [e for e in g.edge_list() if e != (u, v)])
-        after = _bridges(cut)
+        after = _bridge_pairs(cut)
         assert after == bridges_by_iterator_dfs(cut), name
         assert (after is None) == bool(got), name
         disconnected += after is None
@@ -238,26 +263,26 @@ def _tree_or_error(build, *args):
         return type(e), str(e)
 
 
-def _lifted(local, h_edges) -> set[tuple[int, int]]:
-    """The G-edges of H-edges: the connectors of every realization whose
-    two ends are one of the pairs in `h_edges`."""
+def _lifted(local, ids) -> set[tuple[int, int]]:
+    """The G-edges of H-edges: the connectors of the realizations whose
+    ids are in `ids`."""
     lifted = set()
-    for r, ends in zip(local.walk, local.ends):
-        if ends in h_edges:
-            lifted.update((min(e), max(e)) for e in zip(r[::4], r[1::4]))
+    for i in ids:
+        r = local.walk[i]
+        lifted.update((min(e), max(e)) for e in zip(r[::4], r[1::4]))
     return lifted
 
 
 def _broken_h_bridge_sets(local, h_bridges, rng):
-    """Broken copies of H's bridges: less one, less half, plus an H-edge
+    """Broken copies of H's bridge ids: less one, less half, plus an H-edge
     that is no bridge, or plus an H-loop."""
     ordered = sorted(h_bridges)
     yield "drop one", h_bridges - {ordered[rng.randrange(len(ordered))]}
     yield "drop half", set(ordered[::2])
-    others = sorted({e for e in local.ends if e[0] != e[1]} - h_bridges)
+    others = [i for i, e in enumerate(local.ends) if e[0] != e[1] and i not in h_bridges]
     if others:
         yield "non-bridge H-edge", h_bridges | {others[rng.randrange(len(others))]}
-    loops = sorted({e for e in local.ends if e[0] == e[1]})
+    loops = [i for i, e in enumerate(local.ends) if e[0] == e[1]]
     if loops:
         yield "H-loop", h_bridges | {loops[rng.randrange(len(loops))]}
 
@@ -292,31 +317,6 @@ def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
         ("non-bridge H-edge", *count),
         ("H-loop", *count),
     }, outcomes
-
-
-def test_bridge_tree_reads_no_multiplicity(monkeypatch):
-    """The tree is read from the contraction: it looks up no multiplicity
-    and no adjacency of G, so it runs no search over G's vertices.  Nor
-    does it read H, which the entry check drops for a bridged graph: on a
-    tree of K3 components, holding H through the build raises the peak by
-    an eighth."""
-    g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
-    h_bridges, local = _require_claw_free_cubic(g)
-    assert local.h is None and local.walk
-    calls = [0]
-
-    def counted(real):
-        def method(self, *args):
-            calls[0] += 1
-            return real(self, *args)
-
-        return method
-
-    for name in ("multiplicity", "has_edge", "neighbors", "adjacency"):
-        monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
-    bt = _bridge_tree(_class_tree(h_bridges, local))
-    assert bt.kinds.count(ComponentKind.DIAMOND) == 50
-    assert calls[0] == 0
 
 
 def test_bridge_tree_bridgeless_single_node(named_fixtures):

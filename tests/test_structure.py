@@ -136,7 +136,7 @@ def test_triangle_partition_covers_everything(named_fixtures):
 
 def test_decompose_peak_memory_per_vertex(large_graphs):
     """`_decompose` of the 9,216-vertex built graph, given the entry's scan,
-    walk and H: the H-edges numbered, with no slot filed."""
+    walk and ends: the H-edges numbered, with no slot filed and no H built."""
     g = dict(large_graphs)["built-h1024"]
     _, local = _require_claw_free_cubic(g)
     tracemalloc.start()
@@ -146,7 +146,7 @@ def test_decompose_peak_memory_per_vertex(large_graphs):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert g.n == 9216 and len(dec.walk) == dec.h.size
+    assert g.n == 9216 and len(dec.walk) == 3 * len(dec.triangles) // 2
     assert peak / g.n < 60, f"{peak / g.n:.1f} B/vertex"
 
 
@@ -154,7 +154,7 @@ def test_decompose_of_a_diamond_chain_peak_memory_per_vertex(large_graphs):
     """`decompose` of the 2,000-diamond chain: the entry check, and the
     bridge tree read from its contraction, peak below 145 bytes per vertex.
 
-    The tree needs the walk and H through its build; holding the whole
+    The tree needs the walk and ends through its build; holding the whole
     scan with them as well would take about 200.  The previous tree, built
     from a set of G's bridges after the scan was dropped, took 140.6.
     """
