@@ -519,6 +519,30 @@ def test_surgery_splices_strings_on_both_sides(ends, spliced):
     assert_valid(comp, color_root(comp, 0))
 
 
+def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
+    """On a simple G the completions read no multiplicity.
+
+    Coloring the 50-diamond chain made 205 `multiplicity` calls when every
+    edge a completion copied looked its multiplicity up, and 9 while each
+    leaf's odd gadget checked two of G's pairs for an edge.  Completions
+    cut from G's contraction read no pair of G, and with each H-edge named
+    by its id the entry check's search of H was left with one call, for
+    its bridge candidate.  The search now skips the id a vertex is reached
+    by, so it makes none either.
+    """
+    g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
+    real = MultiGraph.multiplicity
+    calls = [0]
+
+    def multiplicity(self, u, v):
+        calls[0] += 1
+        return real(self, u, v)
+
+    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
+    assert_valid(g, color_claw_free_cubic(g))
+    assert calls[0] == 0
+
+
 def test_up_neighbor_on_a_completion_diamond_is_an_internal_error():
     """Each attachment of a Type III component, a child's up-neighbor, must be
     a triangle corner: one inside a realization lies on a diamond.  Here 4

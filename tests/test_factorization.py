@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from clawcolor import (
     MultiGraph,
+    color_claw_free_cubic,
     decompose,
     factorization,
     gen_cubic_multigraph,
@@ -14,6 +15,7 @@ from clawcolor.factorization import (
     _max_matching_simple,
     _two_factor_through,
 )
+from clawcolor.recognition import _require_claw_free_cubic
 from clawcolor.rng import SplitMix64
 
 from conftest import _built
@@ -352,3 +354,41 @@ def test_matching_size_against_networkx():
         ref.add_edges_from((u, v) for u, v, _ in g.edge_pairs())
         size = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert len(matched_slots(g)) == size
+
+
+
+def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
+    """Coloring names each H-edge by its id, from the contraction to the
+    coloring: no `slots_at`, `slots` or `multiplicity` call on any input,
+    the entry check included.
+
+    The entry check's search of H skips the id a vertex is reached by, so
+    neither an H-bridge nor a parallel pair of H needs a pair looked up.
+    The named fixtures include a bridged graph, and the corpus holds rings,
+    built graphs with and without strings, and bridged trees.
+    """
+    calls = {"slots_at": 0, "slots": 0, "multiplicity": 0}
+
+    def counted(name):
+        real = getattr(MultiGraph, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return wrapper
+
+    graphs = [g for name, g in named_fixtures.items() if name not in ("h10", "petersen")]
+    graphs += [g for _, g in corpus]
+    kinds = []
+    for g in graphs:
+        h_bridges, local = _require_claw_free_cubic(g)
+        simple = len(set(local.ends)) == len(local.ends)
+        kinds.append("bridged" if h_bridges else "simple H" if simple else "parallel H")
+    assert all(kinds.count(k) > 50 for k in ("bridged", "simple H", "parallel H"))
+    for name in calls:
+        monkeypatch.setattr(MultiGraph, name, counted(name))
+    for g, kind in zip(graphs, kinds):
+        color_claw_free_cubic(g)
+        assert calls["multiplicity"] == 0, kind
+    assert calls["slots_at"] == calls["slots"] == 0, calls

@@ -198,6 +198,32 @@ def test_the_coloring_path_builds_no_graph_and_reads_no_slot(named_fixtures, cor
         assert not any(calls.values()), (kind, calls)
 
 
+def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
+    """K3 and diamond components are colored in place.
+
+    Only the two Type III leaves of a diamond chain are completed, and a
+    completion is cut from G's contraction, not built as a graph.  H is
+    held as its edge-id list, so a coloring builds no graph at all, for
+    400 diamonds as for 100.  Both leaves are the same gadget, one
+    triangle with an H-loop of one diamond, whose completion is K4.
+    """
+    chains = [_diamond_chain(k) for k in (100, 400)]
+    real = MultiGraph.__init__
+    built = [0]
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGraph, "__init__", counted)
+    counts = []
+    for g in chains:
+        built[0] = 0
+        color_claw_free_cubic(g)
+        counts.append(built[0])
+    assert counts[0] == counts[1] == 0, counts
+
+
 def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
     """The colors with one vertex moved into a neighbor's radius-1 class."""
     a = dict(colors)

@@ -319,6 +319,30 @@ def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
     }, outcomes
 
 
+def test_bridge_tree_reads_no_multiplicity(monkeypatch):
+    """The tree is read from the contraction: it looks up no multiplicity
+    and no adjacency of G, so it runs no search over G's vertices.  Nor
+    does it read H, which the entry check holds only as its edge-id list:
+    the scan has no H to keep."""
+    g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
+    h_bridges, local = _require_claw_free_cubic(g)
+    assert not hasattr(local, "h") and local.walk
+    calls = [0]
+
+    def counted(real):
+        def method(self, *args):
+            calls[0] += 1
+            return real(self, *args)
+
+        return method
+
+    for name in ("multiplicity", "has_edge", "neighbors", "adjacency"):
+        monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
+    bt = _bridge_tree(_class_tree(h_bridges, local))
+    assert bt.kinds.count(ComponentKind.DIAMOND) == 50
+    assert calls[0] == 0
+
+
 def test_bridge_tree_bridgeless_single_node(named_fixtures):
     """K4 decomposes; a bridgeless built graph's tree, read from H's empty
     set of bridges, is one Type III node, whose share is the whole
