@@ -28,12 +28,15 @@ from .oracle import Violation, solve_spacking, subdivide, verify
 from .recognition import (
     BridgeTree,
     ComponentKind,
+    Decomposition,
+    Diamond,
+    Variant,
+    decompose,
     find_bridges,
     find_claw,
     is_claw_free,
 )
 from .rng import SplitMix64
-from .structure import Decomposition, Diamond, Variant, decompose
 
 __version__ = "0.1.0"
 

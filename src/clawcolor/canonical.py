@@ -13,7 +13,7 @@ takes both radius-1 classes), and the canonical coloring driven by a
 
 Corners and diamonds are read by position from the realization tuples
 (`recognition._walk` gives the format): H-edge e is `walk[e]`, run from
-triangle `ends[e][0]` (`structure`'s docstring).  A bridgeless graph's
+triangle `ends[e][0]` (`recognition._contract`'s docstring).  A bridgeless graph's
 coloring takes `_complement`'s 2-factor; a completed Type III component's
 takes a 2-factor forced through one H-edge, whose id `colorer._surgery`
 gives, and `colorer._color_type3` composes the two.  A ring, of G or of
@@ -57,9 +57,10 @@ def _ring(ring: tuple[int, ...]) -> PackingColoring:
 def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
     """The canonical coloring of a built graph for a 2-factor of its H.
 
-    `local` is a numbered contraction (`structure._decompose`) and
-    `factor` a 2-factor of its H.  Each vertex lies on one realization, so
-    the check counts their lengths.
+    `local` is a numbered contraction (`recognition._contract`, or
+    `colorer._surgery` for a completion) and `factor` a 2-factor of its
+    H.  Each vertex lies on one realization, so the check counts their
+    lengths.
     """
     walk, ends = local.walk, local.ends
     assignment: dict[int, int] = {}

@@ -33,8 +33,7 @@ from .errors import (
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
-from .recognition import _DISCONNECTED, BridgeTree, ComponentKind
-from .structure import Variant, decompose
+from .recognition import _DISCONNECTED, BridgeTree, ComponentKind, Variant, decompose
 
 EXIT_OK = 0
 EXIT_IO = 1

@@ -26,11 +26,11 @@ with one edge forced (Plesnik's theorem):
 
 Neither the completed graph nor its H is built: `_surgery` cuts H's
 edge list from C's share of G's contraction, which the class tree holds,
-in G's ids, and numbers its H-edges as G's are numbered.
+in G's ids, and numbers its H-edges as `recognition._contract` numbers G's.
 The forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
-input once at entry, through `structure._structure`, and certifies the
+input once at entry, through `recognition._structure`, and certifies the
 glued coloring once at exit; nothing in between checks an input or
 certifies an output.  Every component it hands on comes from a validated
 graph, so a failed precondition below the entry check is a bug and raises
@@ -48,8 +48,7 @@ from .errors import ClaimViolatedError, InternalInvariantError, VerificationFail
 from .factorization import _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import verify
-from .recognition import ClassTree, LocalScan, _attachments
-from .structure import _decompose, _structure
+from .recognition import ClassTree, LocalScan, _attachments, _structure
 
 
 def _check_attachments(at: Mapping[int, int], xs: Sequence[int]) -> None:
@@ -94,11 +93,20 @@ def _surgery(
     becomes a direct realization.  With |X| odd, x1's triangle (x1, u, w)
     goes, and the realizations of u and w are spliced at the new edge s-y.
     A new realization runs from its lower triangle and lists its diamonds
-    as `_walk` does, and the triangles keep G's order, so H and its
-    numbering are those the completed graph's own scan, walk and
-    contraction would give.  Returns the numbered contraction, in G's
-    ids, with the triangles kept, the id of x1-x2 or of s-y, and the odd
-    gadget (u, w, s, y), None when |X| is even.  No graph is built.
+    as `_walk` does, the triangles keep G's order, and the H-edges are
+    sorted by (ends, walk), so H and its numbering are those the completed
+    graph's own scan, walk and contraction would give.  Returns the
+    numbered contraction, in G's ids, with the triangles kept, the id of
+    x1-x2 or of s-y, and the odd gadget (u, w, s, y), None when |X| is
+    even.  No graph is built.
+
+    The completion's H has no loop.  C has two or more triangles, joined
+    by H-edges that are no bridges, while a loop's triangle meets the rest
+    of H only by its third H-edge, a bridge.  A pairing edge joins two
+    attachments, which lie on distinct triangles.  The odd splice cannot
+    close a loop either: if the strings from u and from w both ended on
+    one triangle T, T's third H-edge would be a bridge, and C would have
+    exactly two attachments, not an odd number.
     """
     triangles = share.triangles
     odd = len(xs) % 2
@@ -116,16 +124,16 @@ def _surgery(
         head, tail = toward[u], _flip(toward[w])  # (..., s, u) and (w, y, ...)
         gadget = u, w, head[-2], tail[1]
         kept.append(head[:-1] + tail[1:])
-    forced = len(kept) - odd
-    walk, ends = [], []
+    pairs = []  # (ends, realization) of each H-edge, run from its lower triangle
     for r in chain(kept, zip(xs[odd::2], xs[odd + 1::2])):
         a, b = at[r[0]], at[r[-1]]
         a, b = a - (a > drop), b - (b > drop)
-        walk.append(r if a <= b else _flip(r))
-        ends.append((a, b) if a <= b else (b, a))
+        pairs.append(((a, b), r) if a <= b else ((b, a), _flip(r)))
+    forced = pairs[len(kept) - odd]
+    pairs.sort()
     triangles = triangles[:drop] + triangles[drop + 1:]
-    numbered = _decompose(LocalScan(triangles=triangles, walk=walk, ends=ends))
-    return numbered, numbered.walk.index(walk[forced]), gadget
+    local = LocalScan(triangles=triangles, walk=[r for _, r in pairs], ends=[e for e, _ in pairs])
+    return local, pairs.index(forced), gadget
 
 
 def _explicit_k4_completion(x1: int, r: tuple[int, ...], root_style: bool) -> dict[int, int]:

@@ -53,7 +53,8 @@ class PackingColoring(NamedTuple):
 def parse_coloring_lines(text: str, spec: SPackingSpec) -> PackingColoring:
     """Parse "vertex label" lines into a coloring for the given spec.
 
-    A line that does not parse raises MalformedInputError naming its number.
+    A line that does not parse, or that lists a vertex an earlier line
+    listed, raises MalformedInputError naming its number.
     """
     label_to_idx = {lab: i for i, lab in enumerate(spec.labels())}
     assignment: dict[int, int] = {}
@@ -70,5 +71,7 @@ def parse_coloring_lines(text: str, spec: SPackingSpec) -> PackingColoring:
             raise MalformedInputError(f"line {lineno}: bad vertex {fields[0]!r}") from None
         if fields[1] not in label_to_idx:
             raise MalformedInputError(f"line {lineno}: unknown label {fields[1]!r}")
+        if v in assignment:
+            raise MalformedInputError(f"line {lineno}: vertex {v} listed twice")
         assignment[v] = label_to_idx[fields[1]]
     return PackingColoring(spec, assignment)

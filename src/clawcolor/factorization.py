@@ -17,7 +17,7 @@ the second needs a check that the forced edge landed.
 
 H is held as its order n and its edge list `ends`, with no graph object:
 H-edge e, its id, joins the two vertices in `ends[e]`, the lower first
-(`structure`'s docstring gives the numbering).
+(`recognition._contract`'s docstring gives the numbering).
 
 Nothing here is public and nothing here validates its input.  Every
 caller hands over the H of a decomposition, which the pipeline's entry

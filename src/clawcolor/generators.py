@@ -20,8 +20,8 @@ from .errors import (
     RetryLimitError,
 )
 from .formats import parse_edgelist
-from .multigraph import MultiGraph, Slot, is_connected, is_cubic
-from .recognition import _connected_and_bridgeless, is_claw_free
+from .multigraph import MultiGraph, Slot, _bridges, is_connected, is_cubic
+from .recognition import is_claw_free
 from .rng import SplitMix64
 
 _RETRIES = 2000
@@ -34,6 +34,11 @@ class ExpansionSpec(NamedTuple):
 
     def length(self, slot: Slot) -> int:
         return self.string_lengths.get(slot, 0)
+
+
+def _connected_and_bridgeless(g: MultiGraph) -> bool:
+    """True iff g is connected and has no bridge, from one DFS."""
+    return _bridges(g.n, g.edge_list()) == set()
 
 
 def expand_to_clawfree(
@@ -221,14 +226,10 @@ def _gen_component(kind: str, attach: int, rng: SplitMix64):
             cands = _deletable_edges(base)
             s, y = cands[rng.randrange(len(cands))]
             # replace edge (s, y) by the 3-vertex gadget: s-u, u-w, w-y, u-v, w-v
-            stripped = base.without_slots([(s, y, 0)])
             n0 = base.n
             u, w, v = n0, n0 + 1, n0 + 2
-            comp = MultiGraph(
-                n0 + 3,
-                stripped.edge_list()
-                + [(s, u), (u, w), (w, y), (u, v), (w, v)],
-            )
+            edges = [e for e in base.edge_list() if e != (s, y)]
+            comp = MultiGraph(n0 + 3, edges + [(s, u), (u, w), (w, y), (u, v), (w, v)])
             extra = (attach - 1) // 2
             banned = {s, y, u, w, v}
         else:

@@ -7,12 +7,18 @@ that dict empty, so it costs no more than its adjacency lists.  The
 stored form is canonical: it does not depend on the order of the input
 edges.  Instances are immutable after construction; "mutating" helpers
 return new graphs.
+
+`_bridges` finds the bridges of a multigraph given only as its edge
+list, with one DFS preorder from an explicit vertex stack and one
+reverse-preorder low-link sweep over edge ids, so parallel edges and
+loops need no special case.  `recognition` runs it on G's edge list
+(`find_bridges`) and on the contraction H, which no `MultiGraph` holds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import LoopEdgeError, VertexOutOfRangeError
 
@@ -125,7 +131,15 @@ class MultiGraph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges expanded with multiplicity, sorted (canonical form)."""
-        return [(u, v) for u, v, _ in self.slots()]
+        par = self._par
+        if not par:
+            return [(u, w) for u, a in enumerate(self._adj) for w in a if u < w]
+        out: list[tuple[int, int]] = []
+        for u, a in enumerate(self._adj):
+            for w in a:
+                if u < w:
+                    out += [(u, w)] * par.get((u, w), 1)
+        return out
 
     @property
     def size(self) -> int:
@@ -178,6 +192,59 @@ def is_connected(g: MultiGraph) -> bool:
                 seen[w] = True
                 queue.append(w)
     return len(queue) == g.n
+
+
+def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> set[int] | None:
+    """The ids of the bridges of the multigraph on 0..n-1 whose edge e joins
+    the two vertices in `ends[e]`, or None when the DFS discovers fewer than
+    n vertices.
+
+    The DFS is a preorder from an explicit vertex stack: a vertex is
+    marked when it is popped, and it is reached by the last edge that
+    pushed it, which gives a valid DFS tree.  One sweep in reverse
+    preorder then sets low[v] from the edges at v other than the one it
+    was reached by, and folds it into its parent's.  So a parallel copy of
+    that edge lowers low[v] to the parent's preorder number, and neither
+    copy is a bridge; an edge whose ends are one vertex is never a tree
+    edge, so never a bridge.
+    """
+    bridges: set[int] = set()
+    if n == 0:
+        return bridges
+    inc: list[list[int]] = [[] for _ in range(n)]  # the ids at each vertex
+    for e, (a, b) in enumerate(ends):
+        inc[a].append(e)
+        inc[b].append(e)
+    disc, via = [-1] * n, [-1] * n  # via[v]: the edge v is reached by
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if disc[v] != -1:
+            continue
+        disc[v] = len(order)
+        order.append(v)
+        for e in inc[v]:
+            a, b = ends[e]
+            if disc[w := a + b - v] == -1:  # w: e's other end
+                via[w] = e
+                stack.append(w)
+    if len(order) < n:
+        return None
+    low = disc[:]
+    # every vertex but the root, order[0], children before parents
+    for v in order[:0:-1]:
+        t, lv = via[v], low[v]
+        for e in inc[v]:
+            a, b = ends[e]
+            if e != t and disc[w := a + b - v] < lv:
+                lv = disc[w]
+        a, b = ends[t]
+        if lv > disc[p := a + b - v]:
+            bridges.add(t)
+        elif lv < low[p]:
+            low[p] = lv
+    return bridges
 
 
 def is_cubic(g: MultiGraph) -> bool:

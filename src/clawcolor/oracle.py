@@ -248,12 +248,13 @@ def solve_spacking(
 def subdivide(g: MultiGraph) -> MultiGraph:
     """Replace every edge (with multiplicity) by a path of length 2.
 
-    The new vertex for the k-th edge slot (in slot order) is g.n + k,
-    so original vertices keep their ids.  The result is always simple.
+    The new vertex for the k-th edge of `g.edge_list()`, which lists the
+    edges in slot order, is g.n + k, so original vertices keep their ids.
+    The result is always simple.
     """
     edges = []
     w = g.n
-    for u, v, _ in g.slots():
+    for u, v in g.edge_list():
         edges.append((u, w))
         edges.append((w, v))
         w += 1

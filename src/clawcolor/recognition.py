@@ -1,47 +1,57 @@
-"""Structural predicates and decompositions on claw-free cubic graphs.
+"""Structural predicates, Oum's structure and the bridge tree of claw-free cubic graphs.
 
-Covers induced-claw detection, bridge finding (a DFS preorder from an
-explicit vertex stack plus one reverse-preorder low-link sweep, over edge
-ids, so parallel edges and loops need no special case), induced diamonds,
-the contraction H and the bridge tree.
+Covers induced-claw detection, bridge finding (`multigraph._bridges`
+over edge ids), induced diamonds, the contraction H, the decomposition
+and the bridge tree.
 
-In a claw-free cubic graph every vertex lies on a triangle, so the claw
-check, the induced diamonds and the triangles off the diamonds can all be
-read from the closed neighborhoods.  `_local_scan` does that in one pass.
-By Oum's theorem every vertex of such a graph other than K4 then lies on
-exactly one of those triangles or diamonds, and `_walk` follows each
-triangle corner through its string of diamonds to another corner, listing
-the vertices it passes.  The walks are the edges of a cubic multigraph H
-on the triangles, held only as the list `ends` of each walk's two end
-triangles: `_contract` makes it for the entry check
-`_require_claw_free_cubic`, and `structure._decompose` numbers it.  An
-edge cut of H lifts to an edge cut of G of the same size, so the entry
-check reads G's connectivity and bridges from H, which is much smaller,
-by `_bridges` over H's edge ids.  With no triangle, `_ring_walk` decides
-connectivity: the ring through diamond 0 must hold every diamond.
-`find_claw` stays for arbitrary graphs and `find_bridges` for connected
-ones.
+By Oum's theorem (S. Oum, Electron. J. Combin. 18 (2011) P62) a
+2-edge-connected claw-free cubic graph is K4, a ring of diamonds, or is
+built from a 2-edge-connected cubic multigraph H by replacing each
+H-vertex with a triangle and some H-edges with strings of diamonds.  In a
+claw-free cubic graph every vertex lies on a triangle, so the claw check,
+the induced diamonds and the triangles off the diamonds can all be read
+from the closed neighborhoods.  `_local_scan` does that in one pass.
+Every vertex of such a graph other than K4 then lies on exactly one of
+those triangles or diamonds, and `_walk` follows each triangle corner
+through its string of diamonds to another corner, listing the vertices
+it passes.  The walks are the edges of a cubic multigraph H on the
+triangles, held only as the list `ends` of each walk's two end triangles:
+`_contract` makes and numbers it for the entry check
+`_require_claw_free_cubic`, and no graph object is built for it on the
+coloring path.  An edge cut of H lifts to an edge cut of G of the same
+size, so the entry check reads G's connectivity and bridges from H,
+which is much smaller, by `_bridges` over H's edge ids.  With no
+triangle, `_ring_walk` decides connectivity: the ring through diamond 0
+must hold every diamond.  `find_claw` stays for arbitrary graphs and
+`find_bridges` for connected ones.
 
-The components of G minus its bridges are read from H too (S. Oum,
-Electron. J. Combin. 18 (2011) P62): the triangles joined by H's
-non-bridge edges, H-loops included, with the diamonds on those edges'
-strings, and each diamond on the string of an H-bridge on its own.
-`_class_tree`'s union-find, the one component classifier, makes the
-classes, K3 or Type III, the nodes of a tree whose edges are H's
-bridges, each weighing 1 + its string's diamonds: the distances, so the
-root rule min(a, b), are those of the tree of all components.  The
+The components of G minus its bridges are read from H too: the triangles
+joined by H's non-bridge edges, H-loops included, with the diamonds on
+those edges' strings, and each diamond on the string of an H-bridge on
+its own.  `_class_tree`'s union-find, the one component classifier,
+makes the classes, K3 or Type III, the nodes of a tree whose edges are
+H's bridges, each weighing 1 + its string's diamonds: the distances, so
+the root rule min(a, b), are those of the tree of all components.  The
 colorer reads the classes with their shares of the contraction.  A
 diamond string needs no node: the class f free at the parent's corner
 goes on each diamond's exterior toward the root, the other radius-2
 class on the other and 1a, 1b inside, so f is forced again past it.
-`_bridge_tree` expands the tree for `structure.decompose`.
+
+`decompose` is the one public way in to the structure.  It returns
+`_bridge_tree`'s expansion of the class tree when g has bridges, and
+otherwise `_decomposition`, which builds H as a `MultiGraph` and files
+the realizations under its slots.  `color_claw_free_cubic` reads the same
+structure through `_structure`, so G is neither walked nor contracted
+twice, and no other graph is scanned: a completed Type III component's H
+is cut from G's contraction by `colorer._surgery`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from itertools import chain, combinations
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -51,7 +61,7 @@ from .errors import (
     NotCubicError,
     NotSimpleError,
 )
-from .multigraph import MultiGraph, is_connected, is_cubic
+from .multigraph import MultiGraph, Slot, _bridges, is_connected, is_cubic
 
 
 def find_claw(g: MultiGraph) -> tuple[int, int, int, int] | None:
@@ -82,64 +92,6 @@ def find_bridges(g: MultiGraph) -> set[tuple[int, int]]:
     return {edges[e] for e in bridges}
 
 
-def _connected_and_bridgeless(g: MultiGraph) -> bool:
-    """True iff g is connected and has no bridge, from one DFS."""
-    return _bridges(g.n, g.edge_list()) == set()
-
-
-def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> set[int] | None:
-    """The ids of the bridges of the multigraph on 0..n-1 whose edge e joins
-    the two vertices in `ends[e]`, or None when the DFS discovers fewer than
-    n vertices.
-
-    The DFS is a preorder from an explicit vertex stack: a vertex is
-    marked when it is popped, and it is reached by the last edge that
-    pushed it, which gives a valid DFS tree.  One sweep in reverse
-    preorder then sets low[v] from the edges at v other than the one it
-    was reached by, and folds it into its parent's.  So a parallel copy of
-    that edge lowers low[v] to the parent's preorder number, and neither
-    copy is a bridge; an edge whose ends are one vertex is never a tree
-    edge, so never a bridge.
-    """
-    bridges: set[int] = set()
-    if n == 0:
-        return bridges
-    inc: list[list[int]] = [[] for _ in range(n)]  # the ids at each vertex
-    for e, (a, b) in enumerate(ends):
-        inc[a].append(e)
-        inc[b].append(e)
-    disc, via = [-1] * n, [-1] * n  # via[v]: the edge v is reached by
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if disc[v] != -1:
-            continue
-        disc[v] = len(order)
-        order.append(v)
-        for e in inc[v]:
-            a, b = ends[e]
-            if disc[w := a + b - v] == -1:  # w: e's other end
-                via[w] = e
-                stack.append(w)
-    if len(order) < n:
-        return None
-    low = disc[:]
-    # every vertex but the root, order[0], children before parents
-    for v in order[:0:-1]:
-        t, lv = via[v], low[v]
-        for e in inc[v]:
-            a, b = ends[e]
-            if e != t and disc[w := a + b - v] < lv:
-                lv = disc[w]
-        a, b = ends[t]
-        if lv > disc[p := a + b - v]:
-            bridges.add(t)
-        elif lv < low[p]:
-            low[p] = lv
-    return bridges
-
-
 class LocalScan(NamedTuple):
     """What `_local_scan` reads from the closed neighborhoods of a graph.
 
@@ -154,8 +106,8 @@ class LocalScan(NamedTuple):
     fills in `walk`, the realizations `_walk` lists, and `ends`, the
     triangles at the two ends of each: these are the edges of H, H-loops
     included.  For a ring it fills in `walk` with the one cyclic walk
-    `_ring_walk` lists.  `structure._decompose` numbers the H-edges: H-edge
-    e is `walk[e]`, from triangle `ends[e][0]` to `ends[e][1]`.
+    `_ring_walk` lists.  H-edge e is `walk[e]`, from triangle `ends[e][0]`
+    to `ends[e][1]`, numbered as `_contract` says.
     `_class_tree` hands each class its share of G's contraction in
     `triangles` and `walk`.
     """
@@ -285,7 +237,8 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
 
 
 def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
-    """g's triangles, walk, and the two triangles at the ends of each realization.
+    """g's triangles and H, its H-edges numbered: the realizations `walk`
+    and the two triangles `ends` at the ends of each.
 
     None when the scan's triangles and diamonds do not partition g, or the
     walks miss a diamond.  A graph of diamonds only, a ring if connected,
@@ -293,6 +246,28 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     (`_ring_walk`).  Otherwise the diamonds and per-vertex indexes, which
     no reader of a contraction uses, are dropped, so that a diamond chain's
     bridge tree does not hold them.
+
+    Each H-edge is named by one integer, its id: the H-edges come numbered
+    0..m-1 by their ends, then by their realizations, and the coloring
+    path reads nothing else.  H-edge e is `walk[e]`, run from triangle
+    `ends[e][0]` to `ends[e][1]`, as `_walk` runs each realization from
+    its lower triangle.  Parallel H-edges take consecutive ids, and the
+    ids at a vertex ascend as its slots in H do: the id of slot (a, b, k)
+    is its index in `h.slots()`.  `_walk` visits the triangles in index
+    order and each triangle's corners ascending, and each corner starts
+    one realization, so its list is already ordered by `ends[e][0]`, then
+    by r[0]; a stable sort on the ends alone gives the order by (ends,
+    walk).  `colorer._surgery` numbers a completion's H by the same rule.
+
+    None of H's properties is checked again; a wrong contraction would
+    still meet the exit certificate.  H has a loop, `ends[e][0] ==
+    ends[e][1]`, only when g has a bridge: a loop's triangle meets the
+    rest of H by its third H-edge alone, which is then a bridge of H, so
+    of g.  H is cubic: the entry scan gives each corner exactly one
+    outside edge, every vertex lies on a triangle or a diamond, and a walk
+    is deterministic and reversible, so each corner ends exactly one
+    realization.  An edge cut of H lifts to an edge cut of g of the same
+    size, so H is bridgeless exactly when g is.
     """
     triangles, triangle_of, diamonds = local.triangles, local.triangle_of, local.diamonds
     if 3 * len(triangles) + len(diamonds) != g.n:
@@ -302,6 +277,7 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     walk = _walk(g, local)
     if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
         return None
+    walk.sort(key=lambda r: (triangle_of[r[0]], triangle_of[r[-1]]))
     ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
     return LocalScan(triangles=triangles, walk=walk, ends=ends)
 
@@ -350,6 +326,39 @@ class BridgeTree(NamedTuple):
     depth: tuple[int, ...]
     up_neighbor: tuple[int, ...]
     degree2: tuple[tuple[int, ...], ...]
+
+
+class Variant(enum.Enum):
+    K4 = "K4"
+    RING = "ring-of-diamonds"
+    BUILT = "built"
+
+
+class Diamond(NamedTuple):
+    """Induced K4-minus-an-edge: two adjacent interiors, two exteriors."""
+
+    interiors: tuple[int, int]
+    exteriors: tuple[int, int]
+
+
+class Decomposition(NamedTuple):
+    """What `decompose` returns for a 2-edge-connected graph.
+
+    For the built variant, `realization` maps each slot (a, b, k) of H, in
+    slot order, to its H-edge's vertices in G as `_walk` lists them, run
+    from the corner in triangle a to the corner in triangle b.  Each
+    `decompose` result owns its dict; the default mapping is read-only.
+    """
+
+    variant: Variant
+    ring_diamonds: tuple[Diamond, ...] = ()
+    triangles: tuple[tuple[int, int, int], ...] = ()
+    h: MultiGraph | None = None
+    realization: Mapping[Slot, tuple[int, ...]] = MappingProxyType({})
+
+    def string_lengths(self) -> list[int]:
+        """Lengths of the non-empty diamond strings, sorted."""
+        return sorted(len(r) // 4 for r in self.realization.values() if len(r) > 2)
 
 
 _DISCONNECTED = "input graph is disconnected"
@@ -560,3 +569,39 @@ def _bridge_tree(tree: ClassTree) -> BridgeTree:
         up_neighbor=permuted(up_neighbor),
         degree2=permuted(degree2),
     )
+
+
+def _structure(g: MultiGraph) -> LocalScan | ClassTree:
+    """What the colorer reads of g: the numbered contraction when g has no
+    bridge, else the tree over the classes of H's triangles."""
+    h_bridges, local = _require_claw_free_cubic(g)
+    return _class_tree(h_bridges, local) if h_bridges else local
+
+
+def _decomposition(local: LocalScan) -> Decomposition:
+    """The public form of a numbered contraction, with H built from its ends."""
+    if local.triangles:
+        h = MultiGraph(len(local.triangles), local.ends)
+        return Decomposition(
+            variant=Variant.BUILT,
+            triangles=tuple(local.triangles),
+            h=h,
+            realization=dict(zip(h.slots(), local.walk)),
+        )
+    if d := local.diamonds:
+        ring = sorted(Diamond((d[j], d[j + 1]), (d[j + 2], d[j + 3])) for j in range(0, len(d), 4))
+        return Decomposition(variant=Variant.RING, ring_diamonds=tuple(ring), realization={})
+    return Decomposition(variant=Variant.K4, realization={})
+
+
+def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
+    """The structure of a connected, claw-free, cubic graph.
+
+    Returns the bridge tree when g has bridges.  Otherwise returns the K4
+    variant, the ring-of-diamonds variant, or the built variant with the
+    underlying cubic multigraph H reconstructed.  Raises the entry check's
+    NotSimpleError, DisconnectedError, NotCubicError or NotClawFreeError
+    on any other input, and InternalInvariantError on a bug.
+    """
+    s = _structure(g)
+    return _bridge_tree(s) if isinstance(s, ClassTree) else _decomposition(s)

@@ -6,7 +6,7 @@ matching and 2-factor enumeration over edge slots, quadratic bridge
 detection, exhaustive S-packing search, and a direct graph6 bit-indexing
 decoder.  The exceptions are `solve_spacking_rescan`, a plain rescanning
 copy of the solver that pins its search tree, `decompose_by_grouping`,
-the decomposition as it was before the local scan, which pins `_decompose`,
+the decomposition as it was before the local scan, which pins `_contract`,
 `bridge_tree_by_sweeps`, the bridge tree as it was before it was built
 from each vertex's one bridge, which pins `_bridge_tree`, and the
 `*_by_reattribution` 2-factors, as they were before one matching-complement
@@ -16,7 +16,7 @@ bases went into a disjoint-set forest, which pins `_max_matching_simple`
 and which the `*_by_reattribution` references search with, and
 `verify_by_layers` and `bridges_by_iterator_dfs`, the certificate and the
 bridge search as they were before they ran over flat lists, which pin
-`oracle.verify` and `recognition._bridges` on large graphs, and the
+`oracle.verify` and `multigraph._bridges` on large graphs, and the
 `*_by_subgraphs` bridged path, as it was before every component was
 colored in G's own ids: one induced subgraph per component, and each Type
 III completion built from its subgraph, then scanned, walked, contracted
@@ -56,12 +56,15 @@ from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import (
     BridgeTree,
     ComponentKind,
+    Decomposition,
+    Diamond,
     LocalScan,
+    Variant,
     _contract,
+    _decomposition,
     _local_scan,
     find_bridges,
 )
-from clawcolor.structure import Decomposition, Diamond, Variant, _decompose, _decomposition
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
@@ -599,7 +602,7 @@ class StructureViolationError(ClawcolorError):
 
 
 def decompose_by_grouping(g: MultiGraph) -> Decomposition:
-    """`_decompose` as it was before the local scan, as the reference for it.
+    """`decompose` as it was before the local scan, as the reference for it.
 
     Verbatim but for the dropped `triangle_of` and `attach` fields, and
     `diamond_vertices` for the gone `Diamond.vertices`: `find_diamonds`,
@@ -979,7 +982,7 @@ def max_matching_by_full_scans(n: int, adj: list[list[int]]) -> list[int]:
 
 def slot_form(h: MultiGraph, tf: TwoFactor) -> TwoFactor:
     """tf, a 2-factor of h whose edges are named by their ids, with each id
-    replaced by its slot: id e is slot `h.slots()[e]` (`structure`)."""
+    replaced by its slot: id e is slot `h.slots()[e]` (`recognition._contract`)."""
     slots = h.slots()
     return TwoFactor(
         cycles=tuple(tuple((v, slots[e]) for v, e in cycle) for cycle in tf.cycles),
@@ -1161,7 +1164,7 @@ def verify_by_layers(
 
 
 def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
-    """`recognition._bridges` as it was: a DFS stack of neighbor iterators."""
+    """`multigraph._bridges` as it was: a DFS stack of neighbor iterators."""
     n = g.n
     disc = [-1] * n
     low = [0] * n
@@ -1217,7 +1220,7 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
 def decompose_by_own_scan(g: MultiGraph) -> Decomposition:
     """g decomposed from its own scan, walk and contraction, as a completion once was."""
     local = _local_scan(g)
-    return _decomposition(_decompose(local if is_k4(g) else _contract(g, local)))
+    return _decomposition(local if is_k4(g) else _contract(g, local))
 
 
 def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:

@@ -35,9 +35,8 @@ from brute import (
 )
 from clawcolor import MultiGraph
 from clawcolor.factorization import _complement, _max_matching_simple
-from clawcolor.recognition import _local_scan
+from clawcolor.recognition import _local_scan, _structure
 from clawcolor.rng import SplitMix64
-from clawcolor.structure import _structure
 from conftest import _built
 
 H_ORDER = 16_384

@@ -25,8 +25,8 @@ from clawcolor import (
 from clawcolor.canonical import _canonical
 from clawcolor.cli import main as cli_main
 from clawcolor.factorization import _complement, _two_factor_through
+from clawcolor.recognition import _structure
 from clawcolor.rng import SplitMix64
-from clawcolor.structure import _structure
 
 from brute import (
     all_two_factors,

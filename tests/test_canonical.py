@@ -18,7 +18,7 @@ from clawcolor import (
 from clawcolor.canonical import _canonical, _k4, _ring
 from clawcolor.errors import InternalInvariantError, NotCubicError
 from clawcolor.factorization import _complement, _matched_through, _two_factor_through
-from clawcolor.structure import _structure
+from clawcolor.recognition import _structure
 
 from brute import (
     find_diamonds,

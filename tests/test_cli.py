@@ -543,14 +543,18 @@ def test_verify_bad_coloring_line_is_a_parse_error(fixture_files, tmp_path, caps
         ("0 1a\n1 1b\n2 2a 3\n", 1, "", "error: line 3: expected 'vertex label', got '2 2a 3'\n"),
         ("0 1a\n1 1b\n2 2c\n3 2b\n", 1, "", "error: line 3: unknown label '2c'\n"),
         ("# a comment\n\n0 1a\n1 1b\n   \n2 2a\n# another\n3 2b\n", 0, "OK\n", ""),
+        ("0 2b\n0 1a\n1 1b\n2 2a\n3 2b\n", 1, "", "error: line 2: vertex 0 listed twice\n"),
     ],
-    ids=["three-fields", "unknown-label", "comments-and-blanks"],
+    ids=["three-fields", "unknown-label", "comments-and-blanks", "vertex-listed-twice"],
 )
 def test_verify_coloring_lines(fixture_files, tmp_path, capsys, text, code, out, err):
     cpath = tmp_path / "k4.col"
     cpath.write_text(text)
     assert main(["verify", fixture_files["k4"], str(cpath)]) == code
     assert capsys.readouterr() == (out, err)
+    if code == 1:
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(err.removeprefix('error: ').rstrip())}$"):
+            parse_coloring_lines(text, SPackingSpec((1, 1, 2, 2)))
 
 
 def test_generate_writes_to_stdout_when_run_as_a_module(monkeypatch, capsys):

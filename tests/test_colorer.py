@@ -33,8 +33,13 @@ from clawcolor.errors import (
 )
 import clawcolor.colorer
 from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
-from clawcolor.recognition import ClassTree, LocalScan, _bridge_tree, _require_claw_free_cubic
-from clawcolor.structure import _structure
+from clawcolor.recognition import (
+    ClassTree,
+    LocalScan,
+    _bridge_tree,
+    _require_claw_free_cubic,
+    _structure,
+)
 from clawcolor.rng import SplitMix64
 
 from brute import (

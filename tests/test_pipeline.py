@@ -2,7 +2,7 @@
 
 `color_claw_free_cubic` checks its input at entry and runs `verify` once
 on the glued coloring at exit; in between it calls unchecked cores.  The
-entry's claw check is the local scan that `_decompose` builds on, and its
+entry's claw check is the local scan that `_contract` builds on, and its
 connectivity and bridges come from a search of H.  It is the only public
 constructor: a core that returns a wrong coloring is caught by its
 certificate, and a core that finds a precondition false raises
@@ -40,7 +40,7 @@ from clawcolor import (
     gen_ring_of_diamonds,
     random_expansion_spec,
 )
-from clawcolor import multigraph, oracle, recognition, structure
+from clawcolor import multigraph, oracle, recognition
 from clawcolor.cli import main
 from clawcolor.errors import (
     DisconnectedError,
@@ -340,13 +340,13 @@ def test_a_broken_bridge_tree_is_a_bug_in_decompose(
     four G-edges that are no bridges, so G minus the 6 lifted edges has 5
     components, not 7.
     """
-    real = structure._class_tree
+    real = recognition._class_tree
 
     def with_a_non_bridge(h_bridges, local):
         pair = next(e for i, e in enumerate(local.ends) if i not in h_bridges)
         return real(h_bridges | {i for i, e in enumerate(local.ends) if e == pair}, local)
 
-    monkeypatch.setattr(structure, "_class_tree", with_a_non_bridge)
+    monkeypatch.setattr(recognition, "_class_tree", with_a_non_bridge)
     path = tmp_path / "type3_path.el"
     path.write_text(emit_edgelist(_inputs(named_fixtures)["type3_path"]))
     assert main(["decompose", str(path)]) == 5
@@ -371,7 +371,7 @@ def _seeded_built(seed: int) -> MultiGraph:
 
 @pytest.mark.parametrize("seed", MUTANT_SEEDS)
 def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
-    """`_decompose` does not check H, so a wrong contraction must still fail.
+    """`_contract` does not check H, so a wrong contraction must still fail.
 
     The mutant swaps the first corners of the first two realizations.  H itself
     is unchanged, and the coloring still covers every vertex; only the exit
@@ -379,14 +379,14 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
     graphs; on the other 11, and on the prism and big_expansion fixtures,
     the swapped coloring happens to stay valid.
     """
-    real = structure._decompose
+    real = clawcolor.colorer._structure
 
-    def swapped_corners(local):
-        numbered = real(local)
+    def swapped_corners(g):
+        numbered = real(g)
         r0, r1, *rest = numbered.walk
         return numbered._replace(walk=[(r1[0],) + r0[1:], (r0[0],) + r1[1:], *rest])
 
-    monkeypatch.setattr(structure, "_decompose", swapped_corners)
+    monkeypatch.setattr(clawcolor.colorer, "_structure", swapped_corners)
     with pytest.raises(InternalInvariantError) as caught:
         color_claw_free_cubic(_seeded_built(seed))
     assert type(caught.value) is VerificationFailedError

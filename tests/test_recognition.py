@@ -226,6 +226,28 @@ def test_entry_bridges_match_find_bridges_on_large_graphs(large_graphs):
         assert _tree_bridges(g) == find_bridges(g)
 
 
+def test_entry_check_hands_out_h_edges_in_id_order(
+    corpus, bridged_trees, random_bridged_trees, large_graphs
+):
+    """The contraction the entry check returns is numbered: its H-edges are
+    sorted by (ends, walk), each run from its lower triangle, and H has no
+    loop when g has no bridge."""
+    graphs = [g for _, g in corpus + bridged_trees + large_graphs] + random_bridged_trees
+    seen = {"bridgeless": 0, "bridged": 0}
+    for g in graphs:
+        h_bridges, local = _require_claw_free_cubic(g)
+        if not local.triangles:
+            continue
+        pairs = list(zip(local.ends, local.walk))
+        assert pairs == sorted(pairs)
+        if h_bridges:
+            assert all(a <= b for a, b in local.ends)
+        else:
+            assert all(a < b for a, b in local.ends)
+        seen["bridged" if h_bridges else "bridgeless"] += 1
+    assert min(seen.values()) > 200, seen
+
+
 def _bridged_sweep_shapes() -> list[MultiGraph]:
     """Diamond chains of 50 to 400 components and a tree of 50 K3 components."""
     rng = SplitMix64(1)
