@@ -4,6 +4,12 @@ Forward expansion (triangles plus diamond strings over a cubic multigraph),
 rings of diamonds, random 2-edge-connected cubic multigraphs, bridged
 assemblies with a prescribed component tree, and the named fixtures
 shipped with the package.
+
+A bridged assembly is put together from plain edge lists: a K3 or a
+diamond component is a literal list, a Type III component hands over its
+`edge_list()`, and `gen_bridged` builds the one `MultiGraph` of the whole
+graph.  Adjacency is tested with `in` on `adjacency()` lists, and an edge
+is deleted by rebuilding from `edge_list()`.
 """
 
 from __future__ import annotations
@@ -148,11 +154,12 @@ def _deletable_edges(g: MultiGraph) -> list[tuple[int, int]]:
     adjacent (its third edge will become a bridge in the assembly).  g is
     a base or one with edges deleted, so simple: every pair is one edge.
     """
+    adj = g.adjacency()
     out = []
-    for u, v, _ in g.edge_pairs():
-        ru = [z for z in g.neighbors(u) if z != v]
-        rv = [z for z in g.neighbors(v) if z != u]
-        if len(ru) == 2 and len(rv) == 2 and g.has_edge(*ru) and g.has_edge(*rv):
+    for u, v in g.edge_list():
+        ru = [z for z in adj[u] if z != v]
+        rv = [z for z in adj[v] if z != u]
+        if len(ru) == 2 and len(rv) == 2 and ru[1] in adj[ru[0]] and rv[1] in adj[rv[0]]:
             out.append((u, v))
     return out
 
@@ -179,18 +186,19 @@ def _delete_edges(g: MultiGraph, count: int, rng: SplitMix64, banned: set[int]):
     cur = g
     freed: list[int] = []
     for _ in range(count):
+        adj = cur.adjacency()
         candidates = [
             (u, v)
             for u, v in _deletable_edges(cur)
             if u not in banned
             and v not in banned
-            and not any(cur.has_edge(u, f) or cur.has_edge(v, f) for f in freed)
+            and not any(f in adj[u] or f in adj[v] for f in freed)
         ]
         if not candidates:
             return None
-        u, v = candidates[rng.randrange(len(candidates))]
-        cur = cur.without_slots([(u, v, 0)])
-        freed += [u, v]
+        e = candidates[rng.randrange(len(candidates))]
+        cur = MultiGraph(cur.n, [d for d in cur.edge_list() if d != e])
+        freed += e
     if not _connected_and_bridgeless(cur):
         return None
     return cur
@@ -199,8 +207,10 @@ def _delete_edges(g: MultiGraph, count: int, rng: SplitMix64, banned: set[int]):
 def _gen_component(kind: str, attach: int, rng: SplitMix64):
     """One component with `attach` degree-2 attachment vertices.
 
-    Returns (graph, attachment vertex list).  `gen_bridged`, the only
-    caller, has checked the counts: 3 for a K3, 2 for a diamond, at least 1.
+    Returns (vertex count, edge list, attachment vertex list): a K3 or a
+    diamond is a literal edge list, and no graph is built for it.
+    `gen_bridged`, the only caller, has checked the counts: 3 for a K3, 2
+    for a diamond, at least 1.
 
     A Type III component is a random base (K4, a ring of diamonds or an
     expansion), 2-edge-connected and claw-free, with edges deleted.  Each
@@ -213,10 +223,9 @@ def _gen_component(kind: str, attach: int, rng: SplitMix64):
     nonadjacent (v's neighbours u and w are banned), and n >= 5.
     """
     if kind == "k3":
-        return MultiGraph(3, [(0, 1), (0, 2), (1, 2)]), [0, 1, 2]
+        return 3, [(0, 1), (0, 2), (1, 2)], [0, 1, 2]
     if kind == "diamond":
-        g = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        return g, [0, 3]
+        return 4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], [0, 3]
     if kind != "type3":
         raise InfeasibleSpecError(f"unknown component kind {kind!r}")
 
@@ -241,7 +250,7 @@ def _gen_component(kind: str, attach: int, rng: SplitMix64):
             if comp is None:
                 continue
         if is_claw_free(comp):
-            return comp, sorted(z for z in range(comp.n) if comp.degree(z) == 2)
+            return comp.n, comp.edge_list(), [z for z in range(comp.n) if comp.degree(z) == 2]
     raise RetryLimitError(f"could not build a Type III component with {attach} attachments")
 
 
@@ -299,7 +308,10 @@ def gen_bridged(tree_spec: list[tuple[str, int]], rng: SplitMix64) -> MultiGraph
 
     tree_spec lists (kind, attachment count) per component; kinds are
     "k3" (3 attachments), "diamond" (2), and "type3" (any r >= 1).  The
-    attachment counts must form a tree degree sequence.
+    attachment counts must form a tree degree sequence.  The components'
+    edge lists are shifted into one list, the tree's bridges appended, and
+    one `MultiGraph` is built from it; only Type III components build
+    graphs of their own.
     """
     n = len(tree_spec)
     if n < 2:
@@ -322,13 +334,12 @@ def gen_bridged(tree_spec: list[tuple[str, int]], rng: SplitMix64) -> MultiGraph
 
     offsets = []
     total = 0
-    for comp, _ in comps:
-        offsets.append(total)
-        total += comp.n
     edges: list[tuple[int, int]] = []
-    for i, (comp, _) in enumerate(comps):
-        edges += [(u + offsets[i], v + offsets[i]) for u, v in comp.edge_list()]
-    cursors = [list(att) for _, att in comps]
+    for n_comp, comp_edges, _ in comps:
+        offsets.append(total)
+        edges += [(u + total, v + total) for u, v in comp_edges]
+        total += n_comp
+    cursors = [att for _, _, att in comps]
     for i, j in tree:
         a = cursors[i].pop(0) + offsets[i]
         b = cursors[j].pop(0) + offsets[j]

@@ -17,13 +17,12 @@ loops need no special case.  `recognition` runs it on G's edge list
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 from .errors import LoopEdgeError, VertexOutOfRangeError
 
 # An edge slot identifies one parallel copy of an edge: (u, v, k) with
-# u < v and 0 <= k < multiplicity(u, v).
+# u < v and 0 <= k < the number of copies of {u, v}.
 Slot = tuple[int, int, int]
 
 
@@ -81,21 +80,6 @@ class MultiGraph:
         """
         return self._adj
 
-    def multiplicity(self, u: int, v: int) -> int:
-        """Copies of the pair {u, v}; 0 for an absent pair or an id out of range."""
-        if not 0 <= u < self.n:
-            return 0
-        a = self._adj[u]
-        i = bisect_left(a, v)
-        if i == len(a) or a[i] != v:
-            return 0
-        if not self._par:
-            return 1
-        return self._par.get((u, v) if u < v else (v, u), 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.multiplicity(u, v) > 0
-
     def edge_pairs(self) -> list[tuple[int, int, int]]:
         """Sorted list of (u, v, multiplicity) with u < v."""
         par = self._par
@@ -148,24 +132,6 @@ class MultiGraph:
 
     def is_simple(self) -> bool:
         return not self._par
-
-    # derived graphs
-
-    def without_slots(self, removed: Iterable[Slot]) -> "MultiGraph":
-        """New graph with the given edge slots deleted."""
-        drop: dict[tuple[int, int], int] = {}
-        for u, v, k in removed:
-            if k >= self.multiplicity(u, v):
-                raise ValueError(f"slot {(u, v, k)} not present")
-            key = (u, v) if u < v else (v, u)
-            drop[key] = drop.get(key, 0) + 1
-        edges = []
-        for u, v, m in self.edge_pairs():
-            m -= drop.get((u, v), 0)
-            if m < 0:
-                raise ValueError(f"removed more copies of {(u, v)} than exist")
-            edges.extend([(u, v)] * m)
-        return MultiGraph(self.n, edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):

@@ -65,17 +65,17 @@ from .multigraph import MultiGraph, Slot, _bridges, is_connected, is_cubic
 
 
 def find_claw(g: MultiGraph) -> tuple[int, int, int, int] | None:
-    """Return (center, a, b, c) of an induced claw, or None if claw-free.
+    """Return (center, a, b, c) of an induced claw of least center, or None.
 
-    Works on any multigraph.  Parallel edges do not affect induced
-    subgraphs, so only distinct neighbors matter.
+    Any multigraph: adjacency lists hold distinct neighbors, and parallel
+    edges do not affect induced subgraphs.
     """
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
+    adj = g.adjacency()
+    for v, nbrs in enumerate(adj):
         if len(nbrs) < 3:
             continue
         for a, b, c in combinations(nbrs, 3):
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
+            if not (b in adj[a] or c in adj[a] or c in adj[b]):
                 return (v, a, b, c)
     return None
 

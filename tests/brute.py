@@ -26,10 +26,13 @@ and searched for its forced edge's slot (`lift_slot`), which pins
 the bridge tree typed components from their sizes, types the reference
 bridge tree.
 
-`induced`, `with_edges` and `transposed` are the derived graphs and the
-class transposition, `is_k4` the K4 test, `slot_form` a 2-factor named
-by H's slots, not its edge ids, and `cycle_slots` the slot set of such a
-2-factor, that only these references and the tests use.  `ring_by_diamonds`,
+`has_edge`, `multiplicity` and `without_slots` are the pair queries and
+the slot deletion that `MultiGraph` no longer offers, read from its
+`neighbors`, `degree` and `edge_list`.  `induced`, `with_edges` and
+`transposed` are the derived graphs and the class transposition, `is_k4`
+the K4 test, `slot_form` a 2-factor named by H's slots, not its edge ids,
+and `cycle_slots` the slot set of such a 2-factor, that only these
+references and the tests use.  `ring_by_diamonds`,
 the ring rule as it was before a ring was colored from its cyclic walk,
 colors the reference completions that are rings.
 """
@@ -118,13 +121,46 @@ def induced(g: MultiGraph, vertices: Iterable[int]) -> tuple[MultiGraph, list[in
             continue
         for w in g.neighbors(u):
             if u < w and w in to_local:
-                edges.extend([(i, to_local[w])] * g.multiplicity(u, w))
+                edges.extend([(i, to_local[w])] * multiplicity(g, u, w))
     return MultiGraph(len(to_global), edges), to_global
 
 
 def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
     """New graph with extra edges added (multiplicities aggregate)."""
     return MultiGraph(g.n, g.edge_list() + list(extra))
+
+
+def has_edge(g: MultiGraph, u: int, v: int) -> bool:
+    """True iff u and v are adjacent; False for an id out of range."""
+    return 0 <= u < g.n and v in g.neighbors(u)
+
+
+def multiplicity(g: MultiGraph, u: int, v: int) -> int:
+    """Copies of the pair {u, v}; 0 for an absent pair or an id out of range.
+
+    A vertex with as many distinct neighbours as edges has no parallel
+    copies, so only a pair at a vertex with some is counted in the edge list.
+    """
+    if not has_edge(g, u, v):
+        return 0
+    if g.degree(u) == len(g.neighbors(u)):
+        return 1
+    return g.edge_list().count((min(u, v), max(u, v)))
+
+
+def without_slots(g: MultiGraph, slots: Iterable[Slot]) -> MultiGraph:
+    """New graph with the given edge slots deleted, rebuilt from g's edge list."""
+    slots = list(slots)
+    for u, v, k in slots:
+        if k >= multiplicity(g, u, v):
+            raise ValueError(f"slot {(u, v, k)} not present")
+    edges = g.edge_list()
+    for u, v, _ in slots:
+        pair = (min(u, v), max(u, v))
+        if pair not in edges:
+            raise ValueError(f"removed more copies of {pair} than exist")
+        edges.remove(pair)
+    return MultiGraph(g.n, edges)
 
 
 def is_k4(g: MultiGraph) -> bool:
@@ -243,7 +279,7 @@ def find_diamonds(g: MultiGraph) -> list[Diamond]:
     out = []
     for u, v, _ in g.edge_pairs():
         common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
-        if len(common) == 2 and not g.has_edge(common[0], common[1]):
+        if len(common) == 2 and not has_edge(g, common[0], common[1]):
             out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
     return out
 
@@ -264,7 +300,7 @@ def triangles_off_diamonds_brute(
         tuple(sorted((u, v, w)))
         for u in range(g.n)
         for v, w in combinations(g.neighbors(u), 2)
-        if g.has_edge(v, w)
+        if has_edge(g, v, w)
     }
     return sorted(t for t in triangles if not on_diamond & set(t))
 
@@ -284,15 +320,34 @@ def light_support_property(g: MultiGraph, coloring: PackingColoring) -> bool:
     return True
 
 
+def is_induced_claw(g: MultiGraph, center: int, leaves: Sequence[int]) -> bool:
+    """True iff `center` is adjacent to three distinct leaves, no two of them adjacent."""
+    return (
+        len(set(leaves)) == 3
+        and all(has_edge(g, center, x) for x in leaves)
+        and not any(has_edge(g, a, b) for a, b in combinations(leaves, 2))
+    )
+
+
 def find_claw_brute(g: MultiGraph) -> tuple | None:
     for quad in combinations(range(g.n), 4):
         for center in quad:
             leaves = [x for x in quad if x != center]
-            if all(g.has_edge(center, x) for x in leaves) and not any(
-                g.has_edge(a, b) for a, b in combinations(leaves, 2)
-            ):
+            if is_induced_claw(g, center, leaves):
                 return (center, *leaves)
     return None
+
+
+def claw_centers_brute(g: MultiGraph) -> list[int]:
+    """Every vertex that is the center of an induced claw, ascending, over all quadruples."""
+    return sorted(
+        {
+            center
+            for quad in combinations(range(g.n), 4)
+            for center in quad
+            if is_induced_claw(g, center, [x for x in quad if x != center])
+        }
+    )
 
 
 def violations_brute(
@@ -549,7 +604,7 @@ def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
         return False
 
     def profile(g: MultiGraph, v: int) -> tuple:
-        mults = sorted(g.multiplicity(v, w) for w in g.neighbors(v))
+        mults = sorted(multiplicity(g, v, w) for w in g.neighbors(v))
         return (g.degree(v), tuple(mults))
 
     pa = [profile(a, v) for v in range(a.n)]
@@ -584,7 +639,7 @@ def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
             if used[w] or pb[w] != pa[v]:
                 continue
             if all(
-                b.multiplicity(w, mapping[x]) == a.multiplicity(v, x) for x in mapped
+                multiplicity(b, w, mapping[x]) == multiplicity(a, v, x) for x in mapped
             ):
                 mapping[v] = w
                 used[w] = True
@@ -643,7 +698,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         tri = None
         for i in range(len(mates)):
             for j in range(i + 1, len(mates)):
-                if g.has_edge(mates[i], mates[j]):
+                if has_edge(g, mates[i], mates[j]):
                     tri = (v, mates[i], mates[j])
                     break
             if tri:
@@ -764,7 +819,7 @@ def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> Compone
     if len(verts) == 4 and any(d == 2 for d in deg_in.values()):
         ints = sorted(v for v in verts if deg_in[v] == 3)
         exts = sorted(v for v in verts if deg_in[v] == 2)
-        if len(ints) == 2 and len(exts) == 2 and g.has_edge(*ints) and not g.has_edge(*exts):
+        if len(ints) == 2 and len(exts) == 2 and has_edge(g, *ints) and not has_edge(g, *exts):
             return ComponentKind.DIAMOND
         raise StructureViolationError("4-vertex component is not a diamond")
     return ComponentKind.TYPE_III
@@ -1034,7 +1089,7 @@ def _reattribute(g: MultiGraph, pairs: list[tuple[int, int]], banned: set[Slot])
     out = []
     for u, v in pairs:
         u, v = (u, v) if u < v else (v, u)
-        for k in range(g.multiplicity(u, v)):
+        for k in range(multiplicity(g, u, v)):
             if (u, v, k) not in banned:
                 out.append((u, v, k))
                 break
@@ -1072,7 +1127,7 @@ def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
     """`factorization._two_factor_through` as it was, on a copy of g less e and f."""
     all_slots = g.slots()
     f = next(s for s in all_slots if s != e)
-    reduced = g.without_slots([e, f])
+    reduced = without_slots(g, [e, f])
     pairs = _perfect_pairs(reduced)
     if pairs is None:
         raise InternalInvariantError(
@@ -1094,7 +1149,7 @@ def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> tuple[Slot, ...
     others = [s for s in all_slots if s != e and hu in (s[0], s[1])]
     if len(others) != 2:
         raise InternalInvariantError(f"vertex {hu} does not have 3 slots")
-    reduced = g.without_slots(others)
+    reduced = without_slots(g, others)
     pairs = _perfect_pairs(reduced)
     if pairs is None:
         raise InternalInvariantError(
@@ -1194,7 +1249,7 @@ def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
             if stack:
                 pv = stack[-1][0]
                 low[pv] = min(low[pv], low[v])
-                if low[v] > disc[pv] and g.multiplicity(pv, v) == 1:
+                if low[v] > disc[pv] and multiplicity(g, pv, v) == 1:
                     bridges.add((min(pv, v), max(pv, v)))
     return bridges if timer == n else None
 
@@ -1259,7 +1314,7 @@ def color_type3_by_subgraphs(
     Returns the colors by component id and the vertices on the
     completion's diamonds.
     """
-    if any(comp.has_edge(a, b) for a, b in combinations(xs, 2)):
+    if any(has_edge(comp, a, b) for a, b in combinations(xs, 2)):
         raise InternalInvariantError("attachment vertices are adjacent")
     x1 = xs[0]
     tilde, to_comp = completion_by_subgraphs(comp, xs)

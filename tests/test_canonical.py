@@ -22,6 +22,7 @@ from clawcolor.recognition import _structure
 
 from brute import (
     find_diamonds,
+    has_edge,
     is_k4,
     lift_slot,
     light_support_property,
@@ -124,7 +125,7 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
         assert col.assignment[r[0]] == C2A
         assert col.assignment[r[-1]] == C2B
         if len(r) == 2:
-            assert g.has_edge(r[0], r[-1])
+            assert has_edge(g, r[0], r[-1])
 
 
 def with_edge(g, dec, edge):

@@ -533,17 +533,22 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
     cut from G's contraction read no pair of G, and with each H-edge named
     by its id the entry check's search of H was left with one call, for
     its bridge candidate.  The search now skips the id a vertex is reached
-    by, so it makes none either.
+    by, so it makes none either.  With `MultiGraph.multiplicity` gone, the
+    copies of a pair are read only from `edge_list` or `edge_pairs`, and
+    the coloring calls neither.
     """
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
-    real = MultiGraph.multiplicity
     calls = [0]
 
-    def multiplicity(self, u, v):
-        calls[0] += 1
-        return real(self, u, v)
+    def counted(real):
+        def method(self):
+            calls[0] += 1
+            return real(self)
 
-    monkeypatch.setattr(MultiGraph, "multiplicity", multiplicity)
+        return method
+
+    for name in ("edge_list", "edge_pairs"):
+        monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
     assert_valid(g, color_claw_free_cubic(g))
     assert calls[0] == 0
 
@@ -594,17 +599,27 @@ def _ladder_star(k):
 
 def test_independence_check_is_linear_in_the_attachments(monkeypatch):
     """No pair of a centre's 2,000 attachments is queried for an edge: the
-    check reads each attachment's triangle, and nothing asks G for one."""
+    check reads each attachment's triangle, and nothing asks G for one.
+    An edge test reads a list of G's, so G's lists are read whole a fixed
+    number of times (`adjacency`), one vertex's at most once per bridge
+    (`neighbors`), and never as edges (`edge_list`, `edge_pairs`)."""
     g = _ladder_star(2000)
     bt = decompose(g)
     assert max(len(xs) for xs in bt.degree2) == 2000
-    real = MultiGraph.has_edge
-    calls = [0]
+    calls = dict.fromkeys(("adjacency", "neighbors", "edge_list", "edge_pairs"), 0)
 
-    def counted(self, u, v):
-        calls[0] += 1
-        return real(self, u, v)
+    def counted(name):
+        real = getattr(MultiGraph, name)
 
-    monkeypatch.setattr(MultiGraph, "has_edge", counted)
-    assert_valid(g, color_claw_free_cubic(g))
-    assert calls[0] == 0, calls
+        def method(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return method
+
+    for name in calls:
+        monkeypatch.setattr(MultiGraph, name, counted(name))
+    coloring = color_claw_free_cubic(g)
+    assert calls["adjacency"] <= 3 and calls["neighbors"] < len(bt.kinds), calls
+    assert calls["edge_list"] == calls["edge_pairs"] == 0, calls
+    assert_valid(g, coloring)

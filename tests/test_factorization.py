@@ -359,15 +359,16 @@ def test_matching_size_against_networkx():
 
 def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
     """Coloring names each H-edge by its id, from the contraction to the
-    coloring: no `slots_at`, `slots` or `multiplicity` call on any input,
-    the entry check included.
+    coloring: no `slots_at`, `slots`, `edge_pairs` or `edge_list` call on
+    any input, the entry check included; the last two are all that reads
+    the copies of a pair.
 
     The entry check's search of H skips the id a vertex is reached by, so
     neither an H-bridge nor a parallel pair of H needs a pair looked up.
     The named fixtures include a bridged graph, and the corpus holds rings,
     built graphs with and without strings, and bridged trees.
     """
-    calls = {"slots_at": 0, "slots": 0, "multiplicity": 0}
+    calls = {"slots_at": 0, "slots": 0, "edge_pairs": 0, "edge_list": 0}
 
     def counted(name):
         real = getattr(MultiGraph, name)
@@ -390,5 +391,5 @@ def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
         monkeypatch.setattr(MultiGraph, name, counted(name))
     for g, kind in zip(graphs, kinds):
         color_claw_free_cubic(g)
-        assert calls["multiplicity"] == 0, kind
+        assert calls["edge_pairs"] == calls["edge_list"] == 0, kind
     assert calls["slots_at"] == calls["slots"] == 0, calls

@@ -19,7 +19,7 @@ from clawcolor.errors import (
 
 from clawcolor.formats import GRAPH6_MAX_N
 
-from brute import ref_graph6_decode
+from brute import has_edge, multiplicity, ref_graph6_decode
 
 
 def test_parse_k4_edgelist():
@@ -40,7 +40,7 @@ def test_cubic_edge_count_checked_before_building():
 
 def test_multiplicity_via_repeats():
     g = parse_edgelist("2\n0 1\n0 1\n0 1\n")
-    assert g.multiplicity(0, 1) == 3
+    assert multiplicity(g, 0, 1) == 3
 
 
 def test_edgelist_round_trip_is_identity():
@@ -162,7 +162,7 @@ def test_graph6_k4():
     # "C~" is the standard graph6 encoding of the 4-clique
     g = parse_graph6("C~")
     assert g.n == 4 and g.size == 6
-    assert all(g.has_edge(u, v) for u in range(4) for v in range(u + 1, 4))
+    assert all(has_edge(g, u, v) for u in range(4) for v in range(u + 1, 4))
     assert emit_graph6(g) == "C~"
 
 

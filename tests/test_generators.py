@@ -19,6 +19,7 @@ from clawcolor import (
     random_expansion_spec,
 )
 from clawcolor.errors import InfeasibleSpecError, KTooSmallError, OddOrderError
+from clawcolor import generators
 from clawcolor.generators import _parse_tree_spec
 from clawcolor.rng import SplitMix64
 
@@ -112,6 +113,36 @@ def test_bridged_with_diamond_chain():
     bt = decompose(g)
     assert sorted(k.value for k in bt.kinds) == ["diamond", "type3", "type3"]
     assert sorted(len(a) for a in bt.tree_adj) == [1, 1, 2]
+
+
+def test_bridged_builds_one_graph_outside_its_type3_components(monkeypatch):
+    """A K3 or a diamond component is a literal edge list, so `gen_bridged`
+    constructs one `MultiGraph`, the assembly, whatever their number; only
+    a Type III component builds graphs of its own, which are not counted."""
+    real_init, real_component = MultiGraph.__init__, generators._gen_component
+    built, in_type3 = [0], [False]
+
+    def init(self, *args, **kwargs):
+        built[0] += not in_type3[0]
+        real_init(self, *args, **kwargs)
+
+    def gen_component(kind, attach, rng):
+        in_type3[0] = kind == "type3"
+        try:
+            return real_component(kind, attach, rng)
+        finally:
+            in_type3[0] = False
+
+    monkeypatch.setattr(MultiGraph, "__init__", init)
+    monkeypatch.setattr(generators, "_gen_component", gen_component)
+    specs = [[("type3", 1)] + [("diamond", 2)] * k + [("type3", 1)] for k in (0, 1, 50)]
+    specs += [[("k3", 3)] * k + [("type3", 1)] * (k + 2) for k in (1, 10)]
+    specs.append([("k3", 3), ("type3", 3), ("diamond", 2)] + [("type3", 1)] * 4)
+    for spec in specs:
+        built[0] = 0
+        g = gen_bridged(spec, SplitMix64(len(spec)))
+        assert built[0] == 1, (len(spec), built[0])
+        assert len(decompose(g).kinds) == len(spec)
 
 
 def test_infeasible_specs():

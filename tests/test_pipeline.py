@@ -155,7 +155,7 @@ def _diamond_chain(k):
 def test_the_coloring_path_builds_no_graph_and_reads_no_slot(named_fixtures, corpus, monkeypatch):
     """H is held only as its edge-id list from the entry check to the
     coloring: `color_claw_free_cubic` constructs no `MultiGraph` and calls
-    no `multiplicity`, `slots` or `slots_at`, on any input.
+    no `edge_pairs`, `edge_list`, `slots` or `slots_at`, on any input.
 
     The bridge search of H skips the edge id a vertex is reached by, so a
     parallel pair of H needs no multiplicity.  A completion is cut from G's
@@ -180,7 +180,7 @@ def test_the_coloring_path_builds_no_graph_and_reads_no_slot(named_fixtures, cor
             kinds.append("ring" if local.diamonds else "K4")
     assert all(kinds.count(k) > 50 for k in ("bridged", "simple H", "parallel H")), kinds
     assert kinds.count("ring") > 1 and kinds.count("K4") > 1, kinds
-    calls = dict.fromkeys(("__init__", "multiplicity", "slots", "slots_at"), 0)
+    calls = dict.fromkeys(("__init__", "edge_pairs", "edge_list", "slots", "slots_at"), 0)
 
     def counted(name):
         real = getattr(MultiGraph, name)

@@ -38,10 +38,13 @@ from brute import (
     bridge_tree_root_brute,
     bridges_by_iterator_dfs,
     bridges_by_removal,
+    claw_centers_brute,
     diamond_vertices,
     find_claw_brute,
     find_diamonds,
+    has_edge,
     induced,
+    is_induced_claw,
     is_k4,
     root_rule_counterexamples,
     multigraph_isomorphic,
@@ -75,9 +78,25 @@ def test_petersen_not_claw_free(named_fixtures):
 
 
 def test_claw_matches_brute_on_corpus(base_corpus, named_fixtures):
-    graphs = [g for _, g in base_corpus[:20]] + [named_fixtures["petersen"]]
+    """`find_claw` finds a claw exactly when some quadruple is one, and its
+    witness is an induced claw at the least center, on simple graphs and on
+    multigraphs, whose parallel edges add no adjacency: h10, random cubic
+    multigraphs of order 4 to 12, and a claw whose center has a doubled
+    edge to a leaf."""
+    rng = SplitMix64(0xC1A)
+    graphs = [g for _, g in base_corpus[:20]] + [named_fixtures["petersen"], named_fixtures["h10"]]
+    graphs += [gen_cubic_multigraph(n, rng) for n in (4, 6, 8, 10, 12) for _ in range(4)]
+    graphs.append(MultiGraph(5, [(0, 1), (1, 2), (1, 2), (1, 3), (0, 4)]))
+    claws = parallel_claws = 0
     for g in graphs:
-        assert (find_claw(g) is None) == (find_claw_brute(g) is None)
+        centers, claw = claw_centers_brute(g), find_claw(g)
+        assert (claw is None) == (not centers)
+        if claw is not None:
+            assert claw[0] == centers[0] and is_induced_claw(g, claw[0], claw[1:]), (centers, claw)
+            claws += 1
+            parallel_claws += not g.is_simple()
+    assert claw == (1, 0, 2, 3)
+    assert claws >= 14 and parallel_claws >= 9, (claws, parallel_claws)
 
 
 def test_bridges_two_triangles():
@@ -345,7 +364,9 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
     """The tree is read from the contraction: it looks up no multiplicity
     and no adjacency of G, so it runs no search over G's vertices.  Nor
     does it read H, which the entry check holds only as its edge-id list:
-    the scan has no H to keep."""
+    the scan has no H to keep.  G's copies of a pair are read only from
+    `edge_list` or `edge_pairs`, and its adjacency from `neighbors` or
+    `adjacency`."""
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
     h_bridges, local = _require_claw_free_cubic(g)
     assert not hasattr(local, "h") and local.walk
@@ -358,7 +379,7 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
 
         return method
 
-    for name in ("multiplicity", "has_edge", "neighbors", "adjacency"):
+    for name in ("edge_list", "edge_pairs", "neighbors", "adjacency"):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
     bt = _bridge_tree(_class_tree(h_bridges, local))
     assert bt.kinds.count(ComponentKind.DIAMOND) == 50
@@ -430,7 +451,7 @@ def test_up_neighbor_in_component_neighbors_adjacent(base_corpus):
             x1 = bt.degree2[c][0]
             inside = [w for w in g.neighbors(x1) if w in set(comp)]
             assert len(inside) == 2
-            assert g.has_edge(inside[0], inside[1])
+            assert has_edge(g, inside[0], inside[1])
 
 
 def test_bridge_tree_component_count(base_corpus):
@@ -657,7 +678,7 @@ def _rewired(rng: SplitMix64) -> tuple[MultiGraph, MultiGraph]:
         p = g.neighbors(v)[rng.randrange(3)]
         edges = g.edge_list()
         u, w = edges[rng.randrange(len(edges))]
-        if {u, w} & {v, p} or g.has_edge(v, u) or g.has_edge(p, w):
+        if {u, w} & {v, p} or has_edge(g, v, u) or has_edge(g, p, w):
             continue
         edges.remove((min(v, p), max(v, p)))
         edges.remove((u, w))
