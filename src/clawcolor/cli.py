@@ -330,12 +330,12 @@ def cmd_decompose(args) -> int:
     elif structure.variant is Variant.RING:
         print(f"2-edge-connected: ring of {len(structure.ring_diamonds)} diamonds")
     else:
-        h = structure.h
-        doubles = sum(1 for _, _, m in h.edge_pairs() if m >= 2)
+        ends = structure.ends  # sorted, so parallel H-edges are neighbours
+        doubles = len({e for e, f in zip(ends, ends[1:]) if e == f})
         lengths = structure.string_lengths()
         print(
-            f"2-edge-connected: built from H with {h.n} vertices, "
-            f"{h.size} edges ({doubles} parallel pair(s)), "
+            f"2-edge-connected: built from H with {len(structure.triangles)} vertices, "
+            f"{len(ends)} edges ({doubles} parallel pair(s)), "
             f"strings: {lengths if lengths else 'none'}"
         )
     return EXIT_OK

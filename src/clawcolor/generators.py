@@ -54,22 +54,35 @@ def expand_to_clawfree(
 
     The result is a claw-free cubic graph on 3*n(H) + 4*(total string
     length) vertices.  Corner-to-slot attachment is rotated by `rng` when
-    given, producing isomorphic but differently labeled outputs.
+    given, producing isomorphic but differently labeled outputs.  Raises
+    InfeasibleSpecError on the first spec key that is no slot of H or has
+    a negative length, before anything is built.
     """
     if not is_cubic(h):
         raise NotCubicError("expansion requires a cubic multigraph")
     if not _connected_and_bridgeless(h):
         raise NotTwoEdgeConnectedError("expansion requires a 2-edge-connected multigraph")
     spec = spec or ExpansionSpec({})
+    slots = h.slots()  # H-edge e is slots[e]
+    known = set(slots)
+    for key, k in spec.string_lengths.items():
+        if key not in known:
+            raise InfeasibleSpecError(f"spec key {key!r} is not an edge slot of H")
+        if k < 0:
+            raise InfeasibleSpecError("string lengths must be non-negative")
 
-    # corner c of triangle t is vertex 3 t + c; slot -> corner assignment
-    corner_of: dict[tuple[int, Slot], int] = {}
-    for v in range(h.n):
-        order = h.slots_at(v)
+    # corner c of triangle t is vertex 3 t + c; H-edge e is attached at
+    # corner[e][0] of its lower end and corner[e][1] of its upper end
+    inc: list[list[int]] = [[] for _ in range(h.n)]  # the ids at each vertex, ascending
+    for e, (a, b, _) in enumerate(slots):
+        inc[a].append(e)
+        inc[b].append(e)
+    corner = [[0, 0] for _ in slots]
+    for v, ids in enumerate(inc):
         if rng is not None:
-            rng.shuffle(order)
-        for c, s in enumerate(order):
-            corner_of[(v, s)] = 3 * v + c
+            rng.shuffle(ids)
+        for c, e in enumerate(ids):
+            corner[e][slots[e][0] != v] = 3 * v + c
 
     edges: list[tuple[int, int]] = []
     for t in range(h.n):
@@ -77,14 +90,8 @@ def expand_to_clawfree(
         edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
 
     nxt = 3 * h.n
-    for s in h.slots():
-        a = corner_of[(s[0], s)]
-        b = corner_of[(s[1], s)]
-        k = spec.length(s)
-        if k < 0:
-            raise InfeasibleSpecError("string lengths must be non-negative")
-        prev = a
-        for _ in range(k):
+    for s, (prev, b) in zip(slots, corner):
+        for _ in range(spec.length(s)):
             entry, i1, i2, exit_ = nxt, nxt + 1, nxt + 2, nxt + 3
             nxt += 4
             edges += [

@@ -80,38 +80,16 @@ class MultiGraph:
         """
         return self._adj
 
-    def edge_pairs(self) -> list[tuple[int, int, int]]:
-        """Sorted list of (u, v, multiplicity) with u < v."""
+    def slots(self) -> list[Slot]:
+        """All edge slots, sorted; parallel copies get k = 0, 1, ..."""
         par = self._par
         return [
-            (u, w, par.get((u, w), 1) if par else 1)
+            (u, w, k)
             for u, a in enumerate(self._adj)
             for w in a
             if u < w
+            for k in range(par.get((u, w), 1))
         ]
-
-    def slots_at(self, v: int) -> list[Slot]:
-        """The slots at v, by neighbour and then by copy: their sorted order.
-
-        A vertex with as many neighbours as edges has no parallel copies,
-        so its slots read no multiplicity.
-        """
-        a = self._adj[v]
-        if len(a) == self._deg[v]:
-            return [(v, w, 0) if v < w else (w, v, 0) for w in a]
-        par = self._par
-        return [
-            (v, w, k) if v < w else (w, v, k)
-            for w in a
-            for k in range(par.get((v, w) if v < w else (w, v), 1))
-        ]
-
-    def slots(self) -> list[Slot]:
-        """All edge slots, sorted; parallel copies get k = 0, 1, ..."""
-        out: list[Slot] = []
-        for u, v, m in self.edge_pairs():
-            out.extend((u, v, k) for k in range(m))
-        return out
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges expanded with multiplicity, sorted (canonical form)."""
@@ -139,7 +117,7 @@ class MultiGraph:
         return self.n == other.n and self._adj == other._adj and self._par == other._par
 
     def __hash__(self):
-        return hash((self.n, tuple(self.edge_pairs())))
+        return hash((self.n, tuple(self.edge_list())))
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.size})"

@@ -39,19 +39,19 @@ class on the other and 1a, 1b inside, so f is forced again past it.
 
 `decompose` is the one public way in to the structure.  It returns
 `_bridge_tree`'s expansion of the class tree when g has bridges, and
-otherwise `_decomposition`, which builds H as a `MultiGraph` and files
-the realizations under its slots.  `color_claw_free_cubic` reads the same
-structure through `_structure`, so G is neither walked nor contracted
-twice, and no other graph is scanned: a completed Type III component's H
-is cut from G's contraction by `colorer._surgery`.
+otherwise `_decomposition`, which hands out H as the contraction numbers
+it: the tuples `ends` and `walk`, aligned by edge id.
+`color_claw_free_cubic` reads the same structure through `_structure`, so
+G is neither walked nor contracted twice, and no other graph is scanned: a
+completed Type III component's H is cut from G's contraction by
+`colorer._surgery`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from itertools import chain, combinations
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -61,7 +61,7 @@ from .errors import (
     NotCubicError,
     NotSimpleError,
 )
-from .multigraph import MultiGraph, Slot, _bridges, is_connected, is_cubic
+from .multigraph import MultiGraph, _bridges, is_connected, is_cubic
 
 
 def find_claw(g: MultiGraph) -> tuple[int, int, int, int] | None:
@@ -344,21 +344,23 @@ class Diamond(NamedTuple):
 class Decomposition(NamedTuple):
     """What `decompose` returns for a 2-edge-connected graph.
 
-    For the built variant, `realization` maps each slot (a, b, k) of H, in
-    slot order, to its H-edge's vertices in G as `_walk` lists them, run
-    from the corner in triangle a to the corner in triangle b.  Each
-    `decompose` result owns its dict; the default mapping is read-only.
+    For the built variant, H is numbered as `_contract` numbers it: its
+    vertices are the `triangles`, and H-edge e joins triangles `ends[e]`,
+    a < b, through `walk[e]`, its vertices in G as `_walk` lists them, run
+    from the corner in triangle a to the corner in triangle b.  The ids
+    follow (ends, walk), so id e is the index of its slot (a, b, k) in the
+    sorted slots of H: parallel H-edges take consecutive ids.
     """
 
     variant: Variant
     ring_diamonds: tuple[Diamond, ...] = ()
     triangles: tuple[tuple[int, int, int], ...] = ()
-    h: MultiGraph | None = None
-    realization: Mapping[Slot, tuple[int, ...]] = MappingProxyType({})
+    ends: tuple[tuple[int, int], ...] = ()
+    walk: tuple[tuple[int, ...], ...] = ()
 
     def string_lengths(self) -> list[int]:
         """Lengths of the non-empty diamond strings, sorted."""
-        return sorted(len(r) // 4 for r in self.realization.values() if len(r) > 2)
+        return sorted(len(r) // 4 for r in self.walk if len(r) > 2)
 
 
 _DISCONNECTED = "input graph is disconnected"
@@ -579,19 +581,18 @@ def _structure(g: MultiGraph) -> LocalScan | ClassTree:
 
 
 def _decomposition(local: LocalScan) -> Decomposition:
-    """The public form of a numbered contraction, with H built from its ends."""
+    """The public form of a numbered contraction."""
     if local.triangles:
-        h = MultiGraph(len(local.triangles), local.ends)
         return Decomposition(
             variant=Variant.BUILT,
             triangles=tuple(local.triangles),
-            h=h,
-            realization=dict(zip(h.slots(), local.walk)),
+            ends=tuple(local.ends),
+            walk=tuple(local.walk),
         )
     if d := local.diamonds:
         ring = sorted(Diamond((d[j], d[j + 1]), (d[j + 2], d[j + 3])) for j in range(0, len(d), 4))
-        return Decomposition(variant=Variant.RING, ring_diamonds=tuple(ring), realization={})
-    return Decomposition(variant=Variant.K4, realization={})
+        return Decomposition(variant=Variant.RING, ring_diamonds=tuple(ring))
+    return Decomposition(variant=Variant.K4)
 
 
 def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
@@ -599,9 +600,10 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
 
     Returns the bridge tree when g has bridges.  Otherwise returns the K4
     variant, the ring-of-diamonds variant, or the built variant with the
-    underlying cubic multigraph H reconstructed.  Raises the entry check's
-    NotSimpleError, DisconnectedError, NotCubicError or NotClawFreeError
-    on any other input, and InternalInvariantError on a bug.
+    underlying cubic multigraph H as its numbered edge list.  Raises the
+    entry check's NotSimpleError, DisconnectedError, NotCubicError or
+    NotClawFreeError on any other input, and InternalInvariantError on a
+    bug.
     """
     s = _structure(g)
     return _bridge_tree(s) if isinstance(s, ClassTree) else _decomposition(s)

@@ -26,10 +26,13 @@ and searched for its forced edge's slot (`lift_slot`), which pins
 the bridge tree typed components from their sizes, types the reference
 bridge tree.
 
-`has_edge`, `multiplicity` and `without_slots` are the pair queries and
-the slot deletion that `MultiGraph` no longer offers, read from its
-`neighbors`, `degree` and `edge_list`.  `induced`, `with_edges` and
-`transposed` are the derived graphs and the class transposition, `is_k4`
+`has_edge`, `multiplicity`, `edge_pairs`, `slots_at` and `without_slots`
+are the pair queries, the slot lists and the slot deletion that
+`MultiGraph` no longer offers, read from its `neighbors`, `degree` and
+`edge_list`.  `h_of` and `realization_by_slots` are the `MultiGraph` H
+and the slot-keyed realizations that `decompose` no longer hands out,
+read from a decomposition's `ends` and `walk`.  `induced`, `with_edges`
+and `transposed` are the derived graphs and the class transposition, `is_k4`
 the K4 test, `slot_form` a 2-factor named by H's slots, not its edge ids,
 and `cycle_slots` the slot set of such a 2-factor, that only these
 references and the tests use.  `ring_by_diamonds`,
@@ -40,7 +43,7 @@ colors the reference completions that are rings.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from itertools import combinations, product
 
@@ -163,6 +166,32 @@ def without_slots(g: MultiGraph, slots: Iterable[Slot]) -> MultiGraph:
     return MultiGraph(g.n, edges)
 
 
+def edge_pairs(g: MultiGraph) -> list[tuple[int, int, int]]:
+    """Sorted list of (u, v, multiplicity) with u < v, counted along `g.edge_list()`."""
+    return [(u, v, m) for (u, v), m in Counter(g.edge_list()).items()]
+
+
+def slots_at(g: MultiGraph, v: int) -> list[Slot]:
+    """The slots at v, by neighbour and then by copy: their sorted order."""
+    return [(a, b, k) for a, b, m in edge_pairs(g) if v in (a, b) for k in range(m)]
+
+
+def h_of(dec: Decomposition) -> MultiGraph:
+    """The multigraph H of a built decomposition, on its triangles with its `ends`."""
+    return MultiGraph(len(dec.triangles), dec.ends)
+
+
+def realization_by_slots(dec: Decomposition) -> dict[Slot, tuple[int, ...]]:
+    """`dec.walk` keyed by slot, in id order: H-edge e is the k-th copy of `ends[e]`
+    when k earlier ids share its ends."""
+    out: dict[Slot, tuple[int, ...]] = {}
+    copies: Counter = Counter()
+    for e, r in zip(dec.ends, dec.walk):
+        out[(*e, copies[e])] = r
+        copies[e] += 1
+    return out
+
+
 def is_k4(g: MultiGraph) -> bool:
     return g.n == 4 and g.is_simple() and g.size == 6
 
@@ -202,7 +231,7 @@ def bridges_by_removal(g: MultiGraph) -> set[tuple[int, int]]:
                     stack.append(y)
         return False
 
-    return {(u, v) for u, v, m in g.edge_pairs() if m == 1 and not joined_without(u, v)}
+    return {(u, v) for u, v, m in edge_pairs(g) if m == 1 and not joined_without(u, v)}
 
 
 def all_perfect_matchings(g: MultiGraph) -> list[frozenset[tuple[int, int, int]]]:
@@ -277,7 +306,7 @@ def find_diamonds(g: MultiGraph) -> list[Diamond]:
     neighbors of its ends, straight from the definition.
     """
     out = []
-    for u, v, _ in g.edge_pairs():
+    for u, v, _ in edge_pairs(g):
         common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
         if len(common) == 2 and not has_edge(g, common[0], common[1]):
             out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
@@ -659,12 +688,14 @@ class StructureViolationError(ClawcolorError):
 def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     """`decompose` as it was before the local scan, as the reference for it.
 
-    Verbatim but for the dropped `triangle_of` and `attach` fields, and
-    `diamond_vertices` for the gone `Diamond.vertices`: `find_diamonds`,
-    then triangles grouped from the first uncovered vertex, then a walk
-    over `diamond_vertices` sets.  Each string diamond is kept as (entry,
-    interiors, exit) and only the output is flattened into the
-    `realization` tuples.
+    Verbatim but for the dropped `triangle_of` and `attach` fields,
+    `diamond_vertices` for the gone `Diamond.vertices`, and the output,
+    which `decompose` now hands out as `ends` and `walk` tuples in place of
+    a slot-keyed dict: `find_diamonds`, then triangles grouped from the
+    first uncovered vertex, then a walk over `diamond_vertices` sets.  Each
+    string diamond is kept as (entry, interiors, exit) and only the output
+    is flattened into the `walk` tuples, in the order of their sort by
+    (ends, end corners), which is the order of the slots they filled.
     """
     if is_k4(g):
         return Decomposition(variant=Variant.K4)
@@ -775,16 +806,13 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         oriented.append((ha, hb, end_a, end_b, seq))
 
     oriented.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    realization: dict[Slot, tuple[int, ...]] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for ha, hb, end_a, end_b, seq in oriented:
-        k = counts.get((ha, hb), 0)
-        counts[(ha, hb)] = k + 1
-        realization[(ha, hb, k)] = (
-            end_a, *(x for entry, ints, exit_ in seq for x in (entry, *ints, exit_)), end_b
-        )
+    ends = tuple((ha, hb) for ha, hb, *_ in oriented)
+    walk = tuple(
+        (end_a, *(x for entry, ints, exit_ in seq for x in (entry, *ints, exit_)), end_b)
+        for _, _, end_a, end_b, seq in oriented
+    )
 
-    h = MultiGraph(len(triangles), [(a, b) for a, b, _ in realization])
+    h = MultiGraph(len(triangles), ends)
     if not is_cubic(h):
         raise StructureViolationError("reconstructed multigraph H is not cubic")
     if find_bridges(h):
@@ -793,8 +821,8 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     return Decomposition(
         variant=Variant.BUILT,
         triangles=tuple(triangles),
-        h=h,
-        realization=realization,
+        ends=ends,
+        walk=walk,
     )
 
 
@@ -1297,7 +1325,7 @@ def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColor
 def lift_slot(dec: Decomposition, edge: tuple[int, int]) -> Slot:
     """The slot of the H-edge whose realization contains `edge`, by a search of them all."""
     key = (min(edge), max(edge))
-    for slot, r in dec.realization.items():
+    for slot, r in realization_by_slots(dec).items():
         for a, b in zip(r[::4], r[1::4]):
             if (a, b) == key or (b, a) == key:
                 return slot
@@ -1340,9 +1368,9 @@ def color_type3_by_subgraphs(
                 edge, through = (x1, xs[1]), _matched_through
             slot = lift_slot(dec, (to_tilde[edge[0]], to_tilde[edge[1]]))
             # the colorer names H-edges by their index in slot order
-            slots = list(dec.realization)
-            local = LocalScan(walk=list(dec.realization.values()), ends=[k[:2] for k in slots])
-            sub = _canonical(local, through(dec.h.n, local.ends, slots.index(slot))).assignment
+            e = list(realization_by_slots(dec)).index(slot)
+            local = LocalScan(walk=list(dec.walk), ends=list(dec.ends))
+            sub = _canonical(local, through(len(dec.triangles), local.ends, e)).assignment
         if len(xs) % 2:
             if {sub[to_tilde[s]], sub[to_tilde[y]]} != {C1A, C1B}:
                 raise InternalInvariantError("s and y are not 1a and 1b")
@@ -1355,7 +1383,7 @@ def color_type3_by_subgraphs(
     if dec.variant is Variant.RING:
         on = {v for d in dec.ring_diamonds for v in diamond_vertices(d)}
     else:
-        on = {v for r in dec.realization.values() for v in r[1:-1]}
+        on = {v for r in dec.walk for v in r[1:-1]}
     return colors, [to_comp[v] for v in sorted(on)]
 
 

@@ -26,6 +26,7 @@ from brute import (
     is_k4,
     lift_slot,
     light_support_property,
+    realization_by_slots,
     ring_by_diamonds,
     transposed,
 )
@@ -142,7 +143,7 @@ def _forced(g, dec, edge, through):
     """The canonical coloring of g for `through` at the H-image of `edge`,
     whose id is its slot's index in slot order."""
     local = _structure(g)
-    e = list(dec.realization).index(lift_slot(dec, edge))
+    e = list(realization_by_slots(dec)).index(lift_slot(dec, edge))
     return _canonical(local, through(len(local.triangles), local.ends, e))
 
 
@@ -177,7 +178,7 @@ def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures):
 def test_with_edge_on_string_connectors(named_fixtures):
     g = named_fixtures["big_expansion"]
     dec = decompose(g)
-    string = next(r for r in dec.realization.values() if len(r) > 2)
+    string = next(r for r in dec.walk if len(r) > 2)
     for pair in zip(string[::4], string[1::4]):
         col = with_edge(g, dec, pair)
         assert_valid(g, col)

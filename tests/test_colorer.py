@@ -48,8 +48,10 @@ from brute import (
     completion_by_subgraphs,
     decompose_by_own_scan,
     diamond_vertices,
+    h_of,
     induced,
     lift_slot,
+    realization_by_slots,
 )
 from test_recognition import _bridged_sweep_shapes
 
@@ -430,14 +432,14 @@ def _assert_cut_as_built(share, xs, tilde, to_g):
     want = decompose_by_own_scan(tilde)
     assert want.variant is Variant.BUILT
     h = MultiGraph(len(local.triangles), local.ends)
-    assert h == want.h and h.adjacency() == want.h.adjacency()
+    assert h == h_of(want) and h.adjacency() == h_of(want).adjacency()
     assert local.triangles == [tuple(to_g[v] for v in t) for t in want.triangles]
-    assert local.ends == [k[:2] for k in want.realization]
-    assert local.walk == [tuple(to_g[v] for v in r) for r in want.realization.values()]
+    assert local.ends == list(want.ends)
+    assert local.walk == [tuple(to_g[v] for v in r) for r in want.walk]
     edge = (xs[0], xs[1]) if gadget is None else gadget[2:]
     to_tilde = {v: i for i, v in enumerate(to_g)}
     slot = lift_slot(want, (to_tilde[edge[0]], to_tilde[edge[1]]))
-    assert e == list(want.realization).index(slot)
+    assert e == list(realization_by_slots(want)).index(slot)
     return local, slot, gadget
 
 
@@ -533,9 +535,9 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
     cut from G's contraction read no pair of G, and with each H-edge named
     by its id the entry check's search of H was left with one call, for
     its bridge candidate.  The search now skips the id a vertex is reached
-    by, so it makes none either.  With `MultiGraph.multiplicity` gone, the
-    copies of a pair are read only from `edge_list` or `edge_pairs`, and
-    the coloring calls neither.
+    by, so it makes none either.  With `MultiGraph.multiplicity` and
+    `edge_pairs` gone, the copies of a pair are read only from `edge_list`
+    or `slots`, and the coloring calls neither.
     """
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
     calls = [0]
@@ -547,7 +549,7 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
 
         return method
 
-    for name in ("edge_list", "edge_pairs"):
+    for name in ("edge_list", "slots"):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
     assert_valid(g, color_claw_free_cubic(g))
     assert calls[0] == 0
@@ -602,11 +604,11 @@ def test_independence_check_is_linear_in_the_attachments(monkeypatch):
     check reads each attachment's triangle, and nothing asks G for one.
     An edge test reads a list of G's, so G's lists are read whole a fixed
     number of times (`adjacency`), one vertex's at most once per bridge
-    (`neighbors`), and never as edges (`edge_list`, `edge_pairs`)."""
+    (`neighbors`), and never as edges (`edge_list`, `slots`)."""
     g = _ladder_star(2000)
     bt = decompose(g)
     assert max(len(xs) for xs in bt.degree2) == 2000
-    calls = dict.fromkeys(("adjacency", "neighbors", "edge_list", "edge_pairs"), 0)
+    calls = dict.fromkeys(("adjacency", "neighbors", "edge_list", "slots"), 0)
 
     def counted(name):
         real = getattr(MultiGraph, name)
@@ -621,5 +623,5 @@ def test_independence_check_is_linear_in_the_attachments(monkeypatch):
         monkeypatch.setattr(MultiGraph, name, counted(name))
     coloring = color_claw_free_cubic(g)
     assert calls["adjacency"] <= 3 and calls["neighbors"] < len(bt.kinds), calls
-    assert calls["edge_list"] == calls["edge_pairs"] == 0, calls
+    assert calls["edge_list"] == calls["slots"] == 0, calls
     assert_valid(g, coloring)

@@ -24,7 +24,9 @@ from brute import (
     relabeled,
     all_two_factors,
     cycle_slots,
+    edge_pairs,
     factor_from_matching_by_reattribution,
+    h_of,
     matching_through_by_reattribution,
     max_matching_by_full_scans,
     slot_form,
@@ -216,7 +218,7 @@ def test_two_factor_through_on_decomposed_h(named_fixtures):
     # a 2-factor and confirm against full enumeration
     from clawcolor import decompose
 
-    h = decompose(named_fixtures["big_expansion"]).h
+    h = h_of(decompose(named_fixtures["big_expansion"]))
     factors = set(all_two_factors(h))
     for e in h.slots():
         tf = forced(_two_factor_through, h, e)
@@ -241,7 +243,7 @@ def _reference_graphs(named_fixtures):
     """h10, the H of big_expansion and 210 random H of order 2 to 40."""
     from clawcolor import decompose
 
-    graphs = [named_fixtures["h10"], decompose(named_fixtures["big_expansion"]).h]
+    graphs = [named_fixtures["h10"], h_of(decompose(named_fixtures["big_expansion"]))]
     rng = SplitMix64(0xC0F1)
     graphs += [gen_cubic_multigraph(2 * (1 + i % 20), rng) for i in range(210)]
     return graphs
@@ -270,9 +272,9 @@ def _matching_inputs(named_fixtures):
     graphs = [gen_cubic_multigraph(2 * (2 + i % 59), rng) for i in range(300)]
     graphs += named_fixtures.values()
     # the others are K4, bridged, not claw-free, or an H themselves
-    graphs += [decompose(named_fixtures[name]).h for name in ("prism", "big_expansion")]
+    graphs += [h_of(decompose(named_fixtures[name])) for name in ("prism", "big_expansion")]
     for order in (32, 1024, 4096):
-        graphs += [decompose(_built(order, SplitMix64(seed))).h for seed in (1, 2, 3)]
+        graphs += [h_of(decompose(_built(order, SplitMix64(seed)))) for seed in (1, 2, 3)]
     return graphs
 
 
@@ -351,7 +353,7 @@ def test_matching_size_against_networkx():
     for g in graphs:
         ref = nx.Graph()
         ref.add_nodes_from(range(g.n))
-        ref.add_edges_from((u, v) for u, v, _ in g.edge_pairs())
+        ref.add_edges_from((u, v) for u, v, _ in edge_pairs(g))
         size = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert len(matched_slots(g)) == size
 
@@ -359,16 +361,17 @@ def test_matching_size_against_networkx():
 
 def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
     """Coloring names each H-edge by its id, from the contraction to the
-    coloring: no `slots_at`, `slots`, `edge_pairs` or `edge_list` call on
-    any input, the entry check included; the last two are all that reads
-    the copies of a pair.
+    coloring: no `slots` or `edge_list` call on any input, the entry check
+    included, and they are all that reads the copies of a pair:
+    `MultiGraph` has no `slots_at` or `edge_pairs` left to call.
 
     The entry check's search of H skips the id a vertex is reached by, so
     neither an H-bridge nor a parallel pair of H needs a pair looked up.
     The named fixtures include a bridged graph, and the corpus holds rings,
     built graphs with and without strings, and bridged trees.
     """
-    calls = {"slots_at": 0, "slots": 0, "edge_pairs": 0, "edge_list": 0}
+    assert not hasattr(MultiGraph, "slots_at") and not hasattr(MultiGraph, "edge_pairs")
+    calls = {"slots": 0, "edge_list": 0}
 
     def counted(name):
         real = getattr(MultiGraph, name)
@@ -391,5 +394,5 @@ def test_the_coloring_path_reads_no_slots(named_fixtures, corpus, monkeypatch):
         monkeypatch.setattr(MultiGraph, name, counted(name))
     for g, kind in zip(graphs, kinds):
         color_claw_free_cubic(g)
-        assert calls["edge_pairs"] == calls["edge_list"] == 0, kind
-    assert calls["slots_at"] == calls["slots"] == 0, calls
+        assert calls["edge_list"] == 0, kind
+    assert calls["slots"] == 0, calls

@@ -19,7 +19,7 @@ from clawcolor.errors import (
 
 from clawcolor.formats import GRAPH6_MAX_N
 
-from brute import has_edge, multiplicity, ref_graph6_decode
+from brute import edge_pairs, has_edge, multiplicity, ref_graph6_decode
 
 
 def test_parse_k4_edgelist():
@@ -222,7 +222,7 @@ def test_graph6_fixtures_cross_checked_against_reference_decoder():
         s = emit_graph6(g)
         n, edges = ref_graph6_decode(s)
         assert n == g.n
-        assert edges == {(u, v) for u, v, _ in g.edge_pairs()}
+        assert edges == {(u, v) for u, v, _ in edge_pairs(g)}
 
 
 def test_graph6_against_networkx_if_available():
@@ -233,7 +233,7 @@ def test_graph6_against_networkx_if_available():
         ref = nx.from_graph6_bytes(emit_graph6(g).encode("ascii"))
         assert set(ref.nodes) == set(range(g.n))
         assert {tuple(sorted(e)) for e in ref.edges} == {
-            (u, v) for u, v, _ in g.edge_pairs()
+            (u, v) for u, v, _ in edge_pairs(g)
         }
 
 
@@ -256,7 +256,7 @@ def test_graph6_round_trip(g):
     s = emit_graph6(g)
     assert parse_graph6(s) == g
     n, edges = ref_graph6_decode(s)
-    assert n == g.n and edges == {(u, v) for u, v, _ in g.edge_pairs()}
+    assert n == g.n and edges == {(u, v) for u, v, _ in edge_pairs(g)}
 
 
 @given(simple_graphs)

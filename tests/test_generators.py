@@ -1,9 +1,11 @@
+import re
 from itertools import product
 
 import pytest
 
 from clawcolor import (
     ComponentKind,
+    ExpansionSpec,
     MultiGraph,
     Variant,
     decompose,
@@ -23,6 +25,8 @@ from clawcolor import generators
 from clawcolor.generators import _parse_tree_spec
 from clawcolor.rng import SplitMix64
 
+from brute import edge_pairs
+
 
 def test_ring_generator():
     assert gen_ring_of_diamonds(2).n == 8
@@ -39,7 +43,7 @@ def test_ring_too_small():
 
 def test_multigraph_n2_is_triple_edge():
     g = gen_cubic_multigraph(2, SplitMix64(0))
-    assert g.edge_pairs() == [(0, 1, 3)]
+    assert edge_pairs(g) == [(0, 1, 3)]
 
 
 def all_cubic_multigraphs_on_4() -> set:
@@ -167,6 +171,58 @@ def test_infeasible_specs():
 def test_bridged_spec_errors(spec, message):
     with pytest.raises(InfeasibleSpecError, match=f"^{message}$"):
         gen_bridged(spec, SplitMix64(0))
+
+
+_BAD_KEY = "spec key {} is not an edge slot of H"
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ({(7, 9, 0): 3, (0, 0, 5): -2, "junk": 1}, _BAD_KEY.format("(7, 9, 0)")),
+        ({(0, 0, 5): -2}, _BAD_KEY.format("(0, 0, 5)")),
+        ({"junk": 1}, _BAD_KEY.format("'junk'")),
+        ({(0, 2, 0): 1, (2, 0, 0): 1}, _BAD_KEY.format("(2, 0, 0)")),
+        ({(0, 3, 1): 1, (0, 3, 2): 1}, _BAD_KEY.format("(0, 3, 2)")),
+        ({(0, 2): 1}, _BAD_KEY.format("(0, 2)")),
+        ({(1, 3, 0): -1, "junk": 1}, "string lengths must be non-negative"),
+        ({"junk": 1, (1, 3, 0): -1}, _BAD_KEY.format("'junk'")),
+    ],
+    ids=[
+        "three-bad-keys", "negative-loop", "not-a-tuple", "reversed-ends",
+        "copy-past-multiplicity", "pair-not-slot", "negative-first", "junk-first",
+    ],
+)
+def test_expansion_spec_key_errors(lengths, message, monkeypatch):
+    """Each key of the spec must be a slot of H, and each length
+    non-negative: the first key that is neither raises, naming that key,
+    before any graph is built.  H is the seed-1 multigraph of order 4, with
+    slots (0, 2, 0), (0, 3, 0), (0, 3, 1), (1, 2, 0), (1, 2, 1), (1, 3, 0)."""
+    h = gen_cubic_multigraph(4, SplitMix64(1))
+    assert expand_to_clawfree(h).n == 12
+    built = [0]
+    real_init = MultiGraph.__init__
+
+    def init(self, *args):
+        built[0] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(MultiGraph, "__init__", init)
+    with pytest.raises(InfeasibleSpecError, match=f"^{re.escape(message)}$"):
+        expand_to_clawfree(h, ExpansionSpec(lengths))
+    assert built[0] == 0
+
+
+def test_random_expansion_specs_are_accepted():
+    """`random_expansion_spec` keys each slot of H once, in slot order, so
+    `expand_to_clawfree` accepts every spec it draws."""
+    rng = SplitMix64(0x5EC)
+    for i in range(60):
+        h = gen_cubic_multigraph(2 * (1 + i % 12), rng)
+        spec = random_expansion_spec(h, rng, max_string=i % 4)
+        assert list(spec.string_lengths) == h.slots()
+        g = expand_to_clawfree(h, spec, rng)
+        assert g.n == 3 * h.n + 4 * sum(spec.string_lengths.values())
 
 
 def test_tree_spec_skips_empty_parts():

@@ -365,7 +365,7 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
     and no adjacency of G, so it runs no search over G's vertices.  Nor
     does it read H, which the entry check holds only as its edge-id list:
     the scan has no H to keep.  G's copies of a pair are read only from
-    `edge_list` or `edge_pairs`, and its adjacency from `neighbors` or
+    `edge_list` or `slots`, and its adjacency from `neighbors` or
     `adjacency`."""
     g = gen_bridged([("type3", 1)] + [("diamond", 2)] * 50 + [("type3", 1)], SplitMix64(50))
     h_bridges, local = _require_claw_free_cubic(g)
@@ -379,7 +379,7 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
 
         return method
 
-    for name in ("edge_list", "edge_pairs", "neighbors", "adjacency"):
+    for name in ("edge_list", "slots", "neighbors", "adjacency"):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
     bt = _bridge_tree(_class_tree(h_bridges, local))
     assert bt.kinds.count(ComponentKind.DIAMOND) == 50

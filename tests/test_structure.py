@@ -17,18 +17,21 @@ from clawcolor import (
     random_expansion_spec,
 )
 from clawcolor.errors import NotSimpleError
-from clawcolor.recognition import _structure
+from clawcolor.recognition import _contract, _local_scan, _structure
 from clawcolor.rng import SplitMix64
 
 from brute import (
     completion_by_subgraphs,
     decompose_by_grouping,
     decompose_by_own_scan,
+    edge_pairs,
+    h_of,
     has_edge,
     induced,
     lift_slot,
     multigraph_isomorphic,
     multiplicity,
+    realization_by_slots,
 )
 
 
@@ -49,18 +52,51 @@ def test_ring_variant():
 def test_prism_decomposition(named_fixtures):
     dec = decompose(named_fixtures["prism"])
     assert dec.variant is Variant.BUILT
-    assert dec.h.n == 2
-    assert multiplicity(dec.h, 0, 1) == 3
+    assert h_of(dec).n == 2
+    assert multiplicity(h_of(dec), 0, 1) == 3
     assert dec.string_lengths() == []
 
 
 def test_big_expansion_decomposition(named_fixtures):
     dec = decompose(named_fixtures["big_expansion"])
     assert dec.variant is Variant.BUILT
-    assert dec.h.n == 6
+    assert h_of(dec).n == 6
     # exactly one parallel pair in H
-    assert sorted(m for _, _, m in dec.h.edge_pairs()) == [1, 1, 1, 1, 1, 1, 1, 2]
+    assert sorted(m for _, _, m in edge_pairs(h_of(dec))) == [1, 1, 1, 1, 1, 1, 1, 2]
     assert dec.string_lengths() == [2, 2]
+
+
+def test_decompose_hands_out_h_as_the_contraction_numbers_it(
+    named_fixtures, large_graphs, monkeypatch
+):
+    """`decompose` builds no `MultiGraph` and lists no slot: H is handed out
+    as the tuples of what `_contract` returns, `ends` and `walk` aligned by
+    edge id, on the bridgeless fixtures and the 9,216-vertex built graph."""
+    graphs = [named_fixtures["prism"], named_fixtures["big_expansion"]]
+    graphs += [dict(large_graphs)["built-h1024"], named_fixtures["k4"]]
+    contractions = [_contract(g, _local_scan(g)) if g.n > 4 else None for g in graphs]
+    calls = dict.fromkeys(("__init__", "slots"), 0)
+
+    def counted(name):
+        real = getattr(MultiGraph, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return real(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MultiGraph, name, counted(name))
+    for g, local in zip(graphs, contractions):
+        dec = decompose(g)
+        assert calls == {"__init__": 0, "slots": 0}, (g.n, calls)
+        if local is None:
+            assert dec.variant is Variant.K4 and dec.ends == dec.walk == ()
+            continue
+        assert dec.variant is Variant.BUILT
+        assert dec.ends == tuple(local.ends) and dec.walk == tuple(local.walk)
+        assert dec.triangles == tuple(local.triangles)
 
 
 def test_decompose_rejects_bridged(named_fixtures):
@@ -83,7 +119,7 @@ def test_expansion_counts():
 
 def _check_realizations(g, dec):
     """Each realization is laid out as `_walk` lists it and lifts back to its slot."""
-    for slot, r in dec.realization.items():
+    for slot, r in realization_by_slots(dec).items():
         assert len(r) % 4 == 2
         # each end is a corner of the triangle its slot end names
         assert r[0] in dec.triangles[slot[0]]
@@ -116,7 +152,7 @@ def test_round_trip_h_recovery(seed):
     assert is_cubic(g) and is_claw_free(g) and g.is_simple()
     dec = decompose(g)
     assert dec.variant is Variant.BUILT
-    assert multigraph_isomorphic(dec.h, h)
+    assert multigraph_isomorphic(h_of(dec), h)
     assert sorted(spec.string_lengths[s] for s in h.slots() if spec.string_lengths[s]) == dec.string_lengths()
     _check_realizations(g, dec)
 
@@ -127,7 +163,7 @@ def test_triangle_partition_covers_everything(named_fixtures):
     covered = set()
     for tri in dec.triangles:
         covered |= set(tri)
-    for r in dec.realization.values():
+    for r in dec.walk:
         covered |= set(r[1:-1])
     assert covered == set(range(g.n))
 
@@ -175,7 +211,7 @@ def test_decompose_of_a_diamond_chain_peak_memory_per_vertex(large_graphs):
 
 def _assert_same_decomposition(got, expected):
     assert got == expected
-    assert list(got.realization.items()) == list(expected.realization.items())
+    assert (got.ends, got.walk) == (expected.ends, expected.walk)
 
 
 def test_decompose_matches_grouping_on_fixtures_built_graphs_and_rings(named_fixtures):
