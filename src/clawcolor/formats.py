@@ -2,11 +2,10 @@
 
 Edge-list format: first non-comment line is the vertex count, then one
 "u v" pair per line; a repeated line raises that pair's multiplicity.
-Lines starting with '#' and blank lines are ignored.  Text with no '#',
-one token on its first line and two on every other line is converted in
-bulk, all tokens at once; any other text, or a token that is not an
-integer or a negative count, is read line by line, and only that reader
-raises the errors that name a line.
+Blank lines and lines whose first field starts with '#' are ignored.
+The text is read in one pass, one line at a time; a malformed line
+raises an error that names its 1-based line number, while a vertex out of
+range or a loop is found once every line is read and names none.
 
 graph6 follows the de-facto standard: 63-offset ASCII bytes, the upper
 triangle of the adjacency matrix packed column by column in 6-bit groups.
@@ -14,7 +13,6 @@ triangle of the adjacency matrix packed column by column in 6-bit groups.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import isqrt
 
 from .errors import (
@@ -45,7 +43,7 @@ def parse_edgelist(
     allocate more than the text itself holds.  With max_n, a vertex count
     above it raises CapExceededError as soon as the header is read.
     """
-    n, edges = _read_in_bulk(text, max_n) or _read_by_line(text, max_n)
+    n, edges = _read_by_line(text, max_n)
     if cubic and 2 * len(edges) != 3 * n:
         raise NotCubicError(
             f"edge list has {len(edges)} edges; a cubic graph on {n} vertices has 3n/2"
@@ -56,38 +54,28 @@ def parse_edgelist(
         raise MalformedInputError(str(exc)) from exc
 
 
-def _read_in_bulk(text: str, max_n: int | None) -> tuple[int, list[tuple[int, int]]] | None:
-    """(n, edges) from all tokens of `text` at once, or None where the text
-    must be read line by line (see the module docstring)."""
-    if "#" in text:
-        return None
-    lines = text.splitlines()
-    if not lines or len(lines[0].split()) != 1:
-        return None
-    if not set(map(len, map(str.split, islice(lines, 1, None)))) <= {2}:
-        return None
-    del lines  # the token list costs about twice their memory
-    tokens = map(int, text.split())
-    try:
-        n = next(tokens)
-        if n < 0:
-            return None
-        if max_n is not None and n > max_n:
-            raise CapExceededError(n, max_n)
-        return n, list(zip(tokens, tokens))
-    except ValueError:
-        return None
-
-
 def _read_by_line(text: str, max_n: int | None) -> tuple[int, list[tuple[int, int]]]:
-    """(n, edges) read one line at a time; a malformed line raises with its number."""
+    """(n, edges) read one line at a time; a malformed line raises with its number.
+
+    An edge line costs one split and two int calls: a two-field line after
+    the header is converted first, and only a failed conversion or another
+    field count is looked at again.
+    """
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if len(fields) == 2 and n is not None:
+            try:
+                edges.append((int(fields[0]), int(fields[1])))
+            except ValueError:
+                if not fields[0].startswith("#"):
+                    raise MalformedInputError(
+                        f"non-integer endpoint in {raw.strip()!r}", lineno
+                    ) from None
             continue
-        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if n is None:
             if len(fields) != 1:
                 raise MalformedInputError("expected vertex count on first line", lineno)
@@ -100,13 +88,7 @@ def _read_by_line(text: str, max_n: int | None) -> tuple[int, list[tuple[int, in
             if max_n is not None and n > max_n:
                 raise CapExceededError(n, max_n)
             continue
-        if len(fields) != 2:
-            raise MalformedInputError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MalformedInputError(f"non-integer endpoint in {line!r}", lineno) from None
-        edges.append((u, v))
+        raise MalformedInputError(f"expected 'u v', got {raw.strip()!r}", lineno)
     if n is None:
         raise MalformedInputError("empty input")
     return n, edges
