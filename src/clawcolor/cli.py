@@ -30,7 +30,7 @@ from .errors import (
     PartialColoringError,
     VerificationFailedError,
 )
-from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
+from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6, parse_int
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, solve_spacking, verify
 from .recognition import _DISCONNECTED, BridgeTree, ComponentKind, Variant, decompose
@@ -104,10 +104,12 @@ def _load_graph(path: str, text: str, fmt: str, max_n: int | None = None) -> Mul
 
 def _parse_spec(text: str) -> SPackingSpec:
     try:
-        radii = tuple(int(x) for x in text.split(","))
+        radii = tuple(parse_int(x) for x in text.split(","))
         return SPackingSpec(radii)
     except ValueError as exc:
         raise InfeasibleSpecError(f"bad spec {text!r}: {exc}") from exc
+    except OverflowError as exc:
+        raise InfeasibleSpecError(f"bad spec: radius {exc} out of range") from None
 
 
 def _failed(report: dict, exc: Exception) -> dict:

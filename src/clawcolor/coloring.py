@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MalformedInputError
+from .formats import parse_int
 
 
 class SPackingSpec(NamedTuple("_Radii", [("radii", tuple[int, ...])])):
@@ -66,9 +67,11 @@ def parse_coloring_lines(text: str, spec: SPackingSpec) -> PackingColoring:
         if len(fields) != 2:
             raise MalformedInputError(f"line {lineno}: expected 'vertex label', got {line!r}")
         try:
-            v = int(fields[0])
+            v = parse_int(fields[0])
         except ValueError:
             raise MalformedInputError(f"line {lineno}: bad vertex {fields[0]!r}") from None
+        except OverflowError as exc:
+            raise MalformedInputError(f"line {lineno}: vertex {exc} out of range") from None
         if fields[1] not in label_to_idx:
             raise MalformedInputError(f"line {lineno}: unknown label {fields[1]!r}")
         if v in assignment:

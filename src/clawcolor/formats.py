@@ -7,6 +7,12 @@ The text is read in one pass, one line at a time; a malformed line
 raises an error that names its 1-based line number, while a vertex out of
 range or a loop is found once every line is read and names none.
 
+Every integer in a text input (edge-list counts and endpoints, colouring
+file vertices, `--spec` radii and `--tree` attachment counts) is read by
+`parse_int`: an optional '-' and then 1 to `INT_DIGITS` ASCII digits.  A
+'+', an '_' or a non-ASCII digit makes the token malformed, and a longer
+digit string is out of range.
+
 graph6 follows the de-facto standard: 63-offset ASCII bytes, the upper
 triangle of the adjacency matrix packed column by column in 6-bit groups.
 """
@@ -29,8 +35,27 @@ from .multigraph import MultiGraph
 # the largest graph `emit_graph6` encodes: its line is 22 MB
 GRAPH6_MAX_N = 16_384
 
+# the most digits `parse_int` reads: CPython's default `int()` limit, so
+# every digit string `int()` reads by default reads the same
+INT_DIGITS = 4300
+
 # byte b of a graph6 body is written as b + 63; a body byte holds 6 bits
 _GRAPH6_OFFSET = bytes((b + 63) & 255 for b in range(256))
+
+
+def parse_int(token: str) -> int:
+    """The integer an optional '-' and 1 to INT_DIGITS ASCII digits spell,
+    with white space around them ignored, as `int()` ignores it.
+
+    Any other token raises ValueError with `int()`'s message, and a longer
+    digit string OverflowError, whose message shows its first 20 digits.
+    """
+    digits = token.strip().removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    if len(digits) > INT_DIGITS:
+        raise OverflowError(f"{digits[:20]}... ({len(digits)} digits)")
+    return int(token)
 
 
 def parse_edgelist(
@@ -57,9 +82,9 @@ def parse_edgelist(
 def _read_by_line(text: str, max_n: int | None) -> tuple[int, list[tuple[int, int]]]:
     """(n, edges) read one line at a time; a malformed line raises with its number.
 
-    An edge line costs one split and two int calls: a two-field line after
-    the header is converted first, and only a failed conversion or another
-    field count is looked at again.
+    An edge line costs one split and two `parse_int` calls: a two-field
+    line after the header is converted first, and only a failed conversion
+    or another field count is looked at again.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -67,12 +92,14 @@ def _read_by_line(text: str, max_n: int | None) -> tuple[int, list[tuple[int, in
         fields = raw.split()
         if len(fields) == 2 and n is not None:
             try:
-                edges.append((int(fields[0]), int(fields[1])))
+                edges.append((parse_int(fields[0]), parse_int(fields[1])))
             except ValueError:
                 if not fields[0].startswith("#"):
                     raise MalformedInputError(
                         f"non-integer endpoint in {raw.strip()!r}", lineno
                     ) from None
+            except OverflowError as exc:
+                raise MalformedInputError(f"vertex {exc} out of range", lineno) from None
             continue
         if not fields or fields[0].startswith("#"):
             continue
@@ -80,9 +107,11 @@ def _read_by_line(text: str, max_n: int | None) -> tuple[int, list[tuple[int, in
             if len(fields) != 1:
                 raise MalformedInputError("expected vertex count on first line", lineno)
             try:
-                n = int(fields[0])
+                n = parse_int(fields[0])
             except ValueError:
                 raise MalformedInputError(f"bad vertex count {fields[0]!r}", lineno) from None
+            except OverflowError as exc:
+                raise MalformedInputError(f"vertex count {exc} out of range", lineno) from None
             if n < 0:
                 raise MalformedInputError("vertex count must be non-negative", lineno)
             if max_n is not None and n > max_n:

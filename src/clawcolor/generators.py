@@ -25,7 +25,7 @@ from .errors import (
     OddOrderError,
     RetryLimitError,
 )
-from .formats import parse_edgelist
+from .formats import parse_edgelist, parse_int
 from .multigraph import MultiGraph, Slot, _bridges, is_connected, is_cubic
 from .recognition import is_claw_free
 from .rng import SplitMix64
@@ -304,9 +304,11 @@ def _parse_tree_spec(text: str) -> list[tuple[str, int]]:
             raise InfeasibleSpecError(f"bad component spec {part!r}, want kind:attachments")
         kind, _, num = part.partition(":")
         try:
-            out.append((kind.strip(), int(num)))
+            out.append((kind.strip(), parse_int(num)))
         except ValueError:
             raise InfeasibleSpecError(f"bad attachment count in {part!r}") from None
+        except OverflowError as exc:
+            raise InfeasibleSpecError(f"attachment count {exc} out of range") from None
     return out
 
 

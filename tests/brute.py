@@ -1,48 +1,51 @@
-"""Independent brute-force oracles used to cross-check the library.
+"""Independent brute-force oracles used to cross-check the library, the
+reference copies of replaced library code, and the few shims their
+callers need.
 
-Everything here is deliberately written from the definitions, without
-reusing the library's algorithms: BFS over raw edge lists, exhaustive
-matching and 2-factor enumeration over edge slots, quadratic bridge
-detection, exhaustive S-packing search, and a direct graph6 bit-indexing
-decoder.  The exceptions are `solve_spacking_rescan`, a plain rescanning
-copy of the solver that pins its search tree, `decompose_by_grouping`,
-the decomposition as it was before the local scan, which pins `_contract`,
-`bridge_tree_by_sweeps`, the bridge tree as it was before it was built
-from each vertex's one bridge, which pins `_bridge_tree`, and the
-`*_by_reattribution` 2-factors, as they were before one matching-complement
-core served them all, which pin `factorization._complement`,
-`max_matching_by_full_scans`, the blossom search as it was before its
-bases went into a disjoint-set forest, which pins `_max_matching_simple`
-and which the `*_by_reattribution` references search with, and
-`verify_by_layers` and `bridges_by_iterator_dfs`, the certificate and the
-bridge search as they were before they ran over flat lists, which pin
-`oracle.verify` and `multigraph._bridges` on large graphs, and the
-`*_by_subgraphs` bridged path, as it was before every component was
-colored in G's own ids: one induced subgraph per component, and each Type
-III completion built from its subgraph, then scanned, walked, contracted
-and searched for its forced edge's slot (`lift_slot`), which pins
-`colorer._color_bridged` and `colorer._surgery`.
-`classify_component_by_sets`, the component classifier as it was before
-the bridge tree typed components from their sizes, types the reference
-bridge tree.
+**Oracles**, written from the definitions without the library's
+algorithms: `bfs_distances`, the one BFS over a raw edge list; the
+exhaustive `all_perfect_matchings` and `all_two_factors` over edge slots;
+the quadratic `bridges_by_removal`; `find_diamonds`,
+`triangles_off_diamonds_brute`, `find_claw_brute`, `claw_centers_brute`
+and `is_induced_claw`; `light_support_property`; `violations_brute`,
+`coloring_valid_brute` and the exhaustive `spacking_colorable_brute`;
+`bridge_tree_root_brute` and `root_rule_counterexamples` over
+`labelled_trees`; the bit-indexing graph6 decoder `ref_graph6_decode`; and
+`relabeled` with `multigraph_isomorphic`.
 
-`has_edge`, `multiplicity`, `edge_pairs`, `slots_at` and `without_slots`
-are the pair queries, the slot lists and the slot deletion that
-`MultiGraph` no longer offers, read from its `neighbors`, `degree` and
-`edge_list`.  `h_of` and `realization_by_slots` are the `MultiGraph` H
-and the slot-keyed realizations that `decompose` no longer hands out,
-read from a decomposition's `ends` and `walk`.  `induced`, `with_edges`
-and `transposed` are the derived graphs and the class transposition, `is_k4`
-the K4 test, `slot_form` a 2-factor named by H's slots, not its edge ids,
-and `cycle_slots` the slot set of such a 2-factor, that only these
-references and the tests use.  `ring_by_diamonds`,
-the ring rule as it was before a ring was colored from its cyclic walk,
-colors the reference completions that are rings.
+**Reference copies**, the library's code as it was before a rewrite,
+each pinning the code that replaced it: `solve_spacking_rescan` the
+solver's search tree; `decompose_by_grouping` `_contract`;
+`bridge_tree_by_sweeps`, with `classify_component_by_sets` to type its
+components, `_bridge_tree`; the `*_by_reattribution` 2-factors
+`factorization._complement`; `max_matching_by_full_scans`, which the
+`*_by_reattribution` references search with, `_max_matching_simple`;
+`verify_by_layers` and `bridges_by_iterator_dfs` `oracle.verify` and
+`multigraph._bridges` on large graphs; and the `*_by_subgraphs` bridged
+path, one induced subgraph per component and each Type III completion
+built from its subgraph, then decomposed (`decompose_by_own_scan`), ring
+coloured (`ring_by_diamonds`) or searched for its forced edge's slot
+(`lift_slot`), `colorer._color_bridged` and `colorer._surgery`.
+`scan_diamonds` reads `_local_scan`'s flat diamonds as `Diamond`s.
+
+**Shims**, each kept for the callers named:
+- `induced`, the subgraph on a vertex set: the `*_by_subgraphs`
+  references and the per-component checks of `test_colorer.py` and
+  `test_structure.py`.
+- `h_of`, the `MultiGraph` H of a decomposition, whose edge e is slot
+  `h_of(dec).slots()[e]`: `lift_slot`, `color_type3_by_subgraphs`, and
+  the tests that compare H with `multigraph_isomorphic` or search its
+  2-factors with `all_two_factors`.
+- `slot_form` and `cycle_slots`, a 2-factor named by H's slots and the
+  slots on its cycles: the 2-factor oracles in `test_factorization.py`,
+  `test_acceptance.py` and `matching_at_scale.py`.
+- `is_k4`: `decompose_by_grouping`, `decompose_by_own_scan` and
+  `test_canonical.py` and `test_recognition.py`.
+- `transposed`, a swap of two colour classes: `test_canonical.py`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from itertools import combinations, product
@@ -74,6 +77,8 @@ from clawcolor.recognition import (
 
 
 def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[float]:
+    """BFS hop distances from source over the raw edge list on 0..n-1;
+    inf for an unreachable vertex, and parallel copies change nothing."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
@@ -90,106 +95,26 @@ def bfs_distances(n: int, edges: list[tuple[int, int]], source: int) -> list[flo
     return dist
 
 
-def single_source_distances(g: MultiGraph, source: int) -> list[float]:
-    """BFS hop distances from source; math.inf for unreachable vertices."""
-    dist: list[float] = [math.inf] * g.n
-    dist[source] = 0
-    queue = [source]
-    for v in queue:
-        d = dist[v] + 1
-        for w in g.neighbors(v):
-            if dist[w] == math.inf:
-                dist[w] = d
-                queue.append(w)
-    return dist
-
-
-def all_pairs_distances(g: MultiGraph) -> list[list[float]]:
-    """Hop distance matrix; multiplicities do not affect distances."""
-    return [single_source_distances(g, v) for v in range(g.n)]
-
-
 def induced(g: MultiGraph, vertices: Iterable[int]) -> tuple[MultiGraph, list[int]]:
-    """Induced subgraph on the given vertices.
+    """The subgraph of a simple g induced on the given vertices.
 
     Returns (subgraph, to_global) where to_global[i] is the original id
     of local vertex i.  Local ids follow the sorted order of `vertices`.
-    An id outside the graph becomes an isolated local vertex.
     """
+    if not g.is_simple():
+        raise ValueError("induced subgraphs are taken of simple graphs only")
     to_global = sorted(set(vertices))
     to_local = {v: i for i, v in enumerate(to_global)}
-    edges = []
-    for i, u in enumerate(to_global):
-        if not 0 <= u < g.n:
-            continue
-        for w in g.neighbors(u):
-            if u < w and w in to_local:
-                edges.extend([(i, to_local[w])] * multiplicity(g, u, w))
+    edges = [
+        (i, to_local[w]) for i, u in enumerate(to_global) for w in g.neighbors(u)
+        if u < w and w in to_local
+    ]
     return MultiGraph(len(to_global), edges), to_global
-
-
-def with_edges(g: MultiGraph, extra: Iterable[tuple[int, int]]) -> MultiGraph:
-    """New graph with extra edges added (multiplicities aggregate)."""
-    return MultiGraph(g.n, g.edge_list() + list(extra))
-
-
-def has_edge(g: MultiGraph, u: int, v: int) -> bool:
-    """True iff u and v are adjacent; False for an id out of range."""
-    return 0 <= u < g.n and v in g.neighbors(u)
-
-
-def multiplicity(g: MultiGraph, u: int, v: int) -> int:
-    """Copies of the pair {u, v}; 0 for an absent pair or an id out of range.
-
-    A vertex with as many distinct neighbours as edges has no parallel
-    copies, so only a pair at a vertex with some is counted in the edge list.
-    """
-    if not has_edge(g, u, v):
-        return 0
-    if g.degree(u) == len(g.neighbors(u)):
-        return 1
-    return g.edge_list().count((min(u, v), max(u, v)))
-
-
-def without_slots(g: MultiGraph, slots: Iterable[Slot]) -> MultiGraph:
-    """New graph with the given edge slots deleted, rebuilt from g's edge list."""
-    slots = list(slots)
-    for u, v, k in slots:
-        if k >= multiplicity(g, u, v):
-            raise ValueError(f"slot {(u, v, k)} not present")
-    edges = g.edge_list()
-    for u, v, _ in slots:
-        pair = (min(u, v), max(u, v))
-        if pair not in edges:
-            raise ValueError(f"removed more copies of {pair} than exist")
-        edges.remove(pair)
-    return MultiGraph(g.n, edges)
-
-
-def edge_pairs(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """Sorted list of (u, v, multiplicity) with u < v, counted along `g.edge_list()`."""
-    return [(u, v, m) for (u, v), m in Counter(g.edge_list()).items()]
-
-
-def slots_at(g: MultiGraph, v: int) -> list[Slot]:
-    """The slots at v, by neighbour and then by copy: their sorted order."""
-    return [(a, b, k) for a, b, m in edge_pairs(g) if v in (a, b) for k in range(m)]
 
 
 def h_of(dec: Decomposition) -> MultiGraph:
     """The multigraph H of a built decomposition, on its triangles with its `ends`."""
     return MultiGraph(len(dec.triangles), dec.ends)
-
-
-def realization_by_slots(dec: Decomposition) -> dict[Slot, tuple[int, ...]]:
-    """`dec.walk` keyed by slot, in id order: H-edge e is the k-th copy of `ends[e]`
-    when k earlier ids share its ends."""
-    out: dict[Slot, tuple[int, ...]] = {}
-    copies: Counter = Counter()
-    for e, r in zip(dec.ends, dec.walk):
-        out[(*e, copies[e])] = r
-        copies[e] += 1
-    return out
 
 
 def is_k4(g: MultiGraph) -> bool:
@@ -231,7 +156,8 @@ def bridges_by_removal(g: MultiGraph) -> set[tuple[int, int]]:
                     stack.append(y)
         return False
 
-    return {(u, v) for u, v, m in edge_pairs(g) if m == 1 and not joined_without(u, v)}
+    copies = Counter(g.edge_list())
+    return {(u, v) for (u, v), m in copies.items() if m == 1 and not joined_without(u, v)}
 
 
 def all_perfect_matchings(g: MultiGraph) -> list[frozenset[tuple[int, int, int]]]:
@@ -306,9 +232,9 @@ def find_diamonds(g: MultiGraph) -> list[Diamond]:
     neighbors of its ends, straight from the definition.
     """
     out = []
-    for u, v, _ in edge_pairs(g):
+    for u, v in dict.fromkeys(g.edge_list()):
         common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
-        if len(common) == 2 and not has_edge(g, common[0], common[1]):
+        if len(common) == 2 and common[1] not in g.neighbors(common[0]):
             out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
     return out
 
@@ -329,7 +255,7 @@ def triangles_off_diamonds_brute(
         tuple(sorted((u, v, w)))
         for u in range(g.n)
         for v, w in combinations(g.neighbors(u), 2)
-        if has_edge(g, v, w)
+        if w in g.neighbors(v)
     }
     return sorted(t for t in triangles if not on_diamond & set(t))
 
@@ -353,8 +279,8 @@ def is_induced_claw(g: MultiGraph, center: int, leaves: Sequence[int]) -> bool:
     """True iff `center` is adjacent to three distinct leaves, no two of them adjacent."""
     return (
         len(set(leaves)) == 3
-        and all(has_edge(g, center, x) for x in leaves)
-        and not any(has_edge(g, a, b) for a, b in combinations(leaves, 2))
+        and all(x in g.neighbors(center) for x in leaves)
+        and not any(b in g.neighbors(a) for a, b in combinations(leaves, 2))
     )
 
 
@@ -454,7 +380,8 @@ def solve_spacking_rescan(
         return PackingColoring(spec, {})
     radii = spec.radii
     r = spec.r
-    dist = all_pairs_distances(g)
+    edges = g.edge_list()
+    dist = [bfs_distances(n, edges, v) for v in range(n)]
     # ball[c][v]: vertices u != v with d(u, v) <= radii[c]
     ball = [
         [
@@ -632,12 +559,17 @@ def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
 
-    def profile(g: MultiGraph, v: int) -> tuple:
-        mults = sorted(multiplicity(g, v, w) for w in g.neighbors(v))
+    copies_a, copies_b = Counter(a.edge_list()), Counter(b.edge_list())
+
+    def copies(counts: Counter, u: int, v: int) -> int:
+        return counts[min(u, v), max(u, v)]
+
+    def profile(g: MultiGraph, counts: Counter, v: int) -> tuple:
+        mults = sorted(copies(counts, v, w) for w in g.neighbors(v))
         return (g.degree(v), tuple(mults))
 
-    pa = [profile(a, v) for v in range(a.n)]
-    pb = [profile(b, v) for v in range(b.n)]
+    pa = [profile(a, copies_a, v) for v in range(a.n)]
+    pb = [profile(b, copies_b, v) for v in range(b.n)]
     if sorted(pa) != sorted(pb):
         return False
 
@@ -668,7 +600,7 @@ def multigraph_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
             if used[w] or pb[w] != pa[v]:
                 continue
             if all(
-                multiplicity(b, w, mapping[x]) == multiplicity(a, v, x) for x in mapped
+                copies(copies_b, w, mapping[x]) == copies(copies_a, v, x) for x in mapped
             ):
                 mapping[v] = w
                 used[w] = True
@@ -729,7 +661,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
         tri = None
         for i in range(len(mates)):
             for j in range(i + 1, len(mates)):
-                if has_edge(g, mates[i], mates[j]):
+                if mates[j] in g.neighbors(mates[i]):
                     tri = (v, mates[i], mates[j])
                     break
             if tri:
@@ -847,7 +779,10 @@ def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> Compone
     if len(verts) == 4 and any(d == 2 for d in deg_in.values()):
         ints = sorted(v for v in verts if deg_in[v] == 3)
         exts = sorted(v for v in verts if deg_in[v] == 2)
-        if len(ints) == 2 and len(exts) == 2 and has_edge(g, *ints) and not has_edge(g, *exts):
+        if (
+            len(ints) == 2 and len(exts) == 2
+            and ints[1] in g.neighbors(ints[0]) and exts[1] not in g.neighbors(exts[0])
+        ):
             return ComponentKind.DIAMOND
         raise StructureViolationError("4-vertex component is not a diamond")
     return ComponentKind.TYPE_III
@@ -1114,10 +1049,11 @@ def _cycles_from_slots(g: MultiGraph, factor: set[Slot]) -> tuple:
 
 def _reattribute(g: MultiGraph, pairs: list[tuple[int, int]], banned: set[Slot]) -> list[Slot]:
     """Map matched vertex pairs to the lowest non-banned slot of each pair."""
+    copies = Counter(g.edge_list())
     out = []
     for u, v in pairs:
         u, v = (u, v) if u < v else (v, u)
-        for k in range(multiplicity(g, u, v)):
+        for k in range(copies[u, v]):
             if (u, v, k) not in banned:
                 out.append((u, v, k))
                 break
@@ -1155,7 +1091,7 @@ def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
     """`factorization._two_factor_through` as it was, on a copy of g less e and f."""
     all_slots = g.slots()
     f = next(s for s in all_slots if s != e)
-    reduced = without_slots(g, [e, f])
+    reduced = MultiGraph(g.n, [s[:2] for s in all_slots if s not in (e, f)])
     pairs = _perfect_pairs(reduced)
     if pairs is None:
         raise InternalInvariantError(
@@ -1177,7 +1113,7 @@ def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> tuple[Slot, ...
     others = [s for s in all_slots if s != e and hu in (s[0], s[1])]
     if len(others) != 2:
         raise InternalInvariantError(f"vertex {hu} does not have 3 slots")
-    reduced = without_slots(g, others)
+    reduced = MultiGraph(g.n, [s[:2] for s in all_slots if s not in others])
     pairs = _perfect_pairs(reduced)
     if pairs is None:
         raise InternalInvariantError(
@@ -1255,6 +1191,7 @@ def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
     timer = 0
     if n == 0:
         return bridges
+    copies = Counter(g.edge_list())
     # stack entries: (vertex, parent, iterator over neighbors)
     stack = [(0, -1, iter(g.neighbors(0)))]
     disc[0] = low[0] = timer
@@ -1277,7 +1214,7 @@ def bridges_by_iterator_dfs(g: MultiGraph) -> set[tuple[int, int]] | None:
             if stack:
                 pv = stack[-1][0]
                 low[pv] = min(low[pv], low[v])
-                if low[v] > disc[pv] and multiplicity(g, pv, v) == 1:
+                if low[v] > disc[pv] and copies[min(pv, v), max(pv, v)] == 1:
                     bridges.add((min(pv, v), max(pv, v)))
     return bridges if timer == n else None
 
@@ -1289,7 +1226,8 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
     Returns the completion and its local -> component ids.
     """
     if len(xs) % 2 == 0:
-        return with_edges(comp, list(zip(xs[::2], xs[1::2]))), list(range(comp.n))
+        tilde = MultiGraph(comp.n, comp.edge_list() + list(zip(xs[::2], xs[1::2])))
+        return tilde, list(range(comp.n))
     x1 = xs[0]
     u, w = comp.neighbors(x1)
     s = next(z for z in comp.neighbors(u) if z not in (x1, w))
@@ -1297,7 +1235,8 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
     added = [(s, y)] + list(zip(xs[1::2], xs[2::2]))
     sub, to_comp = induced(comp, (v for v in range(comp.n) if v not in (x1, u, w)))
     to_local = {gv: lv for lv, gv in enumerate(to_comp)}
-    return with_edges(sub, [(to_local[a], to_local[b]) for a, b in added]), to_comp
+    local_added = [(to_local[a], to_local[b]) for a, b in added]
+    return MultiGraph(sub.n, sub.edge_list() + local_added), to_comp
 
 
 def decompose_by_own_scan(g: MultiGraph) -> Decomposition:
@@ -1323,9 +1262,10 @@ def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColor
 
 
 def lift_slot(dec: Decomposition, edge: tuple[int, int]) -> Slot:
-    """The slot of the H-edge whose realization contains `edge`, by a search of them all."""
+    """The slot of the H-edge whose realization contains `edge`, by a search
+    of them all; H-edge e is slot `h_of(dec).slots()[e]`."""
     key = (min(edge), max(edge))
-    for slot, r in realization_by_slots(dec).items():
+    for slot, r in zip(h_of(dec).slots(), dec.walk):
         for a, b in zip(r[::4], r[1::4]):
             if (a, b) == key or (b, a) == key:
                 return slot
@@ -1342,7 +1282,7 @@ def color_type3_by_subgraphs(
     Returns the colors by component id and the vertices on the
     completion's diamonds.
     """
-    if any(has_edge(comp, a, b) for a, b in combinations(xs, 2)):
+    if any(b in comp.neighbors(a) for a, b in combinations(xs, 2)):
         raise InternalInvariantError("attachment vertices are adjacent")
     x1 = xs[0]
     tilde, to_comp = completion_by_subgraphs(comp, xs)
@@ -1368,7 +1308,7 @@ def color_type3_by_subgraphs(
                 edge, through = (x1, xs[1]), _matched_through
             slot = lift_slot(dec, (to_tilde[edge[0]], to_tilde[edge[1]]))
             # the colorer names H-edges by their index in slot order
-            e = list(realization_by_slots(dec)).index(slot)
+            e = h_of(dec).slots().index(slot)
             local = LocalScan(walk=list(dec.walk), ends=list(dec.ends))
             sub = _canonical(local, through(len(dec.triangles), local.ends, e)).assignment
         if len(xs) % 2:

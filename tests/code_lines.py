@@ -1,4 +1,5 @@
-"""Count the code lines and parser tokens of each `src/clawcolor` module.
+"""Count the code lines and parser tokens of each `src/clawcolor` module,
+and of the test-side modules `tests/brute.py` and `tests/conftest.py`.
 
 A code line holds at least one token that is not a comment and not part
 of a docstring; blank lines, comment lines and docstring lines do not
@@ -7,7 +8,11 @@ function body.  The parser tokens are the `tokenize` tokens less
 COMMENT, NL and ENCODING, docstrings included, which is what CPython's
 parser holds when it compiles the module.
 
-Exits 1 when a module reaches `TOKEN_LIMIT` parser tokens.  The parser
+It prints a total for each side, so that code moved from `src/` into a
+test-side copy shows as moved, not removed.
+
+Exits 1 when a `src/clawcolor` module reaches `TOKEN_LIMIT` parser
+tokens; the test-side modules are counted, not limited.  The parser
 doubles its token array and allocates every slot of it, so compiling a
 module past that count peaks about 0.25 MiB higher at once; a process
 that compiles the package, as `clawcolor color` run from a checkout
@@ -32,6 +37,8 @@ _SKIP = {
 _UNPARSED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 TOKEN_LIMIT = 4096
+TESTS = Path(__file__).resolve().parent
+TEST_SIDE = ("brute.py", "conftest.py")
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -60,7 +67,7 @@ def counts(path: Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "clawcolor"
+    root = Path(argv[0]) if argv else TESTS.parent / "src" / "clawcolor"
     total, over = 0, []
     print(f"{'lines':>6}  {'tokens':>6}  module")
     for path in sorted(root.glob("*.py")):
@@ -70,6 +77,12 @@ def main(argv: list[str]) -> int:
         if tokens >= TOKEN_LIMIT:
             over.append(path.name)
     print(f"{total:6d}  {'':6}  total")
+    side = 0
+    for name in TEST_SIDE:
+        count, tokens = counts(TESTS / name)
+        side += count
+        print(f"{count:6d}  {tokens:6d}  tests/{name}")
+    print(f"{side:6d}  {'':6}  test-side total")
     for name in over:
         print(f"{name} has {TOKEN_LIMIT} or more parser tokens", file=sys.stderr)
     return 1 if over else 0

@@ -22,11 +22,10 @@ from clawcolor.recognition import _structure
 
 from brute import (
     find_diamonds,
-    has_edge,
+    h_of,
     is_k4,
     lift_slot,
     light_support_property,
-    realization_by_slots,
     ring_by_diamonds,
     transposed,
 )
@@ -126,7 +125,7 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
         assert col.assignment[r[0]] == C2A
         assert col.assignment[r[-1]] == C2B
         if len(r) == 2:
-            assert has_edge(g, r[0], r[-1])
+            assert r[-1] in g.neighbors(r[0])
 
 
 def with_edge(g, dec, edge):
@@ -143,7 +142,7 @@ def _forced(g, dec, edge, through):
     """The canonical coloring of g for `through` at the H-image of `edge`,
     whose id is its slot's index in slot order."""
     local = _structure(g)
-    e = list(realization_by_slots(dec)).index(lift_slot(dec, edge))
+    e = h_of(dec).slots().index(lift_slot(dec, edge))
     return _canonical(local, through(len(local.triangles), local.ends, e))
 
 

@@ -510,6 +510,14 @@ def test_generate_bad_tree_spec_exit2(capsys):
     assert capsys.readouterr().err == "error: bad component spec 'k3', want kind:attachments\n"
     assert main(["generate", "bridged", "--tree", "k3:x"]) == 2
     assert capsys.readouterr().err == "error: bad attachment count in 'k3:x'\n"
+    # an attachment count is an optional '-' and ASCII digits
+    for part in ("k3:+3", "type3:1_0", "k3:\u0663", "k3:\uff13"):
+        assert main(["generate", "bridged", "--tree", f"{part},type3:1"]) == 2
+        assert capsys.readouterr().err == f"error: bad attachment count in {part!r}\n"
+    assert main(["generate", "bridged", "--tree", "k3:" + "9" * 5000]) == 2
+    assert capsys.readouterr().err == (
+        f"error: attachment count {'9' * 20}... (5000 digits) out of range\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -518,8 +526,20 @@ def test_generate_bad_tree_spec_exit2(capsys):
         (["solve", "k4", "--spec", "x"], "bad spec 'x': invalid literal for int() with base 10: 'x'"),
         (["solve", "k4", "--spec", "0,1"], "bad spec '0,1': radii must be positive"),
         (["verify", "k4", "k4", "--spec", "2,1"], "bad spec '2,1': radii must be non-decreasing"),
+        (["solve", "k4", "--spec", " +1,1,2,2"],
+         "bad spec ' +1,1,2,2': invalid literal for int() with base 10: ' +1'"),
+        (["solve", "k4", "--spec", "1,1,2_2"],
+         "bad spec '1,1,2_2': invalid literal for int() with base 10: '2_2'"),
+        (["solve", "k4", "--spec", "1,1,\u0662,2"],
+         "bad spec '1,1,\u0662,2': invalid literal for int() with base 10: '\u0662'"),
+        (["solve", "k4", "--spec", "1,1,2,\uff12"],
+         "bad spec '1,1,2,\uff12': invalid literal for int() with base 10: '\uff12'"),
+        (["solve", "k4", "--spec", "1,1,2," + "9" * 5000],
+         f"bad spec: radius {'9' * 20}... (5000 digits) out of range"),
     ],
-    ids=["solve-not-an-int", "solve-zero-radius", "verify-decreasing"],
+    ids=["solve-not-an-int", "solve-zero-radius", "verify-decreasing", "solve-plus-radius",
+         "solve-underscore-radius", "solve-arabic-indic-radius", "solve-full-width-radius",
+         "solve-5000-digit-radius"],
 )
 def test_malformed_spec_exit2(fixture_files, capsys, argv, message):
     """A bad --spec is a bad option value, exit 2 like a bad --tree."""
@@ -544,8 +564,16 @@ def test_verify_bad_coloring_line_is_a_parse_error(fixture_files, tmp_path, caps
         ("0 1a\n1 1b\n2 2c\n3 2b\n", 1, "", "error: line 3: unknown label '2c'\n"),
         ("# a comment\n\n0 1a\n1 1b\n   \n2 2a\n# another\n3 2b\n", 0, "OK\n", ""),
         ("0 2b\n0 1a\n1 1b\n2 2a\n3 2b\n", 1, "", "error: line 2: vertex 0 listed twice\n"),
+        ("0 1a\n+1 1b\n2 2a\n3 2b\n", 1, "", "error: line 2: bad vertex '+1'\n"),
+        ("0 1a\n1 1b\n2 2a\n0_3 2b\n", 1, "", "error: line 4: bad vertex '0_3'\n"),
+        ("\u0660 1a\n1 1b\n2 2a\n3 2b\n", 1, "", "error: line 1: bad vertex '\u0660'\n"),
+        ("0 1a\n1 1b\n\uff12 2a\n3 2b\n", 1, "", "error: line 3: bad vertex '\uff12'\n"),
+        ("0 1a\n" + "9" * 5000 + " 1b\n2 2a\n3 2b\n", 1, "",
+         f"error: line 2: vertex {'9' * 20}... (5000 digits) out of range\n"),
     ],
-    ids=["three-fields", "unknown-label", "comments-and-blanks", "vertex-listed-twice"],
+    ids=["three-fields", "unknown-label", "comments-and-blanks", "vertex-listed-twice",
+         "plus-vertex", "underscore-vertex", "arabic-indic-vertex", "full-width-vertex",
+         "5000-digit-vertex"],
 )
 def test_verify_coloring_lines(fixture_files, tmp_path, capsys, text, code, out, err):
     cpath = tmp_path / "k4.col"

@@ -51,7 +51,6 @@ from brute import (
     h_of,
     induced,
     lift_slot,
-    realization_by_slots,
 )
 from test_recognition import _bridged_sweep_shapes
 
@@ -263,17 +262,16 @@ def test_deep_tree():
 
 def test_bridge_endpoint_classes_safe(base_corpus):
     # across every bridge, same radius-2 class never appears within distance 2
-    from brute import all_pairs_distances
+    from brute import bfs_distances
 
     for name, g in base_corpus:
         if not find_bridges(g):
             continue
         col = color_claw_free_cubic(g)
-        dist = all_pairs_distances(g)
         for u, v in find_bridges(g):
             cu, cv = col.assignment[u], col.assignment[v]
             if cu == cv:
-                assert SPEC_1122.radii[cu] < dist[u][v], (name, u, v)
+                assert SPEC_1122.radii[cu] < bfs_distances(g.n, g.edge_list(), u)[v], (name, u, v)
 
 
 def test_every_corpus_graph_colors(corpus):
@@ -439,7 +437,7 @@ def _assert_cut_as_built(share, xs, tilde, to_g):
     edge = (xs[0], xs[1]) if gadget is None else gadget[2:]
     to_tilde = {v: i for i, v in enumerate(to_g)}
     slot = lift_slot(want, (to_tilde[edge[0]], to_tilde[edge[1]]))
-    assert e == list(realization_by_slots(want)).index(slot)
+    assert e == h.slots().index(slot)
     return local, slot, gadget
 
 

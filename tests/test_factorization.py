@@ -24,7 +24,6 @@ from brute import (
     relabeled,
     all_two_factors,
     cycle_slots,
-    edge_pairs,
     factor_from_matching_by_reattribution,
     h_of,
     matching_through_by_reattribution,
@@ -353,7 +352,7 @@ def test_matching_size_against_networkx():
     for g in graphs:
         ref = nx.Graph()
         ref.add_nodes_from(range(g.n))
-        ref.add_edges_from((u, v) for u, v, _ in edge_pairs(g))
+        ref.add_edges_from(g.edge_list())
         size = len(nx.max_weight_matching(ref, maxcardinality=True))
         assert len(matched_slots(g)) == size
 

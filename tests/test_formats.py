@@ -22,7 +22,7 @@ from clawcolor.errors import (
 
 from clawcolor.formats import GRAPH6_MAX_N
 
-from brute import edge_pairs, has_edge, multiplicity, ref_graph6_decode
+from brute import ref_graph6_decode
 
 
 def test_parse_k4_edgelist():
@@ -43,7 +43,7 @@ def test_cubic_edge_count_checked_before_building():
 
 def test_multiplicity_via_repeats():
     g = parse_edgelist("2\n0 1\n0 1\n0 1\n")
-    assert multiplicity(g, 0, 1) == 3
+    assert g.edge_list() == [(0, 1)] * 3
 
 
 def test_edgelist_round_trip_is_identity():
@@ -77,6 +77,14 @@ def test_malformed_inputs():
          "non-integer endpoint in '4 x' (line 10)", 10),
         ("-1\n0 1\n1 2\n", "vertex count must be non-negative (line 1)", 1),
         ("3\n0 1\n0 #1\n", "non-integer endpoint in '0 #1' (line 3)", 3),
+        ("3\n0 1\n+1 2\n", "non-integer endpoint in '+1 2' (line 3)", 3),
+        ("3\n1_0 2\n", "non-integer endpoint in '1_0 2' (line 2)", 2),
+        ("3\n0 \u0662\n", "non-integer endpoint in '0 \u0662' (line 2)", 2),
+        ("3\n\uff11 2\n", "non-integer endpoint in '\uff11 2' (line 2)", 2),
+        ("3\n0 " + "9" * 5000 + "\n", f"vertex {'9' * 20}... (5000 digits) out of range (line 2)", 2),
+        ("+3\n0 1\n", "bad vertex count '+3' (line 1)", 1),
+        ("1_1\n0 1\n", "bad vertex count '1_1' (line 1)", 1),
+        ("9" * 5000 + "\n", f"vertex count {'9' * 20}... (5000 digits) out of range (line 1)", 1),
     ],
     ids=[
         "empty",
@@ -95,6 +103,14 @@ def test_malformed_inputs():
         "late-bad-line",
         "negative-count-with-edges",
         "hash-in-second-field",
+        "plus-endpoint",
+        "underscore-endpoint",
+        "arabic-indic-endpoint",
+        "full-width-endpoint",
+        "5000-digit-endpoint",
+        "plus-count",
+        "underscore-count",
+        "5000-digit-count",
     ],
 )
 def test_edgelist_error_messages_and_line_numbers(text, message, line):
@@ -188,6 +204,11 @@ _INTS = st.integers(0, 99).map(str)
 _NON_INTS = st.sampled_from(["x", "a1", "2.0", "1e3", "0x1", "--1", "½"])
 _FIELDS = st.one_of(_INTS, _NON_INTS)
 _LATER_FIELDS = _FIELDS | st.just("#1")
+# the digits 0 to 9 of scripts other than ASCII: Arabic-Indic, Devanagari
+# and full-width; int() reads them, the edge-list reader does not
+_NON_ASCII_DIGITS = st.sampled_from(["٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９"]).map(
+    lambda digits: str.maketrans("0123456789", digits)
+)
 
 
 @st.composite
@@ -195,7 +216,7 @@ def _malformed_line(draw) -> tuple[bool, list[str], str]:
     """(whether it stands for the header, its fields, its message less the
     line text) for one line of each kind the edge-list reader names."""
     kind = draw(st.sampled_from(["two-field-header", "bad-count", "negative-count",
-                                 "field-count", "non-integer"]))
+                                 "field-count", "non-integer", "non-ascii"]))
     if kind == "two-field-header":
         fields = draw(st.lists(_INTS, min_size=2, max_size=3))
         return True, fields, "expected vertex count on first line"
@@ -206,6 +227,11 @@ def _malformed_line(draw) -> tuple[bool, list[str], str]:
     if kind == "field-count":
         rest = draw(st.lists(_LATER_FIELDS, max_size=3).filter(lambda r: len(r) != 1))
         return False, [draw(_FIELDS), *rest], "expected 'u v', got {1!r}"
+    if kind == "non-ascii":
+        fields = [draw(_INTS), draw(_INTS)]
+        at = draw(st.integers(0, 1))
+        fields[at] = fields[at].translate(draw(_NON_ASCII_DIGITS))
+        return False, fields, "non-integer endpoint in {1!r}"
     fields = [draw(_FIELDS), draw(_LATER_FIELDS)]
     assume(not all(f.isdecimal() for f in fields))
     return False, fields, "non-integer endpoint in {1!r}"
@@ -249,7 +275,7 @@ def test_graph6_k4():
     # "C~" is the standard graph6 encoding of the 4-clique
     g = parse_graph6("C~")
     assert g.n == 4 and g.size == 6
-    assert all(has_edge(g, u, v) for u in range(4) for v in range(u + 1, 4))
+    assert g.edge_list() == [(u, v) for u in range(4) for v in range(u + 1, 4)]
     assert emit_graph6(g) == "C~"
 
 
@@ -309,7 +335,7 @@ def test_graph6_fixtures_cross_checked_against_reference_decoder():
         s = emit_graph6(g)
         n, edges = ref_graph6_decode(s)
         assert n == g.n
-        assert edges == {(u, v) for u, v, _ in edge_pairs(g)}
+        assert edges == set(g.edge_list())
 
 
 def test_graph6_against_networkx_if_available():
@@ -319,9 +345,7 @@ def test_graph6_against_networkx_if_available():
             continue
         ref = nx.from_graph6_bytes(emit_graph6(g).encode("ascii"))
         assert set(ref.nodes) == set(range(g.n))
-        assert {tuple(sorted(e)) for e in ref.edges} == {
-            (u, v) for u, v, _ in edge_pairs(g)
-        }
+        assert {tuple(sorted(e)) for e in ref.edges} == set(g.edge_list())
 
 
 simple_graphs = st.integers(min_value=1, max_value=70).flatmap(
@@ -343,7 +367,7 @@ def test_graph6_round_trip(g):
     s = emit_graph6(g)
     assert parse_graph6(s) == g
     n, edges = ref_graph6_decode(s)
-    assert n == g.n and edges == {(u, v) for u, v, _ in edge_pairs(g)}
+    assert n == g.n and edges == set(g.edge_list())
 
 
 @given(simple_graphs)

@@ -25,7 +25,7 @@ from clawcolor import generators
 from clawcolor.generators import _parse_tree_spec
 from clawcolor.rng import SplitMix64
 
-from brute import edge_pairs
+from brute import bfs_distances
 
 
 def test_ring_generator():
@@ -43,7 +43,7 @@ def test_ring_too_small():
 
 def test_multigraph_n2_is_triple_edge():
     g = gen_cubic_multigraph(2, SplitMix64(0))
-    assert edge_pairs(g) == [(0, 1, 3)]
+    assert g.edge_list() == [(0, 1)] * 3
 
 
 def all_cubic_multigraphs_on_4() -> set:
@@ -239,9 +239,6 @@ def test_fixture_catalog():
     assert len(find_bridges(fx["bridged_star"])) == 3
     assert not fx["h10"].is_simple()
     # petersen: triangle-free with girth 5
-    from brute import all_pairs_distances
-
     pet = fx["petersen"]
     assert not is_claw_free(pet)
-    d = all_pairs_distances(pet)
-    assert max(max(r) for r in d) == 2
+    assert max(max(bfs_distances(pet.n, pet.edge_list(), s)) for s in range(pet.n)) == 2
