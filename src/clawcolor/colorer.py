@@ -1,6 +1,23 @@
 """(1,1,2,2)-coloring of arbitrary connected claw-free cubic graphs.
 
-Bridgeless graphs go straight to the 2-edge-connected constructions.
+A 2-edge-connected graph, and each completed Type III component, is
+colored by one of three constructions: the trivial K4 coloring, the
+ring-of-diamonds coloring (interiors take the radius-2 classes, each
+inter-diamond edge takes both radius-1 classes), and the canonical
+coloring driven by a 2-factor of the underlying multigraph H:
+
+  * each matching edge's two triangle corners get 2a/2b, with Type 2
+    strings alternating 2b/2a along their exteriors and 1a/1b inside;
+  * around each 2-factor cycle, triangle corners take roles entry -> 1a
+    and exit -> 1b, with Type 1 strings taking 1a/1b on their exteriors
+    and 2a/2b inside.
+
+Corners and diamonds are read by position from the realization tuples
+(`recognition._walk` gives the format): H-edge e is `walk[e]`, run from
+triangle `ends[e][0]` (`recognition._contract`'s docstring).  A
+bridgeless graph's coloring takes `_complement`'s 2-factor; a ring, of G
+or of a completion, is colored from one cyclic walk by `_ring`.
+
 Otherwise the tree over the classes of H's triangles
 (`recognition._class_tree`), rooted at a leaf of a diametral path of the
 bridge tree, is colored from the root, each class after its parent, in
@@ -13,21 +30,29 @@ class absent around the exit, so the next diamond and x1 are forced f
 again.  A K3 is colored in place: x1 gets f, its other corners 1a and 1b
 in ascending order.  A Type III component C, the root included, with
 attachment vertices X (its degree-2 vertices) is completed to a
-2-edge-connected claw-free cubic graph, colored from a 2-factor of its H
-with one edge forced (Plesnik's theorem):
+2-edge-connected claw-free cubic graph and colored by one rule, from a
+2-factor of its H with one edge forced (Plesnik's theorem) or as a ring:
 
   * |X| even: add a pairing edge on each consecutive pair of X; x1-x2 is
-    forced into the perfect matching, so x1, x2 carry 2a/2b.
+    forced into the perfect matching of a canonical coloring, so x1, x2
+    carry 2a/2b.
   * |X| odd: remove x1 and its two neighbors u, w, join their outer
-    neighbors s, y by an edge, pair up the rest of X; s-y is forced onto
-    the 2-factor, so s, y carry 1a/1b, then put u -> 1b, w -> 1a,
-    x1 -> 2a.  A K4 completion takes the explicit 7-vertex assignment
-    instead, and a ring of diamonds the ring coloring.
+    neighbors s, y by an edge, pair up the rest of X.  A component of
+    one triangle completes to a ring, K4 for one diamond, and any other
+    is colored canonically with s-y forced onto the 2-factor, so s and y
+    carry 1a and 1b either way.  Then u takes y's class, w takes s's
+    and x1 takes 2a.
+  * 2a and 2b are exchanged over the whole component unless x1 already
+    has the forced class.
+
+The odd gadget needs no check of its own.  u lies 2 from y and w 2 from
+s, so were s or y to carry a radius-2 class, or both one radius-1 class
+(putting u's class next to s), the exit certificate would find the
+violation and raise VerificationFailedError.
 
 Neither the completed graph nor its H is built: `_surgery` cuts H's
 edge list from C's share of G's contraction, which the class tree holds,
 in G's ids, and numbers its H-edges as `recognition._contract` numbers G's.
-The forced class of x1 is realized by transposing whole color classes.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
 input once at entry, through `recognition._structure`, and certifies the
@@ -42,13 +67,89 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import chain
 
-from .canonical import _canonical, _color_string, _ring, _two_edge_connected
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
 from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
-from .factorization import _matched_through, _two_factor_through
+from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import verify
 from .recognition import ClassTree, LocalScan, _attachments, _structure
+
+
+def _k4() -> PackingColoring:
+    """K4 takes one vertex in each class."""
+    return PackingColoring(SPEC_1122, dict(enumerate((C1A, C1B, C2A, C2B))))
+
+
+def _ring(ring: tuple[int, ...]) -> PackingColoring:
+    """Color a ring of diamonds from its cyclic walk (`recognition._ring_walk`).
+
+    Interiors get 2a and 2b; an edge between diamonds gets 1a at its
+    smaller end and 1b at the other.
+    """
+    assignment: dict[int, int] = {}
+    for j in range(0, len(ring), 4):
+        x, y = ring[j - 1], ring[j]  # the previous diamond's exit and this one's entry
+        assignment[x], assignment[y] = (C1A, C1B) if x < y else (C1B, C1A)
+        assignment[ring[j + 1]] = C2A
+        assignment[ring[j + 2]] = C2B
+    return PackingColoring(SPEC_1122, assignment)
+
+
+def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
+    """The canonical coloring of a built graph for a 2-factor of its H.
+
+    `local` is a numbered contraction (`recognition._contract`, or
+    `_surgery` for a completion) and `factor` a 2-factor of its
+    H.  Each vertex lies on one realization, so the check counts their
+    lengths.
+    """
+    walk, ends = local.walk, local.ends
+    assignment: dict[int, int] = {}
+
+    # matching edges: the corner in the lower-indexed triangle gets 2a
+    for e in factor.matching:
+        r = walk[e]
+        assignment[r[0]] = C2A
+        assignment[r[-1]] = C2B
+        _color_string(assignment, r, C2B, C2A, C1A, C1B)
+
+    # cycles: each edge runs from hv, whose exit corner is 1b, to the next
+    # H-vertex, whose entry corner is 1a; r runs from ends[e][0]
+    for cycle in factor.cycles:
+        for hv, e in cycle:
+            r = walk[e]
+            first, last = (C1B, C1A) if hv == ends[e][0] else (C1A, C1B)
+            assignment[r[0]] = first
+            assignment[r[-1]] = last
+            if len(r) > 2:
+                _color_string(assignment, r, last, first, C2A, C2B)
+
+    n = sum(map(len, walk))
+    if len(assignment) != n:
+        raise InternalInvariantError(
+            f"canonical coloring covered {len(assignment)} of {n} vertices"
+        )
+    return PackingColoring(SPEC_1122, assignment)
+
+
+def _color_string(
+    assignment: dict[int, int], r: tuple[int, ...], entry: int, exit_: int, first: int, second: int
+) -> None:
+    """Color each diamond of the realization r: its exteriors r[j] and
+    r[j + 3] get `entry` and `exit_`, its interiors `first` and `second`."""
+    for j in range(1, len(r) - 1, 4):
+        assignment[r[j]] = entry
+        assignment[r[j + 3]] = exit_
+        assignment[r[j + 1]] = first
+        assignment[r[j + 2]] = second
+
+
+def _two_edge_connected(local: LocalScan) -> PackingColoring:
+    """Dispatch on what the numbered contraction of a bridgeless graph holds:
+    H's triangles, a ring's one cyclic walk, or nothing, for K4."""
+    if local.triangles:
+        return _canonical(local, _complement(len(local.triangles), local.ends))
+    return _ring(local.walk[0]) if local.walk else _k4()
 
 
 def _check_attachments(at: Mapping[int, int], xs: Sequence[int]) -> None:
@@ -136,68 +237,37 @@ def _surgery(
     return local, pairs.index(forced), gadget
 
 
-def _explicit_k4_completion(x1: int, r: tuple[int, ...], root_style: bool) -> dict[int, int]:
-    """Explicit coloring of a 7-vertex component whose completion is K4.
-
-    r = (u, s, z, a, y, w) is the H-loop at x1's triangle: one diamond,
-    whose interiors z < a are the completion's two vertices other than s
-    and y.  The smaller plays the written role first.
-    """
-    u, s, z, a, y, w = r
-    if root_style:
-        # explicit root assignment: s -> 1b, y -> 1a, fourth -> 2a, apex -> 2b
-        return {s: C1B, y: C1A, a: C2A, z: C2B, u: C1A, w: C1B, x1: C2A}
-    # explicit child assignment: apex -> 2a, fourth -> 2b, s -> 1a, y -> 1b
-    return {s: C1A, y: C1B, z: C2A, a: C2B, u: C1B, w: C1A, x1: C2A}
-
-
-def _color_type3(
-    share: LocalScan, xs: Sequence[int], forced: int, root_style: bool
-) -> dict[int, int]:
+def _color_type3(share: LocalScan, xs: Sequence[int], forced: int) -> dict[int, int]:
     """Colors of a Type III component, keyed by G's ids.
 
     `share` is the component's share of G's contraction, xs its
     attachment vertices with x1 first, which gets `forced`.  A component
     of one triangle, x1's, holds an H-loop (u, s, ..., y, w), and its
-    completion is the loop's string closed up by s-y: K4 for one diamond,
-    else a ring.  Any other is completed by `_surgery` and colored
+    completion is the loop's string closed up by s-y, a ring: K4 for one
+    diamond.  Any other is completed by `_surgery` and colored
     canonically, as the module docstring says.
     """
     at = {v: t for t, tri in enumerate(share.triangles) for v in tri}
     _check_attachments(at, xs)
     x1 = xs[0]
-    fixed: dict[int, int] = {}  # colors of the vertices the completion lacks
-    sub: dict[int, int] = {}  # colors of the completion's vertices
-    ones = (C1A, C1B)  # the completion's 1a and 1b, as colored in G
     if len(share.triangles) == 1:
         (r,) = share.walk
         gadget = r[0], r[-1], r[1], r[-2]
-        if len(r) == 6:
-            fixed = _explicit_k4_completion(x1, r, root_style)
-        else:
-            # s-y closes r's string into a ring: s, ..., y is its cyclic walk
-            sub = _ring(r[1:-1]).assignment
+        # s-y closes r's string into a ring: s, ..., y is its cyclic walk
+        colors = _ring(r[1:-1]).assignment
     else:
         local, e, gadget = _surgery(share, at, xs)
         through = _matched_through if gadget is None else _two_factor_through
-        sub = _canonical(local, through(len(local.triangles), local.ends, e)).assignment
-    if sub and gadget is not None:
+        colors = _canonical(local, through(len(local.triangles), local.ends, e)).assignment
+    if gadget is not None:
         u, w, s, y = gadget
-        if {sub[s], sub[y]} != {C1A, C1B}:
-            raise InternalInvariantError(
-                "joined outer neighbors did not receive the two radius-1 colors"
-            )
-        # s must carry 1a: exchange the completion's 1a and 1b if it does not
-        ones = (C1A, C1B) if sub[s] == C1A else (C1B, C1A)
-        fixed = {u: C1B, w: C1A, x1: C2A}
-    # 2a and 2b are exchanged unless x1 already has `forced`
-    first = fixed[x1] if x1 in fixed else sub[x1]
-    twos = (C2A, C2B) if first == forced else (C2B, C2A)
-    # swap[c] is the color in G of the completion's c, fixed_swap of a fixed c
-    swap, fixed_swap = ones + twos, (C1A, C1B) + twos
-    colors = {v: swap[c] for v, c in sub.items()}
-    for v, c in fixed.items():
-        colors[v] = fixed_swap[c]
+        # s and y, one edge apart in the completion, hold 1a and 1b; if
+        # not, u (2 from y) or w (2 from s) repeats a radius-2 class, or u
+        # sits next to s in its class, and the exit certificate says so
+        colors[u], colors[w], colors[x1] = colors[y], colors[s], C2A
+    if colors[x1] != forced:
+        swap = {C2A: C2B, C2B: C2A}
+        colors = {v: swap.get(c, c) for v, c in colors.items()}
     return colors
 
 
@@ -250,5 +320,5 @@ def _color_bridged(g: MultiGraph, tree: ClassTree) -> PackingColoring:
         if share is None:  # a K3, whose corners are xs: x1, then the other two ascending
             assignment[xs[0]], assignment[xs[1]], assignment[xs[2]] = forced, C1A, C1B
         else:
-            assignment.update(_color_type3(share, xs, forced, root_style=i == -1))
+            assignment.update(_color_type3(share, xs, forced))
     return PackingColoring(SPEC_1122, assignment)

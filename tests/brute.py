@@ -24,8 +24,10 @@ components, `_bridge_tree`; the `*_by_reattribution` 2-factors
 `multigraph._bridges` on large graphs; and the `*_by_subgraphs` bridged
 path, one induced subgraph per component and each Type III completion
 built from its subgraph, then decomposed (`decompose_by_own_scan`), ring
-coloured (`ring_by_diamonds`) or searched for its forced edge's slot
-(`lift_slot`), `colorer._color_bridged` and `colorer._surgery`.
+coloured (`ring_by_diamonds`, or by the same rule written out for K4) or
+searched for its forced edge's slot (`lift_slot`), with the colorer's one
+odd-gadget rule applied on top, `colorer._color_bridged`,
+`colorer._color_type3` and `colorer._surgery`.
 `scan_diamonds` reads `_local_scan`'s flat diamonds as `Diamond`s.
 
 **Shims**, each kept for the callers named:
@@ -50,8 +52,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from itertools import combinations, product
 
-from clawcolor.canonical import _canonical
-from clawcolor.colorer import _explicit_k4_completion, _free_two_color
+from clawcolor.colorer import _canonical, _free_two_color
 from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
 from clawcolor.errors import (
     CapExceededError,
@@ -1246,7 +1247,7 @@ def decompose_by_own_scan(g: MultiGraph) -> Decomposition:
 
 
 def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
-    """`canonical._ring` as it was, from g's diamonds and adjacency: interiors
+    """`colorer._ring` as it was, from g's diamonds and adjacency: interiors
     2a/2b; an edge between diamonds gets 1a at its smaller end and 1b."""
     assignment: dict[int, int] = {}
     adj = g.adjacency()
@@ -1273,14 +1274,18 @@ def lift_slot(dec: Decomposition, edge: tuple[int, int]) -> Slot:
 
 
 def color_type3_by_subgraphs(
-    comp: MultiGraph, xs: list[int], forced: int, root_style: bool
+    comp: MultiGraph, xs: list[int], forced: int
 ) -> tuple[dict[int, int], list[int]]:
-    """`colorer._color_type3` as it was, on the component alone.
+    """`colorer._color_type3` on the component alone, by one rule.
 
     The completion is built from the subgraph, scanned, walked and
-    contracted, and the forced edge's slot is found by `lift_slot`.
-    Returns the colors by component id and the vertices on the
-    completion's diamonds.
+    contracted, and the forced edge's slot is found by `lift_slot`.  A K4
+    or ring completion is ring colored from its diamonds, a K4's s and y
+    taking 1a and 1b by id order and its other two vertices 2a and 2b
+    ascending; any other is colored canonically.  With |X| odd, u then
+    takes y's class, w takes s's and x1 takes 2a, and 2a and 2b are
+    exchanged unless x1 has `forced`.  Returns the colors by component id
+    and the vertices on the completion's diamonds.
     """
     if any(b in comp.neighbors(a) for a, b in combinations(xs, 2)):
         raise InternalInvariantError("attachment vertices are adjacent")
@@ -1288,16 +1293,13 @@ def color_type3_by_subgraphs(
     tilde, to_comp = completion_by_subgraphs(comp, xs)
     to_tilde = {v: i for i, v in enumerate(to_comp)}
     dec = decompose_by_own_scan(tilde)
-    fixed: dict[int, int] = {}  # colors by component id
-    sub: dict[int, int] = {}  # colors by completion id
-    ones = (C1A, C1B)
     if len(xs) % 2:
         u, w = comp.neighbors(x1)
         s = next(z for z in comp.neighbors(u) if z not in (x1, w))
         y = next(z for z in comp.neighbors(w) if z not in (x1, u))
     if dec.variant is Variant.K4:
-        z, a = (v for v in to_comp if v not in (s, y))
-        fixed = _explicit_k4_completion(x1, (u, s, z, a, y, w), root_style)
+        z, a = sorted(v for v in to_comp if v not in (s, y))
+        colors = {min(s, y): C1A, max(s, y): C1B, z: C2A, a: C2B}
     else:
         if dec.variant is Variant.RING:
             sub = ring_by_diamonds(tilde, dec.ring_diamonds).assignment
@@ -1311,15 +1313,11 @@ def color_type3_by_subgraphs(
             e = h_of(dec).slots().index(slot)
             local = LocalScan(walk=list(dec.walk), ends=list(dec.ends))
             sub = _canonical(local, through(len(dec.triangles), local.ends, e)).assignment
-        if len(xs) % 2:
-            if {sub[to_tilde[s]], sub[to_tilde[y]]} != {C1A, C1B}:
-                raise InternalInvariantError("s and y are not 1a and 1b")
-            ones = (C1A, C1B) if sub[to_tilde[s]] == C1A else (C1B, C1A)
-            fixed = {u: C1B, w: C1A, x1: C2A}
-    first = fixed[x1] if x1 in fixed else sub[to_tilde[x1]]
-    twos = (C2A, C2B) if first == forced else (C2B, C2A)
-    colors = {to_comp[v]: (ones + twos)[c] for v, c in sub.items()}
-    colors.update({v: ((C1A, C1B) + twos)[c] for v, c in fixed.items()})
+        colors = {to_comp[v]: c for v, c in sub.items()}
+    if len(xs) % 2:
+        colors[u], colors[w], colors[x1] = colors[y], colors[s], C2A
+    if colors[x1] != forced:
+        colors = {v: {C2A: C2B, C2B: C2A}.get(c, c) for v, c in colors.items()}
     if dec.variant is Variant.RING:
         on = {v for d in dec.ring_diamonds for v in diamond_vertices(d)}
     else:
@@ -1343,7 +1341,7 @@ def extension_by_subgraphs(
             x1: forced,
             xs[1]: C2B if forced == C2A else C2A,
         }, list(range(4))
-    return color_type3_by_subgraphs(comp, xs, forced, root_style=False)
+    return color_type3_by_subgraphs(comp, xs, forced)
 
 
 def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
@@ -1358,7 +1356,7 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
         to_local = {gv: lv for lv, gv in enumerate(to_global)}
         xs = [to_local[x] for x in bt.degree2[c]]
         if c == bt.root:
-            local_col, dia = color_type3_by_subgraphs(sub, xs, C2A, root_style=True)
+            local_col, dia = color_type3_by_subgraphs(sub, xs, C2A)
         else:
             q = bt.up_neighbor[c]
             parent = comp_of[q]

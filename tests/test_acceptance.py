@@ -23,7 +23,7 @@ from clawcolor import (
     subdivide,
     verify,
 )
-from clawcolor.canonical import _canonical
+from clawcolor.colorer import _canonical
 from clawcolor.cli import main as cli_main
 from clawcolor.factorization import _complement, _two_factor_through
 from clawcolor.recognition import _structure

@@ -15,7 +15,7 @@ from clawcolor import (
     gen_ring_of_diamonds,
     verify,
 )
-from clawcolor.canonical import _canonical, _k4, _ring
+from clawcolor.colorer import _canonical, _k4, _ring
 from clawcolor.errors import InternalInvariantError, NotCubicError
 from clawcolor.factorization import _complement, _matched_through, _two_factor_through
 from clawcolor.recognition import _structure

@@ -51,6 +51,7 @@ from brute import (
     h_of,
     induced,
     lift_slot,
+    violations_brute,
 )
 from test_recognition import _bridged_sweep_shapes
 
@@ -59,9 +60,17 @@ def assert_valid(g, coloring):
     assert verify(g, SPEC_1122, coloring) == []
 
 
-def leaf_gadget(offset=0):
-    """7-vertex Type III component whose completion collapses to K4."""
-    e = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (3, 6), (5, 6), (5, 4), (6, 4)]
+def leaf_gadget(offset=0, diamonds=1):
+    """Type III component of one triangle (0, 1, 2) whose H-loop carries
+    `diamonds` diamonds, from 1's neighbor 3 to 2's neighbor 4 * diamonds;
+    its completion collapses to K4 for one diamond, else to a ring.
+
+    Diamond j has exteriors 3 + 4j and 4 + 4j and interiors 5 + 4j and 6 + 4j.
+    """
+    e = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4 * diamonds)]
+    for b in range(3, 4 * diamonds, 4):
+        e += [(b, b + 2), (b, b + 3), (b + 2, b + 3), (b + 2, b + 1), (b + 3, b + 1)]
+        e += [(b + 1, b + 4)] if b + 4 < 4 * diamonds else []
     return [(u + offset, v + offset) for u, v in e]
 
 
@@ -88,7 +97,7 @@ def _share(comp, xs):
 def color_root(comp, x1):
     """The root coloring of a whole Type III component whose one attachment is x1."""
     xs = _attachments(comp, x1)
-    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, C2A, root_style=True))
+    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, C2A))
 
 
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
@@ -115,7 +124,7 @@ def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
         with mock.patch.object(clawcolor.colorer, "_free_two_color", lambda g, a, q: forced):
             col = _color_bridged(comp, tree)
         return PackingColoring(SPEC_1122, {v: col.assignment[v] for v in range(n)})
-    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, forced, root_style=False))
+    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, forced))
 
 
 def test_k4_top_level():
@@ -177,6 +186,22 @@ def test_root_component_coloring():
     col = color_root(comp, 0)
     assert col.assignment[0] == C2A
     assert_valid(comp, col)
+
+
+@pytest.mark.parametrize("forced", [None, C2A, C2B], ids=["root", "child-2a", "child-2b"])
+@pytest.mark.parametrize("diamonds", [1, 2, 3], ids=["k4", "ring2", "ring3"])
+def test_one_triangle_component_takes_the_ring_rule(diamonds, forced):
+    """A component of one triangle (x1, u, w) = (0, 1, 2) completes to K4 or
+    a ring by closing its H-loop's string up with the edge s-y, and is
+    colored by one rule: the ring coloring, in which s and y hold 1a and
+    1b, then u takes y's class, w takes s's and x1 the forced class."""
+    comp = MultiGraph(3 + 4 * diamonds, leaf_gadget(0, diamonds))
+    col = color_root(comp, 0) if forced is None else extend(comp, 0, forced)
+    assert violations_brute(comp, SPEC_1122.radii, col.assignment) == []
+    c, u, w, s, y = col.assignment, 1, 2, 3, 4 * diamonds
+    assert c[0] == (C2A if forced is None else forced)
+    assert {c[s], c[y]} == {C1A, C1B}
+    assert (c[u], c[w]) == (c[y], c[s])
 
 
 def test_root_component_with_prism_completion():
@@ -559,14 +584,14 @@ def test_up_neighbor_on_a_completion_diamond_is_an_internal_error():
     is an interior of the diamond on u's string."""
     share = _share(_splice_component((11, 14)), [0])
     with pytest.raises(InternalInvariantError, match="^attachment 4 lies on a diamond of its comp"):
-        _color_type3(share, [0, 4], C2A, root_style=False)
+        _color_type3(share, [0, 4], C2A)
 
 
 def test_adjacent_attachments_are_an_internal_error():
     """Attachments 0 and 1 of this share lie on one triangle; 4 and 5 on the other."""
     share = LocalScan(triangles=[(0, 1, 2), (3, 4, 5)], walk=[(2, 3)], ends=[(0, 1)])
     with pytest.raises(InternalInvariantError) as caught:
-        _color_type3(share, [0, 1, 4, 5], C2A, root_style=False)
+        _color_type3(share, [0, 1, 4, 5], C2A)
     assert str(caught.value) == (
         "attachment vertices 0 and 1 are adjacent; the degree-2 set must be independent"
     )

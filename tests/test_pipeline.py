@@ -13,11 +13,11 @@ import ast
 import json
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-import clawcolor.canonical
 import clawcolor.colorer
 from clawcolor import (
     C1A,
@@ -266,7 +266,7 @@ def _break_core(module, core: str):
     return break_layer
 
 
-canonical, colorer = clawcolor.canonical, clawcolor.colorer
+colorer = clawcolor.colorer
 
 
 @pytest.mark.parametrize(
@@ -276,10 +276,11 @@ canonical, colorer = clawcolor.canonical, clawcolor.colorer
         (_break_core(colorer, "_two_edge_connected"), "prism", "bridged_star"),
         (_break_in_place, "chain50", "prism"),
         (_break_in_place, "bridged_star", "prism"),
-        (_break_core(canonical, "_k4"), "k4", "prism"),
-        (_break_core(canonical, "_ring"), "ring", "prism"),
-        (_break_core(canonical, "_canonical"), "big_expansion", "ring"),
-        (_break_core(colorer, "_canonical"), "type3_path", "prism"),
+        (_break_core(colorer, "_k4"), "k4", "prism"),
+        (_break_core(colorer, "_ring"), "ring", "prism"),
+        # one `_canonical` serves both routes, and the ring never reaches it
+        (_break_core(colorer, "_canonical"), "big_expansion", "ring"),
+        (_break_core(colorer, "_canonical"), "type3_path", "ring"),
     ],
     ids=["color_type3", "two_edge_connected", "in_place_diamond", "in_place_k3", "k4", "ring",
          "canonical", "type3_canonical"],
@@ -310,25 +311,33 @@ def test_a_failed_precondition_after_the_entry_check_is_a_bug(
 ):
     """Past the entry check every component comes from a valid graph.
 
-    A canonical coloring that puts 2a on every vertex of an odd component's
-    completion leaves s and y without 1a and 1b, which is the pipeline's
-    fault, not the input's: the CLI exits 5 with kind `internal`.  The
-    path of three Type III components is rooted at a leaf with one
-    attachment, whose completion is built from H.
+    A completion coloring that puts 2a on every vertex leaves s and y
+    without 1a and 1b, so the odd gadget copies 2a onto u and w, which is
+    the pipeline's fault, not the input's: the exit certificate catches
+    it and the CLI exits 5 with kind `internal`.  Both completion routes
+    are broken in turn: `_canonical` on the path of three Type III
+    components, rooted at a leaf with one attachment whose completion is
+    built from H, and `_ring` on the bridged star, whose root completes
+    to K4.
     """
 
-    def all_2a(local, factor):
-        return PackingColoring(SPEC_1122, {v: C2A for r in local.walk for v in r})
+    def all_2a(vertices):
+        """A core that puts 2a on each vertex `vertices` reads from its arguments."""
+        return lambda *args: PackingColoring(SPEC_1122, dict.fromkeys(vertices(*args), C2A))
 
-    monkeypatch.setattr(clawcolor.colorer, "_canonical", all_2a)
-    path = tmp_path / "type3_path.el"
-    path.write_text(emit_edgelist(_inputs(named_fixtures)["type3_path"]))
-    assert main(["color", "--json", str(path)]) == 5
-    (report,) = json_reports(capsys.readouterr().out)
-    assert report["exit"] == 5 and report["error"]["kind"] == "internal"
-    assert report["error"]["message"] == (
-        "InternalInvariantError: joined outer neighbors did not receive the two radius-1 colors"
-    )
+    graphs = {**named_fixtures, **_inputs(named_fixtures)}
+    for core, name, vertices in (
+        ("_canonical", "type3_path", lambda local, factor: chain.from_iterable(local.walk)),
+        ("_ring", "bridged_star", lambda ring: ring),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(clawcolor.colorer, core, all_2a(vertices))
+            path = tmp_path / f"{name}.el"
+            path.write_text(emit_edgelist(graphs[name]))
+            assert main(["color", "--json", str(path)]) == 5
+        (report,) = json_reports(capsys.readouterr().out)
+        assert report["exit"] == 5 and report["error"]["kind"] == "internal"
+        assert report["error"]["message"].startswith("VerificationFailedError")
 
 
 def test_a_broken_bridge_tree_is_a_bug_in_decompose(
