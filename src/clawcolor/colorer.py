@@ -56,10 +56,12 @@ in G's ids, and numbers its H-edges as `recognition._contract` numbers G's.
 
 `color_claw_free_cubic` is the one public constructor.  It validates its
 input once at entry, through `recognition._structure`, and certifies the
-glued coloring once at exit; nothing in between checks an input or
-certifies an output.  Every component it hands on comes from a validated
-graph, so a failed precondition below the entry check is a bug and raises
-InternalInvariantError.
+glued coloring once at exit, through `oracle._certified`; nothing in
+between checks an input or certifies an output.  The cores trust what the
+entry check and the class tree guarantee.  A core that leaves a vertex
+uncolored, colors one outside G, uses a class outside the spec or gives
+two close vertices one class is caught by the certificate, which raises
+InternalInvariantError: a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -68,10 +70,9 @@ from collections.abc import Mapping, Sequence
 from itertools import chain
 
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
-from .errors import ClaimViolatedError, InternalInvariantError, VerificationFailedError
 from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
-from .oracle import verify
+from .oracle import _certified
 from .recognition import ClassTree, LocalScan, _attachments, _structure
 
 
@@ -100,8 +101,7 @@ def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
 
     `local` is a numbered contraction (`recognition._contract`, or
     `_surgery` for a completion) and `factor` a 2-factor of its
-    H.  Each vertex lies on one realization, so the check counts their
-    lengths.
+    H.
     """
     walk, ends = local.walk, local.ends
     assignment: dict[int, int] = {}
@@ -123,12 +123,6 @@ def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
             assignment[r[-1]] = last
             if len(r) > 2:
                 _color_string(assignment, r, last, first, C2A, C2B)
-
-    n = sum(map(len, walk))
-    if len(assignment) != n:
-        raise InternalInvariantError(
-            f"canonical coloring covered {len(assignment)} of {n} vertices"
-        )
     return PackingColoring(SPEC_1122, assignment)
 
 
@@ -150,30 +144,6 @@ def _two_edge_connected(local: LocalScan) -> PackingColoring:
     if local.triangles:
         return _canonical(local, _complement(len(local.triangles), local.ends))
     return _ring(local.walk[0]) if local.walk else _k4()
-
-
-def _check_attachments(at: Mapping[int, int], xs: Sequence[int]) -> None:
-    """Raise unless each of xs is a corner, `at` mapping each corner of the
-    component's triangles to its triangle, and no two share a triangle.
-
-    An attachment's third edge is its bridge, so it is a corner of a
-    triangle, on no diamond, and two attachments are adjacent exactly when
-    they share a triangle.
-    """
-    first: dict[int, int] = {}
-    for x in xs:
-        t = at.get(x)
-        if t is None:
-            raise InternalInvariantError(
-                f"attachment {x} lies on a diamond of its completed component; "
-                "contradicts the structure of claw-free cubic graphs"
-            )
-        y = first.setdefault(t, x)
-        if y != x:
-            raise InternalInvariantError(
-                f"attachment vertices {y} and {x} are adjacent; "
-                "the degree-2 set must be independent"
-            )
 
 
 def _flip(r: tuple[int, ...]) -> tuple[int, ...]:
@@ -246,9 +216,15 @@ def _color_type3(share: LocalScan, xs: Sequence[int], forced: int) -> dict[int, 
     completion is the loop's string closed up by s-y, a ring: K4 for one
     diamond.  Any other is completed by `_surgery` and colored
     canonically, as the module docstring says.
+
+    xs is not checked: the class tree guarantees what `_surgery` needs.
+    Each attachment is the end corner of a bridge's realization, so it is
+    a corner of one of the class's triangles and `at` holds it.  No two
+    lie on one triangle: two bridges at a triangle would make its third
+    H-edge a bridge as well, since a cycle through that edge would leave
+    the triangle by a bridge, and the triangle's class would be a lone K3.
     """
     at = {v: t for t, tri in enumerate(share.triangles) for v in tri}
-    _check_attachments(at, xs)
     x1 = xs[0]
     if len(share.triangles) == 1:
         (r,) = share.walk
@@ -276,16 +252,13 @@ def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) 
 
     `attachment` is the parent's corner on the bridge to the class about
     to be colored; the parent is colored, the bridge's string is not.
+    Were both classes present, the 2b returned would go to a neighbor of
+    `attachment`, the string's first vertex or x1, within 2 of the 2b
+    already there, and the exit certificate would report it.
     """
     get = assignment.get
     present = (get(attachment), *map(get, g.neighbors(attachment)))
-    if C2A not in present:
-        return C2A
-    if C2B not in present:
-        return C2B
-    raise ClaimViolatedError(
-        f"both radius-2 classes appear around attachment vertex {attachment}"
-    )
+    return C2B if C2A in present else C2A
 
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
@@ -295,10 +268,7 @@ def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
         coloring = _two_edge_connected(structure)
     else:
         coloring = _color_bridged(g, structure)
-    violations = verify(g, SPEC_1122, coloring)
-    if violations:
-        raise VerificationFailedError(violations)
-    return coloring
+    return _certified(g, SPEC_1122, coloring)
 
 
 def _color_bridged(g: MultiGraph, tree: ClassTree) -> PackingColoring:

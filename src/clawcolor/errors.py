@@ -73,10 +73,6 @@ class InternalInvariantError(ClawcolorError):
     """A fact the construction relies on was found false; indicates a bug."""
 
 
-class ClaimViolatedError(InternalInvariantError):
-    """Both radius-2 colors appear in a closed neighborhood that must be free."""
-
-
 class VerificationFailedError(InternalInvariantError):
     def __init__(self, violations):
         first = violations[0]

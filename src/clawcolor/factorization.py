@@ -12,8 +12,9 @@ perfect matching (Petersen's theorem) that may be kept off a set of
 banned H-edges.  A completed Type III component forces one edge of its H:
 `_two_factor_through` onto the 2-factor, by banning it from the matching,
 and `_matched_through` into the matching, by banning the other two edges
-at one end (Plesnik's theorem).  A banned edge is never matched, so only
-the second needs a check that the forced edge landed.
+at one end (Plesnik's theorem).  Neither checks that the forced edge
+landed: a banned edge is never matched, and a perfect matching must
+cover the end at which only the forced edge is left.
 
 H is held as its order n and its edge list `ends`, with no graph object:
 H-edge e, its id, joins the two vertices in `ends[e]`, the lower first
@@ -214,11 +215,12 @@ def _matched_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> TwoFact
     """The 2-factor of the multigraph `_complement` reads whose complementary
     perfect matching contains e.
 
-    Bans the other two edges at e's lower end, so a perfect matching of
-    the rest, which exists by Plesnik's theorem, covers that end through e.
+    Bans the other two edges at e's lower end a; the rest has a perfect
+    matching by Plesnik's theorem.  It needs no check that e is matched.
+    The bans leave e as the only edge at a, and a perfect matching must
+    cover a, so a is matched along e's pair.  `_complement` takes the
+    lowest unbanned id of a matched pair, and e's parallel copies are
+    banned, so it takes e.
     """
     a = ends[e][0]
-    tf = _complement(n, ends, [f for f, pair in enumerate(ends) if a in pair and f != e])
-    if e not in tf.matching:
-        raise InternalInvariantError("forced edge missing from matching")
-    return tf
+    return _complement(n, ends, [f for f, pair in enumerate(ends) if a in pair and f != e])

@@ -14,6 +14,8 @@ adjacency list and one class per vertex, and one mark list stamped with
 the source id stands in for a per-source visited set; it costs
 O(n * Delta^r) time for largest radius r.  Both use O(n) extra memory,
 so they scale to the sizes the constructor handles.
+`_certified` is the one exit check of a coloring this package built:
+any fault it finds, a misfit to the graph included, is a bug.
 The solver decides S-packing colorability by complete backtracking with
 saturation ordering and symmetry breaking between equal-radius classes,
 and is the oracle the constructive algorithm is tested against.  It
@@ -28,7 +30,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coloring import PackingColoring, SPackingSpec
-from .errors import CapExceededError, MalformedInputError, PartialColoringError
+from .errors import (
+    CapExceededError,
+    InternalInvariantError,
+    MalformedInputError,
+    PartialColoringError,
+    VerificationFailedError,
+)
 from .multigraph import MultiGraph
 
 DEFAULT_SOLVER_CAP = 40
@@ -61,6 +69,25 @@ def verify(
         return []
     table = {c: c for c in range(spec.r)}
     return _violations(adj, _classes(coloring.assignment, g.n, table), spec)
+
+
+def _certified(
+    g: MultiGraph, spec: SPackingSpec, coloring: PackingColoring
+) -> PackingColoring:
+    """`coloring`, built by this package for g, once `verify` finds it valid.
+
+    On a built coloring, a vertex missing or outside g, or a class outside
+    the spec, is a bug as much as a violation is: the input errors `verify`
+    raises for a user's file become InternalInvariantError here, with
+    their message, and violations raise VerificationFailedError.
+    """
+    try:
+        violations = verify(g, spec, coloring)
+    except (PartialColoringError, MalformedInputError) as exc:
+        raise InternalInvariantError(str(exc)) from exc
+    if violations:
+        raise VerificationFailedError(violations)
+    return coloring
 
 
 def _classes(assignment: dict[int, int], n: int, table: dict[int, int]) -> list[int]:

@@ -1,5 +1,6 @@
 import pytest
 
+import clawcolor.colorer
 from clawcolor import (
     C1A,
     C1B,
@@ -164,14 +165,20 @@ def test_with_matched_edge_endpoints_heavy(named_fixtures):
         assert {col.assignment[pair[0]], col.assignment[pair[1]]} == {C2A, C2B}
 
 
-def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures):
-    """The coverage check counts the realizations' vertices: a string whose
-    first diamond lists its smaller interior twice leaves the other uncolored."""
-    local = _structure(named_fixtures["big_expansion"])
+def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures, monkeypatch):
+    """A string whose first diamond lists its smaller interior twice leaves
+    the other uncolored.  The exit certificate reports the missing vertex
+    as a bug, InternalInvariantError, not as the PartialColoringError
+    `verify` raises on a user's file."""
+    g = named_fixtures["big_expansion"]
+    local = _structure(g)
     e, r = next((e, r) for e, r in enumerate(local.walk) if len(r) > 2)
     walk = [*local.walk[:e], r[:3] + r[2:3] + r[4:], *local.walk[e + 1:]]
-    with pytest.raises(InternalInvariantError, match="^canonical coloring covered 33 of 34 "):
-        _canonical(local._replace(walk=walk), _complement(len(local.triangles), local.ends))
+    monkeypatch.setattr(clawcolor.colorer, "_structure", lambda g: local._replace(walk=walk))
+    with pytest.raises(InternalInvariantError) as caught:
+        color_claw_free_cubic(g)
+    assert type(caught.value) is InternalInvariantError
+    assert str(caught.value) == f"coloring domain mismatch on 1 vertices, e.g. [{r[3]}]"
 
 
 def test_with_edge_on_string_connectors(named_fixtures):

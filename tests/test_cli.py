@@ -294,15 +294,27 @@ def test_a_header_past_what_the_text_allows_fails_before_building(
     assert peak < 1 << 20
 
 
-def test_solve_certifies_its_witness(fixture_files, capsys, monkeypatch):
-    def all_one_class(g, spec, cap):
-        return PackingColoring(spec, {v: 0 for v in range(g.n)})
-
-    monkeypatch.setattr(clawcolor.cli, "solve_spacking", all_one_class)
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        (lambda n: dict.fromkeys(range(n), 0), "VerificationFailedError: coloring verification"),
+        (lambda n: dict.fromkeys(range(n - 1), 0),
+         "InternalInvariantError: coloring domain mismatch on 1 vertices, e.g. [3]"),
+        (lambda n: dict.fromkeys(range(n), 4),
+         "InternalInvariantError: vertex 0 has class 4, outside the spec's 4 classes"),
+    ],
+    ids=["one_class", "missing_vertex", "class_outside_spec"],
+)
+def test_solve_certifies_its_witness(fixture_files, capsys, monkeypatch, witness, message):
+    """A witness the solver got wrong is a bug, exit 5, however it is wrong:
+    a violation, a vertex it misses or a class the spec lacks."""
+    monkeypatch.setattr(
+        clawcolor.cli, "solve_spacking", lambda g, spec, cap: PackingColoring(spec, witness(g.n))
+    )
     assert main(["solve", fixture_files["k4"]]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error (internal): VerificationFailedError" in captured.err
+    assert captured.err.startswith(f"error (internal): {message}")
 
 
 def test_solve_long_path_needs_no_deep_recursion(tmp_path, capsys):

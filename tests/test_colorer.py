@@ -24,9 +24,7 @@ from clawcolor import (
     verify,
 )
 from clawcolor.errors import (
-    ClaimViolatedError,
     DisconnectedError,
-    InternalInvariantError,
     NotClawFreeError,
     NotCubicError,
     NotSimpleError,
@@ -35,7 +33,6 @@ import clawcolor.colorer
 from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
 from clawcolor.recognition import (
     ClassTree,
-    LocalScan,
     _bridge_tree,
     _require_claw_free_cubic,
     _structure,
@@ -257,13 +254,6 @@ def test_free_two_color_diamond_parent():
     g = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assignment = {0: C2B, 1: C1A, 2: C1B, 3: C2A}
     assert _free_two_color(g, assignment, 3) == C2B
-
-
-def test_free_two_color_claim_violation_is_loud():
-    g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
-    assignment = {0: C2A, 1: C2B, 2: C1A}
-    with pytest.raises(ClaimViolatedError):
-        _free_two_color(g, assignment, 2)
 
 
 def test_ring_completion_leaf():
@@ -576,25 +566,6 @@ def test_completion_of_a_simple_graph_reads_no_multiplicity(monkeypatch):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
     assert_valid(g, color_claw_free_cubic(g))
     assert calls[0] == 0
-
-
-def test_up_neighbor_on_a_completion_diamond_is_an_internal_error():
-    """Each attachment of a Type III component, a child's up-neighbor, must be
-    a triangle corner: one inside a realization lies on a diamond.  Here 4
-    is an interior of the diamond on u's string."""
-    share = _share(_splice_component((11, 14)), [0])
-    with pytest.raises(InternalInvariantError, match="^attachment 4 lies on a diamond of its comp"):
-        _color_type3(share, [0, 4], C2A)
-
-
-def test_adjacent_attachments_are_an_internal_error():
-    """Attachments 0 and 1 of this share lie on one triangle; 4 and 5 on the other."""
-    share = LocalScan(triangles=[(0, 1, 2), (3, 4, 5)], walk=[(2, 3)], ends=[(0, 1)])
-    with pytest.raises(InternalInvariantError) as caught:
-        _color_type3(share, [0, 1, 4, 5], C2A)
-    assert str(caught.value) == (
-        "attachment vertices 0 and 1 are adjacent; the degree-2 set must be independent"
-    )
 
 
 def _ladder_star(k):

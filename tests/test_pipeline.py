@@ -23,6 +23,7 @@ from clawcolor import (
     C1A,
     C1B,
     C2A,
+    C2B,
     SPEC_1122,
     Diamond,
     ExpansionSpec,
@@ -244,12 +245,40 @@ def _break_in_place(monkeypatch, g):
     monkeypatch.setattr(clawcolor.colorer, "_free_two_color", lambda g, assignment, q: C1A)
 
 
-def _break_core(module, core: str):
+def _break_free_class(monkeypatch, g):
+    """`_free_two_color` returns a radius-2 class already present around
+    the attachment, which the vertex next to it then repeats."""
+
+    def present(g, assignment, q):
+        around = [assignment.get(v) for v in (q, *g.neighbors(q))]
+        return next(c for c in (C2A, C2B) if c in around)
+
+    monkeypatch.setattr(clawcolor.colorer, "_free_two_color", present)
+
+
+def _dropped(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
+    """The colors less one vertex."""
+    a = dict(colors)
+    a.popitem()
+    return a
+
+
+def _outside(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
+    """The colors plus vertex g.n, which g does not have."""
+    return {**colors, g.n: C1A}
+
+
+def _unknown_class(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
+    """The colors with one vertex in class 7, which (1,1,2,2) does not have."""
+    return {**colors, next(iter(colors)): 7}
+
+
+def _break_core(module, core: str, fault=_moved):
     """A breaker for the core named `core` in `module`, where its caller looks it up.
 
-    The broken core moves one vertex of what the real one returns into a
-    neighbor's radius-1 class in g, the graph being colored: every core
-    colors in g's ids.
+    The broken core applies `fault` to what the real one returns, given
+    g, the graph being colored: every core colors in g's ids.  By default
+    one vertex moves into a neighbor's radius-1 class.
     """
 
     def break_layer(monkeypatch, g):
@@ -258,8 +287,8 @@ def _break_core(module, core: str):
         def broken(*args, **kwargs):
             out = real(*args, **kwargs)
             if isinstance(out, PackingColoring):
-                return PackingColoring(out.spec, _moved(g, out.assignment))
-            return _moved(g, out)
+                return PackingColoring(out.spec, fault(g, out.assignment))
+            return fault(g, out)
 
         monkeypatch.setattr(module, core, broken)
 
@@ -268,30 +297,53 @@ def _break_core(module, core: str):
 
 colorer = clawcolor.colorer
 
+# a built coloring that does not fit g, on each route: (core, victim, healthy)
+MISFIT_ROUTES = {
+    "bridged": ("_color_bridged", "bridged_star", "prism"),
+    "canonical": ("_canonical", "big_expansion", "ring"),
+    "ring": ("_ring", "ring", "prism"),
+}
+MISFITS = {"dropped": _dropped, "outside": _outside, "unknown_class": _unknown_class}
+
 
 @pytest.mark.parametrize(
-    "break_layer, victim, healthy",
+    "break_layer, victim, healthy, expected",
     [
-        (_break_core(colorer, "_color_type3"), "bridged_star", "prism"),
-        (_break_core(colorer, "_two_edge_connected"), "prism", "bridged_star"),
-        (_break_in_place, "chain50", "prism"),
-        (_break_in_place, "bridged_star", "prism"),
-        (_break_core(colorer, "_k4"), "k4", "prism"),
-        (_break_core(colorer, "_ring"), "ring", "prism"),
+        (_break_core(colorer, "_color_type3"), "bridged_star", "prism", VerificationFailedError),
+        (_break_core(colorer, "_two_edge_connected"), "prism", "bridged_star",
+         VerificationFailedError),
+        (_break_in_place, "chain50", "prism", VerificationFailedError),
+        (_break_in_place, "bridged_star", "prism", VerificationFailedError),
+        (_break_free_class, "bridged_star", "prism", VerificationFailedError),
+        (_break_core(colorer, "_k4"), "k4", "prism", VerificationFailedError),
+        (_break_core(colorer, "_ring"), "ring", "prism", VerificationFailedError),
         # one `_canonical` serves both routes, and the ring never reaches it
-        (_break_core(colorer, "_canonical"), "big_expansion", "ring"),
-        (_break_core(colorer, "_canonical"), "type3_path", "ring"),
+        (_break_core(colorer, "_canonical"), "big_expansion", "ring", VerificationFailedError),
+        (_break_core(colorer, "_canonical"), "type3_path", "ring", VerificationFailedError),
+        *(
+            (_break_core(colorer, core, fault), victim, healthy, InternalInvariantError)
+            for core, victim, healthy in MISFIT_ROUTES.values()
+            for fault in MISFITS.values()
+        ),
     ],
-    ids=["color_type3", "two_edge_connected", "in_place_diamond", "in_place_k3", "k4", "ring",
-         "canonical", "type3_canonical"],
+    ids=["color_type3", "two_edge_connected", "in_place_diamond", "in_place_k3", "free_class",
+         "k4", "ring", "canonical", "type3_canonical",
+         *(f"{route}_{fault}" for route in MISFIT_ROUTES for fault in MISFITS)],
 )
 def test_a_bug_in_any_layer_is_still_caught(
-    named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy
+    named_fixtures, monkeypatch, tmp_path, capsys, break_layer, victim, healthy, expected
 ):
+    """A broken core is a bug whatever it breaks.  A violation raises
+    VerificationFailedError; a coloring that misses a vertex of g, names
+    one outside it or uses a class outside the spec raises exactly
+    InternalInvariantError, never the input errors `verify` raises on a
+    user's file.  Either way the CLI exits 5 with kind `internal`, and the
+    rest of the batch is colored."""
     graphs = {**named_fixtures, **_inputs(named_fixtures)}
     break_layer(monkeypatch, graphs[victim])
-    with pytest.raises(VerificationFailedError):
+    with pytest.raises(InternalInvariantError) as caught:
         color_claw_free_cubic(graphs[victim])
+    assert type(caught.value) is expected
 
     paths = []
     for i, name in enumerate((healthy, victim, healthy)):
@@ -303,7 +355,12 @@ def test_a_bug_in_any_layer_is_still_caught(
     assert first["exit"] == last["exit"] == 0
     assert first["outcome"] == last["outcome"] == "colored"
     assert bad["exit"] == 5 and bad["error"]["kind"] == "internal"
-    assert bad["error"]["message"].startswith("VerificationFailedError")
+    assert bad["error"]["message"].startswith(f"{expected.__name__}: ")
+
+    assert main(["color", paths[1]]) == 5
+    assert capsys.readouterr().err.startswith(
+        f"{paths[1]}: error (internal): {expected.__name__}: "
+    )
 
 
 def test_a_failed_precondition_after_the_entry_check_is_a_bug(

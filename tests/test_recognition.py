@@ -437,19 +437,26 @@ def test_bridge_tree_two_blocks():
     assert bt.depth[bt.root] == 0
 
 
-def test_up_neighbor_in_component_neighbors_adjacent(base_corpus):
-    # the two in-component neighbors of every attachment vertex are adjacent
-    for _, g in base_corpus:
+def test_up_neighbor_in_component_neighbors_adjacent(base_corpus, random_bridged_trees):
+    """Every attachment of every component lies on a triangle of it: its
+    two in-component neighbors are adjacent.  No two attachments of a
+    Type III component or a diamond are adjacent, so no two share a
+    triangle.  The colorer completes Type III components on these facts
+    without checking them."""
+    tested = 0
+    for g in [g for _, g in base_corpus] + random_bridged_trees:
         if not find_bridges(g):
             continue
+        tested += 1
         bt = decompose(g)
-        for c, comp in enumerate(bt.components):
-            if c == bt.root:
-                continue
-            x1 = bt.degree2[c][0]
-            inside = [w for w in g.neighbors(x1) if w in set(comp)]
-            assert len(inside) == 2
-            assert inside[1] in g.neighbors(inside[0])
+        for comp, kind, xs in zip(bt.components, bt.kinds, bt.degree2):
+            inside = set(comp)
+            for x in xs:
+                a, b = (w for w in g.neighbors(x) if w in inside)
+                assert b in g.neighbors(a)
+            if kind != ComponentKind.TRIANGLE:
+                assert not any(y in g.neighbors(x) for x in xs for y in xs)
+    assert tested > 50
 
 
 def test_bridge_tree_component_count(base_corpus):
