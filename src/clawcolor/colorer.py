@@ -54,13 +54,18 @@ Neither the completed graph nor its H is built: `_surgery` cuts H's
 edge list from C's share of G's contraction, which the class tree holds,
 in G's ids, and numbers its H-edges as `recognition._contract` numbers G's.
 
-`color_claw_free_cubic` is the one public constructor.  It validates its
+`color_claw_free_cubic` is the one public constructor. It validates its
 input once at entry, through `recognition._structure`, and certifies the
 glued coloring once at exit, through `oracle._certified`; nothing in
-between checks an input or certifies an output.  The cores trust what the
-entry check and the class tree guarantee.  A core that leaves a vertex
-uncolored, colors one outside G, uses a class outside the spec or gives
-two close vertices one class is caught by the certificate, which raises
+between checks an input or certifies an output. The coloring is one
+bytearray of n labels, UNCOLORED until a core writes a class there:
+every core writes into it in G's ids, a Type III component too, whose 2a
+and 2b are exchanged in place over its corners and its strings'
+diamonds. No mapping of labels is built; the result is a
+`coloring.Labels` over its bytes. The cores trust what the entry check
+and the class tree guarantee. A core that leaves a vertex uncolored,
+colors one outside G, uses a class outside the spec or gives two close
+vertices one class is caught by the certificate, which raises
 InternalInvariantError: a bug, never bad input.
 """
 
@@ -69,34 +74,35 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import chain
 
-from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring
+from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, UNCOLORED, Labels, PackingColoring
 from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import _certified
 from .recognition import ClassTree, LocalScan, _attachments, _structure
 
+# _EXCHANGE_2A_2B[c]: class c with 2a and 2b exchanged
+_EXCHANGE_2A_2B = bytes.maketrans(bytes((C2A, C2B)), bytes((C2B, C2A)))
 
-def _k4() -> PackingColoring:
+
+def _k4(labels: bytearray) -> None:
     """K4 takes one vertex in each class."""
-    return PackingColoring(SPEC_1122, dict(enumerate((C1A, C1B, C2A, C2B))))
+    labels[:4] = bytes((C1A, C1B, C2A, C2B))
 
 
-def _ring(ring: tuple[int, ...]) -> PackingColoring:
+def _ring(labels: bytearray, ring: tuple[int, ...]) -> None:
     """Color a ring of diamonds from its cyclic walk (`recognition._ring_walk`).
 
     Interiors get 2a and 2b; an edge between diamonds gets 1a at its
     smaller end and 1b at the other.
     """
-    assignment: dict[int, int] = {}
     for j in range(0, len(ring), 4):
         x, y = ring[j - 1], ring[j]  # the previous diamond's exit and this one's entry
-        assignment[x], assignment[y] = (C1A, C1B) if x < y else (C1B, C1A)
-        assignment[ring[j + 1]] = C2A
-        assignment[ring[j + 2]] = C2B
-    return PackingColoring(SPEC_1122, assignment)
+        labels[x], labels[y] = (C1A, C1B) if x < y else (C1B, C1A)
+        labels[ring[j + 1]] = C2A
+        labels[ring[j + 2]] = C2B
 
 
-def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
+def _canonical(labels: bytearray, local: LocalScan, factor: TwoFactor) -> None:
     """The canonical coloring of a built graph for a 2-factor of its H.
 
     `local` is a numbered contraction (`recognition._contract`, or
@@ -104,14 +110,13 @@ def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
     H.
     """
     walk, ends = local.walk, local.ends
-    assignment: dict[int, int] = {}
 
     # matching edges: the corner in the lower-indexed triangle gets 2a
     for e in factor.matching:
         r = walk[e]
-        assignment[r[0]] = C2A
-        assignment[r[-1]] = C2B
-        _color_string(assignment, r, C2B, C2A, C1A, C1B)
+        labels[r[0]] = C2A
+        labels[r[-1]] = C2B
+        _color_string(labels, r, C2B, C2A, C1A, C1B)
 
     # cycles: each edge runs from hv, whose exit corner is 1b, to the next
     # H-vertex, whose entry corner is 1a; r runs from ends[e][0]
@@ -119,31 +124,33 @@ def _canonical(local: LocalScan, factor: TwoFactor) -> PackingColoring:
         for hv, e in cycle:
             r = walk[e]
             first, last = (C1B, C1A) if hv == ends[e][0] else (C1A, C1B)
-            assignment[r[0]] = first
-            assignment[r[-1]] = last
+            labels[r[0]] = first
+            labels[r[-1]] = last
             if len(r) > 2:
-                _color_string(assignment, r, last, first, C2A, C2B)
-    return PackingColoring(SPEC_1122, assignment)
+                _color_string(labels, r, last, first, C2A, C2B)
 
 
 def _color_string(
-    assignment: dict[int, int], r: tuple[int, ...], entry: int, exit_: int, first: int, second: int
+    labels: bytearray, r: tuple[int, ...], entry: int, exit_: int, first: int, second: int
 ) -> None:
     """Color each diamond of the realization r: its exteriors r[j] and
     r[j + 3] get `entry` and `exit_`, its interiors `first` and `second`."""
     for j in range(1, len(r) - 1, 4):
-        assignment[r[j]] = entry
-        assignment[r[j + 3]] = exit_
-        assignment[r[j + 1]] = first
-        assignment[r[j + 2]] = second
+        labels[r[j]] = entry
+        labels[r[j + 3]] = exit_
+        labels[r[j + 1]] = first
+        labels[r[j + 2]] = second
 
 
-def _two_edge_connected(local: LocalScan) -> PackingColoring:
+def _two_edge_connected(labels: bytearray, local: LocalScan) -> None:
     """Dispatch on what the numbered contraction of a bridgeless graph holds:
     H's triangles, a ring's one cyclic walk, or nothing, for K4."""
     if local.triangles:
-        return _canonical(local, _complement(len(local.triangles), local.ends))
-    return _ring(local.walk[0]) if local.walk else _k4()
+        _canonical(labels, local, _complement(len(local.triangles), local.ends))
+    elif local.walk:
+        _ring(labels, local.walk[0])
+    else:
+        _k4(labels)
 
 
 def _flip(r: tuple[int, ...]) -> tuple[int, ...]:
@@ -207,8 +214,8 @@ def _surgery(
     return local, pairs.index(forced), gadget
 
 
-def _color_type3(share: LocalScan, xs: Sequence[int], forced: int) -> dict[int, int]:
-    """Colors of a Type III component, keyed by G's ids.
+def _color_type3(labels: bytearray, share: LocalScan, xs: Sequence[int], forced: int) -> None:
+    """Color a Type III component in G's ids.
 
     `share` is the component's share of G's contraction, xs its
     attachment vertices with x1 first, which gets `forced`.  A component
@@ -230,52 +237,52 @@ def _color_type3(share: LocalScan, xs: Sequence[int], forced: int) -> dict[int, 
         (r,) = share.walk
         gadget = r[0], r[-1], r[1], r[-2]
         # s-y closes r's string into a ring: s, ..., y is its cyclic walk
-        colors = _ring(r[1:-1]).assignment
+        _ring(labels, r[1:-1])
     else:
         local, e, gadget = _surgery(share, at, xs)
         through = _matched_through if gadget is None else _two_factor_through
-        colors = _canonical(local, through(len(local.triangles), local.ends, e)).assignment
+        _canonical(labels, local, through(len(local.triangles), local.ends, e))
     if gadget is not None:
         u, w, s, y = gadget
         # s and y, one edge apart in the completion, hold 1a and 1b; if
         # not, u (2 from y) or w (2 from s) repeats a radius-2 class, or u
         # sits next to s in its class, and the exit certificate says so
-        colors[u], colors[w], colors[x1] = colors[y], colors[s], C2A
-    if colors[x1] != forced:
-        swap = {C2A: C2B, C2B: C2A}
-        colors = {v: swap.get(c, c) for v, c in colors.items()}
-    return colors
+        labels[u], labels[w], labels[x1] = labels[y], labels[s], C2A
+    if labels[x1] != forced:
+        # C's vertices, each once: its corners and its strings' diamonds
+        for v in chain(at, chain.from_iterable(r[1:-1] for r in share.walk)):
+            labels[v] = _EXCHANGE_2A_2B[labels[v]]
 
 
-def _free_two_color(g: MultiGraph, assignment: dict[int, int], attachment: int) -> int:
+def _free_two_color(g: MultiGraph, labels: bytearray, attachment: int) -> int:
     """A radius-2 class absent from the colored closed neighborhood.
 
     `attachment` is the parent's corner on the bridge to the class about
-    to be colored; the parent is colored, the bridge's string is not.
-    Were both classes present, the 2b returned would go to a neighbor of
-    `attachment`, the string's first vertex or x1, within 2 of the 2b
-    already there, and the exit certificate would report it.
+    to be colored; the parent is colored, the bridge's string is not, so
+    its first vertex reads UNCOLORED.  Were both classes present, the 2b
+    returned would go to a neighbor of `attachment`, the string's first
+    vertex or x1, within 2 of the 2b already there, and the exit
+    certificate would report it.
     """
-    get = assignment.get
-    present = (get(attachment), *map(get, g.neighbors(attachment)))
+    present = (labels[attachment], *map(labels.__getitem__, g.neighbors(attachment)))
     return C2B if C2A in present else C2A
 
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
     structure = _structure(g)
+    labels = bytearray([UNCOLORED]) * g.n
     if isinstance(structure, LocalScan):
-        coloring = _two_edge_connected(structure)
+        _two_edge_connected(labels, structure)
     else:
-        coloring = _color_bridged(g, structure)
-    return _certified(g, SPEC_1122, coloring)
+        _color_bridged(labels, g, structure)
+    return _certified(g, SPEC_1122, PackingColoring(SPEC_1122, Labels(labels)))
 
 
-def _color_bridged(g: MultiGraph, tree: ClassTree) -> PackingColoring:
+def _color_bridged(labels: bytearray, g: MultiGraph, tree: ClassTree) -> None:
     """Color each class of the class tree from the root, unverified: the
     string of the bridge it is entered by first, as the module docstring
     says, then a K3 in place and a Type III class from its share."""
-    assignment: dict[int, int] = {}
     bridges, ends, via = tree.bridges, tree.ends, tree.via
     for c in tree.order:
         xs, share, i = _attachments(tree, c), tree.shares.get(c), via[c]
@@ -283,12 +290,11 @@ def _color_bridged(g: MultiGraph, tree: ClassTree) -> PackingColoring:
         if i != -1:
             r = bridges[i]
             down = ends[i][1] == c  # r runs from the parent's corner
-            forced = _free_two_color(g, assignment, r[0] if down else r[-1])
+            forced = _free_two_color(g, labels, r[0] if down else r[-1])
             other = C2B if forced == C2A else C2A
             # r[j] is the exterior on r[0]'s side of the diamond at r[j:j + 4]
-            _color_string(assignment, r, *((forced, other) if down else (other, forced)), C1A, C1B)
+            _color_string(labels, r, *((forced, other) if down else (other, forced)), C1A, C1B)
         if share is None:  # a K3, whose corners are xs: x1, then the other two ascending
-            assignment[xs[0]], assignment[xs[1]], assignment[xs[2]] = forced, C1A, C1B
+            labels[xs[0]], labels[xs[1]], labels[xs[2]] = forced, C1A, C1B
         else:
-            assignment.update(_color_type3(share, xs, forced))
-    return PackingColoring(SPEC_1122, assignment)
+            _color_type3(labels, share, xs, forced)

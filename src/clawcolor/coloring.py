@@ -1,7 +1,15 @@
-"""Packing-coloring value types shared by the constructors and the oracle."""
+"""Packing-coloring value types shared by the constructors and the oracle.
+
+A coloring the package builds, by `colorer.color_claw_free_cubic` or
+`oracle.solve_spacking`, holds one class byte per vertex: its
+`PackingColoring.assignment` is a `Labels`, a read-only mapping over
+immutable bytes.  A coloring file may be partial, so
+`parse_coloring_lines` gives a dict.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from typing import NamedTuple
 
 from .errors import MalformedInputError
@@ -38,17 +46,63 @@ SPEC_1122 = SPackingSpec((1, 1, 2, 2))
 C1A, C1B, C2A, C2B = 0, 1, 2, 3
 
 
+# the byte the colorer leaves on a vertex it has not colored
+UNCOLORED = 0xFF
+
+
+class Labels(Mapping):
+    """Vertex v -> class `data[v]`, for each v in range(len(data)): a
+    read-only coloring held as one byte per vertex.
+
+    `items` and `values` enumerate and iterate the bytes at C speed.  It
+    compares equal to a dict with the same items.  A byte UNCOLORED is
+    still an item here; the certificate (`oracle._classes`) reports its
+    vertex as uncolored.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: Iterable[int] = b"") -> None:
+        self.data = bytes(data)
+
+    def get(self, v, default=None):
+        try:
+            return self.data[v] if v >= 0 else default
+        except (IndexError, TypeError):
+            return default
+
+    def __getitem__(self, v: int) -> int:
+        if isinstance(v, int) and 0 <= v < len(self.data):
+            return self.data[v]
+        raise KeyError(v)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.data)))
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        return enumerate(self.data)
+
+    def values(self) -> Iterator[int]:
+        return iter(self.data)
+
+    def __repr__(self) -> str:
+        return f"Labels({dict(self.items())!r})"
+
+
 class PackingColoring(NamedTuple):
-    """A total assignment of vertices to color-class indices."""
+    """An assignment of vertices to color-class indices: a `Labels` for a
+    built coloring, a dict for one read from a file."""
 
     spec: SPackingSpec
-    assignment: dict[int, int]
+    assignment: Mapping[int, int]
 
     def as_lines(self) -> str:
+        """One "vertex label" line per vertex, ascending; "" when none is colored."""
         labels = self.spec.labels()
-        return "\n".join(
-            f"{v} {labels[self.assignment[v]]}" for v in sorted(self.assignment)
-        ) + "\n"
+        return "".join(f"{v} {labels[c]}\n" for v, c in sorted(self.assignment.items()))
 
 
 def parse_coloring_lines(text: str, spec: SPackingSpec) -> PackingColoring:

@@ -49,7 +49,10 @@ def parse_int(token: str) -> int:
 
     Any other token raises ValueError with `int()`'s message, and a longer
     digit string OverflowError, whose message shows its first 20 digits.
+    A bare digit token, the common case, is converted at once.
     """
+    if token.isdigit() and token.isascii() and len(token) <= INT_DIGITS:
+        return int(token)
     digits = token.strip().removeprefix("-")
     if not (digits.isdigit() and digits.isascii()):
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")

@@ -14,6 +14,10 @@ adjacency list and one class per vertex, and one mark list stamped with
 the source id stands in for a per-source visited set; it costs
 O(n * Delta^r) time for largest radius r.  Both use O(n) extra memory,
 so they scale to the sizes the constructor handles.
+Both read the classes through `_classes`, which turns a built coloring's
+`Labels` into class bits or indices with one `bytes.translate` and reads
+any other mapping, a coloring file's dict, key by key; a vertex whose
+byte is UNCOLORED is missing, so both forms raise the same errors.
 `_certified` is the one exit check of a coloring this package built:
 any fault it finds, a misfit to the graph included, is a bug.
 The solver decides S-packing colorability by complete backtracking with
@@ -27,9 +31,10 @@ n-bit ints, and an undo restores two saved values in O(1).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
-from .coloring import PackingColoring, SPackingSpec
+from .coloring import UNCOLORED, Labels, PackingColoring, SPackingSpec
 from .errors import (
     CapExceededError,
     InternalInvariantError,
@@ -90,15 +95,28 @@ def _certified(
     return coloring
 
 
-def _classes(assignment: dict[int, int], n: int, table: dict[int, int]) -> list[int]:
+def _classes(assignment: Mapping[int, int], n: int, table: dict[int, int]) -> Sequence[int]:
     """table[class] of each vertex 0..n-1; a mismatched domain or a class
     outside the table raises.
 
-    The missing vertices are reported when there are any, else the first
-    vertex whose class the table lacks, else every key not in range(n).
-    With none missing, a dict of more than n keys holds such a key.  The
-    table is a dict, so a negative class does not wrap around as in a list.
+    The table maps 0..r-1, in order.  A `Labels` of n bytes, when every
+    table value is below UNCOLORED, is read by one `bytes.translate`,
+    which maps a class outside the table to UNCOLORED.  Any other
+    `Labels`, or one with such a byte, becomes the dict of its bytes that
+    are not UNCOLORED, so it raises what that dict raises.
+    On the dict path the missing vertices are reported when there are any,
+    else the first vertex whose class the table lacks, else every key not
+    in range(n).  With none missing, a dict of more than n keys holds such
+    a key.  The table is a dict, so a negative class does not wrap around
+    as in a list.
     """
+    if isinstance(assignment, Labels):
+        data = assignment.data
+        if len(data) == n and max(table.values()) < UNCOLORED:
+            out = data.translate(bytes(table.values()).ljust(256, bytes([UNCOLORED])))
+            if UNCOLORED not in out:
+                return out
+        assignment = {v: c for v, c in enumerate(data) if c != UNCOLORED}
     try:
         out = [table[assignment[v]] for v in range(n)]
     except KeyError:
@@ -115,7 +133,7 @@ def _classes(assignment: dict[int, int], n: int, table: dict[int, int]) -> list[
 
 
 def _packed_within_two(
-    adj: list[list[int]], assignment: dict[int, int], radii: tuple[int, ...]
+    adj: list[list[int]], assignment: Mapping[int, int], radii: tuple[int, ...]
 ) -> bool:
     """Whether the coloring is valid, for radii that are all 1 or 2.
 
@@ -138,7 +156,7 @@ def _packed_within_two(
 
 
 def _violations(
-    adj: list[list[int]], cls: list[int], spec: SPackingSpec
+    adj: list[list[int]], cls: Sequence[int], spec: SPackingSpec
 ) -> list[Violation]:
     """Every violation, by a BFS from each vertex cut off at its class radius."""
     labels = spec.labels()
@@ -197,7 +215,7 @@ def solve_spacking(
     if n > cap:
         raise CapExceededError(n, cap)
     if n == 0:
-        return PackingColoring(spec, {})
+        return PackingColoring(spec, Labels())
     radii = spec.radii
     r = spec.r
     # balls[d][v]: vertices within distance d of v, v included
@@ -251,7 +269,9 @@ def solve_spacking(
                 planes[i], carry = planes[i] ^ carry, planes[i] & carry
                 i += 1
             if not free:
-                return PackingColoring(spec, dict(sorted((u, k) for u, k, _, _ in stack)))
+                colors = dict(sorted((u, k) for u, k, _, _ in stack))
+                # a spec of UNCOLORED classes or more has classes no byte holds
+                return PackingColoring(spec, Labels(colors.values()) if r < UNCOLORED else colors)
             pick = free
             for plane in reversed(planes):
                 if pick & plane:

@@ -44,6 +44,10 @@ odd-gadget rule applied on top, `colorer._color_bridged`,
 - `is_k4`: `decompose_by_grouping`, `decompose_by_own_scan` and
   `test_canonical.py` and `test_recognition.py`.
 - `transposed`, a swap of two colour classes: `test_canonical.py`.
+- `colored`, what a colorer core writes into a fresh label array, as a
+  `PackingColoring`: `color_type3_by_subgraphs`, and the tests that call
+  a core directly in `test_canonical.py`, `test_colorer.py` and
+  `test_acceptance.py`.
 """
 
 from __future__ import annotations
@@ -53,7 +57,17 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations, product
 
 from clawcolor.colorer import _canonical, _free_two_color
-from clawcolor.coloring import C1A, C1B, C2A, C2B, SPEC_1122, PackingColoring, SPackingSpec
+from clawcolor.coloring import (
+    C1A,
+    C1B,
+    C2A,
+    C2B,
+    SPEC_1122,
+    UNCOLORED,
+    Labels,
+    PackingColoring,
+    SPackingSpec,
+)
 from clawcolor.errors import (
     CapExceededError,
     ClawcolorError,
@@ -130,6 +144,14 @@ def transposed(coloring: PackingColoring, i: int, j: int) -> PackingColoring:
     return PackingColoring(
         coloring.spec, {v: swap.get(c, c) for v, c in coloring.assignment.items()}
     )
+
+
+def colored(n: int, core, *args) -> PackingColoring:
+    """The (1,1,2,2)-coloring the colorer core `core` writes, given args,
+    into n UNCOLORED labels."""
+    labels = bytearray([UNCOLORED]) * n
+    core(labels, *args)
+    return PackingColoring(SPEC_1122, Labels(labels))
 
 
 def bridges_by_removal(g: MultiGraph) -> set[tuple[int, int]]:
@@ -1312,7 +1334,8 @@ def color_type3_by_subgraphs(
             # the colorer names H-edges by their index in slot order
             e = h_of(dec).slots().index(slot)
             local = LocalScan(walk=list(dec.walk), ends=list(dec.ends))
-            sub = _canonical(local, through(len(dec.triangles), local.ends, e)).assignment
+            factor = through(len(dec.triangles), local.ends, e)
+            sub = colored(tilde.n, _canonical, local, factor).assignment
         colors = {to_comp[v]: c for v, c in sub.items()}
     if len(xs) % 2:
         colors[u], colors[w], colors[x1] = colors[y], colors[s], C2A
@@ -1346,7 +1369,7 @@ def extension_by_subgraphs(
 
 def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
     """`colorer._color_bridged` as it was: one induced subgraph per component."""
-    assignment: dict[int, int] = {}
+    assignment = bytearray([UNCOLORED]) * g.n
     tilde_diamonds: dict[int, frozenset[int]] = {}
     comp_of = {v: c for c, comp in enumerate(bt.components) for v in comp}
 
@@ -1373,4 +1396,4 @@ def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring
         tilde_diamonds[c] = frozenset(to_global[v] for v in dia)
         for lv, gv in enumerate(to_global):
             assignment[gv] = local_col[lv]
-    return PackingColoring(SPEC_1122, assignment)
+    return PackingColoring(SPEC_1122, Labels(assignment))

@@ -30,6 +30,7 @@ from clawcolor.recognition import _structure
 from clawcolor.rng import SplitMix64
 
 from brute import (
+    colored,
     all_two_factors,
     cycle_slots,
     h_of,
@@ -191,7 +192,7 @@ def test_criterion_7_support_property(corpus):
         if dec.variant is not Variant.BUILT:
             continue
         local = _structure(g)
-        coloring = _canonical(local, _complement(len(local.triangles), local.ends))
+        coloring = colored(g.n, _canonical, local, _complement(len(local.triangles), local.ends))
         assert verify(g, SPEC_1122, coloring) == [], name
         assert light_support_property(g, coloring), name
         scanned += 1

@@ -22,6 +22,7 @@ from clawcolor.factorization import _complement, _matched_through, _two_factor_t
 from clawcolor.recognition import _structure
 
 from brute import (
+    colored,
     find_diamonds,
     h_of,
     is_k4,
@@ -52,7 +53,7 @@ def assert_valid(g, coloring):
 
 
 def test_color_k4():
-    col = _k4()
+    col = colored(4, _k4)
     assert sorted(col.assignment.values()) == [C1A, C1B, C2A, C2B]
     assert_valid(k4(), col)
 
@@ -68,7 +69,7 @@ def test_color_k4_rejects_c4():
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
 def test_ring_coloring(k):
     g = gen_ring_of_diamonds(k)
-    col = _ring(_structure(g).walk[0])
+    col = colored(g.n, _ring, _structure(g).walk[0])
     assert_valid(g, col)
     # the rule read from the cyclic walk colors as the rule read from the diamonds
     assert col == ring_by_diamonds(g, decompose(g).ring_diamonds)
@@ -95,7 +96,7 @@ def test_reference_coloring_verifies(named_fixtures):
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
     local = _structure(g)
-    col = _canonical(local, _complement(len(local.triangles), local.ends))
+    col = colored(g.n, _canonical, local, _complement(len(local.triangles), local.ends))
     assert_valid(g, col)
     assert light_support_property(g, col)
 
@@ -120,7 +121,7 @@ def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
     local = _structure(g)
     factor = _complement(len(local.triangles), local.ends)
-    col = _canonical(local, factor)
+    col = colored(g.n, _canonical, local, factor)
     for e in factor.matching:
         r = local.walk[e]
         assert col.assignment[r[0]] == C2A
@@ -144,7 +145,7 @@ def _forced(g, dec, edge, through):
     whose id is its slot's index in slot order."""
     local = _structure(g)
     e = h_of(dec).slots().index(lift_slot(dec, edge))
-    return _canonical(local, through(len(local.triangles), local.ends, e))
+    return colored(g.n, _canonical, local, through(len(local.triangles), local.ends, e))
 
 
 def test_with_edge_endpoints_light(named_fixtures):
@@ -215,5 +216,5 @@ def test_support_property_on_corpus(base_corpus):
         local = _structure(g)
         if not local.triangles:
             continue
-        col = _canonical(local, _complement(len(local.triangles), local.ends))
+        col = colored(g.n, _canonical, local, _complement(len(local.triangles), local.ends))
         assert light_support_property(g, col)

@@ -239,6 +239,14 @@ def test_solve_k4_single_class_unsat(fixture_files, capsys):
     assert capsys.readouterr().out.strip() == "UNSAT"
 
 
+def test_solve_on_the_empty_graph_prints_sat_alone(tmp_path, capsys):
+    """The graph on no vertices has the empty coloring, which has no line."""
+    p = tmp_path / "empty.el"
+    p.write_text("0\n")
+    assert main(["solve", str(p)]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+
+
 def test_solve_cap_exit3(fixture_files, capsys):
     assert main(["solve", fixture_files["big_expansion"], "--cap", "10"]) == 3
 

@@ -31,6 +31,7 @@ from clawcolor.errors import (
 )
 import clawcolor.colorer
 from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
+from clawcolor.coloring import Labels
 from clawcolor.recognition import (
     ClassTree,
     _bridge_tree,
@@ -42,6 +43,7 @@ from clawcolor.rng import SplitMix64
 from brute import (
     bridges_by_removal,
     color_bridged_by_subgraphs,
+    colored,
     completion_by_subgraphs,
     decompose_by_own_scan,
     diamond_vertices,
@@ -94,7 +96,7 @@ def _share(comp, xs):
 def color_root(comp, x1):
     """The root coloring of a whole Type III component whose one attachment is x1."""
     xs = _attachments(comp, x1)
-    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, C2A))
+    return colored(comp.n, _color_type3, _share(comp, xs), xs, C2A)
 
 
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
@@ -119,9 +121,9 @@ def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
             depth=[0, len(r) // 4 + 1, 0, 0],
         )
         with mock.patch.object(clawcolor.colorer, "_free_two_color", lambda g, a, q: forced):
-            col = _color_bridged(comp, tree)
-        return PackingColoring(SPEC_1122, {v: col.assignment[v] for v in range(n)})
-    return PackingColoring(SPEC_1122, _color_type3(_share(comp, xs), xs, forced))
+            col = colored(n + 3, _color_bridged, comp, tree)  # the phantom K3 included
+        return PackingColoring(SPEC_1122, Labels(col.assignment.data[:n]))
+    return colored(comp.n, _color_type3, _share(comp, xs), xs, forced)
 
 
 def test_k4_top_level():
@@ -245,15 +247,15 @@ def test_extend_even_component():
 
 def test_free_two_color_k3_parent():
     g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
-    assignment = {0: C2A, 1: C1A, 2: C1B}
+    labels = bytearray((C2A, C1A, C1B))
     # attaching at vertex 2: closed neighborhood colors {1b, 2a, 1a} -> 2b
-    assert _free_two_color(g, assignment, 2) == C2B
+    assert _free_two_color(g, labels, 2) == C2B
 
 
 def test_free_two_color_diamond_parent():
     g = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    assignment = {0: C2B, 1: C1A, 2: C1B, 3: C2A}
-    assert _free_two_color(g, assignment, 3) == C2B
+    labels = bytearray((C2B, C1A, C1B, C2A))
+    assert _free_two_color(g, labels, 3) == C2B
 
 
 def test_ring_completion_leaf():
@@ -400,13 +402,10 @@ def _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
 def test_bridged_path_matches_subgraph_reference(
     bridged_trees, random_bridged_trees, large_graphs
 ):
-    """The same assignment as one subgraph per component.
-
-    The key order may differ: a K3 or diamond is stored x1 first.
-    """
+    """The same assignment as one subgraph per component."""
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
         tree = _structure(g)
-        got = _color_bridged(g, tree).assignment
+        got = colored(g.n, _color_bridged, g, tree).assignment
         want = color_bridged_by_subgraphs(g, _bridge_tree(tree)).assignment
         assert got == want
 
@@ -415,7 +414,8 @@ def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, 
     """Colouring the 2,000-diamond chain reads the tree over H's classes:
     it never builds the public `BridgeTree`, which holds each diamond as a
     component, and its tracemalloc peak stays below 80 bytes per vertex
-    (63.2; it was 103.6 when the colouring swept a component per diamond)."""
+    (56.2 with one byte per label, 63.2 with a dict; it was 103.6 when the
+    colouring swept a component per diamond)."""
     g = dict(large_graphs)["chain-2000"]
 
     def refuse(cls, *args, **kwargs):
@@ -434,6 +434,30 @@ def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, 
         tracemalloc.stop()
     assert g.n == 8028
     assert peak / g.n < 80, f"{peak / g.n:.1f} B/vertex"
+
+
+# peak bytes per vertex of a coloring: 46.3, 56.2 and 55.6 on CPython 3.10
+# to 3.12 with one byte per label; 69.6, 63.3 and 91.4 with a dict
+PEAK_PER_VERTEX = {"built-h1024": 52, "chain-2000": 60, "ring-2500": 60}
+
+
+def test_coloring_peak_memory_per_vertex(large_graphs):
+    """After a warm-up call, coloring a large graph peaks below
+    PEAK_PER_VERTEX bytes per vertex, and the coloring it returns holds n
+    bytes and a constant: deleting it frees no more."""
+    for name, g in large_graphs:
+        color_claw_free_cubic(g)  # the first call's one-time allocations are no part of the peak
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            coloring = color_claw_free_cubic(g)
+            held, peak = tracemalloc.get_traced_memory()
+            del coloring
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / g.n < PEAK_PER_VERTEX[name], (name, (peak - before) / g.n)
+        assert retained <= g.n + 256, (name, retained - g.n)
 
 
 def _assert_cut_as_built(share, xs, tilde, to_g):

@@ -20,7 +20,7 @@ from clawcolor.errors import (
     NotCubicError,
 )
 
-from clawcolor.formats import GRAPH6_MAX_N
+from clawcolor.formats import GRAPH6_MAX_N, INT_DIGITS, parse_int
 
 from brute import ref_graph6_decode
 
@@ -196,6 +196,22 @@ def test_edgelist_reader_peak_memory_per_vertex(large_graphs):
         finally:
             tracemalloc.stop()
         assert peak / g.n < 300, (name, peak / g.n)
+
+
+def test_parse_int_reads_up_to_int_digits_digits():
+    """A token of INT_DIGITS digits reads, bare, signed or padded; one more
+    digit is out of range either way.  A non-ASCII digit, a '+' or an '_'
+    is malformed, though `str.isdigit` or `int()` accepts it."""
+    top = "9" * INT_DIGITS
+    assert parse_int(top) == int(top)
+    assert parse_int(f"-{top}") == -int(top)
+    assert parse_int(f" {top}\n") == int(top)
+    for token in (top + "9", f"-{top}9", f" {top}9\n"):
+        with pytest.raises(OverflowError, match=rf"^9{{20}}\.\.\. \({INT_DIGITS + 1} digits\)$"):
+            parse_int(token)
+    for token in ("\u0663", "\u00b2", "+1", "1_0", ""):
+        with pytest.raises(ValueError, match="^invalid literal for int"):
+            parse_int(token)
 
 
 _INTS = st.integers(0, 99).map(str)

@@ -22,6 +22,7 @@ from clawcolor import (
     verify,
 )
 from clawcolor import oracle
+from clawcolor.coloring import UNCOLORED, Labels
 from clawcolor.errors import CapExceededError, MalformedInputError, PartialColoringError
 
 from brute import (
@@ -79,6 +80,43 @@ def test_verify_domain_mismatch(assignment, mismatch, listed):
         verify(k4(), SPEC_1122, PackingColoring(SPEC_1122, assignment))
     assert exc.value.missing == mismatch
     assert str(exc.value) == f"coloring domain mismatch on {len(mismatch)} vertices, e.g. {listed}"
+
+
+def _outcome(g, spec, assignment):
+    """What `verify` returns for the assignment, or the type and message it raises."""
+    try:
+        return verify(g, spec, PackingColoring(spec, assignment))
+    except (PartialColoringError, MalformedInputError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC_1122, SPackingSpec((1, 1, 2, 3)), SPackingSpec((1,) * 9)],
+    ids=["bits", "bfs", "bits-past-a-byte"],
+)
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda b: b,
+        lambda b: bytes(len(b)),
+        lambda b: b[:2] + bytes([UNCOLORED]) + b[3:],
+        lambda b: b[:-1],
+        lambda b: b + b"\x00",
+        lambda b: b[:1] + b"\x09" + b[2:],
+        lambda b: b"\x09" + b[1:-1] + bytes([UNCOLORED]),
+        lambda b: b"",
+    ],
+    ids=["valid", "all-one-class", "uncolored", "short", "long", "class-9",
+         "class-9-and-uncolored", "empty"],
+)
+def test_labels_verify_as_the_dict_of_their_colored_bytes(spec, fault):
+    """`_classes` reads a Labels of n bytes by one translate.  Whatever the
+    bytes, `verify` returns or raises, message included, what it does for
+    the dict of the vertices whose byte is not UNCOLORED."""
+    g = fixtures()["prism"]
+    data = fault(solve_spacking(g, spec).assignment.data)
+    as_dict = {v: c for v, c in enumerate(data) if c != UNCOLORED}
+    assert _outcome(g, spec, Labels(data)) == _outcome(g, spec, as_dict)
 
 
 @pytest.mark.parametrize("spec", [SPEC_1122, SPackingSpec((1, 1, 2, 3))], ids=["bits", "bfs"])

@@ -11,6 +11,7 @@ InternalInvariantError, which the CLI reports as a bug (exit 5).
 
 import ast
 import json
+import pickle
 import re
 import sys
 from itertools import chain
@@ -40,9 +41,11 @@ from clawcolor import (
     gen_cubic_multigraph,
     gen_ring_of_diamonds,
     random_expansion_spec,
+    verify,
 )
 from clawcolor import multigraph, oracle, recognition
 from clawcolor.cli import main
+from clawcolor.coloring import UNCOLORED, Labels
 from clawcolor.errors import (
     DisconnectedError,
     InternalInvariantError,
@@ -227,12 +230,13 @@ def test_graphs_built_per_coloring_do_not_grow_with_the_chain(monkeypatch):
     assert counts[0] == counts[1] == 0, counts
 
 
-def _moved(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
-    """The colors with one vertex moved into a neighbor's radius-1 class."""
-    a = dict(colors)
-    v, w = next((v, w) for v in a for w in g.neighbors(v) if a.get(w) in (C1A, C1B))
-    a[v] = a[w]
-    return a
+def _moved(g: MultiGraph, labels: bytearray, written: list[int]) -> None:
+    """One vertex the core colored moves into a neighbor's radius-1 class."""
+    ours = set(written)
+    v, w = next(
+        (v, w) for v in written for w in g.neighbors(v) if w in ours and labels[w] in (C1A, C1B)
+    )
+    labels[v] = labels[w]
 
 
 def _break_in_place(monkeypatch, g):
@@ -242,53 +246,52 @@ def _break_in_place(monkeypatch, g):
     its 2a and 2b and stays valid; one colored in place puts 1a on x1,
     next to the vertex that gets 1a.
     """
-    monkeypatch.setattr(clawcolor.colorer, "_free_two_color", lambda g, assignment, q: C1A)
+    monkeypatch.setattr(clawcolor.colorer, "_free_two_color", lambda g, labels, q: C1A)
 
 
 def _break_free_class(monkeypatch, g):
     """`_free_two_color` returns a radius-2 class already present around
     the attachment, which the vertex next to it then repeats."""
 
-    def present(g, assignment, q):
-        around = [assignment.get(v) for v in (q, *g.neighbors(q))]
+    def present(g, labels, q):
+        around = [labels[v] for v in (q, *g.neighbors(q))]
         return next(c for c in (C2A, C2B) if c in around)
 
     monkeypatch.setattr(clawcolor.colorer, "_free_two_color", present)
 
 
-def _dropped(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
-    """The colors less one vertex."""
-    a = dict(colors)
-    a.popitem()
-    return a
+def _dropped(g: MultiGraph, labels: bytearray, written: list[int]) -> None:
+    """One vertex the core colored is left uncolored."""
+    labels[written[-1]] = UNCOLORED
 
 
-def _outside(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
-    """The colors plus vertex g.n, which g does not have."""
-    return {**colors, g.n: C1A}
+def _outside(g: MultiGraph, labels: bytearray, written: list[int]) -> None:
+    """Vertex g.n, which g does not have, is colored too."""
+    labels.append(C1A)
 
 
-def _unknown_class(g: MultiGraph, colors: dict[int, int]) -> dict[int, int]:
-    """The colors with one vertex in class 7, which (1,1,2,2) does not have."""
-    return {**colors, next(iter(colors)): 7}
+def _unknown_class(g: MultiGraph, labels: bytearray, written: list[int]) -> None:
+    """One vertex the core colored takes class 7, which (1,1,2,2) does not have."""
+    labels[written[0]] = 7
 
 
 def _break_core(module, core: str, fault=_moved):
     """A breaker for the core named `core` in `module`, where its caller looks it up.
 
-    The broken core applies `fault` to what the real one returns, given
-    g, the graph being colored: every core colors in g's ids.  By default
-    one vertex moves into a neighbor's radius-1 class.
+    Every core writes its colors into the label array it is given, in g's
+    ids.  The broken core runs the real one and then applies `fault` to
+    that array, given g, the graph being colored, and the vertices whose
+    label the real core wrote.  By default one vertex moves into a
+    neighbor's radius-1 class.
     """
 
     def break_layer(monkeypatch, g):
         real = getattr(module, core)
 
-        def broken(*args, **kwargs):
-            out = real(*args, **kwargs)
-            if isinstance(out, PackingColoring):
-                return PackingColoring(out.spec, fault(g, out.assignment))
-            return fault(g, out)
+        def broken(labels, *args):
+            before = bytes(labels)
+            real(labels, *args)
+            fault(g, labels, [v for v, c in enumerate(before) if c != labels[v]])
 
         monkeypatch.setattr(module, core, broken)
 
@@ -380,7 +383,12 @@ def test_a_failed_precondition_after_the_entry_check_is_a_bug(
 
     def all_2a(vertices):
         """A core that puts 2a on each vertex `vertices` reads from its arguments."""
-        return lambda *args: PackingColoring(SPEC_1122, dict.fromkeys(vertices(*args), C2A))
+
+        def core(labels, *args):
+            for v in vertices(*args):
+                labels[v] = C2A
+
+        return core
 
     graphs = {**named_fixtures, **_inputs(named_fixtures)}
     for core, name, vertices in (
@@ -670,6 +678,34 @@ def test_public_value_types_are_frozen_and_compared_by_value(named_fixtures, bui
     assert one is not two and one == two
     with pytest.raises(AttributeError):
         setattr(one, field, getattr(two, field))
+
+
+def test_built_colorings_hold_their_labels_as_a_read_only_byte_mapping(named_fixtures):
+    """The constructor and the solver return a `Labels`: a mapping of each
+    vertex to its class over one immutable byte each, equal to the dict
+    of its items, that pickles and has no item assignment.  A spec of 255
+    classes or more has classes no byte holds, so its witness is a dict."""
+    g = named_fixtures["bridged_star"]
+    for coloring in (color_claw_free_cubic(g), oracle.solve_spacking(g, SPEC_1122)):
+        labels = coloring.assignment
+        assert type(labels) is Labels and type(labels.data) is bytes
+        as_dict = dict(enumerate(labels.data))
+        assert labels == as_dict and as_dict == labels and labels != {**as_dict, 0: 9}
+        assert list(labels.items()) == list(as_dict.items())
+        assert list(labels.values()) == list(as_dict.values())
+        assert list(labels) == list(labels.keys()) == list(range(g.n)) and len(labels) == g.n
+        assert [labels[v] for v in range(g.n)] == [labels.get(v, -1) for v in range(g.n)]
+        for key in (-1, g.n, "0", 0.5, None):
+            assert key not in labels and labels.get(key, -1) == -1
+            with pytest.raises(KeyError):
+                labels[key]
+        assert pickle.loads(pickle.dumps(coloring)) == coloring
+        assert repr(labels) == f"Labels({as_dict!r})"
+        with pytest.raises(TypeError):
+            labels[0] = C1A
+    assert oracle.solve_spacking(MultiGraph(0, []), SPEC_1122).assignment == {}
+    wide = oracle.solve_spacking(named_fixtures["k4"], SPackingSpec((1,) * 255))
+    assert type(wide.assignment) is dict and verify(named_fixtures["k4"], wide.spec, wide) == []
 
 
 def test_every_function_in_src_is_public_or_named_in_src():
