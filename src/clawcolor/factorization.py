@@ -167,6 +167,7 @@ def _complement(
             adj[a].append(b)
             adj[b].append(a)
     mate = _max_matching_simple(n, adj)
+    del adj  # the search's lists go before the factor and cycles are built
     if -1 in mate:
         raise InternalInvariantError(
             "no perfect matching avoiding the banned edges; impossible in a "

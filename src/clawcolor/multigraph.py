@@ -170,7 +170,7 @@ def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> set[int] | None:
         order.append(v)
         for e in inc[v]:
             a, b = ends[e]
-            if disc[w := a + b - v] == -1:  # w: e's other end
+            if disc[w := b if a == v else a] == -1:  # w: e's other end
                 via[w] = e
                 stack.append(w)
     if len(order) < n:
@@ -181,10 +181,10 @@ def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> set[int] | None:
         t, lv = via[v], low[v]
         for e in inc[v]:
             a, b = ends[e]
-            if e != t and disc[w := a + b - v] < lv:
+            if e != t and disc[w := b if a == v else a] < lv:
                 lv = disc[w]
         a, b = ends[t]
-        if lv > disc[p := a + b - v]:
+        if lv > disc[p := b if a == v else a]:
             bridges.add(t)
         elif lv < low[p]:
             low[p] = lv

@@ -12,13 +12,13 @@ claw-free cubic graph every vertex lies on a triangle, so the claw check,
 the induced diamonds and the triangles off the diamonds can all be read
 from the closed neighborhoods.  `_local_scan` does that in one pass.
 Every vertex of such a graph other than K4 then lies on exactly one of
-those triangles or diamonds, and `_walk` follows each triangle corner
-through its string of diamonds to another corner, listing the vertices
-it passes.  The walks are the edges of a cubic multigraph H on the
-triangles, held only as the list `ends` of each walk's two end triangles:
-`_contract` makes and numbers it for the entry check
-`_require_claw_free_cubic`, and no graph object is built for it on the
-coloring path.  An edge cut of H lifts to an edge cut of G of the same
+those triangles or diamonds, `at[v]` says which, and `_walk` follows
+each triangle corner through its string of diamonds to another corner,
+listing the vertices it passes.  The walks are the edges of a cubic
+multigraph H on the triangles, held only as the list `ends` of each
+walk's two end triangles: `_walk` numbers it as it walks, for the entry
+check `_require_claw_free_cubic`, and no graph object is built for it on
+the coloring path.  An edge cut of H lifts to an edge cut of G of the same
 size, so the entry check reads G's connectivity and bridges from H,
 which is much smaller, by `_bridges` over H's edge ids.  With no
 triangle, `_ring_walk` decides connectivity: the ring through diamond 0
@@ -99,8 +99,8 @@ class LocalScan(NamedTuple):
     is empty, or `claw` is None and the graph is claw-free.  Then
     `diamonds` lists the induced diamonds flat, four ints each: interiors,
     then exteriors, each pair ascending; `triangles` the triangles on no
-    diamond by their smallest corner; `diamond_of[v]` and `triangle_of[v]`
-    index those lists, by offset in `diamonds`, -1 for none.
+    diamond by their smallest corner; `at[v]` indexes them: v's triangle,
+    ~j for its diamond at offset j in `diamonds`, None for neither (K4).
 
     `_contract` keeps, for a graph with triangles, only `triangles` and
     fills in `walk`, the realizations `_walk` lists, and `ends`, the
@@ -114,9 +114,8 @@ class LocalScan(NamedTuple):
 
     claw: tuple[int, int, int, int] | None = None
     diamonds: Sequence[int] = ()
-    diamond_of: Sequence[int] = ()
     triangles: Sequence[tuple[int, int, int]] = ()
-    triangle_of: Sequence[int] = ()
+    at: Sequence[int | None] = ()
     walk: Sequence[tuple[int, ...]] = ()
     ends: Sequence[tuple[int, int]] = ()
 
@@ -133,8 +132,8 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     on one triangle, on a diamond exactly when x's third neighbor e, read
     from x's list, is adjacent to y; v and e are then its exteriors.
 
-    A vertex already recorded is skipped; its neighbors span an edge, so it
-    is no claw center.  A triangle on no diamond is recorded at its
+    A vertex already recorded, its `at` entry set, is skipped; its
+    neighbors span an edge, so it is no claw center.  A triangle on no diamond is recorded at its
     smallest corner, as a smaller one would have done, and a diamond at its
     smallest vertex, as each of its vertices records it if visited
     unrecorded; so v < e.
@@ -151,11 +150,10 @@ def _local_scan(g: MultiGraph) -> LocalScan:
     n = g.n
     adj = g.adjacency()
     diamonds: list[int] = []
-    diamond_of = [-1] * n
     triangles: list[tuple[int, int, int]] = []
-    triangle_of = [-1] * n
+    at: list[int | None] = [None] * n
     for v in range(n):
-        if triangle_of[v] != -1 or diamond_of[v] != -1:
+        if at[v] is not None:
             continue
         a, b, c = adj[v]
         ab = b in adj[a]
@@ -170,20 +168,21 @@ def _local_scan(g: MultiGraph) -> LocalScan:
                 if e != v and e != y:
                     break
             if e in adj[y]:
-                diamond_of[v] = diamond_of[x] = diamond_of[y] = diamond_of[e] = len(diamonds)
+                at[v] = at[x] = at[y] = at[e] = ~len(diamonds)
                 diamonds += (x, y, v, e)
                 continue
-            triangle_of[v] = triangle_of[x] = triangle_of[y] = len(triangles)
+            at[v] = at[x] = at[y] = len(triangles)
             triangles.append((v, x, y))
         elif edges == 2:
             p, e1, e2 = (a, b, c) if ab and ac else (b, a, c) if ab else (c, a, b)
-            diamond_of[v] = diamond_of[p] = diamond_of[e1] = diamond_of[e2] = len(diamonds)
+            at[v] = at[p] = at[e1] = at[e2] = ~len(diamonds)
             diamonds += (v, p, e1, e2)
-    return LocalScan(None, diamonds, diamond_of, triangles, triangle_of)
+    return LocalScan(None, diamonds, triangles, at)
 
 
-def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
-    """Each H-edge's realization, as its vertices in walk order.
+def _walk(g: MultiGraph, local: LocalScan) -> tuple[list, list]:
+    """H numbered: each H-edge's realization, as its vertices in walk
+    order, and its `ends`.
 
     A realization is the only record of an H-edge in G.  It starts at a
     triangle corner, then lists for each diamond of its string the entry
@@ -196,7 +195,8 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
     corner ends exactly one realization, and since the triangles are
     visited in index order, each realization is listed from its corner in
     the lower-indexed triangle: its other corner, were it lower, would
-    have been walked from first.
+    have been walked from first.  So each triangle's (ends, realization)
+    pairs, sorted, take the next ids; the ends are `at`'s own ints.
 
     g is simple and cubic, and its scan found no claw and put every vertex
     on one triangle or diamond; `_contract` and its callers check that
@@ -208,32 +208,37 @@ def _walk(g: MultiGraph, local: LocalScan) -> list[tuple[int, ...]]:
     the diamonds at a vertex on a triangle.  Nothing is checked here.
     """
     adj = g.adjacency()
-    diamonds, diamond_of = local.diamonds, local.diamond_of
-    triangle_of = local.triangle_of
+    diamonds, at = local.diamonds, local.at
     consumed = bytearray(g.n)
     walk: list[tuple[int, ...]] = []
+    ends: list[tuple[int, int]] = []
     for t, tri in enumerate(local.triangles):
+        pairs = []  # (ends, realization) of the H-edges walked from t
         for c in tri:
             if consumed[c]:
                 continue
             a, b, cur = adj[c]
-            if triangle_of[a] != t:
+            if at[a] != t:
                 cur = a
-            elif triangle_of[b] != t:
+            elif at[b] != t:
                 cur = b
             seq = [c]
-            while (i := diamond_of[cur]) != -1:
+            while (d := at[cur]) < 0:
+                i = ~d
                 exit_ = diamonds[i + 3] if cur == diamonds[i + 2] else diamonds[i + 2]
                 seq += (cur, diamonds[i], diamonds[i + 1], exit_)
                 a, b, cur = adj[exit_]
-                if diamond_of[a] != i:
+                if at[a] != d:
                     cur = a
-                elif diamond_of[b] != i:
+                elif at[b] != d:
                     cur = b
             consumed[c] = consumed[cur] = 1
             seq.append(cur)
-            walk.append(tuple(seq))
-    return walk
+            pairs.append(((at[c], at[cur]), tuple(seq)))
+        for e, r in sorted(pairs):
+            ends.append(e)
+            walk.append(r)
+    return walk, ends
 
 
 def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
@@ -243,7 +248,7 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     None when the scan's triangles and diamonds do not partition g, or the
     walks miss a diamond.  A graph of diamonds only, a ring if connected,
     keeps its scan, with the ring through diamond 0 as its one walk
-    (`_ring_walk`).  Otherwise the diamonds and per-vertex indexes, which
+    (`_ring_walk`).  Otherwise the diamonds and per-vertex index, which
     no reader of a contraction uses, are dropped, so that a diamond chain's
     bridge tree does not hold them.
 
@@ -254,10 +259,9 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     its lower triangle.  Parallel H-edges take consecutive ids, and the
     ids at a vertex ascend as its slots in H do: the id of slot (a, b, k)
     is its index in `h.slots()`.  `_walk` visits the triangles in index
-    order and each triangle's corners ascending, and each corner starts
-    one realization, so its list is already ordered by `ends[e][0]`, then
-    by r[0]; a stable sort on the ends alone gives the order by (ends,
-    walk).  `colorer._surgery` numbers a completion's H by the same rule.
+    order, each the lower end of the H-edges walked from it, so sorting
+    those by (ends, walk) numbers H.  `colorer._surgery` numbers a
+    completion's H by the same rule.
 
     None of H's properties is checked again; a wrong contraction would
     still meet the exit certificate.  H has a loop, `ends[e][0] ==
@@ -269,16 +273,14 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     realization.  An edge cut of H lifts to an edge cut of g of the same
     size, so H is bridgeless exactly when g is.
     """
-    triangles, triangle_of, diamonds = local.triangles, local.triangle_of, local.diamonds
+    triangles, diamonds = local.triangles, local.diamonds
     if 3 * len(triangles) + len(diamonds) != g.n:
         return None
     if not triangles:
         return local._replace(walk=(_ring_walk(g, local),))
-    walk = _walk(g, local)
+    walk, ends = _walk(g, local)
     if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
         return None
-    walk.sort(key=lambda r: (triangle_of[r[0]], triangle_of[r[-1]]))
-    ends = [(triangle_of[r[0]], triangle_of[r[-1]]) for r in walk]
     return LocalScan(triangles=triangles, walk=walk, ends=ends)
 
 
@@ -291,13 +293,13 @@ def _ring_walk(g: MultiGraph, local: LocalScan) -> tuple[int, ...]:
     ring of k diamonds is 4k ints and its edges between diamonds are the
     pairs (r[j - 1], r[j]) for j = 0, 4, 8, ...
     """
-    adj, diamonds, diamond_of = g.adjacency(), local.diamonds, local.diamond_of
+    adj, diamonds, at = g.adjacency(), local.diamonds, local.at
     i, x, ring = 0, diamonds[2], []
     while True:
         exit_ = diamonds[i + 3] if x == diamonds[i + 2] else diamonds[i + 2]
         ring += (x, diamonds[i], diamonds[i + 1], exit_)
-        x = next(w for w in adj[exit_] if diamond_of[w] != i)
-        if (i := diamond_of[x]) == 0:
+        x = next(w for w in adj[exit_] if at[w] != ~i)
+        if (i := ~at[x]) == 0:
             return tuple(ring)
 
 

@@ -414,8 +414,9 @@ def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, 
     """Colouring the 2,000-diamond chain reads the tree over H's classes:
     it never builds the public `BridgeTree`, which holds each diamond as a
     component, and its tracemalloc peak stays below 80 bytes per vertex
-    (56.2 with one byte per label, 63.2 with a dict; it was 103.6 when the
-    colouring swept a component per diamond)."""
+    (49.5 with one scan index per vertex, 56.2 with two, 63.2 with a dict
+    for the labels; it was 103.6 when the colouring swept a component per
+    diamond)."""
     g = dict(large_graphs)["chain-2000"]
 
     def refuse(cls, *args, **kwargs):
@@ -436,9 +437,10 @@ def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, 
     assert peak / g.n < 80, f"{peak / g.n:.1f} B/vertex"
 
 
-# peak bytes per vertex of a coloring: 46.3, 56.2 and 55.6 on CPython 3.10
-# to 3.12 with one byte per label; 69.6, 63.3 and 91.4 with a dict
-PEAK_PER_VERTEX = {"built-h1024": 52, "chain-2000": 60, "ring-2500": 60}
+# peak bytes per vertex of a coloring: 35.6, 49.5 and 48.8 on CPython 3.11
+# and 3.12, 35.0, 47.5 and 46.8 on 3.10; with two per-vertex scan indexes
+# they were 46.3, 56.2 and 55.6 (45.8, 55.3 and 54.6 on 3.10), which fail
+PEAK_PER_VERTEX = {"built-h1024": 40, "chain-2000": 52, "ring-2500": 52}
 
 
 def test_coloring_peak_memory_per_vertex(large_graphs):

@@ -608,26 +608,25 @@ def _assert_scan_matches_definitions(g: MultiGraph, local) -> None:
     """The scan of a claw-free g, K4 aside, against the definitions.
 
     The flat diamonds, regrouped, are `find_diamonds`'s; the triangles are
-    those on no diamond by smallest corner; each diamond_of entry is its
-    diamond's offset and each triangle_of entry its triangle's index, and
-    together they cover every vertex.
+    those on no diamond by smallest corner; the index `at` maps each
+    corner of triangle i to i and each vertex of the diamond at offset j
+    to ~j, and no entry is None.
     """
     assert local.claw is None
     diamonds = scan_diamonds(local.diamonds)
     assert diamonds == find_diamonds(g)
     assert local.triangles == triangles_off_diamonds_brute(g, diamonds)
     for j in range(0, len(local.diamonds), 4):
-        assert all(local.diamond_of[v] == j for v in local.diamonds[j:j + 4])
+        assert all(local.at[v] == ~j for v in local.diamonds[j:j + 4])
     for i, t in enumerate(local.triangles):
-        assert all(local.triangle_of[v] == i for v in t)
-    covered = sum(x != -1 for x in local.diamond_of + local.triangle_of)
-    assert covered == g.n
+        assert all(local.at[v] == i for v in t)
+    assert None not in local.at
 
 
 def test_local_scan_matches_definitions(named_fixtures, base_corpus):
     """Diamonds as `find_diamonds` lists them, in the order of their smallest
     vertices, and the triangles on no diamond by smallest corner, with
-    per-vertex indexes into both."""
+    one per-vertex index into both."""
     for g in _claw_free_graphs(base_corpus, named_fixtures):
         local = _local_scan(g)
         if is_k4(g):
