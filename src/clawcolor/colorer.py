@@ -1,10 +1,17 @@
 """(1,1,2,2)-coloring of arbitrary connected claw-free cubic graphs.
 
-A 2-edge-connected graph, and each completed Type III component, is
-colored by one of three constructions: the trivial K4 coloring, the
-ring-of-diamonds coloring (interiors take the radius-2 classes, each
-inter-diamond edge takes both radius-1 classes), and the canonical
-coloring driven by a 2-factor of the underlying multigraph H:
+Every graph is colored along one path: the tree over the classes of H's
+triangles (`recognition._class_tree`), rooted at a leaf of a diametral
+path of the bridge tree, is colored from the root, each class after its
+parent, in G's own vertex ids.  A bridgeless graph is the root of a tree
+of one class with no attachment, whose share is G's whole contraction.
+
+A class is colored by one of two constructions.  The ring-of-diamonds
+coloring (interiors take the radius-2 classes, each inter-diamond edge
+takes both radius-1 classes) reads one cyclic walk, `_ring`; K4 is a ring
+of one diamond, its walk (0, 2, 3, 1) closed by the edge 0-1.  The
+canonical coloring is driven by a 2-factor of the underlying multigraph
+H, `_canonical`:
 
   * each matching edge's two triangle corners get 2a/2b, with Type 2
     strings alternating 2b/2a along their exteriors and 1a/1b inside;
@@ -14,24 +21,22 @@ coloring driven by a 2-factor of the underlying multigraph H:
 
 Corners and diamonds are read by position from the realization tuples
 (`recognition._walk` gives the format): H-edge e is `walk[e]`, run from
-triangle `ends[e][0]` (`recognition._contract`'s docstring).  A
-bridgeless graph's coloring takes `_complement`'s 2-factor; a ring, of G
-or of a completion, is colored from one cyclic walk by `_ring`.
+triangle `ends[e][0]` (`recognition._contract`'s docstring).  A class
+with no attachment is colored as it stands: canonically from
+`_complement`'s unforced 2-factor when its share has triangles, else as
+a ring, K4 included.
 
-Otherwise the tree over the classes of H's triangles
-(`recognition._class_tree`), rooted at a leaf of a diametral path of the
-bridge tree, is colored from the root, each class after its parent, in
-G's own vertex ids.  A class's attachment x1 is forced to a radius-2
-class: 2a at the root, else the class f absent around the parent's
-corner of the bridge between them.  Each diamond on that bridge's string
-gets f on the exterior it is entered by, the other radius-2 class on the
-exit and 1a, 1b on its interiors in ascending order; f is then the
-class absent around the exit, so the next diamond and x1 are forced f
-again.  A K3 is colored in place: x1 gets f, its other corners 1a and 1b
-in ascending order.  A Type III component C, the root included, with
-attachment vertices X (its degree-2 vertices) is completed to a
-2-edge-connected claw-free cubic graph and colored by one rule, from a
-2-factor of its H with one edge forced (Plesnik's theorem) or as a ring:
+Otherwise a class's attachment x1 is forced to a radius-2 class: 2a at
+the root, else the class f absent around the parent's corner of the
+bridge between them.  Each diamond on that bridge's string gets f on the
+exterior it is entered by, the other radius-2 class on the exit and 1a,
+1b on its interiors in ascending order; f is then the class absent
+around the exit, so the next diamond and x1 are forced f again.  A K3 is
+colored in place: x1 gets f, its other corners 1a and 1b in ascending
+order.  A Type III component C, the root included, with attachment
+vertices X (its degree-2 vertices) is completed to a 2-edge-connected
+claw-free cubic graph and colored by one rule, from a 2-factor of its H
+with one edge forced (Plesnik's theorem) or as a ring:
 
   * |X| even: add a pairing edge on each consecutive pair of X; x1-x2 is
     forced into the perfect matching of a canonical coloring, so x1, x2
@@ -53,6 +58,8 @@ violation and raise VerificationFailedError.
 Neither the completed graph nor its H is built: `_surgery` cuts H's
 edge list from C's share of G's contraction, which the class tree holds,
 in G's ids, and numbers its H-edges as `recognition._contract` numbers G's.
+A class with no attachment is not completed, and its H is not copied:
+its share is G's own numbered contraction.
 
 `color_claw_free_cubic` is the one public constructor. It validates its
 input once at entry, through `recognition._structure`, and certifies the
@@ -82,11 +89,6 @@ from .recognition import ClassTree, LocalScan, _attachments, _structure
 
 # _EXCHANGE_2A_2B[c]: class c with 2a and 2b exchanged
 _EXCHANGE_2A_2B = bytes.maketrans(bytes((C2A, C2B)), bytes((C2B, C2A)))
-
-
-def _k4(labels: bytearray) -> None:
-    """K4 takes one vertex in each class."""
-    labels[:4] = bytes((C1A, C1B, C2A, C2B))
 
 
 def _ring(labels: bytearray, ring: tuple[int, ...]) -> None:
@@ -140,17 +142,6 @@ def _color_string(
         labels[r[j + 3]] = exit_
         labels[r[j + 1]] = first
         labels[r[j + 2]] = second
-
-
-def _two_edge_connected(labels: bytearray, local: LocalScan) -> None:
-    """Dispatch on what the numbered contraction of a bridgeless graph holds:
-    H's triangles, a ring's one cyclic walk, or nothing, for K4."""
-    if local.triangles:
-        _canonical(labels, local, _complement(len(local.triangles), local.ends))
-    elif local.walk:
-        _ring(labels, local.walk[0])
-    else:
-        _k4(labels)
 
 
 def _flip(r: tuple[int, ...]) -> tuple[int, ...]:
@@ -214,15 +205,21 @@ def _surgery(
     return local, pairs.index(forced), gadget
 
 
-def _color_type3(labels: bytearray, share: LocalScan, xs: Sequence[int], forced: int) -> None:
-    """Color a Type III component in G's ids.
+def _color_class(labels: bytearray, share: LocalScan, xs: Sequence[int], forced: int) -> None:
+    """Color a class with a share, in G's ids: a Type III component, or
+    the whole of a bridgeless graph.
 
-    `share` is the component's share of G's contraction, xs its
-    attachment vertices with x1 first, which gets `forced`.  A component
-    of one triangle, x1's, holds an H-loop (u, s, ..., y, w), and its
-    completion is the loop's string closed up by s-y, a ring: K4 for one
-    diamond.  Any other is completed by `_surgery` and colored
-    canonically, as the module docstring says.
+    `share` is the class's share of G's contraction, xs its attachment
+    vertices with x1 first, which gets `forced`.  With no attachment the
+    class is a bridgeless G, its share G's own contraction, and nothing
+    is forced or exchanged: it is colored canonically from an unforced
+    2-factor of H when it has triangles, else as a ring from its one
+    cyclic walk, or for K4, whose scan records nothing, from (0, 2, 3, 1).
+    A class of one triangle, x1's, holds an
+    H-loop (u, s, ..., y, w), and its completion is the loop's string
+    closed up by s-y, a ring: K4 for one diamond.  Any other is
+    completed by `_surgery` and colored canonically, as the module
+    docstring says.
 
     xs is not checked: the class tree guarantees what `_surgery` needs.
     Each attachment is the end corner of a bridge's realization, so it is
@@ -231,6 +228,12 @@ def _color_type3(labels: bytearray, share: LocalScan, xs: Sequence[int], forced:
     H-edge a bridge as well, since a cycle through that edge would leave
     the triangle by a bridge, and the triangle's class would be a lone K3.
     """
+    if not xs:
+        if share.triangles:
+            _canonical(labels, share, _complement(len(share.triangles), share.ends))
+        else:  # a ring, or K4, which has no walk: one diamond closed by the edge 0-1
+            _ring(labels, share.walk[0] if share.walk else (0, 2, 3, 1))
+        return
     at = {v: t for t, tri in enumerate(share.triangles) for v in tri}
     x1 = xs[0]
     if len(share.triangles) == 1:
@@ -270,19 +273,17 @@ def _free_two_color(g: MultiGraph, labels: bytearray, attachment: int) -> int:
 
 def color_claw_free_cubic(g: MultiGraph) -> PackingColoring:
     """A verified (1,1,2,2)-coloring of a connected claw-free cubic graph."""
-    structure = _structure(g)
+    tree = _structure(g)
     labels = bytearray([UNCOLORED]) * g.n
-    if isinstance(structure, LocalScan):
-        _two_edge_connected(labels, structure)
-    else:
-        _color_bridged(labels, g, structure)
+    _color_tree(labels, g, tree)
     return _certified(g, SPEC_1122, PackingColoring(SPEC_1122, Labels(labels)))
 
 
-def _color_bridged(labels: bytearray, g: MultiGraph, tree: ClassTree) -> None:
+def _color_tree(labels: bytearray, g: MultiGraph, tree: ClassTree) -> None:
     """Color each class of the class tree from the root, unverified: the
     string of the bridge it is entered by first, as the module docstring
-    says, then a K3 in place and a Type III class from its share."""
+    says, then a K3 in place and any other class, a bridgeless graph's
+    one class included, from its share."""
     bridges, ends, via = tree.bridges, tree.ends, tree.via
     for c in tree.order:
         xs, share, i = _attachments(tree, c), tree.shares.get(c), via[c]
@@ -297,4 +298,4 @@ def _color_bridged(labels: bytearray, g: MultiGraph, tree: ClassTree) -> None:
         if share is None:  # a K3, whose corners are xs: x1, then the other two ascending
             labels[xs[0]], labels[xs[1]], labels[xs[2]] = forced, C1A, C1B
         else:
-            _color_type3(labels, share, xs, forced)
+            _color_class(labels, share, xs, forced)

@@ -37,14 +37,15 @@ diamond string needs no node: the class f free at the parent's corner
 goes on each diamond's exterior toward the root, the other radius-2
 class on the other and 1a, 1b inside, so f is forced again past it.
 
-`decompose` is the one public way in to the structure.  It returns
-`_bridge_tree`'s expansion of the class tree when g has bridges, and
-otherwise `_decomposition`, which hands out H as the contraction numbers
-it: the tuples `ends` and `walk`, aligned by edge id.
-`color_claw_free_cubic` reads the same structure through `_structure`, so
-G is neither walked nor contracted twice, and no other graph is scanned: a
-completed Type III component's H is cut from G's contraction by
-`colorer._surgery`.
+`_structure` gives every graph as a class tree: a bridgeless one is one
+class whose share is the entry check's own contraction, or for K4 its
+empty scan.  `decompose`, the one public way in, returns the tree's
+expansion by `_bridge_tree` when g has bridges, and otherwise the share
+by `_decomposition`: H as the contraction numbers it, the tuples `ends`
+and `walk` aligned by edge id.  `color_claw_free_cubic` reads the same
+tree, so G is neither walked nor contracted twice, and no other graph is
+scanned: a completed Type III component's H is cut from G's contraction
+by `colorer._surgery`.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class LocalScan(NamedTuple):
     triangles at the two ends of each: these are the edges of H, H-loops
     included.  For a ring it fills in `walk` with the one cyclic walk
     `_ring_walk` lists.  H-edge e is `walk[e]`, from triangle `ends[e][0]`
-    to `ends[e][1]`, numbered as `_contract` says.
+    to `ends[e][1]`, numbered as `_contract` says.  K4's scan records nothing.
     `_class_tree` hands each class its share of G's contraction in
     `triangles` and `walk`.
     """
@@ -410,7 +411,9 @@ class ClassTree(NamedTuple):
 
     Class c is a K3 or Type III component.  `shares[c]` holds a Type III
     class's triangles in G's order and its realizations that are no
-    H-bridges; a K3 has none, its corners being its attachments.  Bridge
+    H-bridges; a K3 has none, its corners being its attachments.  A
+    bridgeless graph is one class, 0, whose share is the entry check's
+    contraction itself, a built graph's, a ring's or K4's.  Bridge
     i is the H-bridge realization `bridges[i]`, from class `ends[i][0]` to
     class `ends[i][1]`, and `links[c]` lists the bridges at class c.
     `order` lists the classes from the root, each after the class it
@@ -431,10 +434,12 @@ def _class_tree(h_bridges: set[int], local: LocalScan) -> ClassTree:
     """The class tree of a graph already validated, read from its contraction.
 
     `h_bridges` and `local` are what `_require_claw_free_cubic` returned.
-    A union-find over the triangles joins the two ends of each realization
-    that is not an H-bridge, H-loops included; a class is K3 when it is one
-    triangle with no such realization, else Type III (g is simple, so a
-    loop carries a diamond).  Classes are numbered by their first triangle.
+    With no bridge it is one class whose share is `local` itself.
+    Otherwise a union-find over the triangles joins the two ends of each
+    realization that is not an H-bridge, H-loops included; a class is K3
+    when it is one triangle with no such realization, else Type III (g is
+    simple, so a loop carries a diamond).  Classes are numbered by their
+    first triangle.
     A bridge of k diamonds weighs k + 1, so depths are those of the bridge
     tree of all components.
 
@@ -451,6 +456,8 @@ def _class_tree(h_bridges: set[int], local: LocalScan) -> ClassTree:
     check fails only when `h_bridges` holds a non-bridge of H, which is a
     bug.
     """
+    if not h_bridges:
+        return ClassTree({0: local}, [], [], [[]], [0], [-1], [0])
     up = list(range(len(local.triangles)))  # union-find parent of each triangle
 
     def find(t: int) -> int:
@@ -532,6 +539,8 @@ def _bridge_tree(tree: ClassTree) -> BridgeTree:
     Components are listed first in the class tree's order, the classes and
     then each bridge's diamonds from r[0] on, then renumbered by smallest
     vertex.  A diamond is entered at its exterior toward the root.
+    A ring's or K4's tree of one class does not expand: its share has no
+    triangle, and a ring's one walk is cyclic.
     """
     shares, bridges, ends, via = tree.shares, tree.bridges, tree.ends, tree.via
     comps, kinds, degree2, up_neighbor, adj = [], [], [], [-1] * len(via), [[] for _ in via]
@@ -575,11 +584,10 @@ def _bridge_tree(tree: ClassTree) -> BridgeTree:
     )
 
 
-def _structure(g: MultiGraph) -> LocalScan | ClassTree:
-    """What the colorer reads of g: the numbered contraction when g has no
-    bridge, else the tree over the classes of H's triangles."""
-    h_bridges, local = _require_claw_free_cubic(g)
-    return _class_tree(h_bridges, local) if h_bridges else local
+def _structure(g: MultiGraph) -> ClassTree:
+    """What the colorer reads of g: the tree over the classes of H's
+    triangles, one class when g has no bridge."""
+    return _class_tree(*_require_claw_free_cubic(g))
 
 
 def _decomposition(local: LocalScan) -> Decomposition:
@@ -607,5 +615,5 @@ def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
     NotClawFreeError on any other input, and InternalInvariantError on a
     bug.
     """
-    s = _structure(g)
-    return _bridge_tree(s) if isinstance(s, ClassTree) else _decomposition(s)
+    tree = _structure(g)
+    return _bridge_tree(tree) if tree.bridges else _decomposition(tree.shares[0])

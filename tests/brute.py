@@ -26,8 +26,8 @@ path, one induced subgraph per component and each Type III completion
 built from its subgraph, then decomposed (`decompose_by_own_scan`), ring
 coloured (`ring_by_diamonds`, or by the same rule written out for K4) or
 searched for its forced edge's slot (`lift_slot`), with the colorer's one
-odd-gadget rule applied on top, `colorer._color_bridged`,
-`colorer._color_type3` and `colorer._surgery`.
+odd-gadget rule applied on top, `colorer._color_tree`,
+`colorer._color_class` and `colorer._surgery`.
 `scan_diamonds` reads `_local_scan`'s flat diamonds as `Diamond`s.
 
 **Shims**, each kept for the callers named:
@@ -1298,7 +1298,7 @@ def lift_slot(dec: Decomposition, edge: tuple[int, int]) -> Slot:
 def color_type3_by_subgraphs(
     comp: MultiGraph, xs: list[int], forced: int
 ) -> tuple[dict[int, int], list[int]]:
-    """`colorer._color_type3` on the component alone, by one rule.
+    """`colorer._color_class` on the component alone, by one rule.
 
     The completion is built from the subgraph, scanned, walked and
     contracted, and the forced edge's slot is found by `lift_slot`.  A K4
@@ -1368,7 +1368,7 @@ def extension_by_subgraphs(
 
 
 def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
-    """`colorer._color_bridged` as it was: one induced subgraph per component."""
+    """`colorer._color_tree` as it was: one induced subgraph per component."""
     assignment = bytearray([UNCOLORED]) * g.n
     tilde_diamonds: dict[int, frozenset[int]] = {}
     comp_of = {v: c for c, comp in enumerate(bt.components) for v in comp}

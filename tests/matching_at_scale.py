@@ -121,7 +121,7 @@ def main() -> int:
             f"and {len(scan.triangles)} triangles, "
             f"{'equal to' if same_scan else 'DIFFERENT from'} the references"
         )
-        local = _structure(g)
+        local = _structure(g).shares[0]
         h = MultiGraph(len(local.triangles), local.ends)  # for the references
         n, adj = h.n, h.adjacency()
         mate, search_s = _timed(_max_matching_simple, n, adj)

@@ -191,7 +191,7 @@ def test_criterion_7_support_property(corpus):
         dec = decompose(g)
         if dec.variant is not Variant.BUILT:
             continue
-        local = _structure(g)
+        local = _structure(g).shares[0]
         coloring = colored(g.n, _canonical, local, _complement(len(local.triangles), local.ends))
         assert verify(g, SPEC_1122, coloring) == [], name
         assert light_support_property(g, coloring), name

@@ -16,7 +16,7 @@ from clawcolor import (
     gen_ring_of_diamonds,
     verify,
 )
-from clawcolor.colorer import _canonical, _k4, _ring
+from clawcolor.colorer import _canonical, _ring
 from clawcolor.errors import InternalInvariantError, NotCubicError
 from clawcolor.factorization import _complement, _matched_through, _two_factor_through
 from clawcolor.recognition import _structure
@@ -53,8 +53,10 @@ def assert_valid(g, coloring):
 
 
 def test_color_k4():
-    col = colored(4, _k4)
-    assert sorted(col.assignment.values()) == [C1A, C1B, C2A, C2B]
+    """K4 is a ring of one diamond, its walk (0, 2, 3, 1) closed by the
+    edge 0-1: 0 and 1 take 1a and 1b, the interiors 2 and 3 take 2a and 2b."""
+    col = color_claw_free_cubic(k4())
+    assert col.assignment.data == bytes((C1A, C1B, C2A, C2B))
     assert_valid(k4(), col)
 
 
@@ -69,7 +71,7 @@ def test_color_k4_rejects_c4():
 @pytest.mark.parametrize("k", [2, 3, 5, 10])
 def test_ring_coloring(k):
     g = gen_ring_of_diamonds(k)
-    col = colored(g.n, _ring, _structure(g).walk[0])
+    col = colored(g.n, _ring, _structure(g).shares[0].walk[0])
     assert_valid(g, col)
     # the rule read from the cyclic walk colors as the rule read from the diamonds
     assert col == ring_by_diamonds(g, decompose(g).ring_diamonds)
@@ -95,7 +97,7 @@ def test_reference_coloring_verifies(named_fixtures):
 
 def test_canonical_on_big_expansion(named_fixtures):
     g = named_fixtures["big_expansion"]
-    local = _structure(g)
+    local = _structure(g).shares[0]
     col = colored(g.n, _canonical, local, _complement(len(local.triangles), local.ends))
     assert_valid(g, col)
     assert light_support_property(g, col)
@@ -119,7 +121,7 @@ def test_canonical_on_prism(named_fixtures):
 
 def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
-    local = _structure(g)
+    local = _structure(g).shares[0]
     factor = _complement(len(local.triangles), local.ends)
     col = colored(g.n, _canonical, local, factor)
     for e in factor.matching:
@@ -143,7 +145,7 @@ def with_matched_edge(g, dec, edge):
 def _forced(g, dec, edge, through):
     """The canonical coloring of g for `through` at the H-image of `edge`,
     whose id is its slot's index in slot order."""
-    local = _structure(g)
+    local = _structure(g).shares[0]
     e = h_of(dec).slots().index(lift_slot(dec, edge))
     return colored(g.n, _canonical, local, through(len(local.triangles), local.ends, e))
 
@@ -172,10 +174,12 @@ def test_a_vertex_on_two_realizations_is_a_bug(named_fixtures, monkeypatch):
     as a bug, InternalInvariantError, not as the PartialColoringError
     `verify` raises on a user's file."""
     g = named_fixtures["big_expansion"]
-    local = _structure(g)
+    tree = _structure(g)
+    local = tree.shares[0]
     e, r = next((e, r) for e, r in enumerate(local.walk) if len(r) > 2)
     walk = [*local.walk[:e], r[:3] + r[2:3] + r[4:], *local.walk[e + 1:]]
-    monkeypatch.setattr(clawcolor.colorer, "_structure", lambda g: local._replace(walk=walk))
+    tree.shares[0] = local._replace(walk=walk)
+    monkeypatch.setattr(clawcolor.colorer, "_structure", lambda g: tree)
     with pytest.raises(InternalInvariantError) as caught:
         color_claw_free_cubic(g)
     assert type(caught.value) is InternalInvariantError
@@ -213,7 +217,7 @@ def test_support_property_on_corpus(base_corpus):
     for _, g in base_corpus:
         if find_bridges(g):
             continue
-        local = _structure(g)
+        local = _structure(g).shares[0]
         if not local.triangles:
             continue
         col = colored(g.n, _canonical, local, _complement(len(local.triangles), local.ends))

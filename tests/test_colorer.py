@@ -30,7 +30,7 @@ from clawcolor.errors import (
     NotSimpleError,
 )
 import clawcolor.colorer
-from clawcolor.colorer import _color_bridged, _color_type3, _free_two_color, _surgery
+from clawcolor.colorer import _color_class, _color_tree, _free_two_color, _surgery
 from clawcolor.coloring import Labels
 from clawcolor.recognition import (
     ClassTree,
@@ -96,13 +96,13 @@ def _share(comp, xs):
 def color_root(comp, x1):
     """The root coloring of a whole Type III component whose one attachment is x1."""
     xs = _attachments(comp, x1)
-    return colored(comp.n, _color_type3, _share(comp, xs), xs, C2A)
+    return colored(comp.n, _color_class, _share(comp, xs), xs, C2A)
 
 
 def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
     """The coloring of a whole non-root component whose up vertex x1 gets `forced`.
 
-    A K3 or diamond is colored in place by `_color_bridged`: the class
+    A K3 or diamond is colored in place by `_color_tree`: the class
     entered from the root, by a bridge whose corner there, -1, leaves
     `forced` free, is a K3, comp itself or a phantom (n, n + 1, n + 2)
     past comp's one diamond, and its other two corners lead to phantom
@@ -121,9 +121,9 @@ def extend(comp, x1, forced, kind=ComponentKind.TYPE_III):
             depth=[0, len(r) // 4 + 1, 0, 0],
         )
         with mock.patch.object(clawcolor.colorer, "_free_two_color", lambda g, a, q: forced):
-            col = colored(n + 3, _color_bridged, comp, tree)  # the phantom K3 included
+            col = colored(n + 3, _color_tree, comp, tree)  # the phantom K3 included
         return PackingColoring(SPEC_1122, Labels(col.assignment.data[:n]))
-    return colored(comp.n, _color_type3, _share(comp, xs), xs, forced)
+    return colored(comp.n, _color_class, _share(comp, xs), xs, forced)
 
 
 def test_k4_top_level():
@@ -405,7 +405,7 @@ def test_bridged_path_matches_subgraph_reference(
     """The same assignment as one subgraph per component."""
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
         tree = _structure(g)
-        got = colored(g.n, _color_bridged, g, tree).assignment
+        got = colored(g.n, _color_tree, g, tree).assignment
         want = color_bridged_by_subgraphs(g, _bridge_tree(tree)).assignment
         assert got == want
 

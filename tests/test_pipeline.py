@@ -300,9 +300,10 @@ def _break_core(module, core: str, fault=_moved):
 
 colorer = clawcolor.colorer
 
-# a built coloring that does not fit g, on each route: (core, victim, healthy)
+# a built coloring that does not fit g, on each route: (core, victim, healthy),
+# healthy None where every input reaches the core
 MISFIT_ROUTES = {
-    "bridged": ("_color_bridged", "bridged_star", "prism"),
+    "bridged": ("_color_tree", "bridged_star", None),
     "canonical": ("_canonical", "big_expansion", "ring"),
     "ring": ("_ring", "ring", "prism"),
 }
@@ -312,13 +313,14 @@ MISFITS = {"dropped": _dropped, "outside": _outside, "unknown_class": _unknown_c
 @pytest.mark.parametrize(
     "break_layer, victim, healthy, expected",
     [
-        (_break_core(colorer, "_color_type3"), "bridged_star", "prism", VerificationFailedError),
-        (_break_core(colorer, "_two_edge_connected"), "prism", "bridged_star",
-         VerificationFailedError),
+        # the class colorer, on a bridged graph's classes and on a 2-edge-connected graph
+        (_break_core(colorer, "_color_class"), "bridged_star", None, VerificationFailedError),
+        (_break_core(colorer, "_color_class"), "prism", None, VerificationFailedError),
         (_break_in_place, "chain50", "prism", VerificationFailedError),
         (_break_in_place, "bridged_star", "prism", VerificationFailedError),
         (_break_free_class, "bridged_star", "prism", VerificationFailedError),
-        (_break_core(colorer, "_k4"), "k4", "prism", VerificationFailedError),
+        # K4 is a ring of one diamond
+        (_break_core(colorer, "_ring"), "k4", "prism", VerificationFailedError),
         (_break_core(colorer, "_ring"), "ring", "prism", VerificationFailedError),
         # one `_canonical` serves both routes, and the ring never reaches it
         (_break_core(colorer, "_canonical"), "big_expansion", "ring", VerificationFailedError),
@@ -340,8 +342,10 @@ def test_a_bug_in_any_layer_is_still_caught(
     VerificationFailedError; a coloring that misses a vertex of g, names
     one outside it or uses a class outside the spec raises exactly
     InternalInvariantError, never the input errors `verify` raises on a
-    user's file.  Either way the CLI exits 5 with kind `internal`, and the
-    rest of the batch is colored."""
+    user's file.  Either way the CLI exits 5 with kind `internal`.  Where
+    a healthy input avoids the broken core, a batch puts the victim between
+    two copies of it, and both are colored; every input reaches the class
+    walk and the class colorer, so those are checked on the victim alone."""
     graphs = {**named_fixtures, **_inputs(named_fixtures)}
     break_layer(monkeypatch, graphs[victim])
     with pytest.raises(InternalInvariantError) as caught:
@@ -349,20 +353,21 @@ def test_a_bug_in_any_layer_is_still_caught(
     assert type(caught.value) is expected
 
     paths = []
-    for i, name in enumerate((healthy, victim, healthy)):
+    for i, name in enumerate((victim,) if healthy is None else (healthy, victim, healthy)):
         path = tmp_path / f"{i}-{name}.el"
         path.write_text(emit_edgelist(graphs[name]))
         paths.append(str(path))
     assert main(["color", "--json", *paths]) == 5
-    first, bad, last = json_reports(capsys.readouterr().out)
-    assert first["exit"] == last["exit"] == 0
-    assert first["outcome"] == last["outcome"] == "colored"
+    reports = json_reports(capsys.readouterr().out)
+    bad = reports.pop(len(paths) // 2)
+    assert [(r["exit"], r["outcome"]) for r in reports] == [(0, "colored")] * (len(paths) - 1)
     assert bad["exit"] == 5 and bad["error"]["kind"] == "internal"
     assert bad["error"]["message"].startswith(f"{expected.__name__}: ")
 
-    assert main(["color", paths[1]]) == 5
+    victim_path = paths[len(paths) // 2]
+    assert main(["color", victim_path]) == 5
     assert capsys.readouterr().err.startswith(
-        f"{paths[1]}: error (internal): {expected.__name__}: "
+        f"{victim_path}: error (internal): {expected.__name__}: "
     )
 
 
@@ -458,9 +463,11 @@ def test_a_broken_contraction_is_caught_by_the_certificate(monkeypatch, seed):
     real = clawcolor.colorer._structure
 
     def swapped_corners(g):
-        numbered = real(g)
+        tree = real(g)
+        numbered = tree.shares[0]
         r0, r1, *rest = numbered.walk
-        return numbered._replace(walk=[(r1[0],) + r0[1:], (r0[0],) + r1[1:], *rest])
+        tree.shares[0] = numbered._replace(walk=[(r1[0],) + r0[1:], (r0[0],) + r1[1:], *rest])
+        return tree
 
     monkeypatch.setattr(clawcolor.colorer, "_structure", swapped_corners)
     with pytest.raises(InternalInvariantError) as caught:

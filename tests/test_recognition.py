@@ -23,13 +23,16 @@ from clawcolor import (
     random_expansion_spec,
     verify,
 )
+from clawcolor import recognition
 from clawcolor.errors import ClawcolorError, DisconnectedError, InternalInvariantError
 from clawcolor.recognition import (
     _bridge_tree,
     _bridges,
     _class_tree,
+    _decomposition,
     _local_scan,
     _require_claw_free_cubic,
+    _structure,
 )
 
 from brute import (
@@ -384,25 +387,41 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
     assert calls[0] == 0
 
 
-def test_bridge_tree_bridgeless_single_node(named_fixtures):
-    """K4 decomposes; a bridgeless built graph's tree, read from H's empty
-    set of bridges, is one Type III node, whose share is the whole
-    contraction."""
-    assert isinstance(decompose(k4()), Decomposition)
-    g = named_fixtures["prism"]
-    h_bridges, local = _require_claw_free_cubic(g)
+@pytest.mark.parametrize(
+    "name, variant",
+    [("k4", Variant.K4), ("ring", Variant.RING), ("prism", Variant.BUILT),
+     ("big_expansion", Variant.BUILT)],
+    ids=["k4", "ring", "prism", "big_expansion"],
+)
+def test_bridge_tree_bridgeless_single_node(named_fixtures, monkeypatch, name, variant):
+    """A bridgeless graph's class tree, read from H's empty set of bridges,
+    is one class with no bridge, whose share is the very contraction the
+    entry check returned, not a copy: K4's empty scan, a ring's scan and
+    its one cyclic walk, a built graph's numbered H.  `decompose` hands that share out as a `Decomposition`,
+    and a built graph's tree expands to one Type III node."""
+    g = gen_ring_of_diamonds(5) if name == "ring" else named_fixtures[name]
+    real, checked = recognition._require_claw_free_cubic, []
+
+    def recorded(g):
+        checked.append(real(g))
+        return checked[-1]
+
+    monkeypatch.setattr(recognition, "_require_claw_free_cubic", recorded)
+    tree = _structure(g)
+    ((h_bridges, local),) = checked
     assert h_bridges == set()
-    tree = _class_tree(h_bridges, local)
-    bt, shares = _bridge_tree(tree), tree.shares
-    assert bt.components == (tuple(range(6)),)
-    assert bt.kinds == (ComponentKind.TYPE_III,)
-    assert bt.tree_adj == ((),)
-    assert bt.root == 0
-    assert bt.depth == (0,)
-    (share,) = shares.values()
-    assert share.triangles == list(local.triangles)
-    assert share.walk == list(local.walk)
-    assert all(a is b for a, b in zip(share.walk, local.walk))
+    assert (tree.order, tree.via, tree.depth) == ([0], [-1], [0])
+    assert tree.bridges == tree.ends == [] and tree.links == [[]]
+    assert list(tree.shares) == [0] and tree.shares[0] is local
+    assert decompose(g) == _decomposition(local)
+    assert decompose(g).variant is variant
+    if variant is Variant.BUILT:
+        bt = _bridge_tree(tree)
+        assert bt.components == (tuple(range(g.n)),)
+        assert bt.kinds == (ComponentKind.TYPE_III,)
+        assert bt.tree_adj == ((),)
+        assert bt.root == 0
+        assert bt.depth == (0,)
 
 
 def test_bridge_tree_of_star_fixture(named_fixtures):

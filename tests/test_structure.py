@@ -167,7 +167,8 @@ def test_triangle_partition_covers_everything(named_fixtures):
 
 def test_decompose_peak_memory_per_vertex(large_graphs):
     """`_structure` of the 9,216-vertex built graph: the entry check, which
-    numbers the H-edges as it contracts, with no slot filed and no H built.
+    numbers the H-edges as it contracts, with no slot filed and no H built,
+    and the tree of one class that holds the contraction, not a copy.
 
     The entry check followed by a second numbering pass over its result
     peaked at 41.2 bytes per vertex (379,264 B).
@@ -177,7 +178,7 @@ def test_decompose_peak_memory_per_vertex(large_graphs):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        local = _structure(g)
+        local = _structure(g).shares[0]
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
