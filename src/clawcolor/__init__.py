@@ -26,10 +26,8 @@ from .formats import (
 from .multigraph import MultiGraph, is_connected, is_cubic
 from .oracle import Violation, solve_spacking, subdivide, verify
 from .recognition import (
-    BridgeTree,
     ComponentKind,
     Decomposition,
-    Diamond,
     Variant,
     decompose,
     find_bridges,
@@ -67,10 +65,8 @@ __all__ = [
     "C2A",
     "C2B",
     "SPEC_1122",
-    "BridgeTree",
     "ComponentKind",
     "Decomposition",
-    "Diamond",
     "ExpansionSpec",
     "MultiGraph",
     "PackingColoring",

@@ -32,7 +32,7 @@ from .errors import (
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6, parse_int
 from .multigraph import MultiGraph
 from .oracle import DEFAULT_SOLVER_CAP, _certified, solve_spacking, verify
-from .recognition import _DISCONNECTED, BridgeTree, ComponentKind, Variant, decompose
+from .recognition import _DISCONNECTED, ComponentKind, Variant, decompose
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -308,32 +308,31 @@ def cmd_decompose(args) -> int:
         g = _load_graph(args.path, text, args.format, max_n=len(text.splitlines()) + 1)
     except CapExceededError:
         raise DisconnectedError(_DISCONNECTED) from None
-    structure = decompose(g)
-    if isinstance(structure, BridgeTree):
-        bt = structure
-        print(f"bridges: {len(bt.components) - 1}")
-        print(f"bridge tree: {_tree_shape(bt.tree_adj)} (root component {bt.root})")
+    d = decompose(g)
+    if len(d.components) > 1:
+        print(f"bridges: {len(d.components) - 1}")
+        print(f"bridge tree: {_tree_shape(d.tree_adj)} (root component {d.root})")
         kind_names = {
             ComponentKind.TRIANGLE: "K3",
             ComponentKind.DIAMOND: "diamond",
             ComponentKind.TYPE_III: "TypeIII",
         }
-        for i, comp in enumerate(bt.components):
-            tag = " (root)" if i == bt.root else ""
+        for i, comp in enumerate(d.components):
+            tag = " (root)" if i == d.root else ""
             print(
-                f"component {i}: {kind_names[bt.kinds[i]]}, {len(comp)} vertices, "
-                f"depth {bt.depth[i]}{tag}"
+                f"component {i}: {kind_names[d.kinds[i]]}, {len(comp)} vertices, "
+                f"depth {d.depth[i]}{tag}"
             )
-    elif structure.variant is Variant.K4:
+    elif d.variant is Variant.K4:
         print("2-edge-connected: K4")
-    elif structure.variant is Variant.RING:
-        print(f"2-edge-connected: ring of {len(structure.ring_diamonds)} diamonds")
+    elif d.variant is Variant.RING:
+        print(f"2-edge-connected: ring of {len(d.walk[0]) // 4} diamonds")
     else:
-        ends = structure.ends  # sorted, so parallel H-edges are neighbours
+        ends = d.ends  # sorted, so parallel H-edges are neighbours
         doubles = len({e for e, f in zip(ends, ends[1:]) if e == f})
-        lengths = structure.string_lengths()
+        lengths = d.string_lengths()
         print(
-            f"2-edge-connected: built from H with {len(structure.triangles)} vertices, "
+            f"2-edge-connected: built from H with {len(d.triangles)} vertices, "
             f"{len(ends)} edges ({doubles} parallel pair(s)), "
             f"strings: {lengths if lengths else 'none'}"
         )

@@ -8,8 +8,9 @@ of one class with no attachment, whose share is G's whole contraction.
 
 A class is colored by one of two constructions.  The ring-of-diamonds
 coloring (interiors take the radius-2 classes, each inter-diamond edge
-takes both radius-1 classes) reads one cyclic walk, `_ring`; K4 is a ring
-of one diamond, its walk (0, 2, 3, 1) closed by the edge 0-1.  The
+takes both radius-1 classes) reads one cyclic walk, `_ring`; K4 is the
+ring of one diamond, whose walk the entry check gives as (0, 2, 3, 1),
+closed by the edge 0-1.  The
 canonical coloring is driven by a 2-factor of the underlying multigraph
 H, `_canonical`:
 
@@ -214,7 +215,7 @@ def _color_class(labels: bytearray, share: LocalScan, xs: Sequence[int], forced:
     class is a bridgeless G, its share G's own contraction, and nothing
     is forced or exchanged: it is colored canonically from an unforced
     2-factor of H when it has triangles, else as a ring from its one
-    cyclic walk, or for K4, whose scan records nothing, from (0, 2, 3, 1).
+    cyclic walk, K4's included.
     A class of one triangle, x1's, holds an
     H-loop (u, s, ..., y, w), and its completion is the loop's string
     closed up by s-y, a ring: K4 for one diamond.  Any other is
@@ -231,8 +232,8 @@ def _color_class(labels: bytearray, share: LocalScan, xs: Sequence[int], forced:
     if not xs:
         if share.triangles:
             _canonical(labels, share, _complement(len(share.triangles), share.ends))
-        else:  # a ring, or K4, which has no walk: one diamond closed by the edge 0-1
-            _ring(labels, share.walk[0] if share.walk else (0, 2, 3, 1))
+        else:  # a ring, K4 included
+            _ring(labels, share.walk[0])
         return
     at = {v: t for t, tri in enumerate(share.triangles) for v in tri}
     x1 = xs[0]

@@ -38,14 +38,17 @@ goes on each diamond's exterior toward the root, the other radius-2
 class on the other and 1a, 1b inside, so f is forced again past it.
 
 `_structure` gives every graph as a class tree: a bridgeless one is one
-class whose share is the entry check's own contraction, or for K4 its
-empty scan.  `decompose`, the one public way in, returns the tree's
-expansion by `_bridge_tree` when g has bridges, and otherwise the share
-by `_decomposition`: H as the contraction numbers it, the tuples `ends`
-and `walk` aligned by edge id.  `color_claw_free_cubic` reads the same
-tree, so G is neither walked nor contracted twice, and no other graph is
-scanned: a completed Type III component's H is cut from G's contraction
-by `colorer._surgery`.
+class whose share is the entry check's own contraction.  A ring's
+contraction is its one cyclic walk, and K4's the walk (0, 2, 3, 1) of
+the ring of one diamond, closed by the edge 0-1.  `decompose`, the one
+public way in, returns one `Decomposition` for every graph, built by
+`_bridge_tree` from the contraction and the class tree: H as the
+contraction numbers it, the tuples `triangles`, `ends` and `walk`, with
+the bridge tree of all components, a single Type III component when g
+has no bridge.  `color_claw_free_cubic` reads the same tree, so G is
+neither walked nor contracted twice, and no other graph is scanned: a
+completed Type III component's H is cut from G's contraction by
+`colorer._surgery`.
 """
 
 from __future__ import annotations
@@ -103,14 +106,15 @@ class LocalScan(NamedTuple):
     diamond by their smallest corner; `at[v]` indexes them: v's triangle,
     ~j for its diamond at offset j in `diamonds`, None for neither (K4).
 
-    `_contract` keeps, for a graph with triangles, only `triangles` and
+    A contraction holds only `walk` and, for a graph with triangles,
+    `triangles` and `ends`.  `_contract` keeps the scan's `triangles` and
     fills in `walk`, the realizations `_walk` lists, and `ends`, the
     triangles at the two ends of each: these are the edges of H, H-loops
-    included.  For a ring it fills in `walk` with the one cyclic walk
-    `_ring_walk` lists.  H-edge e is `walk[e]`, from triangle `ends[e][0]`
-    to `ends[e][1]`, numbered as `_contract` says.  K4's scan records nothing.
-    `_class_tree` hands each class its share of G's contraction in
-    `triangles` and `walk`.
+    included.  H-edge e is `walk[e]`, from triangle `ends[e][0]` to
+    `ends[e][1]`, numbered as `_contract` says.  A ring's contraction is
+    its one cyclic walk, as `_ring_walk` lists it, and K4's, whose scan
+    records nothing, the entry check's (0, 2, 3, 1).  `_class_tree` hands
+    each class its share of G's contraction in `triangles` and `walk`.
     """
 
     claw: tuple[int, int, int, int] | None = None
@@ -247,11 +251,11 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     and the two triangles `ends` at the ends of each.
 
     None when the scan's triangles and diamonds do not partition g, or the
-    walks miss a diamond.  A graph of diamonds only, a ring if connected,
-    keeps its scan, with the ring through diamond 0 as its one walk
-    (`_ring_walk`).  Otherwise the diamonds and per-vertex index, which
-    no reader of a contraction uses, are dropped, so that a diamond chain's
-    bridge tree does not hold them.
+    walks miss a diamond.  A graph of diamonds only is the ring through
+    diamond 0 (`_ring_walk`), its one cyclic walk, when that holds every
+    diamond, and else disconnected.  The diamonds and per-vertex index,
+    which no reader of a contraction uses, are dropped, so that neither a
+    diamond chain's class tree nor any `decompose` record holds them.
 
     Each H-edge is named by one integer, its id: the H-edges come numbered
     0..m-1 by their ends, then by their realizations, and the coloring
@@ -278,7 +282,8 @@ def _contract(g: MultiGraph, local: LocalScan) -> LocalScan | None:
     if 3 * len(triangles) + len(diamonds) != g.n:
         return None
     if not triangles:
-        return local._replace(walk=(_ring_walk(g, local),))
+        ring = _ring_walk(g, local)
+        return LocalScan(walk=(ring,)) if len(ring) == len(diamonds) else None
     walk, ends = _walk(g, local)
     if sum(map(len, walk)) - 2 * len(walk) != len(diamonds):
         return None
@@ -310,18 +315,39 @@ class ComponentKind(enum.Enum):
     TYPE_III = "type3"
 
 
-class BridgeTree(NamedTuple):
-    """Components of G - B(G) arranged as a tree with typing and rooting.
+class Variant(enum.Enum):
+    K4 = "K4"
+    RING = "ring-of-diamonds"
+    BUILT = "built"
 
-    Components are indexed in order of their smallest vertex.  The root is
-    the smallest-index component whose tree eccentricity equals the tree
-    diameter, i.e. a leaf of a diametral path.  degree2 lists each
-    component's degree-2 vertices, the up vertex first and the rest
-    ascending; a non-root component's up vertex is its one degree-2 vertex
-    whose third edge is the bridge toward the parent, and up_neighbor is
-    that bridge's other endpoint (-1 at the root).
+
+class Decomposition(NamedTuple):
+    """What `decompose` returns: G's contraction H and its bridge tree.
+
+    H is numbered as `_contract` numbers it: its vertices are the
+    `triangles`, and H-edge e joins triangles `ends[e]`, a <= b, through
+    `walk[e]`, its vertices in G as `_walk` lists them, run from the
+    corner in triangle a to the corner in triangle b.  The ids follow
+    (ends, walk), so id e is the index of its slot (a, b, k) in the
+    sorted slots of H: parallel H-edges take consecutive ids.  H has a
+    loop, a == b, or a bridge only when G has a bridge.  A ring, and K4
+    as the ring of one diamond, has no triangle and no `ends`, and its
+    `walk` is one cyclic walk (`_ring_walk`).
+
+    The bridge tree holds the components of G - B(G), indexed in order
+    of their smallest vertex; a bridgeless G is one Type III component.
+    The root is the smallest-index component whose tree eccentricity
+    equals the tree diameter, i.e. a leaf of a diametral path.  degree2
+    lists each component's degree-2 vertices, the up vertex first and the
+    rest ascending; a non-root component's up vertex is its one degree-2
+    vertex whose third edge is the bridge toward the parent, and
+    up_neighbor is that bridge's other endpoint (-1 at the root).
     """
 
+    variant: Variant
+    triangles: tuple[tuple[int, int, int], ...]
+    ends: tuple[tuple[int, int], ...]
+    walk: tuple[tuple[int, ...], ...]
     components: tuple[tuple[int, ...], ...]
     kinds: tuple[ComponentKind, ...]
     tree_adj: tuple[tuple[int, ...], ...]
@@ -330,39 +356,8 @@ class BridgeTree(NamedTuple):
     up_neighbor: tuple[int, ...]
     degree2: tuple[tuple[int, ...], ...]
 
-
-class Variant(enum.Enum):
-    K4 = "K4"
-    RING = "ring-of-diamonds"
-    BUILT = "built"
-
-
-class Diamond(NamedTuple):
-    """Induced K4-minus-an-edge: two adjacent interiors, two exteriors."""
-
-    interiors: tuple[int, int]
-    exteriors: tuple[int, int]
-
-
-class Decomposition(NamedTuple):
-    """What `decompose` returns for a 2-edge-connected graph.
-
-    For the built variant, H is numbered as `_contract` numbers it: its
-    vertices are the `triangles`, and H-edge e joins triangles `ends[e]`,
-    a < b, through `walk[e]`, its vertices in G as `_walk` lists them, run
-    from the corner in triangle a to the corner in triangle b.  The ids
-    follow (ends, walk), so id e is the index of its slot (a, b, k) in the
-    sorted slots of H: parallel H-edges take consecutive ids.
-    """
-
-    variant: Variant
-    ring_diamonds: tuple[Diamond, ...] = ()
-    triangles: tuple[tuple[int, int, int], ...] = ()
-    ends: tuple[tuple[int, int], ...] = ()
-    walk: tuple[tuple[int, ...], ...] = ()
-
     def string_lengths(self) -> list[int]:
-        """Lengths of the non-empty diamond strings, sorted."""
+        """Lengths of the non-empty diamond strings, sorted; a ring's cyclic walk counts as one."""
         return sorted(len(r) // 4 for r in self.walk if len(r) > 2)
 
 
@@ -375,12 +370,12 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[int], LocalScan]:
     Checks simple, non-empty, cubic, claw-free, then connected, but a
     disconnected input is reported ahead of the cubic and claw checks: a
     BFS decides it when one of those fails.  On claw-free cubic input the
-    structure decides it.  A graph of 4 vertices is K4.  Otherwise
-    `_contract` must succeed (vertices it leaves out lie on K4
-    components), the ring through diamond 0 must hold every diamond when
-    there is no triangle, and H must be connected when there is.  Returns
-    the ids of H's bridges, indexes into `ends`, and what `_contract`
-    returned.
+    structure decides it.  A graph of 4 vertices is K4, whose contraction
+    is the ring of one diamond.  Otherwise `_contract` must succeed
+    (vertices it leaves out lie on K4 components, or on diamonds off the
+    ring through diamond 0), and H must be connected when it has
+    triangles.  Returns the ids of H's bridges, indexes into `ends`, and
+    the contraction.
     """
     if not g.is_simple():
         raise NotSimpleError("input must be a simple graph")
@@ -396,9 +391,9 @@ def _require_claw_free_cubic(g: MultiGraph) -> tuple[set[int], LocalScan]:
             raise DisconnectedError(_DISCONNECTED)
         raise NotClawFreeError(local.claw)
     if g.n == 4:
-        return set(), local
+        return set(), LocalScan(walk=((0, 2, 3, 1),))
     local = _contract(g, local)
-    if local is None or (not local.triangles and len(local.walk[0]) != len(local.diamonds)):
+    if local is None:
         raise DisconnectedError(_DISCONNECTED)
     h_bridges = _bridges(len(local.triangles), local.ends) if local.triangles else set()
     if h_bridges is None:
@@ -413,7 +408,8 @@ class ClassTree(NamedTuple):
     class's triangles in G's order and its realizations that are no
     H-bridges; a K3 has none, its corners being its attachments.  A
     bridgeless graph is one class, 0, whose share is the entry check's
-    contraction itself, a built graph's, a ring's or K4's.  Bridge
+    contraction itself, a built graph's, or a ring's or K4's one cyclic
+    walk.  Bridge
     i is the H-bridge realization `bridges[i]`, from class `ends[i][0]` to
     class `ends[i][1]`, and `links[c]` lists the bridges at class c.
     `order` lists the classes from the root, each after the class it
@@ -532,21 +528,24 @@ def _attachments(tree: ClassTree, c: int) -> list[int]:
     return xs if i == -1 else [bridges[i][0 if ends[i][0] == c else -1], *xs]
 
 
-def _bridge_tree(tree: ClassTree) -> BridgeTree:
-    """The public bridge tree of a class tree, each diamond on a bridge's
-    string a component of its own.
+def _bridge_tree(local: LocalScan, tree: ClassTree) -> Decomposition:
+    """The public record of g: its contraction `local`, as the entry check
+    numbered it, and the bridge tree of its class tree `tree`, each
+    diamond on a bridge's string a component of its own.
 
     Components are listed first in the class tree's order, the classes and
     then each bridge's diamonds from r[0] on, then renumbered by smallest
-    vertex.  A diamond is entered at its exterior toward the root.
-    A ring's or K4's tree of one class does not expand: its share has no
-    triangle, and a ring's one walk is cyclic.
+    vertex.  A diamond is entered at its exterior toward the root.  A
+    share with no triangle, a ring's or K4's, is its one cyclic walk.
     """
     shares, bridges, ends, via = tree.shares, tree.bridges, tree.ends, tree.via
     comps, kinds, degree2, up_neighbor, adj = [], [], [], [-1] * len(via), [[] for _ in via]
     for c in range(len(via)):
         xs, s = _attachments(tree, c), shares.get(c)
-        vs = xs if s is None else chain(*s.triangles, *(r[1:-1] for r in s.walk))
+        if s is None:  # a K3, whose corners are its attachments
+            vs = xs
+        else:
+            vs = chain(*s.triangles, *(r[1:-1] for r in s.walk)) if s.triangles else s.walk[0]
         comps.append(tuple(sorted(vs)))
         kinds.append(ComponentKind.TRIANGLE if s is None else ComponentKind.TYPE_III)
         degree2.append(tuple(xs))
@@ -573,7 +572,14 @@ def _bridge_tree(tree: ClassTree) -> BridgeTree:
     def permuted(xs: list) -> tuple:
         return tuple(map(xs.__getitem__, perm))
 
-    return BridgeTree(
+    return Decomposition(
+        variant=(
+            Variant.BUILT if local.triangles
+            else Variant.K4 if len(local.walk[0]) == 4 else Variant.RING
+        ),
+        triangles=tuple(local.triangles),
+        ends=tuple(local.ends),
+        walk=tuple(local.walk),
         components=permuted(comps),
         kinds=permuted(kinds),
         tree_adj=permuted([tuple(sorted(map(rank.__getitem__, ds))) for ds in adj]),
@@ -590,30 +596,15 @@ def _structure(g: MultiGraph) -> ClassTree:
     return _class_tree(*_require_claw_free_cubic(g))
 
 
-def _decomposition(local: LocalScan) -> Decomposition:
-    """The public form of a numbered contraction."""
-    if local.triangles:
-        return Decomposition(
-            variant=Variant.BUILT,
-            triangles=tuple(local.triangles),
-            ends=tuple(local.ends),
-            walk=tuple(local.walk),
-        )
-    if d := local.diamonds:
-        ring = sorted(Diamond((d[j], d[j + 1]), (d[j + 2], d[j + 3])) for j in range(0, len(d), 4))
-        return Decomposition(variant=Variant.RING, ring_diamonds=tuple(ring))
-    return Decomposition(variant=Variant.K4)
+def decompose(g: MultiGraph) -> Decomposition:
+    """The structure of a connected, claw-free, cubic graph: its
+    contraction H and its bridge tree, as `Decomposition` says.
 
-
-def decompose(g: MultiGraph) -> BridgeTree | Decomposition:
-    """The structure of a connected, claw-free, cubic graph.
-
-    Returns the bridge tree when g has bridges.  Otherwise returns the K4
-    variant, the ring-of-diamonds variant, or the built variant with the
-    underlying cubic multigraph H as its numbered edge list.  Raises the
-    entry check's NotSimpleError, DisconnectedError, NotCubicError or
-    NotClawFreeError on any other input, and InternalInvariantError on a
-    bug.
+    The variant is K4, the ring of diamonds, or built, with H as its
+    numbered edge list; a graph with bridges is built, over an H with
+    loops or bridges.  Raises the entry check's NotSimpleError,
+    DisconnectedError, NotCubicError or NotClawFreeError on any other
+    input, and InternalInvariantError on a bug.
     """
-    tree = _structure(g)
-    return _bridge_tree(tree) if tree.bridges else _decomposition(tree.shares[0])
+    h_bridges, local = _require_claw_free_cubic(g)
+    return _bridge_tree(local, _class_tree(h_bridges, local))

@@ -6,11 +6,12 @@ vertices), on the tree of 798 K3 components and 800 Type III leaves that
 components, 900 diamonds and 302 Type III leaves (about 10,000 vertices),
 whose diamonds form strings between K3 components, so that the class
 forced on a string is read at a K3 corner, compares every
-field of `decompose(g)`'s `BridgeTree` with `brute.bridge_tree_by_sweeps`
-on the bridges `find_bridges` gives, and the certified coloring of
-`color_claw_free_cubic` with `brute.color_bridged_by_subgraphs`, which
-colors one induced subgraph per component and builds, scans and searches
-each Type III completion.  Prints the wall times of `decompose` and of
+bridge-tree field of `decompose(g)`'s `Decomposition` with
+`brute.bridge_tree_by_sweeps` on the bridges `find_bridges` gives, and
+the certified coloring of `color_claw_free_cubic` with
+`brute.color_bridged_by_subgraphs` on the reference's tree, which colors
+one induced subgraph per component and builds, scans and searches each
+Type III completion.  Prints the wall times of `decompose` and of
 the coloring, the tracemalloc peak of `decompose` and the number of
 diamonds whose parent is a K3 per graph, and fails the mixed tree when
 there is none.  Then
@@ -30,8 +31,8 @@ import tracemalloc
 
 from brute import bridge_tree_by_sweeps, color_bridged_by_subgraphs, root_rule_counterexamples
 from clawcolor import (
-    BridgeTree,
     ComponentKind,
+    Decomposition,
     color_claw_free_cubic,
     decompose,
     find_bridges,
@@ -49,7 +50,7 @@ def _graphs():
     yield "300 K3 components, 900 diamonds, 302 leaves", gen_bridged(mixed, SplitMix64(1))
 
 
-def _diamonds_below_a_k3(bt: BridgeTree) -> int:
+def _diamonds_below_a_k3(bt: Decomposition) -> int:
     """The diamond components whose parent is a K3: each is the first of
     a string, colored from the class read at the K3's corner."""
     comp_of = {v: c for c, vs in enumerate(bt.components) for v in vs}
@@ -72,8 +73,9 @@ def main() -> int:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        want = bridge_tree_by_sweeps(g, find_bridges(g))
-        differ = [f for f in BridgeTree._fields if getattr(got, f, None) != getattr(want, f)]
+        # the record with the reference's bridge tree in place of its own
+        want = Decomposition(*got[:4], *bridge_tree_by_sweeps(g, find_bridges(g)))
+        differ = [f for f in Decomposition._fields if getattr(got, f) != getattr(want, f)]
         started = time.perf_counter()
         colors = color_claw_free_cubic(g).assignment
         color_s = time.perf_counter() - started

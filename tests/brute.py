@@ -15,20 +15,25 @@ and `is_induced_claw`; `light_support_property`; `violations_brute`,
 
 **Reference copies**, the library's code as it was before a rewrite,
 each pinning the code that replaced it: `solve_spacking_rescan` the
-solver's search tree; `decompose_by_grouping` `_contract`;
+solver's search tree; `decompose_by_grouping` `_contract`, its output
+written as `decompose`'s record of a bridgeless graph (`bridgeless`);
 `bridge_tree_by_sweeps`, with `classify_component_by_sets` to type its
-components, `_bridge_tree`; the `*_by_reattribution` 2-factors
+components, the seven bridge-tree fields of `decompose`'s record,
+`Decomposition[4:]`; the `*_by_reattribution` 2-factors
 `factorization._complement`; `max_matching_by_full_scans`, which the
 `*_by_reattribution` references search with, `_max_matching_simple`;
 `verify_by_layers` and `bridges_by_iterator_dfs` `oracle.verify` and
 `multigraph._bridges` on large graphs; and the `*_by_subgraphs` bridged
 path, one induced subgraph per component and each Type III completion
 built from its subgraph, then decomposed (`decompose_by_own_scan`), ring
-coloured (`ring_by_diamonds`, or by the same rule written out for K4) or
+coloured from its diamonds (`ring_by_diamonds`, or by the same rule
+written out for K4) or
 searched for its forced edge's slot (`lift_slot`), with the colorer's one
 odd-gadget rule applied on top, `colorer._color_tree`,
 `colorer._color_class` and `colorer._surgery`.
-`scan_diamonds` reads `_local_scan`'s flat diamonds as `Diamond`s.
+A diamond is the plain pair ((i1, i2), (e1, e2)) of its interiors and
+exteriors, each ascending: `find_diamonds` lists them, and
+`scan_diamonds` reads `_local_scan`'s flat diamonds so.
 
 **Shims**, each kept for the callers named:
 - `induced`, the subgraph on a vertex set: the `*_by_subgraphs`
@@ -43,6 +48,9 @@ odd-gadget rule applied on top, `colorer._color_tree`,
   `test_acceptance.py` and `matching_at_scale.py`.
 - `is_k4`: `decompose_by_grouping`, `decompose_by_own_scan` and
   `test_canonical.py` and `test_recognition.py`.
+- `bridgeless`, `decompose`'s record of a bridgeless graph from its
+  variant and H, one Type III component: `decompose_by_grouping`, whose
+  output `test_structure.py` compares with `decompose`'s.
 - `transposed`, a swap of two colour classes: `test_canonical.py`.
 - `colored`, what a colorer core writes into a fresh label array, as a
   `PackingColoring`: `color_type3_by_subgraphs`, and the tests that call
@@ -78,14 +86,13 @@ from clawcolor.factorization import TwoFactor, _matched_through, _two_factor_thr
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import (
-    BridgeTree,
     ComponentKind,
     Decomposition,
-    Diamond,
     LocalScan,
     Variant,
+    _bridge_tree,
+    _class_tree,
     _contract,
-    _decomposition,
     _local_scan,
     find_bridges,
 )
@@ -134,6 +141,21 @@ def h_of(dec: Decomposition) -> MultiGraph:
 
 def is_k4(g: MultiGraph) -> bool:
     return g.n == 4 and g.is_simple() and g.size == 6
+
+
+def bridgeless(n: int, variant: Variant, triangles=(), ends=(), walk=()) -> Decomposition:
+    """`decompose`'s record of a bridgeless graph on n vertices: its
+    variant and H, and a bridge tree of one Type III component."""
+    return Decomposition(
+        variant, triangles, ends, walk,
+        components=(tuple(range(n)),),
+        kinds=(ComponentKind.TYPE_III,),
+        tree_adj=((),),
+        root=0,
+        depth=(0,),
+        up_neighbor=(-1,),
+        degree2=((),),
+    )
 
 
 def transposed(coloring: PackingColoring, i: int, j: int) -> PackingColoring:
@@ -243,12 +265,12 @@ def all_two_factors(g: MultiGraph) -> list[frozenset[tuple[int, int, int]]]:
     return out
 
 
-def diamond_vertices(d: Diamond) -> frozenset[int]:
+def diamond_vertices(d: tuple) -> frozenset[int]:
     """The four vertices of a diamond."""
-    return frozenset(d.interiors + d.exteriors)
+    return frozenset(d[0] + d[1])
 
 
-def find_diamonds(g: MultiGraph) -> list[Diamond]:
+def find_diamonds(g: MultiGraph) -> list[tuple]:
     """All induced diamonds, keyed by their interior edge, in edge order.
 
     The reference for `_local_scan`'s diamonds: for each edge, the common
@@ -258,19 +280,17 @@ def find_diamonds(g: MultiGraph) -> list[Diamond]:
     for u, v in dict.fromkeys(g.edge_list()):
         common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
         if len(common) == 2 and common[1] not in g.neighbors(common[0]):
-            out.append(Diamond(interiors=(u, v), exteriors=(common[0], common[1])))
+            out.append(((u, v), (common[0], common[1])))
     return out
 
 
-def scan_diamonds(flat: Sequence[int]) -> list[Diamond]:
-    """`_local_scan`'s flat diamonds, four ints each, as `Diamond`s in `find_diamonds`'s order."""
-    return sorted(
-        Diamond((flat[j], flat[j + 1]), (flat[j + 2], flat[j + 3])) for j in range(0, len(flat), 4)
-    )
+def scan_diamonds(flat: Sequence[int]) -> list[tuple]:
+    """`_local_scan`'s flat diamonds, four ints each, as pairs in `find_diamonds`'s order."""
+    return sorted(((flat[j], flat[j + 1]), (flat[j + 2], flat[j + 3])) for j in range(0, len(flat), 4))
 
 
 def triangles_off_diamonds_brute(
-    g: MultiGraph, diamonds: Iterable[Diamond]
+    g: MultiGraph, diamonds: Iterable[tuple]
 ) -> list[tuple[int, int, int]]:
     """Every triangle sharing no vertex with the diamonds, sorted, each corners ascending."""
     on_diamond = {v for d in diamonds for v in diamond_vertices(d)}
@@ -644,16 +664,20 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     """`decompose` as it was before the local scan, as the reference for it.
 
     Verbatim but for the dropped `triangle_of` and `attach` fields,
-    `diamond_vertices` for the gone `Diamond.vertices`, and the output,
+    `diamond_vertices` and plain pairs for the gone `Diamond` type, and the output,
     which `decompose` now hands out as `ends` and `walk` tuples in place of
-    a slot-keyed dict: `find_diamonds`, then triangles grouped from the
-    first uncovered vertex, then a walk over `diamond_vertices` sets.  Each
-    string diamond is kept as (entry, interiors, exit) and only the output
-    is flattened into the `walk` tuples, in the order of their sort by
-    (ends, end corners), which is the order of the slots they filled.
+    a slot-keyed dict, in its one record with a bridge tree of one
+    component (`bridgeless`): `find_diamonds`, then triangles grouped from
+    the first uncovered vertex, then a walk over `diamond_vertices` sets.
+    Each string diamond is kept as (entry, interiors, exit) and only the
+    output is flattened into the `walk` tuples, in the order of their sort
+    by (ends, end corners), which is the order of the slots they filled.
+    A ring, once its sorted diamonds, is its cyclic walk through the
+    diamond of vertex 0 from its smaller exterior, each diamond listed as
+    a string diamond is; K4 is the ring (0, 2, 3, 1) of one diamond.
     """
     if is_k4(g):
-        return Decomposition(variant=Variant.K4)
+        return bridgeless(4, Variant.K4, walk=((0, 2, 3, 1),))
 
     diamonds = find_diamonds(g)
     diamond_of: dict[int, int] = {}
@@ -666,9 +690,15 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
             diamond_of[v] = i
 
     if len(diamond_of) == g.n:
-        return Decomposition(
-            variant=Variant.RING, ring_diamonds=tuple(diamonds)
-        )
+        first = diamond_of[0]
+        cur, ring = diamonds[first][1][0], []
+        while True:
+            ints, exts = diamonds[diamond_of[cur]]
+            exit_ = exts[0] if exts[1] == cur else exts[1]
+            ring += (cur, *ints, exit_)
+            (cur,) = (w for w in g.neighbors(exit_) if w not in ints + exts)
+            if diamond_of[cur] == first:
+                return bridgeless(g.n, Variant.RING, walk=(tuple(ring),))
 
     # group the non-diamond vertices into their unique triangles
     triangle_of: dict[int, int] = {}
@@ -722,12 +752,13 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
             seq: list[tuple[int, tuple[int, int], int]] = []
             while cur in diamond_of:
                 d = diamonds[diamond_of[cur]]
-                if cur not in d.exteriors:
+                interiors, exteriors = d
+                if cur not in exteriors:
                     raise StructureViolationError(
                         f"string enters diamond at interior vertex {cur}"
                     )
-                exit_ = d.exteriors[0] if d.exteriors[1] == cur else d.exteriors[1]
-                seq.append((cur, d.interiors, exit_))
+                exit_ = exteriors[0] if exteriors[1] == cur else exteriors[1]
+                seq.append((cur, interiors, exit_))
                 used_diamonds.add(diamond_of[cur])
                 outs = [w for w in g.neighbors(exit_) if w not in diamond_vertices(d)]
                 if len(outs) != 1:
@@ -773,12 +804,7 @@ def decompose_by_grouping(g: MultiGraph) -> Decomposition:
     if find_bridges(h):
         raise StructureViolationError("reconstructed multigraph H has bridges")
 
-    return Decomposition(
-        variant=Variant.BUILT,
-        triangles=tuple(triangles),
-        ends=ends,
-        walk=walk,
-    )
+    return bridgeless(g.n, Variant.BUILT, tuple(triangles), ends, walk)
 
 
 def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> ComponentKind:
@@ -811,14 +837,16 @@ def classify_component_by_sets(g: MultiGraph, verts: tuple[int, ...]) -> Compone
     return ComponentKind.TYPE_III
 
 
-def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> BridgeTree:
-    """`_bridge_tree` as it was, as the reference for it.
+def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> tuple:
+    """`_bridge_tree` as it was, as the reference for the seven bridge-tree
+    fields of `decompose`'s record, `Decomposition[4:]`.
 
     Verbatim: a tree BFS for each diameter sweep and for the depths, a
     parent pass sorted by depth, a dict of the bridge between two
     components, and a vertex set per component for its degree-2 vertices.
     Only the count check's error class follows the library's: a set that
-    fails it comes from a bug past the entry check.
+    fails it comes from a bug past the entry check, and the output is the
+    plain tuple of the fields in their order, components to degree2.
     """
     bridges = tuple(sorted(bridge_set))
     comp_of = [-1] * g.n
@@ -917,14 +945,14 @@ def bridge_tree_by_sweeps(g: MultiGraph, bridge_set: set[tuple[int, int]]) -> Br
             d2 = [x1] + [v for v in d2 if v != x1]
         degree2.append(tuple(d2))
 
-    return BridgeTree(
-        components=tuple(components),
-        kinds=kinds,
-        tree_adj=tuple(tuple(sorted(s)) for s in tree_adj),
-        root=root,
-        depth=tuple(depth),
-        up_neighbor=tuple(up_neighbor),
-        degree2=tuple(degree2),
+    return (
+        tuple(components),
+        kinds,
+        tuple(tuple(sorted(s)) for s in tree_adj),
+        root,
+        tuple(depth),
+        tuple(up_neighbor),
+        tuple(degree2),
     )
 
 
@@ -1263,21 +1291,21 @@ def completion_by_subgraphs(comp: MultiGraph, xs: list[int]) -> tuple[MultiGraph
 
 
 def decompose_by_own_scan(g: MultiGraph) -> Decomposition:
-    """g decomposed from its own scan, walk and contraction, as a completion once was."""
-    local = _local_scan(g)
-    return _decomposition(local if is_k4(g) else _contract(g, local))
+    """g decomposed from its own scan, walk and contraction, as a completion
+    once was: a bridgeless g, read as a class tree of one class."""
+    local = LocalScan(walk=((0, 2, 3, 1),)) if is_k4(g) else _contract(g, _local_scan(g))
+    return _bridge_tree(local, _class_tree(set(), local))
 
 
-def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[Diamond]) -> PackingColoring:
+def ring_by_diamonds(g: MultiGraph, diamonds: Iterable[tuple]) -> PackingColoring:
     """`colorer._ring` as it was, from g's diamonds and adjacency: interiors
     2a/2b; an edge between diamonds gets 1a at its smaller end and 1b."""
     assignment: dict[int, int] = {}
     adj = g.adjacency()
-    for d in diamonds:
-        i1, i2 = d.interiors
+    for (i1, i2), exteriors in diamonds:
         assignment[i1] = C2A
         assignment[i2] = C2B
-        for e in d.exteriors:
+        for e in exteriors:
             x = sum(adj[e]) - i1 - i2  # e's one neighbor off the diamond
             if e < x:
                 assignment[e], assignment[x] = C1A, C1B
@@ -1302,7 +1330,7 @@ def color_type3_by_subgraphs(
 
     The completion is built from the subgraph, scanned, walked and
     contracted, and the forced edge's slot is found by `lift_slot`.  A K4
-    or ring completion is ring colored from its diamonds, a K4's s and y
+    or ring completion is ring colored from its diamonds (`find_diamonds`), a K4's s and y
     taking 1a and 1b by id order and its other two vertices 2a and 2b
     ascending; any other is colored canonically.  With |X| odd, u then
     takes y's class, w takes s's and x1 takes 2a, and 2a and 2b are
@@ -1314,7 +1342,7 @@ def color_type3_by_subgraphs(
     x1 = xs[0]
     tilde, to_comp = completion_by_subgraphs(comp, xs)
     to_tilde = {v: i for i, v in enumerate(to_comp)}
-    dec = decompose_by_own_scan(tilde)
+    dec, diamonds = decompose_by_own_scan(tilde), find_diamonds(tilde)
     if len(xs) % 2:
         u, w = comp.neighbors(x1)
         s = next(z for z in comp.neighbors(u) if z not in (x1, w))
@@ -1324,7 +1352,7 @@ def color_type3_by_subgraphs(
         colors = {min(s, y): C1A, max(s, y): C1B, z: C2A, a: C2B}
     else:
         if dec.variant is Variant.RING:
-            sub = ring_by_diamonds(tilde, dec.ring_diamonds).assignment
+            sub = ring_by_diamonds(tilde, diamonds).assignment
         else:
             if len(xs) % 2:
                 edge, through = (s, y), _two_factor_through
@@ -1341,10 +1369,7 @@ def color_type3_by_subgraphs(
         colors[u], colors[w], colors[x1] = colors[y], colors[s], C2A
     if colors[x1] != forced:
         colors = {v: {C2A: C2B, C2B: C2A}.get(c, c) for v, c in colors.items()}
-    if dec.variant is Variant.RING:
-        on = {v for d in dec.ring_diamonds for v in diamond_vertices(d)}
-    else:
-        on = {v for r in dec.walk for v in r[1:-1]}
+    on = {v for d in diamonds for v in diamond_vertices(d)}
     return colors, [to_comp[v] for v in sorted(on)]
 
 
@@ -1367,7 +1392,7 @@ def extension_by_subgraphs(
     return color_type3_by_subgraphs(comp, xs, forced)
 
 
-def color_bridged_by_subgraphs(g: MultiGraph, bt: BridgeTree) -> PackingColoring:
+def color_bridged_by_subgraphs(g: MultiGraph, bt: Decomposition) -> PackingColoring:
     """`colorer._color_tree` as it was: one induced subgraph per component."""
     assignment = bytearray([UNCOLORED]) * g.n
     tilde_diamonds: dict[int, frozenset[int]] = {}

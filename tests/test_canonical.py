@@ -74,11 +74,11 @@ def test_ring_coloring(k):
     col = colored(g.n, _ring, _structure(g).shares[0].walk[0])
     assert_valid(g, col)
     # the rule read from the cyclic walk colors as the rule read from the diamonds
-    assert col == ring_by_diamonds(g, decompose(g).ring_diamonds)
+    assert col == ring_by_diamonds(g, find_diamonds(g))
     # interiors carry the radius-2 classes, exteriors the radius-1 classes
-    for d in find_diamonds(g):
-        assert {col.assignment[v] for v in d.interiors} == {C2A, C2B}
-        assert {col.assignment[v] for v in d.exteriors} <= {C1A, C1B}
+    for interiors, exteriors in find_diamonds(g):
+        assert {col.assignment[v] for v in interiors} == {C2A, C2B}
+        assert {col.assignment[v] for v in exteriors} <= {C1A, C1B}
 
 
 def test_ring_coloring_rejects_k4():

@@ -9,8 +9,8 @@ from clawcolor import (
     C2A,
     C2B,
     SPEC_1122,
-    BridgeTree,
     ComponentKind,
+    Decomposition,
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
@@ -32,12 +32,7 @@ from clawcolor.errors import (
 import clawcolor.colorer
 from clawcolor.colorer import _color_class, _color_tree, _free_two_color, _surgery
 from clawcolor.coloring import Labels
-from clawcolor.recognition import (
-    ClassTree,
-    _bridge_tree,
-    _require_claw_free_cubic,
-    _structure,
-)
+from clawcolor.recognition import ClassTree, _require_claw_free_cubic, _structure
 from clawcolor.rng import SplitMix64
 
 from brute import (
@@ -46,7 +41,6 @@ from brute import (
     colored,
     completion_by_subgraphs,
     decompose_by_own_scan,
-    diamond_vertices,
     h_of,
     induced,
     lift_slot,
@@ -406,24 +400,24 @@ def test_bridged_path_matches_subgraph_reference(
     for g in _bridged_graphs(bridged_trees, random_bridged_trees, large_graphs):
         tree = _structure(g)
         got = colored(g.n, _color_tree, g, tree).assignment
-        want = color_bridged_by_subgraphs(g, _bridge_tree(tree)).assignment
+        want = color_bridged_by_subgraphs(g, decompose(g)).assignment
         assert got == want
 
 
 def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, monkeypatch):
     """Colouring the 2,000-diamond chain reads the tree over H's classes:
-    it never builds the public `BridgeTree`, which holds each diamond as a
-    component, and its tracemalloc peak stays below 80 bytes per vertex
-    (49.5 with one scan index per vertex, 56.2 with two, 63.2 with a dict
-    for the labels; it was 103.6 when the colouring swept a component per
-    diamond)."""
+    it never builds the public `Decomposition`, whose bridge tree holds
+    each diamond as a component, and its tracemalloc peak stays below 80
+    bytes per vertex (49.5 with one scan index per vertex, 56.2 with two,
+    63.2 with a dict for the labels; it was 103.6 when the colouring swept
+    a component per diamond)."""
     g = dict(large_graphs)["chain-2000"]
 
     def refuse(cls, *args, **kwargs):
-        raise AssertionError("a BridgeTree was built")
+        raise AssertionError("a Decomposition was built")
 
-    monkeypatch.setattr(BridgeTree, "__new__", refuse)
-    with pytest.raises(AssertionError, match="a BridgeTree was built"):
+    monkeypatch.setattr(Decomposition, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a Decomposition was built"):
         decompose(g)
     color_claw_free_cubic(g)  # the first call's one-time allocations are no part of the peak
     tracemalloc.start()
@@ -486,13 +480,13 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
     """Every Type III component's completion, odd and even, cut from G's
     contraction, is the one the completed graph's own scan, walk and
     contraction give, in G's ids.  A component of one triangle completes
-    to K4 or to the ring of its H-loop's diamonds."""
+    to K4 or to the ring of its H-loop's diamonds, whose cyclic walk lists
+    them, K4's its one diamond."""
     tested = [0, 0]
     for g in [g for _, g in bridged_trees] + random_bridged_trees:
         if not _require_claw_free_cubic(g)[0]:
             continue
-        tree = _structure(g)
-        bt = _bridge_tree(tree)
+        tree, bt = _structure(g), decompose(g)
         component = {v: c for c, comp in enumerate(bt.components) for v in comp}
         # the shares of the Type III classes, by component
         shares = {component[s.triangles[0][0]]: s for s in tree.shares.values()}
@@ -509,9 +503,10 @@ def test_odd_completion_matches_subgraph_reference(bridged_trees, random_bridged
                 (r,) = share.walk
                 want = decompose_by_own_scan(tilde)
                 assert want.variant is (Variant.K4 if len(r) == 6 else Variant.RING)
-                ring = {frozenset(to_g[v] for v in diamond_vertices(d)) for d in want.ring_diamonds}
+                (w,) = want.walk
+                ring = {frozenset(to_g[v] for v in w[j:j + 4]) for j in range(0, len(w), 4)}
                 loop = {frozenset(r[j:j + 4]) for j in range(1, len(r) - 1, 4)}
-                assert ring == (loop if len(r) > 6 else set())
+                assert ring == loop
             tested[len(xs) % 2] += 1
     assert tested[0] > 100 and tested[1] > 500, tested
 

@@ -26,7 +26,6 @@ from clawcolor import (
     C2A,
     C2B,
     SPEC_1122,
-    Diamond,
     ExpansionSpec,
     MultiGraph,
     PackingColoring,
@@ -182,7 +181,7 @@ def test_the_coloring_path_builds_no_graph_and_reads_no_slot(named_fixtures, cor
         elif local.triangles:
             kinds.append("simple H" if len(set(local.ends)) == len(local.ends) else "parallel H")
         else:
-            kinds.append("ring" if local.diamonds else "K4")
+            kinds.append("ring" if len(local.walk[0]) > 4 else "K4")  # K4: one diamond
     assert all(kinds.count(k) > 50 for k in ("bridged", "simple H", "parallel H")), kinds
     assert kinds.count("ring") > 1 and kinds.count("K4") > 1, kinds
     assert not hasattr(MultiGraph, "edge_pairs") and not hasattr(MultiGraph, "slots_at")
@@ -653,7 +652,7 @@ def _readme_api_names() -> list[str]:
 
 def test_the_public_names_are_the_ones_readme_lists():
     listed = _readme_api_names()
-    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 37
+    assert len(clawcolor.__all__) == len(set(clawcolor.__all__)) == 35
     assert sorted(set(listed)) == sorted(clawcolor.__all__)
 
 
@@ -663,7 +662,6 @@ def test_the_public_names_are_the_ones_readme_lists():
         (lambda fx: SPackingSpec((1, 1, 2, 2)), "radii"),
         (lambda fx: PackingColoring(SPEC_1122, {0: C1A}), "assignment"),
         (lambda fx: Violation(0, "1a", (0, 1), 1), "distance"),
-        (lambda fx: Diamond((0, 1), (2, 3)), "interiors"),
         (lambda fx: ExpansionSpec({(0, 1, 0): 2}), "string_lengths"),
         (lambda fx: decompose(fx["big_expansion"]), "walk"),
         (lambda fx: decompose(fx["k4"]), "variant"),
@@ -673,11 +671,10 @@ def test_the_public_names_are_the_ones_readme_lists():
         "SPackingSpec",
         "PackingColoring",
         "Violation",
-        "Diamond",
         "ExpansionSpec",
         "Decomposition-built",
         "Decomposition-K4",
-        "BridgeTree",
+        "Decomposition-bridged",
     ],
 )
 def test_public_value_types_are_frozen_and_compared_by_value(named_fixtures, build, field):

@@ -5,7 +5,6 @@ import pytest
 
 from clawcolor import (
     SPEC_1122,
-    BridgeTree,
     ComponentKind,
     MultiGraph,
     Decomposition,
@@ -29,9 +28,9 @@ from clawcolor.recognition import (
     _bridge_tree,
     _bridges,
     _class_tree,
-    _decomposition,
     _local_scan,
     _require_claw_free_cubic,
+    _ring_walk,
     _structure,
 )
 
@@ -206,10 +205,9 @@ def test_no_vertex_has_two_bridges(corpus, bridged_trees, random_bridged_trees):
 
 def _tree_bridges(g: MultiGraph) -> set[tuple[int, int]]:
     """G's bridges read off `decompose`'s tree: each non-root component's
-    up vertex with its up-neighbor.  None for a bridgeless graph."""
+    up vertex with its up-neighbor.  None for a bridgeless graph, a tree
+    of one component."""
     bt = decompose(g)
-    if not isinstance(bt, BridgeTree):
-        return set()
     ups = [(bt.degree2[c][0], bt.up_neighbor[c]) for c in range(len(bt.components)) if c != bt.root]
     return {(min(e), max(e)) for e in ups}
 
@@ -281,21 +279,19 @@ def _bridged_sweep_shapes() -> list[MultiGraph]:
 def test_bridge_tree_matches_sweeps_reference(
     named_fixtures, base_corpus, bridged_trees, random_bridged_trees
 ):
-    """Every field equals the one the previous construction gives.
-
-    A bridged graph's tree comes through `decompose`; a bridgeless built
-    graph's, a single component, from the class tree of H's empty set of
-    bridges.
+    """Every bridge-tree field of `decompose`'s record equals the one the
+    previous construction gives, a bridgeless graph's, a single
+    component, K4's and a ring's included.
     """
-    graphs = [named_fixtures[name] for name in ("prism", "big_expansion", "bridged_star")]
+    graphs = [named_fixtures[name] for name in ("k4", "prism", "big_expansion", "bridged_star")]
+    graphs += [gen_ring_of_diamonds(5)]
     graphs += [g for _, g in base_corpus + bridged_trees if find_bridges(g)]
     graphs += random_bridged_trees + _bridged_sweep_shapes()
     for g in graphs:
-        h_bridges, local = _require_claw_free_cubic(g)
-        got = decompose(g) if h_bridges else _bridge_tree(_class_tree(h_bridges, local))
+        got = decompose(g)
         want = bridge_tree_by_sweeps(g, find_bridges(g))
-        for f in BridgeTree._fields:
-            assert getattr(got, f) == getattr(want, f), f
+        for f, w in zip(Decomposition._fields[4:], want, strict=True):
+            assert getattr(got, f) == w, f
 
 
 def _tree_or_error(build, *args):
@@ -346,12 +342,14 @@ def test_bridge_tree_matches_sweeps_reference_on_broken_bridge_sets(
         if not h_bridges:
             continue
         for how, broken in _broken_h_bridge_sets(local, h_bridges, rng):
-            got = _tree_or_error(lambda *args: _bridge_tree(_class_tree(*args)), broken, local)
+            got = _tree_or_error(
+                lambda *args: _bridge_tree(local, _class_tree(*args))[4:], broken, local
+            )
             assert got == _tree_or_error(bridge_tree_by_sweeps, g, _lifted(local, broken)), how
-            if isinstance(got, BridgeTree):
-                outcomes.add((how, "tree"))
-            else:
+            if isinstance(got[0], type):  # an error class and its message
                 outcomes.add((how, got[0], re.sub(r"\d+", "k", got[1])))
+            else:
+                outcomes.add((how, "tree"))
     count = (InternalInvariantError, "k components for k bridges; tree property violated")
     assert outcomes == {
         ("drop one", "tree"),
@@ -382,7 +380,7 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
 
     for name in ("edge_list", "slots", "neighbors", "adjacency"):
         monkeypatch.setattr(MultiGraph, name, counted(getattr(MultiGraph, name)))
-    bt = _bridge_tree(_class_tree(h_bridges, local))
+    bt = _bridge_tree(local, _class_tree(h_bridges, local))
     assert bt.kinds.count(ComponentKind.DIAMOND) == 50
     assert calls[0] == 0
 
@@ -396,9 +394,10 @@ def test_bridge_tree_reads_no_multiplicity(monkeypatch):
 def test_bridge_tree_bridgeless_single_node(named_fixtures, monkeypatch, name, variant):
     """A bridgeless graph's class tree, read from H's empty set of bridges,
     is one class with no bridge, whose share is the very contraction the
-    entry check returned, not a copy: K4's empty scan, a ring's scan and
-    its one cyclic walk, a built graph's numbered H.  `decompose` hands that share out as a `Decomposition`,
-    and a built graph's tree expands to one Type III node."""
+    entry check returned, not a copy: a built graph's numbered H, a
+    ring's one cyclic walk, and K4's, the ring (0, 2, 3, 1) of one
+    diamond.  `decompose` hands that contraction out with the tree
+    expanded to one Type III component, whatever the variant."""
     g = gen_ring_of_diamonds(5) if name == "ring" else named_fixtures[name]
     real, checked = recognition._require_claw_free_cubic, []
 
@@ -413,15 +412,23 @@ def test_bridge_tree_bridgeless_single_node(named_fixtures, monkeypatch, name, v
     assert (tree.order, tree.via, tree.depth) == ([0], [-1], [0])
     assert tree.bridges == tree.ends == [] and tree.links == [[]]
     assert list(tree.shares) == [0] and tree.shares[0] is local
-    assert decompose(g) == _decomposition(local)
-    assert decompose(g).variant is variant
-    if variant is Variant.BUILT:
-        bt = _bridge_tree(tree)
-        assert bt.components == (tuple(range(g.n)),)
-        assert bt.kinds == (ComponentKind.TYPE_III,)
-        assert bt.tree_adj == ((),)
-        assert bt.root == 0
-        assert bt.depth == (0,)
+    if name == "k4":
+        assert local.walk == ((0, 2, 3, 1),)
+    elif name == "ring":
+        assert local.walk == (_ring_walk(g, _local_scan(g)),)
+    bt = _bridge_tree(local, tree)
+    assert bt == decompose(g)
+    assert bt.variant is variant
+    assert bt.triangles == tuple(local.triangles)
+    assert bt.ends == tuple(local.ends)
+    assert bt.walk == tuple(local.walk)
+    assert bt.components == (tuple(range(g.n)),)
+    assert bt.kinds == (ComponentKind.TYPE_III,)
+    assert bt.tree_adj == ((),)
+    assert bt.root == 0
+    assert bt.depth == (0,)
+    assert bt.up_neighbor == (-1,)
+    assert bt.degree2 == ((),)
 
 
 def test_bridge_tree_of_star_fixture(named_fixtures):
@@ -479,14 +486,9 @@ def test_up_neighbor_in_component_neighbors_adjacent(base_corpus, random_bridged
 
 
 def test_bridge_tree_component_count(base_corpus):
-    """`decompose` gives a tree of |B| + 1 components exactly when there are bridges."""
+    """`decompose` gives a tree of |B| + 1 components, one when there is no bridge."""
     for _, g in base_corpus:
-        bridges = find_bridges(g)
-        structure = decompose(g)
-        if bridges:
-            assert len(structure.components) == len(bridges) + 1
-        else:
-            assert isinstance(structure, Decomposition)
+        assert len(decompose(g).components) == len(find_bridges(g)) + 1
 
 
 def _rooting_mismatches(graphs) -> tuple[int, list]:
@@ -497,7 +499,7 @@ def _rooting_mismatches(graphs) -> tuple[int, list]:
         bridges = find_bridges(g)
         bt = decompose(g)
         if not bridges:
-            assert isinstance(bt, Decomposition), name
+            assert len(bt.components) == 1, name
             continue
         tested += 1
         comp_of = {v: c for c, comp in enumerate(bt.components) for v in comp}
@@ -532,9 +534,7 @@ def test_root_rule_on_every_labelled_tree_up_to_7_nodes():
 def test_single_diamond():
     g = MultiGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     ds = find_diamonds(g)
-    assert len(ds) == 1
-    assert ds[0].interiors == (1, 2)
-    assert ds[0].exteriors == (0, 3)
+    assert ds == [((1, 2), (0, 3))]  # (interiors, exteriors)
 
 
 def test_k4_has_no_induced_diamond():
@@ -788,6 +788,7 @@ def test_local_scan_reads_a_recorded_vertex_no_more(strings):
     local = _local_scan(g)
     assert local.claw is None and (strings == 0) == (not local.diamonds)
     expected = 6 * len(local.triangles) + sum(
-        6 if d.exteriors[0] < d.interiors[0] else 4 for d in scan_diamonds(local.diamonds)
+        6 if exteriors[0] < interiors[0] else 4
+        for interiors, exteriors in scan_diamonds(local.diamonds)
     )
     assert g.counter.reads == expected

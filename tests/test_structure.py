@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from clawcolor import (
-    BridgeTree,
     ComponentKind,
     ExpansionSpec,
     MultiGraph,
@@ -17,7 +16,7 @@ from clawcolor import (
     is_cubic,
     random_expansion_spec,
 )
-from clawcolor.errors import NotSimpleError
+from clawcolor.errors import ClawcolorError, NotSimpleError
 from clawcolor.recognition import _contract, _local_scan, _structure
 from clawcolor.rng import SplitMix64
 
@@ -30,6 +29,7 @@ from brute import (
     lift_slot,
     multigraph_isomorphic,
 )
+from test_golden import labeled_inputs
 
 
 def k4():
@@ -43,7 +43,7 @@ def test_k4_variant():
 def test_ring_variant():
     dec = decompose(gen_ring_of_diamonds(4))
     assert dec.variant is Variant.RING
-    assert len(dec.ring_diamonds) == 4
+    assert len(dec.walk[0]) // 4 == 4 and dec.string_lengths() == [4]
 
 
 def test_prism_decomposition(named_fixtures):
@@ -68,7 +68,8 @@ def test_decompose_hands_out_h_as_the_contraction_numbers_it(
 ):
     """`decompose` builds no `MultiGraph` and lists no slot: H is handed out
     as the tuples of what `_contract` returns, `ends` and `walk` aligned by
-    edge id, on the bridgeless fixtures and the 9,216-vertex built graph."""
+    edge id, on the bridgeless fixtures and the 9,216-vertex built graph,
+    and K4 as the ring of one diamond."""
     graphs = [named_fixtures["prism"], named_fixtures["big_expansion"]]
     graphs += [dict(large_graphs)["built-h1024"], named_fixtures["k4"]]
     contractions = [_contract(g, _local_scan(g)) if g.n > 4 else None for g in graphs]
@@ -89,7 +90,8 @@ def test_decompose_hands_out_h_as_the_contraction_numbers_it(
         dec = decompose(g)
         assert calls == {"__init__": 0, "slots": 0}, (g.n, calls)
         if local is None:
-            assert dec.variant is Variant.K4 and dec.ends == dec.walk == ()
+            assert dec.variant is Variant.K4 and dec.ends == ()
+            assert dec.walk == ((0, 2, 3, 1),)
             continue
         assert dec.variant is Variant.BUILT
         assert dec.ends == tuple(local.ends) and dec.walk == tuple(local.walk)
@@ -97,8 +99,10 @@ def test_decompose_hands_out_h_as_the_contraction_numbers_it(
 
 
 def test_decompose_rejects_bridged(named_fixtures):
-    """A bridged graph gets its bridge tree."""
-    assert isinstance(decompose(named_fixtures["bridged_star"]), BridgeTree)
+    """A bridged graph gets its bridge tree, beside an H with loops."""
+    dec = decompose(named_fixtures["bridged_star"])
+    assert len(dec.components) == 4 and dec.variant is Variant.BUILT
+    assert sum(a == b for a, b in dec.ends) == 3
 
 
 def test_decompose_rejects_multigraph(named_fixtures):
@@ -184,6 +188,74 @@ def test_decompose_peak_memory_per_vertex(large_graphs):
         tracemalloc.stop()
     assert g.n == 9216 and len(local.walk) == 3 * len(local.triangles) // 2
     assert peak / g.n < 42, f"{peak / g.n:.1f} B/vertex"
+
+
+# peak bytes per vertex of `decompose`: 35.0 and 48.8 on CPython 3.11; a
+# ring's record that kept its scan and a named pair per diamond took 77.2
+DECOMPOSE_PEAK_PER_VERTEX = {"built-h1024": 42, "ring-2500": 60}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_PEAK_PER_VERTEX))
+def test_decompose_record_peak_memory_per_vertex(large_graphs, name):
+    """`decompose` of the 9,216-vertex built graph and the 2,500-diamond
+    ring, after a warm-up call: the entry check, and a record that holds
+    the contraction and a bridge tree of one component, but neither the
+    scan's diamonds nor its per-vertex index."""
+    g = dict(large_graphs)[name]
+    decompose(g)  # the first call's one-time allocations are no part of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = decompose(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert dec.components == (tuple(range(g.n)),)
+    assert peak / g.n < DECOMPOSE_PEAK_PER_VERTEX[name], f"{peak / g.n:.1f} B/vertex"
+
+
+def _record_edges(dec) -> list[tuple[int, int]]:
+    """G's edges as `decompose`'s record gives them, each pair ascending:
+    each triangle's three, each diamond's five, and the edges between
+    them, zip(r[::4], r[1::4]) on a walk between two corners and
+    (r[j - 1], r[j]) for j = 0, 4, ... on a ring's cyclic walk."""
+    edges = [(a, b) for t in dec.triangles for a, b in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
+    cyclic = not dec.triangles
+    for r in dec.walk:
+        if cyclic:
+            edges += [(r[j - 1], r[j]) for j in range(0, len(r), 4)]
+            diamonds = range(0, len(r), 4)
+        else:
+            edges += zip(r[::4], r[1::4])
+            diamonds = range(1, len(r) - 1, 4)
+        for j in diamonds:
+            entry, i1, i2, exit_ = r[j:j + 4]
+            edges += [(entry, i1), (entry, i2), (i1, i2), (i1, exit_), (i2, exit_)]
+    return sorted((min(e), max(e)) for e in edges)
+
+
+def test_the_record_rebuilds_g(
+    named_fixtures, corpus, bridged_trees, random_bridged_trees, large_graphs
+):
+    """On every golden input `decompose` accepts, all but Petersen and the
+    multigraph h10, the edges the record's `triangles` and `walk` give are
+    G's, each once: H is G's own contraction for every graph, and `walk`
+    is aligned with `ends` when there are triangles."""
+    inputs = labeled_inputs(named_fixtures, corpus, bridged_trees, random_bridged_trees, large_graphs)
+    kinds = Counter()
+    for label, g in inputs:
+        try:
+            dec = decompose(g)
+        except ClawcolorError:
+            kinds["rejected"] += 1
+            continue
+        assert _record_edges(dec) == g.edge_list(), label
+        if dec.triangles:
+            assert len(dec.walk) == len(dec.ends), label
+        else:
+            assert len(dec.walk) == 1 and dec.ends == (), label
+        kinds["bridged" if len(dec.components) > 1 else dec.variant.name] += 1
+    assert kinds == {"bridged": 431, "BUILT": 374, "RING": 46, "K4": 11, "rejected": 2}, kinds
 
 
 def test_decompose_of_a_diamond_chain_peak_memory_per_vertex(large_graphs):
