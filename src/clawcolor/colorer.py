@@ -11,8 +11,9 @@ coloring (interiors take the radius-2 classes, each inter-diamond edge
 takes both radius-1 classes) reads one cyclic walk, `_ring`; K4 is the
 ring of one diamond, whose walk the entry check gives as (0, 2, 3, 1),
 closed by the edge 0-1.  The
-canonical coloring is driven by a 2-factor of the underlying multigraph
-H, `_canonical`:
+canonical coloring, `_canonical`, is driven by a 2-factor of the
+underlying multigraph H, one byte per H-edge (`factorization._complement`):
+0 for a matching edge, else the end its cycle runs from:
 
   * each matching edge's two triangle corners get 2a/2b, with Type 2
     strings alternating 2b/2a along their exteriors and 1a/1b inside;
@@ -83,13 +84,20 @@ from collections.abc import Mapping, Sequence
 from itertools import chain
 
 from .coloring import C1A, C1B, C2A, C2B, SPEC_1122, UNCOLORED, Labels, PackingColoring
-from .factorization import TwoFactor, _complement, _matched_through, _two_factor_through
+from .factorization import _complement, _matched_through, _two_factor_through
 from .multigraph import MultiGraph
 from .oracle import _certified
 from .recognition import ClassTree, LocalScan, _attachments, _structure
 
 # _EXCHANGE_2A_2B[c]: class c with 2a and 2b exchanged
 _EXCHANGE_2A_2B = bytes.maketrans(bytes((C2A, C2B)), bytes((C2B, C2A)))
+
+# _ROLES[b]: the classes an H-edge of 2-factor byte b gives its string's
+# exteriors (`_color_string`'s entry and exit_) and interiors; r[-1] takes
+# entry and r[0] exit_.  Matched (0), the corner in the lower triangle
+# gets 2a; on a cycle, the corner it leaves a triangle by gets 1b and the
+# one it enters by 1a: r[0] leaves for 1, r[-1] for 2
+_ROLES = ((C2B, C2A, C1A, C1B), (C1A, C1B, C2A, C2B), (C1B, C1A, C2A, C2B))
 
 
 def _ring(labels: bytearray, ring: tuple[int, ...]) -> None:
@@ -105,32 +113,20 @@ def _ring(labels: bytearray, ring: tuple[int, ...]) -> None:
         labels[ring[j + 2]] = C2B
 
 
-def _canonical(labels: bytearray, local: LocalScan, factor: TwoFactor) -> None:
+def _canonical(labels: bytearray, local: LocalScan, way: bytearray) -> None:
     """The canonical coloring of a built graph for a 2-factor of its H.
 
     `local` is a numbered contraction (`recognition._contract`, or
-    `_surgery` for a completion) and `factor` a 2-factor of its
-    H.
+    `_surgery` for a completion) and `way` a 2-factor of its H, one byte
+    per H-edge (`factorization._complement`).  H-edge e's realization r
+    runs from triangle `ends[e][0]`.  Each vertex colored is a corner at
+    one end of one r or lies on one string, so each is written once, and
+    one pass over the ids in any order gives the coloring.
     """
-    walk, ends = local.walk, local.ends
-
-    # matching edges: the corner in the lower-indexed triangle gets 2a
-    for e in factor.matching:
-        r = walk[e]
-        labels[r[0]] = C2A
-        labels[r[-1]] = C2B
-        _color_string(labels, r, C2B, C2A, C1A, C1B)
-
-    # cycles: each edge runs from hv, whose exit corner is 1b, to the next
-    # H-vertex, whose entry corner is 1a; r runs from ends[e][0]
-    for cycle in factor.cycles:
-        for hv, e in cycle:
-            r = walk[e]
-            first, last = (C1B, C1A) if hv == ends[e][0] else (C1A, C1B)
-            labels[r[0]] = first
-            labels[r[-1]] = last
-            if len(r) > 2:
-                _color_string(labels, r, last, first, C2A, C2B)
+    for e, r in enumerate(local.walk):
+        entry, exit_, first, second = _ROLES[way[e]]
+        labels[r[0]], labels[r[-1]] = exit_, entry
+        _color_string(labels, r, entry, exit_, first, second)
 
 
 def _color_string(

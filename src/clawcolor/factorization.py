@@ -16,6 +16,10 @@ at one end (Plesnik's theorem).  Neither checks that the forced edge
 landed: a banned edge is never matched, and a perfect matching must
 cover the end at which only the forced edge is left.
 
+A 2-factor is handed out as one byte per H-edge id, all that
+`colorer._canonical` reads of it: 0 for an edge of the complementary
+matching, else which end of the edge its cycle runs from (`_complement`).
+
 H is held as its order n and its edge list `ends`, with no graph object:
 H-edge e, its id, joins the two vertices in `ends[e]`, the lower first
 (`recognition._contract`'s docstring gives the numbering).
@@ -31,21 +35,8 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection, Sequence
-from typing import NamedTuple
 
 from .errors import InternalInvariantError
-
-
-class TwoFactor(NamedTuple):
-    """A spanning 2-regular sub-multigraph plus its complement matching.
-
-    Each cycle lists (vertex, id) entries, the H-edge leading on to the
-    next vertex, cyclically; a digon uses two parallel edges.  The perfect
-    matching is its ids in ascending order.
-    """
-
-    cycles: tuple[tuple[tuple[int, int], ...], ...]
-    matching: tuple[int, ...]
 
 
 def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
@@ -144,7 +135,7 @@ def _max_matching_simple(n: int, adj: list[list[int]]) -> list[int]:
 
 def _complement(
     n: int, ends: Sequence[tuple[int, int]], banned: Collection[int] = ()
-) -> TwoFactor:
+) -> bytearray:
     """The 2-factor of a cubic multigraph complementary to a perfect matching.
 
     The multigraph has vertices 0..n-1, and its edge e joins the two
@@ -156,8 +147,12 @@ def _complement(
     out sorted, the smaller neighbours first, as `MultiGraph` keeps it.
     Each matched pair takes its lowest id that is not banned, and one pass
     over the ids in ascending order finds it: a vertex's two factor edges
-    are its other two ids, ascending.  Each cycle starts at its smallest
-    vertex and leaves it by that vertex's lower factor edge.
+    are its other two ids, ascending.
+
+    Returns one byte per id: 0 for a matched edge, else the way its cycle
+    runs along it, 1 from `ends[e][0]` and 2 from `ends[e][1]`.  Each cycle
+    starts at its smallest vertex and leaves it by that vertex's lower
+    factor edge.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     last = None  # the last pair kept
@@ -167,44 +162,37 @@ def _complement(
             adj[a].append(b)
             adj[b].append(a)
     mate = _max_matching_simple(n, adj)
-    del adj  # the search's lists go before the factor and cycles are built
+    del adj  # the search's lists go before the factor is built
     if -1 in mate:
         raise InternalInvariantError(
             "no perfect matching avoiding the banned edges; impossible in a "
             "2-edge-connected cubic multigraph (Petersen, Plesnik)"
         )
-    matched = bytearray(n)  # matched[a]: an edge from a to its mate b > a is taken
-    pairs: list[int] = []
-    factor: list[list[int]] = [[] for _ in range(n)]
+    factor = [-1] * (2 * n)  # factor[2v], factor[2v + 1]: v's factor edges, ascending
     for e, (a, b) in enumerate(ends):
-        if mate[a] == b and not matched[a] and e not in banned:
-            matched[a] = 1
-            pairs.append(e)
+        if mate[a] == b and e not in banned:
+            mate[a] = -1  # the pair's edge is taken: its other copies are not
         else:
-            factor[a].append(e)
-            factor[b].append(e)
-    cycles = []
-    on_cycle = bytearray(n)
+            factor[2 * a + (factor[2 * a] != -1)] = e
+            factor[2 * b + (factor[2 * b] != -1)] = e
+    way = bytearray(len(ends))
     for start in range(n):
-        if on_cycle[start]:
+        if way[factor[2 * start]]:  # start's cycle is walked
             continue
-        cycle: list[tuple[int, int]] = []
         v, e = start, -1
         while True:
-            p, q = factor[v]
+            p, q = factor[2 * v], factor[2 * v + 1]
             e = q if p == e else p
-            on_cycle[v] = 1
-            cycle.append((v, e))
             a, b = ends[e]
-            v = b if a == v else a
+            way[e], v = (1, b) if a == v else (2, a)
             if v == start:
                 break
-        cycles.append(tuple(cycle))
-    return TwoFactor(cycles=tuple(cycles), matching=tuple(pairs))
+    return way
 
 
-def _two_factor_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
-    """A 2-factor of the multigraph `_complement` reads containing the edge e.
+def _two_factor_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> bytearray:
+    """A 2-factor of the multigraph `_complement` reads containing the edge
+    e, as `_complement`'s bytes.
 
     Bans e and the lowest other id: by Plesnik's theorem, H less any two
     edges has a perfect matching, whose complement holds both.
@@ -212,9 +200,9 @@ def _two_factor_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> TwoF
     return _complement(n, ends, (e, 1 if e == 0 else 0))
 
 
-def _matched_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> TwoFactor:
+def _matched_through(n: int, ends: Sequence[tuple[int, int]], e: int) -> bytearray:
     """The 2-factor of the multigraph `_complement` reads whose complementary
-    perfect matching contains e.
+    perfect matching contains e, as `_complement`'s bytes.
 
     Bans the other two edges at e's lower end a; the rest has a perfect
     matching by Plesnik's theorem.  It needs no check that e is matched.

@@ -13,12 +13,14 @@ the certified coloring of `color_claw_free_cubic` with
 one induced subgraph per component and builds, scans and searches each
 Type III completion.  Prints the wall times of `decompose` and of
 the coloring, the tracemalloc peak of `decompose` and the number of
-diamonds whose parent is a K3 per graph, and fails the mixed tree when
-there is none.  Then
+diamonds whose parent is a K3 per graph.  It fails the mixed tree when
+there is none, and a graph whose peak reaches its limit: 145 bytes per
+vertex for the chain, 175 for the K3 tree and 130 for the mixed tree
+(130, 159 and 115 on CPython 3.11).  Then
 checks `_class_tree`'s root rule, min(a, b), against the all-pairs
 eccentricity rule on each of the 280,392 labelled trees of 2 to 8 nodes.
-Exits 1 unless every field and every color is equal and the rule holds
-on every tree.  Too slow for tier-1; run it from the repository root:
+Exits 1 unless every field and every color is equal, every peak is
+below its limit and the rule holds on every tree.  Too slow for tier-1; run it from the repository root:
 
     PYTHONPATH=src:tests python tests/bridge_tree_at_scale.py
 """
@@ -42,12 +44,14 @@ from clawcolor.rng import SplitMix64
 
 
 def _graphs():
+    """Each graph, its name and the bytes per vertex the tracemalloc peak
+    of its `decompose` must stay below."""
     chain = [("type3", 1)] + [("diamond", 2)] * 20_000 + [("type3", 1)]
-    yield "chain of 20,000 diamonds", gen_bridged(chain, SplitMix64(1))
+    yield "chain of 20,000 diamonds", gen_bridged(chain, SplitMix64(1)), 145
     k3_tree = [("k3", 3)] * 798 + [("type3", 1)] * 800
-    yield "798 K3 components, 800 leaves", gen_bridged(k3_tree, SplitMix64(1))
+    yield "798 K3 components, 800 leaves", gen_bridged(k3_tree, SplitMix64(1)), 175
     mixed = [("k3", 3)] * 300 + [("diamond", 2)] * 900 + [("type3", 1)] * 302
-    yield "300 K3 components, 900 diamonds, 302 leaves", gen_bridged(mixed, SplitMix64(1))
+    yield "300 K3 components, 900 diamonds, 302 leaves", gen_bridged(mixed, SplitMix64(1)), 130
 
 
 def _diamonds_below_a_k3(bt: Decomposition) -> int:
@@ -63,7 +67,7 @@ def _diamonds_below_a_k3(bt: Decomposition) -> int:
 
 def main() -> int:
     failed = 0
-    for name, g in _graphs():
+    for name, g, limit in _graphs():
         started = time.perf_counter()
         got = decompose(g)
         wall_s = time.perf_counter() - started
@@ -82,9 +86,10 @@ def main() -> int:
         recolored = colors != color_bridged_by_subgraphs(g, want).assignment
         below_k3 = _diamonds_below_a_k3(want)
         failed += bool(differ) + recolored + (name.startswith("300 K3") and not below_k3)
+        failed += peak / g.n >= limit
         print(
             f"{name}: n={g.n}, {len(want.components)} components, decompose "
-            f"{wall_s:.3f} s, peak {peak / 2**20:.2f} MiB ({peak / g.n:.0f} B/vertex), "
+            f"{wall_s:.3f} s, peak {peak / 2**20:.2f} MiB ({peak / g.n:.0f} B/vertex, limit {limit}), "
             + (f"fields DIFFER: {', '.join(differ)}" if differ else "every field equal")
             + f"; coloring {color_s:.3f} s, "
             + ("colors DIFFER from the subgraph reference" if recolored else "same colors")

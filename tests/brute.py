@@ -19,8 +19,8 @@ solver's search tree; `decompose_by_grouping` `_contract`, its output
 written as `decompose`'s record of a bridgeless graph (`bridgeless`);
 `bridge_tree_by_sweeps`, with `classify_component_by_sets` to type its
 components, the seven bridge-tree fields of `decompose`'s record,
-`Decomposition[4:]`; the `*_by_reattribution` 2-factors
-`factorization._complement`; `max_matching_by_full_scans`, which the
+`Decomposition[4:]`; the `*_by_reattribution` 2-factors, each a pair
+(cycles, matching) named by slots, `factorization._complement`; `max_matching_by_full_scans`, which the
 `*_by_reattribution` references search with, `_max_matching_simple`;
 `verify_by_layers` and `bridges_by_iterator_dfs` `oracle.verify` and
 `multigraph._bridges` on large graphs; and the `*_by_subgraphs` bridged
@@ -43,9 +43,9 @@ exteriors, each ascending: `find_diamonds` lists them, and
   `h_of(dec).slots()[e]`: `lift_slot`, `color_type3_by_subgraphs`, and
   the tests that compare H with `multigraph_isomorphic` or search its
   2-factors with `all_two_factors`.
-- `slot_form` and `cycle_slots`, a 2-factor named by H's slots and the
-  slots on its cycles: the 2-factor oracles in `test_factorization.py`,
-  `test_acceptance.py` and `matching_at_scale.py`.
+- `factor_bytes`, a reference's 2-factor as `_complement`'s bytes: the
+  comparisons with the `*_by_reattribution` references in
+  `test_factorization.py` and `matching_at_scale.py`.
 - `is_k4`: `decompose_by_grouping`, `decompose_by_own_scan` and
   `test_canonical.py` and `test_recognition.py`.
 - `bridgeless`, `decompose`'s record of a bridgeless graph from its
@@ -82,7 +82,7 @@ from clawcolor.errors import (
     InternalInvariantError,
     PartialColoringError,
 )
-from clawcolor.factorization import TwoFactor, _matched_through, _two_factor_through
+from clawcolor.factorization import _matched_through, _two_factor_through
 from clawcolor.multigraph import MultiGraph, Slot, is_cubic
 from clawcolor.oracle import DEFAULT_SOLVER_CAP, Violation
 from clawcolor.recognition import (
@@ -1049,19 +1049,17 @@ def max_matching_by_full_scans(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def slot_form(h: MultiGraph, tf: TwoFactor) -> TwoFactor:
-    """tf, a 2-factor of h whose edges are named by their ids, with each id
-    replaced by its slot: id e is slot `h.slots()[e]` (`recognition._contract`)."""
-    slots = h.slots()
-    return TwoFactor(
-        cycles=tuple(tuple((v, slots[e]) for v, e in cycle) for cycle in tf.cycles),
-        matching=tuple(slots[e] for e in tf.matching),
-    )
-
-
-def cycle_slots(tf: TwoFactor) -> set[Slot]:
-    """The slots on the cycles of a 2-factor."""
-    return {slot for cycle in tf.cycles for _, slot in cycle}
+def factor_bytes(h: MultiGraph, reference: tuple) -> bytearray:
+    """A reference's 2-factor of h, its pair (cycles, matching) named by
+    slots, as `factorization._complement`'s bytes over h's ids in slot
+    order: 0 for a matched slot, and for a cycle's (vertex, slot) entry, the
+    slot leading on from the vertex, 1 when the vertex is the slot's lower
+    end, else 2.  A slot the pair leaves out reads 3.  Called by the
+    2-factor comparisons of `test_factorization.py` and `matching_at_scale.py`."""
+    cycles, matching = reference
+    way = dict.fromkeys(matching, 0)
+    way.update((s, 1 if v == s[0] else 2) for cycle in cycles for v, s in cycle)
+    return bytearray(way.get(s, 3) for s in h.slots())
 
 
 def _cycles_from_slots(g: MultiGraph, factor: set[Slot]) -> tuple:
@@ -1121,7 +1119,7 @@ def _perfect_pairs(g: MultiGraph) -> list[tuple[int, int]] | None:
     return [(v, w) for v, w in enumerate(mate) if w > v]
 
 
-def two_factor_by_reattribution(g: MultiGraph) -> TwoFactor:
+def two_factor_by_reattribution(g: MultiGraph) -> tuple:
     """`factorization._two_factor` as it was: public matching, re-attribution, slot sets.
 
     Verbatim but for the error class of a missing perfect matching, whose
@@ -1135,10 +1133,10 @@ def two_factor_by_reattribution(g: MultiGraph) -> TwoFactor:
     matched = set(_reattribute(g, pairs, banned=set()))
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=tuple(sorted(matched)))
+    return cycles, tuple(sorted(matched))
 
 
-def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
+def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> tuple:
     """`factorization._two_factor_through` as it was, on a copy of g less e and f."""
     all_slots = g.slots()
     f = next(s for s in all_slots if s != e)
@@ -1154,7 +1152,7 @@ def two_factor_through_by_reattribution(g: MultiGraph, e: Slot) -> TwoFactor:
     if e not in factor:
         raise InternalInvariantError("forced edge missing from 2-factor")
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=tuple(sorted(matched)))
+    return cycles, tuple(sorted(matched))
 
 
 def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> tuple[Slot, ...]:
@@ -1177,12 +1175,12 @@ def matching_through_by_reattribution(g: MultiGraph, e: Slot) -> tuple[Slot, ...
     return tuple(sorted(matched))
 
 
-def factor_from_matching_by_reattribution(g: MultiGraph, m: tuple[Slot, ...]) -> TwoFactor:
+def factor_from_matching_by_reattribution(g: MultiGraph, m: tuple[Slot, ...]) -> tuple:
     """`factorization.factor_from_matching` as it was: the complement of a perfect matching."""
     matched = set(m)
     factor = {s for s in g.slots() if s not in matched}
     cycles = _cycles_from_slots(g, factor)
-    return TwoFactor(cycles=cycles, matching=m)
+    return cycles, m
 
 
 def _bfs_layers(g: MultiGraph, source: int, radius: int) -> list[list[int]]:

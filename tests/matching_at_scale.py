@@ -9,11 +9,12 @@ For seeds 1 to 3, builds a triangle expansion of a random H of order
 their ends for the references.  On that H, runs both
 `factorization._max_matching_simple` and
 `brute.max_matching_by_full_scans`, then `factorization._complement` and
-`brute.two_factor_by_reattribution`, the 2-factor named by slots as it
-was before each H-edge was named by its id.  Prints the times per seed,
-and exits 1 unless the scan matches both references, the two mate arrays
-are equal and `_complement`'s 2-factor, each id mapped to its slot
-(`brute.slot_form`), equals the reference's.
+`brute.two_factor_by_reattribution`, the 2-factor as cycles and a
+matching named by slots, as it was before each H-edge was named by its
+id.  Prints the times per seed, and exits 1 unless the scan matches both
+references, the two mate arrays are equal and `_complement`'s bytes, one
+per H-edge, equal the reference's 2-factor written as such bytes
+(`brute.factor_bytes`).
 
 Then, as a worst-case baseline for the blossom search, builds three
 families of cubic H of order 4,096 that are not random: a necklace of
@@ -33,11 +34,11 @@ import sys
 import time
 
 from brute import (
+    factor_bytes,
     find_diamonds,
     max_matching_by_full_scans,
     relabeled,
     scan_diamonds,
-    slot_form,
     triangles_off_diamonds_brute,
     two_factor_by_reattribution,
 )
@@ -128,7 +129,7 @@ def main() -> int:
         reference, reference_s = _timed(max_matching_by_full_scans, n, adj)
         factor, factor_s = _timed(_complement, n, local.ends)
         want, want_s = _timed(two_factor_by_reattribution, h)
-        same_mate, same_factor = mate == reference, slot_form(h, factor) == want
+        same_mate, same_factor = mate == reference, factor == factor_bytes(h, want)
         failed += (not same_mate) + (not same_factor)
         print(
             f"H={n} seed {seed}: search {search_s:.3f} s, full-scan reference "

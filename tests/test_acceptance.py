@@ -32,12 +32,10 @@ from clawcolor.rng import SplitMix64
 from brute import (
     colored,
     all_two_factors,
-    cycle_slots,
     h_of,
     light_support_property,
     multigraph_isomorphic,
     relabeled,
-    slot_form,
 )
 from test_canonical import LABEL_TO_IDX, REFERENCE_BIG_EXPANSION
 
@@ -139,16 +137,18 @@ def test_criterion_5_two_factor_through():
         slots = h.slots()
         i = rng.randrange(len(slots))
         e = slots[i]
-        # the core names H's edges by their index in slot order
-        tf = slot_form(h, _two_factor_through(h.n, h.edge_list(), i))
-        assert e in cycle_slots(tf)
+        # the core names H's edges by their index in slot order, and its
+        # byte for an edge on the 2-factor is not 0
+        way = _two_factor_through(h.n, h.edge_list(), i)
+        factor = frozenset(s for s, b in zip(slots, way) if b)
+        assert e in factor
         deg = [0] * h.n
-        for s in cycle_slots(tf):
+        for s in factor:
             deg[s[0]] += 1
             deg[s[1]] += 1
         assert all(d == 2 for d in deg)
         if h.n <= 8:
-            assert frozenset(cycle_slots(tf)) in set(all_two_factors(h))
+            assert factor in set(all_two_factors(h))
             brute_checked += 1
         checked += 1
     assert brute_checked > 0

@@ -122,10 +122,11 @@ def test_canonical_on_prism(named_fixtures):
 def test_matched_pairs_get_heavy_colors(named_fixtures):
     g = named_fixtures["big_expansion"]
     local = _structure(g).shares[0]
-    factor = _complement(len(local.triangles), local.ends)
-    col = colored(g.n, _canonical, local, factor)
-    for e in factor.matching:
-        r = local.walk[e]
+    way = _complement(len(local.triangles), local.ends)
+    col = colored(g.n, _canonical, local, way)
+    matched = [r for r, b in zip(local.walk, way) if b == 0]
+    assert 2 * len(matched) == len(local.triangles)
+    for r in matched:
         assert col.assignment[r[0]] == C2A
         assert col.assignment[r[-1]] == C2B
         if len(r) == 2:

@@ -431,9 +431,11 @@ def test_coloring_a_diamond_chain_builds_no_component_per_diamond(large_graphs, 
     assert peak / g.n < 80, f"{peak / g.n:.1f} B/vertex"
 
 
-# peak bytes per vertex of a coloring: 35.6, 49.5 and 48.8 on CPython 3.11
-# and 3.12, 35.0, 47.5 and 46.8 on 3.10; with two per-vertex scan indexes
-# they were 46.3, 56.2 and 55.6 (45.8, 55.3 and 54.6 on 3.10), which fail
+# peak bytes per vertex of a coloring: 35.0, 49.5 and 48.8 on CPython 3.11
+# with the 2-factor as one byte per H-edge; with its cycles as tuples they
+# were 35.6, 49.5 and 48.8 on 3.11 and 3.12, 35.0, 47.5 and 46.8 on 3.10,
+# and with two per-vertex scan indexes 46.3, 56.2 and 55.6 (45.8, 55.3 and
+# 54.6 on 3.10), which fail
 PEAK_PER_VERTEX = {"built-h1024": 40, "chain-2000": 52, "ring-2500": 52}
 
 

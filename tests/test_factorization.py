@@ -23,12 +23,11 @@ from brute import (
     all_perfect_matchings,
     relabeled,
     all_two_factors,
-    cycle_slots,
+    factor_bytes,
     factor_from_matching_by_reattribution,
     h_of,
     matching_through_by_reattribution,
     max_matching_by_full_scans,
-    slot_form,
     two_factor_by_reattribution,
     two_factor_through_by_reattribution,
 )
@@ -39,14 +38,19 @@ def k4():
 
 
 def two_factor(h):
-    """`_complement` of h, its edges numbered in slot order, named by slots."""
-    return slot_form(h, _complement(h.n, h.edge_list()))
+    """`_complement` of h, its edges numbered in slot order."""
+    return _complement(h.n, h.edge_list())
 
 
 def forced(through, h, e):
     """`through` (`_two_factor_through` or `_matched_through`) of h at the
-    slot e, its edges numbered in slot order, named by slots."""
-    return slot_form(h, through(h.n, h.edge_list(), h.slots().index(e)))
+    slot e, its edges numbered in slot order."""
+    return through(h.n, h.edge_list(), h.slots().index(e))
+
+
+def on_cycles(h, way):
+    """The slots of h whose 2-factor byte in way is not 0."""
+    return frozenset(s for s, b in zip(h.slots(), way) if b)
 
 
 def matched_slots(g):
@@ -55,29 +59,45 @@ def matched_slots(g):
     return frozenset((v, w, 0) for v, w in enumerate(mate) if w > v)
 
 
-def assert_valid_two_factor(g, tf):
-    factor = cycle_slots(tf)
-    deg = [0] * g.n
-    for s in factor:
-        deg[s[0]] += 1
-        deg[s[1]] += 1
-    assert all(d == 2 for d in deg)
-    # factor and matching partition the slot multiset
-    assert factor | set(tf.matching) == set(g.slots())
-    assert not (factor & set(tf.matching))
-    mdeg = [0] * g.n
-    for s in tf.matching:
-        mdeg[s[0]] += 1
-        mdeg[s[1]] += 1
-    assert all(d == 1 for d in mdeg)
-    # each cycle walks consecutive incident slots
-    for cycle in tf.cycles:
-        m = len(cycle)
-        assert m >= 2
-        for i, (v, slot) in enumerate(cycle):
-            w = cycle[(i + 1) % m][0]
-            assert {slot[0], slot[1]} == {v, w} or (v == w and slot[0] == slot[1])
-            assert v in (slot[0], slot[1]) and w in (slot[0], slot[1])
+def assert_valid_two_factor(g, way, banned=()):
+    """way, one byte per id of g's edges in slot order, is a 2-factor as
+    `_complement` gives it, no id in `banned` matched; returns its cycles'
+    lengths, ascending.
+
+    The 0s are a perfect matching, each on the lowest id of its pair not
+    in `banned`.  Each other byte is 1 or 2, the edge leaving its lower or
+    upper end, and each vertex has one such edge leaving it and one
+    entering it.  Each cycle leaves its smallest vertex by the lower of
+    that vertex's two cycle edges.
+    """
+    ends = g.edge_list()
+    assert len(way) == len(ends) and set(way) <= {0, 1, 2}
+    matched = [e for e, b in enumerate(way) if b == 0]
+    assert sorted(v for e in matched for v in ends[e]) == list(range(g.n))
+    for e in matched:
+        assert e not in banned
+        assert all(f in banned for f in range(e) if ends[f] == ends[e])
+    out, into = [[] for _ in range(g.n)], [[] for _ in range(g.n)]
+    for e, b in enumerate(way):
+        if b:
+            a, c = ends[e] if b == 1 else ends[e][::-1]
+            out[a].append(e)
+            into[c].append(e)
+    assert all(len(o) == len(i) == 1 for o, i in zip(out, into))
+    # each start is the smallest vertex of its cycle, as starts ascend
+    lengths, seen = [], set()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        assert out[start][0] < into[start][0]
+        v, length = start, 0
+        while v not in seen:
+            seen.add(v)
+            a, c = ends[out[v][0]]
+            v, length = c if a == v else a, length + 1
+        assert v == start
+        lengths.append(length)
+    return sorted(lengths)
 
 
 def test_k4_perfect_matching():
@@ -99,15 +119,12 @@ def test_c5_has_no_perfect_matching():
 
 
 def test_two_factor_k4_is_hamiltonian():
-    tf = two_factor(k4())
-    assert_valid_two_factor(k4(), tf)
-    assert len(tf.cycles) == 1 and len(tf.cycles[0]) == 4
+    assert assert_valid_two_factor(k4(), two_factor(k4())) == [4]
 
 
 def test_two_factor_h10_and_reference_factor(named_fixtures):
     g = named_fixtures["h10"]
-    tf = two_factor(g)
-    assert_valid_two_factor(g, tf)
+    assert_valid_two_factor(g, two_factor(g))
     # a hand-picked complement matching for this fixture is itself perfect
     reference = frozenset(
         {(1, 3, 0), (2, 4, 0), (5, 6, 0), (0, 8, 0), (7, 9, 0)}
@@ -126,8 +143,7 @@ def test_two_factor_h10_and_reference_factor(named_fixtures):
 
 def test_two_factor_petersen(named_fixtures):
     g = named_fixtures["petersen"]
-    tf = two_factor(g)
-    assert_valid_two_factor(g, tf)
+    assert_valid_two_factor(g, two_factor(g))
 
 
 def test_two_factor_rejects_bridged():
@@ -139,20 +155,18 @@ def test_two_factor_rejects_bridged():
 
 def test_two_factor_through_k4_every_edge():
     g = k4()
-    for e in g.slots():
-        tf = forced(_two_factor_through, g, e)
-        assert_valid_two_factor(g, tf)
-        assert e in cycle_slots(tf)
-        assert len(tf.cycles[0]) == 4
+    for i, e in enumerate(g.slots()):
+        way = forced(_two_factor_through, g, e)
+        assert assert_valid_two_factor(g, way, (i, 1 if i == 0 else 0)) == [4]
+        assert e in on_cycles(g, way)
 
 
 def test_two_factor_through_triple_edge():
     g = MultiGraph(2, [(0, 1)] * 3)
-    for e in g.slots():
-        tf = forced(_two_factor_through, g, e)
-        assert_valid_two_factor(g, tf)
-        assert e in cycle_slots(tf)
-        assert len(tf.cycles) == 1 and len(tf.cycles[0]) == 2
+    for i, e in enumerate(g.slots()):
+        way = forced(_two_factor_through, g, e)
+        assert assert_valid_two_factor(g, way, (i, 1 if i == 0 else 0)) == [2]
+        assert e in on_cycles(g, way)
 
 
 def test_two_factor_through_errors():
@@ -164,7 +178,10 @@ def test_two_factor_through_errors():
 def test_matching_through_every_slot(named_fixtures):
     g = named_fixtures["h10"]
     for e in g.slots():
-        m = forced(_matched_through, g, e).matching
+        way = forced(_matched_through, g, e)
+        banned = [f for f, s in enumerate(g.slots()) if e[0] in s[:2] and s != e]
+        assert_valid_two_factor(g, way, banned)
+        m = set(g.slots()) - on_cycles(g, way)
         assert e in m
         assert frozenset(m) in set(all_perfect_matchings(g))
 
@@ -220,10 +237,9 @@ def test_two_factor_through_on_decomposed_h(named_fixtures):
     h = h_of(decompose(named_fixtures["big_expansion"]))
     factors = set(all_two_factors(h))
     for e in h.slots():
-        tf = forced(_two_factor_through, h, e)
-        assert e in cycle_slots(tf)
-        assert (e[0], e[1]) in {(u, v) for u, v, _ in cycle_slots(tf)}
-        assert frozenset(cycle_slots(tf)) in factors
+        factor = on_cycles(h, forced(_two_factor_through, h, e))
+        assert e in factor
+        assert factor in factors
 
 
 def test_two_factor_through_cross_checked_with_enumeration():
@@ -233,9 +249,9 @@ def test_two_factor_through_cross_checked_with_enumeration():
         factors = set(all_two_factors(g))
         assert factors, "a bridgeless cubic multigraph always has a 2-factor"
         for e in g.slots()[:4]:
-            tf = forced(_two_factor_through, g, e)
-            assert e in cycle_slots(tf)
-            assert frozenset(cycle_slots(tf)) in factors
+            factor = on_cycles(g, forced(_two_factor_through, g, e))
+            assert e in factor
+            assert factor in factors
 
 
 def _reference_graphs(named_fixtures):
@@ -249,18 +265,17 @@ def _reference_graphs(named_fixtures):
 
 
 def test_complement_matches_reattribution_reference(named_fixtures):
-    # the one complement core gives the same TwoFactor objects
-    # (cycles, start vertices, sorted matching) as the three cores it replaced,
-    # once its edge ids are mapped to the slots they number
+    # the one complement core gives the 2-factors (cycles, start vertices,
+    # matching) of the three cores it replaced, each as its bytes
     for h in _reference_graphs(named_fixtures):
         ends = h.edge_list()
-        assert slot_form(h, _complement(h.n, ends)) == two_factor_by_reattribution(h)
+        assert _complement(h.n, ends) == factor_bytes(h, two_factor_by_reattribution(h))
         for i, e in enumerate(h.slots()):
-            tf = slot_form(h, _two_factor_through(h.n, ends, i))
-            assert tf == two_factor_through_by_reattribution(h, e)
+            want = factor_bytes(h, two_factor_through_by_reattribution(h, e))
+            assert _two_factor_through(h.n, ends, i) == want
             m = matching_through_by_reattribution(h, e)
-            tf = slot_form(h, _matched_through(h.n, ends, i))
-            assert tf == factor_from_matching_by_reattribution(h, m)
+            want = factor_bytes(h, factor_from_matching_by_reattribution(h, m))
+            assert _matched_through(h.n, ends, i) == want
 
 
 def _matching_inputs(named_fixtures):
